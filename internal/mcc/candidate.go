@@ -62,10 +62,11 @@ func (m *MCC) fastPathReady() bool {
 
 // fnIndexOf returns the position of the named function in the deployed
 // architecture, or -1. The index map is built lazily over the deployed
-// slice and maintained by the in-place mutations below (appends extend
-// it, removals shift every later position and drop it); anything that
-// replaces the slice wholesale — a clone-based commit, a window
-// rollback, a cache purge — drops it too, and the next lookup rebuilds.
+// slice and kept exact by the in-place mutations below: appends extend
+// it, removals and their reverts rewrite the positions their memmove
+// shifted. Only the rare wholesale replacements of the slice — a
+// clone-based commit, a window rollback, a cache purge — drop it, and
+// the next lookup rebuilds.
 func (m *MCC) fnIndexOf(name string) int {
 	if m.fnIdx == nil {
 		fns := m.deployed.Functions
@@ -129,12 +130,16 @@ func (m *MCC) applyChangeFast(c Change) (pipeline.Diff, candUndo) {
 	u := candUndo{kind: candRemove, idx: idx, old: fa.Functions[idx]}
 	// Order-preserving delete, so validation's first-error selection (and
 	// every other order-sensitive walk) matches the clone-based path. The
-	// memmove shifts every later position, so the index map is dropped —
-	// the next fast-path lookup rebuilds it, amortized against the O(n)
-	// delete this undo already paid for.
+	// memmove shifts every later position down by one; the index follows
+	// over the same span, allocation-free. Dropping it instead would make
+	// the next lookup rebuild a platform-sized map — several times the
+	// bytes of the rest of the proposal.
 	copy(fa.Functions[idx:], fa.Functions[idx+1:])
 	fa.Functions = fa.Functions[:len(fa.Functions)-1]
-	m.fnIdx = nil
+	if m.fnIdx != nil {
+		delete(m.fnIdx, name)
+		m.reindexFrom(idx)
+	}
 	if d.FlowsChanged {
 		u.oldFlows, u.flowsCut = fa.Flows, true
 		kept := make([]model.Flow, 0, len(fa.Flows))
@@ -148,9 +153,19 @@ func (m *MCC) applyChangeFast(c Change) (pipeline.Diff, candUndo) {
 	return d, u
 }
 
+// reindexFrom rewrites the index positions of every deployed function
+// from position i on — the span an order-preserving insert or delete
+// just shifted.
+func (m *MCC) reindexFrom(i int) {
+	fns := m.deployed.Functions
+	for ; i < len(fns); i++ {
+		m.fnIdx[fns[i].Name] = i
+	}
+}
+
 // revertChange undoes one in-place candidate mutation, keeping the
-// function index map in step (reinsertion shifts positions, so it is
-// dropped like the removal that preceded it).
+// function index map in step: a reinsertion shifts the later positions
+// back up, over the same span the removal shifted down.
 func (m *MCC) revertChange(u candUndo) {
 	fa := m.deployed
 	switch u.kind {
@@ -168,7 +183,9 @@ func (m *MCC) revertChange(u candUndo) {
 		if u.flowsCut {
 			fa.Flows = u.oldFlows
 		}
-		m.fnIdx = nil
+		if m.fnIdx != nil {
+			m.reindexFrom(u.idx)
+		}
 	}
 }
 

@@ -281,10 +281,11 @@ func (m *MCC) rollbackWindow(j *cacheJournal) {
 	m.deployedRes = j.resTable
 	m.deployedConnIdx = j.connIdx
 	m.deployedInstTotal = j.instTotal
-	// The function index may describe mid-window slice states the replay
-	// above rewound; rebuild lazily from the restored slice. The shard
-	// routing index may likewise describe placements the rollback just
-	// unwound.
+	// The replay above keeps the function index in step, but a mid-window
+	// from-scratch commit may have rebuilt it over the swapped-in slice
+	// the restored pointer just discarded; rebuild lazily from the
+	// restored slice. The shard routing index may likewise describe
+	// placements the rollback just unwound.
 	m.fnIdx = nil
 	m.invalidateRoutes()
 	// Fault-injection hook modeling a failed keyed undo (e.g. a journal

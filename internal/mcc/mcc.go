@@ -208,11 +208,13 @@ type MCC struct {
 	// materializing the platform-sized candidate instance list entirely.
 	pendingPlaced map[string][]model.Instance
 	// fnIdx is the lazily built name->position index of the deployed
-	// function slice, maintained by the fast path's in-place mutations;
-	// anything that replaces or reorders the slice wholesale (clone-based
-	// commit, window rollback, purge) drops it and the next lookup
-	// rebuilds. It turns the per-proposal O(n) fnIndexOf/FunctionByName
-	// scans of the fast path into map hits.
+	// function slice, kept exact by the fast path's in-place mutations
+	// (appends extend it; removals and their reverts rewrite the shifted
+	// positions, O(n − idx) and allocation-free). Only the rare wholesale
+	// replacements of the slice (clone-based commit, window rollback,
+	// purge) drop it, and the next lookup rebuilds. It turns the
+	// per-proposal O(n) fnIndexOf/FunctionByName scans of the fast path
+	// into map hits.
 	fnIdx map[string]int
 	// deployedConnIdx maps each function name to the ascending positions
 	// of the committed connections it is incident to (client or server

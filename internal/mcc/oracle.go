@@ -22,8 +22,9 @@ func FromScratchTables(p *model.Platform, impl *model.ImplementationModel) ([]Ti
 	}
 	m := &MCC{platform: p, procs: procNames(p), procIdx: procIndex(p)}
 	var timing []TimingResult
+	tasksOn := impl.TasksByProcessor()
 	for _, pn := range m.procs {
-		j, ok := m.buildProcJob(impl, pn)
+		j, ok := m.buildProcJobFrom(pn, tasksOn[pn])
 		if !ok {
 			continue
 		}

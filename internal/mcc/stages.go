@@ -234,39 +234,50 @@ func (p *placer) discount(f *model.Function, proc string) bool {
 // ok=false when a replica has no feasible processor, returning the
 // replicas placed so far (their index names the failing one).
 func (p *placer) place(f *model.Function) ([]model.Instance, bool) {
-	var out []model.Instance
-	usedProcs := make(map[string]bool)
-	for r := 0; r < f.EffectiveReplicas(); r++ {
-		best := ""
+	// Per-function constants, hoisted out of the per-processor scan.
+	replicas := f.EffectiveReplicas()
+	util := utilPPM(f)
+	ram := f.Contract.Resources.RAMKiB
+	level := f.Contract.Safety
+	var usedProcs map[string]bool
+	if replicas > 1 {
+		usedProcs = make(map[string]bool, replicas)
+	}
+	out := make([]model.Instance, 0, replicas)
+	for r := 0; r < replicas; r++ {
+		best := -1
 		var bestUtil int64 = -1
 		for i := range p.m.platform.Processors {
 			proc := &p.m.platform.Processors[i]
-			if proc.MaxSafety < f.Contract.Safety {
+			if proc.MaxSafety < level {
 				continue
 			}
-			if f.EffectiveReplicas() > 1 && usedProcs[proc.Name] {
+			if usedProcs[proc.Name] {
 				continue // replica separation
 			}
 			l := &p.loads[i]
-			scaledUtil := scaleUtilPPM(utilPPM(f), proc.SpeedFactor)
+			scaledUtil := scaleUtilPPM(util, proc.SpeedFactor)
 			if l.utilPPM+scaledUtil > 1_000_000 {
 				continue
 			}
-			if l.ramKiB+f.Contract.Resources.RAMKiB > proc.RAMKiB {
+			if l.ramKiB+ram > proc.RAMKiB {
 				continue
 			}
 			// Best fit: lowest resulting utilization.
 			if bestUtil < 0 || l.utilPPM+scaledUtil < bestUtil {
-				best = proc.Name
+				best = i
 				bestUtil = l.utilPPM + scaledUtil
 			}
 		}
-		if best == "" {
+		if best < 0 {
 			return out, false
 		}
-		p.account(f, best)
-		usedProcs[best] = true
-		out = append(out, model.Instance{Function: f.Name, Replica: r, Processor: best})
+		name := p.m.platform.Processors[best].Name
+		p.account(f, name)
+		if usedProcs != nil {
+			usedProcs[name] = true
+		}
+		out = append(out, model.Instance{Function: f.Name, Replica: r, Processor: name})
 	}
 	return out, true
 }
@@ -601,7 +612,7 @@ func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
 	cand := ctx.Candidate
 	for _, nameSet := range [][]string{d.Added, d.Changed} {
 		for _, name := range nameSet {
-			if f := cand.FunctionByName(name); f != nil {
+			if f := m.candFn(cand, name); f != nil {
 				over.fns[f.Name] = f
 			}
 		}
@@ -813,8 +824,9 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture) (*model.Implementati
 	fnByName, instancesOf := synthLookups(tech)
 	look := &synthView{cache: &synthCache{fnByName: fnByName, instancesOf: instancesOf}}
 
+	instOn := tech.InstancesByProcessor()
 	for _, pn := range m.procs {
-		impl.Tasks = append(impl.Tasks, m.synthesizeTasksOn(look, pn, tech.InstancesOn(pn))...)
+		impl.Tasks = append(impl.Tasks, m.synthesizeTasksOn(look, pn, instOn[pn])...)
 	}
 	msgs, err := m.synthesizeMessages(tech, look)
 	if err != nil {
@@ -1520,6 +1532,12 @@ func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel)
 		return jobs, scanned
 	}
 
+	// A from-scratch pass scans every processor: group the flat task list
+	// once instead of extracting each processor's tasks from it.
+	var tasksOn map[string][]model.Task
+	if !incremental {
+		tasksOn = impl.TasksByProcessor()
+	}
 	for _, pn := range m.procs {
 		if incremental && !ctx.AffectedProcs[pn] {
 			// Untouched processor: its task set is byte-identical to the
@@ -1532,16 +1550,21 @@ func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel)
 		scanned++
 		var j timingJob
 		var ok bool
-		if over := m.pendingSynth; incremental && over != nil {
+		if !incremental {
+			j, ok = m.buildProcJobFrom(pn, tasksOn[pn])
+		} else {
 			// The partial synthesis leaves impl.Tasks unmaterialized; the
 			// affected processors' rebuilt lists live in the overlay.
-			if tasks, have := over.tasksOn[pn]; have {
+			var tasks []model.Task
+			have := false
+			if over := m.pendingSynth; over != nil {
+				tasks, have = over.tasksOn[pn]
+			}
+			if have {
 				j, ok = m.buildProcJobFrom(pn, tasks)
 			} else {
 				j, ok = m.buildProcJob(impl, pn)
 			}
-		} else {
-			j, ok = m.buildProcJob(impl, pn)
 		}
 		if ok {
 			m.scratch.scannedIdx = append(m.scratch.scannedIdx, len(jobs))

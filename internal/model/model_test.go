@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -392,6 +393,31 @@ func TestTasksOnSortedByPriority(t *testing.T) {
 	got := im.TasksOn("p")
 	if len(got) != 3 || got[0].Name != "a" || got[2].Name != "c" {
 		t.Fatalf("TasksOn = %v", got)
+	}
+}
+
+func TestGroupedByProcessorMatchesPerProcessorScans(t *testing.T) {
+	tech := &TechnicalArchitecture{Instances: []Instance{
+		{Function: "b", Replica: 0, Processor: "p"},
+		{Function: "a", Replica: 1, Processor: "q"},
+		{Function: "a", Replica: 0, Processor: "p"},
+		{Function: "c", Replica: 0, Processor: "p"},
+	}}
+	im := &ImplementationModel{Tasks: []Task{
+		{Name: "c", Processor: "p", Priority: 3},
+		{Name: "a", Processor: "p", Priority: 1},
+		{Name: "z", Processor: "q", Priority: 2},
+		{Name: "y", Processor: "q", Priority: 2},
+		{Name: "b", Processor: "p", Priority: 2},
+	}}
+	insts, tasks := tech.InstancesByProcessor(), im.TasksByProcessor()
+	for _, pn := range []string{"p", "q", "idle"} {
+		if got, want := insts[pn], tech.InstancesOn(pn); !reflect.DeepEqual(got, want) {
+			t.Fatalf("InstancesByProcessor()[%s] = %v, InstancesOn = %v", pn, got, want)
+		}
+		if got, want := tasks[pn], im.TasksOn(pn); !reflect.DeepEqual(got, want) {
+			t.Fatalf("TasksByProcessor()[%s] = %v, TasksOn = %v", pn, got, want)
+		}
 	}
 }
 

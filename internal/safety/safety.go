@@ -89,37 +89,45 @@ func memoryFinding(p *model.Processor, demandKiB int64) (Finding, bool) {
 	}, true
 }
 
-// lookups memoizes the function/processor resolution of one check pass:
-// the scoped path touches a handful of entities and resolves them lazily,
-// the full path pays one linear scan per distinct name instead of one per
-// instance.
+// lookups indexes the function and processor names of one check pass,
+// one pass each with the first match winning like
+// FunctionByName/ProcessorByName. Every check pass walks the whole
+// instance list anyway, so the index build adds no asymptotic cost and
+// replaces one linear lookup per distinct name.
 type lookups struct {
-	t   *model.TechnicalArchitecture
 	fns map[string]*model.Function
 	prs map[string]*model.Processor
 }
 
 func newLookups(t *model.TechnicalArchitecture) *lookups {
-	return &lookups{t: t, fns: make(map[string]*model.Function), prs: make(map[string]*model.Processor)}
+	var fns []model.Function
+	if t.Func != nil {
+		fns = t.Func.Functions
+	}
+	var prs []model.Processor
+	if t.Platform != nil {
+		prs = t.Platform.Processors
+	}
+	l := &lookups{
+		fns: make(map[string]*model.Function, len(fns)),
+		prs: make(map[string]*model.Processor, len(prs)),
+	}
+	for i := range fns {
+		if _, dup := l.fns[fns[i].Name]; !dup {
+			l.fns[fns[i].Name] = &fns[i]
+		}
+	}
+	for i := range prs {
+		if _, dup := l.prs[prs[i].Name]; !dup {
+			l.prs[prs[i].Name] = &prs[i]
+		}
+	}
+	return l
 }
 
-func (l *lookups) fn(name string) *model.Function {
-	f, ok := l.fns[name]
-	if !ok {
-		f = l.t.Func.FunctionByName(name)
-		l.fns[name] = f
-	}
-	return f
-}
+func (l *lookups) fn(name string) *model.Function { return l.fns[name] }
 
-func (l *lookups) proc(name string) *model.Processor {
-	p, ok := l.prs[name]
-	if !ok {
-		p = l.t.Platform.ProcessorByName(name)
-		l.prs[name] = p
-	}
-	return p
-}
+func (l *lookups) proc(name string) *model.Processor { return l.prs[name] }
 
 // checkPlacementScoped verifies the ASIL placement of every instance of a
 // touched function (all instances when touched is nil), in the model's
@@ -215,7 +223,7 @@ func CheckPlacement(t *model.TechnicalArchitecture) []Finding {
 // CheckRedundancy verifies that fail-operational functions are replicated
 // on disjoint processors (no single point of failure).
 func CheckRedundancy(t *model.TechnicalArchitecture) []Finding {
-	out, _ := checkRedundancyScoped(t, nil, newLookups(t))
+	out, _ := checkRedundancyScoped(t, nil, nil)
 	return out
 }
 

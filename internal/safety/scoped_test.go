@@ -111,3 +111,34 @@ func TestCheckScopedCleanScopeIsSilent(t *testing.T) {
 		t.Fatalf("clean scope computed %d verdicts, want 2", checked)
 	}
 }
+
+func TestCheckScopedDuplicateAndDanglingNames(t *testing.T) {
+	tech := violationArch()
+	// Duplicate names: the first copy must win, as in FunctionByName and
+	// ProcessorByName. The second copies would clear the ctl placement
+	// and the qm memory findings if they won.
+	tech.Func.Functions = append(tech.Func.Functions,
+		model.Function{Name: "ctl", Contract: model.Contract{Safety: model.QM}})
+	tech.Platform.Processors = append(tech.Platform.Processors,
+		model.Processor{Name: "qm", Policy: model.SPP, SpeedFactor: 1, RAMKiB: 1 << 30, MaxSafety: model.ASILD})
+	// Instances referencing entities that do not exist are skipped
+	// (structural validation reports them).
+	tech.Instances = append(tech.Instances,
+		model.Instance{Function: "ghost", Replica: 0, Processor: "safe"},
+		model.Instance{Function: "app", Replica: 1, Processor: "nowhere"})
+	got, _ := CheckScoped(tech, nil, nil)
+	want := []struct{ rule, subject string }{
+		{"asil-placement", "ctl#0"},
+		{"fail-operational-redundancy", "failop1"},
+		{"fail-operational-redundancy", "failop2"},
+		{"memory-budget", "qm"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("findings = %v, want %v", got, want)
+	}
+	for i, w := range want {
+		if got[i].Rule != w.rule || got[i].Subject != w.subject {
+			t.Fatalf("finding %d = %s/%s, want %s/%s (all: %v)", i, got[i].Rule, got[i].Subject, w.rule, w.subject, got)
+		}
+	}
+}
