@@ -71,14 +71,12 @@ func BenchmarkE3_MCCIntegration(b *testing.B) {
 }
 
 // BenchmarkMCCThroughput measures the MCC's change-request throughput on
-// the fleet-scale E12 stream under the five integration strategies. The
+// the fleet-scale E12 stream under the three integration strategies. The
 // serial sub-benchmark is the seed baseline (per-change integration, every
-// stage from scratch, one worker); parallel adds the incremental timing
-// engine (PR 1); batched coalesces change windows on top of it;
-// full-incremental makes every pre-timing stage incremental too (scoped
-// validation, warm-started mapping, partial synthesis, diff-proportional
-// timing jobs and monitor splicing) and must beat the parallel mode's
-// changes/s; stream-parallel runs the change stream through the
+// stage from scratch, one worker); full-incremental makes every stage
+// incremental (scoped validation, warm-started mapping, partial synthesis,
+// memoized timing with diff-proportional jobs, and monitor splicing);
+// stream-parallel runs the change stream through the
 // mcc.StreamScheduler, fanning the deferred busy-window analyses of each
 // optimistic window out over all cores — on >= 2 cores it must beat
 // full-incremental (run with -cpu 1,2,4 for the sweep; on a single core

@@ -30,19 +30,11 @@
 // tenant is faulted. This is absolute, not baseline-relative: a single
 // lost healthy decision is a bulkhead regression.
 //
-// With -e16 the command additionally (or instead) gates the E16
-// shard-scaling tier: at every swept platform size the sharded stream
-// scheduler must have actually formed more than one shard, exercised the
-// cross-partition global-window drain, and stayed at or above the single
-// window sequence's throughput within -e16-min-ratio. The ratio is
-// within one run on one machine, so it is machine-independent like the
-// collapse gate above.
-//
 // Without -baseline the gate compares against the newest committed
 // trajectory point: the highest-numbered BENCH_PR<N>.json in the working
 // directory that carries an E13 sweep.
 //
-// Usage: benchgate -current smoke.json [-baseline BENCH_PR9.json] [-e15 e15.json] [-e16 e16.json]
+// Usage: benchgate -current smoke.json [-baseline BENCH_PR9.json] [-e15 e15.json]
 package main
 
 import (
@@ -62,15 +54,6 @@ type e13Point struct {
 	ChangesPerSec   float64 `json:"changes_per_sec"`
 }
 
-// e16Point is the subset of the canbench e16 row the gate consumes.
-type e16Point struct {
-	Procs         int     `json:"procs"`
-	Mode          string  `json:"mode"`
-	Shards        int     `json:"shards"`
-	GlobalWindows int     `json:"global_windows"`
-	ChangesPerSec float64 `json:"changes_per_sec"`
-}
-
 // e15Point is the subset of the canbench e15 row the gate consumes.
 type e15Point struct {
 	Spec              string `json:"spec"`
@@ -83,7 +66,6 @@ type e15Point struct {
 type benchFile struct {
 	E13 []e13Point `json:"e13"`
 	E15 []e15Point `json:"e15"`
-	E16 []e16Point `json:"e16"`
 }
 
 // incrementalModes are the engines whose flatness the gate enforces; the
@@ -246,74 +228,15 @@ func gateE15(rows []e15Point) []string {
 	return fails
 }
 
-// gateE16 enforces the shard-scaling property on the E16 sweep: at every
-// swept platform size the sharded scheduler must actually shard (more
-// than one partition, and global windows exercised by the change mix's
-// removals — a zero there means the drain path silently stopped being
-// measured) and must not fall below the single window sequence's
-// throughput beyond minRatio. The ratio is within one run on one
-// machine, so the gate holds on any CI runner; minRatio below 1.0
-// absorbs wall-clock jitter on small shared runners, where the two
-// schedulers measure at parity once per-shard occupancy drops (the
-// sharded win there is epoch batching; prefetch overlap needs cores).
-func gateE16(rows []e16Point, minRatio float64) []string {
-	var fails []string
-	sizes := 0
-	for _, r := range rows {
-		if r.Mode != "sharded" {
-			continue
-		}
-		sizes++
-		base, ok := e16At(rows, r.Procs, "stream-parallel")
-		if !ok {
-			fails = append(fails, fmt.Sprintf("e16 %dp: no stream-parallel row to compare against", r.Procs))
-			continue
-		}
-		if r.Shards <= 1 {
-			fails = append(fails, fmt.Sprintf("e16 %dp: sharded run formed %d shard(s) — partition fell back to the single sequence", r.Procs, r.Shards))
-		}
-		if r.GlobalWindows == 0 {
-			fails = append(fails, fmt.Sprintf("e16 %dp: sharded run decided no global windows — the cross-partition drain path went unmeasured", r.Procs))
-		}
-		if base.ChangesPerSec <= 0 || r.ChangesPerSec <= 0 {
-			fails = append(fails, fmt.Sprintf("e16 %dp: non-positive changes/s", r.Procs))
-			continue
-		}
-		ratio := r.ChangesPerSec / base.ChangesPerSec
-		fmt.Printf("e16 %5dp sharded/stream-parallel throughput: %.2fx (floor %.2fx, %d shards, %d global windows)\n",
-			r.Procs, ratio, minRatio, r.Shards, r.GlobalWindows)
-		if ratio < minRatio {
-			fails = append(fails, fmt.Sprintf(
-				"e16 %dp: sharded throughput is %.2fx of stream-parallel (floor %.2fx)",
-				r.Procs, ratio, minRatio))
-		}
-	}
-	if sizes == 0 {
-		fails = append(fails, "e16: no sharded rows to gate")
-	}
-	return fails
-}
-
-func e16At(rows []e16Point, procs int, mode string) (e16Point, bool) {
-	for _, r := range rows {
-		if r.Procs == procs && r.Mode == mode {
-			return r, true
-		}
-	}
-	return e16Point{}, false
-}
-
 func main() {
 	baselinePath := flag.String("baseline", "", "committed E13 trajectory point (default: newest BENCH_PR*.json carrying an e13 sweep)")
 	currentPath := flag.String("current", "", "freshly measured E13 sweep (canbench -experiment e13 -json)")
 	e15Path := flag.String("e15", "", "freshly measured E15 availability tier (canbench -experiment e15 -json); gated for a zero blast radius")
-	e16Path := flag.String("e16", "", "freshly measured E16 shard-scaling tier (canbench -experiment e16 -json); gated for engaged sharding and the throughput floor")
 	maxGrowth := flag.Float64("max-growth", 2.0, "max small->large growth of scans/change and checks/change")
 	maxDegrade := flag.Float64("max-degrade", 2.0, "max worsening of the changes/s collapse ratio vs the baseline")
-	e16MinRatio := flag.Float64("e16-min-ratio", 0.8, "min sharded/stream-parallel changes/s ratio at every E16 size (below 1.0 to absorb single-core wall-clock jitter)")
 	flag.Parse()
-	if *currentPath == "" && *e15Path == "" && *e16Path == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -current, -e15, or -e16 is required")
+	if *currentPath == "" && *e15Path == "" {
+		fmt.Fprintln(os.Stderr, "benchgate: -current or -e15 is required")
 		os.Exit(2)
 	}
 	var fails []string
@@ -356,22 +279,6 @@ func main() {
 			gated += " + "
 		}
 		gated += "E15 blast-radius"
-	}
-	if *e16Path != "" {
-		raw, err := os.ReadFile(*e16Path)
-		var bf benchFile
-		if err == nil {
-			err = json.Unmarshal(raw, &bf)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		fails = append(fails, gateE16(bf.E16, *e16MinRatio)...)
-		if gated != "" {
-			gated += " + "
-		}
-		gated += "E16 shard-scaling"
 	}
 	if len(fails) > 0 {
 		for _, f := range fails {

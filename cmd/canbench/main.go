@@ -14,7 +14,6 @@
 //	canbench -experiment e13 [-procs 32,128,512] [-scale-changes 32]
 //	canbench -experiment e14 [-chaos-procs 32] [-chaos-changes 24]
 //	canbench -experiment e15 [-fleet-vehicles 6] [-fleet-archetypes 2] [-fleet-procs 8] [-fleet-changes 12]
-//	canbench -experiment e16 [-shard-procs 128,512,1024] [-shard-changes 1024] [-shard-reps 3]
 //	canbench -experiment all
 //	canbench -experiment all -json   # machine-readable, for BENCH_*.json
 //
@@ -34,13 +33,6 @@
 // publishing sustained throughput, decision-latency percentiles, shed
 // rate, and the blast-radius verdict (healthy vehicles bit-identical to
 // their standalone oracles while one tenant is killed, stalled, or shed).
-//
-// E16 is the shard-scaling tier: the single-window-sequence stream
-// scheduler against the sharded one (one window pipeline per platform
-// partition) on the generated fleets, whose procs/16 disjoint CAN
-// segments give the sharded scheduler that many concurrent sequences.
-// The rows carry shards/global-window telemetry so the benchgate check
-// can verify the partition engaged rather than silently falling back.
 package main
 
 import (
@@ -51,10 +43,8 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/canvirt"
 	"repro/internal/cpa"
@@ -98,28 +88,6 @@ type e13Row struct {
 	WallUS          int64            `json:"wall_us"`
 	ChangesPerSec   float64          `json:"changes_per_sec"`
 	StageWallUS     map[string]int64 `json:"stage_wall_us"`
-}
-
-// e16Row is one E16 shard-scaling point: one stream scheduler (single
-// window sequence vs sharded) on one generated platform size, with the
-// sharding telemetry that proves the partition actually engaged.
-type e16Row struct {
-	Procs           int     `json:"procs"`
-	Resources       int     `json:"resources"`
-	Mode            string  `json:"mode"`
-	Changes         int     `json:"changes"`
-	Accepted        int     `json:"accepted"`
-	Rejected        int     `json:"rejected"`
-	Shards          int     `json:"shards"`
-	Windows         int     `json:"windows"`
-	GlobalWindows   int     `json:"global_windows"`
-	Speculated      int     `json:"speculated"`
-	Replays         int     `json:"replays"`
-	Conflicts       int     `json:"conflicts"`
-	DiscardedPasses int     `json:"discarded_passes"`
-	Prefetched      int     `json:"prefetched"`
-	WallUS          int64   `json:"wall_us"`
-	ChangesPerSec   float64 `json:"changes_per_sec"`
 }
 
 // e14Row is one E14 chaos-tier point: one fault spec driven through one
@@ -207,7 +175,6 @@ type benchReport struct {
 	E13       []e13Row `json:"e13,omitempty"`
 	E14       []e14Row `json:"e14,omitempty"`
 	E15       []e15Row `json:"e15,omitempty"`
-	E16       []e16Row `json:"e16,omitempty"`
 }
 
 func main() {
@@ -222,9 +189,6 @@ func main() {
 	scaleModes := flag.String("scale-modes", "", "comma-separated E13 integration strategies (default serial,full-incremental,stream-parallel); the CI flatness gate selects the incremental modes only, the 2048p serial run costs seconds per point")
 	chaosProcs := flag.Int("chaos-procs", 32, "platform size for the E14 chaos tier")
 	chaosChanges := flag.Int("chaos-changes", 24, "streamed change requests per E14 run")
-	shardProcs := flag.String("shard-procs", "128,512,1024", "comma-separated platform sizes for the E16 shard-scaling sweep")
-	shardChanges := flag.Int("shard-changes", 1024, "streamed change requests per E16 point")
-	shardReps := flag.Int("shard-reps", 3, "repetitions per E16 point; the median wall clock wins (the points take milliseconds, so single shots measure scheduler jitter, not the scheduler)")
 	fleetVehicles := flag.Int("fleet-vehicles", 6, "tenant count for the E15 availability tier")
 	fleetArchetypes := flag.Int("fleet-archetypes", 2, "distinct platform archetypes across the E15 tenants")
 	fleetProcs := flag.Int("fleet-procs", 8, "platform size per E15 archetype")
@@ -240,8 +204,7 @@ func main() {
 	runE13 := *experiment == "e13" || *experiment == "e13-scale" || *experiment == "all"
 	runE14 := *experiment == "e14" || *experiment == "all"
 	runE15 := *experiment == "e15" || *experiment == "all"
-	runE16 := *experiment == "e16" || *experiment == "all"
-	if !runE1 && !runE2 && !runE12 && !runE13 && !runE14 && !runE15 && !runE16 {
+	if !runE1 && !runE2 && !runE12 && !runE13 && !runE14 && !runE15 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
@@ -303,17 +266,6 @@ func main() {
 		}
 		rep.E15 = rows
 	}
-	if runE16 {
-		procList, err := parseIntList("-shard-procs", *shardProcs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows, err := measureE16(procList, *shardChanges, *shardReps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep.E16 = rows
-	}
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -355,92 +307,6 @@ func main() {
 			fmt.Println()
 		}
 		printE15(rep.E15)
-	}
-	if runE16 {
-		if runE1 || runE2 || runE12 || runE13 || runE14 || runE15 {
-			fmt.Println()
-		}
-		printE16(rep.E16)
-	}
-}
-
-// measureE16 sweeps the two stream schedulers (single window sequence vs
-// sharded) across the generated platform sizes and flattens the scenario
-// rows into the JSON format. The sharding telemetry rides along so the
-// gate can verify the partition engaged instead of silently falling back
-// to the single sequence. Every point is run reps times and the median
-// wall clock wins: the points are a few milliseconds each and fleet
-// generation is deterministic, so the repetitions differ only by OS
-// scheduling noise — which the median strips out in both directions
-// (a minimum would instead crown the occasional lucky run).
-func measureE16(procList []int, changes, reps int) ([]e16Row, error) {
-	for _, p := range procList {
-		if p < 2 {
-			return nil, fmt.Errorf("invalid -shard-procs entry %d", p)
-		}
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	cfg := scenario.DefaultMCCShardScaleConfig()
-	cfg.Procs = procList
-	cfg.Updates = changes
-	samples := make([][]scenario.MCCScaleRow, 0, reps)
-	for rep := 0; rep < reps; rep++ {
-		again, err := scenario.RunMCCScale(cfg)
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, again)
-	}
-	rows := samples[0]
-	for i := range rows {
-		walls := make([]time.Duration, 0, reps)
-		for _, s := range samples {
-			walls = append(walls, s[i].Result.StreamWall)
-		}
-		sort.Slice(walls, func(a, b int) bool { return walls[a] < walls[b] })
-		median := walls[len(walls)/2]
-		for _, s := range samples {
-			if s[i].Result.StreamWall == median {
-				rows[i] = s[i]
-				break
-			}
-		}
-	}
-	out := make([]e16Row, 0, len(rows))
-	for _, r := range rows {
-		res := r.Result
-		st := res.Stream
-		out = append(out, e16Row{
-			Procs:           r.Procs,
-			Resources:       r.Resources,
-			Mode:            string(res.Config.Mode),
-			Changes:         res.Config.Updates,
-			Accepted:        res.Accepted,
-			Rejected:        res.Rejected,
-			Shards:          st.Shards,
-			Windows:         st.Windows,
-			GlobalWindows:   st.GlobalWindows,
-			Speculated:      st.Speculated,
-			Replays:         st.Replays,
-			Conflicts:       st.Conflicts,
-			DiscardedPasses: st.DiscardedPasses,
-			Prefetched:      st.Prefetched,
-			WallUS:          res.StreamWall.Microseconds(),
-			ChangesPerSec:   float64(res.Config.Updates) / res.StreamWall.Seconds(),
-		})
-	}
-	return out, nil
-}
-
-func printE16(rows []e16Row) {
-	fmt.Println("E16: sharded stream scheduler vs single window sequence across platform sizes (shard-scaling tier)")
-	fmt.Println("procs  mode              changes  acc  rej  shards  windows  global  spec  repl  conf      wall  changes/s")
-	for _, r := range rows {
-		fmt.Printf("%5d  %-17s %7d  %3d  %3d  %6d  %7d  %6d  %4d  %4d  %4d  %8dus  %9.0f\n",
-			r.Procs, r.Mode, r.Changes, r.Accepted, r.Rejected, r.Shards, r.Windows,
-			r.GlobalWindows, r.Speculated, r.Replays, r.Conflicts, r.WallUS, r.ChangesPerSec)
 	}
 }
 

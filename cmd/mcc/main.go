@@ -11,7 +11,8 @@
 //	mcc                      # built-in E3 update stream
 //	mcc -model system.json   # integrate a system model from disk
 //	mcc -updates 48          # longer built-in stream
-//	mcc -throughput -mode stream-parallel   # fleet-scale E12 throughput run
+//	mcc -throughput                         # fleet-scale E12 throughput run (stream-parallel)
+//	mcc -throughput -mode serial            # ... or serial / full-incremental
 //	mcc -throughput -cache mcc.cache        # warm-start timing analyses across sessions
 package main
 
@@ -34,8 +35,7 @@ func main() {
 	modelPath := flag.String("model", "", "path to a JSON system model")
 	updates := flag.Int("updates", 24, "number of proposals in the built-in stream")
 	throughput := flag.Bool("throughput", false, "run the fleet-scale E12 throughput scenario instead of E3")
-	mode := flag.String("mode", string(scenario.ThroughputBatched), "E12 integration strategy: serial, parallel, batched, full-incremental, stream-parallel")
-	batch := flag.Int("batch", 0, "E12 coalescing window (0 = default)")
+	mode := flag.String("mode", string(scenario.ThroughputStream), "E12 integration strategy: serial, full-incremental, stream-parallel")
 	cachePath := flag.String("cache", "", "persistent timing-analyzer memo table: loaded before integrating, saved back after (warm-starts busy-window analyses across sessions)")
 	flag.Parse()
 
@@ -55,9 +55,6 @@ func main() {
 				cfg.Updates = *updates
 			}
 		})
-		if *batch > 0 {
-			cfg.BatchSize = *batch
-		}
 		res, err := scenario.RunMCCThroughput(cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -2,6 +2,7 @@ package mcc
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/mcc/pipeline"
 	"repro/internal/model"
@@ -17,13 +18,39 @@ import (
 // one touched slot. Stream-window rollback replays the same undo records
 // through the window journal — the copy-on-write trick the journal
 // already plays for the cache maps, extended to the candidate itself.
-// The sharded scheduler widens that rollback unit to the epoch: one
-// journal spans every partition's open window (stream_sharded.go), and
-// the same undo records rewind all of them together.
 //
-// The clone-based path stays behind ProposeArchitecture, ProposeBatch,
-// and every cold/quarantined state: it is both the from-scratch fallback
-// and the parity oracle the fast path is tested against.
+// The clone-based path stays behind ProposeArchitecture and every
+// cold/quarantined state: it is both the from-scratch fallback and the
+// parity oracle the fast path is tested against.
+
+// Change is one pending modification to the deployed functional
+// architecture: either an update (add/replace a function) or a removal.
+type Change struct {
+	// Update, when non-nil, adds the function or replaces the deployed
+	// version of the same name.
+	Update *model.Function
+	// Remove, when non-empty, removes the named function and its flows.
+	Remove string
+}
+
+func (c Change) String() string {
+	if c.Update != nil {
+		return fmt.Sprintf("update %s", c.Update.Name)
+	}
+	return fmt.Sprintf("remove %s", c.Remove)
+}
+
+// applyChange returns a copy of fa with change c applied — the
+// clone-based candidate of the cold path.
+func applyChange(fa *model.FunctionalArchitecture, c Change) *model.FunctionalArchitecture {
+	switch {
+	case c.Update != nil:
+		return fa.WithFunction(*c.Update)
+	case c.Remove != "":
+		return fa.WithoutFunction(c.Remove)
+	}
+	return fa
+}
 
 // candKind tags one in-place candidate mutation.
 type candKind uint8
@@ -55,7 +82,7 @@ type candUndo struct {
 // quarantined or purged controllers fall back to the clone-based path,
 // which depends only on the committed architecture.
 func (m *MCC) fastPathReady() bool {
-	return m.incPre && !m.quarantined &&
+	return m.incremental && !m.quarantined &&
 		m.deployedSynth != nil && m.deployedFlowTouch != nil &&
 		m.impl != nil && len(m.deployed.Functions) > 0
 }
@@ -197,7 +224,7 @@ func (m *MCC) revertChange(u candUndo) {
 // controllers take the clone-based path unchanged.
 func (m *MCC) integrateChangeCtx(gctx context.Context, c Change) *Report {
 	if !m.fastPathReady() {
-		return m.integrateCtx(gctx, applyChange(m.deployed, c))
+		return m.integrateDiff(gctx, applyChange(m.deployed, c), nil)
 	}
 	d, undo := m.applyChangeFast(c)
 	rep := m.integrateDiff(gctx, m.deployed, &d)

@@ -1,6 +1,7 @@
 package mcc
 
 import (
+	"context"
 	"maps"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestFnIndexMaintainedAcrossFastPathMutations(t *testing.T) {
 		}
 		// Build the index so every step exercises its maintenance.
 		m.fnIndexOf("")
-		if rep := m.propose(st.c); rep.Accepted != st.accept {
+		if rep := m.integrateChangeCtx(context.Background(), st.c); rep.Accepted != st.accept {
 			t.Fatalf("%s: accepted=%v at %s (%v), want %v",
 				st.name, rep.Accepted, rep.RejectedAt, rep.Findings, st.accept)
 		}
@@ -72,7 +73,7 @@ func TestFnIndexMaintainedAcrossFastPathMutations(t *testing.T) {
 // serial replay) must still describe the restored slice.
 func TestFnIndexAfterStreamWindowRollback(t *testing.T) {
 	m := robustMCC(t)
-	m.propose(upd(fn("a0", model.QM, 100000, 1000, 64)))
+	m.integrateChangeCtx(context.Background(), upd(fn("a0", model.QM, 100000, 1000, 64)))
 	m.fnIndexOf("")
 	assertFnIndex(t, m, "before the window")
 	sched := NewStreamScheduler(m, WithStreamWindow(8))
@@ -90,7 +91,7 @@ func TestFnIndexAfterStreamWindowRollback(t *testing.T) {
 		t.Fatal("window did not roll back")
 	}
 	assertFnIndex(t, m, "after the rollback")
-	if rep := m.propose(Change{Remove: "a1"}); !rep.Accepted {
+	if rep := m.integrateChangeCtx(context.Background(), Change{Remove: "a1"}); !rep.Accepted {
 		t.Fatalf("removal after the rollback rejected at %s: %v", rep.RejectedAt, rep.Findings)
 	}
 	assertFnIndex(t, m, "removal after the rollback")

@@ -284,10 +284,8 @@ func (m *MCC) rollbackWindow(j *cacheJournal) {
 	// The replay above keeps the function index in step, but a mid-window
 	// from-scratch commit may have rebuilt it over the swapped-in slice
 	// the restored pointer just discarded; rebuild lazily from the
-	// restored slice. The shard routing index may likewise describe
-	// placements the rollback just unwound.
+	// restored slice.
 	m.fnIdx = nil
-	m.invalidateRoutes()
 	// Fault-injection hook modeling a failed keyed undo (e.g. a journal
 	// entry lost to memory corruption). The configuration pointers above
 	// are plain swaps and always succeed; what cannot be trusted after a
@@ -343,6 +341,5 @@ func (m *MCC) purgeIncrementalState() {
 	m.deployedConnIdx = nil
 	m.deployedInstTotal = 0
 	m.fnIdx = nil
-	m.invalidateRoutes()
 	m.analyzer.Reset()
 }

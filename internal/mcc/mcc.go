@@ -25,7 +25,8 @@
 // deployed placement, synthesis rebuilds only affected processors and
 // services, and the timing test memoizes per-resource busy-window
 // analyses — while WithoutIncremental restores the from-scratch seed
-// behavior as a measurable baseline.
+// behavior: the measurable baseline and the parity oracle every
+// incremental stage is tested against.
 package mcc
 
 import (
@@ -111,12 +112,11 @@ type MCC struct {
 	// incremental integration the timing acceptance test of an unchanged
 	// resource is a digest lookup instead of a fixed-point iteration.
 	analyzer *cpa.Analyzer
-	// incTiming enables the memoized analyzer and dirty-resource tracking.
-	incTiming bool
-	// incPre enables the incremental pre-timing stages: scoped validation,
+	// incremental enables every incremental stage: scoped validation,
 	// warm-started mapping, and partial synthesis against the deployed
-	// implementation model.
-	incPre bool
+	// implementation model, plus the memoized analyzer and dirty-resource
+	// tracking of the timing stage. WithoutIncremental clears it.
+	incremental bool
 	// workers bounds the goroutines analyzing dirty resources in parallel.
 	workers int
 	// deployedDigest/deployedTiming hold the per-resource task-set digests
@@ -155,7 +155,7 @@ type MCC struct {
 	// lists) next to deployedJobs, so incremental synthesis splices
 	// untouched processors' task lists without re-deriving synthLookups;
 	// commits invalidate only diff-touched entries. Maintained only while
-	// the pre-timing stages run incrementally (incPre).
+	// the pre-timing stages run incrementally.
 	deployedSynth *synthCache
 	// pendingSynth is the diff-sized lookup overlay of the most recent
 	// incremental synthesis, applied to deployedSynth by the commit stage.
@@ -169,14 +169,14 @@ type MCC struct {
 	// server function the diff touched, or that are missing from the
 	// cache (new or rewired sessions after a connection rebuild), and
 	// splices the rest. Maintained only while the pre-timing stages run
-	// incrementally (incPre).
+	// incrementally.
 	deployedSecVerdicts map[model.Connection]bool
 	// svcProviders counts, per service name, how many Provides occurrences
 	// the committed architecture carries. The validation fast path answers
 	// "is this required service provided" in O(1) against it; keyed
 	// commits adjust only the touched functions' occurrences (journaled),
 	// from-scratch commits rebuild it wholesale. Maintained only while the
-	// pre-timing stages run incrementally (incPre).
+	// pre-timing stages run incrementally.
 	svcProviders map[string]int
 	// deployedFlowTouch maps every function name referenced by a committed
 	// flow to true. Together with deployedSynth.fnByName it is the O(1)
@@ -192,7 +192,7 @@ type MCC struct {
 	// only the diff instead of re-accounting every kept instance. Commits
 	// swap in a fresh slice — never an in-place write — so a window
 	// journal rolls back by restoring the window-start pointer. Maintained
-	// only while the pre-timing stages run incrementally (incPre).
+	// only while the pre-timing stages run incrementally.
 	deployedLoads []procLoad
 	// loadScratch is the reusable per-proposal placer buffer; an accepted
 	// keyed commit takes ownership of it as the new deployedLoads.
@@ -247,17 +247,6 @@ type MCC struct {
 	// commit stage index loads slices through it instead of scanning the
 	// processor list per lookup.
 	procIdx map[string]int
-	// parts is the lazily computed static processor partition of the
-	// platform (see partition.go); the platform is immutable, so the
-	// partition never invalidates.
-	parts *platformParts
-	// fnParts caches the sharded scheduler's function->shard routing,
-	// resolved from the committed instance placements. Keyed commits
-	// refresh the diff-touched entries; from-scratch commits, purges,
-	// and window rollbacks drop the map wholesale (invalidateRoutes) and
-	// lookups rebuild lazily. Purely a window-formation heuristic — a
-	// stale entry could only regroup a change, never change a decision.
-	fnParts map[string]int
 	// journal, when non-nil, is the open copy-on-write rollback point of a
 	// stream-scheduler window: commits record the prior value of every
 	// cache entry they overwrite instead of the window cloning whole maps.
@@ -361,31 +350,12 @@ func WithProposalDeadline(d time.Duration) Option {
 	}
 }
 
-// WithoutIncrementalTiming disables the memoized analyzer and the
-// dirty-resource tracking, re-running the full busy-window analysis over
-// every resource on every proposal. The pre-timing stages stay
-// incremental; see WithoutIncremental for the full from-scratch baseline.
-func WithoutIncrementalTiming() Option {
-	return func(m *MCC) { m.incTiming = false }
-}
-
 // WithoutIncremental disables every incremental stage: validation,
 // mapping, synthesis, and timing all run from scratch on every proposal.
 // This is the seed behavior, kept as the measurable baseline for
-// BenchmarkMCCThroughput.
+// BenchmarkMCCThroughput and as the from-scratch parity oracle.
 func WithoutIncremental() Option {
-	return func(m *MCC) {
-		m.incTiming = false
-		m.incPre = false
-	}
-}
-
-// WithTimingOnlyIncremental keeps the memoized, dirty-tracked timing
-// acceptance test but runs validation, mapping, and synthesis from
-// scratch. This is the PR 1 engine, kept as the measurable intermediate
-// between the serial baseline and full incremental integration.
-func WithTimingOnlyIncremental() Option {
-	return func(m *MCC) { m.incPre = false }
+	return func(m *MCC) { m.incremental = false }
 }
 
 // WithAnalyzer makes the MCC share (and warm-start from) an existing
@@ -414,8 +384,7 @@ func WithStage(s pipeline.Stage) Option {
 // configuration. By default the whole acceptance pipeline is incremental
 // (scoped validation, warm-started mapping, partial synthesis, memoized
 // timing with dirty tracking) and dirty resources fan out over a
-// GOMAXPROCS-sized worker pool; see WithoutIncremental,
-// WithTimingOnlyIncremental, WithoutIncrementalTiming, WithTimingWorkers,
+// GOMAXPROCS-sized worker pool; see WithoutIncremental, WithTimingWorkers,
 // and WithStage.
 func New(p *model.Platform, opts ...Option) (*MCC, error) {
 	if err := p.Validate(); err != nil {
@@ -426,8 +395,7 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 		deployed:       &model.FunctionalArchitecture{},
 		observedWCETUS: make(map[string]int64),
 		analyzer:       cpa.NewAnalyzer(),
-		incTiming:      true,
-		incPre:         true,
+		incremental:    true,
 		historyLimit:   defaultHistoryLimit,
 		workers:        runtime.GOMAXPROCS(0),
 		deployedDigest: make(map[string]uint64),
@@ -593,7 +561,7 @@ func (m *MCC) ProposeArchitecture(fa *model.FunctionalArchitecture) *Report {
 
 // ProposeArchitectureContext is ProposeArchitecture bounded by ctx.
 func (m *MCC) ProposeArchitectureContext(ctx context.Context, fa *model.FunctionalArchitecture) *Report {
-	return m.integrateCtx(ctx, fa.Clone())
+	return m.integrateDiff(ctx, fa.Clone(), nil)
 }
 
 // RecordObservedWCET feeds an observed execution-time maximum (µs) for a
@@ -617,42 +585,7 @@ func (m *MCC) ReintegrateWithObservations() *Report {
 			f.Contract.RealTime.WCETUS = obs
 		}
 	}
-	return m.integrate(cand)
-}
-
-// integrate runs the staged acceptance-test pipeline on the candidate
-// architecture. With incremental integration enabled, the pre-timing
-// stages work from the diff against the deployed configuration. A
-// warm-started attempt that any acceptance stage rejects is re-decided
-// from scratch, so the warm-start heuristic can never cause a spurious
-// rejection; an accepted warm-start placement is committed as-is — it
-// passed every acceptance test, which is what the paper's integration
-// process certifies, but it may be a different (equally valid) placement
-// than the full best-fit would have produced, so on marginal workloads
-// the two engines can in principle accept different configurations.
-// TestRunMCCThroughput asserts decision equality over the E12 stream.
-func (m *MCC) integrate(cand *model.FunctionalArchitecture) *Report {
-	return m.integrateCtx(context.Background(), cand)
-}
-
-// integrateCtx is integrate bounded by gctx and hardened by the
-// degradation ladder:
-//
-//   - WithProposalDeadline wraps gctx per proposal; expiry rejects with
-//     a deterministic finding and marks the report Degraded ("deadline")
-//     — never a rerun, never a hang.
-//   - A rejection classified as a transient fault (injected analyzer
-//     error surviving the bounded retries, recovered stage/worker
-//     panic, detected cache corruption) quarantines the incremental
-//     state and re-decides the proposal on the pinned from-scratch path
-//     with fault injection suppressed, so the degraded verdict equals
-//     the clean from-scratch oracle's; the report is marked Degraded
-//     ("transient-fault"). The next accepted commit rebuilds every
-//     cache wholesale (commitFull) and lifts the quarantine.
-//   - While quarantined, every proposal decides on the pinned path and
-//     is marked Degraded ("quarantined").
-func (m *MCC) integrateCtx(gctx context.Context, cand *model.FunctionalArchitecture) *Report {
-	return m.integrateDiff(gctx, cand, nil)
+	return m.integrateDiff(context.Background(), cand, nil)
 }
 
 // trimHistory enforces the history bound: once History exceeds twice the
@@ -671,11 +604,37 @@ func (m *MCC) trimHistory() {
 	m.History = m.History[:n]
 }
 
-// integrateDiff is integrateCtx with an optional precomputed diff: the
-// change-driven fast path passes the DiffFromChange result so the warm
-// pass never scans the architecture; nil keeps the ComputeDiff oracle.
-// The cold re-decision and the pinned path ignore the diff by design —
-// they run from scratch.
+// integrateDiff runs the staged acceptance-test pipeline on the candidate
+// architecture, bounded by gctx. With incremental integration enabled,
+// the pre-timing stages work from the diff against the deployed
+// configuration: the change-driven fast path passes the DiffFromChange
+// result so the warm pass never scans the architecture; a nil diff keeps
+// the ComputeDiff oracle. A warm-started attempt that any acceptance
+// stage rejects is re-decided from scratch (the cold re-decision and the
+// pinned path ignore the diff by design), so the warm-start heuristic can
+// never cause a spurious rejection; an accepted warm-start placement is
+// committed as-is — it passed every acceptance test, which is what the
+// paper's integration process certifies, but it may be a different
+// (equally valid) placement than the full best-fit would have produced,
+// so on marginal workloads the two engines can in principle accept
+// different configurations. TestRunMCCThroughput asserts decision
+// equality over the E12 stream.
+//
+// The pass is hardened by the degradation ladder:
+//
+//   - WithProposalDeadline wraps gctx per proposal; expiry rejects with
+//     a deterministic finding and marks the report Degraded ("deadline")
+//     — never a rerun, never a hang.
+//   - A rejection classified as a transient fault (injected analyzer
+//     error surviving the bounded retries, recovered stage/worker
+//     panic, detected cache corruption) quarantines the incremental
+//     state and re-decides the proposal on the pinned from-scratch path
+//     with fault injection suppressed, so the degraded verdict equals
+//     the clean from-scratch oracle's; the report is marked Degraded
+//     ("transient-fault"). The next accepted commit rebuilds every
+//     cache wholesale (commitFull) and lifts the quarantine.
+//   - While quarantined, every proposal decides on the pinned path and
+//     is marked Degraded ("quarantined").
 func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitecture, diff *pipeline.Diff) *Report {
 	rep := &Report{}
 	defer func() {
@@ -705,7 +664,7 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 	}
 
 	m.lastDeferred = nil
-	ctx := m.newContext(pctx, cand, rep, m.incPre, diff)
+	ctx := m.newContext(pctx, cand, rep, m.incremental, diff)
 	m.pipe.Run(ctx)
 
 	if !rep.Accepted && pctx.Err() == nil && !rep.TransientFault &&
@@ -742,10 +701,9 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 // cancelled or past its deadline without cloning or mutating any
 // candidate state. The report mirrors what the pipeline's own pre-stage
 // deadline check would produce — rejected before the first stage with
-// the deterministic deadline finding — so short-circuited batch
-// bisection and stream replay steps are indistinguishable from
-// proposals that ran and expired immediately, minus the per-proposal
-// setup cost.
+// the deterministic deadline finding — so short-circuited stream window
+// and replay steps are indistinguishable from proposals that ran and
+// expired immediately, minus the per-proposal setup cost.
 func (m *MCC) expiredReport(gctx context.Context) *Report {
 	rep := &Report{Passes: 1, RejectedAt: StageValidate, Degraded: true}
 	if m.quarantined {

@@ -509,104 +509,14 @@ func TestNewRejectsInvalidPlatform(t *testing.T) {
 	}
 }
 
-func TestProposeBatchAllFeasibleSingleEvaluation(t *testing.T) {
-	m, err := New(testPlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatch().
-		Update(fn("brake", model.ASILD, 5000, 500, 128)).
-		Update(fn("acc", model.ASILC, 10000, 1500, 256)).
-		Update(fn("infotainment", model.QM, 50000, 10000, 1024)).
-		Update(fn("telemetry", model.QM, 100000, 2000, 64))
-	br := m.ProposeBatch(b)
-	if br.Evaluations != 1 {
-		t.Fatalf("feasible batch took %d evaluations, want 1", br.Evaluations)
-	}
-	if br.Accepted != 4 || br.Rejected != 0 {
-		t.Fatalf("accepted %d rejected %d, want 4/0", br.Accepted, br.Rejected)
-	}
-	for _, name := range []string{"brake", "acc", "infotainment", "telemetry"} {
-		if m.Deployed().FunctionByName(name) == nil {
-			t.Fatalf("%s not deployed after batch accept", name)
-		}
-	}
-}
-
-func TestProposeBatchBisectsToIsolateInfeasible(t *testing.T) {
-	m, err := New(testPlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	broken := model.Function{
-		Name: "broken",
-		Contract: model.Contract{
-			Safety:   model.QM,
-			RealTime: model.RealTimeContract{PeriodUS: 1000, WCETUS: 5000},
-		},
-	}
-	b := NewBatch().
-		Update(fn("brake", model.ASILD, 5000, 500, 128)).
-		Update(fn("acc", model.ASILC, 10000, 1500, 256)).
-		Update(broken).
-		Update(fn("telemetry", model.QM, 100000, 2000, 64))
-	br := m.ProposeBatch(b)
-	if br.Accepted != 3 || br.Rejected != 1 {
-		t.Fatalf("accepted %d rejected %d, want 3/1", br.Accepted, br.Rejected)
-	}
-	if br.Evaluations <= 1 {
-		t.Fatalf("bisection should cost extra evaluations, got %d", br.Evaluations)
-	}
-	if len(br.Outcomes) != 4 {
-		t.Fatalf("outcomes = %d, want 4", len(br.Outcomes))
-	}
-	for _, o := range br.Outcomes {
-		wantAccept := o.Change.Update.Name != "broken"
-		if o.Accepted != wantAccept {
-			t.Fatalf("outcome %s accepted=%v, want %v", o.Change, o.Accepted, wantAccept)
-		}
-		if !o.Accepted && o.Report.RejectedAt != StageValidate {
-			t.Fatalf("broken change rejected at %s, want validate", o.Report.RejectedAt)
-		}
-	}
-	if m.Deployed().FunctionByName("broken") != nil {
-		t.Fatal("broken function deployed")
-	}
-	if m.Deployed().FunctionByName("telemetry") == nil {
-		t.Fatal("feasible change after the broken one was lost")
-	}
-}
-
-func TestProposeBatchMixedUpdateAndRemoval(t *testing.T) {
-	m, err := New(testPlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := m.ProposeUpdate(fn("old", model.QM, 50000, 1000, 64)); !rep.Accepted {
-		t.Fatalf("seed rejected: %v", rep.Findings)
-	}
-	br := m.ProposeBatch(NewBatch().
-		Update(fn("new", model.QM, 50000, 1000, 64)).
-		Remove("old"))
-	if br.Accepted != 2 {
-		t.Fatalf("accepted %d, want 2: %+v", br.Accepted, br)
-	}
-	if m.Deployed().FunctionByName("old") != nil {
-		t.Fatal("removal not applied")
-	}
-	if m.Deployed().FunctionByName("new") == nil {
-		t.Fatal("update not applied")
-	}
-}
-
 // TestIncrementalMatchesSerialBaseline drives the same proposal stream
-// through the timing-incremental engine, the full-incremental engine, and
-// the seed-equivalent serial baseline; every decision must be identical —
-// the optimizations may only change how fast the answer arrives, never
-// the answer. The timing-only engine shares the serial placement, so its
-// findings and WCRT tables must match the baseline bit for bit; the
+// through the full-incremental engine and the seed-equivalent serial
+// baseline; every decision must be identical — the optimizations may only
+// change how fast the answer arrives, never the answer. The
 // full-incremental engine may warm-start to a different (equally valid)
-// placement, so it is held to identical accept/reject decisions.
+// placement, so its memoized WCRT tables are held to a from-scratch
+// analysis of its own placement: every accepted report's whole-table view
+// must equal FromScratchTables over the implementation it committed.
 func TestIncrementalMatchesSerialBaseline(t *testing.T) {
 	stream := []model.Function{
 		fn("brake", model.ASILD, 5000, 500, 128),
@@ -616,10 +526,6 @@ func TestIncrementalMatchesSerialBaseline(t *testing.T) {
 		fn("telemetry", model.QM, 100000, 2000, 64),
 		fn("acc", model.ASILC, 10000, 1800, 256), // update in place
 	}
-	timingInc, err := New(testPlatform(), WithTimingOnlyIncremental())
-	if err != nil {
-		t.Fatal(err)
-	}
 	full, err := New(testPlatform())
 	if err != nil {
 		t.Fatal(err)
@@ -628,27 +534,31 @@ func TestIncrementalMatchesSerialBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	accepted := 0
 	for i, f := range stream {
-		ri := timingInc.ProposeUpdate(f)
 		rf := full.ProposeUpdate(f)
 		rs := ser.ProposeUpdate(f)
-		if ri.Accepted != rs.Accepted || ri.RejectedAt != rs.RejectedAt {
-			t.Fatalf("proposal %d (%s): timing-incremental %v/%s vs serial %v/%s",
-				i, f.Name, ri.Accepted, ri.RejectedAt, rs.Accepted, rs.RejectedAt)
-		}
 		if rf.Accepted != rs.Accepted || rf.RejectedAt != rs.RejectedAt {
 			t.Fatalf("proposal %d (%s): full-incremental %v/%s vs serial %v/%s",
 				i, f.Name, rf.Accepted, rf.RejectedAt, rs.Accepted, rs.RejectedAt)
 		}
-		if !reflect.DeepEqual(ri.Findings, rs.Findings) {
-			t.Fatalf("proposal %d findings diverge:\ntiming-incremental %v\nserial             %v", i, ri.Findings, rs.Findings)
+		if !rf.Accepted {
+			continue
 		}
-		// The deltas legitimately differ per engine (the incremental one
-		// re-analyzes only dirty resources); the materialized whole-table
-		// views of accepted commits must not.
-		if ri.Accepted && !reflect.DeepEqual(ri.FullTiming(), rs.FullTiming()) {
-			t.Fatalf("proposal %d timing tables diverge:\ntiming-incremental %+v\nserial             %+v", i, ri.FullTiming(), rs.FullTiming())
+		accepted++
+		// The delta legitimately covers only the dirty resources; the
+		// materialized whole-table view must equal a from-scratch
+		// analysis at the committed placement.
+		want, _, err := FromScratchTables(full.platform, full.DeployedImpl())
+		if err != nil {
+			t.Fatalf("proposal %d: from-scratch oracle failed: %v", i, err)
 		}
+		if got := rf.FullTiming(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("proposal %d timing tables diverge from the from-scratch analysis:\nfull-incremental %+v\nfrom scratch     %+v", i, got, want)
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("stream accepted nothing; the table check never ran")
 	}
 	if st := ser.TimingCacheStats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("serial baseline used the analyzer: %+v", st)

@@ -106,30 +106,6 @@ func (t *resTable) patch(updates []resUpdate) *resTable {
 	return nt
 }
 
-// mergeResUpdates dedupes one shard's barrier patch batch by entry
-// index, keeping the first update per index. The sharded scheduler
-// verifies a whole epoch in stream order but applies each shard's table
-// updates as one merged copy-on-write patch at the barrier; two verified
-// proposals of the same shard can target the same entry only with the
-// same digest (the probe in verifyDeferredInto admits only the entry's
-// final committed digest), so dropped duplicates are identical values
-// and the merge only trims the patch. The batch is deduped in place.
-func mergeResUpdates(batch []resUpdate) []resUpdate {
-	if len(batch) < 2 {
-		return batch
-	}
-	seen := make(map[int]bool, len(batch))
-	out := batch[:0]
-	for _, u := range batch {
-		if seen[u.idx] {
-			continue
-		}
-		seen[u.idx] = true
-		out = append(out, u)
-	}
-	return out
-}
-
 // find returns the index of the named resource, or -1. The processor
 // prefix is sorted by name (binary search); the network suffix is short
 // (platform networks, typically a handful) and scanned linearly.

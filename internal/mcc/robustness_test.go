@@ -54,7 +54,7 @@ func oracleDecide(t *testing.T, changes []Change) []*Report {
 	m := robustMCC(t, WithoutIncremental(), WithTimingWorkers(1))
 	reports := make([]*Report, 0, len(changes))
 	for _, c := range changes {
-		reports = append(reports, m.propose(c))
+		reports = append(reports, m.integrateChangeCtx(context.Background(), c))
 	}
 	return reports
 }
@@ -158,7 +158,7 @@ func TestWorkerPanicRecoveredDecisionMatchesOracle(t *testing.T) {
 	m := robustMCC(t, WithFaultInjector(inj))
 	got := make([]*Report, 0, len(changes))
 	for _, c := range changes {
-		got = append(got, m.propose(c))
+		got = append(got, m.integrateChangeCtx(context.Background(), c))
 	}
 
 	assertDecisionParity(t, changes, got, want)
@@ -198,7 +198,7 @@ func TestTransientAnalyzerErrorsRetryThenDegrade(t *testing.T) {
 	m := robustMCC(t, WithFaultInjector(inj))
 	got := make([]*Report, 0, len(changes))
 	for _, c := range changes {
-		got = append(got, m.propose(c))
+		got = append(got, m.integrateChangeCtx(context.Background(), c))
 	}
 	assertDecisionParity(t, changes, got, want)
 
@@ -394,13 +394,13 @@ func TestJournalUndoFaultPurgesAndRecovers(t *testing.T) {
 	// full-incremental controller that proposed the same stream serially
 	// and then decided one more clean change.
 	post := upd(fn("t9", model.QM, 180000, 1200, 64))
-	rep := m.propose(post)
+	rep := m.integrateChangeCtx(context.Background(), post)
 	if !rep.Accepted || rep.Degraded {
 		t.Fatalf("post-recovery proposal = accepted %v, degraded %v", rep.Accepted, rep.Degraded)
 	}
 	fresh := robustMCC(t)
 	for _, c := range append(slices.Clone(changes), post) {
-		fresh.propose(c)
+		fresh.integrateChangeCtx(context.Background(), c)
 	}
 	sf, ff := cacheFingerprint(m), cacheFingerprint(fresh)
 	for key := range ff {
@@ -435,7 +435,7 @@ func TestJournalRollbackOverlappingKeyedWrites(t *testing.T) {
 			fresh := robustMCC(t)
 			want := make([]*Report, 0, len(changes))
 			for _, c := range changes {
-				want = append(want, fresh.propose(c))
+				want = append(want, fresh.integrateChangeCtx(context.Background(), c))
 			}
 			assertDecisionParity(t, changes, got, want)
 			for i := range want {
@@ -452,33 +452,6 @@ func TestJournalRollbackOverlappingKeyedWrites(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// Deadline behavior composes with the batch bisection: an expired
-// context resolves every remaining change as a deterministic rejection
-// instead of hanging the batch.
-func TestBatchDeadlineResolvesAllChanges(t *testing.T) {
-	inj := faultinject.New(17, faultinject.Rule{
-		Stage: "stage.*", Mode: faultinject.ModeStall,
-		StallUS: int64(time.Second / time.Microsecond),
-	})
-	m, err := New(testPlatform(), WithFaultInjector(inj), WithProposalDeadline(30*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	b := NewBatch()
-	for i := 0; i < 4; i++ {
-		b.Update(fn(fmt.Sprintf("b%d", i), model.QM, 100000+int64(i)*20000, 2000, 64))
-	}
-	start := time.Now()
-	br := m.ProposeBatch(b)
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("batch under stalls took %v", elapsed)
-	}
-	if got := len(br.Outcomes); got != b.Len() {
-		t.Fatalf("batch resolved %d/%d changes", got, b.Len())
 	}
 }
 
@@ -563,38 +536,8 @@ func TestStreamCancellationStopsReplayPromptly(t *testing.T) {
 
 	// The rolled-back controller must stay fully usable under a live
 	// context: the same feasible change is accepted cleanly.
-	rep := m.propose(changes[0])
+	rep := m.integrateChangeCtx(context.Background(), changes[0])
 	if !rep.Accepted || rep.Degraded {
 		t.Fatalf("post-cancellation proposal = accepted %v, degraded %v", rep.Accepted, rep.Degraded)
-	}
-}
-
-// A context that is already dead when the batch bisection recurses must
-// resolve the whole remaining group without cloning the deployed
-// architecture: one shared deadline report, one accounted evaluation.
-func TestBatchCancelledContextShortCircuitsBisection(t *testing.T) {
-	m := robustMCC(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	b := NewBatch()
-	for i := 0; i < 4; i++ {
-		b.Update(fn(fmt.Sprintf("c%d", i), model.QM, 100000+int64(i)*20000, 2000, 64))
-	}
-	br := m.ProposeBatchContext(ctx, b)
-	if len(br.Outcomes) != b.Len() || br.Rejected != b.Len() || br.Accepted != 0 {
-		t.Fatalf("cancelled batch = %d outcomes, %d accepted, %d rejected; want all %d rejected",
-			len(br.Outcomes), br.Accepted, br.Rejected, b.Len())
-	}
-	if br.Evaluations != 1 {
-		t.Fatalf("cancelled batch spent %d evaluations, want 1 shared short-circuit", br.Evaluations)
-	}
-	shared := br.Outcomes[0].Report
-	assertExpiredShape(t, shared)
-	for i, o := range br.Outcomes {
-		if o.Accepted || o.Report != shared {
-			t.Fatalf("outcome %d = accepted %v, report shared %v; want one shared rejection report",
-				i, o.Accepted, o.Report == shared)
-		}
 	}
 }

@@ -1854,7 +1854,7 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationMod
 
 	spliced := !sc.sparse && len(sc.spliceSrc) == len(jobs) && len(jobs) > 0
 	clean := func(i int) (TimingResult, bool) {
-		if !m.incTiming {
+		if !m.incremental {
 			return TimingResult{}, false
 		}
 		if spliced {
@@ -2057,7 +2057,7 @@ func (m *MCC) analyzeJob(done <-chan struct{}, j timingJob) ([]cpa.Result, error
 			return nil, err
 		}
 	}
-	useMemo := m.incTiming && !pinned
+	useMemo := m.incremental && !pinned
 	switch {
 	case useMemo && j.spnp:
 		return m.analyzer.AnalyzeSPNP(j.tasks)
@@ -2304,9 +2304,6 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	// derived from this attempt's artifacts, so any quarantine imposed by
 	// the degradation ladder is lifted: the suspect state is gone.
 	m.quarantined = false
-	// Every committed placement may have moved: the shard routing index
-	// is rebuilt lazily from the fresh synthesis cache.
-	m.invalidateRoutes()
 
 	// Per-resource WCRT tables of the new committed configuration, read
 	// before the old maps are replaced: a non-deferred attempt analyzed
@@ -2357,7 +2354,7 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	// Rebuild the synthesis lookup tables and the per-connection security
 	// verdict cache only when the incremental pre-timing stages (their
 	// sole consumers) are enabled.
-	if m.incPre && ctx.Impl != nil {
+	if m.incremental && ctx.Impl != nil {
 		m.deployedSynth = newSynthCache(ctx.Impl)
 		sec := make(map[model.Connection]bool, len(ctx.Impl.Connections))
 		for _, c := range ctx.Impl.Connections {
@@ -2627,11 +2624,6 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	// by beginWindow.
 	for name := range over.fns {
 		m.deployedInstTotal += len(over.insts[name]) - len(sc.instancesOf[name])
-		// Refresh the shard routing of the diff-touched functions: the
-		// keyed commit is what moves placements, so dropping exactly these
-		// entries keeps the routing index in step at O(diff) (the next
-		// lookup re-resolves from the placements committed below).
-		delete(m.fnParts, name)
 	}
 	for name, f := range over.fns {
 		if old := sc.fnByName[name]; old != nil && m.svcProviders != nil {

@@ -66,7 +66,6 @@ type StreamScheduler struct {
 	m       *MCC
 	workers int
 	window  int
-	sharded bool
 	stats   StreamStats
 }
 
@@ -98,23 +97,6 @@ func WithStreamWindow(n int) StreamOption {
 		}
 		s.window = n
 	}
-}
-
-// WithShardedWindows makes the scheduler form one optimistic window
-// sequence per platform partition (connected components of processors
-// over the CAN segments that join them, full-coverage backbone networks
-// excluded — see MCC.partitions) instead of a single global sequence.
-// Decisions stay exactly serial-order: one mutator decides every change
-// in stream order, but window formation, conflict barriers, and
-// rollback blast radius become per-shard, and accepted changes' deferred
-// busy-window analyses prefetch on a background pool that overlaps the
-// optimistic passes of later changes — the multi-core win a single
-// window sequence's per-window barrier forfeits. Cross-partition and
-// global-footprint changes drain every shard and decide through a
-// serialized global window. Platforms without disjoint segments (one
-// partition or fewer) fall back to the single-sequence scheduler.
-func WithShardedWindows() StreamOption {
-	return func(s *StreamScheduler) { s.sharded = true }
 }
 
 // defaultStreamWindow bounds the optimistic window when the caller does
@@ -154,15 +136,6 @@ type StreamStats struct {
 	// the prefetch and verification phases (retries inside a proposal's
 	// pipeline run land on its Report).
 	RetriedAnalyses int
-	// Shards is the number of platform partitions the scheduler formed
-	// concurrent window sequences over. Zero when sharding is off, or
-	// when the platform has no disjoint CAN segments and the scheduler
-	// fell back to the single window sequence.
-	Shards int
-	// GlobalWindows counts the serialized global windows of a sharded
-	// run: cross-partition and global-footprint changes drain every
-	// shard and decide alone. Each is also counted in Windows.
-	GlobalWindows int
 }
 
 // NewStreamScheduler returns a scheduler driving m. The MCC should run
@@ -192,11 +165,6 @@ func (s *StreamScheduler) Run(changes []Change) []*Report {
 // resolves remaining proposals as deterministic deadline rejections —
 // the stream never hangs on a stalled analysis.
 func (s *StreamScheduler) RunContext(ctx context.Context, changes []Change) []*Report {
-	if s.sharded && s.m.incTiming {
-		if parts := s.m.partitions(); parts.count > 1 {
-			return s.runSharded(ctx, changes, parts)
-		}
-	}
 	reports := make([]*Report, 0, len(changes))
 	var carry *footprint
 	for lo := 0; lo < len(changes); {
@@ -259,7 +227,7 @@ func (s *StreamScheduler) windowEnd(changes []Change, lo int, carry *footprint) 
 // serial replay from the window-start snapshot.
 func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*Report {
 	m := s.m
-	if len(changes) == 1 || !m.incTiming || m.quarantined {
+	if len(changes) == 1 || !m.incremental || m.quarantined {
 		// Nothing to overlap (no memo table to prefetch into, or the
 		// controller is quarantined and every proposal takes the pinned
 		// from-scratch path anyway): plain serial proposals.
@@ -269,7 +237,7 @@ func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*R
 				reports = append(reports, m.expiredReport(gctx))
 				continue
 			}
-			reports = append(reports, m.proposeCtx(gctx, c))
+			reports = append(reports, m.integrateChangeCtx(gctx, c))
 		}
 		return reports
 	}
@@ -298,7 +266,7 @@ func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*R
 			reports = append(reports, m.expiredReport(gctx))
 			continue
 		}
-		rep := m.proposeCtx(gctx, c)
+		rep := m.integrateChangeCtx(gctx, c)
 		reports = append(reports, rep)
 		optimisticPasses += rep.Passes
 		if rep.Accepted && m.lastDeferred != nil {
@@ -409,7 +377,7 @@ func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*R
 			reports = append(reports, m.expiredReport(gctx))
 			continue
 		}
-		reports = append(reports, m.proposeCtx(gctx, c))
+		reports = append(reports, m.integrateChangeCtx(gctx, c))
 	}
 	return reports
 }
@@ -452,19 +420,6 @@ func (s *StreamScheduler) prefetch(tasks []func()) {
 // so post-window snapshots are complete. On any failed check it reports
 // false and leaves the caller to replay the window.
 func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
-	return s.verifyDeferredInto(rep, dt, nil)
-}
-
-// verifyDeferredInto is verifyDeferred with an optional patch sink: a
-// non-nil sink collects the committed-table updates instead of patching
-// the live table per proposal. The sharded scheduler verifies a whole
-// epoch in stream order but batches each shard's updates, merging them
-// into one copy-on-write patch per shard at the barrier. Batching is
-// sound because only the verdict whose digest matches the entry's final
-// committed job is ever appended — an entry a later epoch commit
-// re-dirtied fails the digest probe for the earlier verdict, exactly as
-// it would have after an immediate patch.
-func (s *StreamScheduler) verifyDeferredInto(rep *Report, dt *deferredChecks, sink *[]resUpdate) bool {
 	// A tainted record means a prefetch task for this proposal hit a
 	// fault (injected error or recovered panic): the optimistic decision
 	// cannot be trusted, the window replays serially.
@@ -510,28 +465,12 @@ func (s *StreamScheduler) verifyDeferredInto(rep *Report, dt *deferredChecks, si
 		delta = append(delta, pipeline.CloneTimingResult(res))
 	}
 	rep.TimingDelta = delta
-	if sink != nil {
-		*sink = append(*sink, updates...)
-	} else if len(updates) > 0 {
+	if len(updates) > 0 {
 		// The patch leaves the window-start table (the journal's rollback
 		// pointer) and every bound snapshot intact.
 		m.deployedRes = m.deployedRes.patch(updates)
 	}
 	return true
-}
-
-// propose decides one change through the normal integration pipeline.
-func (m *MCC) propose(c Change) *Report {
-	return m.proposeCtx(context.Background(), c)
-}
-
-// proposeCtx is propose bounded by ctx (composed with the configured
-// per-proposal deadline inside integrateCtx). It rides the change-driven
-// fast path when the committed indexes are warm: the candidate is the
-// deployed architecture mutated in place, the diff comes from the change
-// object, and rejection (or window rollback) reverts the mutation.
-func (m *MCC) proposeCtx(ctx context.Context, c Change) *Report {
-	return m.integrateChangeCtx(ctx, c)
 }
 
 // footprint is the function-level resource footprint of one change,
@@ -613,11 +552,7 @@ func intersects(a, b map[string]bool) bool {
 // rows report; silently dropping those under-reports what the engine
 // actually ran.
 func (st StreamStats) String() string {
-	s := fmt.Sprintf("windows %d (speculated %d, replays %d, conflicts %d, prefetched %d, discarded %d, panics %d, retries %d)",
+	return fmt.Sprintf("windows %d (speculated %d, replays %d, conflicts %d, prefetched %d, discarded %d, panics %d, retries %d)",
 		st.Windows, st.Speculated, st.Replays, st.Conflicts, st.Prefetched,
 		st.DiscardedPasses, st.PanicsRecovered, st.RetriedAnalyses)
-	if st.Shards > 0 {
-		s += fmt.Sprintf(" [shards %d, global %d]", st.Shards, st.GlobalWindows)
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package mcc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -147,7 +148,7 @@ func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
 			fresh := mk()
 			want := make([]*Report, 0, len(changes))
 			for _, c := range changes {
-				want = append(want, fresh.propose(c))
+				want = append(want, fresh.integrateChangeCtx(context.Background(), c))
 			}
 
 			for i := range want {

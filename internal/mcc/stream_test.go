@@ -1,11 +1,14 @@
 package mcc
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/mcc/pipeline"
 	"repro/internal/model"
 )
 
@@ -205,7 +208,7 @@ func streamParity(t *testing.T, p *model.Platform, baseline []model.Function, ch
 	serial := mkMCC()
 	var want []*Report
 	for _, c := range changes {
-		want = append(want, serial.propose(c))
+		want = append(want, serial.integrateChangeCtx(context.Background(), c))
 	}
 
 	streamed := mkMCC()
@@ -439,5 +442,138 @@ func TestStreamSchedulerLongMixedStreamParity(t *testing.T) {
 	sched, _ := streamParity(t, testPlatform(), nil, changes, WithStreamWindow(6))
 	if st := sched.Stats(); st.Windows < 4 {
 		t.Fatalf("stats = %+v, want multiple windows", st)
+	}
+}
+
+// --- stream stats rendering (regression: fault telemetry was dropped) --------
+
+func TestStreamStatsStringIncludesFaultTelemetry(t *testing.T) {
+	st := StreamStats{
+		Windows: 9, Speculated: 8, Prefetched: 7, Replays: 6,
+		DiscardedPasses: 5, Conflicts: 4, PanicsRecovered: 3, RetriedAnalyses: 2,
+	}
+	want := "windows 9 (speculated 8, replays 6, conflicts 4, prefetched 7, discarded 5, panics 3, retries 2)"
+	if got := st.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// --- window formation (regression: conflict footprint recomputed) ------------
+
+func TestWindowEndUsesCarriedConflictFootprint(t *testing.T) {
+	m, err := New(testPlatform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStreamScheduler(m)
+	changes := []Change{
+		upd(fn("a", model.QM, 100000, 2000, 64)),
+		upd(fn("zz", model.QM, 120000, 1500, 64)),
+	}
+
+	// A sentinel carry proves the head footprint is taken from the
+	// previous window's conflict, not recomputed: recomputing changes[0]
+	// ({a}) would admit zz into the window, the carried {zz} must not.
+	sentinel := footprint{names: map[string]bool{"zz": true}, services: map[string]bool{}}
+	hi, next := s.windowEnd(changes, 0, &sentinel)
+	if hi != 1 {
+		t.Fatalf("windowEnd ignored the carried footprint: window [0,%d), want [0,1)", hi)
+	}
+	if next == nil || !next.names["zz"] {
+		t.Fatalf("conflict did not return the breaking change's footprint: %+v", next)
+	}
+	if s.stats.Conflicts != 1 {
+		t.Fatalf("conflicts = %d, want 1", s.stats.Conflicts)
+	}
+
+	// Without a carry the head is computed fresh and the window spans
+	// both disjoint changes.
+	if hi, next := s.windowEnd(changes, 0, nil); hi != 2 || next != nil {
+		t.Fatalf("fresh window = [0,%d) carry %+v, want [0,2) and no carry", hi, next)
+	}
+}
+
+// --- mid-window context expiry accounting ------------------------------------
+
+// cancelAfter returns a pipeline stage that cancels the given context
+// during its n-th armed run, simulating a deadline expiring while a later
+// window member is mid-pipeline.
+func cancelAfter(n int, cancel context.CancelFunc) (pipeline.Func, *bool) {
+	armed := new(bool)
+	runs := 0
+	return pipeline.Func{
+		StageName: "cancel-witness",
+		RunFunc: func(*pipeline.Context) error {
+			if !*armed {
+				return nil
+			}
+			runs++
+			if runs == n {
+				cancel()
+			}
+			return nil
+		},
+	}, armed
+}
+
+// expiryChanges is a window of four: an offender whose deferred timing
+// verdict fails (forcing the replay), two feasible additions, and a
+// fourth change the expiry short-circuits before it enters the pipeline.
+func expiryChanges() []Change {
+	return []Change{
+		upd(fn("c", model.ASILD, 14000, 5200, 1)), // deferred timing verdict fails
+		upd(fn("t", model.QM, 200000, 100, 1)),
+		upd(fn("u", model.QM, 220000, 100, 1)),
+		upd(fn("v", model.QM, 240000, 100, 1)),
+	}
+}
+
+func assertAllDeadlineRejected(t *testing.T, got []*Report) {
+	t.Helper()
+	for i, rep := range got {
+		if rep.Accepted || !rep.Degraded || !slices.Contains(rep.DegradedReasons, "deadline") {
+			t.Fatalf("change %d = accepted %v, degraded %v %v; want deterministic deadline rejection",
+				i, rep.Accepted, rep.Degraded, rep.DegradedReasons)
+		}
+	}
+}
+
+func TestStreamSchedulerMidWindowExpiryDiscardAccounting(t *testing.T) {
+	// The context dies while the third window member is mid-pipeline: the
+	// fourth short-circuits without a pipeline pass, verification fails on
+	// the offender, and the replay resolves everything as deadline
+	// rejections. DiscardedPasses must count only the three genuine
+	// optimistic passes — the expired short-circuit's mirrored Passes
+	// field must not inflate it (or the Evaluations derived from it).
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stage, armed := cancelAfter(3, cancel)
+	p := &model.Platform{
+		Processors: []model.Processor{
+			{Name: "only", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.ASILD},
+		},
+	}
+	m, err := New(p, WithStage(stage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := m.ProposeUpdate(fn("a", model.ASILD, 10000, 5200, 1)); !rep.Accepted {
+		t.Fatalf("baseline rejected: %v", rep.Findings)
+	}
+	*armed = true
+
+	changes := expiryChanges()
+	sched := NewStreamScheduler(m, WithStreamWindow(len(changes)))
+	got := sched.RunContext(ctx, changes)
+	if len(got) != len(changes) {
+		t.Fatalf("stream resolved %d/%d changes", len(got), len(changes))
+	}
+	assertAllDeadlineRejected(t, got)
+	st := sched.Stats()
+	if st.Windows != 1 || st.Replays != 1 || st.Conflicts != 0 {
+		t.Fatalf("stats = %+v, want one window, one replay, no conflicts", st)
+	}
+	if st.DiscardedPasses != 3 {
+		t.Fatalf("DiscardedPasses = %d, want exactly the 3 genuine optimistic passes", st.DiscardedPasses)
 	}
 }

@@ -1,6 +1,7 @@
 package mcc
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -122,7 +123,7 @@ func TestScopedVerdictCacheInvalidationEdges(t *testing.T) {
 
 	sawSplice := false
 	for _, st := range steps {
-		ir, sr := inc.propose(st.c), ser.propose(st.c)
+		ir, sr := inc.integrateChangeCtx(context.Background(), st.c), ser.integrateChangeCtx(context.Background(), st.c)
 		if ir.Accepted != sr.Accepted || ir.RejectedAt != sr.RejectedAt {
 			t.Fatalf("%s: incremental decided %v@%q, serial %v@%q",
 				st.label, ir.Accepted, ir.RejectedAt, sr.Accepted, sr.RejectedAt)

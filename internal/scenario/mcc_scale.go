@@ -39,31 +39,6 @@ func DefaultMCCScaleConfig() MCCScaleConfig {
 	}
 }
 
-// E16 is the shard-scaling tier: the same sweep, restricted to the two
-// stream schedulers — the single window sequence and the sharded one —
-// so the trajectory records what partitioning the platform buys at every
-// size. The generated fleets have procs/16 disjoint CAN segments plus a
-// backbone, so the sharded scheduler forms procs/16 concurrent window
-// sequences; the ~10% removals in the change mix are global drains,
-// which keeps the epoch/global-window machinery honest in the
-// measurement. On a single-core runner the sharded win is the epoch
-// batching alone (fewer window barriers; it lands at the unwindowed
-// full-incremental floor); multi-core runners add the prefetch overlap.
-
-// DefaultMCCShardScaleConfig returns the baseline E16 parameters. The
-// change count is deliberately much larger than E13's: the scheduler
-// comparison is a wall-clock ratio, a short point measures OS scheduling
-// jitter rather than the scheduler, and a longer stream also keeps the
-// per-shard batch depth honest at the large sizes (procs/16 shards over
-// too few changes leaves every shard's window nearly empty).
-func DefaultMCCShardScaleConfig() MCCScaleConfig {
-	return MCCScaleConfig{
-		Procs:   []int{128, 512, 1024},
-		Updates: 1024,
-		Modes:   []MCCThroughputMode{ThroughputStream, ThroughputSharded},
-	}
-}
-
 // MCCScaleRow is one (platform size, mode) point of the sweep.
 type MCCScaleRow struct {
 	// Procs is the generated platform's processor count.
@@ -114,23 +89,6 @@ func ScaleRows(rows []MCCScaleRow) []string {
 	return out
 }
 
-// ShardScaleRows renders the E16 table: the scheduler-telemetry view of
-// the sweep (shards formed, global drains, replays) next to throughput.
-func ShardScaleRows(rows []MCCScaleRow) []string {
-	out := []string{"procs  mode              changes  acc  rej  shards  windows  global  spec  repl  conf  wall        changes/s"}
-	for _, r := range rows {
-		res := r.Result
-		st := res.Stream
-		out = append(out, fmt.Sprintf("%5d  %-17s %7d  %3d  %3d  %6d  %7d  %6d  %4d  %4d  %4d  %9v  %9.0f",
-			r.Procs, res.Config.Mode, res.Config.Updates,
-			res.Accepted, res.Rejected, st.Shards, st.Windows, st.GlobalWindows,
-			st.Speculated, st.Replays, st.Conflicts,
-			res.StreamWall.Round(time.Microsecond),
-			float64(res.Config.Updates)/res.StreamWall.Seconds()))
-	}
-	return out
-}
-
 // RunMCCScale executes the E13 sweep: for every platform size, generate
 // the fleet once (platform, baseline, change stream — identical across
 // modes), then measure every integration strategy on it.
@@ -155,7 +113,7 @@ func RunMCCScale(cfg MCCScaleConfig) ([]MCCScaleRow, error) {
 		fleet := GenFleet(spec)
 		changes := fleet.Changes(cfg.Updates)
 		for _, mode := range cfg.Modes {
-			tcfg := MCCThroughputConfig{Updates: cfg.Updates, BatchSize: 8, Mode: mode}
+			tcfg := MCCThroughputConfig{Updates: cfg.Updates, Mode: mode}
 			res, err := runChangeStream(tcfg, fleet.Platform, fleet.Baseline, changes)
 			if err != nil {
 				return nil, fmt.Errorf("e13 %dp %s: %w", procs, mode, err)

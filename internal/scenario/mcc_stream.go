@@ -129,14 +129,6 @@ const (
 	// its own, every pipeline stage from scratch, full busy-window
 	// re-analysis of every resource, one worker.
 	ThroughputSerial MCCThroughputMode = "serial"
-	// ThroughputParallel still integrates per change and runs the
-	// pre-timing stages from scratch, but uses the incremental timing
-	// engine: memoized analyses, dirty-resource tracking, and a
-	// GOMAXPROCS-sized worker pool (the PR 1 engine).
-	ThroughputParallel MCCThroughputMode = "parallel"
-	// ThroughputBatched coalesces changes into batches on top of the
-	// timing-incremental parallel engine, bisecting on rejection.
-	ThroughputBatched MCCThroughputMode = "batched"
 	// ThroughputFull integrates per change with every stage incremental:
 	// scoped validation, warm-started mapping, partial synthesis, and the
 	// memoized timing engine.
@@ -147,18 +139,11 @@ const (
 	// deferred busy-window analyses fan out over all cores, with every
 	// verdict re-validated so decisions stay identical to serial order.
 	ThroughputStream MCCThroughputMode = "stream-parallel"
-	// ThroughputSharded drives the stream through the partition-sharded
-	// scheduler (mcc.WithShardedWindows) on the full-incremental engine:
-	// one optimistic window sequence per platform partition, eager
-	// background prefetch of accepted changes' deferred analyses, and a
-	// shared epoch journal as the rollback point. On platforms without
-	// disjoint CAN segments it falls back to stream-parallel behavior.
-	ThroughputSharded MCCThroughputMode = "sharded"
 )
 
 // ThroughputModes lists every E12 integration strategy, baseline first.
 func ThroughputModes() []MCCThroughputMode {
-	return []MCCThroughputMode{ThroughputSerial, ThroughputParallel, ThroughputBatched, ThroughputFull, ThroughputStream, ThroughputSharded}
+	return []MCCThroughputMode{ThroughputSerial, ThroughputFull, ThroughputStream}
 }
 
 // MCCThroughputConfig parameterizes E12: a fleet-scale stream of change
@@ -166,8 +151,6 @@ func ThroughputModes() []MCCThroughputMode {
 type MCCThroughputConfig struct {
 	// Updates is the number of streamed change requests.
 	Updates int
-	// BatchSize is the coalescing window of ThroughputBatched.
-	BatchSize int
 	// Mode selects the integration strategy.
 	Mode MCCThroughputMode
 	// Analyzer, when non-nil, is shared with the MCC so a persistent
@@ -179,7 +162,7 @@ type MCCThroughputConfig struct {
 
 // DefaultMCCThroughputConfig returns the baseline E12 parameters.
 func DefaultMCCThroughputConfig() MCCThroughputConfig {
-	return MCCThroughputConfig{Updates: 64, BatchSize: 8, Mode: ThroughputBatched}
+	return MCCThroughputConfig{Updates: 64, Mode: ThroughputStream}
 }
 
 // MCCThroughputResult is the E12 outcome.
@@ -247,7 +230,7 @@ func (r MCCThroughputResult) Rows() []string {
 		fmt.Sprintf("  verdict checks: %d security, %d safety", r.SecurityChecks, r.SafetyChecks),
 		fmt.Sprintf("  deployed tasks: %d", r.FinalTasks),
 	}
-	if r.Config.Mode == ThroughputStream || r.Config.Mode == ThroughputSharded {
+	if r.Config.Mode == ThroughputStream {
 		out = append(out, fmt.Sprintf("  scheduler: %s", r.Stream))
 	}
 	if len(r.StageWall) > 0 {
@@ -403,9 +386,7 @@ func runChangeStream(cfg MCCThroughputConfig, platform *model.Platform, baseline
 	switch cfg.Mode {
 	case ThroughputSerial:
 		opts = append(opts, mcc.WithoutIncremental(), mcc.WithTimingWorkers(1))
-	case ThroughputParallel, ThroughputBatched:
-		opts = append(opts, mcc.WithTimingOnlyIncremental())
-	case ThroughputFull, ThroughputStream, ThroughputSharded:
+	case ThroughputFull, ThroughputStream:
 		// Default engine: every stage incremental.
 	default:
 		return res, fmt.Errorf("scenario: unknown throughput mode %q", cfg.Mode)
@@ -427,30 +408,8 @@ func runChangeStream(cfg MCCThroughputConfig, platform *model.Platform, baseline
 
 	streamStart := time.Now()
 	switch cfg.Mode {
-	case ThroughputBatched:
-		bs := cfg.BatchSize
-		if bs < 1 {
-			bs = 1
-		}
-		for lo := 0; lo < len(changes); lo += bs {
-			b := mcc.NewBatch()
-			for i := lo; i < lo+bs && i < len(changes); i++ {
-				if changes[i].Update != nil {
-					b.Update(*changes[i].Update)
-				} else {
-					b.Remove(changes[i].Remove)
-				}
-			}
-			br := m.ProposeBatch(b)
-			res.Accepted += br.Accepted
-			res.Rejected += br.Rejected
-		}
-	case ThroughputStream, ThroughputSharded:
-		var sopts []mcc.StreamOption
-		if cfg.Mode == ThroughputSharded {
-			sopts = append(sopts, mcc.WithShardedWindows())
-		}
-		sched := mcc.NewStreamScheduler(m, sopts...)
+	case ThroughputStream:
+		sched := mcc.NewStreamScheduler(m)
 		for _, rep := range sched.Run(changes) {
 			if rep.Accepted {
 				res.Accepted++

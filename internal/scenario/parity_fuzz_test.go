@@ -14,19 +14,18 @@ import (
 
 // Differential parity harness: genfleet-random platforms and change
 // streams are driven through the fully incremental engine, the
-// from-scratch serial baseline, the stream scheduler, and the
-// partition-sharded stream scheduler side by side, comparing verdict
-// sequences. It directly probes the ROADMAP's known
+// from-scratch serial baseline, and the stream scheduler side by side,
+// comparing verdict sequences. It directly probes the ROADMAP's known
 // accept-side warm-start parity gap — an accepted warm placement may
 // differ from the full best-fit placement, so on capacity-marginal
 // workloads the two engines can legitimately accept different
 // configurations — which the curated E12 stream alone can never
 // exercise. The oracle is therefore two-tiered:
 //
-//   - incremental vs stream-parallel vs sharded: STRICT sequence
-//     equality, always. The schedulers' window/replay construction
-//     guarantees identity with serial proposals on the same engine; any
-//     divergence here is a journal/rollback/cache/routing bug.
+//   - incremental vs stream-parallel: STRICT sequence equality,
+//     always. The scheduler's window/replay construction guarantees
+//     identity with serial proposals on the same engine; any divergence
+//     here is a journal/rollback/cache bug.
 //   - incremental vs from-scratch serial: strict until the first
 //     divergence carrying the documented gap signature (serial rejects
 //     at a placement-dependent stage where a warm-mapped attempt
@@ -135,14 +134,12 @@ func runParityCase(t *testing.T, seed uint64, strict bool) {
 	serial := newMCC(mcc.WithoutIncremental())
 	inc := newMCC()
 	streamed := newMCC()
-	sharded := newMCC()
 	sBase := serial.ProposeArchitecture(fleet.Baseline)
 	iBase := inc.ProposeArchitecture(fleet.Baseline)
 	tBase := streamed.ProposeArchitecture(fleet.Baseline)
-	hBase := sharded.ProposeArchitecture(fleet.Baseline)
-	if sBase.Accepted != iBase.Accepted || iBase.Accepted != tBase.Accepted || tBase.Accepted != hBase.Accepted {
-		t.Fatalf("seed %#x: baseline verdicts diverge: serial=%v incremental=%v stream=%v sharded=%v",
-			seed, sBase.Accepted, iBase.Accepted, tBase.Accepted, hBase.Accepted)
+	if sBase.Accepted != iBase.Accepted || iBase.Accepted != tBase.Accepted {
+		t.Fatalf("seed %#x: baseline verdicts diverge: serial=%v incremental=%v stream=%v",
+			seed, sBase.Accepted, iBase.Accepted, tBase.Accepted)
 	}
 	if !sBase.Accepted {
 		return // infeasible baseline: nothing to stream
@@ -150,7 +147,6 @@ func runParityCase(t *testing.T, seed uint64, strict bool) {
 	assertReportMatchesOracle(t, seed, -1, "serial", fleet.Platform, serial, sBase)
 	assertReportMatchesOracle(t, seed, -1, "incremental", fleet.Platform, inc, iBase)
 	assertReportMatchesOracle(t, seed, -1, "stream", fleet.Platform, streamed, tBase)
-	assertReportMatchesOracle(t, seed, -1, "sharded", fleet.Platform, sharded, hBase)
 
 	// Serial vs incremental: strict verdict-sequence equality until the
 	// documented gap signature appears, and — satellite of the scoped
@@ -193,57 +189,44 @@ func runParityCase(t *testing.T, seed uint64, strict bool) {
 		assertCommittedClean(t, seed, i, "incremental", inc)
 	}
 
-	// Incremental vs stream-parallel vs sharded: strict, always —
-	// verdicts AND findings, including across rollback-then-recheck
-	// sequences (a window or epoch replay must reproduce the serial
-	// findings verbatim). The sharded leg additionally covers partition
-	// routing, per-shard window formation, global drains, and the epoch
-	// journal; on fleets without disjoint segments it degrades to the
-	// single-sequence scheduler, so the corpus exercises the fallback too.
-	legs := []struct {
-		label   string
-		m       *mcc.MCC
-		reports []*mcc.Report
-	}{
-		{"stream", streamed, mcc.NewStreamScheduler(streamed).Run(changes)},
-		{"sharded", sharded, mcc.NewStreamScheduler(sharded, mcc.WithShardedWindows()).Run(changes)},
+	// Incremental vs stream-parallel: strict, always — verdicts AND
+	// findings, including across rollback-then-recheck sequences (a
+	// window replay must reproduce the serial findings verbatim).
+	streamReports := mcc.NewStreamScheduler(streamed).Run(changes)
+	want, got := verdicts(incReports), verdicts(streamReports)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed %#x: stream verdicts diverge from serial proposals on the same engine:\nproposals %v\nstream %v",
+			seed, want, got)
 	}
-	for _, leg := range legs {
-		want, got := verdicts(incReports), verdicts(leg.reports)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %#x: %s verdicts diverge from serial proposals on the same engine:\nproposals %v\n%s %v",
-				seed, leg.label, want, leg.label, got)
+	for i := range incReports {
+		if !reflect.DeepEqual(streamReports[i].Findings, incReports[i].Findings) {
+			t.Fatalf("seed %#x: stream findings diverge at change %d:\nproposals %v\nstream %v",
+				seed, i, incReports[i].Findings, streamReports[i].Findings)
 		}
-		for i := range incReports {
-			if !reflect.DeepEqual(leg.reports[i].Findings, incReports[i].Findings) {
-				t.Fatalf("seed %#x: %s findings diverge at change %d:\nproposals %v\n%s %v",
-					seed, leg.label, i, incReports[i].Findings, leg.label, leg.reports[i].Findings)
+		// Same engine, serial-equivalent commit order: every accepted
+		// report's materialized tables must reproduce the serial
+		// proposal's — bound snapshots mid-window included.
+		if streamReports[i].Accepted {
+			if !reflect.DeepEqual(streamReports[i].FullTiming(), incReports[i].FullTiming()) {
+				t.Fatalf("seed %#x: stream FullTiming diverges at change %d", seed, i)
 			}
-			// Same engine, serial-equivalent commit order: every accepted
-			// report's materialized tables must reproduce the serial
-			// proposal's — bound snapshots mid-window included.
-			if leg.reports[i].Accepted {
-				if !reflect.DeepEqual(leg.reports[i].FullTiming(), incReports[i].FullTiming()) {
-					t.Fatalf("seed %#x: %s FullTiming diverges at change %d", seed, leg.label, i)
-				}
-				if !reflect.DeepEqual(leg.reports[i].FullMonitors(), incReports[i].FullMonitors()) {
-					t.Fatalf("seed %#x: %s FullMonitors diverges at change %d", seed, leg.label, i)
-				}
+			if !reflect.DeepEqual(streamReports[i].FullMonitors(), incReports[i].FullMonitors()) {
+				t.Fatalf("seed %#x: stream FullMonitors diverges at change %d", seed, i)
 			}
 		}
-		// The engine state now reflects the final commit, so the
-		// from-scratch oracle applies to the last accepted report.
-		for i := len(leg.reports) - 1; i >= 0; i-- {
-			if leg.reports[i].Accepted {
-				assertReportMatchesOracle(t, seed, i, leg.label, fleet.Platform, leg.m, leg.reports[i])
-				break
-			}
-		}
-		if !reflect.DeepEqual(placements(inc), placements(leg.m)) {
-			t.Fatalf("seed %#x: %s deployment diverges from serial proposals on the same engine", seed, leg.label)
-		}
-		assertCommittedClean(t, seed, len(changes)-1, leg.label, leg.m)
 	}
+	// The engine state now reflects the final commit, so the from-scratch
+	// oracle applies to the last accepted report.
+	for i := len(streamReports) - 1; i >= 0; i-- {
+		if streamReports[i].Accepted {
+			assertReportMatchesOracle(t, seed, i, "stream", fleet.Platform, streamed, streamReports[i])
+			break
+		}
+	}
+	if !reflect.DeepEqual(placements(inc), placements(streamed)) {
+		t.Fatalf("seed %#x: stream deployment diverges from serial proposals on the same engine", seed)
+	}
+	assertCommittedClean(t, seed, len(changes)-1, "stream", streamed)
 }
 
 // assertReportMatchesOracle compares an accepted report's materialized
