@@ -17,13 +17,19 @@ import (
 // post-return and assert the committed state is bit-identical.
 
 // committedTimingSnapshot deep-copies the controller's committed timing
-// state: the keyed WCRT cache and the materialized committed table.
-func committedTimingSnapshot(m *MCC) (map[string]TimingResult, []TimingResult) {
-	keyed := make(map[string]TimingResult, len(m.deployedTiming))
-	for res, tr := range m.deployedTiming {
-		keyed[res] = cloneTimingSnapshot(tr)
+// state: the raw table entries (CPA jobs and stored WCRT tables, read in
+// place, so a report aliasing their storage would show up as a change)
+// and the materialized committed table.
+func committedTimingSnapshot(m *MCC) ([]committedRes, []TimingResult) {
+	t := m.deployedRes
+	entries := make([]committedRes, 0, t.n)
+	for i := 0; i < t.n; i++ {
+		cr := *t.at(i)
+		cr.job.tasks = append(cr.job.tasks[:0:0], cr.job.tasks...)
+		cr.res = cloneTimingSnapshot(cr.res)
+		entries = append(entries, cr)
 	}
-	return keyed, m.deployedRes.materializeTiming(nil)
+	return entries, t.materializeTiming(nil)
 }
 
 func cloneTimingSnapshot(tr TimingResult) TimingResult {
@@ -63,11 +69,11 @@ func vandalize(rep *Report) {
 
 // assertCommittedUntouched compares the committed timing state against a
 // pre-mutation snapshot.
-func assertCommittedUntouched(t *testing.T, m *MCC, keyed map[string]TimingResult, table []TimingResult) {
+func assertCommittedUntouched(t *testing.T, m *MCC, entries []committedRes, table []TimingResult) {
 	t.Helper()
-	gotKeyed, gotTable := committedTimingSnapshot(m)
-	if !reflect.DeepEqual(gotKeyed, keyed) {
-		t.Fatalf("report mutation reached the committed WCRT cache:\nwas %+v\nnow %+v", keyed, gotKeyed)
+	gotEntries, gotTable := committedTimingSnapshot(m)
+	if !reflect.DeepEqual(gotEntries, entries) {
+		t.Fatalf("report mutation reached the committed table entries:\nwas %+v\nnow %+v", entries, gotEntries)
 	}
 	if !reflect.DeepEqual(gotTable, table) {
 		t.Fatalf("report mutation reached the committed resource table:\nwas %+v\nnow %+v", table, gotTable)
@@ -97,9 +103,9 @@ func TestReportDeltaDoesNotAliasCommittedState(t *testing.T) {
 			if !rep.Accepted {
 				t.Fatalf("update rejected: %v", rep.Findings)
 			}
-			keyed, table := committedTimingSnapshot(m)
+			entries, table := committedTimingSnapshot(m)
 			vandalize(rep)
-			assertCommittedUntouched(t, m, keyed, table)
+			assertCommittedUntouched(t, m, entries, table)
 
 			// A clean re-proposal must still decide from uncorrupted
 			// tables and carry an empty delta.
@@ -108,7 +114,7 @@ func TestReportDeltaDoesNotAliasCommittedState(t *testing.T) {
 				t.Fatalf("clean re-proposal rejected after report mutation: %v", rep2.Findings)
 			}
 			vandalize(rep2)
-			assertCommittedUntouched(t, m, keyed, table)
+			assertCommittedUntouched(t, m, entries, table)
 		})
 	}
 }
@@ -134,11 +140,11 @@ func TestStreamReportDoesNotAliasCommittedState(t *testing.T) {
 			t.Fatalf("change %d rejected: %v", i, rep.Findings)
 		}
 	}
-	keyed, table := committedTimingSnapshot(m)
+	entries, table := committedTimingSnapshot(m)
 	for _, rep := range reports {
 		vandalize(rep)
 	}
-	assertCommittedUntouched(t, m, keyed, table)
+	assertCommittedUntouched(t, m, entries, table)
 
 	// The next window decides from uncorrupted state.
 	more := NewStreamScheduler(m).Run([]Change{upd(fn("extra", model.QM, 160000, 1000, 64))})

@@ -82,9 +82,7 @@ type candUndo struct {
 // quarantined or purged controllers fall back to the clone-based path,
 // which depends only on the committed architecture.
 func (m *MCC) fastPathReady() bool {
-	return m.incremental && !m.quarantined &&
-		m.deployedSynth != nil && m.deployedFlowTouch != nil &&
-		m.impl != nil && len(m.deployed.Functions) > 0
+	return !m.quarantined && m.warm() && len(m.deployed.Functions) > 0
 }
 
 // fnIndexOf returns the position of the named function in the deployed

@@ -464,13 +464,14 @@ func TestTimingAnalysisErrorSurfacedAsFinding(t *testing.T) {
 	if !found {
 		t.Fatalf("no analysis-error finding naming the resource: %v", out.findings)
 	}
-	// The errored resource is excluded from the timing delta but the digest
-	// map still covers it (so a later fix is detected as dirty).
+	// The errored resource is excluded from the timing delta but the job
+	// list (the digests a commit would persist) still covers it, so a
+	// later fix is detected as dirty.
 	if len(out.delta) != 0 {
 		t.Fatalf("errored resource kept a WCRT table: %+v", out.delta)
 	}
-	if _, ok := out.digests["only"]; !ok {
-		t.Fatal("errored resource missing from digest map")
+	if len(m.pendingJobs) != 1 || m.pendingJobs[0].resource != "only" {
+		t.Fatalf("errored resource missing from the job list: %+v", m.pendingJobs)
 	}
 }
 
@@ -497,14 +498,7 @@ func TestReintegrationRejectionKeepsDeployedStateUntouched(t *testing.T) {
 	}
 
 	implBefore := m.DeployedImpl()
-	timingBefore := make(map[string]TimingResult, len(m.deployedTiming))
-	for k, v := range m.deployedTiming {
-		timingBefore[k] = v
-	}
-	digestBefore := make(map[string]uint64, len(m.deployedDigest))
-	for k, v := range m.deployedDigest {
-		digestBefore[k] = v
-	}
+	tableBefore := m.deployedRes
 
 	// Observed 5200us for c: within its 14000us deadline (contract
 	// validation passes) but unschedulable next to a (WCRT 15600).
@@ -523,11 +517,11 @@ func TestReintegrationRejectionKeepsDeployedStateUntouched(t *testing.T) {
 	if m.DeployedImpl() != implBefore {
 		t.Fatal("deployed implementation model replaced after rejection")
 	}
-	if !reflect.DeepEqual(m.deployedTiming, timingBefore) {
-		t.Fatalf("WCRT tables changed after rejection:\nwas %+v\nnow %+v", timingBefore, m.deployedTiming)
-	}
-	if !reflect.DeepEqual(m.deployedDigest, digestBefore) {
-		t.Fatalf("digests changed after rejection:\nwas %+v\nnow %+v", digestBefore, m.deployedDigest)
+	// The committed table (WCRT tables and dirty-tracking digests) is
+	// immutable once installed, so an untouched pointer means untouched
+	// content.
+	if m.deployedRes != tableBefore {
+		t.Fatal("committed timing table replaced after rejection")
 	}
 	// A subsequent benign proposal still integrates cleanly.
 	if rep := m.ProposeUpdate(fn("t", model.QM, 100000, 1000, 1)); !rep.Accepted {

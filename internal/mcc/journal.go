@@ -5,11 +5,16 @@ import (
 )
 
 // This file implements the copy-on-write rollback point of the stream
-// scheduler's optimistic windows. PR 3 snapshotted every deployed-cache
-// map with maps.Clone before each window — O(platform) per window even
-// when the window only touches two processors. The journal inverts that
-// cost: the window-start map pointers are recorded for free, the commit
-// stage writes through jset/jdel which save the prior value of every key
+// scheduler's optimistic windows. Cloning every deployed cache before each
+// window would cost O(platform) even when the window only touches two
+// processors; the journal inverts that cost. Most committed state is
+// never written in place — the committed timing table (a chunked
+// persistent table, see restable.go), loads, flow and connection indexes
+// are replaced by fresh values on commit — so the window start records
+// their pointers and rollback restores them. Six keyed maps remain that
+// commits do write in place: the security verdict cache, the provider
+// counts, and the four synthesis lookup tables. For these the commit
+// stage writes through jset/jdel, which save the prior value of every key
 // they overwrite (first write per key only), and rollback restores
 // exactly the journaled entries. Snapshot and rollback cost are therefore
 // proportional to the window's footprint, not the platform size.
@@ -88,9 +93,9 @@ type cacheJournal struct {
 	// loads is the window-start committed per-processor load slice;
 	// commits swap in fresh slices, so rollback restores the pointer.
 	loads []procLoad
-	// resTable is the window-start committed timing-resource table;
-	// commits patch copy-on-write or build fresh tables, so rollback
-	// restores the pointer.
+	// resTable is the window-start committed timing table; commits patch
+	// copy-on-write or build fresh tables, so rollback restores the
+	// pointer.
 	resTable *resTable
 	// connIdx is the window-start committed connection-position index;
 	// commits that rebuild the connections swap in a fresh map, so
@@ -102,17 +107,11 @@ type cacheJournal struct {
 	// Window-start map pointers. Keyed commits mutate these in place
 	// (journaled below); a from-scratch commit swaps in fresh maps and
 	// leaves these untouched.
-	digestMap map[string]uint64
-	timingMap map[string]TimingResult
-	jobsMap   map[string]timingJob
-	secMap    map[model.Connection]bool
-	synth     *synthCache
-	svcMap    map[string]int
+	secMap map[model.Connection]bool
+	synth  *synthCache
+	svcMap map[string]int
 
 	// Keyed undo entries, recorded against the window-start maps.
-	digests   map[string]prior[uint64]
-	timing    map[string]prior[TimingResult]
-	jobs      map[string]prior[timingJob]
 	sec       map[model.Connection]prior[bool]
 	synFns    map[string]prior[*model.Function]
 	synIns    map[string]prior[[]model.Instance]
@@ -129,27 +128,6 @@ type cacheJournal struct {
 // into; they are nil-receiver-safe and return nil once the journal is
 // detached (or when no window is open), which jset/jdel treat as "plain
 // write".
-
-func (j *cacheJournal) jDigests() map[string]prior[uint64] {
-	if j == nil || j.detached {
-		return nil
-	}
-	return j.digests
-}
-
-func (j *cacheJournal) jTiming() map[string]prior[TimingResult] {
-	if j == nil || j.detached {
-		return nil
-	}
-	return j.timing
-}
-
-func (j *cacheJournal) jJobs() map[string]prior[timingJob] {
-	if j == nil || j.detached {
-		return nil
-	}
-	return j.jobs
-}
 
 func (j *cacheJournal) jSec() map[model.Connection]prior[bool] {
 	if j == nil || j.detached {
@@ -223,15 +201,9 @@ func (m *MCC) beginWindow() *cacheJournal {
 		resTable:  m.deployedRes,
 		connIdx:   m.deployedConnIdx,
 		instTotal: m.deployedInstTotal,
-		digestMap: m.deployedDigest,
-		timingMap: m.deployedTiming,
-		jobsMap:   m.deployedJobs,
 		secMap:    m.deployedSecVerdicts,
 		synth:     m.deployedSynth,
 		svcMap:    m.svcProviders,
-		digests:   make(map[string]prior[uint64]),
-		timing:    make(map[string]prior[TimingResult]),
-		jobs:      make(map[string]prior[timingJob]),
 		sec:       make(map[model.Connection]prior[bool]),
 		synFns:    make(map[string]prior[*model.Function]),
 		synIns:    make(map[string]prior[[]model.Instance]),
@@ -297,20 +269,14 @@ func (m *MCC) rollbackWindow(j *cacheJournal) {
 		m.purgeIncrementalState()
 		return
 	}
-	m.deployedDigest = j.digestMap
-	m.deployedTiming = j.timingMap
-	m.deployedJobs = j.jobsMap
 	m.deployedSecVerdicts = j.secMap
 	m.deployedSynth = j.synth
 	m.svcProviders = j.svcMap
-	jrevert(j.digests, m.deployedDigest)
-	jrevert(j.timing, m.deployedTiming)
-	jrevert(j.jobs, m.deployedJobs)
-	jrevert(j.sec, m.deployedSecVerdicts)
-	if j.svcMap != nil {
-		jrevert(j.svcProv, m.svcProviders)
-	}
 	if j.synth != nil {
+		// Warm at window start (a cold start records no keyed writes: the
+		// window's first commit is a detaching from-scratch one).
+		jrevert(j.sec, m.deployedSecVerdicts)
+		jrevert(j.svcProv, m.svcProviders)
 		jrevert(j.synFns, j.synth.fnByName)
 		jrevert(j.synIns, j.synth.instancesOf)
 		jrevert(j.synTasks, j.synth.tasksOn)
@@ -326,9 +292,6 @@ func (m *MCC) rollbackWindow(j *cacheJournal) {
 // rebuilds the caches wholesale (commitFull), lifting the quarantine.
 func (m *MCC) purgeIncrementalState() {
 	m.quarantined = true
-	m.deployedDigest = make(map[string]uint64)
-	m.deployedTiming = make(map[string]TimingResult)
-	m.deployedJobs = nil
 	m.deployedRes = nil
 	m.deployedSynth = nil
 	m.pendingSynth = nil

@@ -119,28 +119,20 @@ type MCC struct {
 	incremental bool
 	// workers bounds the goroutines analyzing dirty resources in parallel.
 	workers int
-	// deployedDigest/deployedTiming hold the per-resource task-set digests
-	// and WCRT tables of the currently committed configuration; a candidate
-	// resource whose digest matches is clean and reuses the deployed table.
-	deployedDigest map[string]uint64
-	deployedTiming map[string]TimingResult
-	// deployedJobs caches the committed per-resource CPA task sets so the
-	// timing stage can splice clean resources' jobs without re-scanning
-	// the implementation model (diff-proportional job construction).
-	deployedJobs map[string]timingJob
-	// deployedRes is the committed timing state as a chunked persistent
-	// table in deterministic resource order (loaded processors sorted by
-	// name, then loaded networks in platform order): each entry pairs the
-	// committed CPA job with its committed WCRT table. It accelerates the
-	// maps above — a proposal's job construction merges it against the
-	// small sorted affected set, copying untouched entries positionally
-	// without a single map lookup — and it is what accepted reports bind
-	// their whole-table views to (Report.FullTiming/FullMonitors). The
-	// maps stay authoritative; a nil table (purge, cold controller) falls
-	// back to the map walk. Keyed commits patch it copy-on-write (spine
-	// plus affected chunks, O(diff)), so the previous pointer — a window
-	// journal's rollback point, a bound report's snapshot — stays valid
-	// and shares every untouched chunk.
+	// deployedRes is the committed timing state — the only one — as a
+	// chunked persistent table in deterministic resource order (loaded
+	// processors sorted by name, then loaded networks in platform order):
+	// each entry pairs the committed CPA job (task set and digest) with
+	// its committed WCRT table. A candidate job whose digest equals its
+	// committed entry's is clean and reuses that table; untouched
+	// resources never leave the table at all (the incremental job list is
+	// footprint-sized). Accepted reports bind their whole-table views to
+	// it (Report.FullTiming/FullMonitors). Every commit installs a table
+	// (nil only before the first commit and after a purge); incremental
+	// commits patch it copy-on-write (spine plus affected chunks,
+	// O(diff)), so the previous pointer — a window journal's rollback
+	// point, a bound report's snapshot — stays valid and shares every
+	// untouched chunk.
 	deployedRes *resTable
 	// windowHeals, while a stream window is open, collects the verified
 	// deferred timing verdicts keyed by {resource, task-set digest}.
@@ -152,31 +144,36 @@ type MCC struct {
 	windowHeals map[resDigestKey]TimingResult
 	// deployedSynth caches the committed synthesis lookup tables (function
 	// contracts by name, replica instances by function, per-processor task
-	// lists) next to deployedJobs, so incremental synthesis splices
-	// untouched processors' task lists without re-deriving synthLookups;
-	// commits invalidate only diff-touched entries. Maintained only while
-	// the pre-timing stages run incrementally.
+	// lists), so incremental synthesis splices untouched processors' task
+	// lists without re-deriving synthLookups; commits invalidate only
+	// diff-touched entries.
+	//
+	// deployedSynth, deployedSecVerdicts, svcProviders,
+	// deployedFlowTouch, deployedLoads and deployedConnIdx (with the
+	// deployedInstTotal count) are the warm caches of the incremental
+	// engine: commitFull installs them together with deployedRes when the
+	// incremental engine is on, purgeIncrementalState drops them together,
+	// and window rollback restores them together, so the single warm()
+	// predicate stands for all of them.
 	deployedSynth *synthCache
 	// pendingSynth is the diff-sized lookup overlay of the most recent
 	// incremental synthesis, applied to deployedSynth by the commit stage.
 	pendingSynth *synthOverlay
 	// deployedSecVerdicts caches the committed per-connection security
-	// verdicts next to deployedJobs/deployedSynth. Every key is a
+	// verdicts. Every key is a
 	// connection of the committed implementation model that passed the
 	// cross-domain check (a configuration only commits after the security
 	// stage accepted it, so the cached verdict is always "clean"); the
 	// scoped security check re-verifies only connections whose client or
 	// server function the diff touched, or that are missing from the
 	// cache (new or rewired sessions after a connection rebuild), and
-	// splices the rest. Maintained only while the pre-timing stages run
-	// incrementally.
+	// splices the rest.
 	deployedSecVerdicts map[model.Connection]bool
 	// svcProviders counts, per service name, how many Provides occurrences
 	// the committed architecture carries. The validation fast path answers
 	// "is this required service provided" in O(1) against it; keyed
 	// commits adjust only the touched functions' occurrences (journaled),
-	// from-scratch commits rebuild it wholesale. Maintained only while the
-	// pre-timing stages run incrementally.
+	// from-scratch commits rebuild it wholesale.
 	svcProviders map[string]int
 	// deployedFlowTouch maps every function name referenced by a committed
 	// flow to true. Together with deployedSynth.fnByName it is the O(1)
@@ -191,8 +188,7 @@ type MCC struct {
 	// processor position. The warm-started mapping copies it and adjusts
 	// only the diff instead of re-accounting every kept instance. Commits
 	// swap in a fresh slice — never an in-place write — so a window
-	// journal rolls back by restoring the window-start pointer. Maintained
-	// only while the pre-timing stages run incrementally.
+	// journal rolls back by restoring the window-start pointer.
 	deployedLoads []procLoad
 	// loadScratch is the reusable per-proposal placer buffer; an accepted
 	// keyed commit takes ownership of it as the new deployedLoads.
@@ -224,14 +220,15 @@ type MCC struct {
 	// of scanning (and hashing) every connection. Rebuilt fresh — never
 	// mutated in place — by from-scratch commits and by keyed commits that
 	// rebuilt the connections, so a window journal rolls back by pointer.
-	// Maintained only while the pre-timing stages run incrementally.
 	deployedConnIdx map[string][]int
 	// deployedInstTotal is the committed instance count, maintained so the
 	// warm-started mapping can report its kept-instance telemetry without
 	// materializing the flat instance list it no longer builds.
 	deployedInstTotal int
 
-	// pendingJobs is the job list of the most recent timing-stage run,
+	// pendingJobs is the job list of the most recent timing-stage run
+	// (footprint-sized under partial synthesis, every loaded resource on a
+	// from-scratch pass; scratch.pos holds each job's committed position),
 	// handed from the timing stage to the monitor and commit stages.
 	pendingJobs []timingJob
 	// pendingResults holds the per-job WCRT tables of the most recent
@@ -248,8 +245,9 @@ type MCC struct {
 	// processor list per lookup.
 	procIdx map[string]int
 	// journal, when non-nil, is the open copy-on-write rollback point of a
-	// stream-scheduler window: commits record the prior value of every
-	// cache entry they overwrite instead of the window cloning whole maps.
+	// stream-scheduler window: it holds the window-start pointers of the
+	// committed state, and commits record the prior value of every keyed
+	// map entry they overwrite instead of the window cloning whole maps.
 	journal *cacheJournal
 	// scratch holds the MCC-owned buffers the timing hot path reuses
 	// across proposals.
@@ -398,8 +396,6 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 		incremental:    true,
 		historyLimit:   defaultHistoryLimit,
 		workers:        runtime.GOMAXPROCS(0),
-		deployedDigest: make(map[string]uint64),
-		deployedTiming: make(map[string]TimingResult),
 		procs:          procNames(p),
 		procIdx:        procIndex(p),
 	}
@@ -463,6 +459,12 @@ func (m *MCC) Analyzer() *cpa.Analyzer { return m.analyzer }
 // Deployed returns the currently deployed functional architecture.
 func (m *MCC) Deployed() *model.FunctionalArchitecture { return m.deployed }
 
+// warm reports whether the incremental engine's committed caches are
+// installed (see MCC.deployedSynth): one check for all of them, since
+// they are only ever installed and dropped together. A warm controller
+// has a committed configuration.
+func (m *MCC) warm() bool { return m.deployedSynth != nil }
+
 // DeployedImpl returns the currently deployed implementation model (nil
 // until the first successful integration). A keyed commit leaves the
 // model's flat task and instance lists unmaterialized — the committed
@@ -472,7 +474,7 @@ func (m *MCC) Deployed() *model.FunctionalArchitecture { return m.deployed }
 // Messages and Connections are always present (aliased or rebuilt at
 // commit time).
 func (m *MCC) DeployedImpl() *model.ImplementationModel {
-	if m.impl != nil && m.deployedSynth != nil {
+	if m.warm() {
 		if m.impl.Tech != nil && m.impl.Tech.Instances == nil {
 			m.impl.Tech.Instances = m.committedInstances()
 		}

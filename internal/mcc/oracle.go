@@ -24,7 +24,7 @@ func FromScratchTables(p *model.Platform, impl *model.ImplementationModel) ([]Ti
 	var timing []TimingResult
 	tasksOn := impl.TasksByProcessor()
 	for _, pn := range m.procs {
-		j, ok := m.buildProcJobFrom(pn, tasksOn[pn])
+		j, ok := m.buildProcJob(pn, tasksOn[pn])
 		if !ok {
 			continue
 		}

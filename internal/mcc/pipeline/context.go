@@ -47,8 +47,8 @@ type Context struct {
 	// diff-affected artifacts and copied everything else from the deployed
 	// implementation model. When set, AffectedProcs and MessagesRebuilt
 	// describe exactly what changed, and later stages (timing-job
-	// construction, monitor planning) may splice their own cached
-	// artifacts for the untouched remainder.
+	// construction, monitor planning) build only the affected resources,
+	// leaving the untouched remainder in their committed state.
 	PartialSynth bool
 	// AffectedProcs is the set of processors whose task sets the partial
 	// synthesis rebuilt (a touched function's instances were or are
@@ -67,7 +67,7 @@ type Context struct {
 	ConnectionsRebuilt bool
 	// AffectedNets is the set of networks whose message list actually
 	// changed under a rebuild (a rebuilt list equal to the deployed one
-	// leaves its network clean, so untouched networks splice their cached
+	// leaves its network clean, so untouched networks keep their committed
 	// timing jobs even when MessagesRebuilt). Only valid when
 	// MessagesRebuilt is set; nil conservatively means "every network".
 	AffectedNets map[string]bool
@@ -88,9 +88,6 @@ type Context struct {
 	// whole proposal window out over the worker pool and re-validates
 	// every verdict before the window is final.
 	DeferChecks bool
-	// TimingDigests is the timing stage's artifact: the per-resource
-	// task-set digests the commit stage persists for dirty tracking.
-	TimingDigests map[string]uint64
 
 	// Ctx carries the proposal's cancellation/deadline signal. The
 	// pipeline checks it between stages and long-running stages may

@@ -93,8 +93,8 @@ type Report struct {
 	// TimingScans counts the resources whose CPA task sets the timing
 	// stage rebuilt by scanning the implementation model
 	// (TasksOn/MessagesOn); with diff-proportional job construction the
-	// task sets of untouched resources are spliced from the deployed
-	// cache without any scan, so a clean-resource proposal reports 0.
+	// task sets of untouched resources stay in the committed timing table
+	// without any scan, so a clean-resource proposal reports 0.
 	TimingScans int
 	// TimingDirty counts the resources whose busy-window analysis
 	// actually ran (or, under deferred timing, was scheduled); clean

@@ -2,18 +2,19 @@ package mcc
 
 import "repro/internal/mcc/pipeline"
 
-// This file implements the chunked persistent committed-resource table
-// behind the delta-report contract. PR 7's flat []committedRes slice made
-// job construction diff-proportional, but every accepted commit still
-// allocated and copied the whole slice (O(platform) memclr+copy per
-// change — the dominant term of the E13 collapse at 2048 processors).
-// The table keeps the same deterministic resource order (loaded
+// This file implements the chunked persistent committed-resource table:
+// the controller's only committed timing state (each loaded resource's
+// CPA job, task-set digest and WCRT table) and the storage behind the
+// delta-report contract. A flat slice would make every accepted commit
+// allocate and copy the whole platform (O(platform) memclr+copy per
+// change). The table keeps the deterministic resource order (loaded
 // processors sorted by name, then loaded networks in platform order) in
-// fixed-size chunks behind a pointer spine: a keyed commit that touches
-// k resources copies the spine and the ceil(k/chunk) affected chunks and
-// shares every other chunk with the previous configuration — O(diff) per
-// accepted change, with the old table (a window's rollback point, or a
-// bound report's snapshot) fully intact.
+// fixed-size chunks behind a pointer spine: a commit that replaces k
+// entries in place copies the spine and the ceil(k/chunk) affected chunks
+// and shares every other chunk with the previous configuration — O(diff)
+// per accepted change, with the old table (a window's rollback point, or
+// a bound report's snapshot) fully intact. Rollback is therefore a
+// pointer restore; no keyed undo is kept for the timing state.
 //
 // Reports bind a table pointer at commit time (Report.FullTiming /
 // FullMonitors); materialization deep-copies on every call, so nothing a
@@ -106,11 +107,20 @@ func (t *resTable) patch(updates []resUpdate) *resTable {
 	return nt
 }
 
-// find returns the index of the named resource, or -1. The processor
-// prefix is sorted by name (binary search); the network suffix is short
-// (platform networks, typically a handful) and scanned linearly.
-func (t *resTable) find(resource string) int {
+// find returns the index of the named processor (spnp=false) or network
+// (spnp=true), or -1. The processor prefix is sorted by name (binary
+// search); the network suffix is short (platform networks, typically a
+// handful) and scanned linearly.
+func (t *resTable) find(resource string, spnp bool) int {
 	if t == nil {
+		return -1
+	}
+	if spnp {
+		for i := t.procs; i < t.n; i++ {
+			if t.at(i).job.resource == resource {
+				return i
+			}
+		}
 		return -1
 	}
 	lo, hi := 0, t.procs
@@ -125,12 +135,40 @@ func (t *resTable) find(resource string) int {
 	if lo < t.procs && t.at(lo).job.resource == resource {
 		return lo
 	}
-	for i := t.procs; i < t.n; i++ {
-		if t.at(i).job.resource == resource {
-			return i
-		}
-	}
 	return -1
+}
+
+// align appends to pos, for each job of a from-scratch job list, the
+// table index of the same resource, or -1. Both are in resource order, so
+// one forward merge suffices: the processor prefixes by name, the network
+// suffixes by a cursor that only moves forward (both follow platform
+// order).
+func (t *resTable) align(jobs []timingJob, pos []int) []int {
+	if t == nil {
+		t = &resTable{}
+	}
+	c := 0
+	for _, j := range jobs {
+		k := -1
+		if !j.spnp {
+			for c < t.procs && t.at(c).job.resource < j.resource {
+				c++
+			}
+			if c < t.procs && t.at(c).job.resource == j.resource {
+				k, c = c, c+1
+			}
+		} else {
+			c = max(c, t.procs)
+			for i := c; i < t.n; i++ {
+				if t.at(i).job.resource == j.resource {
+					k, c = i, i+1
+					break
+				}
+			}
+		}
+		pos = append(pos, k)
+	}
+	return pos
 }
 
 // materializeTiming deep-copies the committed WCRT tables in resource

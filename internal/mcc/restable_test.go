@@ -1,0 +1,218 @@
+package mcc
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/model"
+)
+
+// committedJobs lists the committed table's CPA jobs in table order.
+func committedJobs(m *MCC) []timingJob {
+	t := m.deployedRes
+	out := make([]timingJob, 0, t.n)
+	for i := 0; i < t.n; i++ {
+		out = append(out, t.at(i).job)
+	}
+	return out
+}
+
+// committedDigests lists the committed table's (resource, task-set
+// digest) pairs in table order.
+func committedDigests(m *MCC) []resDigestKey {
+	var out []resDigestKey
+	for _, j := range committedJobs(m) {
+		out = append(out, resDigestKey{j.resource, j.digest})
+	}
+	return out
+}
+
+// scanDigests lists the (resource, task-set digest) pairs of a
+// from-scratch job scan of the deployed implementation model, in resource
+// order.
+func scanDigests(m *MCC) []resDigestKey {
+	full, _ := m.timingJobs(nil, m.DeployedImpl())
+	var out []resDigestKey
+	for _, j := range full {
+		out = append(out, resDigestKey{j.resource, j.digest})
+	}
+	return out
+}
+
+// lastAccepted returns the newest accepted report in m.History, or nil.
+func lastAccepted(m *MCC) *Report {
+	for i := len(m.History) - 1; i >= 0; i-- {
+		if m.History[i].Accepted {
+			return m.History[i]
+		}
+	}
+	return nil
+}
+
+// assertOracleParity checks a controller's committed timing state against
+// the from-scratch oracle: the table's per-entry job digests equal a full
+// rescan of the deployed implementation model, and both the last accepted
+// report's FullTiming() and DeployedMonitors() equal FromScratchTables.
+func assertOracleParity(t *testing.T, label string, m *MCC) {
+	t.Helper()
+	if scan, committed := scanDigests(m), committedDigests(m); !reflect.DeepEqual(scan, committed) {
+		t.Fatalf("%s: committed job digests diverge from a full rescan:\nscan      %v\ncommitted %v", label, scan, committed)
+	}
+	wantTiming, wantMonitors, err := FromScratchTables(m.platform, m.DeployedImpl())
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", label, err)
+	}
+	last := lastAccepted(m)
+	if last == nil {
+		t.Fatalf("%s: no accepted report in history", label)
+	}
+	if got := last.FullTiming(); !reflect.DeepEqual(got, wantTiming) {
+		t.Fatalf("%s: FullTiming diverges from the oracle:\ngot  %+v\nwant %+v", label, got, wantTiming)
+	}
+	if got := m.DeployedMonitors(); !reflect.DeepEqual(got, wantMonitors) {
+		t.Fatalf("%s: DeployedMonitors diverges from the oracle:\ngot  %+v\nwant %+v", label, got, wantMonitors)
+	}
+}
+
+// shapePlatform has an ASIL-D anchor processor with the RAM for the
+// large functions, a QM-only processor that starts without load, and an
+// ASIL-D processor hosting a co-located flow pair, so the bus between
+// them starts without messages.
+func shapePlatform() *model.Platform {
+	return &model.Platform{
+		Processors: []model.Processor{
+			{Name: "anchor", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 131072, MaxSafety: model.ASILD},
+			{Name: "idle", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 4096, MaxSafety: model.QM},
+			{Name: "safe", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 4096, MaxSafety: model.ASILD},
+		},
+		Networks: []model.Network{
+			{Name: "bus", BitsPerSec: 500_000, Attached: []string{"anchor", "idle", "safe"}, Kind: "can"},
+		},
+	}
+}
+
+// tableResources lists the committed table's resources in table order.
+func tableResources(m *MCC) []string {
+	var out []string
+	for _, j := range committedJobs(m) {
+		out = append(out, j.resource)
+	}
+	return out
+}
+
+func TestTimingTableShapeChanges(t *testing.T) {
+	// The incremental timing-job builder records a committed position of
+	// -1 for a resource gaining its first load and a deletion for one
+	// losing its last, and the commit rebuilds the table for such shape
+	// changes instead of patching it. Each case runs serially, inside a
+	// verified stream window (the optimistic commit stands), and inside a
+	// window that a later timing rejection forces to roll back and replay.
+	// After every step the committed state must equal the from-scratch
+	// oracle and the report must count every committed resource.
+	withSafety := func(f model.Function, lvl model.SafetyLevel) model.Function {
+		f.Contract.Safety = lvl
+		return f
+	}
+	withRAM := func(f model.Function, ram int64) model.Function {
+		f.Contract.Resources.RAMKiB = ram
+		return f
+	}
+	prod := fn("p", model.ASILD, 20000, 2000, 64)
+	prod.Provides = []string{"x"}
+	cons := fn("c", model.ASILD, 20000, 2000, 64)
+	cons.Requires = []string{"x"}
+	q := fn("q", model.QM, 50000, 1000, 64)
+
+	type step struct {
+		change model.Function
+		want   []string // committed resources after the step
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"processor gains its first load", []step{
+			{q, []string{"anchor", "idle", "safe"}},
+		}},
+		{"processor loses its last load", []step{
+			{q, []string{"anchor", "idle", "safe"}},
+			{withSafety(q, model.ASILD), []string{"anchor", "safe"}},
+		}},
+		{"network gains its first message then loses its last", []step{
+			{withRAM(cons, 8192), []string{"anchor", "safe", "bus"}},
+			{cons, []string{"anchor", "safe"}},
+		}},
+		{"processor and network reshape together", []step{
+			{withSafety(cons, model.QM), []string{"anchor", "idle", "safe", "bus"}},
+			{cons, []string{"anchor", "safe"}},
+		}},
+	}
+	modes := []struct {
+		name string
+		// run decides step i's change and returns the reports of every
+		// change it proposed.
+		run func(t *testing.T, m *MCC, i int, change model.Function) []*Report
+	}{
+		{"serial", func(t *testing.T, m *MCC, i int, change model.Function) []*Report {
+			return []*Report{m.ProposeUpdate(change)}
+		}},
+		{"window", func(t *testing.T, m *MCC, i int, change model.Function) []*Report {
+			// The filler fits only on the anchor (RAM) and barely loads it.
+			sched := NewStreamScheduler(m, WithStreamWindow(8))
+			reps := sched.Run([]Change{upd(change), upd(fn(fmt.Sprintf("fill%d", i), model.ASILD, 1_000_000, 10, 8192))})
+			if st := sched.Stats(); st.Windows != 1 || st.Replays != 0 || st.Speculated != 2 {
+				t.Fatalf("stats = %+v, want one verified window of two changes", st)
+			}
+			return reps
+		}},
+		{"window-replay", func(t *testing.T, m *MCC, i int, change model.Function) []*Report {
+			// The offender fits only on the anchor (RAM) and misses its
+			// deadline next to the anchor's baseline load there.
+			sched := NewStreamScheduler(m, WithStreamWindow(8))
+			reps := sched.Run([]Change{upd(change), upd(fn("hog", model.ASILD, 14000, 5200, 8192))})
+			if st := sched.Stats(); st.Windows != 1 || st.Replays != 1 {
+				t.Fatalf("stats = %+v, want one replayed window", st)
+			}
+			if reps[1].Accepted || reps[1].RejectedAt != StageTiming {
+				t.Fatalf("offender decided %v@%q, want a timing rejection", reps[1].Accepted, reps[1].RejectedAt)
+			}
+			return reps[:1]
+		}},
+	}
+	for _, tc := range cases {
+		for _, mode := range modes {
+			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
+				m, err := New(shapePlatform())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep := m.ProposeArchitecture(&model.FunctionalArchitecture{
+					Functions: []model.Function{fn("a", model.ASILD, 10000, 5200, 65536), prod, cons},
+					Flows:     []model.Flow{{From: "p", To: "c", Service: "x", MsgBytes: 8, PeriodUS: 20000}},
+				})
+				if !rep.Accepted {
+					t.Fatalf("baseline rejected: %v (%s)", rep.Findings, rep.RejectedAt)
+				}
+				if got := tableResources(m); !reflect.DeepEqual(got, []string{"anchor", "safe"}) {
+					t.Fatalf("baseline table = %v, want [anchor safe]", got)
+				}
+				for i, st := range tc.steps {
+					for _, rep := range mode.run(t, m, i, st.change) {
+						if !rep.Accepted {
+							t.Fatalf("step %d: rejected: %v (%s)", i, rep.Findings, rep.RejectedAt)
+						}
+					}
+					if got := tableResources(m); !reflect.DeepEqual(got, st.want) {
+						t.Fatalf("step %d: table = %v, want %v", i, got, st.want)
+					}
+					label := fmt.Sprintf("step %d", i)
+					assertOracleParity(t, label, m)
+					if got := lastAccepted(m).TimingResources; got != m.deployedRes.n {
+						t.Fatalf("%s: report counts %d timing resources, table holds %d", label, got, m.deployedRes.n)
+					}
+				}
+			})
+		}
+	}
+}

@@ -18,11 +18,12 @@ import (
 )
 
 // This file implements the built-in pipeline stages of the MCC. Each stage
-// holds a pointer back to the controller for its caches (deployed digests,
-// WCRT tables, memoizing analyzer); the pure viewpoint checks (safety,
-// security) are stateless. Stages work incrementally when the context says
-// so and fall back to the from-scratch path otherwise — the from-scratch
-// path is also the cold retry that re-decides rejected warm-start attempts.
+// holds a pointer back to the controller for its caches (the committed
+// timing table, synthesis lookups, memoizing analyzer); the pure
+// viewpoint checks (safety, security) are stateless. Stages work
+// incrementally when the context says so and fall back to the
+// from-scratch path otherwise — the from-scratch path is also the cold
+// retry that re-decides rejected warm-start attempts.
 
 // --- Stage 1: contract validation -----------------------------------------
 
@@ -81,7 +82,7 @@ func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
 // finding the from-scratch path would.
 func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 	m, cand, d := s.m, ctx.Candidate, ctx.Diff
-	if m.deployedSynth == nil || m.svcProviders == nil || d.TouchedCount() != 1 {
+	if !m.warm() || d.TouchedCount() != 1 {
 		return false, nil
 	}
 	if d.FlowsChanged && len(d.Removed) != 1 {
@@ -146,7 +147,7 @@ func (s *mappingStage) Name() Stage { return StageMapping }
 func (s *mappingStage) Run(ctx *pipeline.Context) error {
 	s.m.pendingLoads = nil
 	s.m.pendingPlaced = nil
-	if ctx.Incremental && !ctx.Diff.Full() && ctx.DeployedImpl != nil {
+	if ctx.Incremental && !ctx.Diff.Full() && s.m.warm() {
 		if tech, kept, placed, ok := s.m.mapWarmStart(ctx); ok {
 			ctx.Tech = tech
 			ctx.WarmMapped = true
@@ -297,90 +298,20 @@ func sortByConstraint(fns []*model.Function) {
 	})
 }
 
-// mapWarmStart maps the candidate starting from the deployed placement:
-// instances of untouched functions stay where they are, only the diff is
-// placed (best-fit over the residual capacity). It reports ok=false when
-// the diff cannot be placed on the residual capacity — the caller then
-// falls back to the full best-fit over all functions, which reshuffles
-// untouched instances too.
+// mapWarmStart is the O(diff) warm start: instances of untouched
+// functions stay where they are, only the diff is placed (best-fit over
+// the residual capacity). The committed loads slice is copied (one
+// memcpy), the touched functions' committed charges are subtracted —
+// integer-exact, so the residuals equal a re-accounting of every kept
+// instance — and the diff is placed over the residual. The candidate's
+// flat instance list is never assembled: the fresh placements are handed
+// to the synthesis overlay through pendingPlaced, everything downstream
+// resolves instances through the committed tables plus that overlay, and
+// DeployedImpl materializes the flat list on demand for whole-model
+// readers. It reports ok=false when the diff cannot be placed on the
+// residual capacity — the caller then falls back to the full best-fit
+// over all functions, which reshuffles untouched instances too.
 func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
-	cand, d := ctx.Candidate, ctx.Diff
-	depTech := ctx.DeployedImpl.Tech
-
-	// With committed per-processor loads the kept instances need no
-	// re-accounting at all: subtract the touched functions' committed
-	// charges, place the diff over the residual, splice the instance
-	// list. The residuals are integer-exact equal to a re-accounting, so
-	// the feasibility verdict and best-fit choices are identical to the
-	// legacy loop below.
-	if m.deployedLoads != nil && m.deployedSynth != nil {
-		return m.mapWarmFromCommitted(ctx)
-	}
-	if depTech.Instances == nil {
-		// A keyed commit leaves the flat instance list unmaterialized and
-		// always installs committed loads alongside, so this loop should
-		// be unreachable with a lazy model; decide cold if it ever is.
-		return nil, 0, 0, false
-	}
-
-	fnByName := make(map[string]*model.Function, len(cand.Functions))
-	for i := range cand.Functions {
-		fnByName[cand.Functions[i].Name] = &cand.Functions[i]
-	}
-
-	// Keep untouched instances in place and account their load.
-	p := m.newPlacer()
-	instances := make([]model.Instance, 0, len(depTech.Instances))
-	for _, in := range depTech.Instances {
-		if d.Touched(in.Function) {
-			continue // re-placed below (changed) or dropped (removed)
-		}
-		f := fnByName[in.Function]
-		if f == nil || !p.account(f, in.Processor) {
-			return nil, 0, 0, false // stale placement; decide cold
-		}
-		instances = append(instances, in)
-	}
-	kept = len(instances)
-
-	// Place the diff best-fit over the residual capacity, hardest
-	// constraints first (same order as the full mapping).
-	var todo []*model.Function
-	for _, names := range [][]string{d.Added, d.Changed} {
-		for _, name := range names {
-			if f := fnByName[name]; f != nil {
-				todo = append(todo, f)
-			}
-		}
-	}
-	sortByConstraint(todo)
-	for _, f := range todo {
-		ins, ok := p.place(f)
-		if !ok {
-			return nil, 0, 0, false // no room on residual capacity
-		}
-		instances = append(instances, ins...)
-		placed += len(ins)
-	}
-	sort.Slice(instances, func(i, j int) bool { return instances[i].Less(instances[j]) })
-	m.pendingLoads = p.loads
-	// The warm-start placement is correct by construction (every kept
-	// instance was validated at commit time, every new one against the
-	// live constraints); the full structural re-validation is what the
-	// incremental path exists to avoid.
-	return &model.TechnicalArchitecture{Platform: m.platform, Func: cand, Instances: instances}, kept, placed, true
-}
-
-// mapWarmFromCommitted is the O(diff) warm start: the committed loads
-// slice is copied (one memcpy), the touched functions' committed charges
-// are subtracted, and the diff is placed best-fit over the residual. The
-// candidate's flat instance list is never assembled — the fresh
-// placements are handed to the synthesis overlay through pendingPlaced,
-// everything downstream resolves instances through the committed tables
-// plus that overlay, and DeployedImpl materializes the flat list on
-// demand for whole-model readers. That removes the only remaining
-// O(platform) step (the splice and its allocation) from the warm path.
-func (m *MCC) mapWarmFromCommitted(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
 	cand, d := ctx.Candidate, ctx.Diff
 
 	p := m.newPlacerFromCommitted()
@@ -465,7 +396,7 @@ func (s *synthStage) Run(ctx *pipeline.Context) error {
 	var impl *model.ImplementationModel
 	var err error
 	s.m.pendingSynth = nil
-	if ctx.Incremental && ctx.WarmMapped && ctx.DeployedImpl != nil && s.m.deployedSynth != nil {
+	if ctx.WarmMapped {
 		impl, err = s.m.synthesizeIncremental(ctx)
 	} else {
 		impl, err = s.m.synthesize(ctx.Tech)
@@ -499,10 +430,11 @@ func synthLookups(tech *model.TechnicalArchitecture) (map[string]*model.Function
 // synthCache holds the committed synthesis lookup tables: function
 // contracts by name, replica instances by function, and the
 // per-processor task lists of the deployed implementation model. It is
-// maintained on commit next to deployedJobs — rebuilt in full only by
-// from-scratch commits, keyed invalidation of diff-touched entries
-// otherwise — so incremental synthesis can splice untouched processors'
-// task lists without re-deriving the tables per proposal. The cache owns
+// maintained on commit next to the committed timing table — rebuilt in
+// full only by from-scratch commits, keyed invalidation of diff-touched
+// entries otherwise — so incremental synthesis can splice untouched
+// processors' task lists without re-deriving the tables per proposal.
+// The cache owns
 // its entries: function values are standalone copies, instance and task
 // slices are immutable once stored.
 type synthCache struct {
@@ -593,11 +525,10 @@ func (v *synthView) instances(name string) []model.Instance {
 
 // synthOverlay builds the candidate's lookup view against the committed
 // tables: the diff names its touched functions, whose candidate values
-// and placements are collected directly (binary search over the sorted
-// instance list), everything untouched resolves through the cache (whose
+// are collected directly and whose placements the warm start handed over
+// (pendingPlaced), everything untouched resolves through the cache (whose
 // entries are value-identical under the warm-started mapping). No lookup
-// table is rebuilt and no candidate-sized scan runs — cost is
-// O(diff · log n).
+// table is rebuilt and no candidate-sized scan runs — cost is O(diff).
 func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
 	d := ctx.Diff
 	over := &synthOverlay{
@@ -617,38 +548,15 @@ func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
 			}
 		}
 	}
-	// The O(diff) warm start hands the fresh placements over directly,
-	// keyed by function and replica-ascending — the exact per-function
-	// lists synthLookups would produce — so no flat candidate instance
-	// list is needed at all. The binary-search fallback covers warm paths
-	// that materialized ctx.Tech.Instances instead (the legacy warm start
-	// after a from-scratch commit).
-	if m.pendingPlaced != nil {
-		for name, f := range over.fns {
-			if f == nil {
-				continue // removed: no candidate placements
-			}
-			if ins := m.pendingPlaced[name]; len(ins) > 0 {
-				over.insts[name] = ins
-			}
-		}
-		return &synthView{cache: m.deployedSynth, over: over}, over
-	}
-	// ctx.Tech.Instances is sorted by Instance.Less, so each touched
-	// function's placements form one contiguous replica-ascending block —
-	// exactly the list synthLookups produces.
-	ins := ctx.Tech.Instances
+	// The warm start hands the fresh placements over keyed by function and
+	// replica-ascending — the exact per-function lists synthLookups would
+	// produce — so no flat candidate instance list is needed at all.
 	for name, f := range over.fns {
 		if f == nil {
 			continue // removed: no candidate placements
 		}
-		lo := sort.Search(len(ins), func(i int) bool { return ins[i].Function >= name })
-		hi := lo
-		for hi < len(ins) && ins[hi].Function == name {
-			hi++
-		}
-		if hi > lo {
-			over.insts[name] = ins[lo:hi:hi]
+		if ins := m.pendingPlaced[name]; len(ins) > 0 {
+			over.insts[name] = ins
 		}
 	}
 	return &synthView{cache: m.deployedSynth, over: over}, over
@@ -914,27 +822,17 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// was touched (untouched endpoints keep their placement under the
 	// warm-started mapping). With the flow set unchanged the candidate's
 	// flows are the committed ones, so the committed flow-touch index
-	// answers "is any touched function a flow endpoint" in O(diff).
+	// answers "is any touched function a flow endpoint" in O(diff). A
+	// touched endpoint forces a rebuild only if its placement actually
+	// moved: messages derive from flows and endpoint placements alone, so
+	// a change that re-places every replica onto its committed processor
+	// leaves every message identical.
 	rebuildMsgs := d.FlowsChanged
 	if !rebuildMsgs {
-		if ft := m.deployedFlowTouch; ft != nil {
-			// A touched flow endpoint forces a rebuild only if its
-			// placement actually moved: messages derive from flows and
-			// endpoint placements alone, and flows are unchanged here, so
-			// a change that re-places every replica onto its committed
-			// processor leaves every message identical.
-			for name := range over.fns {
-				if ft[name] && placementChanged(m.deployedSynth.instancesOf[name], over.insts[name]) {
-					rebuildMsgs = true
-					break
-				}
-			}
-		} else {
-			for _, fl := range ctx.Candidate.Flows {
-				if d.Touched(fl.From) || d.Touched(fl.To) {
-					rebuildMsgs = true
-					break
-				}
+		for name := range over.fns {
+			if m.deployedFlowTouch[name] && placementChanged(m.deployedSynth.instancesOf[name], over.insts[name]) {
+				rebuildMsgs = true
+				break
 			}
 		}
 	}
@@ -1226,10 +1124,10 @@ func (s *securityStage) Name() Stage { return StageSecurity }
 
 func (s *securityStage) Run(ctx *pipeline.Context) error {
 	m := s.m
-	if ctx.PartialSynth && m.deployedSecVerdicts != nil {
+	if ctx.PartialSynth {
 		var findings []security.Finding
 		var checked int
-		if !ctx.ConnectionsRebuilt && m.deployedConnIdx != nil {
+		if !ctx.ConnectionsRebuilt {
 			findings, checked = m.checkSecurityIndexed(ctx)
 		} else {
 			findings, checked = m.checkSecurityScoped(ctx)
@@ -1352,7 +1250,6 @@ func (s *timingStage) Name() Stage { return StageTiming }
 func (s *timingStage) Run(ctx *pipeline.Context) error {
 	out := s.m.analyzeTiming(ctx, ctx.Impl)
 	ctx.Report.TimingDelta = out.delta
-	ctx.TimingDigests = out.digests
 	ctx.Report.TimingScans += out.scanned
 	ctx.Report.TimingDirty += out.dirty
 	ctx.Report.TimingResources += out.total
@@ -1378,8 +1275,8 @@ type timingJob struct {
 // job and its WCRT table — stored in deterministic resource order in
 // the chunked committed table (see MCC.deployedRes). res.Results == nil
 // marks a table not yet known: an optimistically committed resource
-// whose deferred analysis has not been verified; a splice of such an
-// entry re-analyzes through the memo instead of reusing the table.
+// whose deferred analysis has not been verified; a job matching such an
+// entry is dirty and re-analyzes through the memo.
 type committedRes struct {
 	job timingJob
 	res TimingResult
@@ -1387,14 +1284,12 @@ type committedRes struct {
 
 // timingOutcome aggregates the timing stage's results: the WCRT tables
 // of exactly the resources this attempt re-analyzed (freshly allocated,
-// report-owned — the delta contract), the digests to commit, the
-// acceptance findings (deadline misses and analysis errors), and the
+// report-owned — the delta contract), the acceptance findings (deadline misses and analysis errors), and the
 // scanned/dirty/total telemetry counts (how many resources had their
 // task sets rebuilt by scanning the implementation model, and how many
 // were re-analyzed).
 type timingOutcome struct {
 	delta    []TimingResult
-	digests  map[string]uint64
 	findings []string
 	scanned  int
 	dirty    int
@@ -1408,52 +1303,35 @@ type timingOutcome struct {
 
 // timingScratch holds the MCC-owned buffers the timing stage reuses
 // across proposals so the per-proposal hot path stops allocating: the job
-// list, the digest map, and the merge buffers of the worker pool. Task
-// slices inside committed jobs are never recycled — once a job is built
-// its task slice is immutable, so cached jobs and reports can alias it.
+// list with its committed positions, and the merge buffers of the worker
+// pool. Task slices inside committed jobs are never recycled — once a job
+// is built its task slice is immutable, so the committed table and
+// reports can alias it.
 type timingScratch struct {
-	jobs    []timingJob
-	digests map[string]uint64
+	jobs []timingJob
+	// pos is parallel to jobs: the committed-table index of the same
+	// resource, or -1 when the table has none (a resource gaining its
+	// first load, or every resource of a cold controller).
+	pos []int
+	// inserts counts the incremental jobs with pos -1; dels lists,
+	// ascending, the committed-table indices of resources an incremental
+	// pass found without load any more. Both stay zero on a from-scratch
+	// pass, whose job list is the whole new table.
+	inserts int
+	dels    []int
 	results []TimingResult
 	errs    []error
 	dirty   []int
-	// scannedIdx records the indices (into jobs) of the resources whose
-	// task sets this proposal rebuilt by scanning; the keyed commit
-	// touches exactly these entries.
-	scannedIdx []int
-	// spliceSrc, when the committed-table merge built the job list, is
-	// parallel to jobs: the deployedRes table index an entry was copied
-	// from, or -1 for a freshly scanned resource. Positional result reuse
-	// and the keyed commit's list rebuild read it; the map-walk path
-	// leaves it empty (length mismatch disables it).
-	spliceSrc []int
-	// affected is the sorted affected-processor scratch of the merge.
+	// affected is the sorted affected-processor scratch of the
+	// incremental builder.
 	affected []string
-	// sparse marks that timingJobsSparse built the job list: jobs holds
-	// ONLY the scanned resources, each a positional replacement of the
-	// committed entry sparsePos records, and every untouched committed
-	// entry is implicit — the job-list cost follows the change footprint
-	// instead of the platform size. analyzeTiming and the keyed commit
-	// read the flag; every other path leaves it false.
-	sparse bool
-	// sparsePos is parallel to jobs under sparse: the deployedRes index
-	// each scanned job replaces.
-	sparsePos []int
 }
 
-// buildProcJob derives one processor's CPA task set by scanning the
-// implementation model. ok is false when the processor carries no load.
-func (m *MCC) buildProcJob(impl *model.ImplementationModel, pn string) (timingJob, bool) {
-	tasks := impl.TasksOn(pn)
-	return m.buildProcJobFrom(pn, tasks)
-}
-
-// buildProcJobFrom derives one processor's CPA job from an
-// already-ordered task list. The partial synthesis hands the rebuilt
-// lists of affected processors here directly — they carry unique
-// ascending priorities, so they are element-wise what TasksOn would
-// extract and re-sort from the flat model, without the O(tasks) scan.
-func (m *MCC) buildProcJobFrom(pn string, tasks []model.Task) (timingJob, bool) {
+// buildProcJob derives one processor's CPA job from its task list in
+// priority order (every synthesis path emits per-processor lists with
+// unique ascending priorities). ok is false when the processor carries no
+// load.
+func (m *MCC) buildProcJob(pn string, tasks []model.Task) (timingJob, bool) {
 	if len(tasks) == 0 {
 		return timingJob{}, false
 	}
@@ -1497,271 +1375,73 @@ func (m *MCC) buildNetJob(impl *model.ImplementationModel, n *model.Network) (ti
 }
 
 // timingJobs derives the per-resource CPA task sets of the implementation
-// model in deterministic order: processors (sorted by name), then networks
-// (platform order). Resources without load are skipped.
+// model in deterministic resource order: processors (sorted by name), then
+// networks (platform order). Resources without load are skipped.
 //
-// When the context carries a partial-synthesis diff and the deployed job
-// cache is warm, construction is diff-proportional: only resources the
-// diff affected are scanned (TasksOn/MessagesOn) and re-digested, every
-// other resource's job — task slice and digest — is spliced from the
-// cache of the committed configuration without touching the
-// implementation model at all. The splice is valid because the partial
-// synthesis copied exactly those resources' tasks/messages verbatim from
-// the deployed model. ctx may be nil (always a full scan).
+// Under partial synthesis the list is footprint-sized: only the resources
+// the diff affected are built — processors from the task lists the
+// synthesis overlay rebuilt, networks only where the message rebuild
+// changed them — and every untouched resource stays implicit in the
+// committed table, whose entries the partial synthesis left
+// byte-identical. Each job records the committed position it replaces
+// (-1 when the resource gains its first load), and an affected resource
+// that lost its last load records the deletion of its committed entry.
+// A from-scratch pass (or ctx == nil) builds every loaded resource and
+// finds the committed positions with one forward merge against the
+// table, since both are in resource order.
 func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel) (jobs []timingJob, scanned int) {
-	jobs = m.scratch.jobs[:0]
-	m.scratch.scannedIdx = m.scratch.scannedIdx[:0]
-	m.scratch.spliceSrc = m.scratch.spliceSrc[:0]
-	m.scratch.sparse = false
-	incremental := ctx != nil && ctx.PartialSynth && m.deployedJobs != nil
-
-	if incremental && m.deployedRes != nil {
-		if m.canCommitIncremental(ctx) {
-			// Footprint-sized job list: scanned resources only, each a
-			// positional replacement in the committed table. Falls back to
-			// the full splice when the resource shape changed.
-			if js, n, ok := m.timingJobsSparse(ctx, impl, jobs); ok {
-				m.scratch.jobs = js
-				return js, n
-			}
-			jobs = m.scratch.jobs[:0]
-			m.scratch.scannedIdx = m.scratch.scannedIdx[:0]
-		}
-		jobs, scanned = m.timingJobsSpliced(ctx, impl, jobs)
-		m.scratch.jobs = jobs
-		return jobs, scanned
-	}
-
-	// A from-scratch pass scans every processor: group the flat task list
-	// once instead of extracting each processor's tasks from it.
-	var tasksOn map[string][]model.Task
-	if !incremental {
-		tasksOn = impl.TasksByProcessor()
-	}
-	for _, pn := range m.procs {
-		if incremental && !ctx.AffectedProcs[pn] {
-			// Untouched processor: its task set is byte-identical to the
-			// deployed one; splice the cached job, no scan.
-			if j, ok := m.deployedJobs[pn]; ok {
-				jobs = append(jobs, j)
-			}
-			continue
-		}
-		scanned++
-		var j timingJob
-		var ok bool
-		if !incremental {
-			j, ok = m.buildProcJobFrom(pn, tasksOn[pn])
-		} else {
-			// The partial synthesis leaves impl.Tasks unmaterialized; the
-			// affected processors' rebuilt lists live in the overlay.
-			var tasks []model.Task
-			have := false
-			if over := m.pendingSynth; over != nil {
-				tasks, have = over.tasksOn[pn]
-			}
-			if have {
-				j, ok = m.buildProcJobFrom(pn, tasks)
-			} else {
-				j, ok = m.buildProcJob(impl, pn)
-			}
-		}
-		if ok {
-			m.scratch.scannedIdx = append(m.scratch.scannedIdx, len(jobs))
-			jobs = append(jobs, j)
-		}
-	}
-
-	for i := range m.platform.Networks {
-		n := &m.platform.Networks[i]
-		if incremental && netClean(ctx, n.Name) {
-			// The message list was copied verbatim from the deployed
-			// model, or rebuilt identical on this network.
-			if j, ok := m.deployedJobs[n.Name]; ok {
-				jobs = append(jobs, j)
-			}
-			continue
-		}
-		scanned++
-		if j, ok := m.buildNetJob(impl, n); ok {
-			m.scratch.scannedIdx = append(m.scratch.scannedIdx, len(jobs))
-			jobs = append(jobs, j)
-		}
-	}
-	m.scratch.jobs = jobs
-	return jobs, scanned
-}
-
-// timingJobsSpliced builds the job list by merging the committed
-// resource list against the sorted affected set. Both are ordered
-// subsets of the resource iteration order (processors sorted by name,
-// then networks in platform order), so the merge emits jobs in exactly
-// the order the map walk would — but an untouched resource costs one
-// string comparison and a positional copy instead of two map lookups,
-// and its committed WCRT table is later reachable by index (spliceSrc)
-// instead of two more. Affected resources are scanned exactly as the
-// map walk scans them, including processors that newly gained load.
-func (m *MCC) timingJobsSpliced(ctx *pipeline.Context, impl *model.ImplementationModel, jobs []timingJob) ([]timingJob, int) {
 	sc := &m.scratch
-	scanned := 0
-	aff := sc.affected[:0]
-	for pn, on := range ctx.AffectedProcs {
-		if on {
-			aff = append(aff, pn)
+	jobs, sc.pos, sc.inserts, sc.dels = sc.jobs[:0], sc.pos[:0], 0, sc.dels[:0]
+	t := m.deployedRes
+	if ctx == nil || !ctx.PartialSynth {
+		tasksOn := impl.TasksByProcessor()
+		for _, pn := range m.procs {
+			if j, ok := m.buildProcJob(pn, tasksOn[pn]); ok {
+				jobs = append(jobs, j)
+			}
 		}
+		for i := range m.platform.Networks {
+			if j, ok := m.buildNetJob(impl, &m.platform.Networks[i]); ok {
+				jobs = append(jobs, j)
+			}
+		}
+		sc.jobs, sc.pos = jobs, t.align(jobs, sc.pos)
+		return jobs, len(m.procs) + len(m.platform.Networks)
+	}
+
+	add := func(j timingJob, ok bool, committed int) {
+		scanned++
+		switch {
+		case ok:
+			jobs = append(jobs, j)
+			sc.pos = append(sc.pos, committed)
+			if committed < 0 {
+				sc.inserts++
+			}
+		case committed >= 0:
+			sc.dels = append(sc.dels, committed)
+		}
+	}
+	aff := sc.affected[:0]
+	for pn := range ctx.AffectedProcs {
+		aff = append(aff, pn)
 	}
 	sort.Strings(aff)
 	sc.affected = aff
-
-	t := m.deployedRes
-	over := m.pendingSynth
-	scanProc := func(pn string) {
-		scanned++
-		var j timingJob
-		var ok bool
-		if over != nil {
-			// The partial synthesis rebuilt exactly the affected
-			// processors' task lists; read them instead of scanning the
-			// flat model.
-			if tasks, have := over.tasksOn[pn]; have {
-				j, ok = m.buildProcJobFrom(pn, tasks)
-			} else {
-				j, ok = m.buildProcJob(impl, pn)
-			}
-		} else {
-			j, ok = m.buildProcJob(impl, pn)
-		}
-		if ok {
-			sc.scannedIdx = append(sc.scannedIdx, len(jobs))
-			jobs = append(jobs, j)
-			sc.spliceSrc = append(sc.spliceSrc, -1)
-		}
-	}
-	ai := 0
-	for li := 0; li < t.procs; li++ {
-		r := t.at(li).job.resource
-		for ai < len(aff) && aff[ai] < r {
-			scanProc(aff[ai])
-			ai++
-		}
-		if ai < len(aff) && aff[ai] == r {
-			scanProc(r)
-			ai++
-			continue
-		}
-		jobs = append(jobs, t.at(li).job)
-		sc.spliceSrc = append(sc.spliceSrc, li)
-	}
-	for ; ai < len(aff); ai++ {
-		scanProc(aff[ai])
-	}
-
-	li := t.procs
-	for i := range m.platform.Networks {
-		n := &m.platform.Networks[i]
-		cur := -1
-		if li < t.n && t.at(li).job.resource == n.Name {
-			cur = li
-			li++
-		}
-		if netClean(ctx, n.Name) {
-			if cur >= 0 {
-				jobs = append(jobs, t.at(cur).job)
-				sc.spliceSrc = append(sc.spliceSrc, cur)
-			}
-			continue
-		}
-		scanned++
-		if j, ok := m.buildNetJob(impl, n); ok {
-			sc.scannedIdx = append(sc.scannedIdx, len(jobs))
-			jobs = append(jobs, j)
-			sc.spliceSrc = append(sc.spliceSrc, -1)
-		}
-	}
-	return jobs, scanned
-}
-
-// timingJobsSparse builds the job list of an attempt whose affected
-// resources all replace their committed table entries in place: only the
-// scanned jobs are materialized (sparsePos records the committed index
-// each one replaces), every untouched resource stays implicit in the
-// committed table, and the job-construction cost follows the change
-// footprint instead of the platform size. The committed order is
-// preserved by construction — affected processors are visited sorted,
-// networks in platform order, matching the table's layout — so findings,
-// deltas and telemetry come out exactly as the full splice would emit
-// them. Any shape change (a resource gaining its first load, losing its
-// last, or absent from the table) returns ok=false and the caller runs
-// the full splice.
-func (m *MCC) timingJobsSparse(ctx *pipeline.Context, impl *model.ImplementationModel, jobs []timingJob) ([]timingJob, int, bool) {
-	sc := &m.scratch
-	t := m.deployedRes
-	over := m.pendingSynth
-	scanned := 0
-
-	aff := sc.affected[:0]
-	for pn, on := range ctx.AffectedProcs {
-		if on {
-			aff = append(aff, pn)
-		}
-	}
-	sort.Strings(aff)
-	sc.affected = aff
-
-	pos := sc.sparsePos[:0]
 	for _, pn := range aff {
-		scanned++
-		var j timingJob
-		var ok bool
-		if over != nil {
-			if tasks, have := over.tasksOn[pn]; have {
-				j, ok = m.buildProcJobFrom(pn, tasks)
-			} else {
-				j, ok = m.buildProcJob(impl, pn)
-			}
-		} else {
-			j, ok = m.buildProcJob(impl, pn)
-		}
-		li := t.find(pn)
-		if !ok {
-			if li >= 0 {
-				return nil, 0, false // lost its last load: shape change
-			}
-			continue // no load before or after: not in the table at all
-		}
-		if li < 0 || t.at(li).job.spnp {
-			return nil, 0, false // gained its first load: shape change
-		}
-		sc.scannedIdx = append(sc.scannedIdx, len(jobs))
-		jobs = append(jobs, j)
-		pos = append(pos, li)
+		j, ok := m.buildProcJob(pn, m.pendingSynth.tasksOn[pn])
+		add(j, ok, t.find(pn, false))
 	}
 	if ctx.MessagesRebuilt {
 		for i := range m.platform.Networks {
-			n := &m.platform.Networks[i]
-			if netClean(ctx, n.Name) {
-				continue
+			if n := &m.platform.Networks[i]; !netClean(ctx, n.Name) {
+				j, ok := m.buildNetJob(impl, n)
+				add(j, ok, t.find(n.Name, true))
 			}
-			scanned++
-			j, ok := m.buildNetJob(impl, n)
-			li := t.find(n.Name)
-			if !ok {
-				if li >= 0 {
-					return nil, 0, false
-				}
-				continue
-			}
-			if li < 0 || !t.at(li).job.spnp {
-				return nil, 0, false
-			}
-			sc.scannedIdx = append(sc.scannedIdx, len(jobs))
-			jobs = append(jobs, j)
-			pos = append(pos, li)
 		}
 	}
-	sc.sparsePos = pos
-	sc.sparse = true
-	return jobs, scanned, true
+	sc.jobs = jobs
+	return jobs, scanned
 }
 
 // netClean reports whether a network's message list is untouched by the
@@ -1814,8 +1494,8 @@ func (m *MCC) deferred() *deferredChecks {
 }
 
 // analyzeTiming runs CPA on every processor (SPP) and network (SPNP/CAN).
-// With incremental integration, resources whose task-set digest matches the
-// deployed configuration are clean and reuse the committed WCRT table;
+// With incremental integration, resources whose task-set digest matches
+// their committed table entry are clean and reuse its WCRT table;
 // dirty resources are fanned out over the worker pool and the results are
 // merged back in deterministic resource order. A resource whose analysis
 // fails (e.g. utilization >= 1, where the busy window does not terminate)
@@ -1829,53 +1509,23 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationMod
 	m.pendingJobs = jobs
 	m.pendingResults = nil
 
-	sc := &m.scratch
+	sc, t := &m.scratch, m.deployedRes
 	out := timingOutcome{scanned: scanned, total: len(jobs)}
-	if sc.sparse {
-		// The job list holds only the scanned resources; the attempt
-		// still covers every committed one (positional replacements keep
-		// the table's shape).
-		out.total = m.deployedRes.n
+	if ctx != nil && ctx.PartialSynth {
+		// The footprint-sized job list leaves every untouched committed
+		// resource implicit; the attempt still covers all of them.
+		out.total = t.n + sc.inserts - len(sc.dels)
 	}
-	if ctx == nil || !m.canCommitIncremental(ctx) {
-		// The from-scratch commit refills the digest cache wholesale and
-		// needs the full map; a keyed commit reads the digests of scanned
-		// resources straight from the jobs and never looks at it.
-		if sc.digests == nil {
-			sc.digests = make(map[string]uint64, len(jobs))
-		} else {
-			clear(sc.digests)
-		}
-		for _, j := range jobs {
-			sc.digests[j.resource] = j.digest
-		}
-		out.digests = sc.digests
-	}
-
-	spliced := !sc.sparse && len(sc.spliceSrc) == len(jobs) && len(jobs) > 0
+	// A job is clean when its committed entry has the same task-set
+	// digest and a known WCRT table (nil marks a deferred analysis not yet
+	// verified, which must run again).
 	clean := func(i int) (TimingResult, bool) {
-		if !m.incremental {
+		k := sc.pos[i]
+		if !m.incremental || k < 0 {
 			return TimingResult{}, false
 		}
-		if spliced {
-			if k := sc.spliceSrc[i]; k >= 0 {
-				// A positionally spliced job is the committed job itself
-				// (digest-equal by construction); its committed table is
-				// one index away. A nil table marks a deferred analysis
-				// whose verified result lives only in the map (the stream
-				// scheduler backfills it there) — fall through to the map
-				// probe for those rare entries.
-				if tr := m.deployedRes.at(k).res; tr.Results != nil {
-					return tr, true
-				}
-			}
-		}
-		j := jobs[i]
-		if m.deployedDigest[j.resource] == j.digest {
-			tr, ok := m.deployedTiming[j.resource]
-			return tr, ok
-		}
-		return TimingResult{}, false
+		cr := t.at(k)
+		return cr.res, cr.job.digest == jobs[i].digest && cr.res.Results != nil
 	}
 
 	if ctx != nil && ctx.DeferChecks {
@@ -2124,7 +1774,7 @@ func (s *monitorStage) Name() Stage { return StageMonitors }
 
 func (s *monitorStage) Run(ctx *pipeline.Context) error {
 	m := s.m
-	if ctx.PartialSynth && m.deployedRes != nil {
+	if ctx.PartialSynth {
 		ctx.Report.MonitorDelta = m.monitorDelta(ctx)
 	} else {
 		ctx.Report.MonitorDelta = m.planMonitors(ctx.Impl)
@@ -2192,38 +1842,28 @@ func jobMonitorSpecs(j timingJob) []MonitorSpec {
 }
 
 // monitorDelta derives the monitor specs of exactly the resources this
-// attempt rebuilt: budget specs of the scanned processors' timing jobs,
+// attempt rebuilt: every job of the footprint-sized job list (the
+// affected processors, and the networks whose message list changed),
 // plus — when the message list was re-derived — the rate specs of every
-// network job. The result is freshly allocated and report-owned. The
-// committed plan is never materialized here: consumers reach it through
-// the report's FullMonitors handle, which derives it on demand from the
-// committed table (see resTable.materializeMonitors), so the monitor
-// stage's cost follows the change footprint, not the platform size.
+// clean network, taken from its committed job. The result is freshly
+// allocated and report-owned. The committed plan is never materialized
+// here: consumers reach it through the report's FullMonitors handle,
+// which derives it on demand from the committed table (see
+// resTable.materializeMonitors), so the monitor stage's cost follows the
+// change footprint, not the platform size.
 func (m *MCC) monitorDelta(ctx *pipeline.Context) []MonitorSpec {
 	var out []MonitorSpec
 	rebuilt := 0
-	for _, i := range m.scratch.scannedIdx {
-		if j := m.pendingJobs[i]; !j.spnp {
-			out = append(out, jobMonitorSpecs(j)...)
-			rebuilt++
-		}
+	for _, j := range m.pendingJobs {
+		out = append(out, jobMonitorSpecs(j)...)
+		rebuilt++
 	}
 	if ctx.MessagesRebuilt {
-		for i := len(m.pendingJobs) - 1; i >= 0 && m.pendingJobs[i].spnp; i-- {
-			out = append(out, jobMonitorSpecs(m.pendingJobs[i])...)
-			rebuilt++
-		}
-		if m.scratch.sparse {
-			// The sparse job list carries only the rebuilt networks; the
-			// delta still covers every network when messages were
-			// re-derived, so emit the clean ones' specs from their
-			// committed jobs (the network suffix of the table).
-			t := m.deployedRes
-			for li := t.procs; li < t.n; li++ {
-				if j := t.at(li).job; netClean(ctx, j.resource) {
-					out = append(out, jobMonitorSpecs(j)...)
-					rebuilt++
-				}
+		t := m.deployedRes
+		for li := t.procs; li < t.n; li++ {
+			if j := t.at(li).job; netClean(ctx, j.resource) {
+				out = append(out, jobMonitorSpecs(j)...)
+				rebuilt++
 			}
 		}
 	}
@@ -2238,22 +1878,12 @@ type commitStage struct{ m *MCC }
 
 func (s *commitStage) Name() Stage { return StageCommit }
 
-// canCommitIncremental reports whether the commit stage will apply this
-// attempt as keyed updates against the warm deployed caches (partial
-// synthesis ran and every cache exists) instead of a full refill. The
-// timing stage uses the same predicate to skip building the full digest
-// map a keyed commit never reads.
-func (m *MCC) canCommitIncremental(ctx *pipeline.Context) bool {
-	return ctx.PartialSynth && m.deployedJobs != nil && m.deployedSynth != nil && m.pendingSynth != nil
-}
-
 // Run commits the accepted configuration. Under partial synthesis the
-// deployed caches are updated with keyed writes touching only the
-// resources the diff affected (journaled when a stream window is open —
-// see cacheJournal); a from-scratch attempt rebuilds the caches
-// wholesale. The cached values (task slices, result slices, spec slices)
-// are immutable once built, so reports and rollback points may alias
-// them.
+// deployed caches are updated with keyed writes touching only what the
+// diff affected (journaled when a stream window is open — see
+// cacheJournal); a from-scratch attempt rebuilds them wholesale. The
+// cached values (task slices, result slices, spec slices) are immutable
+// once built, so reports and rollback points may alias them.
 func (s *commitStage) Run(ctx *pipeline.Context) error {
 	m := s.m
 	if m.deployed != ctx.Candidate {
@@ -2263,7 +1893,7 @@ func (s *commitStage) Run(ctx *pipeline.Context) error {
 	}
 	m.deployed = ctx.Candidate
 	m.impl = ctx.Impl
-	if m.canCommitIncremental(ctx) {
+	if ctx.PartialSynth {
 		s.commitIncremental(ctx)
 	} else {
 		s.commitFull(ctx)
@@ -2282,13 +1912,29 @@ func (s *commitStage) Run(ctx *pipeline.Context) error {
 // verified — and their tables learned — only after the commit.
 func (m *MCC) bindReport(rep *Report) {
 	t, heals := m.deployedRes, m.windowHeals
-	if t == nil {
-		return
-	}
 	rep.BindCommitted(
 		func() []TimingResult { return t.materializeTiming(heals) },
 		func() []MonitorSpec { return t.materializeMonitors() },
 	)
+}
+
+// committedResult is the WCRT table job i of this attempt commits: its
+// analysis (fresh or clean) on a checked pass. Under deferred checks the
+// dirty analyses have not run yet: a job whose digest equals its
+// committed entry's keeps that entry's table (itself possibly still
+// pending), any other commits none — the stream scheduler's verification
+// patches it in on success, the window replays on failure. It reads the
+// committed table, so commits call it before installing the next one.
+func (m *MCC) committedResult(i int) TimingResult {
+	if m.pendingResults != nil {
+		return m.pendingResults[i]
+	}
+	if k := m.scratch.pos[i]; k >= 0 {
+		if cr := m.deployedRes.at(k); cr.job.digest == m.pendingJobs[i].digest {
+			return cr.res
+		}
+	}
+	return TimingResult{}
 }
 
 // commitFull rebuilds every deployed cache from this attempt's artifacts.
@@ -2305,74 +1951,40 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	// the degradation ladder is lifted: the suspect state is gone.
 	m.quarantined = false
 
-	// Per-resource WCRT tables of the new committed configuration, read
-	// before the old maps are replaced: a non-deferred attempt analyzed
-	// (or spliced) every job, so pendingResults is complete; a deferred
-	// attempt has no results yet — only digest-clean resources keep their
-	// tables, probed from the old committed maps.
-	timing := make(map[string]TimingResult, len(m.pendingJobs))
-	for i, jb := range m.pendingJobs {
-		switch {
-		case m.pendingResults != nil:
-			timing[jb.resource] = m.pendingResults[i]
-		case m.deployedDigest[jb.resource] == jb.digest:
-			if tr, ok := m.deployedTiming[jb.resource]; ok {
-				timing[jb.resource] = tr
-			}
-		}
-	}
-
-	digests := make(map[string]uint64, len(ctx.TimingDigests))
-	for k, v := range ctx.TimingDigests {
-		digests[k] = v
-	}
-	m.deployedDigest = digests
-	m.deployedTiming = timing
-
-	// Persist the per-resource CPA task sets so the next proposal's
-	// timing-job construction can splice clean resources without a scan.
-	jobs := make(map[string]timingJob, len(m.pendingJobs))
-	for _, j := range m.pendingJobs {
-		jobs[j.resource] = j
-	}
-	m.deployedJobs = jobs
-
-	// Chunked committed-resource table: the job list is already in
-	// deterministic resource order (processor prefix, then networks), and
-	// the timing map just built holds whatever tables are known (all of
-	// them on a verified commit, clean ones only under deferred checks).
+	// The from-scratch job list is the whole new table, already in
+	// deterministic resource order (processor prefix, then networks).
 	list := make([]committedRes, len(m.pendingJobs))
 	procCount := 0
 	for i, jb := range m.pendingJobs {
 		if !jb.spnp {
 			procCount++
 		}
-		list[i] = committedRes{job: jb, res: timing[jb.resource]}
+		list[i] = committedRes{job: jb, res: m.committedResult(i)}
 	}
 	m.deployedRes = resTableFrom(list, procCount)
 
-	// Rebuild the synthesis lookup tables and the per-connection security
-	// verdict cache only when the incremental pre-timing stages (their
-	// sole consumers) are enabled.
-	if m.incremental && ctx.Impl != nil {
-		m.deployedSynth = newSynthCache(ctx.Impl)
-		sec := make(map[model.Connection]bool, len(ctx.Impl.Connections))
-		for _, c := range ctx.Impl.Connections {
-			sec[c] = true
-		}
-		m.deployedSecVerdicts = sec
-		m.deployedConnIdx = connPosIndex(ctx.Impl.Connections)
-		m.deployedInstTotal = len(ctx.Impl.Tech.Instances)
-		m.deployedFlowTouch = flowTouchIndex(ctx.Candidate.Flows)
-		m.deployedLoads = committedLoads(m, ctx.Impl.Tech.Instances)
-		prov := make(map[string]int)
-		for i := range ctx.Candidate.Functions {
-			for _, svc := range ctx.Candidate.Functions[i].Provides {
-				prov[svc]++
-			}
-		}
-		m.svcProviders = prov
+	// The remaining warm caches serve only the incremental stages; they
+	// are installed together, so m.warm() stands for all of them.
+	if !m.incremental {
+		return
 	}
+	m.deployedSynth = newSynthCache(ctx.Impl)
+	sec := make(map[model.Connection]bool, len(ctx.Impl.Connections))
+	for _, c := range ctx.Impl.Connections {
+		sec[c] = true
+	}
+	m.deployedSecVerdicts = sec
+	m.deployedConnIdx = connPosIndex(ctx.Impl.Connections)
+	m.deployedInstTotal = len(ctx.Impl.Tech.Instances)
+	m.deployedFlowTouch = flowTouchIndex(ctx.Candidate.Flows)
+	m.deployedLoads = committedLoads(m, ctx.Impl.Tech.Instances)
+	prov := make(map[string]int)
+	for i := range ctx.Candidate.Functions {
+		for _, svc := range ctx.Candidate.Functions[i].Provides {
+			prov[svc]++
+		}
+	}
+	m.svcProviders = prov
 }
 
 // committedLoads derives the per-processor load accounting of a committed
@@ -2421,12 +2033,12 @@ func flowTouchIndex(flows []model.Flow) map[string]bool {
 	return out
 }
 
-// commitIncremental updates the deployed caches with keyed writes: only
-// the resources this attempt scanned (affected processors, plus every
-// network when messages were re-derived) and the diff-touched lookup
-// entries are written or deleted, everything else keeps its committed
-// entry by the splice invariant. Every write goes through the window
-// journal when one is open.
+// commitIncremental updates the deployed caches from the footprint-sized
+// artifacts of a partial-synthesis attempt: the committed table is
+// patched (or, on a shape change, rebuilt) from this attempt's job list,
+// and the diff-touched lookup entries are written or deleted with keyed
+// writes, journaled when a window is open. Everything else keeps its
+// committed entry by the splice invariant.
 func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	m, j := s.m, s.m.journal
 
@@ -2442,146 +2054,28 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	// as the new committed loads. The previous slice is recycled as the
 	// next proposal's placer buffer — unless a window journal holds it as
 	// its rollback pointer, in which case it must stay intact.
-	if m.pendingLoads != nil {
-		old := m.deployedLoads
-		m.deployedLoads, m.pendingLoads = m.pendingLoads, nil
-		m.loadScratch = nil
-		if j == nil || len(old) == 0 || len(j.loads) == 0 || &old[0] != &j.loads[0] {
-			m.loadScratch = old
-		}
+	old := m.deployedLoads
+	m.deployedLoads, m.pendingLoads = m.pendingLoads, nil
+	m.loadScratch = nil
+	if j == nil || len(old) == 0 || len(j.loads) == 0 || &old[0] != &j.loads[0] {
+		m.loadScratch = old
 	}
 
-	// Index this attempt's freshly scanned jobs by resource.
-	fresh := make(map[string]int, len(m.scratch.scannedIdx))
-	for _, i := range m.scratch.scannedIdx {
-		fresh[m.pendingJobs[i].resource] = i
-	}
-	commitResource := func(r string) {
-		i, ok := fresh[r]
-		if !ok {
-			// Affected resource that no longer carries load.
-			jdel(j.jJobs(), m.deployedJobs, r)
-			jdel(j.jDigests(), m.deployedDigest, r)
-			jdel(j.jTiming(), m.deployedTiming, r)
-			return
-		}
-		job := m.pendingJobs[i]
-		oldDigest, had := m.deployedDigest[r]
-		jset(j.jJobs(), m.deployedJobs, r, job)
-		jset(j.jDigests(), m.deployedDigest, r, job.digest)
-		switch {
-		case m.pendingResults != nil:
-			jset(j.jTiming(), m.deployedTiming, r, m.pendingResults[i])
-		case !had || oldDigest != job.digest:
-			// Deferred checks: the dirty analysis has not run yet; drop
-			// the stale table (the stream scheduler's verification
-			// backfills it on success, the window replays on failure).
-			jdel(j.jTiming(), m.deployedTiming, r)
-		}
-	}
-	for pn := range ctx.AffectedProcs {
-		commitResource(pn)
-	}
-	if ctx.MessagesRebuilt {
-		for i := range m.platform.Networks {
-			if name := m.platform.Networks[i].Name; !netClean(ctx, name) {
-				commitResource(name)
-			}
-		}
-	}
-
-	// Committed-resource table: this attempt's job list is the new
-	// committed resource order. When the splice left the shape unchanged
-	// (same length, every spliced entry in place, every scanned position
-	// replacing the same resource), the table is patched copy-on-write —
-	// spine plus affected chunks, O(diff) — leaving the previous table (a
-	// window rollback point, a bound report snapshot) intact and shared.
-	// A shape change (resources gaining or losing load) or a map-walk job
-	// list rebuilds the table wholesale, O(n) but rare in steady state.
-	// Either way an accepted commit always leaves a non-nil table, so
-	// report binding and DeployedMonitors stay universally valid. Scanned
-	// entries take this attempt's fresh table (or none yet under deferred
-	// checks — the map probe finds the committed table of a digest-clean
-	// rescan and misses for a dirty one, whose table the stream
-	// scheduler's verification patches in on success).
-	t := m.deployedRes
-	if m.scratch.sparse {
-		// Sparse job list: every entry is a positional replacement of the
-		// committed index sparsePos records; patch copy-on-write exactly
-		// like the aligned splice, without ever materializing the full
-		// list. (The wholesale-rebuild branch below must not run here —
-		// it would take the footprint-sized job list for the platform.)
-		updates := make([]resUpdate, 0, len(m.scratch.scannedIdx))
-		for k, i := range m.scratch.scannedIdx {
-			jb := m.pendingJobs[i]
-			cr := committedRes{job: jb}
-			switch {
-			case m.pendingResults != nil:
-				cr.res = m.pendingResults[i]
-			default:
-				if tr, ok := m.deployedTiming[jb.resource]; ok && m.deployedDigest[jb.resource] == jb.digest {
-					cr.res = tr
-				}
-			}
-			updates = append(updates, resUpdate{m.scratch.sparsePos[k], cr})
-		}
-		m.deployedRes = t.patch(updates)
-	}
-	aligned := !m.scratch.sparse && t != nil && t.n == len(m.pendingJobs) && len(m.scratch.spliceSrc) == len(m.pendingJobs)
-	if aligned {
-		for i, src := range m.scratch.spliceSrc {
-			if src == i {
-				continue
-			}
-			if src != -1 || t.at(i).job.resource != m.pendingJobs[i].resource || t.at(i).job.spnp != m.pendingJobs[i].spnp {
-				aligned = false
-				break
-			}
-		}
-	}
-	if aligned {
-		updates := make([]resUpdate, 0, len(m.scratch.scannedIdx))
-		for _, i := range m.scratch.scannedIdx {
-			jb := m.pendingJobs[i]
-			cr := committedRes{job: jb}
-			switch {
-			case m.pendingResults != nil:
-				cr.res = m.pendingResults[i]
-			default:
-				if tr, ok := m.deployedTiming[jb.resource]; ok && m.deployedDigest[jb.resource] == jb.digest {
-					cr.res = tr
-				}
-			}
-			updates = append(updates, resUpdate{i, cr})
-		}
-		m.deployedRes = t.patch(updates)
-	} else if !m.scratch.sparse {
-		list := make([]committedRes, len(m.pendingJobs))
-		procCount := 0
+	// Committed table. When every job replaces its committed entry in
+	// place, the table is patched copy-on-write — spine plus affected
+	// chunks, O(diff) — leaving the previous table (a window rollback
+	// point, a bound report snapshot) intact and shared. A resource
+	// gaining its first load or losing its last shifts positions, so the
+	// table is rebuilt instead: O(n) like a from-scratch commit, and rare
+	// in steady state.
+	if sc := &m.scratch; sc.inserts == 0 && len(sc.dels) == 0 {
+		updates := make([]resUpdate, len(m.pendingJobs))
 		for i, jb := range m.pendingJobs {
-			if !jb.spnp {
-				procCount++
-			}
-			cr := committedRes{job: jb}
-			switch {
-			case len(m.scratch.spliceSrc) == len(m.pendingJobs) && m.scratch.spliceSrc[i] >= 0:
-				cr.res = t.at(m.scratch.spliceSrc[i]).res
-				if cr.res.Results == nil {
-					// Deferred-committed entry: heal from the map, which
-					// the verification pass backfilled (zero if still
-					// unverified).
-					cr.res = m.deployedTiming[jb.resource]
-				}
-			case m.pendingResults != nil:
-				cr.res = m.pendingResults[i]
-			default:
-				if tr, ok := m.deployedTiming[jb.resource]; ok && m.deployedDigest[jb.resource] == jb.digest {
-					cr.res = tr
-				}
-			}
-			list[i] = cr
+			updates[i] = resUpdate{sc.pos[i], committedRes{job: jb, res: m.committedResult(i)}}
 		}
-		m.deployedRes = resTableFrom(list, procCount)
+		m.deployedRes = m.deployedRes.patch(updates)
+	} else {
+		m.deployedRes = m.rebuildTable()
 	}
 
 	// Security verdict cache: the connection set changes only when the
@@ -2590,7 +2084,7 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	// proposal or spliced from an earlier commit), so the cache becomes
 	// exactly the new connection set — stale wiring dropped, new wiring
 	// added, untouched entries left alone.
-	if ctx.ConnectionsRebuilt && m.deployedSecVerdicts != nil {
+	if ctx.ConnectionsRebuilt {
 		next := make(map[model.Connection]bool, len(ctx.Impl.Connections))
 		for _, c := range ctx.Impl.Connections {
 			next[c] = true
@@ -2607,9 +2101,7 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 		}
 		// The position index describes the committed list; a rebuilt list
 		// gets a fresh index (rollback restores the window-start pointer).
-		if m.deployedConnIdx != nil {
-			m.deployedConnIdx = connPosIndex(ctx.Impl.Connections)
-		}
+		m.deployedConnIdx = connPosIndex(ctx.Impl.Connections)
 	}
 
 	// Apply the synthesis lookup overlay: diff-touched functions are
@@ -2626,7 +2118,7 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 		m.deployedInstTotal += len(over.insts[name]) - len(sc.instancesOf[name])
 	}
 	for name, f := range over.fns {
-		if old := sc.fnByName[name]; old != nil && m.svcProviders != nil {
+		if old := sc.fnByName[name]; old != nil {
 			for _, svc := range old.Provides {
 				if n := m.svcProviders[svc] - 1; n > 0 {
 					jset(j.jSvcProv(), m.svcProviders, svc, n)
@@ -2635,7 +2127,7 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 				}
 			}
 		}
-		if f != nil && m.svcProviders != nil {
+		if f != nil {
 			for _, svc := range f.Provides {
 				jset(j.jSvcProv(), m.svcProviders, svc, m.svcProviders[svc]+1)
 			}
@@ -2663,4 +2155,43 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 			jset(j.jSynInstOn(), sc.instOn, pn, insts)
 		}
 	}
+}
+
+// rebuildTable merges a reshaped incremental job list into the committed
+// table: one walk over the platform's resource order (processors sorted
+// by name, then networks in platform order) takes each resource's new
+// job where this attempt built one, keeps its committed entry where it
+// did not, and drops the entries of resources that lost their last load.
+func (m *MCC) rebuildTable() *resTable {
+	t, jobs, sc := m.deployedRes, m.pendingJobs, &m.scratch
+	list := make([]committedRes, 0, t.n+sc.inserts-len(sc.dels))
+	procs, c, k, d := 0, 0, 0, 0
+	visit := func(name string, spnp bool) {
+		old := -1
+		if c < t.n && t.at(c).job.resource == name && t.at(c).job.spnp == spnp {
+			old, c = c, c+1
+		}
+		switch {
+		case k < len(jobs) && jobs[k].resource == name && jobs[k].spnp == spnp:
+			list = append(list, committedRes{job: jobs[k], res: m.committedResult(k)})
+			k++
+		case old < 0:
+			return // no load before or after
+		case d < len(sc.dels) && sc.dels[d] == old:
+			d++
+			return // lost its last load
+		default:
+			list = append(list, *t.at(old))
+		}
+		if !spnp {
+			procs++
+		}
+	}
+	for _, pn := range m.procs {
+		visit(pn, false)
+	}
+	for i := range m.platform.Networks {
+		visit(m.platform.Networks[i].Name, true)
+	}
+	return resTableFrom(list, procs)
 }

@@ -413,12 +413,13 @@ func (s *StreamScheduler) prefetch(tasks []func()) {
 // deferred busy-window verdict is read back (a memo hit after prefetch)
 // and checked exactly as the timing stage would have. On success the
 // report's timing delta is filled with fresh copies of the deferred
-// verdicts, the committed timing map is backfilled (journaled, so a
-// later proposal's failed verdict rolls it back), the window heal map
-// learns the verdicts for the table snapshots bound by this window's
-// earlier commits, and the live committed table is patched copy-on-write
-// so post-window snapshots are complete. On any failed check it reports
-// false and leaves the caller to replay the window.
+// verdicts, the window heal map learns the verdicts for the table
+// snapshots bound by this window's earlier commits, and the live
+// committed table is patched copy-on-write so post-window snapshots are
+// complete (the window-start table, the journal's rollback pointer, is
+// untouched, so a later proposal's failed verdict rolls the patch back).
+// On any failed check it reports false and leaves the caller to replay
+// the window.
 func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 	// A tainted record means a prefetch task for this proposal hit a
 	// fault (injected error or recovered panic): the optimistic decision
@@ -440,6 +441,7 @@ func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 		return true
 	}
 	delta := make([]TimingResult, 0, len(dt.jobs))
+	t := m.deployedRes
 	var updates []resUpdate
 	for _, job := range dt.jobs {
 		res, err := m.runTimingJobSafe(nil, job)
@@ -451,15 +453,12 @@ func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 				return false
 			}
 		}
-		jset(m.journal.jTiming(), m.deployedTiming, job.resource, res)
 		if m.windowHeals != nil {
 			m.windowHeals[resDigestKey{job.resource, job.digest}] = res
 		}
-		if t := m.deployedRes; t != nil {
-			if k := t.find(job.resource); k >= 0 {
-				if cr := t.at(k); cr.job.digest == job.digest && cr.res.Results == nil {
-					updates = append(updates, resUpdate{k, committedRes{job: cr.job, res: res}})
-				}
+		if k := t.find(job.resource, job.spnp); k >= 0 {
+			if cr := t.at(k); cr.job.digest == job.digest && cr.res.Results == nil {
+				updates = append(updates, resUpdate{k, committedRes{job: cr.job, res: res}})
 			}
 		}
 		delta = append(delta, pipeline.CloneTimingResult(res))
@@ -468,7 +467,7 @@ func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 	if len(updates) > 0 {
 		// The patch leaves the window-start table (the journal's rollback
 		// pointer) and every bound snapshot intact.
-		m.deployedRes = m.deployedRes.patch(updates)
+		m.deployedRes = t.patch(updates)
 	}
 	return true
 }
@@ -521,7 +520,7 @@ func declaredFootprint(lookup func(string) *model.Function, c Change) footprint 
 // hit while the committed synthesis cache is warm, the linear
 // architecture walk otherwise (cold or quarantined controllers).
 func (m *MCC) lookupDeployedFn(name string) *model.Function {
-	if m.deployedSynth != nil {
+	if m.warm() {
 		return m.deployedSynth.fnByName[name]
 	}
 	return m.deployed.FunctionByName(name)

@@ -14,9 +14,10 @@ import (
 // streams with overlapping footprints and planted mid-window rejections
 // (timing deadline-missers and safety findings) force optimistic windows
 // to replay, and after every stream the controller's deployed caches —
-// timing jobs, digests, WCRT tables, synthesis lookup tables, budget
-// groups, monitor plan — must be bit-identical to a fresh controller
-// that proposed the same stream serially. Run under -race in CI, this
+// the committed timing table (jobs, digests, WCRT tables), synthesis
+// lookup tables, monitor plan — must be bit-identical to a fresh
+// controller that proposed the same stream serially, and both must equal
+// the from-scratch oracle. Run under -race in CI, this
 // also exercises the prefetch pool against the journal writes.
 
 // stressPlatform is deliberately tight: one slow safe core and one fast
@@ -99,9 +100,9 @@ func cacheFingerprint(m *MCC) map[string]any {
 		"tasks":    impl.Tasks,
 		"messages": impl.Messages,
 		"conns":    impl.Connections,
-		"digests":  m.deployedDigest,
-		"timing":   m.deployedTiming,
-		"jobs":     m.deployedJobs,
+		"timing":   m.deployedRes.materializeTiming(nil),
+		"jobs":     committedJobs(m),
+		"digests":  committedDigests(m),
 		"monitors": m.DeployedMonitors(),
 		"synFns":   fns,
 		"synIns":   insts,
@@ -174,6 +175,11 @@ func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
 						key, sf[key], ff[key])
 				}
 			}
+
+			// Both controllers' committed tables must also equal the
+			// from-scratch oracle, not just each other.
+			assertOracleParity(t, "stream", streamed)
+			assertOracleParity(t, "serial", fresh)
 
 			st := sched.Stats()
 			totalReplays += st.Replays

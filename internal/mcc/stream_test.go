@@ -96,18 +96,9 @@ func TestTimingJobsIncrementalMatchesFullScan(t *testing.T) {
 		if rep := m.ProposeUpdate(f); !rep.Accepted {
 			t.Fatalf("%s rejected: %v (%s)", f.Name, rep.Findings, rep.RejectedAt)
 		}
-		full, _ := m.timingJobs(nil, m.DeployedImpl())
-		fromScan := make(map[string]uint64, len(full))
-		for _, j := range full {
-			fromScan[j.resource] = j.digest
-		}
-		cached := make(map[string]uint64, len(m.deployedJobs))
-		for res, j := range m.deployedJobs {
-			cached[res] = j.digest
-		}
-		if !reflect.DeepEqual(fromScan, cached) {
-			t.Fatalf("after %s: cached jobs diverge from full scan:\nscan  %v\ncache %v",
-				f.Name, fromScan, cached)
+		if fromScan, committed := scanDigests(m), committedDigests(m); !reflect.DeepEqual(fromScan, committed) {
+			t.Fatalf("after %s: committed jobs diverge from full scan:\nscan      %v\ncommitted %v",
+				f.Name, fromScan, committed)
 		}
 	}
 }
@@ -233,7 +224,7 @@ func streamParity(t *testing.T, p *model.Platform, baseline []model.Function, ch
 	if !reflect.DeepEqual(streamed.DeployedImpl().Tasks, serial.DeployedImpl().Tasks) {
 		t.Fatal("final task sets diverge")
 	}
-	if !reflect.DeepEqual(streamed.deployedDigest, serial.deployedDigest) {
+	if !reflect.DeepEqual(committedDigests(streamed), committedDigests(serial)) {
 		t.Fatal("final timing digests diverge")
 	}
 	if !reflect.DeepEqual(streamed.DeployedMonitors(), serial.DeployedMonitors()) {
