@@ -21,7 +21,7 @@ import (
 // place, so a report aliasing their storage would show up as a change)
 // and the materialized committed table.
 func committedTimingSnapshot(m *MCC) ([]committedRes, []TimingResult) {
-	t := m.deployedRes
+	t := m.snap.res
 	entries := make([]committedRes, 0, t.n)
 	for i := 0; i < t.n; i++ {
 		cr := *t.at(i)

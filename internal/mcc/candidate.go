@@ -16,8 +16,7 @@ import (
 // constructed directly from the change object plus the committed
 // function index (pipeline.DiffFromChange), and a rejection reverts the
 // one touched slot. Stream-window rollback replays the same undo records
-// through the window journal — the copy-on-write trick the journal
-// already plays for the cache maps, extended to the candidate itself.
+// through the window journal, next to restoring the start snapshot.
 //
 // The clone-based path stays behind ProposeArchitecture and every
 // cold/quarantined state: it is both the from-scratch fallback and the
@@ -78,9 +77,9 @@ type candUndo struct {
 
 // fastPathReady reports whether single-change proposals may mutate the
 // deployed architecture in place and derive their diff from the change
-// object. It requires the committed indexes a keyed commit maintains —
-// quarantined or purged controllers fall back to the clone-based path,
-// which depends only on the committed architecture.
+// object. It requires the snapshot's lookup state — quarantined or
+// purged controllers fall back to the clone-based path, which depends
+// only on the committed architecture.
 func (m *MCC) fastPathReady() bool {
 	return !m.quarantined && m.warm() && len(m.deployed.Functions) > 0
 }
@@ -125,13 +124,13 @@ func (m *MCC) candFn(cand *model.FunctionalArchitecture, name string) *model.Fun
 // applyChangeFast mutates the deployed architecture in place to become
 // the candidate of change c and returns the change-driven diff plus the
 // undo record reverting the mutation. The committed function value comes
-// from the O(1) synthesis index, the flow-touch test from the committed
+// from the snapshot's O(1) function map, the flow-touch test from its
 // flow index — no architecture walk, no clone.
 func (m *MCC) applyChangeFast(c Change) (pipeline.Diff, candUndo) {
 	fa := m.deployed
 	if c.Update != nil {
 		name := c.Update.Name
-		old := m.deployedSynth.fnByName[name]
+		old := m.snap.fn(name)
 		d := pipeline.DiffFromChange(name, c.Update, old, false)
 		if old == nil {
 			fa.Functions = append(fa.Functions, *c.Update)
@@ -146,8 +145,8 @@ func (m *MCC) applyChangeFast(c Change) (pipeline.Diff, candUndo) {
 		return d, u
 	}
 	name := c.Remove
-	old := m.deployedSynth.fnByName[name]
-	d := pipeline.DiffFromChange(name, nil, old, m.deployedFlowTouch[name])
+	old := m.snap.fn(name)
+	d := pipeline.DiffFromChange(name, nil, old, m.snap.flowTouch[name])
 	if old == nil {
 		return d, candUndo{kind: candNone}
 	}

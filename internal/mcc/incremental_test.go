@@ -470,8 +470,8 @@ func TestTimingAnalysisErrorSurfacedAsFinding(t *testing.T) {
 	if len(out.delta) != 0 {
 		t.Fatalf("errored resource kept a WCRT table: %+v", out.delta)
 	}
-	if len(m.pendingJobs) != 1 || m.pendingJobs[0].resource != "only" {
-		t.Fatalf("errored resource missing from the job list: %+v", m.pendingJobs)
+	if len(m.att.jobs) != 1 || m.att.jobs[0].resource != "only" {
+		t.Fatalf("errored resource missing from the job list: %+v", m.att.jobs)
 	}
 }
 
@@ -498,7 +498,7 @@ func TestReintegrationRejectionKeepsDeployedStateUntouched(t *testing.T) {
 	}
 
 	implBefore := m.DeployedImpl()
-	tableBefore := m.deployedRes
+	snapBefore, tableBefore := m.snap, m.snap.res
 
 	// Observed 5200us for c: within its 14000us deadline (contract
 	// validation passes) but unschedulable next to a (WCRT 15600).
@@ -520,8 +520,11 @@ func TestReintegrationRejectionKeepsDeployedStateUntouched(t *testing.T) {
 	// The committed table (WCRT tables and dirty-tracking digests) is
 	// immutable once installed, so an untouched pointer means untouched
 	// content.
-	if m.deployedRes != tableBefore {
+	if m.snap.res != tableBefore {
 		t.Fatal("committed timing table replaced after rejection")
+	}
+	if m.snap != snapBefore {
+		t.Fatal("committed snapshot replaced after rejection")
 	}
 	// A subsequent benign proposal still integrates cleanly.
 	if rep := m.ProposeUpdate(fn("t", model.QM, 100000, 1000, 1)); !rep.Accepted {

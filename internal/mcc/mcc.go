@@ -88,7 +88,21 @@ type StageTrace = pipeline.StageTrace
 type MCC struct {
 	platform *model.Platform
 	deployed *model.FunctionalArchitecture
-	impl     *model.ImplementationModel
+	// snap is the committed snapshot: the implementation model, the
+	// timing table and the incremental engine's lookup state (see
+	// snapshot.go); empty and cold before the first commit. A commit
+	// builds the next snapshot from the attempt's artifacts — whole
+	// (commitFull) or by writing the diff-touched parts under epoch
+	// (commitIncremental) — so a window's start snapshot is never written
+	// and rollback restores its pointer.
+	snap *snapshot
+	// epoch owns the snapshot parts the current commits may write in
+	// place; beginWindow bumps it. epochs is the last token newEpoch
+	// handed out.
+	epoch, epochs uint64
+	// att is the stage-to-stage handoff of the pipeline pass in progress,
+	// reset by newContext.
+	att attempt
 
 	// History records integration reports, newest last. It is bounded to
 	// the most recent historyLimit reports (see WithHistoryLimit): a
@@ -119,90 +133,8 @@ type MCC struct {
 	incremental bool
 	// workers bounds the goroutines analyzing dirty resources in parallel.
 	workers int
-	// deployedRes is the committed timing state — the only one — as a
-	// chunked persistent table in deterministic resource order (loaded
-	// processors sorted by name, then loaded networks in platform order):
-	// each entry pairs the committed CPA job (task set and digest) with
-	// its committed WCRT table. A candidate job whose digest equals its
-	// committed entry's is clean and reuses that table; untouched
-	// resources never leave the table at all (the incremental job list is
-	// footprint-sized). Accepted reports bind their whole-table views to
-	// it (Report.FullTiming/FullMonitors). Every commit installs a table
-	// (nil only before the first commit and after a purge); incremental
-	// commits patch it copy-on-write (spine plus affected chunks,
-	// O(diff)), so the previous pointer — a window journal's rollback
-	// point, a bound report's snapshot — stays valid and shares every
-	// untouched chunk.
-	deployedRes *resTable
-	// windowHeals, while a stream window is open, collects the verified
-	// deferred timing verdicts keyed by {resource, task-set digest}.
-	// Reports committed optimistically inside the window bind their table
-	// snapshot before the deferred analyses have run; their materializers
-	// consult this map to fill the entries that were still pending at
-	// commit time. Digest-keyed because two proposals of one window can
-	// defer the same processor with different task sets.
-	windowHeals map[resDigestKey]TimingResult
-	// deployedSynth caches the committed synthesis lookup tables (function
-	// contracts by name, replica instances by function, per-processor task
-	// lists), so incremental synthesis splices untouched processors' task
-	// lists without re-deriving synthLookups; commits invalidate only
-	// diff-touched entries.
-	//
-	// deployedSynth, deployedSecVerdicts, svcProviders,
-	// deployedFlowTouch, deployedLoads and deployedConnIdx (with the
-	// deployedInstTotal count) are the warm caches of the incremental
-	// engine: commitFull installs them together with deployedRes when the
-	// incremental engine is on, purgeIncrementalState drops them together,
-	// and window rollback restores them together, so the single warm()
-	// predicate stands for all of them.
-	deployedSynth *synthCache
-	// pendingSynth is the diff-sized lookup overlay of the most recent
-	// incremental synthesis, applied to deployedSynth by the commit stage.
-	pendingSynth *synthOverlay
-	// deployedSecVerdicts caches the committed per-connection security
-	// verdicts. Every key is a
-	// connection of the committed implementation model that passed the
-	// cross-domain check (a configuration only commits after the security
-	// stage accepted it, so the cached verdict is always "clean"); the
-	// scoped security check re-verifies only connections whose client or
-	// server function the diff touched, or that are missing from the
-	// cache (new or rewired sessions after a connection rebuild), and
-	// splices the rest.
-	deployedSecVerdicts map[model.Connection]bool
-	// svcProviders counts, per service name, how many Provides occurrences
-	// the committed architecture carries. The validation fast path answers
-	// "is this required service provided" in O(1) against it; keyed
-	// commits adjust only the touched functions' occurrences (journaled),
-	// from-scratch commits rebuild it wholesale.
-	svcProviders map[string]int
-	// deployedFlowTouch maps every function name referenced by a committed
-	// flow to true. Together with deployedSynth.fnByName it is the O(1)
-	// deployed-function lookup DiffFromChange and declaredFootprint use
-	// instead of walking the architecture; rebuilt wholesale by
-	// from-scratch commits and by keyed commits whose diff changed the
-	// flow set (commits never mutate the map in place, so a window journal
-	// rolls it back by restoring the window-start pointer).
-	deployedFlowTouch map[string]bool
-	// deployedLoads holds the committed per-processor residual-capacity
-	// accounting (scaled utilization and RAM), indexed by platform
-	// processor position. The warm-started mapping copies it and adjusts
-	// only the diff instead of re-accounting every kept instance. Commits
-	// swap in a fresh slice — never an in-place write — so a window
-	// journal rolls back by restoring the window-start pointer.
-	deployedLoads []procLoad
-	// loadScratch is the reusable per-proposal placer buffer; an accepted
-	// keyed commit takes ownership of it as the new deployedLoads.
+	// loadScratch is the reusable per-proposal placer buffer.
 	loadScratch []procLoad
-	// pendingLoads points at the placer buffer of the most recent
-	// warm-started mapping (the final per-processor totals of the
-	// candidate placement), handed to the commit stage.
-	pendingLoads []procLoad
-	// pendingPlaced holds the fresh replica placements of the most recent
-	// O(diff) warm-started mapping, keyed by function (replica-ascending,
-	// the order the placer emits). The synthesis overlay reads the touched
-	// functions' placements from it, which is what lets the warm path skip
-	// materializing the platform-sized candidate instance list entirely.
-	pendingPlaced map[string][]model.Instance
 	// fnIdx is the lazily built name->position index of the deployed
 	// function slice, kept exact by the fast path's in-place mutations
 	// (appends extend it; removals and their reverts rewrite the shifted
@@ -212,30 +144,6 @@ type MCC struct {
 	// per-proposal O(n) fnIndexOf/FunctionByName scans of the fast path
 	// into map hits.
 	fnIdx map[string]int
-	// deployedConnIdx maps each function name to the ascending positions
-	// of the committed connections it is incident to (client or server
-	// side). While the session list is unrebuilt it aliases the committed
-	// one and every row has a committed-clean verdict, so the scoped
-	// security check walks just the touched functions' positions instead
-	// of scanning (and hashing) every connection. Rebuilt fresh — never
-	// mutated in place — by from-scratch commits and by keyed commits that
-	// rebuilt the connections, so a window journal rolls back by pointer.
-	deployedConnIdx map[string][]int
-	// deployedInstTotal is the committed instance count, maintained so the
-	// warm-started mapping can report its kept-instance telemetry without
-	// materializing the flat instance list it no longer builds.
-	deployedInstTotal int
-
-	// pendingJobs is the job list of the most recent timing-stage run
-	// (footprint-sized under partial synthesis, every loaded resource on a
-	// from-scratch pass; scratch.pos holds each job's committed position),
-	// handed from the timing stage to the monitor and commit stages.
-	pendingJobs []timingJob
-	// pendingResults holds the per-job WCRT tables of the most recent
-	// non-deferred timing run, indexed like pendingJobs (nil under
-	// deferred checks, where dirty analyses have not run yet); the keyed
-	// commit reads the results of scanned resources from it.
-	pendingResults []TimingResult
 	// procs is the platform's processor-name iteration order, sorted once
 	// at construction (the platform is immutable for the MCC's lifetime).
 	procs []string
@@ -244,11 +152,9 @@ type MCC struct {
 	// commit stage index loads slices through it instead of scanning the
 	// processor list per lookup.
 	procIdx map[string]int
-	// journal, when non-nil, is the open copy-on-write rollback point of a
-	// stream-scheduler window: it holds the window-start pointers of the
-	// committed state, and commits record the prior value of every keyed
-	// map entry they overwrite instead of the window cloning whole maps.
-	journal *cacheJournal
+	// journal, when non-nil, is the rollback point of the open
+	// stream-scheduler window.
+	journal *windowJournal
 	// scratch holds the MCC-owned buffers the timing hot path reuses
 	// across proposals.
 	scratch timingScratch
@@ -257,9 +163,6 @@ type MCC struct {
 	// set only by the StreamScheduler, which re-validates every deferred
 	// verdict before a window is final.
 	deferChecks bool
-	// lastDeferred is the deferred-check record of the most recent
-	// pipeline pass under deferChecks.
-	lastDeferred *deferredChecks
 
 	// custom holds acceptance stages registered via WithStage; they run
 	// between the security and timing stages.
@@ -275,10 +178,10 @@ type MCC struct {
 	// integrate wraps the proposal context with this timeout, and expiry
 	// rejects deterministically with a finding (never a hang).
 	proposalDeadline time.Duration
-	// quarantined marks the incremental state suspect (journal undo
-	// failure, purged caches): proposals decide on the pinned
+	// quarantined marks the incremental state suspect (corrupted start
+	// snapshot, purged snapshot): proposals decide on the pinned
 	// from-scratch path, reported Degraded, until an accepted commit
-	// rebuilds the caches wholesale (commitFull clears the flag).
+	// rebuilds the snapshot wholesale (commitFull clears the flag).
 	quarantined bool
 	// pinned is set while the degradation ladder's from-scratch pass
 	// runs: fault injection is suppressed and the memoized analyzer is
@@ -398,7 +301,10 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 		workers:        runtime.GOMAXPROCS(0),
 		procs:          procNames(p),
 		procIdx:        procIndex(p),
+		loadScratch:    make([]procLoad, len(p.Processors)),
+		snap:           &snapshot{},
 	}
+	m.epoch = m.newEpoch()
 	for _, o := range opts {
 		o(m)
 	}
@@ -459,68 +365,55 @@ func (m *MCC) Analyzer() *cpa.Analyzer { return m.analyzer }
 // Deployed returns the currently deployed functional architecture.
 func (m *MCC) Deployed() *model.FunctionalArchitecture { return m.deployed }
 
-// warm reports whether the incremental engine's committed caches are
-// installed (see MCC.deployedSynth): one check for all of them, since
-// they are only ever installed and dropped together. A warm controller
-// has a committed configuration.
-func (m *MCC) warm() bool { return m.deployedSynth != nil }
+// attempt is the stage-to-stage handoff of one pipeline pass: what the
+// mapping, synthesis and timing stages hand to the stages after them.
+type attempt struct {
+	// loads points at the placer buffer of a warm-started mapping: the
+	// candidate placement's per-processor totals.
+	loads []procLoad
+	// placed holds the warm start's fresh replica placements, keyed by
+	// function (replica-ascending, the order the placer emits); the
+	// synthesis overlay reads them instead of a flat instance list.
+	placed map[string][]model.Instance
+	// synth is the diff-sized lookup overlay of an incremental synthesis,
+	// applied to the snapshot by the commit stage.
+	synth *synthOverlay
+	// jobs is the timing stage's job list (footprint-sized under partial
+	// synthesis, every loaded resource on a from-scratch pass;
+	// scratch.pos holds each job's committed position).
+	jobs []timingJob
+	// results holds the per-job WCRT tables of a non-deferred timing run,
+	// indexed like jobs (nil under deferred checks).
+	results []TimingResult
+	// deferred is the deferred-check record of a pass under deferChecks.
+	deferred *deferredChecks
+}
+
+// warm reports whether the snapshot carries the incremental engine's
+// lookup state (see snapshot.warm). A warm controller has a committed
+// configuration.
+func (m *MCC) warm() bool { return m.snap.warm }
 
 // DeployedImpl returns the currently deployed implementation model (nil
-// until the first successful integration). A keyed commit leaves the
-// model's flat task and instance lists unmaterialized — the committed
-// per-processor/per-function tables are the authoritative representation
-// on the incremental path — so whole-model readers get them materialized
-// here on demand, memoized until the next commit installs a new model.
-// Messages and Connections are always present (aliased or rebuilt at
-// commit time).
+// until the first successful integration). An incremental commit leaves
+// the model's flat task and instance lists unmaterialized — the
+// snapshot's per-processor and per-function state is the authoritative
+// representation on the incremental path — so whole-model readers get
+// them materialized here on demand (an empty overlay over the snapshot),
+// memoized until the next commit installs a new model. Messages and
+// Connections are always present (aliased or rebuilt at commit time).
 func (m *MCC) DeployedImpl() *model.ImplementationModel {
+	impl := m.snap.impl
 	if m.warm() {
-		if m.impl.Tech != nil && m.impl.Tech.Instances == nil {
-			m.impl.Tech.Instances = m.committedInstances()
+		none := &synthOverlay{}
+		if impl.Tech != nil && impl.Tech.Instances == nil {
+			impl.Tech.Instances = m.candInstances(none)
 		}
-		if m.impl.Tasks == nil {
-			m.impl.Tasks = m.committedTasks()
+		if impl.Tasks == nil {
+			impl.Tasks = m.candTasks(none)
 		}
 	}
-	return m.impl
-}
-
-// committedTasks materializes the committed flat task list from the
-// synth cache's per-processor lists, in the m.procs assembly order every
-// synthesis path uses. Non-nil even when empty, so the memoization in
-// DeployedImpl sticks.
-func (m *MCC) committedTasks() []model.Task {
-	sc := m.deployedSynth
-	total := 0
-	for _, pn := range m.procs {
-		total += len(sc.tasksOn[pn])
-	}
-	out := make([]model.Task, 0, total)
-	for _, pn := range m.procs {
-		out = append(out, sc.tasksOn[pn]...)
-	}
-	return out
-}
-
-// committedInstances materializes the committed flat instance list from
-// the synth cache's per-function table, in the canonical (function,
-// replica) order — each per-function list is replica-ascending, so
-// concatenating them over the sorted names reproduces Instance.Less
-// order exactly.
-func (m *MCC) committedInstances() []model.Instance {
-	sc := m.deployedSynth
-	names := make([]string, 0, len(sc.instancesOf))
-	total := 0
-	for name, ins := range sc.instancesOf {
-		names = append(names, name)
-		total += len(ins)
-	}
-	sort.Strings(names)
-	out := make([]model.Instance, 0, total)
-	for _, name := range names {
-		out = append(out, sc.instancesOf[name]...)
-	}
-	return out
+	return impl
 }
 
 // DeployedMonitors returns the monitor plan of the currently committed
@@ -530,7 +423,7 @@ func (m *MCC) committedInstances() []model.Instance {
 // and owned by the caller. Rejected proposals never change the committed
 // state, so the plan is unaffected by them — the rollback invariant the
 // monitor tests pin.
-func (m *MCC) DeployedMonitors() []MonitorSpec { return m.deployedRes.materializeMonitors() }
+func (m *MCC) DeployedMonitors() []MonitorSpec { return m.snap.res.materializeMonitors() }
 
 // ProposeUpdate attempts to integrate fn (a new function or a new version
 // of a deployed one) into the running configuration.
@@ -633,8 +526,8 @@ func (m *MCC) trimHistory() {
 //     state and re-decides the proposal on the pinned from-scratch path
 //     with fault injection suppressed, so the degraded verdict equals
 //     the clean from-scratch oracle's; the report is marked Degraded
-//     ("transient-fault"). The next accepted commit rebuilds every
-//     cache wholesale (commitFull) and lifts the quarantine.
+//     ("transient-fault"). The next accepted commit rebuilds the
+//     snapshot wholesale (commitFull) and lifts the quarantine.
 //   - While quarantined, every proposal decides on the pinned path and
 //     is marked Degraded ("quarantined").
 func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitecture, diff *pipeline.Diff) *Report {
@@ -665,7 +558,6 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 		return rep
 	}
 
-	m.lastDeferred = nil
 	ctx := m.newContext(pctx, cand, rep, m.incremental, diff)
 	m.pipe.Run(ctx)
 
@@ -674,7 +566,6 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 		// The rejected placement came from the warm-start heuristic; a
 		// full best-fit might still find a feasible configuration.
 		// Re-decide cold, keeping both passes' telemetry.
-		m.lastDeferred = nil
 		coldRep := &Report{Stages: rep.Stages, Passes: rep.Passes}
 		coldCtx := m.newContext(pctx, cand, coldRep, false, nil)
 		m.pipe.Run(coldCtx)
@@ -734,17 +625,15 @@ func (m *MCC) markDeadline(pctx context.Context, rep *Report) {
 // memoized analyzer bypassed — the decision cannot depend on any
 // (possibly corrupt) incremental state and equals the clean oracle's.
 // An accepted pinned pass commits from-scratch (commitFull), rebuilding
-// every cache and lifting the quarantine.
+// the snapshot and lifting the quarantine.
 func (m *MCC) runPinned(pctx context.Context, cand *model.FunctionalArchitecture, rep *Report) {
 	savedDefer := m.deferChecks
 	m.deferChecks = false
 	m.pinned = true
-	m.lastDeferred = nil
 	ctx := m.newContext(pctx, cand, rep, false, nil)
 	m.pipe.Run(ctx)
 	m.pinned = false
 	m.deferChecks = savedDefer
-	m.lastDeferred = nil
 }
 
 // placementDependent reports whether a stage's verdict can depend on the
@@ -757,16 +646,18 @@ func placementDependent(s Stage) bool {
 	return s != StageValidate && s != StageSecurity
 }
 
-// newContext assembles the pipeline context for one integration attempt.
-// A non-nil diff short-circuits ComputeDiff (the change-driven fast
-// path, where the candidate is the deployed architecture mutated in
-// place — scanning it against itself would yield an empty diff anyway).
+// newContext assembles the pipeline context for one integration attempt
+// and resets the attempt handoff. A non-nil diff short-circuits
+// ComputeDiff (the change-driven fast path, where the candidate is the
+// deployed architecture mutated in place — scanning it against itself
+// would yield an empty diff anyway).
 func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitecture, rep *Report, incremental bool, diff *pipeline.Diff) *pipeline.Context {
+	m.att = attempt{}
 	ctx := &pipeline.Context{
 		Platform:     m.platform,
 		Candidate:    cand,
 		Deployed:     m.deployed,
-		DeployedImpl: m.impl,
+		DeployedImpl: m.snap.impl,
 		Report:       rep,
 		Incremental:  incremental,
 		DeferChecks:  m.deferChecks,

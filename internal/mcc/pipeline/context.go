@@ -62,8 +62,8 @@ type Context struct {
 	// ConnectionsRebuilt reports that the partial synthesis re-derived
 	// the client/server sessions (a touched function participates in the
 	// service graph); when false the deployed connection list was copied
-	// verbatim, so the committed per-connection security verdicts remain
-	// keyed one-to-one. Only valid when PartialSynth is set.
+	// verbatim, so every row keeps its committed-clean security verdict.
+	// Only valid when PartialSynth is set.
 	ConnectionsRebuilt bool
 	// AffectedNets is the set of networks whose message list actually
 	// changed under a rebuild (a rebuilt list equal to the deployed one

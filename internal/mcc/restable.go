@@ -9,38 +9,23 @@ import "repro/internal/mcc/pipeline"
 // allocate and copy the whole platform (O(platform) memclr+copy per
 // change). The table keeps the deterministic resource order (loaded
 // processors sorted by name, then loaded networks in platform order) in
-// fixed-size chunks behind a pointer spine: a commit that replaces k
-// entries in place copies the spine and the ceil(k/chunk) affected chunks
-// and shares every other chunk with the previous configuration — O(diff)
-// per accepted change, with the old table (a window's rollback point, or
-// a bound report's snapshot) fully intact. Rollback is therefore a
-// pointer restore; no keyed undo is kept for the timing state.
+// a persistent chunked array (see chunks in snapshot.go): a commit that
+// replaces k entries in place copies the spine and the ceil(k/chunk)
+// affected chunks and shares every other chunk with the previous
+// configuration — O(diff) per accepted change, with the old table (a
+// window's start snapshot, or a bound report's view) fully intact.
 //
 // Reports bind a table pointer at commit time (Report.FullTiming /
 // FullMonitors); materialization deep-copies on every call, so nothing a
 // consumer obtains can alias chunk contents.
 
-const (
-	// resChunkShift sets the chunk size (64 entries): large enough that
-	// the spine stays tiny (32 pointers at 2048 resources), small enough
-	// that a one-resource patch copies ~6 KiB instead of the platform.
-	resChunkShift = 6
-	resChunkSize  = 1 << resChunkShift
-	resChunkMask  = resChunkSize - 1
-)
-
-// resChunk is one fixed-size run of committed resources. Chunks are
-// immutable once installed: patch copies before writing.
-type resChunk [resChunkSize]committedRes
-
 // resTable is the committed timing state in deterministic resource
-// order. n is the entry count, procs the length of the processor prefix
-// (entries [0,procs) are processors sorted by name, [procs,n) networks
-// in platform order). The zero/nil table is valid and empty.
+// order. procs is the length of the processor prefix (entries [0,procs)
+// are processors sorted by name, [procs,n) networks in platform order).
+// The zero/nil table is valid and empty.
 type resTable struct {
-	chunks []*resChunk
-	n      int
-	procs  int
+	chunks[committedRes]
+	procs int
 }
 
 // resUpdate is one patch instruction: replace entry idx with cr.
@@ -62,49 +47,23 @@ type resDigestKey struct {
 // resTableFrom builds a table from a flat list. The list entries are
 // copied into fresh chunks; the caller keeps ownership of list.
 func resTableFrom(list []committedRes, procs int) *resTable {
-	t := &resTable{
-		chunks: make([]*resChunk, (len(list)+resChunkMask)>>resChunkShift),
-		n:      len(list),
-		procs:  procs,
-	}
-	for ci := range t.chunks {
-		c := new(resChunk)
-		copy(c[:], list[ci<<resChunkShift:])
-		t.chunks[ci] = c
-	}
-	return t
+	return &resTable{chunks: chunksFrom(0, list), procs: procs}
 }
 
-// at returns entry i. The entry is shared, immutable storage — callers
-// must not mutate it or retain the pointer across a patch.
-func (t *resTable) at(i int) *committedRes {
-	return &t.chunks[i>>resChunkShift][i&resChunkMask]
-}
-
-// patch returns a table with the given entries replaced: the spine and
-// each affected chunk are copied, every untouched chunk is shared with
-// the receiver. The receiver is unchanged (it may be a window rollback
-// point or a bound report snapshot).
-func (t *resTable) patch(updates []resUpdate) *resTable {
+// patch returns a table with the given entries replaced. Each patch
+// writes under a fresh epoch e, so the spine and each affected chunk are
+// copied and every untouched chunk is shared with the receiver, which is
+// unchanged (it may be a window's start snapshot or a bound report's
+// view).
+func (t *resTable) patch(e uint64, updates []resUpdate) *resTable {
 	if len(updates) == 0 {
 		return t
 	}
-	nt := &resTable{
-		chunks: make([]*resChunk, len(t.chunks)),
-		n:      t.n,
-		procs:  t.procs,
-	}
-	copy(nt.chunks, t.chunks)
+	nt := *t
 	for _, u := range updates {
-		ci := u.idx >> resChunkShift
-		if nt.chunks[ci] == t.chunks[ci] {
-			c := new(resChunk)
-			*c = *t.chunks[ci]
-			nt.chunks[ci] = c
-		}
-		nt.chunks[ci][u.idx&resChunkMask] = u.cr
+		nt.set(e, u.idx, u.cr)
 	}
-	return nt
+	return &nt
 }
 
 // find returns the index of the named processor (spnp=false) or network

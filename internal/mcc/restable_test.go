@@ -10,7 +10,7 @@ import (
 
 // committedJobs lists the committed table's CPA jobs in table order.
 func committedJobs(m *MCC) []timingJob {
-	t := m.deployedRes
+	t := m.snap.res
 	out := make([]timingJob, 0, t.n)
 	for i := 0; i < t.n; i++ {
 		out = append(out, t.at(i).job)
@@ -208,8 +208,9 @@ func TestTimingTableShapeChanges(t *testing.T) {
 					}
 					label := fmt.Sprintf("step %d", i)
 					assertOracleParity(t, label, m)
-					if got := lastAccepted(m).TimingResources; got != m.deployedRes.n {
-						t.Fatalf("%s: report counts %d timing resources, table holds %d", label, got, m.deployedRes.n)
+					assertSnapshotFresh(t, label, m)
+					if got := lastAccepted(m).TimingResources; got != m.snap.res.n {
+						t.Fatalf("%s: report counts %d timing resources, table holds %d", label, got, m.snap.res.n)
 					}
 				}
 			})

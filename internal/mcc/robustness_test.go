@@ -346,16 +346,16 @@ func TestStreamPrefetchFaultsTaintWindowAndReplay(t *testing.T) {
 	}
 }
 
-// A failed keyed undo during window rollback purges the incremental
-// state and quarantines the controller: decisions keep matching the
-// serial oracle (pinned from-scratch path), the affected proposals are
-// marked degraded, and the first accepted commit rebuilds the caches
+// A corrupted start snapshot during window rollback (the journal.undo
+// fault) purges the incremental state and quarantines the controller:
+// decisions keep matching the serial oracle (pinned from-scratch path),
+// the affected proposals are marked degraded, and the first accepted commit rebuilds the snapshot
 // bit-identically to a fresh serial controller.
 func TestJournalUndoFaultPurgesAndRecovers(t *testing.T) {
 	changes := []Change{
 		// One window of same-platform QM additions: their optimistic
-		// commits overlap on the deployed cache keys of the processors
-		// they share, so the rollback exercises overlapping keyed undo.
+		// commits overlap on the snapshot parts of the processors they
+		// share, so the rollback restores overlapping copy-on-write writes.
 		upd(fn("t0", model.QM, 100000, 2000, 64)),
 		upd(fn("t1", model.QM, 120000, 1500, 64)),
 		upd(fn("t2", model.QM, 140000, 2500, 64)),
@@ -366,7 +366,7 @@ func TestJournalUndoFaultPurgesAndRecovers(t *testing.T) {
 	inj := faultinject.New(13,
 		// Taint the first window so it rolls back...
 		faultinject.Rule{Stage: "stream.prefetch", Mode: faultinject.ModeError, Count: 1},
-		// ...and fail the keyed undo of that rollback.
+		// ...and corrupt the start snapshot that rollback restores.
 		faultinject.Rule{Stage: "journal.undo", Mode: faultinject.ModeError, Count: 1},
 	)
 	m := robustMCC(t, WithFaultInjector(inj))
@@ -374,6 +374,7 @@ func TestJournalUndoFaultPurgesAndRecovers(t *testing.T) {
 	got := sched.Run(changes)
 
 	assertDecisionParity(t, changes, got, want)
+	assertSnapshotFresh(t, "faulted stream", m)
 	if fired := inj.Fired(); fired["journal.undo|error"] == 0 {
 		t.Fatalf("journal undo fault never fired: %v", fired)
 	}
@@ -398,9 +399,11 @@ func TestJournalUndoFaultPurgesAndRecovers(t *testing.T) {
 	if !rep.Accepted || rep.Degraded {
 		t.Fatalf("post-recovery proposal = accepted %v, degraded %v", rep.Accepted, rep.Degraded)
 	}
+	assertSnapshotFresh(t, "post-recovery", m)
 	fresh := robustMCC(t)
-	for _, c := range append(slices.Clone(changes), post) {
+	for i, c := range append(slices.Clone(changes), post) {
 		fresh.integrateChangeCtx(context.Background(), c)
+		assertSnapshotFresh(t, fmt.Sprintf("serial step %d", i), fresh)
 	}
 	sf, ff := cacheFingerprint(m), cacheFingerprint(fresh)
 	for key := range ff {
@@ -411,11 +414,11 @@ func TestJournalUndoFaultPurgesAndRecovers(t *testing.T) {
 	}
 }
 
-// Journal undo correctness under overlapping keyed writes: a window
-// whose changes all land on the same processors commits overlapping
-// cache keys optimistically; a mid-window deferred timing failure forces
-// the rollback + serial replay, after which every cache must equal a
-// fresh serial controller's. (The injected-fault variant of the same
+// Window rollback correctness under overlapping writes: a window whose
+// changes all land on the same processors commits overlapping snapshot
+// parts optimistically; a mid-window deferred timing failure forces the
+// rollback + serial replay, after which every snapshot field must equal
+// a fresh serial controller's. (The injected-fault variant of the same
 // invariant is TestJournalUndoFaultPurgesAndRecovers.)
 func TestJournalRollbackOverlappingKeyedWrites(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
@@ -438,6 +441,7 @@ func TestJournalRollbackOverlappingKeyedWrites(t *testing.T) {
 				want = append(want, fresh.integrateChangeCtx(context.Background(), c))
 			}
 			assertDecisionParity(t, changes, got, want)
+			assertSnapshotFresh(t, "stream", streamed)
 			for i := range want {
 				if !reflect.DeepEqual(got[i].Findings, want[i].Findings) {
 					t.Fatalf("change %d findings diverge:\nstream %v\nserial %v",

@@ -1,0 +1,362 @@
+package mcc
+
+import (
+	"hash/maphash"
+	"slices"
+
+	"repro/internal/model"
+	"repro/internal/security"
+)
+
+// This file implements the committed snapshot: the one value that holds
+// everything the controller has committed besides the functional
+// architecture — the implementation model, the timing table, and the
+// lookup state of the incremental engine — and the two persistent
+// containers it is built from (a chunked array and a hash-bucketed map).
+//
+// Both containers use the "transient" idiom of persistent data
+// structures. Every chunk, bucket and spine records the epoch that owns
+// it; a write under epoch e changes a part in place when e owns it and
+// copies the part (once, taking ownership) when an older epoch does. A
+// stream window bumps the controller's epoch when it opens, so its start
+// snapshot is never written: the window's commits copy exactly the parts
+// they touch, and rollback restores the start pointer. Serial commits
+// outside a window own what they wrote last and keep writing in place.
+
+// newEpoch hands out a fresh epoch token: window epochs and the one-shot
+// tokens of timing-table patches share the counter, so no two owners
+// collide. Commits are serial, so the counter needs no synchronization.
+func (m *MCC) newEpoch() uint64 {
+	m.epochs++
+	return m.epochs
+}
+
+const (
+	// chunkShift sets the chunk size of the persistent arrays (16
+	// entries): a one-entry write copies ~1–1.5 KiB, and the spine stays
+	// at 128 pointers for 2048 entries.
+	chunkShift = 4
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
+
+// chunk is one fixed-size run of a persistent array, owned by epoch.
+type chunk[T any] struct {
+	epoch uint64
+	v     [chunkSize]T
+}
+
+// chunks is a persistent array: fixed-size chunks behind a pointer spine,
+// with epoch-owned copy-on-write writes (see set). The zero value is a
+// valid empty array.
+type chunks[T any] struct {
+	spine []*chunk[T]
+	n     int
+	epoch uint64 // owner of spine
+}
+
+// chunksFrom builds an array owned by epoch from a flat list (copied).
+func chunksFrom[T any](epoch uint64, list []T) chunks[T] {
+	a := chunks[T]{spine: make([]*chunk[T], (len(list)+chunkMask)>>chunkShift), n: len(list), epoch: epoch}
+	for ci := range a.spine {
+		c := &chunk[T]{epoch: epoch}
+		copy(c.v[:], list[ci<<chunkShift:])
+		a.spine[ci] = c
+	}
+	return a
+}
+
+// at returns entry i. The storage may be shared with other snapshots:
+// callers write only through set.
+func (a *chunks[T]) at(i int) *T { return &a.spine[i>>chunkShift].v[i&chunkMask] }
+
+// set writes entry i under epoch e, first copying the spine and the
+// entry's chunk if an older epoch owns them.
+func (a *chunks[T]) set(e uint64, i int, v T) {
+	if a.epoch != e {
+		a.spine, a.epoch = slices.Clone(a.spine), e
+	}
+	ci := i >> chunkShift
+	if c := a.spine[ci]; c.epoch != e {
+		cp := *c
+		cp.epoch = e
+		a.spine[ci] = &cp
+	}
+	a.spine[ci].v[i&chunkMask] = v
+}
+
+// pmap is a persistent string-keyed hash map: a power-of-two spine of
+// small entry buckets, with the same epoch-owned copy-on-write writes as
+// chunks. The zero value is an empty map that must not be written.
+type pmap[V any] struct {
+	spine []*pbucket[V]
+	n     int
+	epoch uint64 // owner of spine
+}
+
+type pbucket[V any] struct {
+	epoch uint64
+	ents  []pentry[V]
+}
+
+type pentry[V any] struct {
+	key string
+	val V
+}
+
+var pmapSeed = maphash.MakeSeed()
+
+// newPmap returns an empty map owned by epoch, sized for about hint
+// entries (four per bucket).
+func newPmap[V any](epoch uint64, hint int) pmap[V] {
+	nb := 16
+	for 4*nb < hint {
+		nb <<= 1
+	}
+	return pmap[V]{spine: make([]*pbucket[V], nb), epoch: epoch}
+}
+
+func (p *pmap[V]) slot(key string) int {
+	return int(maphash.String(pmapSeed, key) & uint64(len(p.spine)-1))
+}
+
+// get returns the value stored under key (the zero value if absent).
+func (p *pmap[V]) get(key string) V {
+	var zero V
+	if len(p.spine) == 0 {
+		return zero
+	}
+	if b := p.spine[p.slot(key)]; b != nil {
+		for i := range b.ents {
+			if b.ents[i].key == key {
+				return b.ents[i].val
+			}
+		}
+	}
+	return zero
+}
+
+// own returns bucket i writable under epoch e, copying the spine and the
+// bucket first if an older epoch owns them.
+func (p *pmap[V]) own(e uint64, i int) *pbucket[V] {
+	if p.epoch != e {
+		p.spine, p.epoch = slices.Clone(p.spine), e
+	}
+	b := p.spine[i]
+	if b == nil || b.epoch != e {
+		nb := &pbucket[V]{epoch: e}
+		if b != nil {
+			nb.ents = slices.Clone(b.ents)
+		}
+		p.spine[i], b = nb, nb
+	}
+	return b
+}
+
+// put stores key=v under epoch e, doubling the spine once buckets
+// average more than eight entries.
+func (p *pmap[V]) put(e uint64, key string, v V) {
+	b := p.own(e, p.slot(key))
+	for i := range b.ents {
+		if b.ents[i].key == key {
+			b.ents[i].val = v
+			return
+		}
+	}
+	b.ents = append(b.ents, pentry[V]{key, v})
+	if p.n++; p.n > 8*len(p.spine) {
+		old := *p
+		*p = newPmap[V](e, 8*len(old.spine))
+		old.each(func(key string, v V) { p.put(e, key, v) })
+	}
+}
+
+// del removes key under epoch e.
+func (p *pmap[V]) del(e uint64, key string) {
+	i := p.slot(key)
+	b := p.spine[i]
+	if b == nil {
+		return
+	}
+	k := slices.IndexFunc(b.ents, func(en pentry[V]) bool { return en.key == key })
+	if k < 0 {
+		return
+	}
+	b = p.own(e, i)
+	b.ents = slices.Delete(b.ents, k, k+1)
+	p.n--
+}
+
+// each calls fn for every entry, in no particular order.
+func (p *pmap[V]) each(fn func(key string, v V)) {
+	for _, b := range p.spine {
+		if b != nil {
+			for _, en := range b.ents {
+				fn(en.key, en.val)
+			}
+		}
+	}
+}
+
+// fnEntry is one committed function: a standalone copy of its contract
+// and its replica instances, replica-ascending.
+type fnEntry struct {
+	fn    *model.Function
+	insts []model.Instance
+}
+
+// procState is one processor's committed state: its deadline-monotonic
+// task list and its resident instances in (function, replica) order.
+type procState struct {
+	tasks []model.Task
+	insts []model.Instance
+}
+
+// snapshot is the committed state of the controller besides the
+// functional architecture. impl and res are installed by every commit;
+// the remaining fields are the lookup state of the incremental engine,
+// present exactly when warm is set (commitFull builds all of it, a purge
+// drops all of it). Slices and maps a snapshot holds are never written
+// in place (DeployedImpl's memoized flat lists of impl aside); chunks and
+// buckets are written only by their owning epoch.
+type snapshot struct {
+	epoch uint64 // owner of this header
+	impl  *model.ImplementationModel
+	// res is the committed timing table (see resTable). It is always
+	// patched copy-on-write, never by epoch, because accepted reports
+	// bind it.
+	res  *resTable
+	warm bool
+
+	// procs is the per-processor state and loads the per-processor load
+	// accounting, both indexed by platform processor position
+	// (MCC.procIdx). The loads are kept apart so the warm-started mapping
+	// copies them into its placer buffer chunk by chunk.
+	procs chunks[procState]
+	loads chunks[procLoad]
+	// fns maps each committed function name to its entry.
+	fns pmap[fnEntry]
+	// prov counts, per service name, the committed Provides occurrences:
+	// the validation fast path's O(1) "is this service provided".
+	prov pmap[int]
+	// flowTouch holds every function name a committed flow references —
+	// DiffFromChange's removal arm and the message-rebuild test.
+	flowTouch map[string]bool
+	// connIdx maps each function name to the ascending positions of the
+	// committed connections it is incident to (client or server side).
+	connIdx map[string][]int
+	// instTotal is the committed instance count (warm-start telemetry).
+	instTotal int
+}
+
+// buildSnapshot derives a whole snapshot, owned by the controller's
+// current epoch, from a committed configuration: the from-scratch commit
+// path, and the reference the snapshot-parity test hook compares against.
+// Without the incremental engine only impl and res are kept.
+func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.ImplementationModel, res *resTable) *snapshot {
+	e := m.epoch
+	s := &snapshot{epoch: e, impl: impl, res: res}
+	if !m.incremental {
+		return s
+	}
+	s.warm = true
+	fnByName, instancesOf := synthLookups(impl.Tech)
+	s.fns = newPmap[fnEntry](e, len(fnByName))
+	for name, f := range fnByName {
+		cp := *f
+		s.fns.put(e, name, fnEntry{&cp, instancesOf[name]})
+	}
+	procs := make([]procState, len(m.platform.Processors))
+	loads := make([]procLoad, len(m.platform.Processors))
+	// impl.Tech.Instances is sorted by Instance.Less and impl.Tasks is
+	// assembled processor by processor in priority order, so the grouped
+	// lists keep the orders the incremental synthesis produces.
+	for _, in := range impl.Tech.Instances {
+		i, ok := m.procIdx[in.Processor]
+		if !ok {
+			continue
+		}
+		procs[i].insts = append(procs[i].insts, in)
+		if f := fnByName[in.Function]; f != nil {
+			loads[i].utilPPM += scaleUtilPPM(utilPPM(f), m.platform.Processors[i].SpeedFactor)
+			loads[i].ramKiB += f.Contract.Resources.RAMKiB
+		}
+	}
+	for _, t := range impl.Tasks {
+		if i, ok := m.procIdx[t.Processor]; ok {
+			procs[i].tasks = append(procs[i].tasks, t)
+		}
+	}
+	s.procs, s.loads = chunksFrom(e, procs), chunksFrom(e, loads)
+	s.prov = newPmap[int](e, 0)
+	for i := range fa.Functions {
+		for _, svc := range fa.Functions[i].Provides {
+			s.prov.put(e, svc, s.prov.get(svc)+1)
+		}
+	}
+	s.flowTouch = flowTouchIndex(fa.Flows)
+	s.connIdx = connPosIndex(impl.Connections)
+	s.instTotal = len(impl.Tech.Instances)
+	return s
+}
+
+// fn returns the committed function of the given name, or nil.
+func (s *snapshot) fn(name string) *model.Function { return s.fns.get(name).fn }
+
+// proc returns the committed state of the named processor.
+func (m *MCC) proc(pn string) *procState { return m.snap.procs.at(m.procIdx[pn]) }
+
+// ownSnap returns the snapshot header writable under the current epoch,
+// copying it first if an older epoch — a window's start snapshot — owns
+// it. The parts it points to copy themselves on write (chunks, pmap) or
+// are replaced wholesale (impl, res, flowTouch, connIdx).
+func (m *MCC) ownSnap() *snapshot {
+	if m.snap.epoch != m.epoch {
+		cp := *m.snap
+		cp.epoch = m.epoch
+		m.snap = &cp
+	}
+	return m.snap
+}
+
+// connCommitted reports whether c is a row of the committed connection
+// list — the committed security verdict of a wiring, since a
+// configuration only commits after every connection passed the
+// cross-domain check. It walks the client function's rows, O(degree).
+func (s *snapshot) connCommitted(c model.Connection) bool {
+	conns := s.impl.Connections
+	for _, p := range s.connIdx[security.FunctionName(c.Client)] {
+		if conns[p] == c {
+			return true
+		}
+	}
+	return false
+}
+
+// connPosIndex maps each function name to the ascending positions of the
+// committed connections it is incident to (client or server side) — the
+// committed index behind the indexed scoped security check. Always built
+// fresh, never mutated in place.
+func connPosIndex(conns []model.Connection) map[string][]int {
+	out := make(map[string][]int)
+	for i, c := range conns {
+		cl := security.FunctionName(c.Client)
+		sv := security.FunctionName(c.Server)
+		out[cl] = append(out[cl], i)
+		if sv != cl {
+			out[sv] = append(out[sv], i)
+		}
+	}
+	return out
+}
+
+// flowTouchIndex maps every function name a flow references to true.
+// Always built fresh, never mutated in place.
+func flowTouchIndex(flows []model.Flow) map[string]bool {
+	out := make(map[string]bool, 2*len(flows))
+	for _, fl := range flows {
+		out[fl.From] = true
+		out[fl.To] = true
+	}
+	return out
+}

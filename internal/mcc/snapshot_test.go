@@ -1,0 +1,154 @@
+package mcc
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/model"
+)
+
+// snapshotView projects a committed snapshot into comparable plain
+// values: every field, with the persistent containers flattened into Go
+// maps and slices (their internal layout — bucket order, chunk sharing —
+// depends on the commit history, their content must not). Empty lists
+// are normalized to nil.
+func snapshotView(s *snapshot) map[string]any {
+	if s == nil {
+		return nil
+	}
+	fns := make(map[string]model.Function)
+	insts := make(map[string][]model.Instance)
+	prov := make(map[string]int)
+	var procs []procState
+	var loads []procLoad
+	if s.warm {
+		s.fns.each(func(name string, e fnEntry) {
+			fns[name] = *e.fn
+			if len(e.insts) > 0 {
+				insts[name] = e.insts
+			}
+		})
+		s.prov.each(func(svc string, n int) { prov[svc] = n })
+		for i := 0; i < s.procs.n; i++ {
+			ps := *s.procs.at(i)
+			if len(ps.tasks) == 0 {
+				ps.tasks = nil
+			}
+			if len(ps.insts) == 0 {
+				ps.insts = nil
+			}
+			procs = append(procs, ps)
+			loads = append(loads, *s.loads.at(i))
+		}
+	}
+	return map[string]any{
+		"warm":      s.warm,
+		"fns":       fns,
+		"fnCount":   s.fns.n,
+		"insts":     insts,
+		"prov":      prov,
+		"provCount": s.prov.n,
+		"procs":     procs,
+		"loads":     loads,
+		"flowTouch": s.flowTouch,
+		"connIdx":   s.connIdx,
+		"instTotal": s.instTotal,
+	}
+}
+
+// sameList compares two lists, treating nil and empty alike.
+func sameList[T any](a, b []T) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
+// assertSnapshotFresh is the snapshot-parity test hook: it rebuilds the
+// committed snapshot from Deployed() and DeployedImpl() with the builder
+// commitFull uses and deep-compares every field. The flat task and
+// instance lists DeployedImpl materializes come from the snapshot itself,
+// so the committed implementation model is additionally held to a
+// from-scratch synthesis of the committed placement, and the timing table
+// to a full job rescan and the from-scratch WCRT oracle.
+func assertSnapshotFresh(t *testing.T, label string, m *MCC) {
+	t.Helper()
+	if m.snap.impl == nil {
+		t.Fatalf("%s: no committed snapshot", label)
+	}
+	impl := m.DeployedImpl()
+	if m.warm() {
+		got, want := snapshotView(m.snap), snapshotView(m.buildSnapshot(m.Deployed(), impl, m.snap.res))
+		for key := range want {
+			if !reflect.DeepEqual(got[key], want[key]) {
+				t.Errorf("%s: snapshot field %q diverges from a rebuild:\ncommitted %+v\nrebuilt   %+v", label, key, got[key], want[key])
+			}
+		}
+	}
+	ref, err := m.synthesize(&model.TechnicalArchitecture{Platform: m.platform, Func: m.Deployed(), Instances: impl.Tech.Instances})
+	if err != nil {
+		t.Fatalf("%s: re-synthesis of the committed placement: %v", label, err)
+	}
+	if !sameList(impl.Tasks, ref.Tasks) || !sameList(impl.Messages, ref.Messages) || !sameList(impl.Connections, ref.Connections) {
+		t.Errorf("%s: committed implementation model diverges from a re-synthesis:\ncommitted %+v\nre-synth  %+v", label, impl, ref)
+	}
+	if scan, committed := scanDigests(m), committedDigests(m); !reflect.DeepEqual(scan, committed) {
+		t.Errorf("%s: committed job digests diverge from a full rescan:\nscan      %v\ncommitted %v", label, scan, committed)
+	}
+	wantTiming, wantMonitors, err := FromScratchTables(m.platform, impl)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", label, err)
+	}
+	if got := m.snap.res.materializeTiming(nil); !reflect.DeepEqual(got, wantTiming) {
+		t.Errorf("%s: committed WCRT tables diverge from the oracle:\ngot  %+v\nwant %+v", label, got, wantTiming)
+	}
+	if got := m.DeployedMonitors(); !reflect.DeepEqual(got, wantMonitors) {
+		t.Errorf("%s: committed monitor plan diverges from the oracle:\ngot  %+v\nwant %+v", label, got, wantMonitors)
+	}
+}
+
+// The epoch-owned copy-on-write of the persistent containers: writes
+// under the owning epoch land in place, writes under a newer epoch copy
+// the touched chunk or bucket and leave the older value intact.
+func TestPersistentContainersCopyOnWrite(t *testing.T) {
+	const e0, e1 = 1, 2
+	list := make([]int, 3*chunkSize+1)
+	for i := range list {
+		list[i] = i
+	}
+	a := chunksFrom(e0, list)
+	a.set(e0, 1, -1) // owned: in place
+	if *a.at(1) != -1 || a.n != len(list) {
+		t.Fatalf("in-place set: at(1)=%d n=%d", *a.at(1), a.n)
+	}
+	start := a
+	a.set(e1, chunkSize+2, -2)
+	a.set(e1, chunkSize+3, -3)
+	if *start.at(chunkSize + 2) != chunkSize+2 || *start.at(chunkSize + 3) != chunkSize+3 {
+		t.Fatal("a newer epoch's write reached the older array")
+	}
+	if *a.at(chunkSize + 2) != -2 || *a.at(chunkSize + 3) != -3 || *a.at(1) != -1 {
+		t.Fatal("copy-on-write lost a write")
+	}
+	if a.spine[0] != start.spine[0] || a.spine[1] == start.spine[1] {
+		t.Fatal("untouched chunk not shared, or touched chunk not copied")
+	}
+
+	p := newPmap[int](e0, 0)
+	for i := 0; i < 300; i++ { // grows the spine several times
+		p.put(e0, fmt.Sprint("k", i), i)
+	}
+	old := p
+	p.put(e1, "k7", 70)
+	p.del(e1, "k8")
+	p.put(e1, "new", 1)
+	if old.get("k7") != 7 || old.get("k8") != 8 || old.get("new") != 0 || old.n != 300 {
+		t.Fatal("a newer epoch's write reached the older map")
+	}
+	if p.get("k7") != 70 || p.get("k8") != 0 || p.get("new") != 1 || p.n != 300 {
+		t.Fatalf("map after writes: k7=%d k8=%d new=%d n=%d", p.get("k7"), p.get("k8"), p.get("new"), p.n)
+	}
+	seen := 0
+	p.each(func(string, int) { seen++ })
+	if seen != p.n {
+		t.Fatalf("each visited %d entries, n=%d", seen, p.n)
+	}
+}

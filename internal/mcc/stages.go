@@ -1,10 +1,12 @@
 package mcc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +20,8 @@ import (
 )
 
 // This file implements the built-in pipeline stages of the MCC. Each stage
-// holds a pointer back to the controller for its caches (the committed
-// timing table, synthesis lookups, memoizing analyzer); the pure
+// holds a pointer back to the controller for the committed snapshot, the
+// attempt handoff and the memoizing analyzer; the pure
 // viewpoint checks (safety, security) are stateless. Stages work
 // incrementally when the context says so and fall back to the
 // from-scratch path otherwise — the from-scratch path is also the cold
@@ -89,7 +91,7 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 		return false, nil // arbitrary flow edits: walk the flow set
 	}
 	if len(d.Removed) == 1 {
-		old := m.deployedSynth.fnByName[d.Removed[0]]
+		old := m.snap.fn(d.Removed[0])
 		if old == nil || len(old.Provides) > 0 {
 			// A dropped provider may orphan committed requirers.
 			return false, nil
@@ -117,7 +119,7 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 		// the walk's exact wrapping, instead of paying its O(n) map build.
 		return true, pipeline.Rejectf("model: function %q: %s", name, err)
 	}
-	old := m.deployedSynth.fnByName[name]
+	old := m.snap.fn(name)
 	if old != nil {
 		// Changed: with Provides/Requires unchanged, the committed service
 		// resolution and every committed flow check still hold verbatim.
@@ -130,7 +132,7 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 	// Added: no committed flow can reference the new name (flow endpoints
 	// must exist when they commit); only its requires need resolving.
 	for _, svc := range neu.Requires {
-		if m.svcProviders[svc] == 0 && !slices.Contains(neu.Provides, svc) {
+		if m.snap.prov.get(svc) == 0 && !slices.Contains(neu.Provides, svc) {
 			return false, nil
 		}
 	}
@@ -145,8 +147,6 @@ type mappingStage struct{ m *MCC }
 func (s *mappingStage) Name() Stage { return StageMapping }
 
 func (s *mappingStage) Run(ctx *pipeline.Context) error {
-	s.m.pendingLoads = nil
-	s.m.pendingPlaced = nil
 	if ctx.Incremental && !ctx.Diff.Full() && s.m.warm() {
 		if tech, kept, placed, ok := s.m.mapWarmStart(ctx); ok {
 			ctx.Tech = tech
@@ -183,24 +183,17 @@ type procLoad struct {
 // newPlacer returns a placer over the reusable scratch buffer, zeroed
 // (cold start: loads accumulate from nothing).
 func (m *MCC) newPlacer() *placer {
-	s := m.placerScratch()
-	clear(s)
-	return &placer{m: m, loads: s}
+	clear(m.loadScratch)
+	return &placer{m: m, loads: m.loadScratch}
 }
 
 // newPlacerFromCommitted returns a placer over the scratch buffer
 // pre-filled with the committed per-processor loads.
 func (m *MCC) newPlacerFromCommitted() *placer {
-	s := m.placerScratch()
-	copy(s, m.deployedLoads)
-	return &placer{m: m, loads: s}
-}
-
-func (m *MCC) placerScratch() []procLoad {
-	if len(m.loadScratch) != len(m.platform.Processors) {
-		m.loadScratch = make([]procLoad, len(m.platform.Processors))
+	for ci, c := range m.snap.loads.spine {
+		copy(m.loadScratch[ci<<chunkShift:], c.v[:])
 	}
-	return m.loadScratch
+	return &placer{m: m, loads: m.loadScratch}
 }
 
 // account charges one replica of f to the named processor.
@@ -300,12 +293,12 @@ func sortByConstraint(fns []*model.Function) {
 
 // mapWarmStart is the O(diff) warm start: instances of untouched
 // functions stay where they are, only the diff is placed (best-fit over
-// the residual capacity). The committed loads slice is copied (one
-// memcpy), the touched functions' committed charges are subtracted —
+// the residual capacity). The committed loads are copied into the placer
+// buffer, the touched functions' committed charges are subtracted —
 // integer-exact, so the residuals equal a re-accounting of every kept
 // instance — and the diff is placed over the residual. The candidate's
 // flat instance list is never assembled: the fresh placements are handed
-// to the synthesis overlay through pendingPlaced, everything downstream
+// to the synthesis overlay through the attempt, everything downstream
 // resolves instances through the committed tables plus that overlay, and
 // DeployedImpl materializes the flat list on demand for whole-model
 // readers. It reports ok=false when the diff cannot be placed on the
@@ -321,10 +314,10 @@ func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitec
 	names = append(names, d.Removed...)
 	cut := 0
 	for _, name := range names {
-		old := m.deployedSynth.fnByName[name]
-		cut += len(m.deployedSynth.instancesOf[name])
-		for _, in := range m.deployedSynth.instancesOf[name] {
-			if old == nil || !p.discount(old, in.Processor) {
+		old := m.snap.fns.get(name)
+		cut += len(old.insts)
+		for _, in := range old.insts {
+			if old.fn == nil || !p.discount(old.fn, in.Processor) {
 				return nil, 0, 0, false // stale committed state; decide cold
 			}
 		}
@@ -351,9 +344,9 @@ func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitec
 		placed += len(ins)
 	}
 
-	kept = m.deployedInstTotal - cut
-	m.pendingPlaced = placedBy
-	m.pendingLoads = p.loads
+	kept = m.snap.instTotal - cut
+	m.att.placed = placedBy
+	m.att.loads = p.loads
 	return &model.TechnicalArchitecture{Platform: m.platform, Func: cand}, kept, placed, true
 }
 
@@ -395,7 +388,6 @@ func (s *synthStage) Name() Stage { return StageSynth }
 func (s *synthStage) Run(ctx *pipeline.Context) error {
 	var impl *model.ImplementationModel
 	var err error
-	s.m.pendingSynth = nil
 	if ctx.WarmMapped {
 		impl, err = s.m.synthesizeIncremental(ctx)
 	} else {
@@ -427,98 +419,46 @@ func synthLookups(tech *model.TechnicalArchitecture) (map[string]*model.Function
 	return fnByName, instancesOf
 }
 
-// synthCache holds the committed synthesis lookup tables: function
-// contracts by name, replica instances by function, and the
-// per-processor task lists of the deployed implementation model. It is
-// maintained on commit next to the committed timing table — rebuilt in
-// full only by from-scratch commits, keyed invalidation of diff-touched
-// entries otherwise — so incremental synthesis can splice untouched
-// processors' task lists without re-deriving the tables per proposal.
-// The cache owns
-// its entries: function values are standalone copies, instance and task
-// slices are immutable once stored.
-type synthCache struct {
-	fnByName    map[string]*model.Function
-	instancesOf map[string][]model.Instance
-	tasksOn     map[string][]model.Task
-	// instOn groups the committed instances by hosting processor, so the
-	// incremental task rebuild of an affected processor starts from the
-	// committed residents instead of scanning every instance.
-	instOn map[string][]model.Instance
-}
-
-// newSynthCache derives the full lookup tables of a committed
-// implementation model (the from-scratch commit path).
-func newSynthCache(impl *model.ImplementationModel) *synthCache {
-	fnByName, instancesOf := synthLookups(impl.Tech)
-	sc := &synthCache{
-		fnByName:    make(map[string]*model.Function, len(fnByName)),
-		instancesOf: instancesOf,
-		tasksOn:     make(map[string][]model.Task),
-		instOn:      make(map[string][]model.Instance),
-	}
-	for name, f := range fnByName {
-		cp := *f
-		sc.fnByName[name] = &cp
-	}
-	// impl.Tech.Instances is sorted by Instance.Less, so the grouped lists
-	// keep the (Function, Replica) order InstancesOn produces.
-	for _, in := range impl.Tech.Instances {
-		sc.instOn[in.Processor] = append(sc.instOn[in.Processor], in)
-	}
-	// impl.Tasks is assembled processor by processor in priority order, so
-	// the grouped lists keep the order synthesizeTasksOn produces.
-	for _, t := range impl.Tasks {
-		sc.tasksOn[t.Processor] = append(sc.tasksOn[t.Processor], t)
-	}
-	return sc
-}
-
 // synthOverlay is the diff-sized patch one incremental synthesis lays
-// over the committed synthCache: an entry per diff-touched function (nil
+// over the committed snapshot: an entry per diff-touched function (nil
 // marks a removal), the touched functions' new replica placements, and
-// the rebuilt task lists of affected processors. The commit stage applies
-// it to the cache with keyed (journalable) writes.
+// the affected processors' rebuilt task lists and candidate resident
+// lists (committed residents minus touched functions plus new
+// placements). The commit stage writes it into the next snapshot.
 type synthOverlay struct {
 	fns     map[string]*model.Function
 	insts   map[string][]model.Instance
 	tasksOn map[string][]model.Task
-	// instsOn holds the affected processors' candidate resident lists
-	// (committed residents minus touched functions plus new placements),
-	// applied to synthCache.instOn by the commit stage.
 	instsOn map[string][]model.Instance
 }
 
 // synthView resolves the function/instance lookups of one synthesis run:
-// either the full tables freshly derived from the candidate (from-scratch
-// path, nil overlay) or the committed tables overlaid with the
-// diff-touched entries — O(diff) map writes instead of rebuilding both
-// tables from the technical architecture.
+// an overlay first, then the snapshot. The from-scratch path overlays the
+// full tables freshly derived from the candidate on no snapshot; the
+// incremental path overlays the diff-touched entries on the committed
+// snapshot — O(diff) instead of rebuilding both tables from the technical
+// architecture.
 type synthView struct {
-	cache *synthCache
-	over  *synthOverlay
+	snap *snapshot
+	over *synthOverlay
 }
 
 func (v *synthView) fn(name string) *model.Function {
-	if v.over != nil {
-		if f, ok := v.over.fns[name]; ok {
-			return f // nil for removed functions
-		}
+	if f, ok := v.over.fns[name]; ok {
+		return f // nil for removed functions
 	}
-	if v.cache != nil {
-		return v.cache.fnByName[name]
+	if v.snap != nil {
+		return v.snap.fn(name)
 	}
 	return nil
 }
 
 func (v *synthView) instances(name string) []model.Instance {
-	if v.over != nil {
-		if _, touched := v.over.fns[name]; touched {
-			return v.over.insts[name]
-		}
+	if _, touched := v.over.fns[name]; touched {
+		return v.over.insts[name]
 	}
-	if v.cache != nil {
-		return v.cache.instancesOf[name]
+	if v.snap != nil {
+		return v.snap.fns.get(name).insts
 	}
 	return nil
 }
@@ -526,7 +466,7 @@ func (v *synthView) instances(name string) []model.Instance {
 // synthOverlay builds the candidate's lookup view against the committed
 // tables: the diff names its touched functions, whose candidate values
 // are collected directly and whose placements the warm start handed over
-// (pendingPlaced), everything untouched resolves through the cache (whose
+// (attempt.placed), everything untouched resolves through the snapshot (whose
 // entries are value-identical under the warm-started mapping). No lookup
 // table is rebuilt and no candidate-sized scan runs — cost is O(diff).
 func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
@@ -555,11 +495,11 @@ func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
 		if f == nil {
 			continue // removed: no candidate placements
 		}
-		if ins := m.pendingPlaced[name]; len(ins) > 0 {
+		if ins := m.att.placed[name]; len(ins) > 0 {
 			over.insts[name] = ins
 		}
 	}
-	return &synthView{cache: m.deployedSynth, over: over}, over
+	return &synthView{snap: m.snap, over: over}, over
 }
 
 // synthesizeTasksOn derives the deadline-monotonic task set of one
@@ -730,7 +670,7 @@ func synthesizeConnections(tech *model.TechnicalArchitecture, look *synthView) (
 func (m *MCC) synthesize(tech *model.TechnicalArchitecture) (*model.ImplementationModel, error) {
 	impl := &model.ImplementationModel{Tech: tech}
 	fnByName, instancesOf := synthLookups(tech)
-	look := &synthView{cache: &synthCache{fnByName: fnByName, instancesOf: instancesOf}}
+	look := &synthView{over: &synthOverlay{fns: fnByName, insts: instancesOf}}
 
 	instOn := tech.InstancesByProcessor()
 	for _, pn := range m.procs {
@@ -762,9 +702,9 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture) (*model.Implementati
 // Callers guarantee the placement of untouched instances is unchanged
 // (warm-started mapping), which is what makes the copies valid.
 //
-// Lookups resolve through the committed synthCache plus a diff-sized
+// Lookups resolve through the committed snapshot plus a diff-sized
 // overlay — the tables are not re-derived, and untouched processors'
-// task lists splice straight from the cache.
+// task lists stay in the snapshot.
 func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.ImplementationModel, error) {
 	tech, d := ctx.Tech, ctx.Diff
 	dep := ctx.DeployedImpl
@@ -775,7 +715,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// instances were (committed lookup), or now are (overlay).
 	affected := make(map[string]bool)
 	for name := range over.fns {
-		for _, in := range m.deployedSynth.instancesOf[name] {
+		for _, in := range m.snap.fns.get(name).insts {
 			affected[in.Processor] = true
 		}
 		for _, in := range over.insts[name] {
@@ -786,7 +726,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// Rebuild the affected processors' task lists; the candidate's flat
 	// task list stays unmaterialized (impl.Tasks is nil). The rebuilt
 	// lists live in over.tasksOn, every untouched processor keeps its
-	// committed list in the synth cache, and every consumer of the
+	// committed list in the snapshot, and every consumer of the
 	// incremental path reads one of the two (timing-job construction,
 	// monitor delta, custom viewpoints via ctx.Tasks()); DeployedImpl
 	// materializes the committed flat list on demand for whole-model
@@ -830,7 +770,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	rebuildMsgs := d.FlowsChanged
 	if !rebuildMsgs {
 		for name := range over.fns {
-			if m.deployedFlowTouch[name] && placementChanged(m.deployedSynth.instancesOf[name], over.insts[name]) {
+			if m.snap.flowTouch[name] && placementChanged(m.snap.fns.get(name).insts, over.insts[name]) {
 				rebuildMsgs = true
 				break
 			}
@@ -861,7 +801,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// rows would come out exactly equal to the committed ones.
 	rebuildConns := false
 	for name := range over.fns {
-		if connTouched(m.deployedSynth.fnByName[name], over.fns[name]) {
+		if connTouched(m.snap.fn(name), over.fns[name]) {
 			rebuildConns = true
 			break
 		}
@@ -885,12 +825,12 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// Record what the partial synthesis actually rebuilt so later stages
 	// (timing-job construction, monitor planning) can splice their own
 	// cached artifacts for the untouched remainder, and hand the lookup
-	// overlay to the commit stage for keyed cache invalidation.
+	// overlay to the commit stage.
 	ctx.PartialSynth = true
 	ctx.AffectedProcs = affected
 	ctx.MessagesRebuilt = rebuildMsgs
 	ctx.ConnectionsRebuilt = rebuildConns
-	m.pendingSynth = over
+	m.att.synth = over
 
 	ctx.Note("reused %d/%d processors, messages %s, connections %s",
 		reusedProcs, len(m.platform.Processors), reusedWord(!rebuildMsgs), reusedWord(!rebuildConns))
@@ -899,10 +839,11 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 
 // residentInstances derives the candidate's instance list on one
 // affected processor: the committed residents minus the touched
-// functions' instances, plus the touched instances now placed there.
+// functions' instances, plus the touched instances now placed there, in
+// the (function, replica) order a from-scratch commit groups them in.
 // Cost is the processor's population, not the platform's.
 func (m *MCC) residentInstances(pn string, over *synthOverlay) []model.Instance {
-	old := m.deployedSynth.instOn[pn]
+	old := m.proc(pn).insts
 	out := make([]model.Instance, 0, len(old)+2)
 	for _, in := range old {
 		if _, touched := over.fns[in.Function]; !touched {
@@ -916,20 +857,25 @@ func (m *MCC) residentInstances(pn string, over *synthOverlay) []model.Instance 
 			}
 		}
 	}
+	slices.SortFunc(out, func(a, b model.Instance) int {
+		return cmp.Or(strings.Compare(a.Function, b.Function), cmp.Compare(a.Replica, b.Replica))
+	})
 	return out
 }
 
 // candTasks materializes the candidate's flat task list from the
 // committed per-processor lists plus the overlay's rebuilt ones, in the
 // m.procs assembly order of every synthesis path. Only consumers that
-// genuinely need the whole flat list pay for it (ctx.Tasks()).
+// genuinely need the whole flat list pay for it (ctx.Tasks(), and
+// DeployedImpl with an empty overlay). Non-nil even when empty, so the
+// memoization in DeployedImpl sticks.
 func (m *MCC) candTasks(over *synthOverlay) []model.Task {
 	total := 0
 	for _, pn := range m.procs {
 		if tasks, ok := over.tasksOn[pn]; ok {
 			total += len(tasks)
 		} else {
-			total += len(m.deployedSynth.tasksOn[pn])
+			total += len(m.proc(pn).tasks)
 		}
 	}
 	out := make([]model.Task, 0, total)
@@ -938,35 +884,33 @@ func (m *MCC) candTasks(over *synthOverlay) []model.Task {
 			out = append(out, tasks...)
 			continue
 		}
-		out = append(out, m.deployedSynth.tasksOn[pn]...)
+		out = append(out, m.proc(pn).tasks...)
 	}
 	return out
 }
 
 // candInstances materializes the candidate's flat sorted instance list
-// from the committed per-function table plus the overlay's placements —
+// from the snapshot's function entries plus the overlay's placements —
 // needed only by the connection-rebuild path, whose provider election
-// walks every instance. Untouched names come from the committed table,
-// touched ones from the overlay; the two sets are disjoint, and each
-// per-function list is replica-ascending, so concatenating over the
-// sorted names reproduces Instance.Less order.
+// walks every instance, and by DeployedImpl (empty overlay). Untouched
+// names come from the snapshot, touched ones from the overlay; the two
+// sets are disjoint, and each per-function list is replica-ascending, so
+// concatenating over the sorted names reproduces Instance.Less order.
 func (m *MCC) candInstances(over *synthOverlay) []model.Instance {
-	sc := m.deployedSynth
-	names := make([]string, 0, len(sc.instancesOf)+len(over.insts))
+	names := make([]string, 0, m.snap.fns.n+len(over.insts))
 	total := 0
-	for name, ins := range sc.instancesOf {
-		if _, touched := over.fns[name]; touched {
-			continue
+	m.snap.fns.each(func(name string, e fnEntry) {
+		if _, touched := over.fns[name]; !touched {
+			names = append(names, name)
+			total += len(e.insts)
 		}
-		names = append(names, name)
-		total += len(ins)
-	}
+	})
 	for name, ins := range over.insts {
 		names = append(names, name)
 		total += len(ins)
 	}
 	sort.Strings(names)
-	view := &synthView{cache: sc, over: over}
+	view := &synthView{snap: m.snap, over: over}
 	out := make([]model.Instance, 0, total)
 	for _, name := range names {
 		out = append(out, view.instances(name)...)
@@ -1087,8 +1031,8 @@ func (s *safetyStage) Run(ctx *pipeline.Context) error {
 			affected = append(affected, pn)
 		}
 		sort.Strings(affected)
-		over := m.pendingSynth
-		view := &synthView{cache: m.deployedSynth, over: over}
+		over := m.att.synth
+		view := &synthView{snap: m.snap, over: over}
 		findings, checked := safety.CheckEntities(touched, affected,
 			view.fn,
 			func(pn string) *model.Processor {
@@ -1147,8 +1091,8 @@ func (s *securityStage) Run(ctx *pipeline.Context) error {
 
 // checkSecurityScoped runs the cross-domain check diff-proportionally: a
 // connection gets a fresh verdict only when the diff touched its client
-// or server function, or when it has no committed verdict (new or
-// rewired wiring after a connection rebuild); every other connection was
+// or server function, or when it is not a committed row (new or rewired
+// wiring after a connection rebuild); every other connection was
 // committed clean with unchanged contracts and splices. Function
 // resolution goes through the committed synthesis lookups plus this
 // proposal's diff overlay — no per-proposal index rebuild.
@@ -1156,7 +1100,7 @@ func (m *MCC) checkSecurityScoped(ctx *pipeline.Context) ([]security.Finding, in
 	d := ctx.Diff
 	resolve := m.secResolver()
 	dirty := func(c model.Connection) bool {
-		if !m.deployedSecVerdicts[c] {
+		if !m.snap.connCommitted(c) {
 			return true // no committed verdict for this wiring
 		}
 		return d.Touched(security.FunctionName(c.Client)) || d.Touched(security.FunctionName(c.Server))
@@ -1171,7 +1115,7 @@ func (m *MCC) checkSecurityScoped(ctx *pipeline.Context) ([]security.Finding, in
 // its function is looked up, so a connection referencing a dropped
 // replica of a still-deployed function is skipped by both paths alike.
 func (m *MCC) secResolver() security.FunctionResolver {
-	view := &synthView{cache: m.deployedSynth, over: m.pendingSynth}
+	view := &synthView{snap: m.snap, over: m.att.synth}
 	return func(id string) *model.Function {
 		name := security.FunctionName(id)
 		for _, in := range view.instances(name) {
@@ -1196,7 +1140,7 @@ func (m *MCC) checkSecurityIndexed(ctx *pipeline.Context) ([]security.Finding, i
 	var pos []int
 	for _, names := range [][]string{d.Added, d.Changed, d.Removed} {
 		for _, name := range names {
-			pos = append(pos, m.deployedConnIdx[name]...)
+			pos = append(pos, m.snap.connIdx[name]...)
 		}
 	}
 	sort.Ints(pos)
@@ -1273,7 +1217,7 @@ type timingJob struct {
 
 // committedRes is one committed resource's timing artifacts — the CPA
 // job and its WCRT table — stored in deterministic resource order in
-// the chunked committed table (see MCC.deployedRes). res.Results == nil
+// the chunked committed table (see snapshot.res). res.Results == nil
 // marks a table not yet known: an optimistically committed resource
 // whose deferred analysis has not been verified; a job matching such an
 // entry is dirty and re-analyzes through the memo.
@@ -1392,7 +1336,7 @@ func (m *MCC) buildNetJob(impl *model.ImplementationModel, n *model.Network) (ti
 func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel) (jobs []timingJob, scanned int) {
 	sc := &m.scratch
 	jobs, sc.pos, sc.inserts, sc.dels = sc.jobs[:0], sc.pos[:0], 0, sc.dels[:0]
-	t := m.deployedRes
+	t := m.snap.res
 	if ctx == nil || !ctx.PartialSynth {
 		tasksOn := impl.TasksByProcessor()
 		for _, pn := range m.procs {
@@ -1429,7 +1373,7 @@ func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel)
 	sort.Strings(aff)
 	sc.affected = aff
 	for _, pn := range aff {
-		j, ok := m.buildProcJob(pn, m.pendingSynth.tasksOn[pn])
+		j, ok := m.buildProcJob(pn, m.att.synth.tasksOn[pn])
 		add(j, ok, t.find(pn, false))
 	}
 	if ctx.MessagesRebuilt {
@@ -1485,12 +1429,12 @@ type deferredChecks struct {
 }
 
 // deferred returns the deferred-check record of the pipeline run in
-// progress, creating it on first use. integrate resets it per pass.
+// progress, creating it on first use.
 func (m *MCC) deferred() *deferredChecks {
-	if m.lastDeferred == nil {
-		m.lastDeferred = &deferredChecks{}
+	if m.att.deferred == nil {
+		m.att.deferred = &deferredChecks{}
 	}
-	return m.lastDeferred
+	return m.att.deferred
 }
 
 // analyzeTiming runs CPA on every processor (SPP) and network (SPNP/CAN).
@@ -1502,14 +1446,14 @@ func (m *MCC) deferred() *deferredChecks {
 // is surfaced as a finding naming the resource — never dropped silently.
 //
 // Under ctx.DeferChecks the dirty analyses are not run at all: the jobs
-// are recorded on m.lastDeferred for the stream scheduler to batch onto
-// the worker pool and re-validate, and no findings are raised.
+// are recorded on the attempt's deferred-check record for the stream
+// scheduler to batch onto the worker pool and re-validate, and no
+// findings are raised.
 func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationModel) timingOutcome {
 	jobs, scanned := m.timingJobs(ctx, impl)
-	m.pendingJobs = jobs
-	m.pendingResults = nil
+	m.att.jobs = jobs
 
-	sc, t := &m.scratch, m.deployedRes
+	sc, t := &m.scratch, m.snap.res
 	out := timingOutcome{scanned: scanned, total: len(jobs)}
 	if ctx != nil && ctx.PartialSynth {
 		// The footprint-sized job list leaves every untouched committed
@@ -1592,7 +1536,7 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationMod
 	}
 
 	out.dirty = len(dirty)
-	m.pendingResults = results
+	m.att.results = results
 	for i := range jobs {
 		if errs[i] != nil {
 			if isTransientErr(errs[i]) {
@@ -1854,12 +1798,12 @@ func jobMonitorSpecs(j timingJob) []MonitorSpec {
 func (m *MCC) monitorDelta(ctx *pipeline.Context) []MonitorSpec {
 	var out []MonitorSpec
 	rebuilt := 0
-	for _, j := range m.pendingJobs {
+	for _, j := range m.att.jobs {
 		out = append(out, jobMonitorSpecs(j)...)
 		rebuilt++
 	}
 	if ctx.MessagesRebuilt {
-		t := m.deployedRes
+		t := m.snap.res
 		for li := t.procs; li < t.n; li++ {
 			if j := t.at(li).job; netClean(ctx, j.resource) {
 				out = append(out, jobMonitorSpecs(j)...)
@@ -1879,11 +1823,11 @@ type commitStage struct{ m *MCC }
 func (s *commitStage) Name() Stage { return StageCommit }
 
 // Run commits the accepted configuration. Under partial synthesis the
-// deployed caches are updated with keyed writes touching only what the
-// diff affected (journaled when a stream window is open — see
-// cacheJournal); a from-scratch attempt rebuilds them wholesale. The
-// cached values (task slices, result slices, spec slices) are immutable
-// once built, so reports and rollback points may alias them.
+// next snapshot is the committed one with the diff-touched parts written
+// under the current epoch (copied first when a window's start snapshot
+// owns them); a from-scratch attempt builds a fresh snapshot. The values
+// a snapshot holds (task slices, result slices, function copies) are
+// immutable once built, so reports and rollback points may alias them.
 func (s *commitStage) Run(ctx *pipeline.Context) error {
 	m := s.m
 	if m.deployed != ctx.Candidate {
@@ -1892,7 +1836,6 @@ func (s *commitStage) Run(ctx *pipeline.Context) error {
 		m.fnIdx = nil
 	}
 	m.deployed = ctx.Candidate
-	m.impl = ctx.Impl
 	if ctx.PartialSynth {
 		s.commitIncremental(ctx)
 	} else {
@@ -1905,13 +1848,17 @@ func (s *commitStage) Run(ctx *pipeline.Context) error {
 // bindReport attaches the just-committed table to the accepted report's
 // materialize-on-demand whole-table handle (Report.FullTiming /
 // FullMonitors). The table pointer is captured by value: later commits
-// install new tables without disturbing this snapshot, and the chunked
+// install new tables without disturbing this one, and the chunked
 // copy-on-write patching keeps the shared storage alive at O(diff) cost
 // per commit. The window heal map is captured alongside for reports
 // committed inside an open stream window, whose deferred analyses are
 // verified — and their tables learned — only after the commit.
 func (m *MCC) bindReport(rep *Report) {
-	t, heals := m.deployedRes, m.windowHeals
+	t := m.snap.res
+	var heals map[resDigestKey]TimingResult
+	if m.journal != nil {
+		heals = m.journal.heals
+	}
 	rep.BindCommitted(
 		func() []TimingResult { return t.materializeTiming(heals) },
 		func() []MonitorSpec { return t.materializeMonitors() },
@@ -1926,234 +1873,111 @@ func (m *MCC) bindReport(rep *Report) {
 // patches it in on success, the window replays on failure. It reads the
 // committed table, so commits call it before installing the next one.
 func (m *MCC) committedResult(i int) TimingResult {
-	if m.pendingResults != nil {
-		return m.pendingResults[i]
+	if m.att.results != nil {
+		return m.att.results[i]
 	}
 	if k := m.scratch.pos[i]; k >= 0 {
-		if cr := m.deployedRes.at(k); cr.job.digest == m.pendingJobs[i].digest {
+		if cr := m.snap.res.at(k); cr.job.digest == m.att.jobs[i].digest {
 			return cr.res
 		}
 	}
 	return TimingResult{}
 }
 
-// commitFull rebuilds every deployed cache from this attempt's artifacts.
-// Fresh maps are swapped in wholesale: an open window journal keeps the
-// window-start maps (with their keyed undo entries) intact and detaches,
-// so rollback simply re-installs them.
+// commitFull builds a fresh snapshot from this attempt's artifacts. A
+// window's start snapshot is left as it was.
 func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	m := s.m
-	if m.journal != nil {
-		m.journal.detached = true
-	}
-	// A wholesale rebuild replaces every incremental cache with values
+	// A wholesale rebuild replaces all incremental state with values
 	// derived from this attempt's artifacts, so any quarantine imposed by
 	// the degradation ladder is lifted: the suspect state is gone.
 	m.quarantined = false
 
 	// The from-scratch job list is the whole new table, already in
 	// deterministic resource order (processor prefix, then networks).
-	list := make([]committedRes, len(m.pendingJobs))
+	list := make([]committedRes, len(m.att.jobs))
 	procCount := 0
-	for i, jb := range m.pendingJobs {
+	for i, jb := range m.att.jobs {
 		if !jb.spnp {
 			procCount++
 		}
 		list[i] = committedRes{job: jb, res: m.committedResult(i)}
 	}
-	m.deployedRes = resTableFrom(list, procCount)
-
-	// The remaining warm caches serve only the incremental stages; they
-	// are installed together, so m.warm() stands for all of them.
-	if !m.incremental {
-		return
-	}
-	m.deployedSynth = newSynthCache(ctx.Impl)
-	sec := make(map[model.Connection]bool, len(ctx.Impl.Connections))
-	for _, c := range ctx.Impl.Connections {
-		sec[c] = true
-	}
-	m.deployedSecVerdicts = sec
-	m.deployedConnIdx = connPosIndex(ctx.Impl.Connections)
-	m.deployedInstTotal = len(ctx.Impl.Tech.Instances)
-	m.deployedFlowTouch = flowTouchIndex(ctx.Candidate.Flows)
-	m.deployedLoads = committedLoads(m, ctx.Impl.Tech.Instances)
-	prov := make(map[string]int)
-	for i := range ctx.Candidate.Functions {
-		for _, svc := range ctx.Candidate.Functions[i].Provides {
-			prov[svc]++
-		}
-	}
-	m.svcProviders = prov
+	m.snap = m.buildSnapshot(ctx.Candidate, ctx.Impl, resTableFrom(list, procCount))
 }
 
-// committedLoads derives the per-processor load accounting of a committed
-// placement — a fresh slice, so an open window journal rolls back by
-// restoring the window-start pointer.
-func committedLoads(m *MCC, instances []model.Instance) []procLoad {
-	loads := make([]procLoad, len(m.platform.Processors))
-	for _, in := range instances {
-		i, ok := m.procIdx[in.Processor]
-		f := m.deployedSynth.fnByName[in.Function]
-		if !ok || f == nil {
-			continue
-		}
-		loads[i].utilPPM += scaleUtilPPM(utilPPM(f), m.platform.Processors[i].SpeedFactor)
-		loads[i].ramKiB += f.Contract.Resources.RAMKiB
-	}
-	return loads
-}
-
-// connPosIndex maps each function name to the ascending positions of the
-// committed connections it is incident to (client or server side) — the
-// committed index behind the indexed scoped security check. Always built
-// fresh, never mutated in place, so a window journal rolls it back by
-// restoring the window-start pointer.
-func connPosIndex(conns []model.Connection) map[string][]int {
-	out := make(map[string][]int)
-	for i, c := range conns {
-		cl := security.FunctionName(c.Client)
-		sv := security.FunctionName(c.Server)
-		out[cl] = append(out[cl], i)
-		if sv != cl {
-			out[sv] = append(out[sv], i)
-		}
-	}
-	return out
-}
-
-// flowTouchIndex maps every function name a flow references to true —
-// the committed index behind DiffFromChange's removal arm.
-func flowTouchIndex(flows []model.Flow) map[string]bool {
-	out := make(map[string]bool, 2*len(flows))
-	for _, fl := range flows {
-		out[fl.From] = true
-		out[fl.To] = true
-	}
-	return out
-}
-
-// commitIncremental updates the deployed caches from the footprint-sized
-// artifacts of a partial-synthesis attempt: the committed table is
+// commitIncremental writes the footprint-sized artifacts of a
+// partial-synthesis attempt into the next snapshot: the timing table is
 // patched (or, on a shape change, rebuilt) from this attempt's job list,
-// and the diff-touched lookup entries are written or deleted with keyed
-// writes, journaled when a window is open. Everything else keeps its
-// committed entry by the splice invariant.
+// and the diff-touched functions, provider counts and affected
+// processors are written under the current epoch. Everything else keeps
+// its committed entry by the splice invariant.
 func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
-	m, j := s.m, s.m.journal
-
-	// The committed flow index changes only with the flow set (removals
-	// cutting flows). Commits swap in a fresh map — never an in-place
-	// write — so a window journal rolls back by pointer.
-	if ctx.Diff.FlowsChanged {
-		m.deployedFlowTouch = flowTouchIndex(ctx.Candidate.Flows)
-	}
-
-	// The warm-started mapping's placer buffer already holds the final
-	// per-processor totals of the accepted placement; take ownership of it
-	// as the new committed loads. The previous slice is recycled as the
-	// next proposal's placer buffer — unless a window journal holds it as
-	// its rollback pointer, in which case it must stay intact.
-	old := m.deployedLoads
-	m.deployedLoads, m.pendingLoads = m.pendingLoads, nil
-	m.loadScratch = nil
-	if j == nil || len(old) == 0 || len(j.loads) == 0 || &old[0] != &j.loads[0] {
-		m.loadScratch = old
-	}
+	m := s.m
 
 	// Committed table. When every job replaces its committed entry in
 	// place, the table is patched copy-on-write — spine plus affected
-	// chunks, O(diff) — leaving the previous table (a window rollback
-	// point, a bound report snapshot) intact and shared. A resource
+	// chunks, O(diff) — leaving the previous table (a window's start
+	// snapshot, a bound report's view) intact and shared. A resource
 	// gaining its first load or losing its last shifts positions, so the
 	// table is rebuilt instead: O(n) like a from-scratch commit, and rare
 	// in steady state.
+	var res *resTable
 	if sc := &m.scratch; sc.inserts == 0 && len(sc.dels) == 0 {
-		updates := make([]resUpdate, len(m.pendingJobs))
-		for i, jb := range m.pendingJobs {
+		updates := make([]resUpdate, len(m.att.jobs))
+		for i, jb := range m.att.jobs {
 			updates[i] = resUpdate{sc.pos[i], committedRes{job: jb, res: m.committedResult(i)}}
 		}
-		m.deployedRes = m.deployedRes.patch(updates)
+		res = m.snap.res.patch(m.newEpoch(), updates)
 	} else {
-		m.deployedRes = m.rebuildTable()
+		res = m.rebuildTable()
 	}
 
-	// Security verdict cache: the connection set changes only when the
-	// synthesis rebuilt the sessions; every connection of the accepted
-	// implementation model was verified clean (fresh-checked this
-	// proposal or spliced from an earlier commit), so the cache becomes
-	// exactly the new connection set — stale wiring dropped, new wiring
-	// added, untouched entries left alone.
+	n, e, over := m.ownSnap(), m.epoch, m.att.synth
+	n.impl, n.res = ctx.Impl, res
+	// The flow index changes only with the flow set (removals cutting
+	// flows), the connection index only when the synthesis rebuilt the
+	// sessions; both are replaced, never written in place.
+	if ctx.Diff.FlowsChanged {
+		n.flowTouch = flowTouchIndex(ctx.Candidate.Flows)
+	}
 	if ctx.ConnectionsRebuilt {
-		next := make(map[model.Connection]bool, len(ctx.Impl.Connections))
-		for _, c := range ctx.Impl.Connections {
-			next[c] = true
-		}
-		for c := range m.deployedSecVerdicts {
-			if !next[c] {
-				jdel(j.jSec(), m.deployedSecVerdicts, c)
-			}
-		}
-		for c := range next {
-			if !m.deployedSecVerdicts[c] {
-				jset(j.jSec(), m.deployedSecVerdicts, c, true)
-			}
-		}
-		// The position index describes the committed list; a rebuilt list
-		// gets a fresh index (rollback restores the window-start pointer).
-		m.deployedConnIdx = connPosIndex(ctx.Impl.Connections)
+		n.connIdx = connPosIndex(ctx.Impl.Connections)
 	}
 
-	// Apply the synthesis lookup overlay: diff-touched functions are
-	// copied in (or dropped), affected processors' task lists replaced.
-	// The provider counts adjust by the same delta — decrement the
-	// committed occurrences (read before the overlay overwrites them),
-	// increment the candidate's.
-	sc, over := m.deployedSynth, m.pendingSynth
-	// Committed instance count: touched functions' committed replicas
-	// out, fresh placements in — read before the overlay overwrites the
-	// committed entries. Rollback restores the window-start value saved
-	// by beginWindow.
-	for name := range over.fns {
-		m.deployedInstTotal += len(over.insts[name]) - len(sc.instancesOf[name])
-	}
+	// Diff-touched functions are copied in (or dropped); the instance
+	// count and the provider counts adjust by the same delta — the
+	// committed entry's share out (read before it is overwritten), the
+	// candidate's in.
 	for name, f := range over.fns {
-		if old := sc.fnByName[name]; old != nil {
-			for _, svc := range old.Provides {
-				if n := m.svcProviders[svc] - 1; n > 0 {
-					jset(j.jSvcProv(), m.svcProviders, svc, n)
+		old := n.fns.get(name)
+		n.instTotal += len(over.insts[name]) - len(old.insts)
+		if old.fn != nil {
+			for _, svc := range old.fn.Provides {
+				if c := n.prov.get(svc) - 1; c > 0 {
+					n.prov.put(e, svc, c)
 				} else {
-					jdel(j.jSvcProv(), m.svcProviders, svc)
+					n.prov.del(e, svc)
 				}
 			}
 		}
-		if f != nil {
-			for _, svc := range f.Provides {
-				jset(j.jSvcProv(), m.svcProviders, svc, m.svcProviders[svc]+1)
-			}
-		}
 		if f == nil {
-			jdel(j.jSynFns(), sc.fnByName, name)
-			jdel(j.jSynIns(), sc.instancesOf, name)
+			n.fns.del(e, name)
 			continue
 		}
+		for _, svc := range f.Provides {
+			n.prov.put(e, svc, n.prov.get(svc)+1)
+		}
 		cp := *f
-		jset(j.jSynFns(), sc.fnByName, name, &cp)
-		jset(j.jSynIns(), sc.instancesOf, name, over.insts[name])
+		n.fns.put(e, name, fnEntry{&cp, over.insts[name]})
 	}
-	for pn, tasks := range over.tasksOn {
-		if len(tasks) == 0 {
-			jdel(j.jSynTasks(), sc.tasksOn, pn)
-		} else {
-			jset(j.jSynTasks(), sc.tasksOn, pn, tasks)
-		}
-	}
-	for pn, insts := range over.instsOn {
-		if len(insts) == 0 {
-			jdel(j.jSynInstOn(), sc.instOn, pn)
-		} else {
-			jset(j.jSynInstOn(), sc.instOn, pn, insts)
-		}
+	// Affected processors take their rebuilt task and resident lists and
+	// the placer's final load totals (the warm start discounted and placed
+	// only on these processors).
+	for pn := range ctx.AffectedProcs {
+		i := m.procIdx[pn]
+		n.procs.set(e, i, procState{over.tasksOn[pn], over.instsOn[pn]})
+		n.loads.set(e, i, m.att.loads[i])
 	}
 }
 
@@ -2163,7 +1987,7 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 // job where this attempt built one, keeps its committed entry where it
 // did not, and drops the entries of resources that lost their last load.
 func (m *MCC) rebuildTable() *resTable {
-	t, jobs, sc := m.deployedRes, m.pendingJobs, &m.scratch
+	t, jobs, sc := m.snap.res, m.att.jobs, &m.scratch
 	list := make([]committedRes, 0, t.n+sc.inserts-len(sc.dels))
 	procs, c, k, d := 0, 0, 0, 0
 	visit := func(name string, spnp bool) {

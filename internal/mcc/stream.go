@@ -242,9 +242,9 @@ func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*R
 		return reports
 	}
 
-	// Copy-on-write rollback point: window-start pointers now, undo
-	// entries as the window's commits touch cache keys — cost follows the
-	// window's footprint, not the platform size.
+	// Rollback point: the start snapshot pointer and a fresh epoch, so the
+	// window's commits copy exactly the snapshot parts they write — cost
+	// follows the window's footprint, not the platform size.
 	j := m.beginWindow()
 	type pend struct {
 		report *Report
@@ -269,12 +269,11 @@ func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*R
 		rep := m.integrateChangeCtx(gctx, c)
 		reports = append(reports, rep)
 		optimisticPasses += rep.Passes
-		if rep.Accepted && m.lastDeferred != nil {
-			pendings = append(pendings, pend{rep, m.lastDeferred})
+		if rep.Accepted && m.att.deferred != nil {
+			pendings = append(pendings, pend{rep, m.att.deferred})
 		}
 	}
 	m.deferChecks = false
-	m.lastDeferred = nil
 
 	// Concurrent phase: run the window's deferred checks on the pool —
 	// the from-scratch safety/security verdicts of proposals that could
@@ -413,11 +412,11 @@ func (s *StreamScheduler) prefetch(tasks []func()) {
 // deferred busy-window verdict is read back (a memo hit after prefetch)
 // and checked exactly as the timing stage would have. On success the
 // report's timing delta is filled with fresh copies of the deferred
-// verdicts, the window heal map learns the verdicts for the table
-// snapshots bound by this window's earlier commits, and the live
-// committed table is patched copy-on-write so post-window snapshots are
-// complete (the window-start table, the journal's rollback pointer, is
-// untouched, so a later proposal's failed verdict rolls the patch back).
+// verdicts, the window heal map learns the verdicts for the tables bound
+// by this window's earlier commits, and the snapshot is replaced by a
+// copy with the patched table so post-window views are complete (the
+// start snapshot, the journal's rollback pointer, is untouched, so a
+// later proposal's failed verdict rolls the patch back).
 // On any failed check it reports false and leaves the caller to replay
 // the window.
 func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
@@ -441,7 +440,7 @@ func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 		return true
 	}
 	delta := make([]TimingResult, 0, len(dt.jobs))
-	t := m.deployedRes
+	t := m.snap.res
 	var updates []resUpdate
 	for _, job := range dt.jobs {
 		res, err := m.runTimingJobSafe(nil, job)
@@ -453,9 +452,7 @@ func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 				return false
 			}
 		}
-		if m.windowHeals != nil {
-			m.windowHeals[resDigestKey{job.resource, job.digest}] = res
-		}
+		m.journal.heals[resDigestKey{job.resource, job.digest}] = res
 		if k := t.find(job.resource, job.spnp); k >= 0 {
 			if cr := t.at(k); cr.job.digest == job.digest && cr.res.Results == nil {
 				updates = append(updates, resUpdate{k, committedRes{job: cr.job, res: res}})
@@ -465,9 +462,9 @@ func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 	}
 	rep.TimingDelta = delta
 	if len(updates) > 0 {
-		// The patch leaves the window-start table (the journal's rollback
-		// pointer) and every bound snapshot intact.
-		m.deployedRes = t.patch(updates)
+		// The patch leaves the start snapshot's table and every bound view
+		// intact.
+		m.ownSnap().res = t.patch(m.newEpoch(), updates)
 	}
 	return true
 }
@@ -516,12 +513,12 @@ func declaredFootprint(lookup func(string) *model.Function, c Change) footprint 
 	return fp
 }
 
-// lookupDeployedFn resolves a deployed function by name: an O(1) index
-// hit while the committed synthesis cache is warm, the linear
-// architecture walk otherwise (cold or quarantined controllers).
+// lookupDeployedFn resolves a deployed function by name: an O(1) map hit
+// while the snapshot is warm, the linear architecture walk otherwise
+// (cold or quarantined controllers).
 func (m *MCC) lookupDeployedFn(name string) *model.Function {
 	if m.warm() {
-		return m.deployedSynth.fnByName[name]
+		return m.snap.fn(name)
 	}
 	return m.deployed.FunctionByName(name)
 }

@@ -10,15 +10,16 @@ import (
 	"repro/internal/model"
 )
 
-// Stress test for the stream scheduler's copy-on-write rollback: random
+// Stress test for the stream scheduler's snapshot rollback: random
 // streams with overlapping footprints and planted mid-window rejections
 // (timing deadline-missers and safety findings) force optimistic windows
-// to replay, and after every stream the controller's deployed caches —
-// the committed timing table (jobs, digests, WCRT tables), synthesis
-// lookup tables, monitor plan — must be bit-identical to a fresh
-// controller that proposed the same stream serially, and both must equal
-// the from-scratch oracle. Run under -race in CI, this
-// also exercises the prefetch pool against the journal writes.
+// to replay, and after every stream the controller's committed state —
+// the timing table (jobs, digests, WCRT tables), every snapshot field,
+// the monitor plan — must be bit-identical to a fresh controller that
+// proposed the same stream serially, both must equal a rebuild of their
+// own snapshot (assertSnapshotFresh, also after every serial step), and
+// both must equal the from-scratch oracle. Run under -race in CI, this
+// also exercises the prefetch pool against the window's commits.
 
 // stressPlatform is deliberately tight: one slow safe core and one fast
 // core, so random workloads regularly fail timing mid-window.
@@ -73,41 +74,29 @@ func stressChange(rng *rand.Rand, i int) Change {
 	}
 }
 
-// cacheFingerprint projects every deployed cache of the controller into a
-// comparable value.
+// cacheFingerprint projects the controller's committed state into a
+// comparable value: the architecture, the materialized implementation
+// model, the timing table (WCRT tables, jobs, digests), the monitor plan,
+// and every field of the committed snapshot (snapshotView).
 func cacheFingerprint(m *MCC) map[string]any {
-	fns := make(map[string]model.Function)
-	insts := make(map[string][]model.Instance)
-	tasks := make(map[string][]model.Task)
-	if m.deployedSynth != nil {
-		for name, f := range m.deployedSynth.fnByName {
-			fns[name] = *f
-		}
-		for name, ins := range m.deployedSynth.instancesOf {
-			insts[name] = ins
-		}
-		for pn, ts := range m.deployedSynth.tasksOn {
-			tasks[pn] = ts
-		}
-	}
 	// DeployedImpl materializes the flat Tasks/Instances lists, so a
 	// streamed (lazily committed) controller fingerprints the same as a
 	// serially rebuilt one.
 	impl := m.DeployedImpl()
-	return map[string]any{
+	fp := map[string]any{
 		"deployed": m.deployed,
-		"secVerd":  m.deployedSecVerdicts,
 		"tasks":    impl.Tasks,
 		"messages": impl.Messages,
 		"conns":    impl.Connections,
-		"timing":   m.deployedRes.materializeTiming(nil),
+		"timing":   m.snap.res.materializeTiming(nil),
 		"jobs":     committedJobs(m),
 		"digests":  committedDigests(m),
 		"monitors": m.DeployedMonitors(),
-		"synFns":   fns,
-		"synIns":   insts,
-		"synTasks": tasks,
 	}
+	for k, v := range snapshotView(m.snap) {
+		fp["snap."+k] = v
+	}
+	return fp
 }
 
 func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
@@ -146,10 +135,13 @@ func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
 			sched := NewStreamScheduler(streamed, WithStreamWindow(8))
 			got := sched.Run(changes)
 
+			assertSnapshotFresh(t, "stream", streamed)
+
 			fresh := mk()
 			want := make([]*Report, 0, len(changes))
-			for _, c := range changes {
+			for i, c := range changes {
 				want = append(want, fresh.integrateChangeCtx(context.Background(), c))
+				assertSnapshotFresh(t, fmt.Sprintf("serial step %d", i), fresh)
 			}
 
 			for i := range want {
@@ -165,8 +157,8 @@ func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
 					totalSecurityRejects++
 				}
 			}
-			// The rollback invariant of the issue: after replays, every
-			// cache must be bit-identical to a fresh serial commit of the
+			// The rollback invariant: after replays, every snapshot field
+			// must be bit-identical to a fresh serial commit of the
 			// same decisions.
 			sf, ff := cacheFingerprint(streamed), cacheFingerprint(fresh)
 			for key := range ff {

@@ -26,23 +26,42 @@ func domainFn(name, domain string, peers ...string) model.Function {
 	return f
 }
 
-// assertSecCacheMirrorsConnections checks the committed per-connection
-// verdict cache is exactly the deployed connection set — no stale keys
-// after removals or rewiring, no missing ones after additions.
+// assertSecCacheMirrorsConnections checks the committed-connection
+// predicate the scoped security check reads in place of a verdict cache:
+// it accepts every deployed connection and rejects a rewired copy of
+// each, and the connection index behind it is exactly the deployed
+// list's — every row it names is incident to the indexed function — so
+// no stale key can pass after removals or rewiring, and none is missing
+// after additions.
 func assertSecCacheMirrorsConnections(t *testing.T, label string, m *MCC) {
 	t.Helper()
-	if m.deployedSecVerdicts == nil {
-		t.Fatalf("%s: security verdict cache not built", label)
+	if !m.warm() {
+		t.Fatalf("%s: snapshot not warm", label)
 	}
-	want := make(map[model.Connection]bool)
-	if impl := m.DeployedImpl(); impl != nil {
-		for _, c := range impl.Connections {
-			want[c] = true
+	conns := m.DeployedImpl().Connections
+	for _, c := range conns {
+		if !m.snap.connCommitted(c) {
+			t.Fatalf("%s: deployed connection %+v not committed", label, c)
+		}
+		stale := c
+		stale.Service += "-stale"
+		if m.snap.connCommitted(stale) {
+			t.Fatalf("%s: rewired connection %+v passes as committed", label, stale)
 		}
 	}
-	if !reflect.DeepEqual(m.deployedSecVerdicts, want) {
-		t.Fatalf("%s: verdict cache diverges from deployed connections:\ncache %v\nconns %v",
-			label, m.deployedSecVerdicts, want)
+	for name, rows := range m.snap.connIdx {
+		for _, p := range rows {
+			if p < 0 || p >= len(conns) {
+				t.Fatalf("%s: index row %d of %q outside the %d deployed connections", label, p, name, len(conns))
+			}
+			if c := conns[p]; security.FunctionName(c.Client) != name && security.FunctionName(c.Server) != name {
+				t.Fatalf("%s: index row %d of %q points at unrelated connection %+v", label, p, name, c)
+			}
+		}
+	}
+	if want := connPosIndex(conns); !reflect.DeepEqual(m.snap.connIdx, want) {
+		t.Fatalf("%s: connection index diverges from the deployed connections:\nindex %v\nwant  %v",
+			label, m.snap.connIdx, want)
 	}
 }
 
