@@ -42,8 +42,10 @@ func stressPlatform() *model.Platform {
 // earlier function, or a removal.
 func stressChange(rng *rand.Rand, i int) Change {
 	switch rng.Intn(10) {
-	case 0: // near-capacity ASIL-D load: often misses deadlines next to others
+	case 0: // near-capacity ASIL-D load: its 5 ms release jitter makes it
+		// miss deadlines next to others, failing its deferred timing verdict
 		f := fn(fmt.Sprintf("heavy%d", i), model.ASILD, 10000, 4000+int64(rng.Intn(4))*500, 64)
+		f.Contract.RealTime.JitterUS = 5000
 		return upd(f)
 	case 1: // fail-operational without replicas: deferred safety finding
 		f := fn(fmt.Sprintf("failop%d", i), model.ASILD, 40000, 1000, 64)
@@ -179,6 +181,8 @@ func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
 			totalSpeculated += st.Speculated
 		})
 	}
+	t.Logf("corpus totals: replays=%d conflicts=%d speculated=%d securityRejects=%d",
+		totalReplays, totalConflicts, totalSpeculated, totalSecurityRejects)
 	// The corpus must actually exercise the machinery it guards: rollbacks,
 	// footprint conflicts, and verified speculation all have to occur.
 	if totalReplays == 0 || totalConflicts == 0 || totalSpeculated == 0 || totalSecurityRejects == 0 {

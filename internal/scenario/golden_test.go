@@ -13,11 +13,16 @@ import (
 	"testing"
 
 	"repro/internal/mcc"
+	"repro/internal/model"
 )
 
-// Golden decision log: the E13 generated streams (DefaultFleetSpec) at
-// every benchmarked platform size, decided once and committed as one line
-// per change. Each line hashes the change's verdict and findings, and —
+// Golden decision logs: generated change streams at every benchmarked
+// platform size, decided once and committed as one line per change. The
+// E13 log holds the E13 streams as generated (DefaultFleetSpec); the mixed
+// log adds cross-domain clients and near-capacity heavy adds to the same
+// fleets, so it also reaches the paths the E13 streams never do:
+// connection rebuilds, security rejections, and stream windows that fail
+// a deferred timing verdict and replay. Each line hashes the change's verdict and findings, and —
 // for accepted changes — the whole committed WCRT table and monitor plan
 // the report binds (FullTiming/FullMonitors). Every engine replays the
 // log and must reproduce it line for line (the serial engine its decision
@@ -32,12 +37,59 @@ import (
 // only together with a CHANGES.md entry naming every changed line and why
 // it changed.
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_e13.txt from the full-incremental engine")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/golden_e13*.txt logs from the full-incremental engine")
 
-const (
-	goldenPath    = "testdata/golden_e13.txt"
-	goldenChanges = 64
-)
+const goldenChanges = 64
+
+// goldenLog is one committed log: its file, its header, the subtest name
+// prefix of its replays, and the fleet and change stream it decides at a
+// platform size.
+type goldenLog struct {
+	path, header, prefix string
+	stream               func(procs int) (*Fleet, []mcc.Change)
+}
+
+var goldenLogs = []goldenLog{
+	{
+		path:   "testdata/golden_e13.txt",
+		header: "# E13 golden decision log: scenario.DefaultFleetSpec streams, 64 changes per size.\n",
+		stream: func(procs int) (*Fleet, []mcc.Change) {
+			fleet := GenFleet(DefaultFleetSpec(procs))
+			return fleet, fleet.Changes(goldenChanges)
+		},
+	},
+	{
+		path:   "testdata/golden_e13_mixed.txt",
+		header: "# Mixed golden decision log: scenario.DefaultFleetSpec with Mix.CrossDomain = 2, every 16th change from index 10 a heavy ASIL-D add, 64 changes per size.\n",
+		prefix: "mixed/",
+		stream: func(procs int) (*Fleet, []mcc.Change) {
+			spec := DefaultFleetSpec(procs)
+			spec.Mix.CrossDomain = 2
+			fleet := GenFleet(spec)
+			changes := fleet.Changes(goldenChanges)
+			for i := 10; i < len(changes); i += 16 {
+				changes[i] = goldenHeavy(i)
+			}
+			return fleet, changes
+		},
+	},
+}
+
+// goldenHeavy is a near-capacity ASIL-D add: 55-70% of a lockstep core at
+// a 10 ms period with an implicit deadline. Its 5 ms release jitter makes
+// it miss that deadline wherever it is placed, so a stream window fails
+// its deferred timing verdict and replays.
+func goldenHeavy(i int) mcc.Change {
+	fn := model.Function{
+		Name: fmt.Sprintf("heavy%03d", i),
+		Contract: model.Contract{
+			Safety:    model.ASILD,
+			RealTime:  model.RealTimeContract{PeriodUS: 10000, WCETUS: 5500 + int64(i/16%4)*500, JitterUS: 5000},
+			Resources: model.ResourceContract{RAMKiB: 64},
+		},
+	}
+	return mcc.Change{Update: &fn}
+}
 
 // goldenSizes lists the E13 platform sizes the log covers.
 var goldenSizes = []int{32, 128, 512, 2048}
@@ -83,12 +135,11 @@ func goldenDecision(line string) string {
 	return strings.Join(f[:min(4, len(f))], " ")
 }
 
-// goldenRun decides the size's E13 stream on one engine and returns its
-// log lines.
-func goldenRun(t *testing.T, procs int, mode MCCThroughputMode) []string {
+// goldenRun decides the log's stream at one size on one engine and
+// returns its log lines.
+func goldenRun(t *testing.T, log goldenLog, procs int, mode MCCThroughputMode) []string {
 	t.Helper()
-	fleet := GenFleet(DefaultFleetSpec(procs))
-	changes := fleet.Changes(goldenChanges)
+	fleet, changes := log.stream(procs)
 	var opts []mcc.Option
 	if mode == ThroughputSerial {
 		opts = append(opts, mcc.WithoutIncremental(), mcc.WithTimingWorkers(1))
@@ -119,9 +170,9 @@ func goldenRun(t *testing.T, procs int, mode MCCThroughputMode) []string {
 	return lines
 }
 
-func readGolden(t *testing.T) map[int][]string {
+func readGolden(t *testing.T, log goldenLog) map[int][]string {
 	t.Helper()
-	f, err := os.Open(goldenPath)
+	f, err := os.Open(log.path)
 	if err != nil {
 		t.Fatalf("golden log: %v (regenerate with -update-golden)", err)
 	}
@@ -145,54 +196,56 @@ func readGolden(t *testing.T) map[int][]string {
 	return out
 }
 
-func writeGolden(t *testing.T) {
+func writeGolden(t *testing.T, log goldenLog) {
 	t.Helper()
 	var b strings.Builder
-	b.WriteString("# E13 golden decision log: scenario.DefaultFleetSpec streams, 64 changes per size.\n")
+	b.WriteString(log.header)
 	b.WriteString("# procs index verdict sha256(verdict, findings)[:16] sha256(FullTiming, FullMonitors)[:16]\n")
 	for _, procs := range goldenSizes {
-		for _, line := range goldenRun(t, procs, ThroughputFull) {
+		for _, line := range goldenRun(t, log, procs, ThroughputFull) {
 			b.WriteString(line)
 			b.WriteByte('\n')
 		}
 	}
-	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(log.path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(log.path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestGoldenDecisionLog replays the committed golden log against the
+// TestGoldenDecisionLog replays every committed golden log against the
 // serial (32–512 processors), full-incremental and stream-parallel
 // engines (every size). Any differing line fails with both lines named.
 func TestGoldenDecisionLog(t *testing.T) {
-	if *updateGolden {
-		writeGolden(t)
-	}
-	golden := readGolden(t)
-	for _, procs := range goldenSizes {
-		want := golden[procs]
-		if len(want) != goldenChanges {
-			t.Fatalf("golden log holds %d lines for %dp, want %d", len(want), procs, goldenChanges)
+	for _, log := range goldenLogs {
+		if *updateGolden {
+			writeGolden(t, log)
 		}
-		for _, mode := range ThroughputModes() {
-			if mode == ThroughputSerial && procs > goldenSerialMax {
-				continue
+		golden := readGolden(t, log)
+		for _, procs := range goldenSizes {
+			want := golden[procs]
+			if len(want) != goldenChanges {
+				t.Fatalf("%s holds %d lines for %dp, want %d", log.path, len(want), procs, goldenChanges)
 			}
-			t.Run(fmt.Sprintf("%dp/%s", procs, mode), func(t *testing.T) {
-				got := goldenRun(t, procs, mode)
-				for i := range want {
-					g, w := got[i], want[i]
-					if mode == ThroughputSerial {
-						g, w = goldenDecision(g), goldenDecision(w)
-					}
-					if g != w {
-						t.Fatalf("change %d diverges from the golden log:\ngot  %s\nwant %s", i, g, w)
-					}
+			for _, mode := range ThroughputModes() {
+				if mode == ThroughputSerial && procs > goldenSerialMax {
+					continue
 				}
-			})
+				t.Run(fmt.Sprintf("%s%dp/%s", log.prefix, procs, mode), func(t *testing.T) {
+					got := goldenRun(t, log, procs, mode)
+					for i := range want {
+						g, w := got[i], want[i]
+						if mode == ThroughputSerial {
+							g, w = goldenDecision(g), goldenDecision(w)
+						}
+						if g != w {
+							t.Fatalf("change %d diverges from %s:\ngot  %s\nwant %s", i, log.path, g, w)
+						}
+					}
+				})
+			}
 		}
 	}
 }
