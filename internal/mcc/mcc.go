@@ -158,10 +158,10 @@ type MCC struct {
 	// scratch holds the MCC-owned buffers the timing hot path reuses
 	// across proposals.
 	scratch timingScratch
-	// deferChecks makes newContext ask the pure verdict stages (safety,
-	// security, timing) to defer their checks (optimistic evaluation);
-	// set only by the StreamScheduler, which re-validates every deferred
-	// verdict before a window is final.
+	// deferChecks makes newContext ask the timing stage to defer its
+	// busy-window analyses (optimistic evaluation); set only by the
+	// StreamScheduler, which re-validates every deferred verdict before a
+	// window is final.
 	deferChecks bool
 
 	// custom holds acceptance stages registered via WithStage; they run
@@ -379,8 +379,8 @@ type attempt struct {
 	// applied to the snapshot by the commit stage.
 	synth *synthOverlay
 	// jobs is the timing stage's job list (footprint-sized under partial
-	// synthesis, every loaded resource on a from-scratch pass;
-	// scratch.pos holds each job's committed position).
+	// synthesis, every loaded resource on a from-scratch pass; each job
+	// carries its committed-table slot).
 	jobs []timingJob
 	// results holds the per-job WCRT tables of a non-deferred timing run,
 	// indexed like jobs (nil under deferred checks).
@@ -656,7 +656,6 @@ func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitectur
 	ctx := &pipeline.Context{
 		Platform:     m.platform,
 		Candidate:    cand,
-		Deployed:     m.deployed,
 		DeployedImpl: m.snap.impl,
 		Report:       rep,
 		Incremental:  incremental,

@@ -23,8 +23,8 @@ func FromScratchTables(p *model.Platform, impl *model.ImplementationModel) ([]Ti
 	m := &MCC{platform: p, procs: procNames(p), procIdx: procIndex(p)}
 	var timing []TimingResult
 	tasksOn := impl.TasksByProcessor()
-	for _, pn := range m.procs {
-		j, ok := m.buildProcJob(pn, tasksOn[pn])
+	for k, pn := range m.procs {
+		j, ok := m.buildProcJob(k, tasksOn[pn])
 		if !ok {
 			continue
 		}
@@ -35,7 +35,7 @@ func FromScratchTables(p *model.Platform, impl *model.ImplementationModel) ([]Ti
 		timing = append(timing, TimingResult{Resource: pn, Results: res})
 	}
 	for i := range p.Networks {
-		j, ok := m.buildNetJob(impl, &p.Networks[i])
+		j, ok := m.buildNetJob(impl, i)
 		if !ok {
 			continue
 		}

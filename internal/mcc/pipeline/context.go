@@ -10,16 +10,13 @@ import (
 // Context is the shared state one integration attempt threads through the
 // pipeline. Early stages fill in artifacts (technical architecture,
 // implementation model) that later stages consume; incremental stages
-// additionally read the deployed configuration and the precomputed Diff to
-// restrict their work to what the change actually touches.
+// additionally read the deployed implementation model and the precomputed
+// Diff to restrict their work to what the change actually touches.
 type Context struct {
 	// Platform is the target platform the MCC manages.
 	Platform *model.Platform
 	// Candidate is the functional architecture under test.
 	Candidate *model.FunctionalArchitecture
-	// Deployed is the committed functional architecture (empty on first
-	// deployment) the candidate is diffed against.
-	Deployed *model.FunctionalArchitecture
 	// DeployedImpl is the committed implementation model (nil until the
 	// first successful integration); incremental mapping warm-starts from
 	// its instance placement and incremental synthesis copies its
@@ -79,12 +76,12 @@ type Context struct {
 	// custom viewpoint like the thermal budget — must read it through
 	// Tasks() instead of Impl.Tasks.
 	TasksFn func() []model.Task
-	// DeferChecks asks the pure verdict stages (safety, security, timing)
-	// to record their inputs instead of checking them: the timing stage
-	// still constructs and digests the per-resource task sets but defers
-	// the busy-window analyses of dirty resources, and the candidate is
-	// committed optimistically with no findings raised. Only the
-	// mcc.StreamScheduler sets this — it fans the deferred checks of a
+	// DeferChecks asks the timing stage to defer the busy-window analyses
+	// of dirty resources: it still constructs and digests the
+	// per-resource task sets, raises no timing findings, and the
+	// candidate is committed optimistically. Every other stage, safety
+	// and security included, still decides inline. Only the
+	// mcc.StreamScheduler sets this — it fans the deferred analyses of a
 	// whole proposal window out over the worker pool and re-validates
 	// every verdict before the window is final.
 	DeferChecks bool
@@ -98,8 +95,7 @@ type Context struct {
 	// Report is the report under construction.
 	Report *Report
 
-	artifacts map[string]any
-	note      string
+	note string
 }
 
 // Tasks returns the candidate's flat task list, materializing it through
@@ -129,21 +125,6 @@ func (c *Context) Done() <-chan struct{} {
 // Expired reports whether the proposal's deadline/cancellation fired.
 func (c *Context) Expired() bool {
 	return c.Ctx != nil && c.Ctx.Err() != nil
-}
-
-// Put stores a named artifact for later stages (or the caller) to pick up.
-// Custom stages use this to pass results without widening Context.
-func (c *Context) Put(key string, v any) {
-	if c.artifacts == nil {
-		c.artifacts = make(map[string]any)
-	}
-	c.artifacts[key] = v
-}
-
-// Get returns a named artifact stored by an earlier stage.
-func (c *Context) Get(key string) (any, bool) {
-	v, ok := c.artifacts[key]
-	return v, ok
 }
 
 // Note attaches a short telemetry note to the currently running stage's

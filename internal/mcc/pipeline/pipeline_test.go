@@ -122,18 +122,6 @@ func TestPipelineInsert(t *testing.T) {
 	}
 }
 
-func TestContextArtifacts(t *testing.T) {
-	ctx := &Context{}
-	if _, ok := ctx.Get("missing"); ok {
-		t.Fatal("missing artifact found")
-	}
-	ctx.Put("k", 42)
-	v, ok := ctx.Get("k")
-	if !ok || v.(int) != 42 {
-		t.Fatalf("artifact = %v, %v", v, ok)
-	}
-}
-
 func TestComputeDiff(t *testing.T) {
 	dep := fa(pfn("a", 100), pfn("b", 200), pfn("c", 300))
 	dep.Flows = []model.Flow{}

@@ -8,12 +8,15 @@ import (
 	"repro/internal/model"
 )
 
-// committedJobs lists the committed table's CPA jobs in table order.
+// committedJobs lists the committed table's CPA jobs in slot order,
+// skipping empty slots.
 func committedJobs(m *MCC) []timingJob {
 	t := m.snap.res
-	out := make([]timingJob, 0, t.n)
+	out := make([]timingJob, 0, t.loaded)
 	for i := 0; i < t.n; i++ {
-		out = append(out, t.at(i).job)
+		if cr := t.at(i); cr.loaded() {
+			out = append(out, cr.job)
+		}
 	}
 	return out
 }
@@ -102,10 +105,10 @@ func tableResources(m *MCC) []string {
 }
 
 func TestTimingTableShapeChanges(t *testing.T) {
-	// The incremental timing-job builder records a committed position of
-	// -1 for a resource gaining its first load and a deletion for one
-	// losing its last, and the commit rebuilds the table for such shape
-	// changes instead of patching it. Each case runs serially, inside a
+	// A resource gaining its first load fills its empty committed-table
+	// slot, and one losing its last clears its slot: the incremental
+	// commit patches both into the table like any other write. Each case
+	// runs serially, inside a
 	// verified stream window (the optimistic commit stands), and inside a
 	// window that a later timing rejection forces to roll back and replay.
 	// After every step the committed state must equal the from-scratch
@@ -209,8 +212,8 @@ func TestTimingTableShapeChanges(t *testing.T) {
 					label := fmt.Sprintf("step %d", i)
 					assertOracleParity(t, label, m)
 					assertSnapshotFresh(t, label, m)
-					if got := lastAccepted(m).TimingResources; got != m.snap.res.n {
-						t.Fatalf("%s: report counts %d timing resources, table holds %d", label, got, m.snap.res.n)
+					if got := lastAccepted(m).TimingResources; got != m.snap.res.loaded {
+						t.Fatalf("%s: report counts %d timing resources, table holds %d", label, got, m.snap.res.loaded)
 					}
 				}
 			})

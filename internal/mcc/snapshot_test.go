@@ -68,11 +68,19 @@ func sameList[T any](a, b []T) bool {
 // instance lists DeployedImpl materializes come from the snapshot itself,
 // so the committed implementation model is additionally held to a
 // from-scratch synthesis of the committed placement, and the timing table
-// to a full job rescan and the from-scratch WCRT oracle.
+// — one slot per platform resource, with a true loaded count — to a full
+// job rescan and the from-scratch WCRT oracle.
 func assertSnapshotFresh(t *testing.T, label string, m *MCC) {
 	t.Helper()
 	if m.snap.impl == nil {
 		t.Fatalf("%s: no committed snapshot", label)
+	}
+	res := m.snap.res
+	if want := len(m.procs) + len(m.platform.Networks); res.n != want {
+		t.Errorf("%s: timing table holds %d slots, want %d", label, res.n, want)
+	}
+	if loaded := len(committedJobs(m)); res.loaded != loaded {
+		t.Errorf("%s: timing table counts %d loaded slots, holds %d", label, res.loaded, loaded)
 	}
 	impl := m.DeployedImpl()
 	if m.warm() {

@@ -1002,9 +1002,9 @@ func affectedNets(old, rebuilt []model.Message) map[string]bool {
 // so the committed state carries no findings; the warm-started mapping
 // keeps untouched placements, so unchanged inputs imply unchanged
 // verdicts). The scoped verdict is therefore identical to the full check
-// by construction, and cheap enough to run inline even when the stream
-// scheduler asks for deferred checks — only the from-scratch fallback
-// (cold passes, cold caches) is still deferred to the prefetch pool.
+// by construction. Both stages always decide inline, the stream
+// scheduler's optimistic passes included: a from-scratch (cold) pass runs
+// the full check, and a failing check rejects the change on the spot.
 
 type safetyStage struct{ m *MCC }
 
@@ -1048,13 +1048,6 @@ func (s *safetyStage) Run(ctx *pipeline.Context) error {
 			checked, ctx.Diff.TouchedCount(), len(ctx.AffectedProcs))
 		return rejectFindings(findingStrings(findings))
 	}
-	if ctx.DeferChecks {
-		// Pure verdict over the immutable mapping artifact: record the
-		// input; the stream scheduler runs the check on the pool and
-		// replays the window if it fails.
-		s.m.deferred().tech = ctx.Tech
-		return nil
-	}
 	findings, checked := safety.CheckScoped(ctx.Tech, nil, nil)
 	ctx.Report.SafetyChecks += checked
 	return rejectFindings(findingStrings(findings))
@@ -1079,10 +1072,6 @@ func (s *securityStage) Run(ctx *pipeline.Context) error {
 		ctx.Report.SecurityChecks += checked
 		ctx.Note("scoped: re-checked %d/%d connections", checked, len(ctx.Impl.Connections))
 		return rejectFindings(findingStrings(findings))
-	}
-	if ctx.DeferChecks {
-		m.deferred().impl = ctx.Impl
-		return nil
 	}
 	findings, checked := security.CheckDomainsScoped(ctx.Impl, nil, nil)
 	ctx.Report.SecurityChecks += checked
@@ -1207,24 +1196,31 @@ func (s *timingStage) Run(ctx *pipeline.Context) error {
 	return nil
 }
 
-// timingJob is one resource's share of the timing acceptance test.
+// timingJob is one resource's share of the timing acceptance test. slot
+// is the resource's committed-table slot: its rank in MCC.procs for a
+// processor, len(procs)+i for platform network i. It is an int32 so that
+// it packs next to spnp and a committed-table entry stays 96 bytes.
 type timingJob struct {
 	resource string
+	slot     int32
 	spnp     bool
 	tasks    []cpa.Task
 	digest   uint64
 }
 
-// committedRes is one committed resource's timing artifacts — the CPA
-// job and its WCRT table — stored in deterministic resource order in
-// the chunked committed table (see snapshot.res). res.Results == nil
-// marks a table not yet known: an optimistically committed resource
+// committedRes is one committed-table slot: a loaded resource's timing
+// artifacts — the CPA job and its WCRT table — or, for a resource without
+// load, the zero value (see snapshot.res). res.Results == nil on a loaded
+// slot marks a table not yet known: an optimistically committed resource
 // whose deferred analysis has not been verified; a job matching such an
 // entry is dirty and re-analyzes through the memo.
 type committedRes struct {
 	job timingJob
 	res TimingResult
 }
+
+// loaded reports whether the slot holds a resource's job.
+func (cr committedRes) loaded() bool { return cr.job.resource != "" }
 
 // timingOutcome aggregates the timing stage's results: the WCRT tables
 // of exactly the resources this attempt re-analyzed (freshly allocated,
@@ -1247,35 +1243,29 @@ type timingOutcome struct {
 
 // timingScratch holds the MCC-owned buffers the timing stage reuses
 // across proposals so the per-proposal hot path stops allocating: the job
-// list with its committed positions, and the merge buffers of the worker
-// pool. Task slices inside committed jobs are never recycled — once a job
-// is built its task slice is immutable, so the committed table and
-// reports can alias it.
+// list, the slots it clears, and the merge buffers of the worker pool.
+// Task slices inside committed jobs are never recycled — once a job is
+// built its task slice is immutable, so the committed table and reports
+// can alias it.
 type timingScratch struct {
 	jobs []timingJob
-	// pos is parallel to jobs: the committed-table index of the same
-	// resource, or -1 when the table has none (a resource gaining its
-	// first load, or every resource of a cold controller).
-	pos []int
-	// inserts counts the incremental jobs with pos -1; dels lists,
-	// ascending, the committed-table indices of resources an incremental
-	// pass found without load any more. Both stay zero on a from-scratch
-	// pass, whose job list is the whole new table.
-	inserts int
-	dels    []int
+	// clears lists the loaded slots of resources an incremental pass
+	// found without load any more; empty on a from-scratch pass, whose
+	// job list is the whole new table.
+	clears  []int
 	results []TimingResult
 	errs    []error
 	dirty   []int
-	// affected is the sorted affected-processor scratch of the
+	// affected is the ascending affected-processor slot scratch of the
 	// incremental builder.
-	affected []string
+	affected []int
 }
 
-// buildProcJob derives one processor's CPA job from its task list in
-// priority order (every synthesis path emits per-processor lists with
-// unique ascending priorities). ok is false when the processor carries no
-// load.
-func (m *MCC) buildProcJob(pn string, tasks []model.Task) (timingJob, bool) {
+// buildProcJob derives the CPA job of processor k of m.procs from its
+// task list in priority order (every synthesis path emits per-processor
+// lists with unique ascending priorities). ok is false when the processor
+// carries no load.
+func (m *MCC) buildProcJob(k int, tasks []model.Task) (timingJob, bool) {
 	if len(tasks) == 0 {
 		return timingJob{}, false
 	}
@@ -1289,12 +1279,14 @@ func (m *MCC) buildProcJob(pn string, tasks []model.Task) (timingJob, bool) {
 			DeadlineUS: t.DeadlineUS,
 		})
 	}
-	return timingJob{resource: pn, tasks: ct, digest: cpa.TaskSetDigest(ct)}, true
+	return timingJob{resource: m.procs[k], slot: int32(k), tasks: ct, digest: cpa.TaskSetDigest(ct)}, true
 }
 
-// buildNetJob derives one network's CPA message set by scanning the
-// implementation model. ok is false when the network carries no load.
-func (m *MCC) buildNetJob(impl *model.ImplementationModel, n *model.Network) (timingJob, bool) {
+// buildNetJob derives the CPA message set of platform network i by
+// scanning the implementation model. ok is false when the network carries
+// no load.
+func (m *MCC) buildNetJob(impl *model.ImplementationModel, i int) (timingJob, bool) {
+	n := &m.platform.Networks[i]
 	msgs := impl.MessagesOn(n.Name)
 	if len(msgs) == 0 {
 		return timingJob{}, false
@@ -1315,72 +1307,66 @@ func (m *MCC) buildNetJob(impl *model.ImplementationModel, n *model.Network) (ti
 			DeadlineUS: msg.DeadlineUS,
 		})
 	}
-	return timingJob{resource: n.Name, spnp: true, tasks: ct, digest: cpa.TaskSetDigest(ct)}, true
+	return timingJob{resource: n.Name, slot: int32(len(m.procs) + i), spnp: true, tasks: ct, digest: cpa.TaskSetDigest(ct)}, true
 }
 
 // timingJobs derives the per-resource CPA task sets of the implementation
 // model in deterministic resource order: processors (sorted by name), then
-// networks (platform order). Resources without load are skipped.
+// networks (platform order). Resources without load are skipped; every
+// job carries its committed-table slot.
 //
 // Under partial synthesis the list is footprint-sized: only the resources
 // the diff affected are built — processors from the task lists the
 // synthesis overlay rebuilt, networks only where the message rebuild
 // changed them — and every untouched resource stays implicit in the
-// committed table, whose entries the partial synthesis left
-// byte-identical. Each job records the committed position it replaces
-// (-1 when the resource gains its first load), and an affected resource
-// that lost its last load records the deletion of its committed entry.
-// A from-scratch pass (or ctx == nil) builds every loaded resource and
-// finds the committed positions with one forward merge against the
-// table, since both are in resource order.
+// committed table, whose slots the partial synthesis left byte-identical.
+// An affected resource that lost its last load records its slot in
+// scratch.clears. A from-scratch pass (or ctx == nil) builds every loaded
+// resource.
 func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel) (jobs []timingJob, scanned int) {
 	sc := &m.scratch
-	jobs, sc.pos, sc.inserts, sc.dels = sc.jobs[:0], sc.pos[:0], 0, sc.dels[:0]
-	t := m.snap.res
+	jobs, sc.clears = sc.jobs[:0], sc.clears[:0]
 	if ctx == nil || !ctx.PartialSynth {
 		tasksOn := impl.TasksByProcessor()
-		for _, pn := range m.procs {
-			if j, ok := m.buildProcJob(pn, tasksOn[pn]); ok {
+		for k, pn := range m.procs {
+			if j, ok := m.buildProcJob(k, tasksOn[pn]); ok {
 				jobs = append(jobs, j)
 			}
 		}
 		for i := range m.platform.Networks {
-			if j, ok := m.buildNetJob(impl, &m.platform.Networks[i]); ok {
+			if j, ok := m.buildNetJob(impl, i); ok {
 				jobs = append(jobs, j)
 			}
 		}
-		sc.jobs, sc.pos = jobs, t.align(jobs, sc.pos)
+		sc.jobs = jobs
 		return jobs, len(m.procs) + len(m.platform.Networks)
 	}
 
-	add := func(j timingJob, ok bool, committed int) {
+	t := m.snap.res
+	add := func(j timingJob, ok bool, slot int) {
 		scanned++
 		switch {
 		case ok:
 			jobs = append(jobs, j)
-			sc.pos = append(sc.pos, committed)
-			if committed < 0 {
-				sc.inserts++
-			}
-		case committed >= 0:
-			sc.dels = append(sc.dels, committed)
+		case t.get(slot).loaded():
+			sc.clears = append(sc.clears, slot)
 		}
 	}
 	aff := sc.affected[:0]
 	for pn := range ctx.AffectedProcs {
-		aff = append(aff, pn)
+		aff = append(aff, sort.SearchStrings(m.procs, pn))
 	}
-	sort.Strings(aff)
+	sort.Ints(aff)
 	sc.affected = aff
-	for _, pn := range aff {
-		j, ok := m.buildProcJob(pn, m.att.synth.tasksOn[pn])
-		add(j, ok, t.find(pn, false))
+	for _, k := range aff {
+		j, ok := m.buildProcJob(k, m.att.synth.tasksOn[m.procs[k]])
+		add(j, ok, k)
 	}
 	if ctx.MessagesRebuilt {
 		for i := range m.platform.Networks {
-			if n := &m.platform.Networks[i]; !netClean(ctx, n.Name) {
-				j, ok := m.buildNetJob(impl, n)
-				add(j, ok, t.find(n.Name, true))
+			if !netClean(ctx, m.platform.Networks[i].Name) {
+				j, ok := m.buildNetJob(impl, i)
+				add(j, ok, len(m.procs)+i)
 			}
 		}
 	}
@@ -1399,26 +1385,12 @@ func netClean(ctx *pipeline.Context, name string) bool {
 }
 
 // deferredChecks carries one optimistically committed proposal's deferred
-// acceptance checks (mcc.StreamScheduler): the safety/security inputs and
-// the dirty timing jobs — exactly the resources still needing a
-// busy-window verdict, in deterministic resource order. Clean resources'
-// tables live in the committed state and are not replicated here. The
-// failed flags are written by the scheduler's prefetch pool and read
-// after its barrier.
+// acceptance checks (mcc.StreamScheduler): the dirty timing jobs —
+// exactly the resources still needing a busy-window verdict, in
+// deterministic resource order. Clean resources' tables live in the
+// committed state and are not replicated here.
 type deferredChecks struct {
-	tech *model.TechnicalArchitecture
-	impl *model.ImplementationModel
-
 	jobs []timingJob
-
-	safetyFailed   bool
-	securityFailed bool
-	// safetyChecked/securityChecked record how many per-entity verdicts
-	// the deferred from-scratch checks computed (the telemetry the
-	// verification pass adds to the report). Zero when the stage decided
-	// inline via the diff-scoped check (tech/impl stay nil then).
-	safetyChecked   int
-	securityChecked int
 
 	// tainted marks that a prefetch task for this proposal hit a fault
 	// (injected error or recovered panic). The verification pass treats a
@@ -1428,18 +1400,9 @@ type deferredChecks struct {
 	tainted atomic.Bool
 }
 
-// deferred returns the deferred-check record of the pipeline run in
-// progress, creating it on first use.
-func (m *MCC) deferred() *deferredChecks {
-	if m.att.deferred == nil {
-		m.att.deferred = &deferredChecks{}
-	}
-	return m.att.deferred
-}
-
 // analyzeTiming runs CPA on every processor (SPP) and network (SPNP/CAN).
 // With incremental integration, resources whose task-set digest matches
-// their committed table entry are clean and reuse its WCRT table;
+// their committed table slot are clean and reuse its WCRT table;
 // dirty resources are fanned out over the worker pool and the results are
 // merged back in deterministic resource order. A resource whose analysis
 // fails (e.g. utilization >= 1, where the busy window does not terminate)
@@ -1458,17 +1421,21 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationMod
 	if ctx != nil && ctx.PartialSynth {
 		// The footprint-sized job list leaves every untouched committed
 		// resource implicit; the attempt still covers all of them.
-		out.total = t.n + sc.inserts - len(sc.dels)
+		out.total = t.loaded - len(sc.clears)
+		for _, j := range jobs {
+			if !t.get(int(j.slot)).loaded() {
+				out.total++
+			}
+		}
 	}
-	// A job is clean when its committed entry has the same task-set
-	// digest and a known WCRT table (nil marks a deferred analysis not yet
+	// A job is clean when its committed slot has the same task-set digest
+	// and a known WCRT table (nil marks a deferred analysis not yet
 	// verified, which must run again).
 	clean := func(i int) (TimingResult, bool) {
-		k := sc.pos[i]
-		if !m.incremental || k < 0 {
+		if !m.incremental {
 			return TimingResult{}, false
 		}
-		cr := t.at(k)
+		cr := t.get(int(jobs[i].slot))
 		return cr.res, cr.job.digest == jobs[i].digest && cr.res.Results != nil
 	}
 
@@ -1477,7 +1444,8 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationMod
 		// tables (reachable through the report's committed handle), and
 		// the delta stays empty until the verification pass fills it with
 		// the deferred verdicts.
-		dt := m.deferred()
+		dt := &deferredChecks{}
+		m.att.deferred = dt
 		for i := range jobs {
 			if _, ok := clean(i); ok {
 				continue
@@ -1761,13 +1729,12 @@ func monitorSpecLess(a, b MonitorSpec) bool {
 	return a.Target < b.Target
 }
 
-// jobMonitorSpecs derives the monitor specs of one timing job: budget
+// appendMonitorSpecs appends the monitor specs of one timing job: budget
 // monitors for processor tasks, enforced rate monitors for network
 // messages. The CPA task set carries exactly the contract parameters the
 // monitors need, so the specs are identical to what planMonitors derives
 // from the implementation model.
-func jobMonitorSpecs(j timingJob) []MonitorSpec {
-	out := make([]MonitorSpec, 0, len(j.tasks))
+func appendMonitorSpecs(out []MonitorSpec, j timingJob) []MonitorSpec {
 	for _, t := range j.tasks {
 		if j.spnp {
 			out = append(out, MonitorSpec{
@@ -1781,7 +1748,6 @@ func jobMonitorSpecs(j timingJob) []MonitorSpec {
 			})
 		}
 	}
-	sortMonitorSpecs(out)
 	return out
 }
 
@@ -1799,14 +1765,14 @@ func (m *MCC) monitorDelta(ctx *pipeline.Context) []MonitorSpec {
 	var out []MonitorSpec
 	rebuilt := 0
 	for _, j := range m.att.jobs {
-		out = append(out, jobMonitorSpecs(j)...)
+		out = appendMonitorSpecs(out, j)
 		rebuilt++
 	}
 	if ctx.MessagesRebuilt {
 		t := m.snap.res
-		for li := t.procs; li < t.n; li++ {
-			if j := t.at(li).job; netClean(ctx, j.resource) {
-				out = append(out, jobMonitorSpecs(j)...)
+		for i := len(m.procs); i < t.n; i++ {
+			if cr := t.at(i); cr.loaded() && netClean(ctx, cr.job.resource) {
+				out = appendMonitorSpecs(out, cr.job)
 				rebuilt++
 			}
 		}
@@ -1868,7 +1834,7 @@ func (m *MCC) bindReport(rep *Report) {
 // committedResult is the WCRT table job i of this attempt commits: its
 // analysis (fresh or clean) on a checked pass. Under deferred checks the
 // dirty analyses have not run yet: a job whose digest equals its
-// committed entry's keeps that entry's table (itself possibly still
+// committed slot's keeps that slot's table (itself possibly still
 // pending), any other commits none — the stream scheduler's verification
 // patches it in on success, the window replays on failure. It reads the
 // committed table, so commits call it before installing the next one.
@@ -1876,10 +1842,8 @@ func (m *MCC) committedResult(i int) TimingResult {
 	if m.att.results != nil {
 		return m.att.results[i]
 	}
-	if k := m.scratch.pos[i]; k >= 0 {
-		if cr := m.snap.res.at(k); cr.job.digest == m.att.jobs[i].digest {
-			return cr.res
-		}
+	if cr := m.snap.res.get(int(m.att.jobs[i].slot)); cr.job.digest == m.att.jobs[i].digest {
+		return cr.res
 	}
 	return TimingResult{}
 }
@@ -1893,45 +1857,33 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	// the degradation ladder is lifted: the suspect state is gone.
 	m.quarantined = false
 
-	// The from-scratch job list is the whole new table, already in
-	// deterministic resource order (processor prefix, then networks).
-	list := make([]committedRes, len(m.att.jobs))
-	procCount := 0
+	// The from-scratch job list holds every loaded resource: each job
+	// fills its slot, every other slot stays empty.
+	slots := make([]committedRes, len(m.procs)+len(m.platform.Networks))
 	for i, jb := range m.att.jobs {
-		if !jb.spnp {
-			procCount++
-		}
-		list[i] = committedRes{job: jb, res: m.committedResult(i)}
+		slots[jb.slot] = committedRes{job: jb, res: m.committedResult(i)}
 	}
-	m.snap = m.buildSnapshot(ctx.Candidate, ctx.Impl, resTableFrom(list, procCount))
+	m.snap = m.buildSnapshot(ctx.Candidate, ctx.Impl, resTableFrom(slots, len(m.att.jobs)))
 }
 
 // commitIncremental writes the footprint-sized artifacts of a
 // partial-synthesis attempt into the next snapshot: the timing table is
-// patched (or, on a shape change, rebuilt) from this attempt's job list,
-// and the diff-touched functions, provider counts and affected
+// patched from this attempt's job list and cleared slots, and the
+// diff-touched functions, provider counts and affected
 // processors are written under the current epoch. Everything else keeps
 // its committed entry by the splice invariant.
 func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	m := s.m
 
-	// Committed table. When every job replaces its committed entry in
-	// place, the table is patched copy-on-write — spine plus affected
-	// chunks, O(diff) — leaving the previous table (a window's start
-	// snapshot, a bound report's view) intact and shared. A resource
-	// gaining its first load or losing its last shifts positions, so the
-	// table is rebuilt instead: O(n) like a from-scratch commit, and rare
-	// in steady state.
-	var res *resTable
-	if sc := &m.scratch; sc.inserts == 0 && len(sc.dels) == 0 {
-		updates := make([]resUpdate, len(m.att.jobs))
-		for i, jb := range m.att.jobs {
-			updates[i] = resUpdate{sc.pos[i], committedRes{job: jb, res: m.committedResult(i)}}
-		}
-		res = m.snap.res.patch(m.newEpoch(), updates)
-	} else {
-		res = m.rebuildTable()
+	// Committed table: every job fills its slot and every resource that
+	// lost its last load clears its slot, copy-on-write — spine plus
+	// affected chunks, O(diff) — leaving the previous table (a window's
+	// start snapshot, a bound report's view) intact and shared.
+	fills := make([]committedRes, len(m.att.jobs))
+	for i, jb := range m.att.jobs {
+		fills[i] = committedRes{job: jb, res: m.committedResult(i)}
 	}
+	res := m.snap.res.patch(m.newEpoch(), fills, m.scratch.clears)
 
 	n, e, over := m.ownSnap(), m.epoch, m.att.synth
 	n.impl, n.res = ctx.Impl, res
@@ -1979,43 +1931,4 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 		n.procs.set(e, i, procState{over.tasksOn[pn], over.instsOn[pn]})
 		n.loads.set(e, i, m.att.loads[i])
 	}
-}
-
-// rebuildTable merges a reshaped incremental job list into the committed
-// table: one walk over the platform's resource order (processors sorted
-// by name, then networks in platform order) takes each resource's new
-// job where this attempt built one, keeps its committed entry where it
-// did not, and drops the entries of resources that lost their last load.
-func (m *MCC) rebuildTable() *resTable {
-	t, jobs, sc := m.snap.res, m.att.jobs, &m.scratch
-	list := make([]committedRes, 0, t.n+sc.inserts-len(sc.dels))
-	procs, c, k, d := 0, 0, 0, 0
-	visit := func(name string, spnp bool) {
-		old := -1
-		if c < t.n && t.at(c).job.resource == name && t.at(c).job.spnp == spnp {
-			old, c = c, c+1
-		}
-		switch {
-		case k < len(jobs) && jobs[k].resource == name && jobs[k].spnp == spnp:
-			list = append(list, committedRes{job: jobs[k], res: m.committedResult(k)})
-			k++
-		case old < 0:
-			return // no load before or after
-		case d < len(sc.dels) && sc.dels[d] == old:
-			d++
-			return // lost its last load
-		default:
-			list = append(list, *t.at(old))
-		}
-		if !spnp {
-			procs++
-		}
-	}
-	for _, pn := range m.procs {
-		visit(pn, false)
-	}
-	for i := range m.platform.Networks {
-		visit(m.platform.Networks[i].Name, true)
-	}
-	return resTableFrom(list, procs)
 }

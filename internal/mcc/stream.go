@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/mcc/pipeline"
 	"repro/internal/model"
-	"repro/internal/safety"
-	"repro/internal/security"
 )
 
 // StreamScheduler drives a stream of change requests through the MCC at
@@ -28,34 +26,29 @@ import (
 // and bound the window). Each window is processed in three phases:
 //
 //  1. Optimistic pass (serial, cheap): every change runs the full
-//     incremental pipeline in stream order, but the expensive pure
-//     verdict checks are deferred and the candidate commits
-//     optimistically. Since the safety/security stages became
-//     diff-scoped they usually decide inline here (the scoped verdict is
-//     footprint-sized — deferring it would cost more than running it);
-//     only their from-scratch fallback (cold passes, cold caches) and
-//     the busy-window timing analyses of dirty resources are deferred
-//     (the timing stage still constructs and digests the dirty task
-//     sets).
-//  2. Prefetch (concurrent): all deferred checks of the window fan out
-//     over the bounded worker pool — the from-scratch safety/security
-//     verdicts still pending, plus the dirty analyses deduplicated by
-//     task-set digest through the shared memoizing analyzer. This is
-//     where the cores are used: the window's dominant cost runs in
-//     parallel.
+//     incremental pipeline in stream order, but the busy-window timing
+//     analyses of dirty resources are deferred (the timing stage still
+//     constructs and digests the dirty task sets) and the candidate
+//     commits optimistically. Every other stage decides inline — the
+//     safety and security checks too, diff-scoped on warm passes and
+//     from scratch on cold ones — so their rejections stand as-is.
+//  2. Prefetch (concurrent): the window's dirty analyses, deduplicated
+//     by task-set digest, fan out over the bounded worker pool through
+//     the shared memoizing analyzer. This is where the cores are used:
+//     the window's dominant cost runs in parallel.
 //  3. Verification (serial, cheap): every deferred verdict is read back
 //     in stream order. If all pass, the optimistic pass was exactly the
-//     serial execution and the window is final. If any deferred check
-//     fails (a safety or security finding, a missed deadline, an
-//     analysis error), the window's optimistic commits are tainted: the
-//     scheduler rolls the controller back to the window-start snapshot
-//     and replays the window serially (the analyzer stays warm, so the
-//     replay re-pays only the cheap stages).
+//     serial execution and the window is final. If any deferred verdict
+//     fails (a missed deadline, an analysis error), the window's
+//     optimistic commits are tainted: the scheduler rolls the controller
+//     back to the window-start snapshot and replays the window serially
+//     (the analyzer stays warm, so the replay re-pays only the cheap
+//     stages).
 //
 // Rejections during the optimistic pass (contract violations, infeasible
-// mappings, custom-stage findings) never commit anything and are decided
-// against exactly the state the serial order would have produced, so
-// they stand as-is. Custom stages registered via WithStage run inside
+// mappings, safety and security findings, custom-stage findings) never
+// commit anything and are decided against exactly the state the serial
+// order would have produced, so they stand as-is. Custom stages registered via WithStage run inside
 // the optimistic pass (their verdicts are not deferred); a stage with
 // external side effects would observe optimistic (possibly replayed)
 // state and should not be combined with the scheduler.
@@ -111,9 +104,7 @@ type StreamStats struct {
 	// passed (the optimistic pass was the serial execution).
 	Speculated int
 	// Prefetched counts deduplicated busy-window analyses fanned out
-	// over the worker pool ahead of the decision point (the deferred
-	// safety/security verdicts run on the same pool but are not counted
-	// here).
+	// over the worker pool ahead of the decision point.
 	Prefetched int
 	// Replays counts windows whose verification failed and that were
 	// re-decided serially from the window-start snapshot.
@@ -275,63 +266,37 @@ func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*R
 	}
 	m.deferChecks = false
 
-	// Concurrent phase: run the window's deferred checks on the pool —
-	// the from-scratch safety/security verdicts of proposals that could
-	// not be decided by the inline diff-scoped checks (cold passes, cold
-	// caches), plus the dirty busy-window analyses deduplicated by digest
-	// (they land in the shared memo table, where verification reads them
-	// back).
+	// Concurrent phase: run the window's dirty busy-window analyses on
+	// the pool, deduplicated by digest (they land in the shared memo
+	// table, where verification reads them back).
 	var tasks []func()
 	seen := make(map[uint64]bool)
-	// guard isolates one prefetch task: a panic on the pool is recovered
-	// and converted into a window taint (the verification pass then fails
-	// the window and the serial replay re-decides it) — a fault on the
-	// pool can degrade throughput, never crash the process or corrupt a
-	// decision.
-	guard := func(dt *deferredChecks, fn func()) func() {
-		return func() {
-			defer func() {
-				if r := recover(); r != nil {
-					m.panicsRecovered.Add(1)
-					dt.tainted.Store(true)
-				}
-			}()
-			fn()
-		}
-	}
 	for _, p := range pendings {
 		dt := p.dt
-		// Safety/security inputs are recorded only when the stages could
-		// not decide inline (no warm diff scope): the deferred check is
-		// the from-scratch one. Scoped verdicts were already decided
-		// during the optimistic pass and need no re-validation here.
-		if dt.tech != nil {
-			tasks = append(tasks, guard(dt, func() {
-				findings, checked := safety.CheckScoped(dt.tech, nil, nil)
-				dt.safetyFailed = len(findings) > 0
-				dt.safetyChecked = checked
-			}))
-		}
-		if dt.impl != nil {
-			tasks = append(tasks, guard(dt, func() {
-				findings, checked := security.CheckDomainsScoped(dt.impl, nil, nil)
-				dt.securityFailed = len(findings) > 0
-				dt.securityChecked = checked
-			}))
-		}
-		for _, j := range dt.jobs {
-			if !seen[analysisKey(j)] {
-				seen[analysisKey(j)] = true
-				s.stats.Prefetched++
-				job := j
-				tasks = append(tasks, guard(dt, func() {
-					if _, fired, err := m.inject.Fire(nil, "stream.prefetch", job.resource); fired && err != nil {
-						dt.tainted.Store(true)
-						return
-					}
-					m.runTimingJob(nil, job) //nolint:errcheck // memo warming only
-				}))
+		for _, job := range dt.jobs {
+			if seen[analysisKey(job)] {
+				continue
 			}
+			seen[analysisKey(job)] = true
+			s.stats.Prefetched++
+			// A fault on the pool (an injected error or a recovered panic)
+			// taints the window: the verification pass then fails it and
+			// the serial replay re-decides it — a fault on the pool can
+			// degrade throughput, never crash the process or corrupt a
+			// decision.
+			tasks = append(tasks, func() {
+				defer func() {
+					if r := recover(); r != nil {
+						m.panicsRecovered.Add(1)
+						dt.tainted.Store(true)
+					}
+				}()
+				if _, fired, err := m.inject.Fire(nil, "stream.prefetch", job.resource); fired && err != nil {
+					dt.tainted.Store(true)
+					return
+				}
+				m.runTimingJob(nil, job) //nolint:errcheck // memo warming only
+			})
 		}
 	}
 	retried0, panics0 := m.retriedAnalyses.Load(), m.panicsRecovered.Load()
@@ -392,10 +357,10 @@ func analysisKey(j timingJob) uint64 {
 	return j.digest
 }
 
-// prefetch runs the deferred check tasks on at most s.workers goroutines
-// (the calling goroutine included). Task results land in each proposal's
-// deferredChecks record and in the shared memo table; the barrier at the
-// end makes them visible to the verification pass.
+// prefetch runs the deferred analysis tasks on at most s.workers
+// goroutines (the calling goroutine included). Results land in the shared
+// memo table, faults in each proposal's deferredChecks record; the
+// barrier at the end makes both visible to the verification pass.
 func (s *StreamScheduler) prefetch(tasks []func()) {
 	if len(tasks) == 0 {
 		return
@@ -407,8 +372,7 @@ func (s *StreamScheduler) prefetch(tasks []func()) {
 	runParallel(len(tasks), workers, func(k int) { tasks[k]() })
 }
 
-// verifyDeferred re-validates one optimistically accepted proposal: the
-// prefetched safety and security verdicts are inspected, and every
+// verifyDeferred re-validates one optimistically accepted proposal: every
 // deferred busy-window verdict is read back (a memo hit after prefetch)
 // and checked exactly as the timing stage would have. On success the
 // report's timing delta is filled with fresh copies of the deferred
@@ -426,22 +390,13 @@ func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 	if dt.tainted.Load() {
 		return false
 	}
-	// Deferred from-scratch safety/security verdicts count toward the
-	// report's check telemetry exactly as an inline full check would
-	// (scoped inline checks already counted themselves during the
-	// optimistic pass, and a replayed window rebuilds its reports).
-	rep.SafetyChecks += dt.safetyChecked
-	rep.SecurityChecks += dt.securityChecked
-	if dt.safetyFailed || dt.securityFailed {
-		return false
-	}
 	m := s.m
 	if len(dt.jobs) == 0 {
 		return true
 	}
 	delta := make([]TimingResult, 0, len(dt.jobs))
 	t := m.snap.res
-	var updates []resUpdate
+	var fills []committedRes
 	for _, job := range dt.jobs {
 		res, err := m.runTimingJobSafe(nil, job)
 		if err != nil {
@@ -453,18 +408,16 @@ func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 			}
 		}
 		m.journal.heals[resDigestKey{job.resource, job.digest}] = res
-		if k := t.find(job.resource, job.spnp); k >= 0 {
-			if cr := t.at(k); cr.job.digest == job.digest && cr.res.Results == nil {
-				updates = append(updates, resUpdate{k, committedRes{job: cr.job, res: res}})
-			}
+		if cr := t.get(int(job.slot)); cr.job.digest == job.digest && cr.res.Results == nil {
+			fills = append(fills, committedRes{job: cr.job, res: res})
 		}
 		delta = append(delta, pipeline.CloneTimingResult(res))
 	}
 	rep.TimingDelta = delta
-	if len(updates) > 0 {
+	if len(fills) > 0 {
 		// The patch leaves the start snapshot's table and every bound view
 		// intact.
-		m.ownSnap().res = t.patch(m.newEpoch(), updates)
+		m.ownSnap().res = t.patch(m.newEpoch(), fills, nil)
 	}
 	return true
 }

@@ -12,8 +12,8 @@ import (
 
 // Stress test for the stream scheduler's snapshot rollback: random
 // streams with overlapping footprints and planted mid-window rejections
-// (timing deadline-missers and safety findings) force optimistic windows
-// to replay, and after every stream the controller's committed state —
+// (timing deadline-missers, which force optimistic windows to replay, and
+// safety and security findings, which reject inline), and after every stream the controller's committed state —
 // the timing table (jobs, digests, WCRT tables), every snapshot field,
 // the monitor plan — must be bit-identical to a fresh controller that
 // proposed the same stream serially, both must equal a rebuild of their
@@ -38,8 +38,8 @@ func stressPlatform() *model.Platform {
 // stressChange derives the i-th random change: mostly feasible additions
 // with occasionally shared services (footprint conflicts), periodically a
 // near-capacity function (deferred timing verdict fails mid-window), a
-// redundancy violation (deferred safety verdict fails), an update of an
-// earlier function, or a removal.
+// redundancy violation (the safety stage rejects it inline), an update of
+// an earlier function, or a removal.
 func stressChange(rng *rand.Rand, i int) Change {
 	switch rng.Intn(10) {
 	case 0: // near-capacity ASIL-D load: its 5 ms release jitter makes it
@@ -47,7 +47,7 @@ func stressChange(rng *rand.Rand, i int) Change {
 		f := fn(fmt.Sprintf("heavy%d", i), model.ASILD, 10000, 4000+int64(rng.Intn(4))*500, 64)
 		f.Contract.RealTime.JitterUS = 5000
 		return upd(f)
-	case 1: // fail-operational without replicas: deferred safety finding
+	case 1: // fail-operational without replicas: inline safety finding
 		f := fn(fmt.Sprintf("failop%d", i), model.ASILD, 40000, 1000, 64)
 		f.Contract.FailOperational = true
 		return upd(f)
@@ -63,7 +63,7 @@ func stressChange(rng *rand.Rand, i int) Change {
 		return upd(f)
 	case 5: // cross-domain client of the baseline gate: half granted, half
 		// violating (the scoped security check rejects inline mid-window,
-		// exercising the per-connection verdict cache under rollback)
+		// exercising the committed connection index under rollback)
 		f := fn(fmt.Sprintf("xd%d", i), model.QM, 90000, 1000+int64(rng.Intn(3))*200, 64)
 		f.Requires = []string{"core_svc"}
 		f.Contract.Domain = "app"

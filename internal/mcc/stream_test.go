@@ -301,10 +301,13 @@ func TestStreamSchedulerReplayOnTimingReject(t *testing.T) {
 	}
 }
 
-func TestStreamSchedulerReplayOnSafetyReject(t *testing.T) {
+func TestStreamSchedulerInlineSafetyRejectWithoutReplay(t *testing.T) {
 	// A fail-operational function that can only be deployed once passes
-	// mapping but fails the deferred safety verdict: the window must be
-	// replayed and end in a safety-stage rejection, exactly like serial.
+	// mapping but fails the safety check. The safety stage decides inline
+	// during the optimistic pass — diff-scoped on a warm pass, from
+	// scratch on a cold one — so nothing is optimistically committed for
+	// it and the window needs no replay, while the decision stays exactly
+	// the serial one.
 	failop := fn("failop", model.ASILD, 40000, 1500, 128)
 	failop.Contract.FailOperational = true // Replicas stays 1: redundancy finding
 	changes := []Change{
@@ -316,8 +319,11 @@ func TestStreamSchedulerReplayOnSafetyReject(t *testing.T) {
 	if got[1].Accepted || got[1].RejectedAt != StageSafety {
 		t.Fatalf("failop decided %v@%q, want safety rejection", got[1].Accepted, got[1].RejectedAt)
 	}
-	if st := sched.Stats(); st.Replays != 1 {
-		t.Fatalf("stats = %+v, want exactly one replay", st)
+	if got[1].SafetyChecks == 0 {
+		t.Fatalf("safety rejection recorded no SafetyChecks telemetry")
+	}
+	if st := sched.Stats(); st.Replays != 0 {
+		t.Fatalf("stats = %+v, want zero replays (safety decides inline)", st)
 	}
 }
 
