@@ -22,13 +22,14 @@ import (
 // log adds cross-domain clients and near-capacity heavy adds to the same
 // fleets, so it also reaches the paths the E13 streams never do:
 // connection rebuilds, security rejections, and stream windows that fail
-// a deferred timing verdict and replay. Each line hashes the change's verdict and findings, and —
-// for accepted changes — the whole committed WCRT table and monitor plan
-// the report binds (FullTiming/FullMonitors). Every engine replays the
-// log and must reproduce it line for line (the serial engine its decision
-// part, see goldenDecision), so a core rewrite is held to
-// the decisions of the code before it at the platform sizes the
-// benchmarks run, not only on the small fuzz fleets of the parity corpus.
+// a deferred timing verdict and replay. Each line hashes the change's
+// verdict and findings, and — for accepted changes — the whole committed
+// WCRT table and monitor plan the report binds (FullTiming/FullMonitors).
+// Every engine replays the log and must reproduce it line for line (the
+// serial engine its decision part, see goldenDecision), so a core rewrite
+// is held to the decisions of the code before it at the platform sizes
+// the benchmarks run, not only on the small fuzz fleets of the parity
+// corpus.
 //
 // Regenerate with
 //
