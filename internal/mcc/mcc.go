@@ -396,22 +396,32 @@ func (m *MCC) warm() bool { return m.snap.warm }
 
 // DeployedImpl returns the currently deployed implementation model (nil
 // until the first successful integration). An incremental commit leaves
-// the model's flat task and instance lists unmaterialized — the
-// snapshot's per-processor and per-function state is the authoritative
-// representation on the incremental path — so whole-model readers get
-// them materialized here on demand (an empty overlay over the snapshot),
-// memoized until the next commit installs a new model. Messages and
-// Connections are always present (aliased or rebuilt at commit time).
+// the model's flat task, instance and connection lists unmaterialized —
+// the snapshot's per-processor and per-function state is the
+// authoritative representation on the incremental path — so whole-model
+// readers get them materialized here on demand, memoized until the next
+// commit installs a new model. Messages are always present (aliased or
+// rebuilt at commit time).
 func (m *MCC) DeployedImpl() *model.ImplementationModel {
 	impl := m.snap.impl
-	if m.warm() {
-		none := &synthOverlay{}
-		if impl.Tech != nil && impl.Tech.Instances == nil {
-			impl.Tech.Instances = m.candInstances(none)
+	if !m.warm() {
+		return impl
+	}
+	if impl.Tech != nil && impl.Tech.Instances == nil {
+		// Entries concatenated by name reproduce both lists' flat order.
+		names := make([]string, 0, m.snap.fns.n)
+		m.snap.fns.each(func(name string, _ fnEntry) { names = append(names, name) })
+		sort.Strings(names)
+		insts := make([]model.Instance, 0, m.snap.instTotal) // non-nil: the memo sticks
+		var conns []model.Connection                         // nil when empty, as synthesis leaves it
+		for _, name := range names {
+			e := m.snap.fns.get(name)
+			insts, conns = append(insts, e.insts...), append(conns, e.conns...)
 		}
-		if impl.Tasks == nil {
-			impl.Tasks = m.candTasks(none)
-		}
+		impl.Tech.Instances, impl.Connections = insts, conns
+	}
+	if impl.Tasks == nil {
+		impl.Tasks = m.candTasks(&synthOverlay{})
 	}
 	return impl
 }

@@ -18,9 +18,8 @@ type Context struct {
 	// Candidate is the functional architecture under test.
 	Candidate *model.FunctionalArchitecture
 	// DeployedImpl is the committed implementation model (nil until the
-	// first successful integration); incremental mapping warm-starts from
-	// its instance placement and incremental synthesis copies its
-	// untouched tasks/messages/connections.
+	// first successful integration); incremental synthesis copies its
+	// untouched messages.
 	DeployedImpl *model.ImplementationModel
 	// Diff is the candidate-vs-deployed function diff, computed once by
 	// the caller and shared by every incremental stage.
@@ -56,11 +55,11 @@ type Context struct {
 	// false the deployed message list was copied verbatim. Only valid
 	// when PartialSynth is set.
 	MessagesRebuilt bool
-	// ConnectionsRebuilt reports that the partial synthesis re-derived
-	// the client/server sessions (a touched function participates in the
-	// service graph); when false the deployed connection list was copied
-	// verbatim, so every row keeps its committed-clean security verdict.
-	// Only valid when PartialSynth is set.
+	// ConnectionsRebuilt reports that the change edits the service graph
+	// (a touched function's services, trust domain or replica count), so
+	// the partial synthesis re-derived the rows of the clients it rewires;
+	// every other client keeps its committed rows and clean verdicts. Only
+	// valid when PartialSynth is set.
 	ConnectionsRebuilt bool
 	// AffectedNets is the set of networks whose message list actually
 	// changed under a rebuild (a rebuilt list equal to the deployed one

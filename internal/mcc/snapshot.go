@@ -198,11 +198,14 @@ func (p *pmap[V]) each(fn func(key string, v V)) {
 	}
 }
 
-// fnEntry is one committed function: a standalone copy of its contract
-// and its replica instances, replica-ascending.
+// fnEntry is one committed function: a standalone copy of its contract,
+// its replica instances, replica-ascending, and its client session rows,
+// replica-major and in Requires order (its run of the flat connection
+// list, which orders clients by name).
 type fnEntry struct {
 	fn    *model.Function
 	insts []model.Instance
+	conns []model.Connection
 }
 
 // procState is one processor's committed state: its deadline-monotonic
@@ -236,15 +239,14 @@ type snapshot struct {
 	loads chunks[procLoad]
 	// fns maps each committed function name to its entry.
 	fns pmap[fnEntry]
-	// prov counts, per service name, the committed Provides occurrences:
-	// the validation fast path's O(1) "is this service provided".
-	prov pmap[int]
+	// prov lists, per service name, its committed providers and req its
+	// committed requirers, both by ascending name: the validation fast
+	// path's "is this service provided", the session graph's provider
+	// election (the first provider is elected) and its rewiring set.
+	prov, req pmap[[]string]
 	// flowTouch holds every function name a committed flow references —
 	// DiffFromChange's removal arm and the message-rebuild test.
 	flowTouch map[string]bool
-	// connIdx maps each function name to the ascending positions of the
-	// committed connections it is incident to (client or server side).
-	connIdx map[string][]int
 	// instTotal is the committed instance count (warm-start telemetry).
 	instTotal int
 }
@@ -261,10 +263,15 @@ func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.Implem
 	}
 	s.warm = true
 	fnByName, instancesOf := synthLookups(impl.Tech)
+	rows := make(map[string][]model.Connection)
+	for _, c := range impl.Connections {
+		name := security.FunctionName(c.Client)
+		rows[name] = append(rows[name], c)
+	}
 	s.fns = newPmap[fnEntry](e, len(fnByName))
 	for name, f := range fnByName {
 		cp := *f
-		s.fns.put(e, name, fnEntry{&cp, instancesOf[name]})
+		s.fns.put(e, name, fnEntry{&cp, instancesOf[name], rows[name]})
 	}
 	procs := make([]procState, len(m.platform.Processors))
 	loads := make([]procLoad, len(m.platform.Processors))
@@ -288,16 +295,28 @@ func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.Implem
 		}
 	}
 	s.procs, s.loads = chunksFrom(e, procs), chunksFrom(e, loads)
-	s.prov = newPmap[int](e, 0)
-	for i := range fa.Functions {
-		for _, svc := range fa.Functions[i].Provides {
-			s.prov.put(e, svc, s.prov.get(svc)+1)
-		}
-	}
+	s.prov = nameLists(e, fa, func(f *model.Function) []string { return f.Provides })
+	s.req = nameLists(e, fa, func(f *model.Function) []string { return f.Requires })
 	s.flowTouch = flowTouchIndex(fa.Flows)
-	s.connIdx = connPosIndex(impl.Connections)
 	s.instTotal = len(impl.Tech.Instances)
 	return s
+}
+
+// nameLists maps each service that services(f) names for some function
+// f of fa to the ascending names of those functions.
+func nameLists(e uint64, fa *model.FunctionalArchitecture, services func(*model.Function) []string) pmap[[]string] {
+	by := make(map[string][]string)
+	for i := range fa.Functions {
+		for _, svc := range services(&fa.Functions[i]) {
+			by[svc] = append(by[svc], fa.Functions[i].Name)
+		}
+	}
+	p := newPmap[[]string](e, len(by))
+	for svc, names := range by {
+		slices.Sort(names)
+		p.put(e, svc, slices.Compact(names))
+	}
+	return p
 }
 
 // fn returns the committed function of the given name, or nil.
@@ -309,7 +328,7 @@ func (m *MCC) proc(pn string) *procState { return m.snap.procs.at(m.procIdx[pn])
 // ownSnap returns the snapshot header writable under the current epoch,
 // copying it first if an older epoch — a window's start snapshot — owns
 // it. The parts it points to copy themselves on write (chunks, pmap) or
-// are replaced wholesale (impl, res, flowTouch, connIdx).
+// are replaced wholesale (impl, res, flowTouch).
 func (m *MCC) ownSnap() *snapshot {
 	if m.snap.epoch != m.epoch {
 		cp := *m.snap
@@ -319,35 +338,25 @@ func (m *MCC) ownSnap() *snapshot {
 	return m.snap
 }
 
-// connCommitted reports whether c is a row of the committed connection
-// list — the committed security verdict of a wiring, since a
-// configuration only commits after every connection passed the
-// cross-domain check. It walks the client function's rows, O(degree).
+// connCommitted reports whether c is a committed row of its client —
+// the committed security verdict of a wiring, since a configuration only
+// commits after every connection passed the cross-domain check. O(degree).
 func (s *snapshot) connCommitted(c model.Connection) bool {
-	conns := s.impl.Connections
-	for _, p := range s.connIdx[security.FunctionName(c.Client)] {
-		if conns[p] == c {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.fns.get(security.FunctionName(c.Client)).conns, c)
 }
 
-// connPosIndex maps each function name to the ascending positions of the
-// committed connections it is incident to (client or server side) — the
-// committed index behind the indexed scoped security check. Always built
-// fresh, never mutated in place.
-func connPosIndex(conns []model.Connection) map[string][]int {
-	out := make(map[string][]int)
-	for i, c := range conns {
-		cl := security.FunctionName(c.Client)
-		sv := security.FunctionName(c.Server)
-		out[cl] = append(out[cl], i)
-		if sv != cl {
-			out[sv] = append(out[sv], i)
-		}
+// withName returns the ascending name list with name present (in) or
+// absent (!in): the list itself when it already is, else a fresh copy —
+// committed lists are never written in place.
+func withName(list []string, name string, in bool) []string {
+	i, found := slices.BinarySearch(list, name)
+	if found == in {
+		return list
 	}
-	return out
+	if in {
+		return slices.Insert(slices.Clip(list), i, name)
+	}
+	return slices.Delete(slices.Clone(list), i, i+1)
 }
 
 // flowTouchIndex maps every function name a flow references to true.

@@ -19,7 +19,9 @@ func snapshotView(s *snapshot) map[string]any {
 	}
 	fns := make(map[string]model.Function)
 	insts := make(map[string][]model.Instance)
-	prov := make(map[string]int)
+	conns := make(map[string][]model.Connection)
+	prov := make(map[string][]string)
+	req := make(map[string][]string)
 	var procs []procState
 	var loads []procLoad
 	if s.warm {
@@ -28,8 +30,12 @@ func snapshotView(s *snapshot) map[string]any {
 			if len(e.insts) > 0 {
 				insts[name] = e.insts
 			}
+			if len(e.conns) > 0 {
+				conns[name] = e.conns
+			}
 		})
-		s.prov.each(func(svc string, n int) { prov[svc] = n })
+		s.prov.each(func(svc string, names []string) { prov[svc] = names })
+		s.req.each(func(svc string, names []string) { req[svc] = names })
 		for i := 0; i < s.procs.n; i++ {
 			ps := *s.procs.at(i)
 			if len(ps.tasks) == 0 {
@@ -47,12 +53,14 @@ func snapshotView(s *snapshot) map[string]any {
 		"fns":       fns,
 		"fnCount":   s.fns.n,
 		"insts":     insts,
+		"conns":     conns,
 		"prov":      prov,
 		"provCount": s.prov.n,
+		"req":       req,
+		"reqCount":  s.req.n,
 		"procs":     procs,
 		"loads":     loads,
 		"flowTouch": s.flowTouch,
-		"connIdx":   s.connIdx,
 		"instTotal": s.instTotal,
 	}
 }
@@ -64,8 +72,9 @@ func sameList[T any](a, b []T) bool {
 
 // assertSnapshotFresh is the snapshot-parity test hook: it rebuilds the
 // committed snapshot from Deployed() and DeployedImpl() with the builder
-// commitFull uses and deep-compares every field. The flat task and
-// instance lists DeployedImpl materializes come from the snapshot itself,
+// commitFull uses and deep-compares every field — the client rows and the
+// provider and requirer lists included. The flat task, instance and
+// connection lists DeployedImpl materializes come from the snapshot itself,
 // so the committed implementation model is additionally held to a
 // from-scratch synthesis of the committed placement, and the timing table
 // — one slot per platform resource, with a true loaded count — to a full

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -77,7 +78,7 @@ func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
 // fastVerdict decides the common single-change shapes without walking
 // the candidate: a changed function with an unchanged service surface
 // only needs its contract re-checked, an added function additionally its
-// requires resolved against the committed provider counts, a removal of
+// requires resolved against the committed provider lists, a removal of
 // a provide-less function can invalidate nothing (its flows were cut
 // with it). Anything it cannot prove clean — including every suspected
 // violation — falls back to the scoped walk, which produces the exact
@@ -132,7 +133,7 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 	// Added: no committed flow can reference the new name (flow endpoints
 	// must exist when they commit); only its requires need resolving.
 	for _, svc := range neu.Requires {
-		if m.snap.prov.get(svc) == 0 && !slices.Contains(neu.Provides, svc) {
+		if len(m.snap.prov.get(svc)) == 0 && !slices.Contains(neu.Provides, svc) {
 			return false, nil
 		}
 	}
@@ -424,12 +425,16 @@ func synthLookups(tech *model.TechnicalArchitecture) (map[string]*model.Function
 // marks a removal), the touched functions' new replica placements, and
 // the affected processors' rebuilt task lists and candidate resident
 // lists (committed residents minus touched functions plus new
-// placements). The commit stage writes it into the next snapshot.
+// placements), and the rewired clients' rows with the provider and
+// requirer lists of the services an edit joins or leaves (see
+// rewireSessions). The commit stage writes it into the next snapshot.
 type synthOverlay struct {
-	fns     map[string]*model.Function
-	insts   map[string][]model.Instance
-	tasksOn map[string][]model.Task
-	instsOn map[string][]model.Instance
+	fns       map[string]*model.Function
+	insts     map[string][]model.Instance
+	tasksOn   map[string][]model.Task
+	instsOn   map[string][]model.Instance
+	conns     map[string][]model.Connection
+	prov, req map[string][]string
 }
 
 // synthView resolves the function/instance lookups of one synthesis run:
@@ -461,6 +466,37 @@ func (v *synthView) instances(name string) []model.Instance {
 		return v.snap.fns.get(name).insts
 	}
 	return nil
+}
+
+// conns returns a client's candidate session rows: re-derived, dropped
+// with a removed function, or committed.
+func (v *synthView) conns(name string) []model.Connection {
+	if rows, ok := v.over.conns[name]; ok {
+		return rows
+	}
+	if f, touched := v.over.fns[name]; touched && f == nil {
+		return nil
+	}
+	return v.snap.fns.get(name).conns
+}
+
+// candNames returns the candidate's provider or requirer list of svc:
+// the overlay's when the change altered it, else the committed one.
+func candNames(over map[string][]string, committed *pmap[[]string], svc string) []string {
+	if l, ok := over[svc]; ok {
+		return l
+	}
+	return committed.get(svc)
+}
+
+func (v *synthView) requirers(svc string) []string { return candNames(v.over.req, &v.snap.req, svc) }
+
+// elected names the candidate's provider of svc ("" if none).
+func (v *synthView) elected(svc string) string {
+	if l := candNames(v.over.prov, &v.snap.prov, svc); len(l) > 0 {
+		return l[0]
+	}
+	return ""
 }
 
 // synthOverlay builds the candidate's lookup view against the committed
@@ -625,42 +661,121 @@ func (m *MCC) synthesizeMessages(tech *model.TechnicalArchitecture, look *synthV
 	return out, nil
 }
 
-// synthesizeConnections wires every requirer to the (first) provider.
+// synthesizeConnections wires every requirer to the elected provider of
+// each service it requires: the lowest-named function providing it.
 func synthesizeConnections(tech *model.TechnicalArchitecture, look *synthView) ([]model.Connection, error) {
-	providerOf := make(map[string]string) // service -> first provider name
+	elected := make(map[string]string)
 	for i := range tech.Func.Functions {
 		f := &tech.Func.Functions[i]
 		for _, svc := range f.Provides {
-			if cur, ok := providerOf[svc]; !ok || f.Name < cur {
-				providerOf[svc] = f.Name
+			if cur, ok := elected[svc]; !ok || f.Name < cur {
+				elected[svc] = f.Name
 			}
 		}
 	}
 	var out []model.Connection
-	for _, in := range tech.Instances {
-		client := look.fn(in.Function)
-		if client == nil {
-			continue
+	var err error
+	for ins := tech.Instances; len(ins) > 0; {
+		n := 1
+		for n < len(ins) && ins[n].Function == ins[0].Function {
+			n++
 		}
+		out, err = appendClientRows(out, look, look.fn(ins[0].Function), ins[:n], func(svc string) string { return elected[svc] })
+		if err != nil {
+			return nil, err
+		}
+		ins = ins[n:]
+	}
+	return out, nil
+}
+
+// appendClientRows is the per-client row builder of both synthesis
+// paths: for every replica of client (insts), one row per required
+// service in Requires order, served by replica 0 of the provider elect
+// names ("" for an unprovided service).
+func appendClientRows(out []model.Connection, look *synthView, client *model.Function, insts []model.Instance, elect func(string) string) ([]model.Connection, error) {
+	if client == nil {
+		return out, nil
+	}
+	for _, in := range insts {
 		for _, svc := range client.Requires {
-			provName, ok := providerOf[svc]
-			if !ok {
+			provName := elect(svc)
+			if provName == "" {
 				return nil, fmt.Errorf("mcc: unprovided service %q", svc)
 			}
 			prov := look.instances(provName)
 			if len(prov) == 0 {
 				return nil, fmt.Errorf("mcc: provider %q not deployed", provName)
 			}
-			server := look.fn(provName)
 			out = append(out, model.Connection{
 				Client:      in.ID(),
 				Server:      prov[0].ID(),
 				Service:     svc,
-				CrossDomain: client.Contract.Domain != server.Contract.Domain,
+				CrossDomain: client.Contract.Domain != look.fn(provName).Contract.Domain,
 			})
 		}
 	}
 	return out, nil
+}
+
+// rewireSessions patches the candidate's session graph onto the committed
+// one and reports whether the change edits it at all (connTouched). The
+// services an edited function joins or leaves get new provider and
+// requirer lists, and rows are re-derived for exactly the clients the
+// change can rewire: the edited functions, and the requirers of every
+// service whose elected provider changed or is itself edited. Every other
+// client's rows — a touched one's included — would re-derive verbatim, so
+// they stay committed. Cost is the rewired rows, not the platform.
+func (m *MCC) rewireSessions(look *synthView, over *synthOverlay) (bool, error) {
+	var edited []string
+	for name, neu := range over.fns {
+		if connTouched(m.snap.fn(name), neu) {
+			edited = append(edited, name)
+		}
+	}
+	if len(edited) == 0 {
+		return false, nil
+	}
+	over.prov, over.req = make(map[string][]string), make(map[string][]string)
+	clients := make(map[string]bool)
+	for _, name := range edited {
+		old, neu := m.snap.fn(name), over.fns[name]
+		var np, nr []string
+		if neu != nil {
+			np, nr = neu.Provides, neu.Requires
+			clients[name] = true
+		}
+		for _, f := range [2]*model.Function{old, neu} {
+			if f == nil {
+				continue
+			}
+			for _, svc := range f.Provides {
+				over.prov[svc] = withName(candNames(over.prov, &m.snap.prov, svc), name, slices.Contains(np, svc))
+			}
+			for _, svc := range f.Requires {
+				over.req[svc] = withName(look.requirers(svc), name, slices.Contains(nr, svc))
+			}
+		}
+	}
+	for svc, l := range over.prov {
+		// An untouched provider resolves to one value on both sides, which
+		// connTouched never flags.
+		if was := m.snap.prov.get(svc); len(l) == 0 || len(was) == 0 || l[0] != was[0] ||
+			connTouched(m.snap.fn(l[0]), look.fn(l[0])) {
+			for _, c := range look.requirers(svc) {
+				clients[c] = true
+			}
+		}
+	}
+	over.conns = make(map[string][]model.Connection, len(clients))
+	for _, name := range slices.Sorted(maps.Keys(clients)) { // deterministic first error
+		rows, err := appendClientRows(nil, look, look.fn(name), look.instances(name), look.elected)
+		if err != nil {
+			return true, err
+		}
+		over.conns[name] = rows
+	}
+	return true, nil
 }
 
 // synthesize derives the full implementation model: per-processor tasks
@@ -697,8 +812,8 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture) (*model.Implementati
 // model the diff can have changed, against the cached deployed model:
 // tasks of processors hosting a touched instance (old or new placement),
 // messages only when the flow topology or a flow endpoint changed, and
-// connections only when a touched function participates in the service
-// graph. Everything else is copied from the deployed implementation.
+// the session rows of the clients a change to the service graph rewires.
+// Everything else is copied from the deployed implementation.
 // Callers guarantee the placement of untouched instances is unchanged
 // (warm-started mapping), which is what makes the copies valid.
 //
@@ -792,34 +907,16 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 		impl.Messages = dep.Messages
 	}
 
-	// Connections change only when a touched function alters what it
-	// provides or requires, its trust domain, or its replica count.
-	// Everything else about a change — WCET, RAM, placement — is invisible
-	// to the session graph: connection endpoints are function#replica IDs,
-	// provider election reads only the Provides sets, and CrossDomain only
-	// the two domains, so under an unchanged service surface the rebuilt
-	// rows would come out exactly equal to the committed ones.
-	rebuildConns := false
-	for name := range over.fns {
-		if connTouched(m.snap.fn(name), over.fns[name]) {
-			rebuildConns = true
-			break
-		}
-	}
-	if rebuildConns {
-		// The session rebuild walks every candidate instance (provider
-		// election is global); materialize the flat list for it on this
-		// rare path — the common accepted change never pays for it.
-		if tech.Instances == nil {
-			tech.Instances = m.candInstances(over)
-		}
-		conns, err := synthesizeConnections(tech, look)
-		if err != nil {
-			return nil, err
-		}
-		impl.Connections = conns
-	} else {
-		impl.Connections = dep.Connections
+	// The session graph changes only when a touched function alters what
+	// it provides or requires, its trust domain, or its replica count:
+	// connection endpoints are function#replica IDs, provider election
+	// reads only the Provides sets, and CrossDomain only the two domains.
+	// Only the rewired clients' rows are re-derived; the candidate's flat
+	// list stays unmaterialized (impl.Connections is nil), consumers read
+	// the per-client rows, and DeployedImpl materializes it on demand.
+	rebuildConns, err := m.rewireSessions(look, over)
+	if err != nil {
+		return nil, err
 	}
 
 	// Record what the partial synthesis actually rebuilt so later stages
@@ -885,35 +982,6 @@ func (m *MCC) candTasks(over *synthOverlay) []model.Task {
 			continue
 		}
 		out = append(out, m.proc(pn).tasks...)
-	}
-	return out
-}
-
-// candInstances materializes the candidate's flat sorted instance list
-// from the snapshot's function entries plus the overlay's placements —
-// needed only by the connection-rebuild path, whose provider election
-// walks every instance, and by DeployedImpl (empty overlay). Untouched
-// names come from the snapshot, touched ones from the overlay; the two
-// sets are disjoint, and each per-function list is replica-ascending, so
-// concatenating over the sorted names reproduces Instance.Less order.
-func (m *MCC) candInstances(over *synthOverlay) []model.Instance {
-	names := make([]string, 0, m.snap.fns.n+len(over.insts))
-	total := 0
-	m.snap.fns.each(func(name string, e fnEntry) {
-		if _, touched := over.fns[name]; !touched {
-			names = append(names, name)
-			total += len(e.insts)
-		}
-	})
-	for name, ins := range over.insts {
-		names = append(names, name)
-		total += len(ins)
-	}
-	sort.Strings(names)
-	view := &synthView{snap: m.snap, over: over}
-	out := make([]model.Instance, 0, total)
-	for _, name := range names {
-		out = append(out, view.instances(name)...)
 	}
 	return out
 }
@@ -1060,17 +1128,10 @@ type securityStage struct{ m *MCC }
 func (s *securityStage) Name() Stage { return StageSecurity }
 
 func (s *securityStage) Run(ctx *pipeline.Context) error {
-	m := s.m
 	if ctx.PartialSynth {
-		var findings []security.Finding
-		var checked int
-		if !ctx.ConnectionsRebuilt {
-			findings, checked = m.checkSecurityIndexed(ctx)
-		} else {
-			findings, checked = m.checkSecurityScoped(ctx)
-		}
+		findings, checked := s.m.checkSecurityRows(ctx)
 		ctx.Report.SecurityChecks += checked
-		ctx.Note("scoped: re-checked %d/%d connections", checked, len(ctx.Impl.Connections))
+		ctx.Note("scoped: re-checked %d connections", checked)
 		return rejectFindings(findingStrings(findings))
 	}
 	findings, checked := security.CheckDomainsScoped(ctx.Impl, nil, nil)
@@ -1078,81 +1139,48 @@ func (s *securityStage) Run(ctx *pipeline.Context) error {
 	return rejectFindings(findingStrings(findings))
 }
 
-// checkSecurityScoped runs the cross-domain check diff-proportionally: a
-// connection gets a fresh verdict only when the diff touched its client
-// or server function, or when it is not a committed row (new or rewired
-// wiring after a connection rebuild); every other connection was
-// committed clean with unchanged contracts and splices. Function
-// resolution goes through the committed synthesis lookups plus this
-// proposal's diff overlay — no per-proposal index rebuild.
-func (m *MCC) checkSecurityScoped(ctx *pipeline.Context) ([]security.Finding, int) {
-	d := ctx.Diff
-	resolve := m.secResolver()
-	dirty := func(c model.Connection) bool {
-		if !m.snap.connCommitted(c) {
-			return true // no committed verdict for this wiring
+// checkSecurityRows runs the cross-domain check diff-proportionally. A
+// row gets a fresh verdict only when the diff touched its client or
+// server function or the row is not committed (re-derived wiring); every
+// other row was committed clean and splices. Such rows belong only to the
+// touched clients, the re-derived ones, and the requirers of services
+// whose elected provider (every row's server) the diff touched. Walking
+// those clients by name, rows in order, follows the flat list's order, so
+// the findings and the count equal a scan of the whole list.
+func (m *MCC) checkSecurityRows(ctx *pipeline.Context) ([]security.Finding, int) {
+	d, over := ctx.Diff, m.att.synth
+	look := &synthView{snap: m.snap, over: over}
+	var buf [8]string // the common footprint stays off the heap
+	names := buf[:0]
+	for name, f := range over.fns {
+		if names = append(names, name); f == nil {
+			continue
 		}
-		return d.Touched(security.FunctionName(c.Client)) || d.Touched(security.FunctionName(c.Server))
-	}
-	return security.CheckDomainsScoped(ctx.Impl, resolve, dirty)
-}
-
-// secResolver builds the instance-ID -> function resolution of the
-// scoped security checks: committed synthesis lookups plus this
-// proposal's diff overlay — no per-proposal index rebuild. It mirrors
-// the full check's resolution exactly: the instance must exist before
-// its function is looked up, so a connection referencing a dropped
-// replica of a still-deployed function is skipped by both paths alike.
-func (m *MCC) secResolver() security.FunctionResolver {
-	view := &synthView{snap: m.snap, over: m.att.synth}
-	return func(id string) *model.Function {
-		name := security.FunctionName(id)
-		for _, in := range view.instances(name) {
-			if in.ID() == id {
-				return view.fn(name)
+		for _, svc := range f.Provides {
+			if look.elected(svc) == name {
+				names = append(names, look.requirers(svc)...)
 			}
 		}
-		return nil
 	}
-}
-
-// checkSecurityIndexed is checkSecurityScoped without the scan: with the
-// session list unrebuilt it aliases the committed one, every row has a
-// committed-clean verdict, so the dirty set is exactly "rows incident to
-// a touched function" — which the committed connection-position index
-// answers directly. Walking the touched names' position lists (merged
-// ascending, deduplicated) visits the same rows in the same list order
-// as the scan's dirty filter, at O(diff + dirty) instead of O(conns)
-// string splits and map hashes per proposal.
-func (m *MCC) checkSecurityIndexed(ctx *pipeline.Context) ([]security.Finding, int) {
-	d := ctx.Diff
-	var pos []int
-	for _, names := range [][]string{d.Added, d.Changed, d.Removed} {
-		for _, name := range names {
-			pos = append(pos, m.snap.connIdx[name]...)
-		}
+	for name := range over.conns {
+		names = append(names, name)
 	}
-	sort.Ints(pos)
-	conns := ctx.Impl.Connections
-	resolve := m.secResolver()
+	slices.Sort(names)
+	// Every candidate row's endpoints exist (re-derived from the candidate
+	// placements, or kept with an unchanged replica count), so resolving
+	// by function name equals the full check's instance-index resolution.
+	resolve := func(id string) *model.Function { return look.fn(security.FunctionName(id)) }
 	var out []security.Finding
 	checked := 0
-	prev := -1
-	for _, i := range pos {
-		if i == prev {
-			continue // client and server both touched: one verdict
-		}
-		prev = i
-		if i < 0 || i >= len(conns) {
-			// Index out of step with the committed list — should be
-			// impossible, but a wrong verdict source is never acceptable:
-			// fall back to the scan.
-			return m.checkSecurityScoped(ctx)
-		}
-		checked++
-		c := conns[i]
-		if f, bad := security.ConnectionVerdict(resolve(c.Client), resolve(c.Server), c); bad {
-			out = append(out, f)
+	for _, name := range slices.Compact(names) {
+		for _, c := range look.conns(name) {
+			if !d.Touched(name) && !d.Touched(security.FunctionName(c.Server)) && m.snap.connCommitted(c) {
+				continue // committed clean, inputs unchanged: splice
+			}
+			checked++
+			if f, bad := security.ConnectionVerdict(resolve(c.Client), resolve(c.Server), c); bad {
+				out = append(out, f)
+			}
 		}
 	}
 	return out, checked
@@ -1869,9 +1897,10 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 // commitIncremental writes the footprint-sized artifacts of a
 // partial-synthesis attempt into the next snapshot: the timing table is
 // patched from this attempt's job list and cleared slots, and the
-// diff-touched functions, provider counts and affected
-// processors are written under the current epoch. Everything else keeps
-// its committed entry by the splice invariant.
+// diff-touched functions, the rewired clients' rows, the provider and
+// requirer lists the change altered and the affected processors are
+// written under the current epoch. Everything else keeps its committed
+// entry by the splice invariant.
 func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	m := s.m
 
@@ -1888,41 +1917,31 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	n, e, over := m.ownSnap(), m.epoch, m.att.synth
 	n.impl, n.res = ctx.Impl, res
 	// The flow index changes only with the flow set (removals cutting
-	// flows), the connection index only when the synthesis rebuilt the
-	// sessions; both are replaced, never written in place.
+	// flows); it is replaced, never written in place.
 	if ctx.Diff.FlowsChanged {
 		n.flowTouch = flowTouchIndex(ctx.Candidate.Flows)
 	}
-	if ctx.ConnectionsRebuilt {
-		n.connIdx = connPosIndex(ctx.Impl.Connections)
-	}
 
-	// Diff-touched functions are copied in (or dropped); the instance
-	// count and the provider counts adjust by the same delta — the
-	// committed entry's share out (read before it is overwritten), the
-	// candidate's in.
+	// Diff-touched functions are copied in (or dropped) with their
+	// committed rows, and the instance count adjusts by the same delta;
+	// then every rewired client, touched or not, takes its re-derived rows.
 	for name, f := range over.fns {
 		old := n.fns.get(name)
 		n.instTotal += len(over.insts[name]) - len(old.insts)
-		if old.fn != nil {
-			for _, svc := range old.fn.Provides {
-				if c := n.prov.get(svc) - 1; c > 0 {
-					n.prov.put(e, svc, c)
-				} else {
-					n.prov.del(e, svc)
-				}
-			}
-		}
 		if f == nil {
 			n.fns.del(e, name)
 			continue
 		}
-		for _, svc := range f.Provides {
-			n.prov.put(e, svc, n.prov.get(svc)+1)
-		}
 		cp := *f
-		n.fns.put(e, name, fnEntry{&cp, over.insts[name]})
+		n.fns.put(e, name, fnEntry{&cp, over.insts[name], old.conns})
 	}
+	for name, rows := range over.conns {
+		ent := n.fns.get(name)
+		ent.conns = rows
+		n.fns.put(e, name, ent)
+	}
+	putNames(&n.prov, e, over.prov)
+	putNames(&n.req, e, over.req)
 	// Affected processors take their rebuilt task and resident lists and
 	// the placer's final load totals (the warm start discounted and placed
 	// only on these processors).
@@ -1930,5 +1949,17 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 		i := m.procIdx[pn]
 		n.procs.set(e, i, procState{over.tasksOn[pn], over.instsOn[pn]})
 		n.loads.set(e, i, m.att.loads[i])
+	}
+}
+
+// putNames writes the altered name lists of services under epoch e,
+// dropping the emptied ones.
+func putNames(p *pmap[[]string], e uint64, lists map[string][]string) {
+	for svc, l := range lists {
+		if len(l) == 0 {
+			p.del(e, svc)
+		} else {
+			p.put(e, svc, l)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -26,19 +27,20 @@ func domainFn(name, domain string, peers ...string) model.Function {
 	return f
 }
 
-// assertSecCacheMirrorsConnections checks the committed-connection
-// predicate the scoped security check reads in place of a verdict cache:
-// it accepts every deployed connection and rejects a rewired copy of
-// each, and the connection index behind it is exactly the deployed
-// list's — every row it names is incident to the indexed function — so
-// no stale key can pass after removals or rewiring, and none is missing
-// after additions.
+// assertSecCacheMirrorsConnections checks the committed session graph
+// the scoped security check reads in place of a verdict cache. The
+// committed-row predicate accepts every deployed connection and rejects a
+// rewired copy of each; every client's committed rows are exactly its run
+// of the deployed list; and the provider and requirer lists equal a
+// rebuild from the deployed architecture — so no stale row or name can
+// pass after removals or rewiring, and none is missing after additions.
 func assertSecCacheMirrorsConnections(t *testing.T, label string, m *MCC) {
 	t.Helper()
 	if !m.warm() {
 		t.Fatalf("%s: snapshot not warm", label)
 	}
 	conns := m.DeployedImpl().Connections
+	wantRows := make(map[string][]model.Connection)
 	for _, c := range conns {
 		if !m.snap.connCommitted(c) {
 			t.Fatalf("%s: deployed connection %+v not committed", label, c)
@@ -48,20 +50,45 @@ func assertSecCacheMirrorsConnections(t *testing.T, label string, m *MCC) {
 		if m.snap.connCommitted(stale) {
 			t.Fatalf("%s: rewired connection %+v passes as committed", label, stale)
 		}
+		name := security.FunctionName(c.Client)
+		wantRows[name] = append(wantRows[name], c)
 	}
-	for name, rows := range m.snap.connIdx {
-		for _, p := range rows {
-			if p < 0 || p >= len(conns) {
-				t.Fatalf("%s: index row %d of %q outside the %d deployed connections", label, p, name, len(conns))
+	gotRows := make(map[string][]model.Connection)
+	m.snap.fns.each(func(name string, e fnEntry) {
+		if len(e.conns) > 0 {
+			gotRows[name] = e.conns
+		}
+	})
+	if !reflect.DeepEqual(gotRows, wantRows) {
+		t.Fatalf("%s: committed client rows diverge from the deployed connections:\nrows %v\nwant %v", label, gotRows, wantRows)
+	}
+	wantProv, wantReq := make(map[string][]string), make(map[string][]string)
+	for _, f := range m.Deployed().Functions {
+		for _, svc := range f.Provides {
+			if !slices.Contains(wantProv[svc], f.Name) {
+				wantProv[svc] = append(wantProv[svc], f.Name)
 			}
-			if c := conns[p]; security.FunctionName(c.Client) != name && security.FunctionName(c.Server) != name {
-				t.Fatalf("%s: index row %d of %q points at unrelated connection %+v", label, p, name, c)
+		}
+		for _, svc := range f.Requires {
+			if !slices.Contains(wantReq[svc], f.Name) {
+				wantReq[svc] = append(wantReq[svc], f.Name)
 			}
 		}
 	}
-	if want := connPosIndex(conns); !reflect.DeepEqual(m.snap.connIdx, want) {
-		t.Fatalf("%s: connection index diverges from the deployed connections:\nindex %v\nwant  %v",
-			label, m.snap.connIdx, want)
+	for _, idx := range []struct {
+		name      string
+		committed *pmap[[]string]
+		want      map[string][]string
+	}{{"provider", &m.snap.prov, wantProv}, {"requirer", &m.snap.req, wantReq}} {
+		got := make(map[string][]string)
+		idx.committed.each(func(svc string, names []string) { got[svc] = names })
+		for _, names := range idx.want {
+			slices.Sort(names)
+		}
+		if !reflect.DeepEqual(got, idx.want) || idx.committed.n != len(idx.want) {
+			t.Fatalf("%s: committed %s lists diverge from the deployed architecture:\ncommitted %v (n=%d)\nwant      %v",
+				label, idx.name, got, idx.committed.n, idx.want)
+		}
 	}
 }
 
@@ -84,8 +111,6 @@ func TestScopedVerdictCacheInvalidationEdges(t *testing.T) {
 		}
 		return m
 	}
-	inc := mk()                     // scoped verdict stages
-	ser := mk(WithoutIncremental()) // from-scratch oracle
 
 	ver := func(i int, f model.Function) model.Function { f.Version = i; return f }
 	revoked := domainFn("cli", "conn")
@@ -96,6 +121,17 @@ func TestScopedVerdictCacheInvalidationEdges(t *testing.T) {
 	srvDrive.Provides = []string{"cmd"}
 	failop := fn("failop", model.ASILD, 40000, 1500, 64)
 	failop.Contract.FailOperational = true // Replicas stays 1: redundancy finding
+	cli2 := domainFn("cli2", "drive")
+	cli2.Requires = []string{"cmd"}
+	lowConn := domainFn("asrv", "conn")
+	lowConn.Provides = []string{"cmd"}
+	lowDrive := domainFn("asrv", "drive")
+	lowDrive.Provides = []string{"cmd"}
+	cliTwice := ver(10, cli)
+	cliTwice.Replicas = 2
+	selfServe := domainFn("a0", "drive")
+	selfServe.Provides = []string{"cmd"}
+	selfServe.Requires = []string{"cmd"}
 
 	steps := []struct {
 		label string
@@ -138,48 +174,113 @@ func TestScopedVerdictCacheInvalidationEdges(t *testing.T) {
 		// safety stage on both engines with identical findings (the
 		// incremental engine re-decides the rejection cold).
 		{"failop-single", upd(failop), StageSafety},
+		// Provider election. A second, same-domain requirer first.
+		{"second-requirer", upd(cli2), ""},
+		// A lower-named second provider is elected and rewires every
+		// requirer — untouched clients whose rows are new: the peers-less
+		// cli2 now crosses into "conn" and must be caught.
+		{"lower-provider-denied", upd(lowConn), StageSecurity},
+		{"lower-provider-add", upd(lowDrive), ""},
+		// The elected provider leaves while srv still provides: every
+		// requirer is rewired back to srv.
+		{"elected-provider-removed", Change{Remove: "asrv"}, ""},
+		// A client's replica count rises and falls: its rows follow.
+		{"client-replicas-up", upd(cliTwice), ""},
+		{"client-replicas-down", upd(ver(11, cli)), ""},
+		// A function requiring a service it provides itself, elected as
+		// the lowest name: it serves itself and rewires every requirer,
+		// then its removal rewires them back.
+		{"self-provider", upd(selfServe), ""},
+		{"self-provider-removed", Change{Remove: "a0"}, ""},
 	}
 
-	sawSplice := false
-	for _, st := range steps {
-		ir, sr := inc.integrateChangeCtx(context.Background(), st.c), ser.integrateChangeCtx(context.Background(), st.c)
-		if ir.Accepted != sr.Accepted || ir.RejectedAt != sr.RejectedAt {
-			t.Fatalf("%s: incremental decided %v@%q, serial %v@%q",
-				st.label, ir.Accepted, ir.RejectedAt, sr.Accepted, sr.RejectedAt)
-		}
-		if !reflect.DeepEqual(ir.Findings, sr.Findings) {
-			t.Fatalf("%s: findings diverge:\nincremental %v\nserial      %v", st.label, ir.Findings, sr.Findings)
-		}
-		if st.rejectAt == "" && !ir.Accepted {
-			t.Fatalf("%s: rejected at %s: %v", st.label, ir.RejectedAt, ir.Findings)
-		}
-		if st.rejectAt != "" && (ir.Accepted || ir.RejectedAt != st.rejectAt) {
-			t.Fatalf("%s: decided %v@%q, want rejection at %s", st.label, ir.Accepted, ir.RejectedAt, st.rejectAt)
-		}
-		if ir.Accepted {
-			// The committed-clean oracle: the scoped splice is valid iff
-			// every committed configuration passes the full checks.
-			impl := inc.DeployedImpl()
-			if f := safety.Check(impl.Tech); len(f) > 0 {
-				t.Fatalf("%s: committed config carries safety findings: %v", st.label, f)
+	// Every step runs on three engines against the from-scratch oracle:
+	// serially, and through the stream scheduler in a window next to a
+	// disjoint filler that verifies, or next to a deadline-missing hog
+	// whose deferred timing verdict fails and forces the window's serial
+	// replay. A removal's global footprint gives it a window of its own,
+	// so only updates share (and replay) a window.
+	hog := fn("hog", model.ASILD, 10000, 6000, 64)
+	hog.Contract.RealTime.JitterUS = 5000 // WCRT >= 11000 > period on any core
+	engines := []struct {
+		name    string
+		propose func(t *testing.T, m *MCC, i int, c Change) *Report
+	}{
+		{"serial", func(t *testing.T, m *MCC, _ int, c Change) *Report {
+			return m.integrateChangeCtx(context.Background(), c)
+		}},
+		{"window", func(t *testing.T, m *MCC, i int, c Change) *Report {
+			sched := NewStreamScheduler(m, WithStreamWindow(8))
+			reps := sched.Run([]Change{c, upd(ver(i, fn("fill", model.QM, 200000, 100, 64)))})
+			if st := sched.Stats(); st.Replays != 0 || !reps[1].Accepted {
+				t.Fatalf("stats = %+v, filler accepted %v: want a verified window", st, reps[1].Accepted)
 			}
-			if f := security.CheckDomains(impl); len(f) > 0 {
-				t.Fatalf("%s: committed config carries security findings: %v", st.label, f)
+			return reps[0]
+		}},
+		{"window-replay", func(t *testing.T, m *MCC, _ int, c Change) *Report {
+			sched := NewStreamScheduler(m, WithStreamWindow(8))
+			reps := sched.Run([]Change{c, upd(hog)})
+			wantReplays := 1
+			if c.Update == nil {
+				wantReplays = 0
 			}
-			assertSecCacheMirrorsConnections(t, st.label, inc)
-		}
-		if st.label == "disjoint-add" {
-			if ir.SecurityChecks != 0 {
-				t.Errorf("disjoint-add re-checked %d connections, want 0 (full splice)", ir.SecurityChecks)
+			if st := sched.Stats(); st.Replays != wantReplays || reps[1].Accepted || reps[1].RejectedAt != StageTiming {
+				t.Fatalf("stats = %+v, hog decided %v@%q: want %d replays and a timing rejection",
+					st, reps[1].Accepted, reps[1].RejectedAt, wantReplays)
 			}
-			if len(inc.DeployedImpl().Connections) == 0 {
-				t.Error("fixture lost its connections — the splice assertion is vacuous")
-			}
-			sawSplice = true
-		}
+			return reps[0]
+		}},
 	}
-	if !sawSplice {
-		t.Fatal("no step exercised the full-splice path")
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			inc := mk()                     // scoped verdict stages
+			ser := mk(WithoutIncremental()) // from-scratch oracle
+			sawSplice := false
+			for i, st := range steps {
+				ir, sr := eng.propose(t, inc, i, st.c), ser.integrateChangeCtx(context.Background(), st.c)
+				if ir.Accepted != sr.Accepted || ir.RejectedAt != sr.RejectedAt {
+					t.Fatalf("%s: incremental decided %v@%q, serial %v@%q",
+						st.label, ir.Accepted, ir.RejectedAt, sr.Accepted, sr.RejectedAt)
+				}
+				if !reflect.DeepEqual(ir.Findings, sr.Findings) {
+					t.Fatalf("%s: findings diverge:\nincremental %v\nserial      %v", st.label, ir.Findings, sr.Findings)
+				}
+				if st.rejectAt == "" && !ir.Accepted {
+					t.Fatalf("%s: rejected at %s: %v", st.label, ir.RejectedAt, ir.Findings)
+				}
+				if st.rejectAt != "" && (ir.Accepted || ir.RejectedAt != st.rejectAt) {
+					t.Fatalf("%s: decided %v@%q, want rejection at %s", st.label, ir.Accepted, ir.RejectedAt, st.rejectAt)
+				}
+				if got, want := inc.DeployedImpl().Connections, ser.DeployedImpl().Connections; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: committed connections diverge from the oracle:\ngot  %+v\nwant %+v", st.label, got, want)
+				}
+				if ir.Accepted {
+					// The committed-clean oracle: the scoped splice is valid
+					// iff every committed configuration passes the full checks.
+					impl := inc.DeployedImpl()
+					if f := safety.Check(impl.Tech); len(f) > 0 {
+						t.Fatalf("%s: committed config carries safety findings: %v", st.label, f)
+					}
+					if f := security.CheckDomains(impl); len(f) > 0 {
+						t.Fatalf("%s: committed config carries security findings: %v", st.label, f)
+					}
+				}
+				assertSecCacheMirrorsConnections(t, st.label, inc)
+				assertSnapshotFresh(t, st.label, inc)
+				if st.label == "disjoint-add" {
+					if ir.SecurityChecks != 0 {
+						t.Errorf("disjoint-add re-checked %d connections, want 0 (full splice)", ir.SecurityChecks)
+					}
+					if len(inc.DeployedImpl().Connections) == 0 {
+						t.Error("fixture lost its connections — the splice assertion is vacuous")
+					}
+					sawSplice = true
+				}
+			}
+			if !sawSplice {
+				t.Fatal("no step exercised the full-splice path")
+			}
+		})
 	}
 }
 

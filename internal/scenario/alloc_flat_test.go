@@ -23,7 +23,11 @@ import (
 // bounded the same way: a platform-sized structure rebuilt once per
 // proposal (say, a function index dropped by a removal and rebuilt by
 // the next lookup) costs a few allocations but many bytes, invisible
-// to the count alone.
+// to the count alone. The service-graph shape (a cross-domain client's
+// add, removal and denied add) re-derives session rows: only the rows of
+// the clients it rewires, read from the committed snapshot, so it stays
+// flat too (~75 allocs at 32 processors vs ~79 at 2048), and its
+// SecurityChecks must not depend on the platform size.
 
 // deployGenerated deploys the generated baseline at the given platform
 // size on a fresh controller.
@@ -82,9 +86,37 @@ func telemetryPair(t *testing.T, m *mcc.MCC, _ *Fleet) func() {
 	}
 }
 
+// serviceClientTriple adds a cross-domain client of a baseline chain
+// service holding the grant, removes it, and proposes it again without
+// the grant, which the security stage denies — the service-graph edit
+// that re-derives session rows. checks receives the three proposals'
+// SecurityChecks.
+func serviceClientTriple(t *testing.T, m *mcc.MCC, fleet *Fleet, checks *[3]int) func() {
+	svc := fleet.services[0]
+	granted := model.Function{Name: "xdom-probe", Requires: []string{svc}, Contract: model.Contract{
+		Safety:       model.QM,
+		Domain:       "telematics",
+		AllowedPeers: []string{svc},
+		RealTime:     model.RealTimeContract{PeriodUS: 100000, WCETUS: 3000},
+		Resources:    model.ResourceContract{RAMKiB: 64},
+	}}
+	denied := granted
+	denied.Contract.AllowedPeers = nil
+	return func() {
+		reps := [3]*mcc.Report{m.ProposeUpdate(granted), m.ProposeRemoval(granted.Name), m.ProposeUpdate(denied)}
+		if !reps[0].Accepted || !reps[1].Accepted || reps[2].Accepted || reps[2].RejectedAt != mcc.StageSecurity {
+			t.Fatalf("service client triple decided %v/%v/%v@%s, want accepted/accepted/rejected@security",
+				reps[0].Accepted, reps[1].Accepted, reps[2].Accepted, reps[2].RejectedAt)
+		}
+		for i, rep := range reps {
+			checks[i] = rep.SecurityChecks
+		}
+	}
+}
+
 // perProposal measures the steady-state allocations and heap bytes of
-// one proposal of the given pair.
-func perProposal(pair func()) (allocs, bytes float64) {
+// one proposal of a pair issuing n proposals per call.
+func perProposal(pair func(), n int) (allocs, bytes float64) {
 	// Warm the pair so the analyzer memo and splice caches reach steady
 	// state before measuring.
 	pair()
@@ -97,27 +129,40 @@ func perProposal(pair func()) (allocs, bytes float64) {
 		pair()
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / (2 * pairs),
-		float64(after.TotalAlloc-before.TotalAlloc) / (2 * pairs)
+	return float64(after.Mallocs-before.Mallocs) / float64(n*pairs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(n*pairs)
 }
 
 func TestProposalAllocsFlatAcrossPlatformSize(t *testing.T) {
+	var checks [3]int
 	shapes := []struct {
 		name string
+		n    int // proposals per call
 		pair func(*testing.T, *mcc.MCC, *Fleet) func()
 	}{
-		{"update toggle", updateTogglePair},
-		{"telemetry add/remove", telemetryPair},
+		{"update toggle", 2, updateTogglePair},
+		{"telemetry add/remove", 2, telemetryPair},
+		{"service client add/remove/deny", 3, func(t *testing.T, m *mcc.MCC, fleet *Fleet) func() {
+			return serviceClientTriple(t, m, fleet, &checks)
+		}},
 	}
 	const small, big = 32, 2048
 	type cost struct{ allocs, bytes float64 }
 	costs := make(map[int][]cost)
+	checksAt := make(map[int][3]int)
 	for _, procs := range []int{small, big} {
 		m, fleet := deployGenerated(t, procs)
 		for _, s := range shapes {
-			a, b := perProposal(s.pair(t, m, fleet))
+			a, b := perProposal(s.pair(t, m, fleet), s.n)
 			costs[procs] = append(costs[procs], cost{a, b})
 		}
+		checksAt[procs] = checks
+	}
+	// The service-graph edit re-checks the same rows at every size: the
+	// client's own rows on the add and the denied add, none on the removal.
+	if checksAt[small] != checksAt[big] {
+		t.Errorf("service client SecurityChecks differ across platform sizes: %v @%dp, %v @%dp",
+			checksAt[small], small, checksAt[big], big)
 	}
 	for i, s := range shapes {
 		lo, hi := costs[small][i], costs[big][i]
