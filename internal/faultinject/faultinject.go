@@ -200,30 +200,6 @@ func (inj *Injector) Fire(done <-chan struct{}, stage, resource string) (Fault, 
 	}
 }
 
-// Wired reports whether any rule targets the given stage (for any
-// resource), regardless of Skip/Every/Rate/Count state. Hot paths use
-// it to skip defensive work whose only consumer is a fault injected at
-// that hook point; the answer is conservative — a rule that can no
-// longer fire (Count exhausted) still reports true. A nil injector is
-// never wired.
-func (inj *Injector) Wired(stage string) bool {
-	if inj == nil {
-		return false
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	for _, st := range inj.rules {
-		if p, ok := strings.CutSuffix(st.rule.Stage, "*"); ok {
-			if strings.HasPrefix(stage, p) {
-				return true
-			}
-		} else if st.rule.Stage == stage {
-			return true
-		}
-	}
-	return false
-}
-
 // Fired returns a copy of the per-hook fire counters, keyed
 // "stage|mode".
 func (inj *Injector) Fired() map[string]int {

@@ -2,42 +2,73 @@ package mcc
 
 import (
 	"context"
-	"maps"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
 )
 
-// assertFnIndex fails when the committed function index, if built,
-// differs from a fresh rebuild over the deployed slice.
-func assertFnIndex(t *testing.T, m *MCC, step string) {
+// assertDeployed holds the committed architecture, function order and
+// flows included, to want: both the memo Deployed returns and a rebuild
+// from the snapshot's ranked entries, so a commit that installs a whole
+// candidate cannot hide a rank that disagrees with it. The snapshot must
+// also equal a rebuild of itself.
+func assertDeployed(t *testing.T, step string, m *MCC, want *model.FunctionalArchitecture) {
 	t.Helper()
-	if m.fnIdx == nil {
-		return
+	if got := m.Deployed(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: deployed architecture\n%+v\nwant %+v", step, got, want)
 	}
-	want := make(map[string]int, len(m.deployed.Functions))
-	for i := range m.deployed.Functions {
-		want[m.deployed.Functions[i].Name] = i
+	if m.warm() {
+		memo := m.snap
+		cp := *memo
+		cp.fa = nil
+		m.snap = &cp
+		rebuilt := m.Deployed()
+		m.snap = memo
+		if !reflect.DeepEqual(rebuilt, want) {
+			t.Fatalf("%s: architecture rebuilt in rank order\n%+v\nwant %+v", step, rebuilt, want)
+		}
 	}
-	if !maps.Equal(m.fnIdx, want) {
-		t.Fatalf("%s: function index %v, fresh rebuild %v", step, m.fnIdx, want)
+	assertSnapshotFresh(t, step, m)
+}
+
+type archStep struct {
+	name   string
+	c      Change
+	accept bool
+}
+
+// runArchSteps proposes every step on m and on the reference twin ref
+// and holds m's committed architecture to ref's after each one. Every
+// step of m runs on the change-driven fast path.
+func runArchSteps(t *testing.T, m, ref *MCC, steps []archStep) {
+	t.Helper()
+	for _, st := range steps {
+		if !m.fastPathReady() {
+			t.Fatalf("%s: fast path not ready", st.name)
+		}
+		for _, c := range []*MCC{m, ref} {
+			if rep := c.integrateChangeCtx(context.Background(), st.c); rep.Accepted != st.accept {
+				t.Fatalf("%s: accepted=%v at %s (%v), want %v",
+					st.name, rep.Accepted, rep.RejectedAt, rep.Findings, st.accept)
+			}
+		}
+		assertDeployed(t, st.name, m, ref.Deployed())
 	}
 }
 
-// The fast path keeps the name->position index exact across in-place
-// appends, removals from the middle and the tail, and the revert of a
-// rejected removal, instead of dropping it for a platform-sized rebuild.
-func TestFnIndexMaintainedAcrossFastPathMutations(t *testing.T) {
-	m := robustMCC(t)
+// The fast path decides a change against the snapshot without writing
+// it, so appends, removals from the middle and the tail, a rejected
+// removal and replacements leave exactly the architecture — order
+// included — a from-scratch twin fed the same changes commits.
+func TestDeployedArchitectureAcrossFastPathChanges(t *testing.T) {
+	m, ref := robustMCC(t), robustMCC(t, WithoutIncremental())
 	radar := fn("radar", model.ASILB, 20000, 1000, 64)
 	radar.Provides = []string{"objects"}
 	fusion := fn("fusion", model.QM, 50000, 1000, 64)
 	fusion.Requires = []string{"objects"}
-	steps := []struct {
-		name   string
-		c      Change
-		accept bool
-	}{
+	runArchSteps(t, m, ref, []archStep{
 		{"append provider", upd(radar), true},
 		{"append requirer", upd(fusion), true},
 		{"append a0", upd(fn("a0", model.QM, 100000, 1000, 64)), true},
@@ -47,55 +78,75 @@ func TestFnIndexMaintainedAcrossFastPathMutations(t *testing.T) {
 		{"remove the tail", Change{Remove: "a1"}, true},
 		{"replace in place", upd(fn("a0", model.QM, 100000, 1200, 64)), true},
 		{"re-append", upd(fn("a1", model.QM, 100000, 1000, 64)), true},
-	}
-	for _, st := range steps {
-		if !m.fastPathReady() {
-			t.Fatalf("%s: fast path not ready", st.name)
-		}
-		// Build the index so every step exercises its maintenance.
-		m.fnIndexOf("")
-		if rep := m.integrateChangeCtx(context.Background(), st.c); rep.Accepted != st.accept {
-			t.Fatalf("%s: accepted=%v at %s (%v), want %v",
-				st.name, rep.Accepted, rep.RejectedAt, rep.Findings, st.accept)
-		}
-		if st.c.Update == nil && m.fnIdx == nil {
-			t.Fatalf("%s: removal dropped the function index", st.name)
-		}
-		assertFnIndex(t, m, st.name)
-	}
-	if got := m.Deployed().FunctionByName("radar"); got == nil {
-		t.Fatal("rejected removal did not restore the provider")
+		{"replace in the middle", upd(fn("infotainment", model.QM, 50000, 9000, 1024)), true},
+	})
+	if m.Deployed().FunctionByName("radar") == nil {
+		t.Fatal("rejected removal dropped the provider")
 	}
 }
 
-// A stream window rollback rewinds the in-place candidate mutations of
-// the window; the index it leaves behind (dropped, or rebuilt by the
-// serial replay) must still describe the restored slice.
-func TestFnIndexAfterStreamWindowRollback(t *testing.T) {
-	m := robustMCC(t)
-	m.integrateChangeCtx(context.Background(), upd(fn("a0", model.QM, 100000, 1000, 64)))
-	m.fnIndexOf("")
-	assertFnIndex(t, m, "before the window")
-	sched := NewStreamScheduler(m, WithStreamWindow(8))
+// A stream window rollback restores the start snapshot pointer, the
+// architecture with it; the replayed window and a later removal must
+// leave what a serial twin commits.
+func TestDeployedArchitectureAfterStreamWindowRollback(t *testing.T) {
+	m, ref := robustMCC(t), robustMCC(t)
+	a0 := upd(fn("a0", model.QM, 100000, 1000, 64))
+	m.integrateChangeCtx(context.Background(), a0)
+	ref.integrateChangeCtx(context.Background(), a0)
+	assertDeployed(t, "before the window", m, ref.Deployed())
 	// Its 5 ms release jitter makes the heavy ASIL-D load miss its
 	// implicit deadline wherever it lands: the deferred busy-window
 	// verdict fails and the window replays.
 	heavy := fn("heavy", model.ASILD, 10000, 5500, 64)
 	heavy.Contract.RealTime.JitterUS = 5000
-	sched.Run([]Change{
+	window := []Change{
 		upd(fn("a1", model.QM, 120000, 1500, 64)),
 		upd(heavy),
 		upd(fn("a2", model.QM, 140000, 2500, 64)),
-	})
+	}
+	sched := NewStreamScheduler(m, WithStreamWindow(8))
+	sched.Run(window)
 	if sched.Stats().Replays == 0 {
 		t.Fatal("window did not roll back")
 	}
-	assertFnIndex(t, m, "after the rollback")
-	if rep := m.integrateChangeCtx(context.Background(), Change{Remove: "a1"}); !rep.Accepted {
-		t.Fatalf("removal after the rollback rejected at %s: %v", rep.RejectedAt, rep.Findings)
+	for _, c := range window {
+		ref.integrateChangeCtx(context.Background(), c)
 	}
-	assertFnIndex(t, m, "removal after the rollback")
+	assertDeployed(t, "after the rollback", m, ref.Deployed())
+	runArchSteps(t, m, ref, []archStep{{"removal after the rollback", Change{Remove: "a1"}, true}})
 	if m.Deployed().FunctionByName("heavy") != nil {
 		t.Fatal("rolled-back change is still deployed")
+	}
+}
+
+// A warm ProposeArchitecture may reorder the committed functions and add
+// several at once; its commit re-ranks the snapshot's entries, so the
+// fast-path adds and removals after it — a flow-cutting removal among
+// them — keep the clone path's order and flows.
+func TestDeployedArchitectureAfterReorderedProposeArchitecture(t *testing.T) {
+	m, ref := robustMCC(t), robustMCC(t, WithoutIncremental())
+	radar := fn("radar", model.ASILB, 20000, 1000, 64)
+	radar.Provides = []string{"objects"}
+	fusion := fn("fusion", model.QM, 50000, 1000, 64)
+	fusion.Requires = []string{"objects"}
+	fa := m.Deployed().Clone()
+	slices.Reverse(fa.Functions)
+	fa.Functions = slices.Insert(fa.Functions, 1, radar, fn("mid", model.QM, 100000, 1000, 64), fusion)
+	fa.Flows = []model.Flow{{From: "radar", To: "fusion", Service: "objects", MsgBytes: 8, PeriodUS: 20000}}
+	for _, c := range []*MCC{m, ref} {
+		if rep := c.ProposeArchitecture(fa); !rep.Accepted {
+			t.Fatalf("reordered architecture rejected at %s: %v", rep.RejectedAt, rep.Findings)
+		}
+	}
+	assertDeployed(t, "reordered architecture", m, ref.Deployed())
+	runArchSteps(t, m, ref, []archStep{
+		{"append after the reorder", upd(fn("late", model.QM, 100000, 1000, 64)), true},
+		{"remove from the middle", Change{Remove: "mid"}, true},
+		{"replace in place", upd(fn("brake", model.ASILD, 5000, 600, 128)), true},
+		{"flow-cutting removal", Change{Remove: "fusion"}, true},
+		{"re-append", upd(fn("mid", model.QM, 100000, 1000, 64)), true},
+	})
+	if len(m.Deployed().Flows) != 0 {
+		t.Fatalf("flow-cutting removal kept flows %v", m.Deployed().Flows)
 	}
 }

@@ -2,6 +2,7 @@ package mcc
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -430,6 +431,89 @@ func TestSynthesizeSingleNetworkNameUnchanged(t *testing.T) {
 }
 
 // --- satellite: timing analysis errors surface as findings -----------------
+
+// A message rebuild re-derives every network's job, but a network whose
+// message list came out unchanged keeps its digest: it stays clean (no
+// re-analysis, no TimingDirty count), while its rate monitors still come
+// back in the monitor delta like every rebuilt resource's.
+func TestMessageRebuildKeepsUnchangedNetworkClean(t *testing.T) {
+	// Safety levels and RAM budgets pin every placement: src, w and the
+	// moved dst fit only p0; dst, x and v only p1; u only p2. netA links
+	// p0-p1, netB p1-p2.
+	p := &model.Platform{
+		Processors: []model.Processor{
+			{Name: "p0", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 256, MaxSafety: model.ASILD},
+			{Name: "p1", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 1024, MaxSafety: model.ASILB},
+			{Name: "p2", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.QM},
+		},
+		Networks: []model.Network{
+			{Name: "netA", BitsPerSec: 500_000, Attached: []string{"p0", "p1"}, Kind: "can"},
+			{Name: "netB", BitsPerSec: 500_000, Attached: []string{"p1", "p2"}, Kind: "can"},
+		},
+	}
+	m, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := func(from, to, svc string, fromSafety, toSafety model.SafetyLevel, fromRAM, toRAM int64) (model.Function, model.Function, model.Flow) {
+		a, b := fn(from, fromSafety, 20000, 500, fromRAM), fn(to, toSafety, 20000, 500, toRAM)
+		a.Provides, b.Requires = []string{svc}, []string{svc}
+		return a, b, model.Flow{From: from, To: to, Service: svc, MsgBytes: 8, PeriodUS: 20000}
+	}
+	src, dst, f1 := pair("src", "dst", "s1", model.ASILD, model.ASILB, 64, 512)
+	w, x, f3 := pair("w", "x", "s3", model.ASILD, model.ASILB, 64, 256)
+	u, v, f2 := pair("u", "v", "s2", model.QM, model.ASILB, 2048, 200)
+	fa := &model.FunctionalArchitecture{
+		Functions: []model.Function{src, dst, w, x, u, v},
+		Flows:     []model.Flow{f1, f3, f2},
+	}
+	if rep := m.ProposeArchitecture(fa); !rep.Accepted {
+		t.Fatalf("baseline rejected at %s: %v", rep.RejectedAt, rep.Findings)
+	}
+	netsOf := func() map[string]bool {
+		nets := make(map[string]bool)
+		for _, msg := range m.DeployedImpl().Messages {
+			nets[msg.Network] = true
+		}
+		return nets
+	}
+	if nets := netsOf(); !nets["netA"] || !nets["netB"] {
+		t.Fatalf("baseline loads networks %v, want netA and netB", nets)
+	}
+	netB := m.DeployedImpl().MessagesOn("netB")
+
+	// Moving dst next to src drops f1's message from netA; netB's list
+	// is untouched.
+	moved := dst
+	moved.Contract.Safety, moved.Contract.Resources.RAMKiB = model.ASILD, 64
+	rep := m.ProposeUpdate(moved)
+	if !rep.Accepted {
+		t.Fatalf("move rejected at %s: %v", rep.RejectedAt, rep.Findings)
+	}
+	if tr := rep.StageTraceFor(StageSynth); tr == nil || !strings.Contains(tr.Note, "messages rebuilt") {
+		t.Fatalf("move did not rebuild messages: %+v", tr)
+	}
+	if got := m.DeployedImpl().MessagesOn("netB"); !reflect.DeepEqual(got, netB) {
+		t.Fatalf("netB list changed: %v, was %v", got, netB)
+	}
+	var reanalyzed []string
+	for _, tr := range rep.TimingDelta {
+		reanalyzed = append(reanalyzed, tr.Resource)
+	}
+	slices.Sort(reanalyzed)
+	if want := []string{"netA", "p0", "p1"}; !slices.Equal(reanalyzed, want) || rep.TimingDirty != len(want) {
+		t.Fatalf("re-analyzed %v (TimingDirty %d), want %v", reanalyzed, rep.TimingDirty, want)
+	}
+	if rep.TimingScans != 2+len(p.Networks) {
+		t.Fatalf("TimingScans = %d, want the 2 affected processors and every network", rep.TimingScans)
+	}
+	for _, msg := range netB {
+		if !slices.ContainsFunc(rep.MonitorDelta, func(s MonitorSpec) bool { return s.Kind == MonitorRate && s.Target == msg.Name }) {
+			t.Fatalf("monitor delta %v lacks netB's rate monitor %s", rep.MonitorDelta, msg.Name)
+		}
+	}
+	assertSnapshotFresh(t, "after the move", m)
+}
 
 func TestTimingAnalysisErrorSurfacedAsFinding(t *testing.T) {
 	// A runTimingJob error (here: a malformed task set with duplicate

@@ -30,6 +30,7 @@
 package mcc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -87,14 +88,15 @@ type StageTrace = pipeline.StageTrace
 // MCC is the multi-change controller. It owns the deployed configuration.
 type MCC struct {
 	platform *model.Platform
-	deployed *model.FunctionalArchitecture
-	// snap is the committed snapshot: the implementation model, the
-	// timing table and the incremental engine's lookup state (see
-	// snapshot.go); empty and cold before the first commit. A commit
-	// builds the next snapshot from the attempt's artifacts — whole
-	// (commitFull) or by writing the diff-touched parts under epoch
-	// (commitIncremental) — so a window's start snapshot is never written
-	// and rollback restores its pointer.
+	// snap is the committed snapshot: the functional architecture, the
+	// implementation model, the timing table and the incremental engine's
+	// lookup state (see snapshot.go); cold, with an empty architecture,
+	// before the first commit. Proposals write nothing before their commit
+	// stage, which builds the next snapshot from the attempt's artifacts —
+	// whole (commitFull) or by writing the diff-touched parts under epoch
+	// (commitIncremental) — so a rejection leaves the snapshot as it was, a
+	// window's start snapshot is never written, and rollback restores its
+	// pointer.
 	snap *snapshot
 	// epoch owns the snapshot parts the current commits may write in
 	// place; beginWindow bumps it. epochs is the last token newEpoch
@@ -135,15 +137,6 @@ type MCC struct {
 	workers int
 	// loadScratch is the reusable per-proposal placer buffer.
 	loadScratch []procLoad
-	// fnIdx is the lazily built name->position index of the deployed
-	// function slice, kept exact by the fast path's in-place mutations
-	// (appends extend it; removals and their reverts rewrite the shifted
-	// positions, O(n − idx) and allocation-free). Only the rare wholesale
-	// replacements of the slice (clone-based commit, window rollback,
-	// purge) drop it, and the next lookup rebuilds. It turns the
-	// per-proposal O(n) fnIndexOf/FunctionByName scans of the fast path
-	// into map hits.
-	fnIdx map[string]int
 	// procs is the platform's processor-name iteration order, sorted once
 	// at construction (the platform is immutable for the MCC's lifetime).
 	procs []string
@@ -293,7 +286,6 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 	}
 	m := &MCC{
 		platform:       p,
-		deployed:       &model.FunctionalArchitecture{},
 		observedWCETUS: make(map[string]int64),
 		analyzer:       cpa.NewAnalyzer(),
 		incremental:    true,
@@ -302,7 +294,7 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 		procs:          procNames(p),
 		procIdx:        procIndex(p),
 		loadScratch:    make([]procLoad, len(p.Processors)),
-		snap:           &snapshot{},
+		snap:           &snapshot{fa: &model.FunctionalArchitecture{}},
 	}
 	m.epoch = m.newEpoch()
 	for _, o := range opts {
@@ -362,12 +354,36 @@ func (m *MCC) TimingCacheStats() cpa.AnalyzerStats { return m.analyzer.Stats() }
 // memo table via cpa.SaveCache at the end of a session.
 func (m *MCC) Analyzer() *cpa.Analyzer { return m.analyzer }
 
-// Deployed returns the currently deployed functional architecture.
-func (m *MCC) Deployed() *model.FunctionalArchitecture { return m.deployed }
+// Deployed returns the currently deployed functional architecture. An
+// incremental commit leaves it unmaterialized — the snapshot's function
+// entries and flow list are authoritative — so it is rebuilt here on
+// demand in rank order, which is the order the clone path leaves (an
+// update keeps its function's place, an addition appends, a removal
+// closes the gap), and memoized until the next commit. Callers must not
+// modify it.
+func (m *MCC) Deployed() *model.FunctionalArchitecture {
+	s := m.snap
+	if s.fa == nil {
+		ents := make([]fnEntry, 0, s.fns.n)
+		s.fns.each(func(_ string, e fnEntry) { ents = append(ents, e) })
+		slices.SortFunc(ents, func(a, b fnEntry) int { return cmp.Compare(a.rank, b.rank) })
+		fa := &model.FunctionalArchitecture{Functions: make([]model.Function, len(ents)), Flows: s.flows}
+		for i, e := range ents {
+			fa.Functions[i] = *e.fn
+		}
+		s.fa = fa
+	}
+	return s.fa
+}
 
 // attempt is the stage-to-stage handoff of one pipeline pass: what the
 // mapping, synthesis and timing stages hand to the stages after them.
 type attempt struct {
+	// change is the single change a change-driven pass decides (nil on a
+	// clone-path pass, whose candidate is ctx.Candidate); whole memoizes
+	// its materialized candidate (see MCC.candidate).
+	change *Change
+	whole  *model.FunctionalArchitecture
 	// loads points at the placer buffer of a warm-started mapping: the
 	// candidate placement's per-processor totals.
 	loads []procLoad
@@ -396,9 +412,10 @@ func (m *MCC) warm() bool { return m.snap.warm }
 
 // DeployedImpl returns the currently deployed implementation model (nil
 // until the first successful integration). An incremental commit leaves
-// the model's flat task, instance and connection lists unmaterialized —
+// the model's flat task, instance and connection lists — and, for a
+// change-driven commit, its technical architecture's Func — unmaterialized:
 // the snapshot's per-processor and per-function state is the
-// authoritative representation on the incremental path — so whole-model
+// authoritative representation on the incremental path, so whole-model
 // readers get them materialized here on demand, memoized until the next
 // commit installs a new model. Messages are always present (aliased or
 // rebuilt at commit time).
@@ -406,6 +423,9 @@ func (m *MCC) DeployedImpl() *model.ImplementationModel {
 	impl := m.snap.impl
 	if !m.warm() {
 		return impl
+	}
+	if impl.Tech != nil && impl.Tech.Func == nil {
+		impl.Tech.Func = m.Deployed()
 	}
 	if impl.Tech != nil && impl.Tech.Instances == nil {
 		// Entries concatenated by name reproduce both lists' flat order.
@@ -483,7 +503,7 @@ func (m *MCC) RecordObservedWCET(function string, observedUS int64) {
 // values. It returns the report; on acceptance the evolved configuration
 // is deployed.
 func (m *MCC) ReintegrateWithObservations() *Report {
-	cand := m.deployed.Clone()
+	cand := m.Deployed().Clone()
 	for i := range cand.Functions {
 		f := &cand.Functions[i]
 		if obs := m.observedWCETUS[f.Name]; obs > f.Contract.RealTime.WCETUS {
@@ -509,14 +529,16 @@ func (m *MCC) trimHistory() {
 	m.History = m.History[:n]
 }
 
-// integrateDiff runs the staged acceptance-test pipeline on the candidate
-// architecture, bounded by gctx. With incremental integration enabled,
-// the pre-timing stages work from the diff against the deployed
-// configuration: the change-driven fast path passes the DiffFromChange
-// result so the warm pass never scans the architecture; a nil diff keeps
-// the ComputeDiff oracle. A warm-started attempt that any acceptance
-// stage rejects is re-decided from scratch (the cold re-decision and the
-// pinned path ignore the diff by design), so the warm-start heuristic can
+// integrateDiff runs the staged acceptance-test pipeline on a candidate,
+// bounded by gctx: the whole architecture cand (the clone path), or the
+// single change c against the committed snapshot (the change-driven fast
+// path, cand nil). With incremental integration enabled, the pre-timing
+// stages work from the diff against the deployed configuration: the
+// change's DiffFromChange, so the warm pass never scans the architecture,
+// or the ComputeDiff oracle for a whole candidate. A warm-started attempt
+// that any acceptance stage rejects is re-decided from scratch on the
+// whole candidate (the cold re-decision and the pinned path ignore the
+// diff by design), so the warm-start heuristic can
 // never cause a spurious rejection; an accepted warm-start placement is
 // committed as-is — it passed every acceptance test, which is what the
 // paper's integration process certifies, but it may be a different
@@ -540,7 +562,7 @@ func (m *MCC) trimHistory() {
 //     snapshot wholesale (commitFull) and lifts the quarantine.
 //   - While quarantined, every proposal decides on the pinned path and
 //     is marked Degraded ("quarantined").
-func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitecture, diff *pipeline.Diff) *Report {
+func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitecture, c *Change) *Report {
 	rep := &Report{}
 	defer func() {
 		m.History = append(m.History, rep)
@@ -568,7 +590,7 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 		return rep
 	}
 
-	ctx := m.newContext(pctx, cand, rep, m.incremental, diff)
+	ctx := m.newContext(pctx, cand, c, rep, m.incremental)
 	m.pipe.Run(ctx)
 
 	if !rep.Accepted && pctx.Err() == nil && !rep.TransientFault &&
@@ -576,8 +598,9 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 		// The rejected placement came from the warm-start heuristic; a
 		// full best-fit might still find a feasible configuration.
 		// Re-decide cold, keeping both passes' telemetry.
+		cand = m.candidate(ctx)
 		coldRep := &Report{Stages: rep.Stages, Passes: rep.Passes}
-		coldCtx := m.newContext(pctx, cand, coldRep, false, nil)
+		coldCtx := m.newContext(pctx, cand, nil, coldRep, false)
 		m.pipe.Run(coldCtx)
 		*rep = *coldRep
 	}
@@ -585,7 +608,12 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 	if !rep.Accepted && pctx.Err() == nil && rep.TransientFault {
 		// Degradation ladder: whether the fault hit the warm pass or the
 		// cold retry, quarantine the suspect incremental state and
-		// re-decide from scratch with injection suppressed.
+		// re-decide from scratch with injection suppressed. A cold retry
+		// has already materialized the whole candidate; otherwise the
+		// attempt is still the warm pass's.
+		if cand == nil {
+			cand = m.candidate(ctx)
+		}
 		m.quarantined = true
 		degRep := &Report{
 			Stages: rep.Stages, Passes: rep.Passes,
@@ -640,7 +668,7 @@ func (m *MCC) runPinned(pctx context.Context, cand *model.FunctionalArchitecture
 	savedDefer := m.deferChecks
 	m.deferChecks = false
 	m.pinned = true
-	ctx := m.newContext(pctx, cand, rep, false, nil)
+	ctx := m.newContext(pctx, cand, nil, rep, false)
 	m.pipe.Run(ctx)
 	m.pinned = false
 	m.deferChecks = savedDefer
@@ -657,12 +685,11 @@ func placementDependent(s Stage) bool {
 }
 
 // newContext assembles the pipeline context for one integration attempt
-// and resets the attempt handoff. A non-nil diff short-circuits
-// ComputeDiff (the change-driven fast path, where the candidate is the
-// deployed architecture mutated in place — scanning it against itself
-// would yield an empty diff anyway).
-func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitecture, rep *Report, incremental bool, diff *pipeline.Diff) *pipeline.Context {
-	m.att = attempt{}
+// and resets the attempt handoff. A change-driven attempt (c non-nil,
+// cand nil) takes its diff from the change object instead of
+// ComputeDiff.
+func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitecture, c *Change, rep *Report, incremental bool) *pipeline.Context {
+	m.att = attempt{change: c}
 	ctx := &pipeline.Context{
 		Platform:     m.platform,
 		Candidate:    cand,
@@ -673,10 +700,10 @@ func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitectur
 		Ctx:          pctx,
 	}
 	switch {
-	case incremental && diff != nil:
-		ctx.Diff = *diff
+	case incremental && c != nil:
+		ctx.Diff = m.changeDiff(*c)
 	case incremental:
-		ctx.Diff = pipeline.ComputeDiff(m.deployed, cand)
+		ctx.Diff = pipeline.ComputeDiff(m.Deployed(), cand)
 	default:
 		ctx.Diff = pipeline.FullDiff()
 	}

@@ -15,7 +15,10 @@ import (
 type Context struct {
 	// Platform is the target platform the MCC manages.
 	Platform *model.Platform
-	// Candidate is the functional architecture under test.
+	// Candidate is the functional architecture under test on the
+	// clone-based path; nil on the MCC's change-driven path, which decides
+	// a single change against the committed snapshot. Custom stages read
+	// the candidate's task set through Tasks(), not through this.
 	Candidate *model.FunctionalArchitecture
 	// DeployedImpl is the committed implementation model (nil until the
 	// first successful integration); incremental synthesis copies its
@@ -51,9 +54,10 @@ type Context struct {
 	// placed there). Only valid when PartialSynth is set.
 	AffectedProcs map[string]bool
 	// MessagesRebuilt reports that the partial synthesis re-derived the
-	// network messages (the flow set or a flow endpoint changed); when
-	// false the deployed message list was copied verbatim. Only valid
-	// when PartialSynth is set.
+	// network messages (the flow set or a flow endpoint changed), so the
+	// timing stage re-derives every network's job; when false the deployed
+	// message list was copied verbatim. Only valid when PartialSynth is
+	// set.
 	MessagesRebuilt bool
 	// ConnectionsRebuilt reports that the change edits the service graph
 	// (a touched function's services, trust domain or replica count), so
@@ -61,12 +65,6 @@ type Context struct {
 	// every other client keeps its committed rows and clean verdicts. Only
 	// valid when PartialSynth is set.
 	ConnectionsRebuilt bool
-	// AffectedNets is the set of networks whose message list actually
-	// changed under a rebuild (a rebuilt list equal to the deployed one
-	// leaves its network clean, so untouched networks keep their committed
-	// timing jobs even when MessagesRebuilt). Only valid when
-	// MessagesRebuilt is set; nil conservatively means "every network".
-	AffectedNets map[string]bool
 	// TasksFn, when set by a partial synthesis, materializes the
 	// candidate's flat task list on demand: the incremental path leaves
 	// Impl.Tasks nil (the affected processors' rebuilt lists live in

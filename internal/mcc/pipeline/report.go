@@ -58,11 +58,12 @@ type Report struct {
 	// before synthesis). It is a read-only view shared with the
 	// controller's committed state once the proposal is accepted; do not
 	// mutate it. On the incremental path the flat Tasks,
-	// Tech.Instances and Connections lists are unmaterialized (nil) — the
-	// change's footprint lives in the controller's
-	// per-processor/per-function tables — while Messages are always
-	// present; whole-model readers use MCC.DeployedImpl(), which
-	// materializes the committed lists on demand.
+	// Tech.Instances and Connections lists (and, for a single change,
+	// Tech.Func) are unmaterialized (nil) — the change's footprint lives
+	// in the controller's per-processor/per-function tables — while
+	// Messages are always present; whole-model readers use
+	// MCC.DeployedImpl(), which materializes the committed lists on
+	// demand.
 	Impl *model.ImplementationModel
 	// TimingDelta holds the WCRT tables of exactly the resources this
 	// attempt re-analyzed — the change's footprint, not the platform.

@@ -9,10 +9,10 @@ import (
 )
 
 // This file implements the committed snapshot: the one value that holds
-// everything the controller has committed besides the functional
-// architecture — the implementation model, the timing table, and the
-// lookup state of the incremental engine — and the two persistent
-// containers it is built from (a chunked array and a hash-bucketed map).
+// everything the controller has committed — the functional architecture,
+// the implementation model, the timing table, and the lookup state of
+// the incremental engine — and the two persistent containers it is built
+// from (a chunked array and a hash-bucketed map).
 //
 // Both containers use the "transient" idiom of persistent data
 // structures. Every chunk, bucket and spine records the epoch that owns
@@ -199,11 +199,13 @@ func (p *pmap[V]) each(fn func(key string, v V)) {
 }
 
 // fnEntry is one committed function: a standalone copy of its contract,
-// its replica instances, replica-ascending, and its client session rows,
+// its rank (its place in the committed architecture's function order), its
+// replica instances, replica-ascending, and its client session rows,
 // replica-major and in Requires order (its run of the flat connection
 // list, which orders clients by name).
 type fnEntry struct {
 	fn    *model.Function
+	rank  uint64
 	insts []model.Instance
 	conns []model.Connection
 }
@@ -215,16 +217,21 @@ type procState struct {
 	insts []model.Instance
 }
 
-// snapshot is the committed state of the controller besides the
-// functional architecture. impl and res are installed by every commit;
-// the remaining fields are the lookup state of the incremental engine,
-// present exactly when warm is set (commitFull builds all of it, a purge
-// drops all of it). Slices and maps a snapshot holds are never written
-// in place (DeployedImpl's memoized flat lists of impl aside); chunks and
-// buckets are written only by their owning epoch.
+// snapshot is the committed state of the controller. impl and res are
+// installed by every commit; the remaining fields but fa are the lookup
+// state of the incremental engine, present exactly when warm is set
+// (commitFull builds all of it, a purge drops all of it). Slices and maps
+// a snapshot holds are never written in place (the memoized fa and
+// DeployedImpl's memoized flat lists of impl aside); chunks and buckets
+// are written only by their owning epoch.
 type snapshot struct {
 	epoch uint64 // owner of this header
-	impl  *model.ImplementationModel
+	// fa memoizes the committed functional architecture. A commit holding
+	// a whole candidate installs it; after any other commit it is nil and
+	// Deployed rebuilds it from fns (in rank order) and flows. A cold
+	// snapshot always holds it.
+	fa   *model.FunctionalArchitecture
+	impl *model.ImplementationModel
 	// res is the committed timing table (see resTable). It is always
 	// patched copy-on-write, never by epoch, because accepted reports
 	// bind it.
@@ -237,8 +244,12 @@ type snapshot struct {
 	// copies them into its placer buffer chunk by chunk.
 	procs chunks[procState]
 	loads chunks[procLoad]
-	// fns maps each committed function name to its entry.
-	fns pmap[fnEntry]
+	// fns maps each committed function name to its entry; nextSeq is the
+	// rank the next added function takes (an update keeps its rank).
+	fns     pmap[fnEntry]
+	nextSeq uint64
+	// flows is the committed flow list.
+	flows []model.Flow
 	// prov lists, per service name, its committed providers and req its
 	// committed requirers, both by ascending name: the validation fast
 	// path's "is this service provided", the session graph's provider
@@ -257,7 +268,7 @@ type snapshot struct {
 // Without the incremental engine only impl and res are kept.
 func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.ImplementationModel, res *resTable) *snapshot {
 	e := m.epoch
-	s := &snapshot{epoch: e, impl: impl, res: res}
+	s := &snapshot{epoch: e, fa: fa, impl: impl, res: res}
 	if !m.incremental {
 		return s
 	}
@@ -268,11 +279,12 @@ func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.Implem
 		name := security.FunctionName(c.Client)
 		rows[name] = append(rows[name], c)
 	}
-	s.fns = newPmap[fnEntry](e, len(fnByName))
-	for name, f := range fnByName {
-		cp := *f
-		s.fns.put(e, name, fnEntry{&cp, instancesOf[name], rows[name]})
+	s.fns = newPmap[fnEntry](e, len(fa.Functions))
+	for i := range fa.Functions {
+		cp := fa.Functions[i]
+		s.fns.put(e, cp.Name, fnEntry{&cp, uint64(i), instancesOf[cp.Name], rows[cp.Name]})
 	}
+	s.nextSeq = uint64(len(fa.Functions))
 	procs := make([]procState, len(m.platform.Processors))
 	loads := make([]procLoad, len(m.platform.Processors))
 	// impl.Tech.Instances is sorted by Instance.Less and impl.Tasks is
@@ -297,7 +309,7 @@ func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.Implem
 	s.procs, s.loads = chunksFrom(e, procs), chunksFrom(e, loads)
 	s.prov = nameLists(e, fa, func(f *model.Function) []string { return f.Provides })
 	s.req = nameLists(e, fa, func(f *model.Function) []string { return f.Requires })
-	s.flowTouch = flowTouchIndex(fa.Flows)
+	s.flows, s.flowTouch = fa.Flows, flowTouchIndex(fa.Flows)
 	s.instTotal = len(impl.Tech.Instances)
 	return s
 }
@@ -328,7 +340,7 @@ func (m *MCC) proc(pn string) *procState { return m.snap.procs.at(m.procIdx[pn])
 // ownSnap returns the snapshot header writable under the current epoch,
 // copying it first if an older epoch — a window's start snapshot — owns
 // it. The parts it points to copy themselves on write (chunks, pmap) or
-// are replaced wholesale (impl, res, flowTouch).
+// are replaced wholesale (fa, impl, res, flows, flowTouch).
 func (m *MCC) ownSnap() *snapshot {
 	if m.snap.epoch != m.epoch {
 		cp := *m.snap
@@ -336,6 +348,26 @@ func (m *MCC) ownSnap() *snapshot {
 		m.snap = &cp
 	}
 	return m.snap
+}
+
+// rankAs re-ranks the entries of snapshot n, writable under epoch e, to
+// the function order of cand — the whole candidate its commit installs as
+// the architecture memo — when their ranks disagree with it: a warm
+// ProposeArchitecture may reorder functions or add several at once, and
+// Deployed must keep the order the clone path leaves.
+func rankAs(n *snapshot, e uint64, cand *model.FunctionalArchitecture) {
+	fns := cand.Functions
+	for i := 1; i < len(fns); i++ {
+		if n.fns.get(fns[i-1].Name).rank >= n.fns.get(fns[i].Name).rank {
+			for k := range fns {
+				ent := n.fns.get(fns[k].Name)
+				ent.rank = uint64(k)
+				n.fns.put(e, fns[k].Name, ent)
+			}
+			n.nextSeq = uint64(len(fns))
+			return
+		}
+	}
 }
 
 // connCommitted reports whether c is a committed row of its client —

@@ -1,8 +1,10 @@
 package mcc
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -11,7 +13,10 @@ import (
 // snapshotView projects a committed snapshot into comparable plain
 // values: every field, with the persistent containers flattened into Go
 // maps and slices (their internal layout — bucket order, chunk sharing —
-// depends on the commit history, their content must not). Empty lists
+// depends on the commit history, their content must not) and the
+// function ranks into the function order they define (their values
+// depend on the history too). The architecture memo is left out: it is
+// Deployed's, which the tests compare to a clone-path shadow. Empty lists
 // are normalized to nil.
 func snapshotView(s *snapshot) map[string]any {
 	if s == nil {
@@ -24,8 +29,10 @@ func snapshotView(s *snapshot) map[string]any {
 	req := make(map[string][]string)
 	var procs []procState
 	var loads []procLoad
+	var ranked []fnEntry
 	if s.warm {
 		s.fns.each(func(name string, e fnEntry) {
+			ranked = append(ranked, e)
 			fns[name] = *e.fn
 			if len(e.insts) > 0 {
 				insts[name] = e.insts
@@ -48,9 +55,16 @@ func snapshotView(s *snapshot) map[string]any {
 			loads = append(loads, *s.loads.at(i))
 		}
 	}
+	slices.SortFunc(ranked, func(a, b fnEntry) int { return cmp.Compare(a.rank, b.rank) })
+	var order []string
+	for _, e := range ranked {
+		order = append(order, e.fn.Name)
+	}
 	return map[string]any{
 		"warm":      s.warm,
 		"fns":       fns,
+		"order":     order,
+		"flows":     s.flows,
 		"fnCount":   s.fns.n,
 		"insts":     insts,
 		"conns":     conns,
@@ -72,8 +86,11 @@ func sameList[T any](a, b []T) bool {
 
 // assertSnapshotFresh is the snapshot-parity test hook: it rebuilds the
 // committed snapshot from Deployed() and DeployedImpl() with the builder
-// commitFull uses and deep-compares every field — the client rows and the
-// provider and requirer lists included. The flat task, instance and
+// commitFull uses and deep-compares every field — the client rows, the
+// function order and the provider and requirer lists included. Deployed()
+// is itself derived from the snapshot under test, so the tests that drive
+// architecture edits hold it to an independent clone-path shadow
+// (assertDeployed). The flat task, instance and
 // connection lists DeployedImpl materializes come from the snapshot itself,
 // so the committed implementation model is additionally held to a
 // from-scratch synthesis of the committed placement, and the timing table

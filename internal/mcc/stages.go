@@ -36,7 +36,7 @@ func (s *validateStage) Name() Stage { return StageValidate }
 
 func (s *validateStage) Run(ctx *pipeline.Context) error {
 	if !ctx.Incremental || ctx.Diff.Full() {
-		if err := ctx.Candidate.Validate(); err != nil {
+		if err := s.m.candidate(ctx).Validate(); err != nil {
 			return pipeline.Rejectf("%s", err)
 		}
 		return nil
@@ -51,7 +51,7 @@ func (s *validateStage) Run(ctx *pipeline.Context) error {
 // model.ValidateScoped — the same code path as the full validation — so
 // the two can never drift apart.
 func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
-	cand, d := ctx.Candidate, ctx.Diff
+	d := ctx.Diff
 	if d.Empty() {
 		ctx.Note("no-op: candidate identical to deployed")
 		return nil
@@ -59,6 +59,7 @@ func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
 	if done, err := s.fastVerdict(ctx); done {
 		return err
 	}
+	cand := s.m.candidate(ctx)
 	nb := d.Neighborhood(cand)
 	err := cand.ValidateScoped(
 		// Contracts of untouched functions were validated when they were
@@ -84,7 +85,7 @@ func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
 // violation — falls back to the scoped walk, which produces the exact
 // finding the from-scratch path would.
 func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
-	m, cand, d := s.m, ctx.Candidate, ctx.Diff
+	m, d := s.m, ctx.Diff
 	if !m.warm() || d.TouchedCount() != 1 {
 		return false, nil
 	}
@@ -108,7 +109,7 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 	} else {
 		return false, nil
 	}
-	neu := m.candFn(cand, name)
+	neu := m.candFn(ctx, name)
 	if neu == nil || neu.Name == "" {
 		return false, nil
 	}
@@ -157,7 +158,7 @@ func (s *mappingStage) Run(ctx *pipeline.Context) error {
 		}
 		ctx.Note("warm-start infeasible, fell back to full best-fit")
 	}
-	tech, err := s.m.mapToPlatform(ctx.Candidate)
+	tech, err := s.m.mapToPlatform(s.m.candidate(ctx))
 	if err != nil {
 		return pipeline.Rejectf("%s", err)
 	}
@@ -302,11 +303,12 @@ func sortByConstraint(fns []*model.Function) {
 // to the synthesis overlay through the attempt, everything downstream
 // resolves instances through the committed tables plus that overlay, and
 // DeployedImpl materializes the flat list on demand for whole-model
-// readers. It reports ok=false when the diff cannot be placed on the
-// residual capacity — the caller then falls back to the full best-fit
-// over all functions, which reshuffles untouched instances too.
+// readers (and the technical architecture's Func, nil on the
+// change-driven path). It reports ok=false when the diff cannot be placed
+// on the residual capacity — the caller then falls back to the full
+// best-fit over all functions, which reshuffles untouched instances too.
 func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
-	cand, d := ctx.Candidate, ctx.Diff
+	d := ctx.Diff
 
 	p := m.newPlacerFromCommitted()
 	names := make([]string, 0, d.TouchedCount())
@@ -327,7 +329,7 @@ func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitec
 	var todo []*model.Function
 	for _, nameSet := range [][]string{d.Added, d.Changed} {
 		for _, name := range nameSet {
-			if f := m.candFn(cand, name); f != nil {
+			if f := m.candFn(ctx, name); f != nil {
 				todo = append(todo, f)
 			}
 		}
@@ -348,7 +350,7 @@ func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitec
 	kept = m.snap.instTotal - cut
 	m.att.placed = placedBy
 	m.att.loads = p.loads
-	return &model.TechnicalArchitecture{Platform: m.platform, Func: cand}, kept, placed, true
+	return &model.TechnicalArchitecture{Platform: m.platform, Func: ctx.Candidate}, kept, placed, true
 }
 
 // mapToPlatform assigns every function replica to a processor:
@@ -516,10 +518,9 @@ func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
 	for _, name := range d.Removed {
 		over.fns[name] = nil
 	}
-	cand := ctx.Candidate
 	for _, nameSet := range [][]string{d.Added, d.Changed} {
 		for _, name := range nameSet {
-			if f := m.candFn(cand, name); f != nil {
+			if f := m.candFn(ctx, name); f != nil {
 				over.fns[f.Name] = f
 			}
 		}
@@ -585,18 +586,19 @@ func (m *MCC) synthesizeTasksOn(look *synthView, pn string, insts []model.Instan
 	return tasks
 }
 
-// synthesizeMessages derives the network messages: for every periodic flow
-// whose replica pairs land on different processors, one message per
-// distinct network crossed (deterministic order). A flow whose replica
-// pairs cross several networks loads each of them — charging only one bus
-// would leave the others' real load out of the timing acceptance test.
-func (m *MCC) synthesizeMessages(tech *model.TechnicalArchitecture, look *synthView) ([]model.Message, error) {
+// synthesizeMessages derives the network messages of the candidate's
+// flows: for every periodic flow whose replica pairs land on different
+// processors, one message per distinct network crossed (deterministic
+// order). A flow whose replica pairs cross several networks loads each of
+// them — charging only one bus would leave the others' real load out of
+// the timing acceptance test.
+func (m *MCC) synthesizeMessages(flows []model.Flow, look *synthView) ([]model.Message, error) {
 	type msgCand struct {
 		flow model.Flow
 		nets []string // distinct crossed networks, sorted
 	}
 	var msgs []msgCand
-	for _, fl := range tech.Func.Flows {
+	for _, fl := range flows {
 		if fl.PeriodUS <= 0 {
 			continue // sporadic flows handled by rate monitors only
 		}
@@ -791,7 +793,7 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture) (*model.Implementati
 	for _, pn := range m.procs {
 		impl.Tasks = append(impl.Tasks, m.synthesizeTasksOn(look, pn, instOn[pn])...)
 	}
-	msgs, err := m.synthesizeMessages(tech, look)
+	msgs, err := m.synthesizeMessages(tech.Func.Flows, look)
 	if err != nil {
 		return nil, err
 	}
@@ -892,16 +894,15 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 		}
 	}
 	if rebuildMsgs {
-		msgs, err := m.synthesizeMessages(tech, look)
+		// A rebuild re-derives every message from the whole candidate's
+		// flow list; the timing stage re-derives every network's job, and
+		// a network whose list came out unchanged keeps its digest, so it
+		// stays clean.
+		msgs, err := m.synthesizeMessages(m.candidate(ctx).Flows, look)
 		if err != nil {
 			return nil, err
 		}
 		impl.Messages = msgs
-		// A rebuild re-derives every message, but most networks' lists
-		// come out identical — only networks carrying a touched flow's
-		// messages (now or before) actually change. Mark those, so the
-		// timing stage splices the cached jobs of the rest.
-		ctx.AffectedNets = affectedNets(dep.Messages, msgs)
 	} else {
 		// The committed slice is immutable once built; alias it.
 		impl.Messages = dep.Messages
@@ -1032,34 +1033,6 @@ func reusedWord(reused bool) string {
 	return "rebuilt"
 }
 
-// affectedNets compares the rebuilt message list against the deployed one
-// network by network and returns the networks whose lists differ
-// (including networks present on only one side). Both lists are emitted
-// by synthesizeMessages in the same global order, so per-network
-// sublists compare positionally.
-func affectedNets(old, rebuilt []model.Message) map[string]bool {
-	oldBy := make(map[string][]model.Message)
-	for _, msg := range old {
-		oldBy[msg.Network] = append(oldBy[msg.Network], msg)
-	}
-	newBy := make(map[string][]model.Message)
-	for _, msg := range rebuilt {
-		newBy[msg.Network] = append(newBy[msg.Network], msg)
-	}
-	out := make(map[string]bool)
-	for n, l := range newBy {
-		if !slices.Equal(oldBy[n], l) {
-			out[n] = true
-		}
-	}
-	for n := range oldBy {
-		if _, ok := newBy[n]; !ok {
-			out[n] = true
-		}
-	}
-	return out
-}
-
 // --- Stage 4a: safety acceptance ------------------------------------------
 
 // The safety and security stages are pure verdicts: they mutate nothing
@@ -1080,9 +1053,9 @@ func (s *safetyStage) Name() Stage { return StageSafety }
 
 func (s *safetyStage) Run(ctx *pipeline.Context) error {
 	if ctx.PartialSynth {
-		// Entity-driven, not predicate-filtered scans: CheckScoped walks
-		// every candidate instance and function even for a one-function
-		// change, while the footprint here is a handful of names. The
+		// Entity-driven, not whole-model scans: CheckScoped walks every
+		// candidate instance and function even for a one-function change,
+		// while the footprint here is a handful of names. The
 		// touched functions resolve through the committed tables plus this
 		// proposal's overlay (the same view the synthesis used), the
 		// affected processors' candidate residents were just computed by
@@ -1116,7 +1089,7 @@ func (s *safetyStage) Run(ctx *pipeline.Context) error {
 			checked, ctx.Diff.TouchedCount(), len(ctx.AffectedProcs))
 		return rejectFindings(findingStrings(findings))
 	}
-	findings, checked := safety.CheckScoped(ctx.Tech, nil, nil)
+	findings, checked := safety.CheckScoped(ctx.Tech)
 	ctx.Report.SafetyChecks += checked
 	return rejectFindings(findingStrings(findings))
 }
@@ -1134,7 +1107,7 @@ func (s *securityStage) Run(ctx *pipeline.Context) error {
 		ctx.Note("scoped: re-checked %d connections", checked)
 		return rejectFindings(findingStrings(findings))
 	}
-	findings, checked := security.CheckDomainsScoped(ctx.Impl, nil, nil)
+	findings, checked := security.CheckDomainsScoped(ctx.Impl)
 	ctx.Report.SecurityChecks += checked
 	return rejectFindings(findingStrings(findings))
 }
@@ -1345,9 +1318,10 @@ func (m *MCC) buildNetJob(impl *model.ImplementationModel, i int) (timingJob, bo
 //
 // Under partial synthesis the list is footprint-sized: only the resources
 // the diff affected are built — processors from the task lists the
-// synthesis overlay rebuilt, networks only where the message rebuild
-// changed them — and every untouched resource stays implicit in the
-// committed table, whose slots the partial synthesis left byte-identical.
+// synthesis overlay rebuilt, and every network after a message rebuild
+// (a network whose list came out unchanged keeps its digest and stays
+// clean) — and every untouched resource stays implicit in the committed
+// table, whose slots the partial synthesis left byte-identical.
 // An affected resource that lost its last load records its slot in
 // scratch.clears. A from-scratch pass (or ctx == nil) builds every loaded
 // resource.
@@ -1392,24 +1366,12 @@ func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel)
 	}
 	if ctx.MessagesRebuilt {
 		for i := range m.platform.Networks {
-			if !netClean(ctx, m.platform.Networks[i].Name) {
-				j, ok := m.buildNetJob(impl, i)
-				add(j, ok, len(m.procs)+i)
-			}
+			j, ok := m.buildNetJob(impl, i)
+			add(j, ok, len(m.procs)+i)
 		}
 	}
 	sc.jobs = jobs
 	return jobs, scanned
-}
-
-// netClean reports whether a network's message list is untouched by the
-// attempt: no message rebuild at all, or a rebuild that left this
-// network's list identical (ctx.AffectedNets).
-func netClean(ctx *pipeline.Context, name string) bool {
-	if !ctx.MessagesRebuilt {
-		return true
-	}
-	return ctx.AffectedNets != nil && !ctx.AffectedNets[name]
 }
 
 // deferredChecks carries one optimistically committed proposal's deferred
@@ -1781,32 +1743,19 @@ func appendMonitorSpecs(out []MonitorSpec, j timingJob) []MonitorSpec {
 
 // monitorDelta derives the monitor specs of exactly the resources this
 // attempt rebuilt: every job of the footprint-sized job list (the
-// affected processors, and the networks whose message list changed),
-// plus — when the message list was re-derived — the rate specs of every
-// clean network, taken from its committed job. The result is freshly
-// allocated and report-owned. The committed plan is never materialized
-// here: consumers reach it through the report's FullMonitors handle,
-// which derives it on demand from the committed table (see
-// resTable.materializeMonitors), so the monitor stage's cost follows the
-// change footprint, not the platform size.
+// affected processors, and every loaded network after a message
+// rebuild). The result is freshly allocated and report-owned. The
+// committed plan is never materialized here: consumers reach it through
+// the report's FullMonitors handle, which derives it on demand from the
+// committed table (see resTable.materializeMonitors), so the monitor
+// stage's cost follows the change footprint, not the platform size.
 func (m *MCC) monitorDelta(ctx *pipeline.Context) []MonitorSpec {
 	var out []MonitorSpec
-	rebuilt := 0
 	for _, j := range m.att.jobs {
 		out = appendMonitorSpecs(out, j)
-		rebuilt++
-	}
-	if ctx.MessagesRebuilt {
-		t := m.snap.res
-		for i := len(m.procs); i < t.n; i++ {
-			if cr := t.at(i); cr.loaded() && netClean(ctx, cr.job.resource) {
-				out = appendMonitorSpecs(out, cr.job)
-				rebuilt++
-			}
-		}
 	}
 	sortMonitorSpecs(out)
-	ctx.Note("monitor delta: %d resources rebuilt (%d specs)", rebuilt, len(out))
+	ctx.Note("monitor delta: %d resources rebuilt (%d specs)", len(m.att.jobs), len(out))
 	return out
 }
 
@@ -1816,26 +1765,20 @@ type commitStage struct{ m *MCC }
 
 func (s *commitStage) Name() Stage { return StageCommit }
 
-// Run commits the accepted configuration. Under partial synthesis the
-// next snapshot is the committed one with the diff-touched parts written
-// under the current epoch (copied first when a window's start snapshot
-// owns them); a from-scratch attempt builds a fresh snapshot. The values
-// a snapshot holds (task slices, result slices, function copies) are
-// immutable once built, so reports and rollback points may alias them.
+// Run commits the accepted configuration — the first write of the
+// attempt. Under partial synthesis the next snapshot is the committed one
+// with the diff-touched parts written under the current epoch (copied
+// first when a window's start snapshot owns them); a from-scratch attempt
+// builds a fresh snapshot. The values a snapshot holds (task slices,
+// result slices, function copies) are immutable once built, so reports
+// and rollback points may alias them.
 func (s *commitStage) Run(ctx *pipeline.Context) error {
-	m := s.m
-	if m.deployed != ctx.Candidate {
-		// A clone-based candidate replaces the deployed slice wholesale;
-		// the committed function index no longer describes it.
-		m.fnIdx = nil
-	}
-	m.deployed = ctx.Candidate
 	if ctx.PartialSynth {
 		s.commitIncremental(ctx)
 	} else {
 		s.commitFull(ctx)
 	}
-	m.bindReport(ctx.Report)
+	s.m.bindReport(ctx.Report)
 	return nil
 }
 
@@ -1891,7 +1834,7 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	for i, jb := range m.att.jobs {
 		slots[jb.slot] = committedRes{job: jb, res: m.committedResult(i)}
 	}
-	m.snap = m.buildSnapshot(ctx.Candidate, ctx.Impl, resTableFrom(slots, len(m.att.jobs)))
+	m.snap = m.buildSnapshot(m.candidate(ctx), ctx.Impl, resTableFrom(slots, len(m.att.jobs)))
 }
 
 // commitIncremental writes the footprint-sized artifacts of a
@@ -1900,7 +1843,9 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 // diff-touched functions, the rewired clients' rows, the provider and
 // requirer lists the change altered and the affected processors are
 // written under the current epoch. Everything else keeps its committed
-// entry by the splice invariant.
+// entry by the splice invariant. An attempt holding a whole candidate
+// installs it as the architecture memo (re-ranking the entries if their
+// order disagrees with it); otherwise Deployed rebuilds it on demand.
 func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	m := s.m
 
@@ -1914,12 +1859,19 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	}
 	res := m.snap.res.patch(m.newEpoch(), fills, m.scratch.clears)
 
+	// The whole candidate, if the attempt holds one; a flow-cutting
+	// removal materializes it for its flow list.
+	whole := m.att.whole
+	if ctx.Candidate != nil || ctx.Diff.FlowsChanged {
+		whole = m.candidate(ctx)
+	}
 	n, e, over := m.ownSnap(), m.epoch, m.att.synth
-	n.impl, n.res = ctx.Impl, res
-	// The flow index changes only with the flow set (removals cutting
-	// flows); it is replaced, never written in place.
+	n.impl, n.res, n.fa = ctx.Impl, res, whole
+	// The flow list and index change only with the flow set; they are
+	// replaced, never written in place.
 	if ctx.Diff.FlowsChanged {
-		n.flowTouch = flowTouchIndex(ctx.Candidate.Flows)
+		n.flows = whole.Flows
+		n.flowTouch = flowTouchIndex(n.flows)
 	}
 
 	// Diff-touched functions are copied in (or dropped) with their
@@ -1932,8 +1884,15 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 			n.fns.del(e, name)
 			continue
 		}
+		if old.fn == nil {
+			old.rank = n.nextSeq
+			n.nextSeq++
+		}
 		cp := *f
-		n.fns.put(e, name, fnEntry{&cp, over.insts[name], old.conns})
+		n.fns.put(e, name, fnEntry{&cp, old.rank, over.insts[name], old.conns})
+	}
+	if n.fa != nil {
+		rankAs(n, e, n.fa)
 	}
 	for name, rows := range over.conns {
 		ent := n.fns.get(name)

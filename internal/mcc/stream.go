@@ -473,7 +473,7 @@ func (m *MCC) lookupDeployedFn(name string) *model.Function {
 	if m.warm() {
 		return m.snap.fn(name)
 	}
-	return m.deployed.FunctionByName(name)
+	return m.Deployed().FunctionByName(name)
 }
 
 func (a footprint) conflicts(b footprint) bool {

@@ -17,8 +17,10 @@ import (
 // the timing table (jobs, digests, WCRT tables), every snapshot field,
 // the monitor plan — must be bit-identical to a fresh controller that
 // proposed the same stream serially, both must equal a rebuild of their
-// own snapshot (assertSnapshotFresh, also after every serial step), and
-// both must equal the from-scratch oracle. Run under -race in CI, this
+// own snapshot (assertSnapshotFresh, also after every serial step), both
+// committed architectures must equal a clone-path shadow of the accepted
+// changes (after every window and every serial step), and both must
+// equal the from-scratch oracle. Run under -race in CI, this
 // also exercises the prefetch pool against the window's commits.
 
 // stressPlatform is deliberately tight: one slow safe core and one fast
@@ -86,7 +88,7 @@ func cacheFingerprint(m *MCC) map[string]any {
 	// serially rebuilt one.
 	impl := m.DeployedImpl()
 	fp := map[string]any{
-		"deployed": m.deployed,
+		"deployed": m.Deployed(),
 		"tasks":    impl.Tasks,
 		"messages": impl.Messages,
 		"conns":    impl.Connections,
@@ -99,6 +101,24 @@ func cacheFingerprint(m *MCC) map[string]any {
 		fp["snap."+k] = v
 	}
 	return fp
+}
+
+// shadowApply advances a clone-path shadow of the committed architecture
+// by one decided change: applyChange in stream order over the accepted
+// ones, independent of the snapshot Deployed() derives the architecture
+// from.
+func shadowApply(shadow *model.FunctionalArchitecture, c Change, rep *Report) *model.FunctionalArchitecture {
+	if rep.Accepted {
+		return applyChange(shadow, c)
+	}
+	return shadow
+}
+
+func assertShadow(t *testing.T, label string, m *MCC, shadow *model.FunctionalArchitecture) {
+	t.Helper()
+	if got := m.Deployed(); !reflect.DeepEqual(got, shadow) {
+		t.Fatalf("%s: deployed architecture\n%+v\ndiverges from the clone-path shadow\n%+v", label, got, shadow)
+	}
 }
 
 func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
@@ -133,17 +153,34 @@ func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
 				return m
 			}
 
+			// RunContext's window loop, with the architecture checked
+			// against its shadow after every window.
 			streamed := mk()
 			sched := NewStreamScheduler(streamed, WithStreamWindow(8))
-			got := sched.Run(changes)
+			streamShadow := streamed.Deployed()
+			var got []*Report
+			var carry *footprint
+			for lo := 0; lo < len(changes); {
+				hi, next := sched.windowEnd(changes, lo, carry)
+				carry = next
+				for k, rep := range sched.runWindow(context.Background(), changes[lo:hi]) {
+					streamShadow = shadowApply(streamShadow, changes[lo+k], rep)
+					got = append(got, rep)
+				}
+				assertShadow(t, fmt.Sprintf("window [%d,%d)", lo, hi), streamed, streamShadow)
+				lo = hi
+			}
 
 			assertSnapshotFresh(t, "stream", streamed)
 
 			fresh := mk()
+			freshShadow := fresh.Deployed()
 			want := make([]*Report, 0, len(changes))
 			for i, c := range changes {
 				want = append(want, fresh.integrateChangeCtx(context.Background(), c))
+				freshShadow = shadowApply(freshShadow, c, want[i])
 				assertSnapshotFresh(t, fmt.Sprintf("serial step %d", i), fresh)
+				assertShadow(t, fmt.Sprintf("serial step %d", i), fresh, freshShadow)
 			}
 
 			for i := range want {

@@ -30,9 +30,10 @@ func (f Finding) String() string {
 }
 
 // The per-entity rules below are the single source of truth shared by the
-// from-scratch checks and their diff-scoped variants, so the two paths
-// cannot drift apart: a scoped finding is a full-check finding by
-// construction wherever the splice contract of CheckScoped holds.
+// from-scratch checks and their diff-scoped variant (CheckEntities), so
+// the two paths cannot drift apart: a scoped finding is a full-check
+// finding by construction wherever the splice contract of CheckEntities
+// holds.
 
 // placementFinding applies the ASIL placement rule to one instance. Nil
 // function or processor means the instance references an entity the
@@ -129,43 +130,32 @@ func (l *lookups) fn(name string) *model.Function { return l.fns[name] }
 
 func (l *lookups) proc(name string) *model.Processor { return l.prs[name] }
 
-// checkPlacementScoped verifies the ASIL placement of every instance of a
-// touched function (all instances when touched is nil), in the model's
-// canonical instance order.
-func checkPlacementScoped(t *model.TechnicalArchitecture, touched func(string) bool, look *lookups) ([]Finding, int) {
+// checkPlacement verifies the ASIL placement of every instance, in the
+// model's canonical instance order.
+func checkPlacement(t *model.TechnicalArchitecture, look *lookups) []Finding {
 	var out []Finding
-	checked := 0
 	for _, in := range t.Instances {
-		if touched != nil && !touched(in.Function) {
-			continue
-		}
-		checked++
 		if fd, bad := placementFinding(look.fn(in.Function), look.proc(in.Processor), in); bad {
 			out = append(out, fd)
 		}
 	}
-	return out, checked
+	return out
 }
 
-// checkRedundancyScoped verifies the replica separation of every touched
-// fail-operational function (all of them when touched is nil), in
-// architecture order.
-func checkRedundancyScoped(t *model.TechnicalArchitecture, touched func(string) bool, _ *lookups) ([]Finding, int) {
+// checkRedundancy verifies the replica separation of every
+// fail-operational function and counts them.
+func checkRedundancy(t *model.TechnicalArchitecture) ([]Finding, int) {
 	var out []Finding
 	checked := 0
 	var replicaProcs map[string][]string
 	for i := range t.Func.Functions {
 		f := &t.Func.Functions[i]
-		if touched != nil && !touched(f.Name) {
-			continue
-		}
 		if !f.Contract.FailOperational {
 			continue
 		}
 		if replicaProcs == nil {
 			// One instance pass groups the replica placements of every
-			// function; amortized over all fail-operational verdicts of
-			// this check, scoped or full.
+			// function; amortized over all fail-operational verdicts.
 			replicaProcs = make(map[string][]string)
 			for _, in := range t.Instances {
 				replicaProcs[in.Function] = append(replicaProcs[in.Function], in.Processor)
@@ -185,14 +175,11 @@ func checkRedundancyScoped(t *model.TechnicalArchitecture, touched func(string) 
 	return out, checked
 }
 
-// checkMemoryScoped verifies the RAM budget of every selected processor
-// (all loaded processors when procs is nil), in name order.
-func checkMemoryScoped(t *model.TechnicalArchitecture, procs func(string) bool, look *lookups) ([]Finding, int) {
+// checkMemory verifies the RAM budget of every loaded processor, in name
+// order, and counts them.
+func checkMemory(t *model.TechnicalArchitecture, look *lookups) ([]Finding, int) {
 	demand := make(map[string]int64)
 	for _, in := range t.Instances {
-		if procs != nil && !procs(in.Processor) {
-			continue
-		}
 		f := look.fn(in.Function)
 		if f == nil {
 			continue
@@ -216,71 +203,55 @@ func checkMemoryScoped(t *model.TechnicalArchitecture, procs func(string) bool, 
 // CheckPlacement verifies that every instance runs on a processor certified
 // for the function's safety level.
 func CheckPlacement(t *model.TechnicalArchitecture) []Finding {
-	out, _ := checkPlacementScoped(t, nil, newLookups(t))
-	return out
+	return checkPlacement(t, newLookups(t))
 }
 
 // CheckRedundancy verifies that fail-operational functions are replicated
 // on disjoint processors (no single point of failure).
 func CheckRedundancy(t *model.TechnicalArchitecture) []Finding {
-	out, _ := checkRedundancyScoped(t, nil, nil)
+	out, _ := checkRedundancy(t)
 	return out
 }
 
 // CheckMemoryBudgets verifies that per-processor RAM demands fit capacity.
 func CheckMemoryBudgets(t *model.TechnicalArchitecture) []Finding {
-	out, _ := checkMemoryScoped(t, nil, newLookups(t))
+	out, _ := checkMemory(t, newLookups(t))
 	return out
 }
 
 // Check runs all structural safety checks.
 func Check(t *model.TechnicalArchitecture) []Finding {
-	out, _ := CheckScoped(t, nil, nil)
+	out, _ := CheckScoped(t)
 	return out
 }
 
-// CheckScoped runs the safety checks restricted to the diff scope:
-// touched selects the function names whose contract or replica placement
-// the change can have altered (their instances are re-checked for ASIL
-// placement and their fail-operational groups for redundancy), procs the
-// processors whose memory demand it can have shifted. Everything outside
-// the scope is spliced as committed-clean — a configuration is only
-// committed after the full check passed, so an untouched entity with
-// unchanged inputs cannot carry a finding. nil predicates select
-// everything (the full check). The returned count is the number of
-// per-entity verdicts actually computed — the SafetyChecks telemetry.
-//
-// Splice contract: the findings are element-for-element identical to
-// Check(t) provided every skipped instance/function/processor belongs to
-// a committed configuration that passed the full check, with its
-// function contract, replica placements, and aggregate processor demand
-// unchanged since that commit. The MCC guarantees exactly that by
-// deriving touched from the function-level diff and procs from the
-// partial synthesis' affected-processor set under the warm-started
-// mapping (untouched instances keep their placement).
-func CheckScoped(t *model.TechnicalArchitecture, touched func(string) bool, procs func(string) bool) ([]Finding, int) {
+// CheckScoped is Check plus the number of per-entity verdicts it computed
+// (every instance, fail-operational function and loaded processor) — the
+// SafetyChecks telemetry of the MCC's from-scratch passes. The MCC's
+// diff-scoped passes run CheckEntities.
+func CheckScoped(t *model.TechnicalArchitecture) ([]Finding, int) {
 	look := newLookups(t)
-	out, checked := checkPlacementScoped(t, touched, look)
-	red, n := checkRedundancyScoped(t, touched, look)
+	out := checkPlacement(t, look)
+	checked := len(t.Instances)
+	red, n := checkRedundancy(t)
 	out = append(out, red...)
 	checked += n
-	mem, n := checkMemoryScoped(t, procs, look)
+	mem, n := checkMemory(t, look)
 	out = append(out, mem...)
 	checked += n
 	return out, checked
 }
 
 // CheckEntities runs the diff-scoped safety checks driven by explicit
-// entity lists instead of architecture scans. CheckScoped restricts full
-// walks over t.Instances and t.Func.Functions with predicates — still
-// O(platform) per proposal even for a one-function change — while this
-// variant visits exactly the named entities through caller-supplied
-// resolvers, so its cost is the size of the change footprint. The
-// verdicts come from the same per-entity rules (placementFinding,
-// redundancyFinding, memoryFinding), and the emission order matches
-// CheckScoped: placement findings in canonical (function, replica) order
-// restricted to the touched functions, redundancy findings name-sorted,
-// memory findings processor-name-sorted.
+// entity lists instead of architecture scans. The full check walks every
+// instance and function — O(platform) per proposal even for a
+// one-function change — while this variant visits exactly the named
+// entities through caller-supplied resolvers, so its cost is the size of
+// the change footprint. The verdicts come from the same per-entity rules
+// (placementFinding, redundancyFinding, memoryFinding), and the emission
+// order matches Check's: placement findings in canonical (function,
+// replica) order restricted to the touched functions, redundancy findings
+// name-sorted, memory findings processor-name-sorted.
 //
 // touched must be name-sorted and duplicate-free, affectedProcs
 // name-sorted. instancesOf returns a touched function's candidate
@@ -288,8 +259,18 @@ func CheckScoped(t *model.TechnicalArchitecture, touched func(string) bool, proc
 // returns every candidate instance hosted on an affected processor. fn
 // and proc resolve candidate functions and platform processors by name
 // (nil for unknown, exactly like the lookup misses of the scan-based
-// path). The splice contract of CheckScoped applies unchanged: entities
-// outside the lists must be committed-clean with unchanged inputs.
+// path).
+//
+// Splice contract: the findings are element-for-element identical to
+// Check on the whole candidate provided every entity outside the lists —
+// instance, function, processor — belongs to a committed configuration
+// that passed the full check, with its function contract, replica
+// placements and aggregate processor demand unchanged since that commit.
+// The MCC guarantees exactly that by deriving touched from the
+// function-level diff and affectedProcs from the partial synthesis'
+// affected-processor set under the warm-started mapping (untouched
+// instances keep their placement). The returned count is the number of
+// per-entity verdicts computed — the SafetyChecks telemetry.
 func CheckEntities(
 	touched, affectedProcs []string,
 	fn func(string) *model.Function,

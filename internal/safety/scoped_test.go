@@ -9,8 +9,8 @@ import (
 
 // violationArch builds a technical architecture carrying at least one
 // finding of every safety rule, interleaved with clean entities, so
-// order-sensitive comparisons between the full and scoped checks are
-// meaningful.
+// order-sensitive comparisons between the composed and per-rule checks
+// are meaningful.
 func violationArch() *model.TechnicalArchitecture {
 	fa := &model.FunctionalArchitecture{
 		Functions: []model.Function{
@@ -47,13 +47,13 @@ func TestCheckScopedFullEqualsCheck(t *testing.T) {
 	if len(full) != 4 {
 		t.Fatalf("fixture yields %d findings, want 4 (placement, 2x redundancy, memory): %v", len(full), full)
 	}
-	scopedAll, checked := CheckScoped(tech, nil, nil)
+	scopedAll, checked := CheckScoped(tech)
 	if !reflect.DeepEqual(scopedAll, full) {
-		t.Fatalf("CheckScoped with nil predicates diverges from Check:\ngot  %v\nwant %v", scopedAll, full)
+		t.Fatalf("CheckScoped diverges from Check:\ngot  %v\nwant %v", scopedAll, full)
 	}
 	wantChecked := len(tech.Instances) + 2 /* fail-op groups */ + 2 /* loaded procs */
 	if checked != wantChecked {
-		t.Fatalf("full scoped check computed %d verdicts, want %d", checked, wantChecked)
+		t.Fatalf("counted check computed %d verdicts, want %d", checked, wantChecked)
 	}
 
 	// The composed check must also equal the three published checks in
@@ -65,50 +65,6 @@ func TestCheckScopedFullEqualsCheck(t *testing.T) {
 	composed = append(composed, CheckMemoryBudgets(tech)...)
 	if !reflect.DeepEqual(full, composed) {
 		t.Fatalf("Check diverges from composed per-rule checks:\ngot  %v\nwant %v", full, composed)
-	}
-}
-
-func TestCheckScopedCoversExactlyTheTouchedScope(t *testing.T) {
-	tech := violationArch()
-	// Scope: only ctl (the misplaced instance) and the qm processor (the
-	// blown memory budget). The scoped check must report exactly the
-	// findings inside that scope, in full-check order, and count only the
-	// scope's verdicts.
-	touched := func(fn string) bool { return fn == "ctl" }
-	procs := func(pn string) bool { return pn == "qm" }
-	got, checked := CheckScoped(tech, touched, procs)
-	if len(got) != 2 {
-		t.Fatalf("scoped findings = %v, want placement(ctl) + memory(qm)", got)
-	}
-	if got[0].Rule != "asil-placement" || got[0].Subject != "ctl#0" {
-		t.Fatalf("first scoped finding = %v, want the ctl placement violation", got[0])
-	}
-	if got[1].Rule != "memory-budget" || got[1].Subject != "qm" {
-		t.Fatalf("second scoped finding = %v, want the qm memory violation", got[1])
-	}
-	if checked != 2 { // one instance + one processor budget, no fail-op groups touched
-		t.Fatalf("scoped check computed %d verdicts, want 2", checked)
-	}
-
-	// Scoping to the redundancy offenders picks up both groups in
-	// architecture order.
-	got, _ = CheckScoped(tech, func(fn string) bool { return fn == "failop1" || fn == "failop2" }, func(string) bool { return false })
-	if len(got) != 2 || got[0].Subject != "failop1" || got[1].Subject != "failop2" {
-		t.Fatalf("scoped redundancy findings = %v, want failop1 then failop2", got)
-	}
-}
-
-func TestCheckScopedCleanScopeIsSilent(t *testing.T) {
-	tech := violationArch()
-	// A scope containing only clean entities must produce no findings and
-	// a footprint-sized verdict count — this is the splice the MCC relies
-	// on when the committed remainder is known clean.
-	got, checked := CheckScoped(tech, func(fn string) bool { return fn == "app" }, func(pn string) bool { return pn == "safe" })
-	if len(got) != 0 {
-		t.Fatalf("clean scope produced findings: %v", got)
-	}
-	if checked != 2 { // app#0 placement + safe memory budget
-		t.Fatalf("clean scope computed %d verdicts, want 2", checked)
 	}
 }
 
@@ -126,7 +82,7 @@ func TestCheckScopedDuplicateAndDanglingNames(t *testing.T) {
 	tech.Instances = append(tech.Instances,
 		model.Instance{Function: "ghost", Replica: 0, Processor: "safe"},
 		model.Instance{Function: "app", Replica: 1, Processor: "nowhere"})
-	got, _ := CheckScoped(tech, nil, nil)
+	got, _ := CheckScoped(tech)
 	want := []struct{ rule, subject string }{
 		{"asil-placement", "ctl#0"},
 		{"fail-operational-redundancy", "failop1"},

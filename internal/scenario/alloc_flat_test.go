@@ -11,7 +11,8 @@ import (
 
 // Per-proposal allocation flatness: the O(diff) admission path must not
 // allocate proportionally to the platform. The change-driven diff, the
-// in-place candidate mutation, the committed-list splices, and the
+// change decided against the committed snapshot without a candidate
+// clone, the committed-list splices, and the
 // delta-report contract (reports carry TimingDelta/MonitorDelta —
 // footprint-sized — and whole tables only materialize on demand) keep
 // the per-proposal allocation *count* constant-ish — measured ~71

@@ -14,10 +14,10 @@ import (
 // mirroring the capability system of the execution domain).
 //
 // The per-connection rule lives in exactly one function
-// (ConnectionVerdict) shared by the from-scratch check and the
+// (ConnectionVerdict) shared by the from-scratch check and the MCC's
 // diff-scoped check, so the two can never drift apart: scoped findings
-// are full-check findings by construction wherever the splice contract
-// of CheckDomainsScoped holds.
+// are full-check findings by construction wherever the skipped
+// connections are committed clean with unchanged endpoint contracts.
 
 // Finding is a security-viewpoint acceptance result.
 type Finding struct {
@@ -63,15 +63,12 @@ func FunctionName(instanceID string) string {
 	return instanceID
 }
 
-// FunctionResolver maps an instance ID to its function (nil when either
-// the instance or its function does not exist).
-type FunctionResolver func(instanceID string) *model.Function
-
 // instanceFunctions prebuilds the instance-ID -> function index of an
-// implementation model in O(instances + functions). The naive per-lookup
-// scan it replaces made the full domain check
+// implementation model in O(instances + functions); the resolver returns
+// nil when either the instance or its function does not exist. The naive
+// per-lookup scan it replaces made the full domain check
 // O(connections x instances x functions).
-func instanceFunctions(im *model.ImplementationModel) FunctionResolver {
+func instanceFunctions(im *model.ImplementationModel) func(instanceID string) *model.Function {
 	fa := im.Tech.Func
 	byName := make(map[string]*model.Function, len(fa.Functions))
 	for i := range fa.Functions {
@@ -88,40 +85,21 @@ func instanceFunctions(im *model.ImplementationModel) FunctionResolver {
 // the security domains: the from-scratch acceptance check, now
 // O(connections + instances + functions) via a prebuilt instance index.
 func CheckDomains(im *model.ImplementationModel) []Finding {
-	out, _ := CheckDomainsScoped(im, nil, nil)
+	out, _ := CheckDomainsScoped(im)
 	return out
 }
 
-// CheckDomainsScoped verifies only the connections dirty selects and
-// splices every other connection's committed verdict — which is always
-// "clean", because a configuration is only committed after the full check
-// passed. resolve maps instance IDs to functions (the MCC passes its
-// committed lookup tables plus the proposal's diff overlay); nil builds
-// the index from the model. dirty == nil selects every connection (the
-// full check). The returned count is the number of per-connection
-// verdicts actually computed — the SecurityChecks telemetry.
-//
-// Splice contract: the result is element-for-element identical to
-// CheckDomains(im) provided every connection dirty skips (a) appears
-// verbatim in a committed implementation model that passed the full
-// check, and (b) has client and server functions whose contracts are
-// unchanged since that commit. The MCC derives dirty from the
-// function-level diff plus its committed per-connection verdict cache,
-// which makes exactly that guarantee.
-func CheckDomainsScoped(im *model.ImplementationModel, resolve FunctionResolver, dirty func(model.Connection) bool) ([]Finding, int) {
-	if resolve == nil {
-		resolve = instanceFunctions(im)
-	}
+// CheckDomainsScoped is CheckDomains plus the number of per-connection
+// verdicts it computed (every connection) — the SecurityChecks telemetry
+// of the MCC's from-scratch passes. The MCC's diff-scoped passes apply
+// ConnectionVerdict to the rewired connections themselves.
+func CheckDomainsScoped(im *model.ImplementationModel) ([]Finding, int) {
+	resolve := instanceFunctions(im)
 	var out []Finding
-	checked := 0
 	for _, c := range im.Connections {
-		if dirty != nil && !dirty(c) {
-			continue // committed clean, inputs unchanged: splice
-		}
-		checked++
 		if f, bad := ConnectionVerdict(resolve(c.Client), resolve(c.Server), c); bad {
 			out = append(out, f)
 		}
 	}
-	return out, checked
+	return out, len(im.Connections)
 }
