@@ -100,10 +100,14 @@ func main() {
 	m.RecordObservedWCET("acc", 3600)
 	report(m, "reintegrate with observed WCET 3.6ms (model refinement)", m.ReintegrateWithObservations())
 
-	fmt.Printf("integration history: %d proposals processed\n", len(m.History))
+	fmt.Printf("integration history: %d proposals processed\n", processed)
 }
 
+// processed counts the proposals report has printed.
+var processed int
+
 func report(m *mcc.MCC, what string, rep *mcc.Report) {
+	processed++
 	verdict := "ACCEPTED"
 	if !rep.Accepted {
 		verdict = fmt.Sprintf("REJECTED at %s", rep.RejectedAt)

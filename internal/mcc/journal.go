@@ -6,13 +6,12 @@ package mcc
 // themselves on write under the controller's epoch, and no proposal
 // writes anything before its commit stage. Opening a window is therefore
 // recording the start snapshot pointer and bumping the epoch — O(1)
-// whatever the platform size — and rollback is restoring that pointer
-// and the history length.
+// whatever the platform size — and rollback is restoring that pointer;
+// the window's discarded reports are the scheduler's to drop.
 
 // windowJournal is the rollback point of one optimistic window.
 type windowJournal struct {
-	start   *snapshot
-	history int
+	start *snapshot
 
 	// heals collects the verified deferred timing verdicts keyed by
 	// {resource, task-set digest}. Reports committed optimistically inside
@@ -24,21 +23,14 @@ type windowJournal struct {
 	heals map[resDigestKey]TimingResult
 }
 
-// beginWindow opens a rollback point. Cost is O(1) regardless of platform
-// size (amortized — the history trim below moves at most historyLimit
-// pointers once per limit appends). The trim runs here, before the
-// history length is captured, because stream proposals append their
-// reports while a window is open, where trimming is forbidden (it would
-// shift the rollback index).
+// beginWindow opens a rollback point in O(1), whatever the platform size.
 func (m *MCC) beginWindow() *windowJournal {
-	m.trimHistory()
 	// A fresh epoch: the start snapshot's parts all belong to older
 	// epochs now, so the window's commits copy whatever they write.
 	m.epoch = m.newEpoch()
 	j := &windowJournal{
-		start:   m.snap,
-		history: len(m.History),
-		heals:   make(map[resDigestKey]TimingResult),
+		start: m.snap,
+		heals: make(map[resDigestKey]TimingResult),
 	}
 	m.journal = j
 	return j
@@ -47,11 +39,11 @@ func (m *MCC) beginWindow() *windowJournal {
 // commitWindow finalizes the window: the optimistic commits stand.
 func (m *MCC) commitWindow() { m.journal = nil }
 
-// rollbackWindow restores the controller to the window-start state: the
-// start snapshot is re-installed and the history truncated.
+// rollbackWindow restores the controller to the window-start state by
+// re-installing the start snapshot pointer.
 func (m *MCC) rollbackWindow(j *windowJournal) {
 	m.journal = nil
-	m.snap, m.History = j.start, m.History[:j.history]
+	m.snap = j.start
 	// Fault-injection hook modeling a corrupted start snapshot (e.g. a
 	// chunk lost to memory corruption): the incremental state is purged
 	// and the controller quarantined — every subsequent proposal runs the

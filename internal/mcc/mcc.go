@@ -85,7 +85,9 @@ type Report = pipeline.Report
 // StageTrace is the per-stage telemetry entry of a Report.
 type StageTrace = pipeline.StageTrace
 
-// MCC is the multi-change controller. It owns the deployed configuration.
+// MCC is the multi-change controller. It owns the deployed configuration;
+// each attempt's Report belongs to its caller alone, so the controller
+// pins no report, nor the committed timing table a report binds.
 type MCC struct {
 	platform *model.Platform
 	// snap is the committed snapshot: the functional architecture, the
@@ -105,18 +107,6 @@ type MCC struct {
 	// att is the stage-to-stage handoff of the pipeline pass in progress,
 	// reset by newContext.
 	att attempt
-
-	// History records integration reports, newest last. It is bounded to
-	// the most recent historyLimit reports (see WithHistoryLimit): a
-	// long-lived fleet controller deciding thousands of changes must not
-	// retain every report — and its full per-resource timing table —
-	// forever. Trimming is amortized (the slice may grow to twice the
-	// limit before the newest limit reports are copied down) and never
-	// happens while a stream window is open, so the window journal's
-	// history index stays valid for rollback truncation.
-	History []*Report
-	// historyLimit bounds History; non-positive keeps every report.
-	historyLimit int
 
 	// observedWCETUS holds metric feedback from the execution domain:
 	// observed execution-time maxima per function, used to evolve
@@ -205,20 +195,10 @@ func WithTimingWorkers(n int) Option {
 	}
 }
 
-// defaultHistoryLimit bounds MCC.History when WithHistoryLimit is not
-// given: generous enough that tests and scenario sweeps never observe a
-// trim, small enough that a fleet server deciding changes for weeks does
-// not leak a full timing table per proposal.
-const defaultHistoryLimit = 8192
-
-// WithHistoryLimit bounds MCC.History to the most recent n reports.
-// Reports are appended newest-last as before; once the slice exceeds
-// twice the limit, the newest n are copied down and the rest are dropped
-// (amortized O(1) per proposal). Non-positive n disables the bound and
-// keeps every report — the pre-PR-7 behavior. The default is
-// defaultHistoryLimit (8192).
-func WithHistoryLimit(n int) Option {
-	return func(m *MCC) { m.historyLimit = n }
+// WithHistoryLimit is a no-op: the controller keeps no report log, since
+// every Report belongs to its caller. It remains for callers that pass it.
+func WithHistoryLimit(int) Option {
+	return func(*MCC) {}
 }
 
 // WithFaultInjector installs a deterministic fault injector on the MCC's
@@ -289,7 +269,6 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 		observedWCETUS: make(map[string]int64),
 		analyzer:       cpa.NewAnalyzer(),
 		incremental:    true,
-		historyLimit:   defaultHistoryLimit,
 		workers:        runtime.GOMAXPROCS(0),
 		procs:          procNames(p),
 		procIdx:        procIndex(p),
@@ -513,22 +492,6 @@ func (m *MCC) ReintegrateWithObservations() *Report {
 	return m.integrateDiff(context.Background(), cand, nil)
 }
 
-// trimHistory enforces the history bound: once History exceeds twice the
-// limit, the newest limit reports are copied to the front and the tail is
-// cleared so dropped reports become collectable. It is a no-op while a
-// stream window is open — rollbackWindow truncates History to the
-// window-start length, and a front-trim would shift that index — so the
-// stream scheduler trims at beginWindow instead, before the index is
-// captured.
-func (m *MCC) trimHistory() {
-	if m.historyLimit <= 0 || m.journal != nil || len(m.History) < 2*m.historyLimit {
-		return
-	}
-	n := copy(m.History, m.History[len(m.History)-m.historyLimit:])
-	clear(m.History[n:])
-	m.History = m.History[:n]
-}
-
 // integrateDiff runs the staged acceptance-test pipeline on a candidate,
 // bounded by gctx: the whole architecture cand (the clone path), or the
 // single change c against the committed snapshot (the change-driven fast
@@ -562,12 +525,11 @@ func (m *MCC) trimHistory() {
 //     snapshot wholesale (commitFull) and lifts the quarantine.
 //   - While quarantined, every proposal decides on the pinned path and
 //     is marked Degraded ("quarantined").
+//
+// Degraded reasons are recorded in encounter order, so an expired
+// quarantined proposal reads [quarantined deadline] on every path.
 func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitecture, c *Change) *Report {
 	rep := &Report{}
-	defer func() {
-		m.History = append(m.History, rep)
-		m.trimHistory()
-	}()
 
 	pctx := gctx
 	if m.proposalDeadline > 0 {
@@ -583,9 +545,9 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 	}()
 
 	if m.quarantined {
-		m.runPinned(pctx, cand, rep)
 		rep.Degraded = true
 		rep.DegradedReasons = append(rep.DegradedReasons, "quarantined")
+		m.runPinned(pctx, cand, rep)
 		m.markDeadline(pctx, rep)
 		return rep
 	}
@@ -594,7 +556,7 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 	m.pipe.Run(ctx)
 
 	if !rep.Accepted && pctx.Err() == nil && !rep.TransientFault &&
-		ctx.WarmMapped && placementDependent(rep.RejectedAt) {
+		ctx.Warm && placementDependent(rep.RejectedAt) {
 		// The rejected placement came from the warm-start heuristic; a
 		// full best-fit might still find a feasible configuration.
 		// Re-decide cold, keeping both passes' telemetry.
@@ -616,13 +578,11 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 		}
 		m.quarantined = true
 		degRep := &Report{
-			Stages: rep.Stages, Passes: rep.Passes,
-			TransientFault: true,
+			Stages: rep.Stages, Passes: rep.Passes, TransientFault: true,
+			Degraded: true, DegradedReasons: []string{"transient-fault"},
 		}
 		m.runPinned(pctx, cand, degRep)
 		*rep = *degRep
-		rep.Degraded = true
-		rep.DegradedReasons = append(rep.DegradedReasons, "transient-fault")
 	}
 	m.markDeadline(pctx, rep)
 	return rep
@@ -643,8 +603,6 @@ func (m *MCC) expiredReport(gctx context.Context) *Report {
 	rep.DegradedReasons = append(rep.DegradedReasons, "deadline")
 	rep.Findings = append(rep.Findings,
 		fmt.Sprintf("deadline: proposal deadline expired before stage %s (%v)", StageValidate, gctx.Err()))
-	m.History = append(m.History, rep)
-	m.trimHistory()
 	return rep
 }
 
@@ -695,7 +653,6 @@ func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitectur
 		Candidate:    cand,
 		DeployedImpl: m.snap.impl,
 		Report:       rep,
-		Incremental:  incremental,
 		DeferChecks:  m.deferChecks,
 		Ctx:          pctx,
 	}

@@ -312,57 +312,6 @@ func TestEvolvingContractFromObservations(t *testing.T) {
 	}
 }
 
-func TestHistoryRecorded(t *testing.T) {
-	m, err := New(testPlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.ProposeUpdate(fn("a", model.QM, 10000, 1000, 64))
-	m.ProposeUpdate(fn("b", model.QM, 10000, 100000, 64)) // invalid
-	if len(m.History) != 2 {
-		t.Fatalf("history = %d", len(m.History))
-	}
-	if !m.History[0].Accepted || m.History[1].Accepted {
-		t.Fatal("history outcomes wrong")
-	}
-}
-
-func TestWithHistoryLimitBoundsReports(t *testing.T) {
-	m, err := New(testPlatform(), WithHistoryLimit(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		// Alternate two contract variants of the same function so every
-		// proposal is a genuine change with a fresh report.
-		wcet := int64(1000 + 100*(i%2))
-		rep := m.ProposeUpdate(fn("a", model.QM, 10000, wcet, 64))
-		if !rep.Accepted {
-			t.Fatalf("proposal %d rejected at %s: %v", i, rep.RejectedAt, rep.Findings)
-		}
-		if len(m.History) >= 8 {
-			t.Fatalf("after proposal %d: history grew to %d (limit 4, amortized bound 8)", i, len(m.History))
-		}
-	}
-	last := m.History[len(m.History)-1]
-	if !last.Accepted {
-		t.Fatal("newest report lost by trim")
-	}
-}
-
-func TestWithHistoryLimitNonPositiveKeepsEverything(t *testing.T) {
-	m, err := New(testPlatform(), WithHistoryLimit(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		m.ProposeUpdate(fn("a", model.QM, 10000, int64(1000+100*(i%2)), 64))
-	}
-	if len(m.History) != 10 {
-		t.Fatalf("history = %d, want 10 (unbounded)", len(m.History))
-	}
-}
-
 func TestSpeedScalingInSynthesis(t *testing.T) {
 	// On the 2x processor, WCET halves.
 	p := &model.Platform{

@@ -25,46 +25,29 @@ type Context struct {
 	// untouched messages.
 	DeployedImpl *model.ImplementationModel
 	// Diff is the candidate-vs-deployed function diff, computed once by
-	// the caller and shared by every incremental stage.
+	// the caller and shared by every incremental stage. A full diff runs
+	// every stage from scratch; any other diff implies a warm snapshot.
 	Diff Diff
-	// Incremental selects whether stages may work incrementally from the
-	// deployed configuration. When false every stage runs from scratch
-	// (the seed-equivalent baseline, and the cold retry after a rejected
-	// warm-start attempt).
-	Incremental bool
 
 	// Tech is the mapping stage's artifact: every replica placed.
 	Tech *model.TechnicalArchitecture
 	// Impl is the synthesis stage's artifact: tasks, messages, sessions.
 	Impl *model.ImplementationModel
-	// WarmMapped reports that the mapping stage reused the deployed
-	// placement and placed only the diff. The MCC re-runs a rejected
-	// warm-started attempt cold so that rejection verdicts never depend
-	// on the warm-start heuristic.
-	WarmMapped bool
-	// PartialSynth reports that the synthesis stage rebuilt only the
-	// diff-affected artifacts and copied everything else from the deployed
-	// implementation model. When set, AffectedProcs and MessagesRebuilt
-	// describe exactly what changed, and later stages (timing-job
-	// construction, monitor planning) build only the affected resources,
-	// leaving the untouched remainder in their committed state.
-	PartialSynth bool
+	// Warm reports that the mapping stage reused the deployed placement
+	// and placed only the diff. Synthesis then rebuilds only the affected
+	// artifacts (AffectedProcs, MessagesRebuilt) and later stages build
+	// only the affected resources. The MCC re-runs a rejected warm attempt
+	// cold so that rejection verdicts never depend on the heuristic.
+	Warm bool
 	// AffectedProcs is the set of processors whose task sets the partial
 	// synthesis rebuilt (a touched function's instances were or are
-	// placed there). Only valid when PartialSynth is set.
+	// placed there). Only valid after a warm synthesis.
 	AffectedProcs map[string]bool
 	// MessagesRebuilt reports that the partial synthesis re-derived the
 	// network messages (the flow set or a flow endpoint changed), so the
 	// timing stage re-derives every network's job; when false the deployed
-	// message list was copied verbatim. Only valid when PartialSynth is
-	// set.
+	// message list was copied verbatim. Only valid after a warm synthesis.
 	MessagesRebuilt bool
-	// ConnectionsRebuilt reports that the change edits the service graph
-	// (a touched function's services, trust domain or replica count), so
-	// the partial synthesis re-derived the rows of the clients it rewires;
-	// every other client keeps its committed rows and clean verdicts. Only
-	// valid when PartialSynth is set.
-	ConnectionsRebuilt bool
 	// TasksFn, when set by a partial synthesis, materializes the
 	// candidate's flat task list on demand: the incremental path leaves
 	// Impl.Tasks nil (the affected processors' rebuilt lists live in

@@ -43,11 +43,11 @@ func scanDigests(m *MCC) []resDigestKey {
 	return out
 }
 
-// lastAccepted returns the newest accepted report in m.History, or nil.
-func lastAccepted(m *MCC) *Report {
-	for i := len(m.History) - 1; i >= 0; i-- {
-		if m.History[i].Accepted {
-			return m.History[i]
+// lastAccepted returns the newest accepted report in reports, or nil.
+func lastAccepted(reports []*Report) *Report {
+	for i := len(reports) - 1; i >= 0; i-- {
+		if reports[i].Accepted {
+			return reports[i]
 		}
 	}
 	return nil
@@ -55,9 +55,10 @@ func lastAccepted(m *MCC) *Report {
 
 // assertOracleParity checks a controller's committed timing state against
 // the from-scratch oracle: the table's per-entry job digests equal a full
-// rescan of the deployed implementation model, and both the last accepted
-// report's FullTiming() and DeployedMonitors() equal FromScratchTables.
-func assertOracleParity(t *testing.T, label string, m *MCC) {
+// rescan of the deployed implementation model, and both last's
+// FullTiming() and DeployedMonitors() equal FromScratchTables. last must
+// be the controller's newest accepted report.
+func assertOracleParity(t *testing.T, label string, m *MCC, last *Report) {
 	t.Helper()
 	if scan, committed := scanDigests(m), committedDigests(m); !reflect.DeepEqual(scan, committed) {
 		t.Fatalf("%s: committed job digests diverge from a full rescan:\nscan      %v\ncommitted %v", label, scan, committed)
@@ -66,9 +67,8 @@ func assertOracleParity(t *testing.T, label string, m *MCC) {
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", label, err)
 	}
-	last := lastAccepted(m)
 	if last == nil {
-		t.Fatalf("%s: no accepted report in history", label)
+		t.Fatalf("%s: no accepted report", label)
 	}
 	if got := last.FullTiming(); !reflect.DeepEqual(got, wantTiming) {
 		t.Fatalf("%s: FullTiming diverges from the oracle:\ngot  %+v\nwant %+v", label, got, wantTiming)
@@ -201,7 +201,8 @@ func TestTimingTableShapeChanges(t *testing.T) {
 					t.Fatalf("baseline table = %v, want [anchor safe]", got)
 				}
 				for i, st := range tc.steps {
-					for _, rep := range mode.run(t, m, i, st.change) {
+					reps := mode.run(t, m, i, st.change)
+					for _, rep := range reps {
 						if !rep.Accepted {
 							t.Fatalf("step %d: rejected: %v (%s)", i, rep.Findings, rep.RejectedAt)
 						}
@@ -210,9 +211,9 @@ func TestTimingTableShapeChanges(t *testing.T) {
 						t.Fatalf("step %d: table = %v, want %v", i, got, st.want)
 					}
 					label := fmt.Sprintf("step %d", i)
-					assertOracleParity(t, label, m)
+					assertOracleParity(t, label, m, lastAccepted(reps))
 					assertSnapshotFresh(t, label, m)
-					if got := lastAccepted(m).TimingResources; got != m.snap.res.loaded {
+					if got := lastAccepted(reps).TimingResources; got != m.snap.res.loaded {
 						t.Fatalf("%s: report counts %d timing resources, table holds %d", label, got, m.snap.res.loaded)
 					}
 				}

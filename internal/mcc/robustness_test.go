@@ -34,16 +34,26 @@ func robustBaseline() []model.Function {
 // robustMCC deploys the baseline on a fresh controller with opts.
 func robustMCC(t *testing.T, opts ...Option) *MCC {
 	t.Helper()
+	m, _ := robustMCCReports(t, opts...)
+	return m
+}
+
+// robustMCCReports is robustMCC returning the baseline's reports too.
+func robustMCCReports(t *testing.T, opts ...Option) (*MCC, []*Report) {
+	t.Helper()
 	m, err := New(testPlatform(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reports := make([]*Report, 0, len(robustBaseline()))
 	for _, f := range robustBaseline() {
-		if rep := m.ProposeUpdate(f); !rep.Accepted {
+		rep := m.ProposeUpdate(f)
+		if !rep.Accepted {
 			t.Fatalf("baseline %s rejected at %s: %v", f.Name, rep.RejectedAt, rep.Findings)
 		}
+		reports = append(reports, rep)
 	}
-	return m
+	return m, reports
 }
 
 // oracleDecide replays changes serially on a clean from-scratch
@@ -155,7 +165,7 @@ func TestWorkerPanicRecoveredDecisionMatchesOracle(t *testing.T) {
 	inj := faultinject.New(7, faultinject.Rule{
 		Stage: "timing.worker", Mode: faultinject.ModePanic, Every: 2, Count: 20,
 	})
-	m := robustMCC(t, WithFaultInjector(inj))
+	m, baseline := robustMCCReports(t, WithFaultInjector(inj))
 	got := make([]*Report, 0, len(changes))
 	for _, c := range changes {
 		got = append(got, m.integrateChangeCtx(context.Background(), c))
@@ -164,9 +174,9 @@ func TestWorkerPanicRecoveredDecisionMatchesOracle(t *testing.T) {
 	assertDecisionParity(t, changes, got, want)
 	// Panics may land on any proposal (the baseline deploys under the
 	// same injector — its degraded-but-correct accepts are part of the
-	// corpus), so count recovery over the whole history.
+	// corpus), so count recovery over the baseline and change reports.
 	panics, degraded := 0, 0
-	for _, rep := range m.History {
+	for _, rep := range append(baseline, got...) {
 		panics += rep.PanicsRecovered
 		if rep.Degraded {
 			degraded++
@@ -195,7 +205,7 @@ func TestTransientAnalyzerErrorsRetryThenDegrade(t *testing.T) {
 	inj := faultinject.New(3, faultinject.Rule{
 		Stage: "cpa.analyze", Mode: faultinject.ModeError, Count: 7,
 	})
-	m := robustMCC(t, WithFaultInjector(inj))
+	m, baseline := robustMCCReports(t, WithFaultInjector(inj))
 	got := make([]*Report, 0, len(changes))
 	for _, c := range changes {
 		got = append(got, m.integrateChangeCtx(context.Background(), c))
@@ -203,9 +213,9 @@ func TestTransientAnalyzerErrorsRetryThenDegrade(t *testing.T) {
 	assertDecisionParity(t, changes, got, want)
 
 	// The burst may be spent on any proposal (baseline included); count
-	// the ladder's work over the whole history.
+	// the ladder's work over the baseline and change reports.
 	retried, degraded := 0, 0
-	for _, rep := range m.History {
+	for _, rep := range append(baseline, got...) {
 		retried += rep.RetriedAnalyses
 		if rep.Degraded {
 			degraded++
@@ -474,6 +484,34 @@ func assertExpiredShape(t *testing.T, rep *Report) {
 	}
 	if len(rep.Findings) != 1 || !strings.HasPrefix(rep.Findings[0], "deadline: proposal deadline expired before stage validate") {
 		t.Fatalf("short-circuited findings = %v", rep.Findings)
+	}
+}
+
+// An expired proposal's report must not depend on the path that resolved
+// it: expiredReport's short-circuit and the pipeline's own pre-stage
+// deadline check give the same verdict, passes, degraded reasons (in the
+// same order) and findings, on a healthy and on a quarantined controller.
+func TestExpiredReportMatchesPipelineExpiry(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, quarantined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("quarantined=%v", quarantined), func(t *testing.T) {
+			m := robustMCC(t)
+			if quarantined {
+				m.purgeIncrementalState()
+			}
+			ran := m.integrateChangeCtx(ctx, upd(fn("telem", model.QM, 200000, 2000, 64)))
+			short := m.expiredReport(ctx)
+			assertExpiredShape(t, ran)
+			if ran.Accepted != short.Accepted || ran.RejectedAt != short.RejectedAt ||
+				ran.Passes != short.Passes || ran.Degraded != short.Degraded ||
+				!reflect.DeepEqual(ran.DegradedReasons, short.DegradedReasons) ||
+				!reflect.DeepEqual(ran.Findings, short.Findings) {
+				t.Fatalf("pipeline expiry and expiredReport diverge:\npipeline accepted %v @%q, %d passes, degraded %v %v, findings %v\nshort    accepted %v @%q, %d passes, degraded %v %v, findings %v",
+					ran.Accepted, ran.RejectedAt, ran.Passes, ran.Degraded, ran.DegradedReasons, ran.Findings,
+					short.Accepted, short.RejectedAt, short.Passes, short.Degraded, short.DegradedReasons, short.Findings)
+			}
+		})
 	}
 }
 

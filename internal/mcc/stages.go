@@ -35,7 +35,7 @@ type validateStage struct{ m *MCC }
 func (s *validateStage) Name() Stage { return StageValidate }
 
 func (s *validateStage) Run(ctx *pipeline.Context) error {
-	if !ctx.Incremental || ctx.Diff.Full() {
+	if ctx.Diff.Full() {
 		if err := s.m.candidate(ctx).Validate(); err != nil {
 			return pipeline.Rejectf("%s", err)
 		}
@@ -86,7 +86,7 @@ func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
 // finding the from-scratch path would.
 func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 	m, d := s.m, ctx.Diff
-	if !m.warm() || d.TouchedCount() != 1 {
+	if d.TouchedCount() != 1 {
 		return false, nil
 	}
 	if d.FlowsChanged && len(d.Removed) != 1 {
@@ -149,10 +149,10 @@ type mappingStage struct{ m *MCC }
 func (s *mappingStage) Name() Stage { return StageMapping }
 
 func (s *mappingStage) Run(ctx *pipeline.Context) error {
-	if ctx.Incremental && !ctx.Diff.Full() && s.m.warm() {
+	if !ctx.Diff.Full() {
 		if tech, kept, placed, ok := s.m.mapWarmStart(ctx); ok {
 			ctx.Tech = tech
-			ctx.WarmMapped = true
+			ctx.Warm = true
 			ctx.Note("warm-start: kept %d instances, placed %d", kept, placed)
 			return nil
 		}
@@ -391,7 +391,7 @@ func (s *synthStage) Name() Stage { return StageSynth }
 func (s *synthStage) Run(ctx *pipeline.Context) error {
 	var impl *model.ImplementationModel
 	var err error
-	if ctx.WarmMapped {
+	if ctx.Warm {
 		impl, err = s.m.synthesizeIncremental(ctx)
 	} else {
 		impl, err = s.m.synthesize(ctx.Tech)
@@ -924,10 +924,8 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// (timing-job construction, monitor planning) can splice their own
 	// cached artifacts for the untouched remainder, and hand the lookup
 	// overlay to the commit stage.
-	ctx.PartialSynth = true
 	ctx.AffectedProcs = affected
 	ctx.MessagesRebuilt = rebuildMsgs
-	ctx.ConnectionsRebuilt = rebuildConns
 	m.att.synth = over
 
 	ctx.Note("reused %d/%d processors, messages %s, connections %s",
@@ -1052,7 +1050,7 @@ type safetyStage struct{ m *MCC }
 func (s *safetyStage) Name() Stage { return StageSafety }
 
 func (s *safetyStage) Run(ctx *pipeline.Context) error {
-	if ctx.PartialSynth {
+	if ctx.Warm {
 		// Entity-driven, not whole-model scans: CheckScoped walks every
 		// candidate instance and function even for a one-function change,
 		// while the footprint here is a handful of names. The
@@ -1101,7 +1099,7 @@ type securityStage struct{ m *MCC }
 func (s *securityStage) Name() Stage { return StageSecurity }
 
 func (s *securityStage) Run(ctx *pipeline.Context) error {
-	if ctx.PartialSynth {
+	if ctx.Warm {
 		findings, checked := s.m.checkSecurityRows(ctx)
 		ctx.Report.SecurityChecks += checked
 		ctx.Note("scoped: re-checked %d connections", checked)
@@ -1328,7 +1326,7 @@ func (m *MCC) buildNetJob(impl *model.ImplementationModel, i int) (timingJob, bo
 func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel) (jobs []timingJob, scanned int) {
 	sc := &m.scratch
 	jobs, sc.clears = sc.jobs[:0], sc.clears[:0]
-	if ctx == nil || !ctx.PartialSynth {
+	if ctx == nil || !ctx.Warm {
 		tasksOn := impl.TasksByProcessor()
 		for k, pn := range m.procs {
 			if j, ok := m.buildProcJob(k, tasksOn[pn]); ok {
@@ -1408,7 +1406,7 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationMod
 
 	sc, t := &m.scratch, m.snap.res
 	out := timingOutcome{scanned: scanned, total: len(jobs)}
-	if ctx != nil && ctx.PartialSynth {
+	if ctx != nil && ctx.Warm {
 		// The footprint-sized job list leaves every untouched committed
 		// resource implicit; the attempt still covers all of them.
 		out.total = t.loaded - len(sc.clears)
@@ -1676,7 +1674,7 @@ func (s *monitorStage) Name() Stage { return StageMonitors }
 
 func (s *monitorStage) Run(ctx *pipeline.Context) error {
 	m := s.m
-	if ctx.PartialSynth {
+	if ctx.Warm {
 		ctx.Report.MonitorDelta = m.monitorDelta(ctx)
 	} else {
 		ctx.Report.MonitorDelta = m.planMonitors(ctx.Impl)
@@ -1773,7 +1771,7 @@ func (s *commitStage) Name() Stage { return StageCommit }
 // result slices, function copies) are immutable once built, so reports
 // and rollback points may alias them.
 func (s *commitStage) Run(ctx *pipeline.Context) error {
-	if ctx.PartialSynth {
+	if ctx.Warm {
 		s.commitIncremental(ctx)
 	} else {
 		s.commitFull(ctx)

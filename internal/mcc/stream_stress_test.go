@@ -209,8 +209,8 @@ func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
 
 			// Both controllers' committed tables must also equal the
 			// from-scratch oracle, not just each other.
-			assertOracleParity(t, "stream", streamed)
-			assertOracleParity(t, "serial", fresh)
+			assertOracleParity(t, "stream", streamed, lastAccepted(got))
+			assertOracleParity(t, "serial", fresh, lastAccepted(want))
 
 			st := sched.Stats()
 			totalReplays += st.Replays

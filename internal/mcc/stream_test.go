@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"weak"
 
 	"repro/internal/mcc/pipeline"
 	"repro/internal/model"
@@ -229,9 +231,6 @@ func streamParity(t *testing.T, p *model.Platform, baseline []model.Function, ch
 	}
 	if !reflect.DeepEqual(streamed.DeployedMonitors(), serial.DeployedMonitors()) {
 		t.Fatal("final monitor plans diverge")
-	}
-	if len(streamed.History) != len(serial.History) {
-		t.Fatalf("history length %d vs serial %d", len(streamed.History), len(serial.History))
 	}
 	return sched, got
 }
@@ -533,6 +532,67 @@ func assertAllDeadlineRejected(t *testing.T, got []*Report) {
 				i, rep.Accepted, rep.Degraded, rep.DegradedReasons)
 		}
 	}
+}
+
+func TestDecidedReportsNotRetained(t *testing.T) {
+	// The controller keeps no report log: once the caller drops a report,
+	// nothing pins it, nor the committed timing table its FullTiming
+	// binds. The witness stage holds a weak pointer to every report a
+	// pipeline pass reaches it with, so the optimistic reports a replayed
+	// window discards are covered as well as the returned ones.
+	var weaks []weak.Pointer[Report]
+	witness := pipeline.Func{
+		StageName: "retention-witness",
+		RunFunc: func(ctx *pipeline.Context) error {
+			weaks = append(weaks, weak.Make(ctx.Report))
+			return nil
+		},
+	}
+	p := &model.Platform{
+		Processors: []model.Processor{
+			{Name: "only", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.ASILD},
+		},
+	}
+	m, err := New(p, WithStage(witness))
+	if err != nil {
+		t.Fatal(err)
+	}
+	returned := 0
+	func() {
+		accepted := m.ProposeUpdate(fn("a", model.ASILD, 10000, 5200, 1))
+		if !accepted.Accepted {
+			t.Fatalf("baseline rejected: %v", accepted.Findings)
+		}
+		rejected := m.ProposeUpdate(fn("bad", model.QM, 10000, 100000, 1))
+		if rejected.Accepted {
+			t.Fatal("invalid contract accepted")
+		}
+		sched := NewStreamScheduler(m, WithStreamWindow(len(expiryChanges())))
+		reps := append(sched.Run(expiryChanges()), accepted, rejected)
+		if st := sched.Stats(); st.Replays != 1 || st.DiscardedPasses == 0 {
+			t.Fatalf("stats = %+v, want one replayed window with discarded passes", st)
+		}
+		for _, rep := range reps {
+			weaks = append(weaks, weak.Make(rep))
+		}
+		returned = len(reps)
+	}()
+	distinct := make(map[weak.Pointer[Report]]bool)
+	for _, w := range weaks {
+		distinct[w] = true
+	}
+	if len(distinct) <= returned {
+		t.Fatalf("tracked %d reports, want more than the %d returned (the discarded optimistic ones)", len(distinct), returned)
+	}
+
+	runtime.GC()
+	for w := range distinct {
+		if rep := w.Value(); rep != nil {
+			t.Fatalf("a decided report is still reachable after its caller dropped it: accepted %v, rejected at %q",
+				rep.Accepted, rep.RejectedAt)
+		}
+	}
+	runtime.KeepAlive(m)
 }
 
 func TestStreamSchedulerMidWindowExpiryDiscardAccounting(t *testing.T) {

@@ -86,11 +86,13 @@ func RunMCCStream(cfg MCCStreamConfig) (MCCStreamResult, error) {
 		return res, err
 	}
 
+	var last *mcc.Report // newest accepted report
 	for i := 0; i < cfg.Updates; i++ {
 		fn := generateUpdate(i)
 		rep := m.ProposeUpdate(fn)
 		if rep.Accepted {
 			res.Accepted++
+			last = rep
 		} else {
 			res.Rejected++
 			res.RejectedByStage[rep.RejectedAt]++
@@ -101,18 +103,13 @@ func RunMCCStream(cfg MCCStreamConfig) (MCCStreamResult, error) {
 	if impl != nil {
 		res.FinalTasks = len(impl.Tasks)
 	}
-	if len(m.History) > 0 {
-		for i := len(m.History) - 1; i >= 0; i-- {
-			if m.History[i].Accepted {
-				res.FinalMonitors = len(m.History[i].FullMonitors())
-				for _, tr := range m.History[i].FullTiming() {
-					for _, r := range tr.Results {
-						if r.WCRTUS > res.WorstWCRTUS {
-							res.WorstWCRTUS = r.WCRTUS
-						}
-					}
+	if last != nil {
+		res.FinalMonitors = len(last.FullMonitors())
+		for _, tr := range last.FullTiming() {
+			for _, r := range tr.Results {
+				if r.WCRTUS > res.WorstWCRTUS {
+					res.WorstWCRTUS = r.WCRTUS
 				}
-				break
 			}
 		}
 	}
@@ -404,39 +401,33 @@ func runChangeStream(cfg MCCThroughputConfig, platform *model.Platform, baseline
 	if rep := m.ProposeArchitecture(baseline); !rep.Accepted {
 		return res, fmt.Errorf("scenario: fleet baseline rejected at %s: %v", rep.RejectedAt, rep.Findings)
 	}
-	baselineEvals := len(m.History)
 
 	streamStart := time.Now()
+	var reports []*mcc.Report
 	switch cfg.Mode {
 	case ThroughputStream:
 		sched := mcc.NewStreamScheduler(m)
-		for _, rep := range sched.Run(changes) {
-			if rep.Accepted {
-				res.Accepted++
-			} else {
-				res.Rejected++
-			}
-		}
+		reports = sched.Run(changes)
 		res.Stream = sched.Stats()
 	default:
+		reports = make([]*mcc.Report, 0, len(changes))
 		for _, c := range changes {
-			var rep *mcc.Report
 			if c.Update != nil {
-				rep = m.ProposeUpdate(*c.Update)
+				reports = append(reports, m.ProposeUpdate(*c.Update))
 			} else {
-				rep = m.ProposeRemoval(c.Remove)
-			}
-			if rep.Accepted {
-				res.Accepted++
-			} else {
-				res.Rejected++
+				reports = append(reports, m.ProposeRemoval(c.Remove))
 			}
 		}
 	}
 
 	res.StreamWall = time.Since(streamStart)
 	res.StageWall = make(map[mcc.Stage]time.Duration)
-	for _, rep := range m.History[baselineEvals:] {
+	for _, rep := range reports {
+		if rep.Accepted {
+			res.Accepted++
+		} else {
+			res.Rejected++
+		}
 		res.Evaluations += rep.Passes
 		res.TimingScans += rep.TimingScans
 		res.TimingResources += rep.TimingResources
