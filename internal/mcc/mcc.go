@@ -125,8 +125,9 @@ type MCC struct {
 	incremental bool
 	// workers bounds the goroutines analyzing dirty resources in parallel.
 	workers int
-	// loadScratch is the reusable per-proposal placer buffer.
-	loadScratch []procLoad
+	// layout is the platform's placement classes and the shape of the
+	// capacity index (see placer.go).
+	layout *capLayout
 	// procs is the platform's processor-name iteration order, sorted once
 	// at construction (the platform is immutable for the MCC's lifetime).
 	procs []string
@@ -272,7 +273,7 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 		workers:        runtime.GOMAXPROCS(0),
 		procs:          procNames(p),
 		procIdx:        procIndex(p),
-		loadScratch:    make([]procLoad, len(p.Processors)),
+		layout:         newCapLayout(p),
 		snap:           &snapshot{fa: &model.FunctionalArchitecture{}},
 	}
 	m.epoch = m.newEpoch()
@@ -363,9 +364,9 @@ type attempt struct {
 	// its materialized candidate (see MCC.candidate).
 	change *Change
 	whole  *model.FunctionalArchitecture
-	// loads points at the placer buffer of a warm-started mapping: the
-	// candidate placement's per-processor totals.
-	loads []procLoad
+	// over is the placer overlay of a warm-started mapping: the candidate
+	// placement's leaf of every processor whose load it changed.
+	over []capNode
 	// placed holds the warm start's fresh replica placements, keyed by
 	// function (replica-ascending, the order the placer emits); the
 	// synthesis overlay reads them instead of a flat instance list.

@@ -238,12 +238,13 @@ type snapshot struct {
 	res  *resTable
 	warm bool
 
-	// procs is the per-processor state and loads the per-processor load
-	// accounting, both indexed by platform processor position
-	// (MCC.procIdx). The loads are kept apart so the warm-started mapping
-	// copies them into its placer buffer chunk by chunk.
-	procs chunks[procState]
-	loads chunks[procLoad]
+	// procs is the per-processor state, indexed by platform processor
+	// position (MCC.procIdx). capacity is the capacity index over the
+	// committed loads (see capLayout): one min segment tree per placement
+	// class, whose leaves are the per-processor load accounting. A commit
+	// writes the leaves the warm start changed and their root paths.
+	procs    chunks[procState]
+	capacity chunks[capNode]
 	// fns maps each committed function name to its entry; nextSeq is the
 	// rank the next added function takes (an update keeps its rank).
 	fns     pmap[fnEntry]
@@ -286,7 +287,7 @@ func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.Implem
 	}
 	s.nextSeq = uint64(len(fa.Functions))
 	procs := make([]procState, len(m.platform.Processors))
-	loads := make([]procLoad, len(m.platform.Processors))
+	nodes := m.layout.leaves(m.platform)
 	// impl.Tech.Instances is sorted by Instance.Less and impl.Tasks is
 	// assembled processor by processor in priority order, so the grouped
 	// lists keep the orders the incremental synthesis produces.
@@ -297,8 +298,9 @@ func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.Implem
 		}
 		procs[i].insts = append(procs[i].insts, in)
 		if f := fnByName[in.Function]; f != nil {
-			loads[i].utilPPM += scaleUtilPPM(utilPPM(f), m.platform.Processors[i].SpeedFactor)
-			loads[i].ramKiB += f.Contract.Resources.RAMKiB
+			leaf := &nodes[m.layout.pos(i)]
+			leaf.util += scaleUtilPPM(utilPPM(f), m.platform.Processors[i].SpeedFactor)
+			leaf.free -= f.Contract.Resources.RAMKiB
 		}
 	}
 	for _, t := range impl.Tasks {
@@ -306,7 +308,7 @@ func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.Implem
 			procs[i].tasks = append(procs[i].tasks, t)
 		}
 	}
-	s.procs, s.loads = chunksFrom(e, procs), chunksFrom(e, loads)
+	s.procs, s.capacity = chunksFrom(e, procs), m.layout.tree(e, nodes)
 	s.prov = nameLists(e, fa, func(f *model.Function) []string { return f.Provides })
 	s.req = nameLists(e, fa, func(f *model.Function) []string { return f.Requires })
 	s.flows, s.flowTouch = fa.Flows, flowTouchIndex(fa.Flows)

@@ -12,7 +12,7 @@ import (
 
 // snapshotView projects a committed snapshot into comparable plain
 // values: every field, with the persistent containers flattened into Go
-// maps and slices (their internal layout — bucket order, chunk sharing —
+// maps and slices (the capacity index node by node, inner nodes included) (their internal layout — bucket order, chunk sharing —
 // depends on the commit history, their content must not) and the
 // function ranks into the function order they define (their values
 // depend on the history too). The architecture memo is left out: it is
@@ -28,7 +28,7 @@ func snapshotView(s *snapshot) map[string]any {
 	prov := make(map[string][]string)
 	req := make(map[string][]string)
 	var procs []procState
-	var loads []procLoad
+	var capacity []capNode
 	var ranked []fnEntry
 	if s.warm {
 		s.fns.each(func(name string, e fnEntry) {
@@ -52,7 +52,9 @@ func snapshotView(s *snapshot) map[string]any {
 				ps.insts = nil
 			}
 			procs = append(procs, ps)
-			loads = append(loads, *s.loads.at(i))
+		}
+		for i := 0; i < s.capacity.n; i++ {
+			capacity = append(capacity, *s.capacity.at(i))
 		}
 	}
 	slices.SortFunc(ranked, func(a, b fnEntry) int { return cmp.Compare(a.rank, b.rank) })
@@ -73,7 +75,7 @@ func snapshotView(s *snapshot) map[string]any {
 		"req":       req,
 		"reqCount":  s.req.n,
 		"procs":     procs,
-		"loads":     loads,
+		"capacity":  capacity,
 		"flowTouch": s.flowTouch,
 		"instTotal": s.instTotal,
 	}

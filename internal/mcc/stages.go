@@ -166,118 +166,6 @@ func (s *mappingStage) Run(ctx *pipeline.Context) error {
 	return nil
 }
 
-// placer tracks per-processor residual capacity during best-fit mapping.
-// Both the full mapping and the warm-start share it, so the placement
-// constraints (safety certification, utilization cap, RAM budget, replica
-// separation) live in exactly one place. Loads are a plain slice indexed
-// by platform processor position (via MCC.procIdx), so the best-fit scan
-// and the accounting run without a map operation per processor.
-type placer struct {
-	m     *MCC
-	loads []procLoad
-}
-
-type procLoad struct {
-	utilPPM int64
-	ramKiB  int64
-}
-
-// newPlacer returns a placer over the reusable scratch buffer, zeroed
-// (cold start: loads accumulate from nothing).
-func (m *MCC) newPlacer() *placer {
-	clear(m.loadScratch)
-	return &placer{m: m, loads: m.loadScratch}
-}
-
-// newPlacerFromCommitted returns a placer over the scratch buffer
-// pre-filled with the committed per-processor loads.
-func (m *MCC) newPlacerFromCommitted() *placer {
-	for ci, c := range m.snap.loads.spine {
-		copy(m.loadScratch[ci<<chunkShift:], c.v[:])
-	}
-	return &placer{m: m, loads: m.loadScratch}
-}
-
-// account charges one replica of f to the named processor.
-func (p *placer) account(f *model.Function, proc string) bool {
-	i, ok := p.m.procIdx[proc]
-	if !ok {
-		return false
-	}
-	pr := &p.m.platform.Processors[i]
-	p.loads[i].utilPPM += scaleUtilPPM(utilPPM(f), pr.SpeedFactor)
-	p.loads[i].ramKiB += f.Contract.Resources.RAMKiB
-	return true
-}
-
-// discount removes one replica of f from the named processor — the exact
-// inverse of account (integer arithmetic, so subtracting the committed
-// charge restores the residual a re-accounting would produce).
-func (p *placer) discount(f *model.Function, proc string) bool {
-	i, ok := p.m.procIdx[proc]
-	if !ok {
-		return false
-	}
-	pr := &p.m.platform.Processors[i]
-	p.loads[i].utilPPM -= scaleUtilPPM(utilPPM(f), pr.SpeedFactor)
-	p.loads[i].ramKiB -= f.Contract.Resources.RAMKiB
-	return true
-}
-
-// place assigns every replica of f best-fit (lowest resulting utilization)
-// over the remaining capacity, honouring safety certification, the 100%
-// utilization cap, RAM budgets, and replica separation. It reports
-// ok=false when a replica has no feasible processor, returning the
-// replicas placed so far (their index names the failing one).
-func (p *placer) place(f *model.Function) ([]model.Instance, bool) {
-	// Per-function constants, hoisted out of the per-processor scan.
-	replicas := f.EffectiveReplicas()
-	util := utilPPM(f)
-	ram := f.Contract.Resources.RAMKiB
-	level := f.Contract.Safety
-	var usedProcs map[string]bool
-	if replicas > 1 {
-		usedProcs = make(map[string]bool, replicas)
-	}
-	out := make([]model.Instance, 0, replicas)
-	for r := 0; r < replicas; r++ {
-		best := -1
-		var bestUtil int64 = -1
-		for i := range p.m.platform.Processors {
-			proc := &p.m.platform.Processors[i]
-			if proc.MaxSafety < level {
-				continue
-			}
-			if usedProcs[proc.Name] {
-				continue // replica separation
-			}
-			l := &p.loads[i]
-			scaledUtil := scaleUtilPPM(util, proc.SpeedFactor)
-			if l.utilPPM+scaledUtil > 1_000_000 {
-				continue
-			}
-			if l.ramKiB+ram > proc.RAMKiB {
-				continue
-			}
-			// Best fit: lowest resulting utilization.
-			if bestUtil < 0 || l.utilPPM+scaledUtil < bestUtil {
-				best = i
-				bestUtil = l.utilPPM + scaledUtil
-			}
-		}
-		if best < 0 {
-			return out, false
-		}
-		name := p.m.platform.Processors[best].Name
-		p.account(f, name)
-		if usedProcs != nil {
-			usedProcs[name] = true
-		}
-		out = append(out, model.Instance{Function: f.Name, Replica: r, Processor: name})
-	}
-	return out, true
-}
-
 // sortByConstraint orders functions for placement: hardest constraints
 // first (safety desc, utilization desc, name).
 func sortByConstraint(fns []*model.Function) {
@@ -295,13 +183,16 @@ func sortByConstraint(fns []*model.Function) {
 
 // mapWarmStart is the O(diff) warm start: instances of untouched
 // functions stay where they are, only the diff is placed (best-fit over
-// the residual capacity). The committed loads are copied into the placer
-// buffer, the touched functions' committed charges are subtracted —
-// integer-exact, so the residuals equal a re-accounting of every kept
-// instance — and the diff is placed over the residual. The candidate's
-// flat instance list is never assembled: the fresh placements are handed
-// to the synthesis overlay through the attempt, everything downstream
-// resolves instances through the committed tables plus that overlay, and
+// the residual capacity). The placer reads the committed capacity index
+// and keeps every load it changes in its overlay: the touched functions'
+// committed charges are subtracted there — integer-exact, so the
+// residuals equal a re-accounting of every kept instance — and the diff
+// is placed over index plus overlay, in O(log P) per replica while
+// capacity is not tight. Nothing committed is written; the overlay goes
+// to the commit through the attempt. The candidate's flat instance list
+// is never assembled either: the fresh placements are handed to the
+// synthesis overlay through the attempt, everything downstream resolves
+// instances through the committed tables plus that overlay, and
 // DeployedImpl materializes the flat list on demand for whole-model
 // readers (and the technical architecture's Func, nil on the
 // change-driven path). It reports ok=false when the diff cannot be placed
@@ -310,7 +201,7 @@ func sortByConstraint(fns []*model.Function) {
 func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
 	d := ctx.Diff
 
-	p := m.newPlacerFromCommitted()
+	p := &placer{m: m, tree: m.snap.capacity}
 	names := make([]string, 0, d.TouchedCount())
 	names = append(names, d.Added...)
 	names = append(names, d.Changed...)
@@ -349,13 +240,15 @@ func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitec
 
 	kept = m.snap.instTotal - cut
 	m.att.placed = placedBy
-	m.att.loads = p.loads
+	m.att.over = p.over
 	return &model.TechnicalArchitecture{Platform: m.platform, Func: ctx.Candidate}, kept, placed, true
 }
 
 // mapToPlatform assigns every function replica to a processor:
 // greedy best-fit ordered by (safety desc, utilization desc), honouring
-// safety certification, RAM budgets, and replica separation.
+// safety certification, RAM budgets, and replica separation. The placer
+// starts from the zero-load index and flushes each function's charges
+// into its own copy of it.
 func (m *MCC) mapToPlatform(fa *model.FunctionalArchitecture) (*model.TechnicalArchitecture, error) {
 	// Deterministic placement order: hardest constraints first.
 	order := make([]*model.Function, len(fa.Functions))
@@ -364,7 +257,7 @@ func (m *MCC) mapToPlatform(fa *model.FunctionalArchitecture) (*model.TechnicalA
 	}
 	sortByConstraint(order)
 
-	p := m.newPlacer()
+	p, e := &placer{m: m, tree: m.layout.zero}, m.newEpoch()
 	var instances []model.Instance
 	for _, f := range order {
 		ins, ok := p.place(f)
@@ -373,6 +266,7 @@ func (m *MCC) mapToPlatform(fa *model.FunctionalArchitecture) (*model.TechnicalA
 				f.Name, len(ins), f.Contract.Safety, float64(utilPPM(f))/10000, f.Contract.Resources.RAMKiB)
 		}
 		instances = append(instances, ins...)
+		p.flush(e)
 	}
 	sort.Slice(instances, func(i, j int) bool { return instances[i].Less(instances[j]) })
 	tech := &model.TechnicalArchitecture{Platform: m.platform, Func: fa, Instances: instances}
@@ -1899,13 +1793,14 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	}
 	putNames(&n.prov, e, over.prov)
 	putNames(&n.req, e, over.req)
-	// Affected processors take their rebuilt task and resident lists and
-	// the placer's final load totals (the warm start discounted and placed
-	// only on these processors).
+	// Affected processors take their rebuilt task and resident lists, and
+	// every processor the warm start discounted or placed on takes its
+	// overlay load into the capacity index.
 	for pn := range ctx.AffectedProcs {
-		i := m.procIdx[pn]
-		n.procs.set(e, i, procState{over.tasksOn[pn], over.instsOn[pn]})
-		n.loads.set(e, i, m.att.loads[i])
+		n.procs.set(e, m.procIdx[pn], procState{over.tasksOn[pn], over.instsOn[pn]})
+	}
+	for _, o := range m.att.over {
+		m.layout.set(&n.capacity, e, o)
 	}
 }
 

@@ -257,9 +257,13 @@ func (m *ImplementationModel) Validate() error {
 	if err := m.Tech.Validate(); err != nil {
 		return err
 	}
+	procs := make(map[string]bool, len(m.Tech.Platform.Processors))
+	for i := range m.Tech.Platform.Processors {
+		procs[m.Tech.Platform.Processors[i].Name] = true
+	}
 	prioSeen := make(map[string]map[int]string) // processor -> priority -> task
 	for _, t := range m.Tasks {
-		if m.Tech.Platform.ProcessorByName(t.Processor) == nil {
+		if !procs[t.Processor] {
 			return fmt.Errorf("model: task %q on unknown processor %q", t.Name, t.Processor)
 		}
 		if err := t.Validate(); err != nil {

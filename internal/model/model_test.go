@@ -2,7 +2,9 @@ package model
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -292,11 +294,6 @@ func TestPlatformValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := validPlatform()
-	bad.Processors[0].SpeedFactor = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero speed factor accepted")
-	}
-	bad = validPlatform()
 	bad.Networks[0].Attached = append(bad.Networks[0].Attached, "ghost")
 	if err := bad.Validate(); err == nil {
 		t.Fatal("network attaching unknown processor accepted")
@@ -305,6 +302,31 @@ func TestPlatformValidate(t *testing.T) {
 	bad.Processors[0].Policy = "edf"
 	if err := bad.Validate(); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// A speed factor must be a positive finite number: placement divides
+// utilization by it, and NaN or +Inf would turn a processor into one
+// that wins every best-fit or has unlimited capacity.
+func TestPlatformValidateSpeedFactor(t *testing.T) {
+	for _, tc := range []struct {
+		speed float64
+		err   string
+	}{
+		{1, ""},
+		{0.5, ""},
+		{0, "non-positive speed factor"},
+		{-1, "non-positive speed factor"},
+		{math.Inf(-1), "non-finite speed factor"},
+		{math.Inf(1), "non-finite speed factor"},
+		{math.NaN(), "non-finite speed factor"},
+	} {
+		p := validPlatform()
+		p.Processors[0].SpeedFactor = tc.speed
+		err := p.Validate()
+		if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("speed factor %v: got %v, want %q", tc.speed, err, tc.err)
+		}
 	}
 }
 
@@ -378,6 +400,14 @@ func TestImplementationModelValidate(t *testing.T) {
 	dup.Tasks = append(dup.Tasks, Task{Name: "x", Processor: "ecu1", Priority: 1, PeriodUS: 100, WCETUS: 10})
 	if err := dup.Validate(); err == nil || !strings.Contains(err.Error(), "share priority") {
 		t.Fatalf("duplicate priority accepted: %v", err)
+	}
+
+	stray := *im
+	stray.Tasks = append(slices.Clone(im.Tasks),
+		Task{Name: "ghost#0", Processor: "ghost", Priority: 7, PeriodUS: 100, WCETUS: 10},
+		Task{Name: "phantom#0", Processor: "phantom", Priority: 8, PeriodUS: 100, WCETUS: 10})
+	if err := stray.Validate(); err == nil || err.Error() != `model: task "ghost#0" on unknown processor "ghost"` {
+		t.Fatalf("unknown processor: got %v, want the first stray task named", err)
 	}
 }
 

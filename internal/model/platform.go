@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // SchedulingPolicy names the dispatching discipline of a processing resource.
 type SchedulingPolicy string
@@ -94,6 +97,9 @@ func (p *Platform) Validate() error {
 			return fmt.Errorf("model: duplicate processor %q", pr.Name)
 		}
 		seen[pr.Name] = true
+		if math.IsNaN(pr.SpeedFactor) || math.IsInf(pr.SpeedFactor, 0) {
+			return fmt.Errorf("model: processor %q has non-finite speed factor", pr.Name)
+		}
 		if pr.SpeedFactor <= 0 {
 			return fmt.Errorf("model: processor %q has non-positive speed factor", pr.Name)
 		}
