@@ -142,8 +142,8 @@ func printReport(rep *mcc.Report) {
 		fmt.Println("pipeline stages:")
 		for _, tr := range rep.Stages {
 			line := fmt.Sprintf("  %-10s %10v", tr.Stage, tr.Wall.Round(time.Microsecond))
-			if tr.Note != "" {
-				line += "  (" + tr.Note + ")"
+			if note := tr.Note(); note != "" {
+				line += "  (" + note + ")"
 			}
 			fmt.Println(line)
 		}

@@ -24,7 +24,7 @@ func committedTimingSnapshot(m *MCC) ([]committedRes, []TimingResult) {
 	t := m.snap.res
 	entries := make([]committedRes, 0, t.n)
 	for i := 0; i < t.n; i++ {
-		cr := *t.at(i)
+		cr := *t.get(i)
 		cr.job.tasks = append(cr.job.tasks[:0:0], cr.job.tasks...)
 		cr.res = cloneTimingSnapshot(cr.res)
 		entries = append(entries, cr)

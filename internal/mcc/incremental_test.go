@@ -35,7 +35,7 @@ func TestWarmStartKeepsUntouchedPlacement(t *testing.T) {
 		t.Fatalf("telemetry rejected: %v (%s)", rep.Findings, rep.RejectedAt)
 	}
 	tr := rep.StageTraceFor(StageMapping)
-	if tr == nil || !strings.Contains(tr.Note, "warm-start") {
+	if tr == nil || !strings.Contains(tr.Note(), "warm-start") {
 		t.Fatalf("mapping trace = %+v, want warm-start note", tr)
 	}
 	for _, in := range m.DeployedImpl().Tech.Instances {
@@ -72,7 +72,7 @@ func TestWarmStartFallsBackToFullBestFit(t *testing.T) {
 		t.Fatalf("f2 rejected: %v (%s)", rep.Findings, rep.RejectedAt)
 	}
 	tr := rep.StageTraceFor(StageMapping)
-	if tr == nil || !strings.Contains(tr.Note, "fell back") {
+	if tr == nil || !strings.Contains(tr.Note(), "fell back") {
 		t.Fatalf("mapping trace = %+v, want fallback note", tr)
 	}
 	got := make(map[string]string)
@@ -187,11 +187,11 @@ func TestIncrementalSynthesisReusesUntouchedArtifacts(t *testing.T) {
 		t.Fatalf("telemetry rejected: %v (%s)", rep.Findings, rep.RejectedAt)
 	}
 	tr := rep.StageTraceFor(StageSynth)
-	if tr == nil || !strings.Contains(tr.Note, "reused") {
+	if tr == nil || !strings.Contains(tr.Note(), "reused") {
 		t.Fatalf("synthesis trace = %+v, want reuse note", tr)
 	}
-	if !strings.Contains(tr.Note, "messages reused") || !strings.Contains(tr.Note, "connections reused") {
-		t.Fatalf("synthesis note = %q, want reused messages and connections", tr.Note)
+	if !strings.Contains(tr.Note(), "messages reused") || !strings.Contains(tr.Note(), "connections reused") {
+		t.Fatalf("synthesis note = %q, want reused messages and connections", tr.Note())
 	}
 	impl := m.DeployedImpl()
 	if !reflect.DeepEqual(impl.Messages, depMsgs) {
@@ -490,7 +490,7 @@ func TestMessageRebuildKeepsUnchangedNetworkClean(t *testing.T) {
 	if !rep.Accepted {
 		t.Fatalf("move rejected at %s: %v", rep.RejectedAt, rep.Findings)
 	}
-	if tr := rep.StageTraceFor(StageSynth); tr == nil || !strings.Contains(tr.Note, "messages rebuilt") {
+	if tr := rep.StageTraceFor(StageSynth); tr == nil || !strings.Contains(tr.Note(), "messages rebuilt") {
 		t.Fatalf("move did not rebuild messages: %+v", tr)
 	}
 	if got := m.DeployedImpl().MessagesOn("netB"); !reflect.DeepEqual(got, netB) {

@@ -140,8 +140,10 @@ type MCC struct {
 	// stream-scheduler window.
 	journal *windowJournal
 	// scratch holds the MCC-owned buffers the timing hot path reuses
-	// across proposals.
+	// across proposals, and synth the synthesis overlay every warm pass
+	// reuses (reset by its warm start).
 	scratch timingScratch
+	synth   synthOverlay
 	// deferChecks makes newContext ask the timing stage to defer its
 	// busy-window analyses (optimistic evaluation); set only by the
 	// StreamScheduler, which re-validates every deferred verdict before a
@@ -367,12 +369,9 @@ type attempt struct {
 	// over is the placer overlay of a warm-started mapping: the candidate
 	// placement's leaf of every processor whose load it changed.
 	over []capNode
-	// placed holds the warm start's fresh replica placements, keyed by
-	// function (replica-ascending, the order the placer emits); the
-	// synthesis overlay reads them instead of a flat instance list.
-	placed map[string][]model.Instance
-	// synth is the diff-sized lookup overlay of an incremental synthesis,
-	// applied to the snapshot by the commit stage.
+	// synth is the diff-sized lookup overlay of an incremental synthesis
+	// (MCC.synth once that synthesis ran, nil otherwise), applied to the
+	// snapshot by the commit stage.
 	synth *synthOverlay
 	// jobs is the timing stage's job list (footprint-sized under partial
 	// synthesis, every loaded resource on a from-scratch pass; each job

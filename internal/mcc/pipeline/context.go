@@ -39,10 +39,12 @@ type Context struct {
 	// only the affected resources. The MCC re-runs a rejected warm attempt
 	// cold so that rejection verdicts never depend on the heuristic.
 	Warm bool
-	// AffectedProcs is the set of processors whose task sets the partial
+	// AffectedProcs lists the processors whose task sets the partial
 	// synthesis rebuilt (a touched function's instances were or are
-	// placed there). Only valid after a warm synthesis.
-	AffectedProcs map[string]bool
+	// placed there), ascending by name — the slot order of the committed
+	// timing table. Only valid after a warm synthesis and only for the
+	// pass in progress: the list is scratch the next pass reuses.
+	AffectedProcs []string
 	// MessagesRebuilt reports that the partial synthesis re-derived the
 	// network messages (the flow set or a flow endpoint changed), so the
 	// timing stage re-derives every network's job; when false the deployed
@@ -75,7 +77,7 @@ type Context struct {
 	// Report is the report under construction.
 	Report *Report
 
-	note string
+	note stageNote
 }
 
 // Tasks returns the candidate's flat task list, materializing it through
@@ -109,14 +111,22 @@ func (c *Context) Expired() bool {
 
 // Note attaches a short telemetry note to the currently running stage's
 // trace (e.g. "warm-start: placed 1/41 instances", "5/6 resources clean").
-// Each Run of a stage records at most one note; the last call wins.
+// Each Run of a stage records at most one note; the last call wins. The
+// note keeps its format and arguments and is formatted only when read
+// (StageTrace.Note), so arguments must be values that do not change
+// afterwards: numbers, strings, or immutable data.
 func (c *Context) Note(format string, args ...any) {
-	c.note = fmt.Sprintf(format, args...)
+	c.note = stageNote{format: format}
+	if len(args) > len(c.note.args) {
+		c.note.format, c.note.n = fmt.Sprintf(format, args...), -1
+		return
+	}
+	c.note.n = int8(copy(c.note.args[:], args))
 }
 
 // takeNote returns and clears the pending stage note.
-func (c *Context) takeNote() string {
+func (c *Context) takeNote() stageNote {
 	n := c.note
-	c.note = ""
+	c.note = stageNote{}
 	return n
 }

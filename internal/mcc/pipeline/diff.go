@@ -26,14 +26,12 @@ type Diff struct {
 	// full marks a from-scratch diff (nothing deployed yet, or the caller
 	// opted out of incremental integration).
 	full bool
-
-	touched map[string]bool
 }
 
 // ComputeDiff diffs the candidate against the deployed architecture. A nil
 // or empty deployed architecture yields a full diff.
 func ComputeDiff(deployed, cand *model.FunctionalArchitecture) Diff {
-	d := Diff{touched: make(map[string]bool)}
+	var d Diff
 	if deployed == nil || len(deployed.Functions) == 0 {
 		d.full = true
 	}
@@ -52,10 +50,8 @@ func ComputeDiff(deployed, cand *model.FunctionalArchitecture) Diff {
 		switch {
 		case !ok:
 			d.Added = append(d.Added, f.Name)
-			d.touched[f.Name] = true
 		case !prev.Equal(*f):
 			d.Changed = append(d.Changed, f.Name)
-			d.touched[f.Name] = true
 		}
 	}
 	if deployed != nil {
@@ -63,7 +59,6 @@ func ComputeDiff(deployed, cand *model.FunctionalArchitecture) Diff {
 			name := deployed.Functions[i].Name
 			if !seen[name] {
 				d.Removed = append(d.Removed, name)
-				d.touched[name] = true
 			}
 		}
 	}
@@ -91,7 +86,7 @@ func FullDiff() Diff { return Diff{full: true} }
 // FuzzDiffFromChange hold the two to that, over generated fleets — but
 // costs O(1) plus one Function.Equal instead of two architecture walks.
 func DiffFromChange(name string, upd, old *model.Function, oldFlowTouched bool) Diff {
-	d := Diff{touched: make(map[string]bool, 1)}
+	var d Diff
 	switch {
 	case upd == nil && old == nil:
 		// Removing an unknown function: the candidate equals the deployed
@@ -99,16 +94,13 @@ func DiffFromChange(name string, upd, old *model.Function, oldFlowTouched bool) 
 		// function that does not exist).
 	case upd == nil:
 		d.Removed = []string{name}
-		d.touched[name] = true
 		// WithoutFunction drops every flow touching the name, so the flow
 		// set changes exactly when such a flow exists.
 		d.FlowsChanged = oldFlowTouched
 	case old == nil:
 		d.Added = []string{name}
-		d.touched[name] = true
 	case !old.Equal(*upd):
 		d.Changed = []string{name}
-		d.touched[name] = true
 	}
 	// An update never touches the flow slice (WithFunction copies it
 	// verbatim), so FlowsChanged stays false on the update arms.
@@ -150,15 +142,23 @@ func (d Diff) Full() bool { return d.full }
 // Empty reports whether the candidate is function- and flow-identical to
 // the deployed configuration.
 func (d Diff) Empty() bool {
-	return !d.full && len(d.touched) == 0 && !d.FlowsChanged
+	return !d.full && d.TouchedCount() == 0 && !d.FlowsChanged
 }
 
 // Touched reports whether the named function was added, removed, or
-// changed by this diff.
-func (d Diff) Touched(name string) bool { return d.touched[name] }
+// changed by this diff: a binary search of each sorted name list, so no
+// diff carries a lookup table of its own.
+func (d Diff) Touched(name string) bool {
+	for _, names := range [3][]string{d.Added, d.Changed, d.Removed} {
+		if _, ok := slices.BinarySearch(names, name); ok {
+			return true
+		}
+	}
+	return false
+}
 
 // TouchedCount returns the number of added+removed+changed functions.
-func (d Diff) TouchedCount() int { return len(d.touched) }
+func (d Diff) TouchedCount() int { return len(d.Added) + len(d.Changed) + len(d.Removed) }
 
 // Neighborhood returns the touched functions plus every function connected
 // to a touched one by a flow of the candidate architecture, as a membership
@@ -167,12 +167,14 @@ func (d Diff) TouchedCount() int { return len(d.touched) }
 // relationships it participates in (plus requirers of removed services,
 // which the validation stage handles separately).
 func (d Diff) Neighborhood(cand *model.FunctionalArchitecture) map[string]bool {
-	out := make(map[string]bool, len(d.touched)*2)
-	for name := range d.touched {
-		out[name] = true
+	out := make(map[string]bool, d.TouchedCount()*2)
+	for _, names := range [3][]string{d.Added, d.Changed, d.Removed} {
+		for _, name := range names {
+			out[name] = true
+		}
 	}
 	for _, fl := range cand.Flows {
-		if d.touched[fl.From] || d.touched[fl.To] {
+		if d.Touched(fl.From) || d.Touched(fl.To) {
 			out[fl.From] = true
 			out[fl.To] = true
 		}

@@ -20,6 +20,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -146,6 +147,8 @@ func (p *Pipeline) StageNames() []StageName {
 func (p *Pipeline) Run(ctx *Context) {
 	rep := ctx.Report
 	rep.Passes++
+	// One allocation per pass at most: room for a trace of every stage.
+	rep.Stages = slices.Grow(rep.Stages, len(p.stages))
 	for _, s := range p.stages {
 		if ctx.Expired() {
 			rep.RejectedAt = s.Name()
@@ -160,7 +163,7 @@ func (p *Pipeline) Run(ctx *Context) {
 		rep.Stages = append(rep.Stages, StageTrace{
 			Stage: s.Name(),
 			Wall:  time.Since(start),
-			Note:  ctx.takeNote(),
+			note:  ctx.takeNote(),
 		})
 		if err != nil {
 			rep.RejectedAt = s.Name()

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -47,12 +48,47 @@ func TestPipelineRunsStagesInOrderAndRecordsTraces(t *testing.T) {
 		if tr.Stage != want[i] {
 			t.Fatalf("trace %d = %s, want %s", i, tr.Stage, want[i])
 		}
-		if tr.Note != "ran "+string(want[i]) {
-			t.Fatalf("trace %d note = %q", i, tr.Note)
+		if tr.Note() != "ran "+string(want[i]) {
+			t.Fatalf("trace %d note = %q", i, tr.Note())
 		}
 		if tr.Wall < 0 {
 			t.Fatalf("trace %d wall negative", i)
 		}
+	}
+}
+
+// A stage note renders on read exactly as fmt.Sprintf formats its format
+// and arguments — kept inline up to four arguments, formatted on receipt
+// beyond that — the last note of a stage wins, and a stage that leaves
+// none renders "".
+func TestStageNoteRendersLikeSprintf(t *testing.T) {
+	for _, tc := range []struct {
+		format string
+		args   []any
+	}{
+		{"", nil},
+		{"plain", nil},
+		{"100%% clean", nil},
+		{"missing %d", nil},
+		{"%d/%d resources dirty, %d scanned", []any{1, 2048, 3}},
+		{"reused %d/%d processors, messages %s, connections %s", []any{2046, 2048, "reused", "rebuilt"}},
+		{"%v %v %v %v %v", []any{1, "two", 3.5, true, StageTiming}},
+	} {
+		stage := Func{StageName: "s", RunFunc: func(ctx *Context) error {
+			ctx.Note("overwritten %d", 1)
+			ctx.Note(tc.format, tc.args...)
+			return nil
+		}}
+		ctx := &Context{Report: &Report{}}
+		New(stage).Run(ctx)
+		if got, want := ctx.Report.Stages[0].Note(), fmt.Sprintf(tc.format, tc.args...); got != want {
+			t.Errorf("Note(%q, %v) renders %q, want %q", tc.format, tc.args, got, want)
+		}
+	}
+	ctx := &Context{Report: &Report{}}
+	New(Func{StageName: "quiet", RunFunc: func(*Context) error { return nil }}).Run(ctx)
+	if got := ctx.Report.Stages[0].Note(); got != "" {
+		t.Errorf("stage without a note renders %q", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/cpa"
@@ -41,9 +42,30 @@ type StageTrace struct {
 	Stage StageName
 	// Wall is the stage's wall-clock duration.
 	Wall time.Duration
-	// Note is an optional stage-specific telemetry line, e.g.
-	// "warm-start: placed 1/41 instances" or "timing: 1/2 resources dirty".
-	Note string
+	note stageNote
+}
+
+// Note renders the stage's optional telemetry line, e.g.
+// "warm-start: placed 1/41 instances" or "timing: 1/2 resources dirty";
+// empty when the stage left none.
+func (tr StageTrace) Note() string { return tr.note.String() }
+
+// stageNote is a stage note as Context.Note received it: its format and
+// up to four arguments, kept inline so that recording a note allocates
+// nothing beyond boxing the arguments. A note with more arguments is
+// formatted on receipt and holds the text (n = -1).
+type stageNote struct {
+	format string
+	args   [4]any
+	n      int8
+}
+
+// String formats the note; the empty note renders as "".
+func (n stageNote) String() string {
+	if n.n < 0 {
+		return n.format
+	}
+	return fmt.Sprintf(n.format, n.args[:n.n]...)
 }
 
 // Report is the outcome of one integration attempt.

@@ -2,6 +2,7 @@ package mcc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -257,5 +258,31 @@ func TestWarmPlacementVisitsLogP(t *testing.T) {
 			t.Errorf("%dp: a warm placement visited %d index nodes, want at most %d (%d·log2 P)", procs, worst, limit, c)
 		}
 		t.Logf("%dp: at most %d index nodes visited per warm placement", procs, worst)
+	}
+}
+
+// At the speed floor the scaled charge of any function whose utilization
+// is representable converts without overflow, so the slowest processor
+// never looks like the emptiest one, on the cold or the warm path.
+func TestSpeedFloorProcessorNeverLooksEmptiest(t *testing.T) {
+	if s := scaleUtilPPM(math.MaxInt64/1_000_000, model.MinSpeedFactor); s <= 0 {
+		t.Fatalf("largest utilization scaled at the floor overflowed to %d", s)
+	}
+	m, err := New(&model.Platform{Processors: []model.Processor{
+		{Name: "crawl", Policy: model.SPP, SpeedFactor: model.MinSpeedFactor, RAMKiB: 1024, MaxSafety: model.ASILD},
+		{Name: "fast", Policy: model.SPP, SpeedFactor: 1, RAMKiB: 1024, MaxSafety: model.ASILD},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []model.Function{fn("cold", model.QM, 10000, 1000, 64), fn("warm", model.QM, 10000, 1000, 64)} {
+		if rep := m.ProposeUpdate(f); !rep.Accepted {
+			t.Fatalf("%s rejected at %s: %v", f.Name, rep.RejectedAt, rep.Findings)
+		}
+	}
+	for _, in := range m.DeployedImpl().Tech.Instances {
+		if in.Processor != "fast" {
+			t.Errorf("%s placed on %s, want fast", in.ID(), in.Processor)
+		}
 	}
 }

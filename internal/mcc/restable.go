@@ -12,21 +12,24 @@ import "repro/internal/mcc/pipeline"
 // first load or losing its last only fills or clears its slot. A flat
 // slice would make every accepted commit allocate and copy the whole
 // platform (O(platform) memclr+copy per change); the slots live in a
-// persistent chunked array instead (see chunks in snapshot.go): a commit
-// that writes k slots copies the spine and the ceil(k/chunk) affected
-// chunks and shares every other chunk with the previous configuration —
-// O(diff) per accepted change, with the old table (a window's start
-// snapshot, or a bound report's view) fully intact.
+// persistent chunked array instead (see chunks in snapshot.go). A slot is
+// a pointer to an immutable committedRes (nil when the resource carries
+// no load), so a commit that writes k slots copies the spine and the
+// ceil(k/chunk) affected chunks of 16 pointers (136 B each, where chunks
+// of values would copy about 1.8 KiB) and shares every other chunk, and
+// every committed value, with the previous configuration — O(diff) per
+// accepted change, with the old table (a window's start snapshot, or a
+// bound report's view) fully intact.
 //
 // Reports bind a table pointer at commit time (Report.FullTiming /
 // FullMonitors); materialization deep-copies on every call, so nothing a
 // consumer obtains can alias chunk contents.
 
 // resTable is the committed timing state, one slot per platform resource
-// (see timingJob.slot); loaded counts the non-empty slots. The zero/nil
+// (see timingJob.slot); loaded counts the non-nil slots. The zero/nil
 // table is valid and empty.
 type resTable struct {
-	chunks[committedRes]
+	chunks[*committedRes]
 	loaded int
 }
 
@@ -40,42 +43,52 @@ type resDigestKey struct {
 	dig uint64
 }
 
-// resTableFrom builds a table from the full slot list, of which loaded
-// are non-empty. The slots are copied into fresh chunks; the caller keeps
-// ownership of the list.
-func resTableFrom(slots []committedRes, loaded int) *resTable {
-	return &resTable{chunks: chunksFrom(0, slots), loaded: loaded}
+// resTableFrom builds a table of n slots holding each fill at its job's
+// slot. The table keeps fills as the backing array of its slots: the
+// caller hands the list over and must not write it again.
+func resTableFrom(n int, fills []committedRes) *resTable {
+	slots := make([]*committedRes, n)
+	for k := range fills {
+		slots[fills[k].job.slot] = &fills[k]
+	}
+	return &resTable{chunks: chunksFrom(0, slots), loaded: len(fills)}
 }
 
-// get returns slot i; a nil table's slots are all empty.
-func (t *resTable) get(i int) committedRes {
-	if t == nil {
-		return committedRes{}
+// noRes is the value of every empty slot.
+var noRes committedRes
+
+// get returns slot i, read-only; a nil table's slots are all empty.
+func (t *resTable) get(i int) *committedRes {
+	if t != nil {
+		if cr := *t.at(i); cr != nil {
+			return cr
+		}
 	}
-	return *t.at(i)
+	return &noRes
 }
 
 // patch returns a table with each fill written at its job's slot and each
-// cleared slot emptied; clears lists only loaded slots. Each patch writes
-// under a fresh epoch e, so the spine and each affected chunk are copied
-// and every untouched chunk is shared with the receiver, which is
-// unchanged (it may be a window's start snapshot or a bound report's
-// view).
+// cleared slot emptied; clears lists only loaded slots. Like
+// resTableFrom, the new table keeps fills as the backing array of the
+// slots it writes. Each patch writes under a fresh epoch e, so the spine
+// and each affected chunk are copied and every untouched chunk is shared
+// with the receiver, which is unchanged (it may be a window's start
+// snapshot or a bound report's view).
 func (t *resTable) patch(e uint64, fills []committedRes, clears []int) *resTable {
 	if len(fills)+len(clears) == 0 {
 		return t
 	}
 	nt := *t
-	for _, cr := range fills {
-		i := int(cr.job.slot)
-		if !nt.at(i).loaded() {
+	for k := range fills {
+		i := int(fills[k].job.slot)
+		if *nt.at(i) == nil {
 			nt.loaded++
 		}
-		nt.set(e, i, cr)
+		nt.set(e, i, &fills[k])
 	}
 	for _, i := range clears {
 		nt.loaded--
-		nt.set(e, i, committedRes{})
+		nt.set(e, i, nil)
 	}
 	return &nt
 }
@@ -93,8 +106,8 @@ func (t *resTable) materializeTiming(heals map[resDigestKey]TimingResult) []Timi
 	}
 	out := make([]TimingResult, 0, t.loaded)
 	for i := 0; i < t.n; i++ {
-		cr := t.at(i)
-		if !cr.loaded() {
+		cr := *t.at(i)
+		if cr == nil {
 			continue
 		}
 		tr := cr.res
@@ -124,11 +137,11 @@ func (t *resTable) materializeMonitors() []MonitorSpec {
 	}
 	total := 0
 	for i := 0; i < t.n; i++ {
-		total += len(t.at(i).job.tasks)
+		total += len(t.get(i).job.tasks)
 	}
 	out := make([]MonitorSpec, 0, total)
 	for i := 0; i < t.n; i++ {
-		out = appendMonitorSpecs(out, t.at(i).job)
+		out = appendMonitorSpecs(out, t.get(i).job)
 	}
 	sortMonitorSpecs(out)
 	return out

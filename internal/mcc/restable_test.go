@@ -14,7 +14,7 @@ func committedJobs(m *MCC) []timingJob {
 	t := m.snap.res
 	out := make([]timingJob, 0, t.loaded)
 	for i := 0; i < t.n; i++ {
-		if cr := t.at(i); cr.loaded() {
+		if cr := t.get(i); cr.loaded() {
 			out = append(out, cr.job)
 		}
 	}

@@ -33,8 +33,10 @@ func (m *MCC) newEpoch() uint64 {
 
 const (
 	// chunkShift sets the chunk size of the persistent arrays (16
-	// entries): a one-entry write copies ~1–1.5 KiB, and the spine stays
-	// at 128 pointers for 2048 entries.
+	// entries): a one-entry write copies one chunk — 16 entries, 136 B for
+	// the timing table's pointer slots, about 0.4–0.8 KiB for the
+	// per-processor states and capacity nodes — plus the spine, which
+	// stays at 128 pointers for 2048 entries.
 	chunkShift = 4
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1

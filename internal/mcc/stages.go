@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -169,15 +168,14 @@ func (s *mappingStage) Run(ctx *pipeline.Context) error {
 // sortByConstraint orders functions for placement: hardest constraints
 // first (safety desc, utilization desc, name).
 func sortByConstraint(fns []*model.Function) {
-	sort.Slice(fns, func(i, j int) bool {
-		if fns[i].Contract.Safety != fns[j].Contract.Safety {
-			return fns[i].Contract.Safety > fns[j].Contract.Safety
+	slices.SortFunc(fns, func(a, b *model.Function) int {
+		if a.Contract.Safety != b.Contract.Safety {
+			return cmp.Compare(b.Contract.Safety, a.Contract.Safety)
 		}
-		ui, uj := utilPPM(fns[i]), utilPPM(fns[j])
-		if ui != uj {
-			return ui > uj
+		if ua, ub := utilPPM(a), utilPPM(b); ua != ub {
+			return cmp.Compare(ub, ua)
 		}
-		return fns[i].Name < fns[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 }
 
@@ -190,8 +188,8 @@ func sortByConstraint(fns []*model.Function) {
 // is placed over index plus overlay, in O(log P) per replica while
 // capacity is not tight. Nothing committed is written; the overlay goes
 // to the commit through the attempt. The candidate's flat instance list
-// is never assembled either: the fresh placements are handed to the
-// synthesis overlay through the attempt, everything downstream resolves
+// is never assembled either: the warm start resets the pass's synthesis
+// overlay and writes the fresh placements into it, everything downstream resolves
 // instances through the committed tables plus that overlay, and
 // DeployedImpl materializes the flat list on demand for whole-model
 // readers (and the technical architecture's Func, nil on the
@@ -199,47 +197,44 @@ func sortByConstraint(fns []*model.Function) {
 // on the residual capacity — the caller then falls back to the full
 // best-fit over all functions, which reshuffles untouched instances too.
 func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
-	d := ctx.Diff
+	d, over := ctx.Diff, m.synth.reset()
 
 	p := &placer{m: m, tree: m.snap.capacity}
-	names := make([]string, 0, d.TouchedCount())
-	names = append(names, d.Added...)
-	names = append(names, d.Changed...)
-	names = append(names, d.Removed...)
 	cut := 0
-	for _, name := range names {
-		old := m.snap.fns.get(name)
-		cut += len(old.insts)
-		for _, in := range old.insts {
-			if old.fn == nil || !p.discount(old.fn, in.Processor) {
-				return nil, 0, 0, false // stale committed state; decide cold
+	for _, names := range [3][]string{d.Added, d.Changed, d.Removed} {
+		for _, name := range names {
+			old := m.snap.fns.get(name)
+			cut += len(old.insts)
+			for _, in := range old.insts {
+				if old.fn == nil || !p.discount(old.fn, in.Processor) {
+					return nil, 0, 0, false // stale committed state; decide cold
+				}
 			}
 		}
 	}
 
-	var todo []*model.Function
-	for _, nameSet := range [][]string{d.Added, d.Changed} {
-		for _, name := range nameSet {
+	todo := over.todo[:0]
+	for _, names := range [2][]string{d.Added, d.Changed} {
+		for _, name := range names {
 			if f := m.candFn(ctx, name); f != nil {
 				todo = append(todo, f)
 			}
 		}
 	}
+	over.todo = todo
 	sortByConstraint(todo)
-	placedBy := make(map[string][]model.Instance, len(todo))
 	for _, f := range todo {
 		ins, ok := p.place(f)
 		if !ok {
 			return nil, 0, 0, false // no room on residual capacity
 		}
 		if len(ins) > 0 {
-			placedBy[f.Name] = ins
+			over.insts[f.Name] = ins
 		}
 		placed += len(ins)
 	}
 
 	kept = m.snap.instTotal - cut
-	m.att.placed = placedBy
 	m.att.over = p.over
 	return &model.TechnicalArchitecture{Platform: m.platform, Func: ctx.Candidate}, kept, placed, true
 }
@@ -324,6 +319,12 @@ func synthLookups(tech *model.TechnicalArchitecture) (map[string]*model.Function
 // placements), and the rewired clients' rows with the provider and
 // requirer lists of the services an edit joins or leaves (see
 // rewireSessions). The commit stage writes it into the next snapshot.
+//
+// The MCC owns one overlay (MCC.synth) and reuses it for every warm
+// pass, like timingScratch: the warm start resets it, so its maps and
+// lists keep their storage and a pass allocates only the values it may
+// commit (placements, task and resident lists, rows, name lists), which
+// the snapshot keeps once committed and the overlay never writes again.
 type synthOverlay struct {
 	fns       map[string]*model.Function
 	insts     map[string][]model.Instance
@@ -331,6 +332,46 @@ type synthOverlay struct {
 	instsOn   map[string][]model.Instance
 	conns     map[string][]model.Connection
 	prov, req map[string][]string
+	// affected is the pass's ascending affected-processor list
+	// (ctx.AffectedProcs).
+	affected []string
+
+	// Scratch of one pass: the warm start's placement order, one
+	// processor's timed residents (synthesizeTasksOn), and the clients
+	// a service-graph edit rewires.
+	todo    []*model.Function
+	cands   []taskCand
+	clients map[string]bool
+	names   []string
+}
+
+// reset empties the overlay for the next warm pass, keeping the storage
+// of every map and list, and returns it.
+func (o *synthOverlay) reset() *synthOverlay {
+	if o.fns == nil {
+		*o = synthOverlay{
+			fns:     make(map[string]*model.Function),
+			insts:   make(map[string][]model.Instance),
+			tasksOn: make(map[string][]model.Task),
+			instsOn: make(map[string][]model.Instance),
+			conns:   make(map[string][]model.Connection),
+			prov:    make(map[string][]string),
+			req:     make(map[string][]string),
+			clients: make(map[string]bool),
+		}
+		return o
+	}
+	clear(o.fns)
+	clear(o.insts)
+	clear(o.tasksOn)
+	clear(o.instsOn)
+	clear(o.conns)
+	clear(o.prov)
+	clear(o.req)
+	clear(o.clients)
+	clear(o.todo) // drop the pointers into the last candidate
+	o.affected, o.todo = o.affected[:0], o.todo[:0]
+	return o
 }
 
 // synthView resolves the function/instance lookups of one synthesis run:
@@ -397,40 +438,34 @@ func (v *synthView) elected(svc string) string {
 
 // synthOverlay builds the candidate's lookup view against the committed
 // tables: the diff names its touched functions, whose candidate values
-// are collected directly and whose placements the warm start handed over
-// (attempt.placed), everything untouched resolves through the snapshot (whose
-// entries are value-identical under the warm-started mapping). No lookup
-// table is rebuilt and no candidate-sized scan runs — cost is O(diff).
+// are collected directly, everything untouched resolves through the
+// snapshot (whose entries are value-identical under the warm-started
+// mapping). The warm start that precedes every warm synthesis has reset
+// the overlay and written the fresh placements into it, keyed by
+// function and replica-ascending — the exact per-function lists
+// synthLookups would produce — so no flat candidate instance list is
+// needed. No lookup table is rebuilt and no candidate-sized scan runs —
+// cost is O(diff).
 func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
-	d := ctx.Diff
-	over := &synthOverlay{
-		fns:     make(map[string]*model.Function, d.TouchedCount()),
-		insts:   make(map[string][]model.Instance, d.TouchedCount()),
-		tasksOn: make(map[string][]model.Task),
-		instsOn: make(map[string][]model.Instance),
-	}
+	d, over := ctx.Diff, &m.synth
 	for _, name := range d.Removed {
 		over.fns[name] = nil
 	}
-	for _, nameSet := range [][]string{d.Added, d.Changed} {
-		for _, name := range nameSet {
+	for _, names := range [2][]string{d.Added, d.Changed} {
+		for _, name := range names {
 			if f := m.candFn(ctx, name); f != nil {
 				over.fns[f.Name] = f
 			}
 		}
 	}
-	// The warm start hands the fresh placements over keyed by function and
-	// replica-ascending — the exact per-function lists synthLookups would
-	// produce — so no flat candidate instance list is needed at all.
-	for name, f := range over.fns {
-		if f == nil {
-			continue // removed: no candidate placements
-		}
-		if ins := m.att.placed[name]; len(ins) > 0 {
-			over.insts[name] = ins
-		}
-	}
 	return &synthView{snap: m.snap, over: over}, over
+}
+
+// taskCand is one timed resident of a processor while its task set is
+// derived.
+type taskCand struct {
+	inst model.Instance
+	fn   *model.Function
 }
 
 // synthesizeTasksOn derives the deadline-monotonic task set of one
@@ -442,26 +477,20 @@ func (m *MCC) synthesizeTasksOn(look *synthView, pn string, insts []model.Instan
 	if i, ok := m.procIdx[pn]; ok {
 		p = &m.platform.Processors[i]
 	}
-	type cand struct {
-		inst model.Instance
-		fn   *model.Function
-	}
-	var cands []cand
+	cands := m.synth.cands[:0]
 	for _, in := range insts {
 		f := look.fn(in.Function)
 		if f == nil || !f.Contract.RealTime.HasTiming() {
 			continue
 		}
-		cands = append(cands, cand{in, f})
+		cands = append(cands, taskCand{in, f})
 	}
 	// Deadline-monotonic order.
-	sort.Slice(cands, func(i, j int) bool {
-		di := cands[i].fn.Contract.RealTime.EffectiveDeadlineUS()
-		dj := cands[j].fn.Contract.RealTime.EffectiveDeadlineUS()
-		if di != dj {
-			return di < dj
-		}
-		return cands[i].inst.Less(cands[j].inst)
+	slices.SortFunc(cands, func(a, b taskCand) int {
+		return cmp.Or(
+			cmp.Compare(a.fn.Contract.RealTime.EffectiveDeadlineUS(), b.fn.Contract.RealTime.EffectiveDeadlineUS()),
+			strings.Compare(a.inst.Function, b.inst.Function), // then Instance.Less
+			cmp.Compare(a.inst.Replica, b.inst.Replica))
 	})
 	tasks := make([]model.Task, 0, len(cands))
 	for i, c := range cands {
@@ -477,6 +506,9 @@ func (m *MCC) synthesizeTasksOn(look *synthView, pn string, insts []model.Instan
 			Safety:     c.fn.Contract.Safety,
 		})
 	}
+	// The list is the next call's scratch; drop its function pointers.
+	clear(cands)
+	m.synth.cands = cands[:0]
 	return tasks
 }
 
@@ -523,17 +555,12 @@ func (m *MCC) synthesizeMessages(flows []model.Flow, look *synthView) ([]model.M
 		msgs = append(msgs, msgCand{fl, nets})
 	}
 	// Deadline(=period)-monotonic message priorities per network.
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].flow.PeriodUS != msgs[j].flow.PeriodUS {
-			return msgs[i].flow.PeriodUS < msgs[j].flow.PeriodUS
-		}
-		if msgs[i].flow.Service != msgs[j].flow.Service {
-			return msgs[i].flow.Service < msgs[j].flow.Service
-		}
-		if msgs[i].flow.From != msgs[j].flow.From {
-			return msgs[i].flow.From < msgs[j].flow.From
-		}
-		return msgs[i].flow.To < msgs[j].flow.To
+	slices.SortFunc(msgs, func(a, b msgCand) int {
+		return cmp.Or(
+			cmp.Compare(a.flow.PeriodUS, b.flow.PeriodUS),
+			strings.Compare(a.flow.Service, b.flow.Service),
+			strings.Compare(a.flow.From, b.flow.From),
+			strings.Compare(a.flow.To, b.flow.To))
 	})
 	var out []model.Message
 	prioByNet := make(map[string]int)
@@ -623,7 +650,8 @@ func appendClientRows(out []model.Connection, look *synthView, client *model.Fun
 // client's rows — a touched one's included — would re-derive verbatim, so
 // they stay committed. Cost is the rewired rows, not the platform.
 func (m *MCC) rewireSessions(look *synthView, over *synthOverlay) (bool, error) {
-	var edited []string
+	var buf [4]string
+	edited := buf[:0]
 	for name, neu := range over.fns {
 		if connTouched(m.snap.fn(name), neu) {
 			edited = append(edited, name)
@@ -632,8 +660,7 @@ func (m *MCC) rewireSessions(look *synthView, over *synthOverlay) (bool, error) 
 	if len(edited) == 0 {
 		return false, nil
 	}
-	over.prov, over.req = make(map[string][]string), make(map[string][]string)
-	clients := make(map[string]bool)
+	clients := over.clients
 	for _, name := range edited {
 		old, neu := m.snap.fn(name), over.fns[name]
 		var np, nr []string
@@ -663,8 +690,13 @@ func (m *MCC) rewireSessions(look *synthView, over *synthOverlay) (bool, error) 
 			}
 		}
 	}
-	over.conns = make(map[string][]model.Connection, len(clients))
-	for _, name := range slices.Sorted(maps.Keys(clients)) { // deterministic first error
+	names := over.names[:0]
+	for name := range clients {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	over.names = names
+	for _, name := range names { // deterministic first error
 		rows, err := appendClientRows(nil, look, look.fn(name), look.instances(name), look.elected)
 		if err != nil {
 			return true, err
@@ -723,16 +755,20 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	look, over := m.synthOverlay(ctx)
 
 	// Processors affected by the diff: wherever a touched function's
-	// instances were (committed lookup), or now are (overlay).
-	affected := make(map[string]bool)
+	// instances were (committed lookup), or now are (overlay), ascending
+	// by name — the order of MCC.procs and of the timing table's slots.
+	affected := over.affected[:0]
 	for name := range over.fns {
 		for _, in := range m.snap.fns.get(name).insts {
-			affected[in.Processor] = true
+			affected = append(affected, in.Processor)
 		}
 		for _, in := range over.insts[name] {
-			affected[in.Processor] = true
+			affected = append(affected, in.Processor)
 		}
 	}
+	slices.Sort(affected)
+	affected = slices.Compact(affected)
+	over.affected = affected
 
 	// Rebuild the affected processors' task lists; the candidate's flat
 	// task list stays unmaterialized (impl.Tasks is nil). The rebuilt
@@ -745,12 +781,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// here was the single largest O(n) term of the accepted-change path.
 	// The sorted iteration keeps the first-error selection of the
 	// per-task validation deterministic.
-	affectedList := make([]string, 0, len(affected))
-	for pn := range affected {
-		affectedList = append(affectedList, pn)
-	}
-	sort.Strings(affectedList)
-	for _, pn := range affectedList {
+	for _, pn := range affected {
 		insts := m.residentInstances(pn, over)
 		over.instsOn[pn] = insts
 		rebuilt := m.synthesizeTasksOn(look, pn, insts)
@@ -766,7 +797,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 		}
 		over.tasksOn[pn] = rebuilt
 	}
-	reusedProcs := len(m.procs) - len(affectedList)
+	reusedProcs := len(m.procs) - len(affected)
 	ctx.TasksFn = func() []model.Task { return m.candTasks(over) }
 
 	// Messages change only when the flow set changed or a flow endpoint
@@ -954,19 +985,12 @@ func (s *safetyStage) Run(ctx *pipeline.Context) error {
 		// the partial synthesis (over.instsOn) — so nothing below reads
 		// the unmaterialized flat lists, and the cost is O(diff).
 		m, d := s.m, ctx.Diff
-		touched := make([]string, 0, d.TouchedCount())
-		touched = append(touched, d.Added...)
-		touched = append(touched, d.Changed...)
-		touched = append(touched, d.Removed...)
-		sort.Strings(touched)
-		affected := make([]string, 0, len(ctx.AffectedProcs))
-		for pn := range ctx.AffectedProcs {
-			affected = append(affected, pn)
-		}
-		sort.Strings(affected)
+		var buf [4]string
+		touched := append(append(append(buf[:0], d.Added...), d.Changed...), d.Removed...)
+		slices.Sort(touched)
 		over := m.att.synth
 		view := &synthView{snap: m.snap, over: over}
-		findings, checked := safety.CheckEntities(touched, affected,
+		findings, checked := safety.CheckEntities(touched, ctx.AffectedProcs,
 			view.fn,
 			func(pn string) *model.Processor {
 				if i, ok := m.procIdx[pn]; ok {
@@ -1101,19 +1125,20 @@ type timingJob struct {
 	digest   uint64
 }
 
-// committedRes is one committed-table slot: a loaded resource's timing
-// artifacts — the CPA job and its WCRT table — or, for a resource without
-// load, the zero value (see snapshot.res). res.Results == nil on a loaded
-// slot marks a table not yet known: an optimistically committed resource
-// whose deferred analysis has not been verified; a job matching such an
-// entry is dirty and re-analyzes through the memo.
+// committedRes is what a committed-table slot points to: a loaded
+// resource's timing artifacts — the CPA job and its WCRT table —
+// immutable once committed (an empty slot is nil, read as the zero value;
+// see resTable). res.Results == nil marks a table not yet known: an
+// optimistically committed resource whose deferred analysis has not been
+// verified; a job matching such an entry is dirty and re-analyzes through
+// the memo.
 type committedRes struct {
 	job timingJob
 	res TimingResult
 }
 
 // loaded reports whether the slot holds a resource's job.
-func (cr committedRes) loaded() bool { return cr.job.resource != "" }
+func (cr *committedRes) loaded() bool { return cr.job.resource != "" }
 
 // timingOutcome aggregates the timing stage's results: the WCRT tables
 // of exactly the resources this attempt re-analyzed (freshly allocated,
@@ -1149,9 +1174,6 @@ type timingScratch struct {
 	results []TimingResult
 	errs    []error
 	dirty   []int
-	// affected is the ascending affected-processor slot scratch of the
-	// incremental builder.
-	affected []int
 }
 
 // buildProcJob derives the CPA job of processor k of m.procs from its
@@ -1246,14 +1268,10 @@ func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel)
 			sc.clears = append(sc.clears, slot)
 		}
 	}
-	aff := sc.affected[:0]
-	for pn := range ctx.AffectedProcs {
-		aff = append(aff, sort.SearchStrings(m.procs, pn))
-	}
-	sort.Ints(aff)
-	sc.affected = aff
-	for _, k := range aff {
-		j, ok := m.buildProcJob(k, m.att.synth.tasksOn[m.procs[k]])
+	// The affected processors ascend by name, so their slots ascend too.
+	for _, pn := range ctx.AffectedProcs {
+		k := sort.SearchStrings(m.procs, pn)
+		j, ok := m.buildProcJob(k, m.att.synth.tasksOn[pn])
 		add(j, ok, k)
 	}
 	if ctx.MessagesRebuilt {
@@ -1599,16 +1617,9 @@ func (m *MCC) planMonitors(impl *model.ImplementationModel) []MonitorSpec {
 
 // sortMonitorSpecs orders a monitor plan canonically (kind, then target).
 func sortMonitorSpecs(specs []MonitorSpec) {
-	sort.Slice(specs, func(i, j int) bool {
-		return monitorSpecLess(specs[i], specs[j])
+	slices.SortFunc(specs, func(a, b MonitorSpec) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), strings.Compare(a.Target, b.Target))
 	})
-}
-
-func monitorSpecLess(a, b MonitorSpec) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.Target < b.Target
 }
 
 // appendMonitorSpecs appends the monitor specs of one timing job: budget
@@ -1711,6 +1722,16 @@ func (m *MCC) committedResult(i int) TimingResult {
 	return TimingResult{}
 }
 
+// committedFills is the committed-table entry of every job of this
+// attempt, in job order, freshly allocated for the table to keep.
+func (m *MCC) committedFills() []committedRes {
+	fills := make([]committedRes, len(m.att.jobs))
+	for i, jb := range m.att.jobs {
+		fills[i] = committedRes{job: jb, res: m.committedResult(i)}
+	}
+	return fills
+}
+
 // commitFull builds a fresh snapshot from this attempt's artifacts. A
 // window's start snapshot is left as it was.
 func (s *commitStage) commitFull(ctx *pipeline.Context) {
@@ -1722,11 +1743,8 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 
 	// The from-scratch job list holds every loaded resource: each job
 	// fills its slot, every other slot stays empty.
-	slots := make([]committedRes, len(m.procs)+len(m.platform.Networks))
-	for i, jb := range m.att.jobs {
-		slots[jb.slot] = committedRes{job: jb, res: m.committedResult(i)}
-	}
-	m.snap = m.buildSnapshot(m.candidate(ctx), ctx.Impl, resTableFrom(slots, len(m.att.jobs)))
+	res := resTableFrom(len(m.procs)+len(m.platform.Networks), m.committedFills())
+	m.snap = m.buildSnapshot(m.candidate(ctx), ctx.Impl, res)
 }
 
 // commitIncremental writes the footprint-sized artifacts of a
@@ -1745,11 +1763,7 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	// lost its last load clears its slot, copy-on-write — spine plus
 	// affected chunks, O(diff) — leaving the previous table (a window's
 	// start snapshot, a bound report's view) intact and shared.
-	fills := make([]committedRes, len(m.att.jobs))
-	for i, jb := range m.att.jobs {
-		fills[i] = committedRes{job: jb, res: m.committedResult(i)}
-	}
-	res := m.snap.res.patch(m.newEpoch(), fills, m.scratch.clears)
+	res := m.snap.res.patch(m.newEpoch(), m.committedFills(), m.scratch.clears)
 
 	// The whole candidate, if the attempt holds one; a flow-cutting
 	// removal materializes it for its flow list.
@@ -1796,7 +1810,7 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	// Affected processors take their rebuilt task and resident lists, and
 	// every processor the warm start discounted or placed on takes its
 	// overlay load into the capacity index.
-	for pn := range ctx.AffectedProcs {
+	for _, pn := range ctx.AffectedProcs {
 		n.procs.set(e, m.procIdx[pn], procState{over.tasksOn[pn], over.instsOn[pn]})
 	}
 	for _, o := range m.att.over {

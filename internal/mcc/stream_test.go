@@ -74,7 +74,7 @@ func TestTimingJobsScansOnlyAffectedResources(t *testing.T) {
 		t.Fatalf("one-processor addition scanned %d resources, want 1", rep.TimingScans)
 	}
 	tr := rep.StageTraceFor(StageTiming)
-	if tr == nil || !strings.Contains(tr.Note, "1 scanned") {
+	if tr == nil || !strings.Contains(tr.Note(), "1 scanned") {
 		t.Fatalf("timing trace = %+v, want scan telemetry", tr)
 	}
 }
@@ -138,7 +138,7 @@ func TestMonitorSpliceMatchesFullPlan(t *testing.T) {
 			t.Fatalf("%s: materialized plan diverges from full plan:\nmaterialized %+v\nfull         %+v",
 				step.name, got, want)
 		}
-		if tr := rep.StageTraceFor(StageMonitors); step.splice && (tr == nil || !strings.Contains(tr.Note, "monitor delta")) {
+		if tr := rep.StageTraceFor(StageMonitors); step.splice && (tr == nil || !strings.Contains(tr.Note(), "monitor delta")) {
 			t.Fatalf("%s: monitor trace = %+v, want delta telemetry", step.name, tr)
 		}
 	}

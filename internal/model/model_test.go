@@ -305,9 +305,10 @@ func TestPlatformValidate(t *testing.T) {
 	}
 }
 
-// A speed factor must be a positive finite number: placement divides
-// utilization by it, and NaN or +Inf would turn a processor into one
-// that wins every best-fit or has unlimited capacity.
+// A speed factor must be a finite number no smaller than MinSpeedFactor:
+// placement divides utilization by it, NaN or +Inf would turn a processor
+// into one that wins every best-fit or has unlimited capacity, and a tiny
+// positive one overflows the integer conversion of the scaled charge.
 func TestPlatformValidateSpeedFactor(t *testing.T) {
 	for _, tc := range []struct {
 		speed float64
@@ -315,6 +316,10 @@ func TestPlatformValidateSpeedFactor(t *testing.T) {
 	}{
 		{1, ""},
 		{0.5, ""},
+		{MinSpeedFactor, ""},
+		{math.Nextafter(MinSpeedFactor, 0), "below the minimum"},
+		{1e-13, "below the minimum"},
+		{1e-300, "below the minimum"},
 		{0, "non-positive speed factor"},
 		{-1, "non-positive speed factor"},
 		{math.Inf(-1), "non-finite speed factor"},

@@ -85,6 +85,17 @@ func (p *Platform) Connecting(a, b string) *Network {
 	return nil
 }
 
+// MinSpeedFactor is the slowest processor speed a platform may declare.
+// Placement divides a utilization in ppm by the speed factor and
+// synthesis divides a WCET in µs by it, both converting the quotient back
+// to int64. At this floor every value up to 2^63/1e6 ≈ 9.2e12 converts
+// without overflow: every WCET whose ppm utilization (WCET·1e6) is itself
+// an int64, and every utilization up to 9.2 million whole processors.
+// Below it a single ordinary function can overflow (a 100% utilization
+// at speed 1e-13 turns into MinInt64 on amd64 and makes the slowest
+// processor look the emptiest).
+const MinSpeedFactor = 1e-6
+
 // Validate checks structural consistency of the platform model.
 func (p *Platform) Validate() error {
 	seen := make(map[string]bool)
@@ -102,6 +113,9 @@ func (p *Platform) Validate() error {
 		}
 		if pr.SpeedFactor <= 0 {
 			return fmt.Errorf("model: processor %q has non-positive speed factor", pr.Name)
+		}
+		if pr.SpeedFactor < MinSpeedFactor {
+			return fmt.Errorf("model: processor %q has speed factor %g below the minimum %g", pr.Name, pr.SpeedFactor, MinSpeedFactor)
 		}
 		if pr.RAMKiB < 0 {
 			return fmt.Errorf("model: processor %q has negative RAM", pr.Name)

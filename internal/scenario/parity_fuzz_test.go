@@ -85,7 +85,7 @@ func verdicts(reports []*mcc.Report) []string {
 // warm-started mapping (detected via the mapping stage's telemetry note).
 func warmMapped(rep *mcc.Report) bool {
 	tr := rep.StageTraceFor(mcc.StageMapping)
-	return tr != nil && strings.HasPrefix(tr.Note, "warm-start:")
+	return tr != nil && strings.HasPrefix(tr.Note(), "warm-start:")
 }
 
 // placementDependent mirrors mcc's notion: validation and security decide
