@@ -206,7 +206,7 @@ func seedFleet(srv *fleet.Server, vehicles, archetypes, procs int) error {
 func main() {
 	log.SetFlags(0)
 	listen := flag.String("listen", ":8080", "HTTP listen address")
-	queueDepth := flag.Int("queue-depth", 16, "per-vehicle proposal mailbox bound")
+	queueDepth := flag.Int("queue-depth", 16, "per-vehicle bound on waiting proposals")
 	maxInFlight := flag.Int("max-inflight", 256, "global admitted-but-undecided budget; beyond it proposals shed")
 	maxRestarts := flag.Int("max-restarts", 3, "per-vehicle crash budget before the vehicle is parked")
 	deadline := flag.Duration("deadline", 2*time.Second, "per-proposal decision deadline (0 disables)")

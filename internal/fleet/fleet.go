@@ -1,19 +1,22 @@
 // Package fleet hosts many per-vehicle MCC instances behind one
 // long-lived, supervised server — the multi-tenant backend the ROADMAP
 // north star asks for. Each vehicle is a bulkhead: its own MCC, its own
-// bounded proposal mailbox, its own worker goroutine. A crashed worker
-// (recovered panic or injected fault) is restarted by the supervisor —
-// the vehicle is rebuilt from its committed change trajectory, restart-
-// counted with exponential backoff, and permanently parked after the
-// configured crash budget — while every other tenant keeps deciding.
+// crash budget and its own bound on waiting proposals. A proposal
+// decides on its caller's goroutine once the vehicle's turn comes;
+// waiting proposals take the turn in arrival order, one at a time. A
+// crashed decision (recovered panic or injected fault) is supervised in
+// that same call: the vehicle is rebuilt from its committed change
+// trajectory, restart-counted with exponential backoff, and permanently
+// parked after the configured crash budget — while every other tenant
+// keeps deciding. The server starts no goroutine of its own.
 //
 // Admission is never blocking: a global in-flight budget plus the
-// per-vehicle queue bound convert overload into explicit
+// per-vehicle wait bound convert overload into explicit
 // RejectedOverload verdicts, and per-request deadline semantics
 // (mcc.WithProposalDeadline composed with the request context) bound
 // every decision that is admitted. SIGTERM-style shutdown is a graceful
-// drain: intake stops, queued and in-flight requests are flushed to a
-// reply, the shared analyzer cache is persisted, and the caller gets the
+// drain: intake stops, waiting and deciding requests run to a reply,
+// the shared analyzer cache is persisted, and the caller gets the
 // drained/shed accounting.
 //
 // All vehicles share one content-addressed cpa.Analyzer: same-model
@@ -55,7 +58,7 @@ const (
 	// Degraded("deadline") on the report).
 	Rejected Verdict = "rejected"
 	// RejectedOverload: load-shed at admission — the global in-flight
-	// budget or the vehicle's mailbox was full. The pipeline never ran.
+	// budget or the vehicle's wait bound was full. The pipeline never ran.
 	RejectedOverload Verdict = "rejected-overload"
 	// RejectedDraining: the server is draining and accepts no new work.
 	RejectedDraining Verdict = "rejected-draining"
@@ -78,7 +81,8 @@ type Decision struct {
 
 // Config parameterizes a Server. The zero value gets sane defaults.
 type Config struct {
-	// QueueDepth bounds each vehicle's proposal mailbox (default 16).
+	// QueueDepth bounds the proposals waiting for each vehicle's turn,
+	// besides the one deciding (default 16).
 	QueueDepth int
 	// MaxInFlight bounds admitted-but-undecided requests fleet-wide
 	// (default 256). Admission beyond the budget sheds.
@@ -138,7 +142,7 @@ type Stats struct {
 	Accepted int64
 	Rejected int64
 	Shed     int64
-	// Crashes counts worker crashes, Restarts successful rebuilds.
+	// Crashes counts crashed decisions, Restarts successful rebuilds.
 	Crashes  int64
 	Restarts int64
 	Analyzer cpa.AnalyzerStats
@@ -146,8 +150,8 @@ type Stats struct {
 
 // DrainReport summarizes a graceful drain.
 type DrainReport struct {
-	// Flushed counts requests that were queued or in flight when the
-	// drain began and were still resolved to a reply.
+	// Flushed counts requests that were waiting or deciding when the
+	// drain began and were still decided.
 	Flushed int64
 	// Shed is the lifetime load-shed count.
 	Shed int64
@@ -165,17 +169,17 @@ type Server struct {
 	journal  *commitJournal
 
 	// mu guards the vehicle map and the draining flag. Propose holds the
-	// read lock across its draining check and mailbox send, and Drain
+	// read lock from its draining check through admitted.Add, and Drain
 	// takes the write lock to flip the flag — so once Drain proceeds, no
-	// request can slip past the closed intake into a mailbox.
+	// request slips past the closed intake and admitted.Wait sees them all.
 	mu       sync.RWMutex
 	vehicles map[string]*vehicle
 	order    []string
 	draining bool
 
-	slots  chan struct{} // global in-flight budget
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	slots    chan struct{} // global in-flight budget
+	stopCh   chan struct{} // closed by Drain: cuts restart backoffs short
+	admitted sync.WaitGroup
 
 	drainOnce sync.Once
 	drainRep  DrainReport
@@ -249,8 +253,8 @@ func (s *Server) Vehicles() []string {
 
 // AddVehicle registers a vehicle: a fresh MCC sharing the fleet
 // analyzer, the baseline architecture deployed through the full
-// acceptance pipeline, and a dedicated worker goroutine. The
-// registration is journaled so a restarted server rebuilds the vehicle.
+// acceptance pipeline. The registration is journaled so a restarted
+// server rebuilds the vehicle.
 func (s *Server) AddVehicle(id string, p *model.Platform, baseline *model.FunctionalArchitecture) error {
 	return s.addVehicle(id, p, baseline, nil, true)
 }
@@ -276,7 +280,7 @@ func (s *Server) addVehicle(id string, p *model.Platform, baseline *model.Functi
 		id:       id,
 		platform: p,
 		baseline: baseline,
-		mbox:     make(chan *request, s.cfg.QueueDepth),
+		turn:     make(chan struct{}, 1),
 	}
 	if err := s.buildVehicle(v, replay); err != nil {
 		s.mu.Lock()
@@ -303,8 +307,6 @@ func (s *Server) addVehicle(id string, p *model.Platform, baseline *model.Functi
 	s.vehicles[id] = v
 	s.order = append(s.order, id)
 	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.runVehicle(v)
 	return nil
 }
 
@@ -345,20 +347,23 @@ func (s *Server) Propose(ctx context.Context, id string, c mcc.Change) Decision 
 		s.shed.Add(1)
 		return Decision{Vehicle: id, Verdict: RejectedOverload}
 	}
-	req := &request{ctx: ctx, change: c, reply: make(chan Decision, 1)}
-	select {
-	case v.mbox <- req:
-		s.mu.RUnlock()
-	default:
+	if v.pending.Add(1) > int64(s.cfg.QueueDepth)+1 {
+		v.pending.Add(-1)
 		<-s.slots
 		s.mu.RUnlock()
 		s.shed.Add(1)
 		return Decision{Vehicle: id, Verdict: RejectedOverload}
 	}
-	// The worker always replies: queued requests are flushed on drain and
-	// on parking, deadlines resolve stalled pipelines, and a crashed
-	// worker redelivers its in-flight request to the rebuilt vehicle.
-	return <-req.reply
+	s.admitted.Add(1)
+	s.mu.RUnlock()
+	// An admitted request always gets a reply: deadlines resolve stalled
+	// pipelines, a crash is retried on the rebuilt vehicle, and parking
+	// resolves every waiting request as RejectedParked.
+	d := s.decide(ctx, v, c)
+	v.pending.Add(-1)
+	<-s.slots
+	s.admitted.Done()
+	return d
 }
 
 // Stats snapshots the server counters.
@@ -384,11 +389,11 @@ func (s *Server) Stats() Stats {
 func (s *Server) Analyzer() *cpa.Analyzer { return s.analyzer }
 
 // Drain gracefully stops the server: intake closes (new Propose calls
-// get RejectedDraining), every queued and in-flight request is flushed
-// to a reply, workers exit, the analyzer cache is persisted when
-// configured, and the journal is synced and closed. Idempotent; callers
-// typically invoke it on SIGTERM. No accepted in-flight decision is
-// lost: a request admitted before the drain began always receives its
+// get RejectedDraining), restart backoffs are cut short, every waiting
+// and deciding request runs to a reply, the analyzer cache is persisted
+// when configured, and the journal is synced and closed. Idempotent;
+// callers typically invoke it on SIGTERM. No accepted in-flight decision
+// is lost: a request admitted before the drain began always receives its
 // reply.
 func (s *Server) Drain() DrainReport {
 	s.drainOnce.Do(func() {
@@ -397,7 +402,7 @@ func (s *Server) Drain() DrainReport {
 		s.mu.Unlock()
 		decided0 := s.decided.Load()
 		close(s.stopCh)
-		s.wg.Wait()
+		s.admitted.Wait()
 		rep := DrainReport{
 			Flushed: s.decided.Load() - decided0,
 			Shed:    s.shed.Load(),

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -403,5 +405,207 @@ func TestFleetRequestDeadlineBoundsStalledWorker(t *testing.T) {
 	}
 	if !hasDeadline {
 		t.Fatalf("degraded reasons %v missing \"deadline\"", d.Report.DegradedReasons)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitingForTurn counts the goroutines blocked on a vehicle's turn.
+func waitingForTurn() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[chan send") && strings.Contains(g, "fleet.(*Server).decide(") {
+			n++
+		}
+	}
+	return n
+}
+
+// A proposal decides on its caller's goroutine: registering vehicles and
+// deciding on each starts no goroutine that outlives the call, and Drain
+// has none to stop.
+func TestFleetStartsNoGoroutinePerVehicle(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	for i := 0; i < 32; i++ {
+		if err := s.AddVehicle(fmt.Sprintf("v%02d", i), fleetPlatform(), fleetBaseline()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range s.Vehicles() {
+		if d := s.Propose(context.Background(), id, fleetChanges(id, 1)[0]); d.Verdict != Accepted {
+			t.Fatalf("%s: verdict %s, want %s", id, d.Verdict, Accepted)
+		}
+	}
+	// A pooled timing goroutine may still be exiting after its WaitGroup
+	// released the decision, so poll briefly.
+	settled := func() bool { return runtime.NumGoroutine() <= before }
+	waitFor(t, fmt.Sprintf("goroutines to return to %d after 32 decisions", before), settled)
+	s.Drain()
+	waitFor(t, fmt.Sprintf("goroutines to return to %d after Drain", before), settled)
+}
+
+// A vehicle admits at most QueueDepth waiting proposals plus the one
+// deciding; the rest shed at admission.
+func TestFleetAdmitsQueueDepthPlusOne(t *testing.T) {
+	inj := faultinject.New(17, faultinject.Rule{
+		Stage: "fleet.worker", Mode: faultinject.ModeStall, Count: 1,
+		StallUS: int64(10 * time.Second / time.Microsecond),
+	})
+	s := newTestServer(t, Config{QueueDepth: 3, Injector: inj}, "v0")
+	v := s.vehicles["v0"]
+
+	const callers = 10
+	changes := fleetChanges("v0", callers)
+	verdicts := make(chan Verdict, callers)
+	var wg sync.WaitGroup
+	propose := func(ctx context.Context, i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			verdicts <- s.Propose(ctx, "v0", changes[i]).Verdict
+		}()
+	}
+	// The first caller's decision stalls in the fleet.worker hook until
+	// its context is cancelled, after every other caller was admitted or
+	// shed.
+	hold, release := context.WithCancel(context.Background())
+	defer release()
+	propose(hold, 0)
+	waitFor(t, "the first decision to stall", func() bool { return inj.TotalFired() == 1 })
+	for i := 1; i < callers; i++ {
+		propose(context.Background(), i)
+	}
+	waitFor(t, "every caller to be admitted or shed", func() bool {
+		return s.Stats().Shed+v.pending.Load() == callers
+	})
+	release()
+	wg.Wait()
+	close(verdicts)
+
+	decided, shed := 0, 0
+	for vd := range verdicts {
+		switch vd {
+		case Accepted, Rejected:
+			decided++
+		case RejectedOverload:
+			shed++
+		default:
+			t.Fatalf("unexpected verdict %s", vd)
+		}
+	}
+	if decided != 4 || shed != 6 {
+		t.Fatalf("%d decided and %d shed, want 4 and 6 (QueueDepth 3 plus the one deciding)", decided, shed)
+	}
+	if st := s.Stats(); st.Decided != 4 || st.Shed != 6 {
+		t.Fatalf("stats %+v disagree with 4 decided and 6 shed", st)
+	}
+}
+
+// Proposals waiting behind a stalled decision take the vehicle's turn in
+// the order they arrived.
+func TestFleetWaitingRequestsDecideInArrivalOrder(t *testing.T) {
+	inj := faultinject.New(19, faultinject.Rule{
+		Stage: "fleet.worker", Mode: faultinject.ModeStall, Count: 1,
+		StallUS: int64(10 * time.Second / time.Microsecond),
+	})
+	s := newTestServer(t, Config{Injector: inj}, "v0")
+	v := s.vehicles["v0"]
+
+	hold, release := context.WithCancel(context.Background())
+	defer release()
+	var wg sync.WaitGroup
+	propose := func(ctx context.Context, c mcc.Change) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if d := s.Propose(ctx, "v0", c); d.Report == nil {
+				t.Errorf("%s: verdict %s without a decision", c, d.Verdict)
+			}
+		}()
+	}
+	propose(hold, fleetChanges("held", 1)[0])
+	waitFor(t, "the first decision to stall", func() bool { return inj.TotalFired() == 1 })
+	var want []string
+	for i := 0; i < 6; i++ {
+		f := fleetFn(fmt.Sprintf("order%d", i), model.QM, 100000+int64(i)*10000, 800, 64)
+		want = append(want, f.Name)
+		propose(context.Background(), mcc.Change{Update: &f})
+		// The next caller arrives only once this one waits for the turn.
+		waitFor(t, fmt.Sprintf("caller %d to wait for the turn", i), func() bool { return waitingForTurn() == i+1 })
+	}
+	// The held decision expires into a deadline rejection, then the
+	// waiting callers decide, each committing its function.
+	release()
+	wg.Wait()
+	var got []string
+	for _, c := range v.committed {
+		got = append(got, c.Update.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("committed in order %v, want arrival order %v", got, want)
+	}
+}
+
+// Drain does not wait out a crashed vehicle's restart backoff, and every
+// caller admitted before it still gets a reply.
+func TestFleetDrainCutsCrashBackoff(t *testing.T) {
+	inj := faultinject.New(23, faultinject.Rule{
+		Stage: "fleet.worker", Mode: faultinject.ModePanic, Count: 1,
+	})
+	s := newTestServer(t, Config{Injector: inj, RestartBackoff: 10 * time.Second}, "v0")
+	v := s.vehicles["v0"]
+
+	const callers = 3
+	changes := fleetChanges("v0", callers)
+	decisions := make([]Decision, callers)
+	var wg sync.WaitGroup
+	propose := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			decisions[i] = s.Propose(context.Background(), "v0", changes[i])
+		}()
+	}
+	propose(0)
+	waitFor(t, "the first decision to crash", func() bool { return s.Stats().Crashes == 1 })
+	for i := 1; i < callers; i++ {
+		propose(i)
+	}
+	waitFor(t, "every caller to be admitted", func() bool { return v.pending.Load() == callers })
+
+	start := time.Now()
+	s.Drain()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("drain took %v behind a crashed vehicle's restart backoff", elapsed)
+	}
+	wg.Wait()
+	// The crashed caller is retried on the rebuilt vehicle; only if the
+	// drain began before its backoff did is it resolved as parked. The
+	// callers behind it decide.
+	if vd := decisions[0].Verdict; vd != Accepted && vd != RejectedParked {
+		t.Fatalf("crashed caller verdict %s, want %s or %s", vd, Accepted, RejectedParked)
+	}
+	for i := 1; i < callers; i++ {
+		if d := decisions[i]; d.Report == nil {
+			t.Fatalf("caller %d: verdict %s without a decision", i, d.Verdict)
+		}
 	}
 }

@@ -10,26 +10,27 @@ import (
 	"repro/internal/model"
 )
 
-// request is one admitted proposal waiting for its vehicle's worker.
-type request struct {
-	ctx    context.Context
-	change mcc.Change
-	reply  chan Decision
-}
-
-// vehicle is one tenant bulkhead: its own MCC, mailbox, and committed
-// trajectory. The MCC and the committed slice are owned by the worker
-// goroutine (and by the registration path before the worker starts);
-// nothing else touches them.
+// vehicle is one tenant bulkhead: its own MCC, crash budget and wait
+// bound, and its committed trajectory. Requests decide on their callers'
+// goroutines, one at a time: the MCC, the committed slice and the crash
+// count belong to whoever holds the turn (and to the registration path
+// before the vehicle is published); nothing else touches them.
 type vehicle struct {
 	id       string
 	platform *model.Platform
 	baseline *model.FunctionalArchitecture
-	mbox     chan *request
+
+	// turn is held by the one request deciding. Waiting requests block
+	// on the send, and a channel serves blocked senders in FIFO order, so
+	// they decide in arrival order.
+	turn chan struct{}
+	// pending counts admitted, unreplied requests: at most QueueDepth
+	// waiting for the turn plus the one holding it.
+	pending atomic.Int64
 
 	m         *mcc.MCC
 	committed []mcc.Change // accepted changes since baseline, in order
-	crashes   int          // consecutive worker crashes (supervisor state)
+	crashes   int          // consecutive crashes (supervisor state)
 
 	parked atomic.Bool
 }
@@ -79,55 +80,55 @@ func proposeChange(ctx context.Context, m *mcc.MCC, c mcc.Change) *mcc.Report {
 	return m.ProposeRemovalContext(ctx, c.Remove)
 }
 
-// runVehicle is the per-vehicle worker loop with its supervisor wrapped
-// around it: decide requests until drain, recover crashes by rebuilding
-// the vehicle from its committed trajectory (redelivering the in-flight
-// request, which the crash never decided — the fleet.worker hook fires
-// before the pipeline and the MCC recovers its own internal panics, so a
-// crash cannot interrupt a commit), and park the vehicle once the crash
-// budget is spent.
-func (s *Server) runVehicle(v *vehicle) {
-	defer s.wg.Done()
-	var redelivered *request
+// decide runs one admitted request to its reply once the vehicle's
+// turn comes, with the supervisor wrapped around it: a crash (recovered
+// panic or injected fleet.worker fault) is counted, parks the vehicle
+// once the crash budget is spent, and otherwise rebuilds the vehicle
+// from its committed trajectory after a backoff and retries the request
+// on the rebuilt vehicle. The crash never decided that request: the
+// fleet.worker hook fires before the pipeline and the MCC recovers its
+// own internal panics, so a crash cannot interrupt a commit. A crash
+// during drain skips the rebuild (the server is going away) and resolves
+// the request as parked.
+func (s *Server) decide(ctx context.Context, v *vehicle, c mcc.Change) Decision {
+	v.turn <- struct{}{}
+	defer func() { <-v.turn }()
+	parked := Decision{Vehicle: v.id, Verdict: RejectedParked}
+	if v.parked.Load() {
+		return parked
+	}
 	for {
-		var req *request
-		if redelivered != nil {
-			req, redelivered = redelivered, nil
-		} else {
-			select {
-			case req = <-v.mbox:
-			case <-s.stopCh:
-				s.flushMbox(v, nil)
-				return
-			}
-		}
-		if !s.decideOne(v, req) {
+		d, crashed := s.decideOne(ctx, v, c)
+		if !crashed {
 			v.crashes = 0
-			continue
+			return d
 		}
-		// Crash: the in-flight request was not decided. Park or rebuild.
 		v.crashes++
 		s.crashes.Add(1)
+		select {
+		case <-s.stopCh:
+			return parked
+		default:
+		}
 		if v.crashes > s.cfg.MaxRestarts {
-			s.park(v, req)
-			return
+			s.park(v)
+			return parked
 		}
 		s.backoff(v.crashes)
 		if err := s.rebuild(v); err != nil {
 			// The rebuild itself failed (e.g. journal/state divergence):
 			// treat it as a terminal crash and park.
-			s.park(v, req)
-			return
+			s.park(v)
+			return parked
 		}
 		s.restarts.Add(1)
-		redelivered = req
 	}
 }
 
-// decideOne runs one request to a reply. It returns true when the worker
-// crashed (recovered panic or injected fleet.worker fault) before
-// deciding; the caller redelivers the request.
-func (s *Server) decideOne(v *vehicle, req *request) (crashed bool) {
+// decideOne runs one request through the vehicle's pipeline. It reports
+// crashed when the decision crashed (recovered panic or injected
+// fleet.worker fault) before the pipeline ran; the caller retries.
+func (s *Server) decideOne(ctx context.Context, v *vehicle, c mcc.Change) (d Decision, crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			crashed = true
@@ -136,21 +137,21 @@ func (s *Server) decideOne(v *vehicle, req *request) (crashed bool) {
 	// The per-tenant fault hook fires BEFORE the pipeline runs, so a
 	// crash here never interrupts a commit: the request is either fully
 	// decided or untouched. Stalls are bounded by the request context.
-	if _, fired, err := s.cfg.Injector.Fire(req.ctx.Done(), "fleet.worker", v.id); fired && err != nil {
-		return true
+	if _, fired, err := s.cfg.Injector.Fire(ctx.Done(), "fleet.worker", v.id); fired && err != nil {
+		return Decision{}, true
 	}
-	rep := proposeChange(req.ctx, v.m, req.change)
+	rep := proposeChange(ctx, v.m, c)
 	verdict := Rejected
 	if rep.Accepted {
 		verdict = Accepted
-		v.committed = append(v.committed, req.change)
+		v.committed = append(v.committed, c)
 		if s.journal != nil {
 			// Journal before replying: a reply of "accepted" is only sent
 			// for changes the journal already holds, so a crash after the
 			// reply cannot lose a reported acceptance (a torn tail only
 			// drops acceptances nobody heard about).
 			s.journal.append(journalRecord{ //nolint:errcheck // best-effort durability
-				Vehicle: v.id, Kind: recChange, Change: &req.change,
+				Vehicle: v.id, Kind: recChange, Change: &c,
 			})
 		}
 		s.accepted.Add(1)
@@ -158,65 +159,15 @@ func (s *Server) decideOne(v *vehicle, req *request) (crashed bool) {
 		s.rejected.Add(1)
 	}
 	s.decided.Add(1)
-	s.finish(req, Decision{Vehicle: v.id, Verdict: verdict, Report: rep})
-	return false
+	return Decision{Vehicle: v.id, Verdict: verdict, Report: rep}, false
 }
 
-// finish replies to a request and releases its global in-flight slot.
-func (s *Server) finish(req *request, d Decision) {
-	req.reply <- d
-	<-s.slots
-}
-
-// flushMbox resolves every queued request (plus an optional redelivered
-// one) during drain: each still gets a real decision — drain loses no
-// admitted request. A crash during the flush skips the rebuild (the
-// server is going away) and resolves the remaining queue as parked.
-func (s *Server) flushMbox(v *vehicle, redelivered *request) {
-	if redelivered != nil {
-		if s.decideOne(v, redelivered) {
-			s.crashes.Add(1)
-			s.finish(redelivered, Decision{Vehicle: v.id, Verdict: RejectedParked})
-		}
-	}
-	for {
-		select {
-		case req := <-v.mbox:
-			if s.decideOne(v, req) {
-				s.crashes.Add(1)
-				s.finish(req, Decision{Vehicle: v.id, Verdict: RejectedParked})
-			}
-		default:
-			return
-		}
-	}
-}
-
-// park permanently retires a crashed vehicle: the redelivered request
-// and everything still queued resolve as RejectedParked, and future
-// Propose calls reject at admission. The rest of the fleet is untouched.
-func (s *Server) park(v *vehicle, redelivered *request) {
+// park permanently retires a crashed vehicle: every request still
+// waiting for its turn resolves as RejectedParked, and future Propose
+// calls reject at admission. The rest of the fleet is untouched.
+func (s *Server) park(v *vehicle) {
 	v.parked.Store(true)
 	s.parked.Add(1)
-	if redelivered != nil {
-		s.finish(redelivered, Decision{Vehicle: v.id, Verdict: RejectedParked})
-	}
-	for {
-		select {
-		case req := <-v.mbox:
-			s.finish(req, Decision{Vehicle: v.id, Verdict: RejectedParked})
-		case <-s.stopCh:
-			// Drain while parked: flush whatever raced in, then exit.
-			for {
-				select {
-				case req := <-v.mbox:
-					s.finish(req, Decision{Vehicle: v.id, Verdict: RejectedParked})
-				default:
-					return
-				}
-			}
-		}
-	}
 }
 
 // backoff sleeps the supervisor's exponential restart delay; a drain

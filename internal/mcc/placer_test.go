@@ -286,3 +286,33 @@ func TestSpeedFloorProcessorNeverLooksEmptiest(t *testing.T) {
 		}
 	}
 }
+
+// A contract whose utilization charge would wrap int64 never reaches
+// placement: validation rejects time fields above model.MaxTimeUS, and
+// at the bound the largest charge, scaled at the slowest speed, fits.
+func TestHugeWCETRejectedAtValidate(t *testing.T) {
+	worst := fn("worst", model.QM, 1, model.MaxTimeUS, 64)
+	worst.Contract.RealTime.DeadlineUS = model.MaxTimeUS
+	if err := worst.Contract.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if s := scaleUtilPPM(utilPPM(&worst), model.MinSpeedFactor); s <= 0 {
+		t.Fatalf("largest valid charge scaled at the floor overflowed to %d", s)
+	}
+	m, err := New(&model.Platform{Processors: []model.Processor{
+		{Name: "p0", Policy: model.SPP, SpeedFactor: 1, RAMKiB: 1024, MaxSafety: model.ASILD},
+		{Name: "p1", Policy: model.SPP, SpeedFactor: 1, RAMKiB: 1024, MaxSafety: model.ASILD},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := m.ProposeUpdate(fn("busy", model.QM, 10000, 6000, 64)); !rep.Accepted {
+		t.Fatalf("60%% function rejected at %s: %v", rep.RejectedAt, rep.Findings)
+	}
+	// period = WCET = 1e13 µs read as -844,674 ppm before the bound.
+	rep := m.ProposeUpdate(fn("huge", model.QM, 1e13, 1e13, 64))
+	if rep.Accepted || rep.RejectedAt != StageValidate {
+		t.Fatalf("huge contract: accepted=%v rejected at %q (%v), want a rejection at %s",
+			rep.Accepted, rep.RejectedAt, rep.Findings, StageValidate)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -471,8 +472,11 @@ type taskCand struct {
 // synthesizeTasksOn derives the deadline-monotonic task set of one
 // processor (WCET scaled by the processor speed) from its resident
 // instance list. The list order is irrelevant: the deadline-monotonic
-// sort's comparator is total (ties break on Instance.Less).
-func (m *MCC) synthesizeTasksOn(look *synthView, pn string, insts []model.Instance) []model.Task {
+// sort's comparator is total (ties break on Instance.Less). committed is
+// the processor's committed task list (nil on the cold path); a resident
+// that keeps its place in it keeps its task name, so only a new
+// placement, or a resident whose deadline changed, builds one.
+func (m *MCC) synthesizeTasksOn(look *synthView, pn string, insts []model.Instance, committed []model.Task) []model.Task {
 	var p *model.Processor
 	if i, ok := m.procIdx[pn]; ok {
 		p = &m.platform.Processors[i]
@@ -495,8 +499,10 @@ func (m *MCC) synthesizeTasksOn(look *synthView, pn string, insts []model.Instan
 	tasks := make([]model.Task, 0, len(cands))
 	for i, c := range cands {
 		rt := c.fn.Contract.RealTime
+		var name string
+		name, committed = committedTaskName(committed, rt.EffectiveDeadlineUS(), c.inst)
 		tasks = append(tasks, model.Task{
-			Name:       c.inst.ID(),
+			Name:       name,
 			Processor:  pn,
 			Priority:   i + 1,
 			PeriodUS:   rt.PeriodUS,
@@ -510,6 +516,31 @@ func (m *MCC) synthesizeTasksOn(look *synthView, pn string, insts []model.Instan
 	clear(cands)
 	m.synth.cands = cands[:0]
 	return tasks
+}
+
+// committedTaskName returns the name of the task that realizes in with
+// the given deadline, taken from a committed deadline-monotonic task list
+// when the list holds it and built otherwise. Callers ask in
+// deadline-monotonic order, so the list is consumed as it is searched:
+// the second result is the part left for the next instance.
+func committedTaskName(committed []model.Task, deadline int64, in model.Instance) (string, []model.Task) {
+	for len(committed) > 0 {
+		t := &committed[0]
+		i := strings.LastIndexByte(t.Name, '#')
+		replica, _ := strconv.Atoi(t.Name[i+1:])
+		order := cmp.Or(
+			cmp.Compare(t.DeadlineUS, deadline),
+			strings.Compare(t.Name[:i], in.Function),
+			cmp.Compare(replica, in.Replica))
+		if order > 0 {
+			break
+		}
+		committed = committed[1:]
+		if order == 0 {
+			return t.Name, committed
+		}
+	}
+	return in.ID(), committed
 }
 
 // synthesizeMessages derives the network messages of the candidate's
@@ -717,7 +748,7 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture) (*model.Implementati
 
 	instOn := tech.InstancesByProcessor()
 	for _, pn := range m.procs {
-		impl.Tasks = append(impl.Tasks, m.synthesizeTasksOn(look, pn, instOn[pn])...)
+		impl.Tasks = append(impl.Tasks, m.synthesizeTasksOn(look, pn, instOn[pn], nil)...)
 	}
 	msgs, err := m.synthesizeMessages(tech.Func.Flows, look)
 	if err != nil {
@@ -784,7 +815,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	for _, pn := range affected {
 		insts := m.residentInstances(pn, over)
 		over.instsOn[pn] = insts
-		rebuilt := m.synthesizeTasksOn(look, pn, insts)
+		rebuilt := m.synthesizeTasksOn(look, pn, insts, m.proc(pn).tasks)
 		// Scoped validation of the rebuilt task set (the spliced ones
 		// were validated at commit time), through the same Task
 		// invariant the full impl.Validate enforces — without it, a

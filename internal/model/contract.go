@@ -13,6 +13,7 @@ package model
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -105,6 +106,15 @@ type RealTimeContract struct {
 	DeadlineUS int64 `json:"deadline_us,omitempty"`
 }
 
+// MaxTimeUS bounds every time field of a real-time contract (about
+// 9.2 s). Placement charges a function WCET·1e6/period ppm of a processor
+// and divides the charge by the processor's speed factor, both in int64.
+// With WCET at this bound, a 1 µs period and a MinSpeedFactor processor
+// the scaled charge is MaxTimeUS·1e12, which still fits; above it a
+// contract can wrap to a negative utilization and be admitted next to any
+// load.
+const MaxTimeUS = math.MaxInt64 / (1_000_000 * 1_000_000)
+
 // HasTiming reports whether the contract carries any real-time requirement.
 func (c RealTimeContract) HasTiming() bool { return c.PeriodUS > 0 }
 
@@ -120,6 +130,9 @@ func (c RealTimeContract) EffectiveDeadlineUS() int64 {
 func (c RealTimeContract) Validate() error {
 	if c.PeriodUS < 0 || c.JitterUS < 0 || c.WCETUS < 0 || c.DeadlineUS < 0 {
 		return fmt.Errorf("model: negative field in real-time contract %+v", c)
+	}
+	if c.PeriodUS > MaxTimeUS || c.JitterUS > MaxTimeUS || c.WCETUS > MaxTimeUS || c.DeadlineUS > MaxTimeUS {
+		return fmt.Errorf("model: real-time contract %+v has a time field above the maximum %dus", c, MaxTimeUS)
 	}
 	if c.PeriodUS > 0 {
 		if c.WCETUS == 0 {

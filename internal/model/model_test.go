@@ -133,6 +133,27 @@ func TestRealTimeContractValidate(t *testing.T) {
 	if err := neg.Validate(); err == nil {
 		t.Fatal("negative period accepted")
 	}
+	// Time fields are bounded so that the utilization charge cannot wrap.
+	for _, tc := range []struct {
+		c   RealTimeContract
+		err string
+	}{
+		{RealTimeContract{PeriodUS: 1e13, WCETUS: 1e13}, "above the maximum"},
+		{RealTimeContract{PeriodUS: MaxTimeUS + 1, WCETUS: 1}, "above the maximum"},
+		{RealTimeContract{PeriodUS: MaxTimeUS, WCETUS: MaxTimeUS + 1, DeadlineUS: MaxTimeUS + 1}, "above the maximum"},
+		{RealTimeContract{PeriodUS: 1000, WCETUS: 100, JitterUS: MaxTimeUS + 1}, "above the maximum"},
+		{RealTimeContract{PeriodUS: 1000, WCETUS: 100, DeadlineUS: MaxTimeUS + 1}, "above the maximum"},
+		{RealTimeContract{PeriodUS: MaxTimeUS, WCETUS: MaxTimeUS}, ""},
+		{RealTimeContract{PeriodUS: 1, WCETUS: MaxTimeUS, JitterUS: MaxTimeUS, DeadlineUS: MaxTimeUS}, ""},
+	} {
+		err := tc.c.Validate()
+		if tc.err == "" && err != nil {
+			t.Errorf("%+v: %v", tc.c, err)
+		}
+		if tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%+v: error %v, want one containing %q", tc.c, err, tc.err)
+		}
+	}
 }
 
 func TestResourceContractValidate(t *testing.T) {

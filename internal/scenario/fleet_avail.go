@@ -53,16 +53,16 @@ type FleetFaultSpec struct {
 }
 
 // DefaultFleetFaultSpecs returns the E15 fault matrix: a clean control
-// column, a repeatedly crashing tenant (supervised restart + redelivery),
+// column, a repeatedly crashing tenant (supervised restart + retry),
 // a stalled tenant (latency isolation), a tenant whose admission layer
 // fails (per-tenant shed), and a fleet-wide overload column.
 func DefaultFleetFaultSpecs() []FleetFaultSpec {
 	return []FleetFaultSpec{
 		{Name: "none"},
 		{
-			// The faulted tenant's worker panics on every 3rd decision
-			// attempt: the supervisor rebuilds it from its committed
-			// trajectory and redelivers the in-flight request.
+			// The faulted tenant's decision panics on every 3rd attempt:
+			// the supervisor rebuilds it from its committed trajectory
+			// and retries the request on the rebuilt vehicle.
 			Name:  "tenant-panic",
 			Rules: []faultinject.Rule{{Stage: "fleet.worker", Mode: faultinject.ModePanic, Every: 3, Count: 4}},
 		},
