@@ -206,8 +206,8 @@ func gate(baseline, current benchFile, maxGrowth, maxDegrade float64) []string {
 }
 
 // gateE15 enforces the blast-radius property on every parity-checked
-// fault row. Rows with ParityChecked=false (the overload column, whose
-// healthy vehicles shed by design) are exempt.
+// fault row, the overload column's decided changes included. Rows with
+// ParityChecked=false are exempt.
 func gateE15(rows []e15Point) []string {
 	var fails []string
 	checked := 0

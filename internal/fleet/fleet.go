@@ -91,8 +91,9 @@ type Config struct {
 	// times and the vehicle is parked (default 3).
 	MaxRestarts int
 	// RestartBackoff is the supervisor's base backoff before a rebuild;
-	// it doubles per consecutive crash (default 10ms). Drain skips the
-	// remaining backoff.
+	// it doubles per consecutive crash up to max(2s, RestartBackoff), so
+	// a base above 2s is slept as configured and never doubled (default
+	// 10ms). Drain skips the remaining backoff.
 	RestartBackoff time.Duration
 	// ProposalDeadline, when > 0, is installed on every vehicle MCC via
 	// mcc.WithProposalDeadline: each admitted request resolves within it.

@@ -609,3 +609,34 @@ func TestFleetDrainCutsCrashBackoff(t *testing.T) {
 		}
 	}
 }
+
+// BackoffTestCase is one restart-delay row: the configured base, the
+// consecutive crash count, and the delay the supervisor must sleep.
+type BackoffTestCase struct {
+	name    string
+	base    time.Duration
+	crashes int
+	want    time.Duration
+}
+
+// The restart delay doubles from the configured base and caps at
+// max(2s, base): a base above the cap is slept as configured. The table
+// computes the delays and sleeps none of them.
+func TestBackoffDelay(t *testing.T) {
+	var tt []BackoffTestCase
+
+	tt = append(tt, BackoffTestCase{name: "first crash sleeps the base", base: 10 * time.Millisecond, crashes: 1, want: 10 * time.Millisecond})
+	tt = append(tt, BackoffTestCase{name: "doubles per crash", base: 10 * time.Millisecond, crashes: 3, want: 40 * time.Millisecond})
+	tt = append(tt, BackoffTestCase{name: "caps at 2s", base: 10 * time.Millisecond, crashes: 20, want: 2 * time.Second})
+	tt = append(tt, BackoffTestCase{name: "large base is not shortened", base: 10 * time.Second, crashes: 1, want: 10 * time.Second})
+	tt = append(tt, BackoffTestCase{name: "large base is its own cap", base: 10 * time.Second, crashes: 4, want: 10 * time.Second})
+	tt = append(tt, BackoffTestCase{name: "shift overflow caps", base: time.Millisecond, crashes: 70, want: 2 * time.Second})
+
+	for _, tc := range tt {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := backoffDelay(tc.base, tc.crashes); got != tc.want {
+				t.Fatalf("backoffDelay(%v, %d) = %v, want %v", tc.base, tc.crashes, got, tc.want)
+			}
+		})
+	}
+}

@@ -173,17 +173,30 @@ func (s *Server) park(v *vehicle) {
 // backoff sleeps the supervisor's exponential restart delay; a drain
 // cuts it short so shutdown is never held up by a crashing tenant.
 func (s *Server) backoff(crashes int) {
-	d := s.cfg.RestartBackoff << (crashes - 1)
-	const maxBackoff = 2 * time.Second
-	if d > maxBackoff || d <= 0 {
-		d = maxBackoff
-	}
-	t := time.NewTimer(d)
+	t := time.NewTimer(backoffDelay(s.cfg.RestartBackoff, crashes))
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-s.stopCh:
 	}
+}
+
+// maxBackoff caps the doubling of a restart delay whose base is below it.
+const maxBackoff = 2 * time.Second
+
+// backoffDelay is the restart delay after the crashes-th consecutive
+// crash: base, doubled per crash after the first, capped at
+// max(maxBackoff, base) so a configured base is never shortened.
+func backoffDelay(base time.Duration, crashes int) time.Duration {
+	limit := max(maxBackoff, base)
+	d := base
+	for i := 1; i < crashes; i++ {
+		if d >= limit/2 {
+			return limit
+		}
+		d *= 2
+	}
+	return d
 }
 
 // rebuild reconstructs a crashed vehicle's MCC from its baseline and

@@ -136,6 +136,10 @@ type MCC struct {
 	// commit stage index loads slices through it instead of scanning the
 	// processor list per lookup.
 	procIdx map[string]int
+	// procNets lists, per processor position, the ascending indices of
+	// the platform networks attaching it; connecting intersects two lists
+	// instead of scanning every network's attached list.
+	procNets [][]int
 	// journal, when non-nil, is the rollback point of the open
 	// stream-scheduler window.
 	journal *windowJournal
@@ -275,6 +279,7 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 		workers:        runtime.GOMAXPROCS(0),
 		procs:          procNames(p),
 		procIdx:        procIndex(p),
+		procNets:       procNetIndex(p),
 		layout:         newCapLayout(p),
 		snap:           &snapshot{fa: &model.FunctionalArchitecture{}},
 	}
@@ -754,4 +759,42 @@ func procIndex(p *model.Platform) map[string]int {
 		out[p.Processors[i].Name] = i
 	}
 	return out
+}
+
+// procNetIndex lists, per processor position, the ascending indices of
+// the networks attaching that processor.
+func procNetIndex(p *model.Platform) [][]int {
+	idx := procIndex(p)
+	out := make([][]int, len(p.Processors))
+	for k := range p.Networks {
+		for _, pn := range p.Networks[k].Attached {
+			if i, ok := idx[pn]; ok && (len(out[i]) == 0 || out[i][len(out[i])-1] != k) {
+				out[i] = append(out[i], k)
+			}
+		}
+	}
+	return out
+}
+
+// connecting returns the first network that attaches both processors, or
+// nil: Platform.Connecting's answer, found by intersecting the two
+// processors' ascending network lists.
+func (m *MCC) connecting(a, b string) *model.Network {
+	ia, okA := m.procIdx[a]
+	ib, okB := m.procIdx[b]
+	if !okA || !okB {
+		return nil
+	}
+	na, nb := m.procNets[ia], m.procNets[ib]
+	for len(na) > 0 && len(nb) > 0 {
+		switch {
+		case na[0] < nb[0]:
+			na = na[1:]
+		case na[0] > nb[0]:
+			nb = nb[1:]
+		default:
+			return &m.platform.Networks[na[0]]
+		}
+	}
+	return nil
 }

@@ -35,7 +35,7 @@ type resTable struct {
 
 // resDigestKey identifies one deferred analysis for the window heal map:
 // two proposals of a window may defer the same resource with different
-// task-set digests (disjoint function footprints sharing a processor),
+// task-set digests (two changes placed on one processor),
 // and each bound report snapshot must only be healed by its own digest's
 // verdict.
 type resDigestKey struct {

@@ -567,7 +567,7 @@ func (m *MCC) synthesizeMessages(flows []model.Flow, look *synthView) ([]model.M
 				if fi.Processor == ti.Processor {
 					continue
 				}
-				n := m.platform.Connecting(fi.Processor, ti.Processor)
+				n := m.connecting(fi.Processor, ti.Processor)
 				if n == nil {
 					return nil, fmt.Errorf("mcc: no network connects %s and %s for flow %s->%s",
 						fi.Processor, ti.Processor, fl.From, fl.To)

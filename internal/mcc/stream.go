@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/mcc/pipeline"
-	"repro/internal/model"
 )
 
 // StreamScheduler drives a stream of change requests through the MCC at
@@ -19,11 +18,13 @@ import (
 // reorder decisions. Instead it exploits the cost structure of the accept
 // path: placement bookkeeping (validation, mapping, synthesis, monitor
 // planning) is diff-proportional and cheap, while the busy-window timing
-// analyses of dirty resources dominate. Proposals are grouped into
-// windows of independent changes (pairwise-disjoint footprints computed
-// from the function-level diff: touched function names and the services
-// they provide/require; removals and flow edits conflict with everything
-// and bound the window). Each window is processed in three phases:
+// analyses of dirty resources dominate. The stream is cut into
+// consecutive windows of a fixed number of changes (WithStreamWindow; the
+// last window may be shorter). A window may hold any mix of changes —
+// updates of one function, a provider and its requirer, removals — because
+// every change is decided against the optimistic commits before it and
+// every deferred verdict is verified before the window is final. Each
+// window is processed in three phases:
 //
 //  1. Optimistic pass (serial, cheap): every change runs the full
 //     incremental pipeline in stream order, but the busy-window timing
@@ -78,9 +79,10 @@ func WithStreamWorkers(n int) StreamOption {
 	}
 }
 
-// WithStreamWindow bounds how many independent changes one optimistic
-// window may hold. Larger windows expose more concurrent analyses but
-// widen the replay blast radius when a deferred verdict fails.
+// WithStreamWindow sets how many consecutive changes one optimistic
+// window holds. Larger windows expose more concurrent analyses and pay
+// fewer barriers, but widen the replay blast radius when a deferred
+// verdict fails.
 // Non-positive values clamp to 1 (windows of one change, i.e. serial
 // proposals) — never a silent fallback to the default.
 func WithStreamWindow(n int) StreamOption {
@@ -92,7 +94,7 @@ func WithStreamWindow(n int) StreamOption {
 	}
 }
 
-// defaultStreamWindow bounds the optimistic window when the caller does
+// defaultStreamWindow is the optimistic window size when the caller does
 // not choose one.
 const defaultStreamWindow = 16
 
@@ -114,9 +116,9 @@ type StreamStats struct {
 	// true pipeline cost of a replayed window is its serial passes plus
 	// these (their per-stage wall clock is dropped with them).
 	DiscardedPasses int
-	// Conflicts counts window barriers forced by a footprint conflict
-	// (the conflicting change waits for the previous window to finalize
-	// — it is serialized against it).
+	// Conflicts is always 0: windows are fixed-size runs of the stream
+	// and no longer break on conflicting changes. It is kept for readers
+	// of the stats and in String().
 	Conflicts int
 	// PanicsRecovered counts panics recovered on the prefetch pool and
 	// during verification (each one taints its window, forcing the
@@ -157,60 +159,19 @@ func (s *StreamScheduler) Run(changes []Change) []*Report {
 // the stream never hangs on a stalled analysis.
 func (s *StreamScheduler) RunContext(ctx context.Context, changes []Change) []*Report {
 	reports := make([]*Report, 0, len(changes))
-	var carry *footprint
-	for lo := 0; lo < len(changes); {
+	for lo := 0; lo < len(changes); lo += s.window {
 		if ctx.Err() != nil {
 			// Stop forming windows: the remaining changes resolve as
-			// deterministic deadline rejections without footprint
-			// computation or pipeline setup.
+			// deterministic deadline rejections without pipeline setup.
 			for range changes[lo:] {
 				reports = append(reports, s.m.expiredReport(ctx))
 			}
 			return reports
 		}
-		hi, next := s.windowEnd(changes, lo, carry)
-		carry = next
-		reports = append(reports, s.runWindow(ctx, changes[lo:hi])...)
+		reports = append(reports, s.runWindow(ctx, changes[lo:min(lo+s.window, len(changes))])...)
 		s.stats.Windows++
-		lo = hi
 	}
 	return reports
-}
-
-// windowEnd extends the window starting at lo while the next change's
-// declared footprint stays disjoint from every change already in it. A
-// non-nil carry is the head change's footprint, computed when that change
-// conflict-broke the previous window — carried over instead of being
-// recomputed (the previous window's commits may since have shifted the
-// deployed services behind it, but the footprint is a scheduling
-// heuristic, never a correctness input). When the window closes on a
-// conflict, the conflicting change's footprint is returned as the next
-// window's carry.
-func (s *StreamScheduler) windowEnd(changes []Change, lo int, carry *footprint) (int, *footprint) {
-	head := carry
-	if head == nil {
-		fp := declaredFootprint(s.m.lookupDeployedFn, changes[lo])
-		head = &fp
-	}
-	fps := []footprint{*head}
-	hi := lo + 1
-	for hi < len(changes) && hi-lo < s.window {
-		fp := declaredFootprint(s.m.lookupDeployedFn, changes[hi])
-		conflict := false
-		for _, prev := range fps {
-			if prev.conflicts(fp) {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			s.stats.Conflicts++
-			return hi, &fp
-		}
-		fps = append(fps, fp)
-		hi++
-	}
-	return hi, nil
 }
 
 // runWindow decides one window of changes: optimistic pass, concurrent
@@ -420,79 +381,6 @@ func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
 		m.ownSnap().res = t.patch(m.newEpoch(), fills, nil)
 	}
 	return true
-}
-
-// footprint is the function-level resource footprint of one change,
-// computed from the diff it would induce: the touched function names and
-// the services they provide or require. Removals (and anything that
-// would change the flow set) are global — they shift provider resolution
-// and free capacity everywhere, so they conflict with every other
-// change.
-type footprint struct {
-	names    map[string]bool
-	services map[string]bool
-	global   bool
-}
-
-// declaredFootprint derives a change's footprint against the currently
-// deployed architecture, resolved through lookup (window formation
-// happens before the window runs, so the deployed version of an updated
-// function is the pre-window one; the footprint is a scheduling
-// heuristic, never a correctness input).
-func declaredFootprint(lookup func(string) *model.Function, c Change) footprint {
-	if c.Update == nil {
-		return footprint{global: true}
-	}
-	fp := footprint{
-		names:    map[string]bool{c.Update.Name: true},
-		services: make(map[string]bool),
-	}
-	for _, svc := range c.Update.Provides {
-		fp.services[svc] = true
-	}
-	for _, svc := range c.Update.Requires {
-		fp.services[svc] = true
-	}
-	if lookup != nil {
-		if old := lookup(c.Update.Name); old != nil {
-			for _, svc := range old.Provides {
-				fp.services[svc] = true
-			}
-			for _, svc := range old.Requires {
-				fp.services[svc] = true
-			}
-		}
-	}
-	return fp
-}
-
-// lookupDeployedFn resolves a deployed function by name: an O(1) map hit
-// while the snapshot is warm, the linear architecture walk otherwise
-// (cold or quarantined controllers).
-func (m *MCC) lookupDeployedFn(name string) *model.Function {
-	if m.warm() {
-		return m.snap.fn(name)
-	}
-	return m.Deployed().FunctionByName(name)
-}
-
-func (a footprint) conflicts(b footprint) bool {
-	if a.global || b.global {
-		return true
-	}
-	return intersects(a.names, b.names) || intersects(a.services, b.services)
-}
-
-func intersects(a, b map[string]bool) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for k := range a {
-		if b[k] {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders stream stats for telemetry rows. Every counter the

@@ -374,15 +374,16 @@ func TestStreamSchedulerReplayKeepsDiscardedPassesOnTheBooks(t *testing.T) {
 	}
 }
 
-func TestStreamSchedulerSerializesConflictsAndRemovals(t *testing.T) {
-	// Two updates of the same function must not share a window (the
-	// second depends on the first's verdict), and a removal is global:
-	// it conflicts with everything and runs in its own window.
+func TestStreamSchedulerSameFunctionAndRemovalShareWindow(t *testing.T) {
+	// Two updates of the same function and a removal share one window:
+	// each change is decided against the optimistic commits before it, so
+	// the second update diffs against the first and the removal frees what
+	// the updates placed, exactly as serial proposals do.
 	changes := []Change{
 		upd(fn("svc", model.QM, 100000, 2000, 64)),
-		upd(fn("svc", model.QM, 100000, 2500, 64)), // same name: conflict
+		upd(fn("svc", model.QM, 100000, 2500, 64)), // same function again
 		upd(fn("t0", model.QM, 120000, 1500, 64)),
-		{Remove: "svc"}, // global footprint
+		{Remove: "svc"},
 		upd(fn("t1", model.QM, 140000, 1000, 64)),
 	}
 	sched, got := streamParity(t, testPlatform(), nil, changes)
@@ -391,18 +392,15 @@ func TestStreamSchedulerSerializesConflictsAndRemovals(t *testing.T) {
 			t.Fatalf("change %d rejected: %v (%s)", i, rep.Findings, rep.RejectedAt)
 		}
 	}
-	st := sched.Stats()
-	if st.Conflicts == 0 {
-		t.Fatalf("stats = %+v, want conflict barriers", st)
-	}
-	if st.Windows < 3 {
-		t.Fatalf("stats = %+v, want the stream split across >= 3 windows", st)
+	if st := sched.Stats(); st.Windows != 1 || st.Replays != 0 {
+		t.Fatalf("stats = %+v, want one verified window", st)
 	}
 }
 
-func TestStreamSchedulerServiceFootprintConflict(t *testing.T) {
-	// A provider and a requirer of the same service must not share a
-	// window: admitting the requirer depends on the provider's verdict.
+func TestStreamSchedulerProviderRequirerShareWindow(t *testing.T) {
+	// A provider and its requirer share one window: the requirer resolves
+	// the service against the provider's optimistic commit, as it would
+	// against the serial one.
 	prov := fn("prov", model.QM, 100000, 2000, 64)
 	prov.Provides = []string{"svc"}
 	cons := fn("cons", model.QM, 100000, 2000, 64)
@@ -414,9 +412,65 @@ func TestStreamSchedulerServiceFootprintConflict(t *testing.T) {
 			t.Fatalf("change %d rejected: %v (%s)", i, rep.Findings, rep.RejectedAt)
 		}
 	}
-	if st := sched.Stats(); st.Conflicts != 1 || st.Windows != 2 {
-		t.Fatalf("stats = %+v, want the service conflict to split the stream into 2 windows", st)
+	if st := sched.Stats(); st.Windows != 1 || st.Replays != 0 {
+		t.Fatalf("stats = %+v, want one verified window", st)
 	}
+}
+
+func TestStreamWindowReplayAfterRemovalMatchesSerial(t *testing.T) {
+	// One window holds every kind of dependent change in front of a hog
+	// whose deferred timing verdict fails: a removal, an add that only
+	// fits on the processor the removal frees, two updates of one
+	// function, and a provider followed by its requirer. The replay must
+	// restore the window-start snapshot and re-decide all of them exactly
+	// as serial proposals do.
+	p := &model.Platform{
+		Processors: []model.Processor{
+			{Name: "a", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 4096, MaxSafety: model.ASILD},
+			{Name: "b", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 4096, MaxSafety: model.ASILD},
+		},
+		Networks: []model.Network{
+			{Name: "can0", BitsPerSec: 500_000, Attached: []string{"a", "b"}, Kind: "can"},
+		},
+	}
+	baseline := []model.Function{
+		fn("old", model.QM, 100000, 2000, 3000),
+		fn("resident", model.QM, 100000, 2000, 3000),
+	}
+	prov := fn("prov", model.QM, 100000, 2000, 64)
+	prov.Provides = []string{"svc"}
+	cons := fn("cons", model.QM, 100000, 2000, 64)
+	cons.Requires = []string{"svc"}
+	hog := fn("hog", model.ASILD, 10000, 6000, 64)
+	hog.Contract.RealTime.JitterUS = 5000 // WCRT >= 11000 > period on any core
+	twice := fn("twice", model.QM, 120000, 1500, 64)
+	twice.Version = 1
+	changes := []Change{
+		{Remove: "old"},
+		upd(fn("new", model.QM, 100000, 2000, 3000)), // fits only where old was
+		upd(fn("twice", model.QM, 120000, 1000, 64)),
+		upd(twice),
+		upd(prov),
+		upd(cons),
+		upd(hog),
+	}
+	sched, got := streamParity(t, p, baseline, changes)
+	// "new" fits nowhere but on the processor "old" frees, so its
+	// acceptance shows the removal's optimistic commit was visible to it.
+	for i, rep := range got[:len(got)-1] {
+		if !rep.Accepted {
+			t.Fatalf("change %d (%s) rejected: %v (%s)", i, changes[i], rep.Findings, rep.RejectedAt)
+		}
+	}
+	if hogRep := got[len(got)-1]; hogRep.Accepted || hogRep.RejectedAt != StageTiming {
+		t.Fatalf("hog decided %v@%q, want a timing rejection", hogRep.Accepted, hogRep.RejectedAt)
+	}
+	if st := sched.Stats(); st.Windows != 1 || st.Replays != 1 {
+		t.Fatalf("stats = %+v, want one window and one replay", st)
+	}
+	m := sched.m
+	assertOracleParity(t, "stream", m, lastAccepted(got))
+	assertSnapshotFresh(t, "stream", m)
 }
 
 func TestStreamSchedulerLongMixedStreamParity(t *testing.T) {
@@ -451,41 +505,6 @@ func TestStreamStatsStringIncludesFaultTelemetry(t *testing.T) {
 	want := "windows 9 (speculated 8, replays 6, conflicts 4, prefetched 7, discarded 5, panics 3, retries 2)"
 	if got := st.String(); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}
-
-// --- window formation (regression: conflict footprint recomputed) ------------
-
-func TestWindowEndUsesCarriedConflictFootprint(t *testing.T) {
-	m, err := New(testPlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStreamScheduler(m)
-	changes := []Change{
-		upd(fn("a", model.QM, 100000, 2000, 64)),
-		upd(fn("zz", model.QM, 120000, 1500, 64)),
-	}
-
-	// A sentinel carry proves the head footprint is taken from the
-	// previous window's conflict, not recomputed: recomputing changes[0]
-	// ({a}) would admit zz into the window, the carried {zz} must not.
-	sentinel := footprint{names: map[string]bool{"zz": true}, services: map[string]bool{}}
-	hi, next := s.windowEnd(changes, 0, &sentinel)
-	if hi != 1 {
-		t.Fatalf("windowEnd ignored the carried footprint: window [0,%d), want [0,1)", hi)
-	}
-	if next == nil || !next.names["zz"] {
-		t.Fatalf("conflict did not return the breaking change's footprint: %+v", next)
-	}
-	if s.stats.Conflicts != 1 {
-		t.Fatalf("conflicts = %d, want 1", s.stats.Conflicts)
-	}
-
-	// Without a carry the head is computed fresh and the window spans
-	// both disjoint changes.
-	if hi, next := s.windowEnd(changes, 0, nil); hi != 2 || next != nil {
-		t.Fatalf("fresh window = [0,%d) carry %+v, want [0,2) and no carry", hi, next)
 	}
 }
 

@@ -156,8 +156,8 @@ func TestScopedVerdictCacheInvalidationEdges(t *testing.T) {
 		// the now-untouched, peers-less client — the scoped check must
 		// still catch it via the touched server endpoint.
 		{"server-domain-leave", upd(ver(6, srvDrive)), StageSecurity},
-		// Removal with a global footprint but no service participation:
-		// connections are copied verbatim, cache keys unchanged.
+		// Removal without service participation: connections are copied
+		// verbatim, cache keys unchanged.
 		{"remove-disjoint", Change{Remove: "telem0"}, ""},
 		// Removing the client drops its connection; the cached verdict
 		// must go with it.
@@ -198,8 +198,8 @@ func TestScopedVerdictCacheInvalidationEdges(t *testing.T) {
 	// serially, and through the stream scheduler in a window next to a
 	// disjoint filler that verifies, or next to a deadline-missing hog
 	// whose deferred timing verdict fails and forces the window's serial
-	// replay. A removal's global footprint gives it a window of its own,
-	// so only updates share (and replay) a window.
+	// replay. Removals share the hog's window like updates do, so every
+	// step replays once.
 	hog := fn("hog", model.ASILD, 10000, 6000, 64)
 	hog.Contract.RealTime.JitterUS = 5000 // WCRT >= 11000 > period on any core
 	engines := []struct {
@@ -220,13 +220,9 @@ func TestScopedVerdictCacheInvalidationEdges(t *testing.T) {
 		{"window-replay", func(t *testing.T, m *MCC, _ int, c Change) *Report {
 			sched := NewStreamScheduler(m, WithStreamWindow(8))
 			reps := sched.Run([]Change{c, upd(hog)})
-			wantReplays := 1
-			if c.Update == nil {
-				wantReplays = 0
-			}
-			if st := sched.Stats(); st.Replays != wantReplays || reps[1].Accepted || reps[1].RejectedAt != StageTiming {
-				t.Fatalf("stats = %+v, hog decided %v@%q: want %d replays and a timing rejection",
-					st, reps[1].Accepted, reps[1].RejectedAt, wantReplays)
+			if st := sched.Stats(); st.Replays != 1 || reps[1].Accepted || reps[1].RejectedAt != StageTiming {
+				t.Fatalf("stats = %+v, hog decided %v@%q: want one replay and a timing rejection",
+					st, reps[1].Accepted, reps[1].RejectedAt)
 			}
 			return reps[0]
 		}},

@@ -28,8 +28,9 @@ import (
 // carry injectors (see the fleet package comment on shared-analyzer
 // pollution). The overload column instead shrinks the global in-flight
 // budget below the offered concurrency, proving backpressure sheds
-// explicitly instead of hanging; its healthy vehicles shed by design, so
-// the blast-radius parity check is skipped there (ParityChecked=false).
+// explicitly instead of hanging. Its vehicles shed by design, so its
+// parity check compares each vehicle's decided changes against an oracle
+// that decides exactly those changes, in stream order.
 
 // availSeed seeds every E15 injector so rate-based rules are reproducible.
 const availSeed = 0x0E15
@@ -45,8 +46,8 @@ type FleetFaultSpec struct {
 	// fleet-wide).
 	Rules []faultinject.Rule
 	// Overload, when set, runs the spec with a global in-flight budget of
-	// OverloadBudget: healthy vehicles shed by design, so the parity check
-	// is skipped.
+	// OverloadBudget: vehicles shed by design, so the parity check decides
+	// only the changes that were not shed.
 	Overload bool
 	// OverloadBudget is the MaxInFlight for an Overload spec (default 2).
 	OverloadBudget int
@@ -150,13 +151,13 @@ type FleetAvailRow struct {
 	// reached the pipeline (shed at its failing admission layer).
 	FaultedLost int
 	// ParityChecked reports whether the blast-radius parity applies to the
-	// row (false only for the overload column, where healthy vehicles shed
-	// by design).
+	// row; every row of the matrix is checked.
 	ParityChecked bool
 	// HealthyLost counts decisions lost on healthy vehicles (any verdict
-	// that did not run the pipeline) and HealthyMismatches the decisions
-	// that diverged from the standalone oracle; BlastRadiusOK is the
-	// headline verdict — both zero.
+	// that did not run the pipeline, except the overload column's sheds)
+	// and HealthyMismatches the decisions that diverged from the
+	// standalone oracle; BlastRadiusOK is the headline verdict — both
+	// zero.
 	HealthyLost       int
 	HealthyMismatches int
 	FirstMismatch     string
@@ -225,7 +226,7 @@ func RunFleetAvail(cfg FleetAvailConfig) ([]FleetAvailRow, error) {
 			// generator: same change mix, distinct deterministic draws.
 			stream: arch.ChangesWithSeed(cfg.Updates, int64(101+i*7919)),
 		}
-		oracle, err := availOracle(v, memo)
+		oracle, err := availOracle(arch, v.stream, memo)
 		if err != nil {
 			return nil, fmt.Errorf("fleet avail oracle %s: %w", v.id, err)
 		}
@@ -235,7 +236,7 @@ func RunFleetAvail(cfg FleetAvailConfig) ([]FleetAvailRow, error) {
 
 	rows := make([]FleetAvailRow, 0, len(cfg.Specs))
 	for _, fs := range cfg.Specs {
-		row, err := runFleetAvailSpec(cfg, vehicles, fs)
+		row, err := runFleetAvailSpec(cfg, vehicles, fs, memo)
 		if err != nil {
 			return nil, fmt.Errorf("fleet avail %s: %w", fs.Name, err)
 		}
@@ -244,18 +245,18 @@ func RunFleetAvail(cfg FleetAvailConfig) ([]FleetAvailRow, error) {
 	return rows, nil
 }
 
-// availOracle decides a vehicle's stream on a standalone, never-restarted
-// MCC with the same options a fleet vehicle gets.
-func availOracle(v *availVehicle, memo *cpa.Analyzer) ([]*mcc.Report, error) {
-	m, err := mcc.New(v.arch.Platform, mcc.WithAnalyzer(memo))
+// availOracle decides a stream on a standalone, never-restarted MCC of
+// the archetype, with the same options a fleet vehicle gets.
+func availOracle(arch *Fleet, stream []mcc.Change, memo *cpa.Analyzer) ([]*mcc.Report, error) {
+	m, err := mcc.New(arch.Platform, mcc.WithAnalyzer(memo))
 	if err != nil {
 		return nil, err
 	}
-	if rep := m.ProposeArchitecture(v.arch.Baseline); !rep.Accepted {
+	if rep := m.ProposeArchitecture(arch.Baseline); !rep.Accepted {
 		return nil, fmt.Errorf("baseline rejected at %s: %v", rep.RejectedAt, rep.Findings)
 	}
-	out := make([]*mcc.Report, len(v.stream))
-	for i, c := range v.stream {
+	out := make([]*mcc.Report, len(stream))
+	for i, c := range stream {
 		out[i] = proposeChaosChange(m, c)
 	}
 	return out, nil
@@ -264,14 +265,14 @@ func availOracle(v *availVehicle, memo *cpa.Analyzer) ([]*mcc.Report, error) {
 // runFleetAvailSpec hosts the fleet under one fault spec: all vehicles
 // driven concurrently (serially within each tenant, preserving stream
 // order), then the healthy-vehicle parity and telemetry accounting.
-func runFleetAvailSpec(cfg FleetAvailConfig, vehicles []*availVehicle, fs FleetFaultSpec) (FleetAvailRow, error) {
+func runFleetAvailSpec(cfg FleetAvailConfig, vehicles []*availVehicle, fs FleetFaultSpec, memo *cpa.Analyzer) (FleetAvailRow, error) {
 	row := FleetAvailRow{
 		Spec:              fs.Name,
 		Vehicles:          cfg.Vehicles,
 		Archetypes:        cfg.Archetypes,
 		Procs:             cfg.Procs,
 		ChangesPerVehicle: cfg.Updates,
-		ParityChecked:     !fs.Overload,
+		ParityChecked:     true,
 	}
 	var inj *faultinject.Injector
 	if len(fs.Rules) > 0 {
@@ -376,15 +377,31 @@ func runFleetAvailSpec(cfg FleetAvailConfig, vehicles []*availVehicle, fs FleetF
 			}
 			continue
 		}
-		if !row.ParityChecked {
-			continue
-		}
+		// Each driver sends its stream in order, so under overload the
+		// decided changes are the stream minus the shed ones: the oracle
+		// decides exactly those, in order.
+		oracle, at := v.oracle, make([]int, 0, len(v.stream))
 		for j, dec := range d.decisions {
+			if !fs.Overload || dec.Verdict != fleet.RejectedOverload {
+				at = append(at, j)
+			}
+		}
+		if fs.Overload {
+			decided := make([]mcc.Change, len(at))
+			for k, j := range at {
+				decided[k] = v.stream[j]
+			}
+			if oracle, err = availOracle(v.arch, decided, memo); err != nil {
+				return row, fmt.Errorf("overload oracle %s: %w", v.id, err)
+			}
+		}
+		for k, j := range at {
+			dec := d.decisions[j]
 			if dec.Verdict != fleet.Accepted && dec.Verdict != fleet.Rejected {
 				row.HealthyLost++
 				continue
 			}
-			if diff := chaosCompare(dec.Report, v.oracle[j]); diff != "" {
+			if diff := chaosCompare(dec.Report, oracle[k]); diff != "" {
 				row.HealthyMismatches++
 				if row.FirstMismatch == "" {
 					row.FirstMismatch = fmt.Sprintf("%s change %d: %s", v.id, j, diff)
@@ -392,7 +409,7 @@ func runFleetAvailSpec(cfg FleetAvailConfig, vehicles []*availVehicle, fs FleetF
 			}
 		}
 	}
-	row.BlastRadiusOK = !row.ParityChecked || (row.HealthyLost == 0 && row.HealthyMismatches == 0)
+	row.BlastRadiusOK = row.HealthyLost == 0 && row.HealthyMismatches == 0
 
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })

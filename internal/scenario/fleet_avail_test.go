@@ -59,8 +59,8 @@ func TestFleetAvailBlastRadiusZero(t *testing.T) {
 	}
 
 	overload := byName["overload"]
-	if overload.ParityChecked {
-		t.Error("overload row must skip the parity check")
+	if !overload.ParityChecked || overload.Decided == 0 {
+		t.Errorf("overload row checked no decided change against its oracle: %+v", overload)
 	}
 	if overload.Shed == 0 {
 		t.Errorf("overload shed nothing despite budget below offered concurrency: %+v", overload)

@@ -48,8 +48,8 @@ type ChangeMix struct {
 	// Update bumps the WCET estimate of a deployed baseline function.
 	Update int
 	// Remove removes a telemetry function added earlier in the stream
-	// (degrades to Add while none exists). Removals have a global
-	// footprint and serialize stream windows.
+	// (degrades to Add while none exists); it frees the capacity that
+	// later changes of the same stream window may take.
 	Remove int
 	// Broken proposes a contract violation (WCET > deadline) the
 	// validation stage must reject.

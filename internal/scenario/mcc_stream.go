@@ -132,7 +132,7 @@ const (
 	ThroughputFull MCCThroughputMode = "full-incremental"
 	// ThroughputStream drives the change stream through the
 	// mcc.StreamScheduler on top of the full-incremental engine:
-	// footprint-independent changes form optimistic windows whose
+	// consecutive changes form fixed-size optimistic windows whose
 	// deferred busy-window analyses fan out over all cores, with every
 	// verdict re-validated so decisions stay identical to serial order.
 	ThroughputStream MCCThroughputMode = "stream-parallel"
