@@ -11,7 +11,10 @@
 // Propose never hangs: overload, draining, parked, and unknown-vehicle
 // conditions come back as explicit verdicts, and -deadline bounds every
 // admitted decision (the HTTP request context propagates too, so a
-// disconnected client stops paying for its proposal).
+// disconnected client stops paying for its proposal). The status follows
+// the verdict: unknown vehicle 404, overload 429, draining or parked 503,
+// and 500 for a change the -journal could not record (verdict
+// "rejected-journal": not committed); decided changes are 200.
 //
 // SIGTERM/SIGINT triggers a graceful drain: intake closes, queued and
 // in-flight proposals are flushed to replies, the analyzer cache is
@@ -157,6 +160,8 @@ func newMux(srv *fleet.Server) *http.ServeMux {
 			status = http.StatusTooManyRequests
 		case fleet.RejectedDraining, fleet.RejectedParked:
 			status = http.StatusServiceUnavailable
+		case fleet.RejectedJournal:
+			status = http.StatusInternalServerError
 		}
 		writeJSON(w, status, proposeResponse{Vehicle: d.Vehicle, Verdict: string(d.Verdict), Report: viewOf(d.Report)})
 	})

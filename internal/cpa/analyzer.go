@@ -40,6 +40,10 @@ import (
 type Analyzer struct {
 	mu    sync.Mutex
 	cache map[uint64][]Result
+	// order is the cache's keys in insertion order, a ring once the table
+	// is full: order[next] is then the oldest key, the next evicted.
+	order []uint64
+	next  int
 	// flights tracks in-progress analyses by digest for single-flight
 	// coalescing; entries are removed before the flight's done channel is
 	// closed.
@@ -67,8 +71,9 @@ type flight struct {
 
 // maxCacheEntries bounds the memoization table. A fleet-scale change stream
 // produces one new digest per touched resource per accepted change; when
-// the table exceeds the bound, arbitrary entries are evicted (the cache is
-// a pure performance artifact, correctness never depends on residency).
+// the table is full, each insert evicts the oldest entry (the cache is a
+// pure performance artifact, correctness never depends on residency, and
+// first-in first-out keeps the counters of identical runs identical).
 const maxCacheEntries = 4096
 
 // AnalyzerStats reports cache effectiveness counters.
@@ -95,12 +100,24 @@ func NewAnalyzer() *Analyzer {
 
 // AnalyzeSPP is the memoized equivalent of the package-level AnalyzeSPP.
 func (a *Analyzer) AnalyzeSPP(tasks []Task) ([]Result, error) {
-	return a.analyze(tasks, false)
+	return a.analyze(tasks, TaskSetDigest(tasks), false)
 }
 
 // AnalyzeSPNP is the memoized equivalent of the package-level AnalyzeSPNP.
 func (a *Analyzer) AnalyzeSPNP(tasks []Task) ([]Result, error) {
-	return a.analyze(tasks, true)
+	return a.analyze(tasks, TaskSetDigest(tasks), true)
+}
+
+// AnalyzeSPPDigest is AnalyzeSPP for a caller that holds the task set's
+// digest already; digest must equal TaskSetDigest(tasks).
+func (a *Analyzer) AnalyzeSPPDigest(tasks []Task, digest uint64) ([]Result, error) {
+	return a.analyze(tasks, digest, false)
+}
+
+// AnalyzeSPNPDigest is AnalyzeSPNP for a caller that holds the task set's
+// digest already; digest must equal TaskSetDigest(tasks).
+func (a *Analyzer) AnalyzeSPNPDigest(tasks []Task, digest uint64) ([]Result, error) {
+	return a.analyze(tasks, digest, true)
 }
 
 // Stats returns the current cache counters.
@@ -129,14 +146,14 @@ func (a *Analyzer) SetInjector(inj *faultinject.Injector) {
 func (a *Analyzer) Reset() {
 	a.mu.Lock()
 	a.cache = make(map[uint64][]Result)
+	a.order, a.next = a.order[:0], 0
 	a.mu.Unlock()
 	a.hits.Store(0)
 	a.misses.Store(0)
 	a.waits.Store(0)
 }
 
-func (a *Analyzer) analyze(tasks []Task, nonPreemptive bool) ([]Result, error) {
-	key := TaskSetDigest(tasks)
+func (a *Analyzer) analyze(tasks []Task, key uint64, nonPreemptive bool) ([]Result, error) {
 	if nonPreemptive {
 		// The same message set analyzed as SPNP must not alias an SPP entry.
 		key = mix64(key ^ 0x5350_4e50) // "SPNP"
@@ -201,21 +218,28 @@ func (a *Analyzer) analyze(tasks []Task, nonPreemptive bool) ([]Result, error) {
 	if err == nil {
 		stored := make([]Result, len(res))
 		copy(stored, res)
-		if len(a.cache) >= maxCacheEntries {
-			for k := range a.cache {
-				delete(a.cache, k)
-				if len(a.cache) < maxCacheEntries {
-					break
-				}
-			}
-		}
-		a.cache[key] = stored
+		a.store(key, stored)
 		f.res = stored
 	}
 	a.mu.Unlock()
 	f.err = err
 	close(f.done)
 	return res, err
+}
+
+// store caches res under key, evicting the oldest entry when the table is
+// full. Callers hold mu.
+func (a *Analyzer) store(key uint64, res []Result) {
+	if _, ok := a.cache[key]; !ok {
+		if len(a.order) < maxCacheEntries {
+			a.order = append(a.order, key)
+		} else {
+			delete(a.cache, a.order[a.next])
+			a.order[a.next] = key
+			a.next = (a.next + 1) % maxCacheEntries
+		}
+	}
+	a.cache[key] = res
 }
 
 // TaskSetDigest returns a digest of the task set that is independent of

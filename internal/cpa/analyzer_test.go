@@ -297,3 +297,76 @@ func TestAnalyzerErrorNotCached(t *testing.T) {
 		t.Fatalf("error was cached: stats %+v", st)
 	}
 }
+
+// distinctTaskSet returns the i-th of a family of pairwise distinct
+// one-task sets.
+func distinctTaskSet(i int) []Task {
+	return []Task{{Name: "t", Priority: 1, WCETUS: 1, Event: EventModel{PeriodUS: int64(1000 + i)}, DeadlineUS: int64(1000 + i)}}
+}
+
+// A full memo table evicts first in, first out: after maxCacheEntries+k
+// distinct task sets, exactly the k oldest miss.
+func TestAnalyzerEvictsOldestFirst(t *testing.T) {
+	const k = 37
+	a := NewAnalyzer()
+	for i := 0; i < maxCacheEntries+k; i++ {
+		if _, err := a.AnalyzeSPP(distinctTaskSet(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := a.Stats(); st.Entries != maxCacheEntries || st.Misses != maxCacheEntries+k {
+		t.Fatalf("after %d distinct sets: %+v", maxCacheEntries+k, st)
+	}
+	// The survivors first (a hit evicts nothing), then the evicted.
+	for i := k; i < maxCacheEntries+k; i++ {
+		a.AnalyzeSPP(distinctTaskSet(i)) //nolint:errcheck // analyzed without error above
+	}
+	if st := a.Stats(); st.Hits != maxCacheEntries || st.Misses != maxCacheEntries+k {
+		t.Fatalf("the %d newest sets did not all hit: %+v", maxCacheEntries, st)
+	}
+	for i := 0; i < k; i++ {
+		a.AnalyzeSPP(distinctTaskSet(i)) //nolint:errcheck // analyzed without error above
+	}
+	if st := a.Stats(); st.Hits != maxCacheEntries || st.Misses != maxCacheEntries+2*k {
+		t.Fatalf("the %d oldest sets did not all miss: %+v", k, st)
+	}
+}
+
+// Eviction is deterministic: two identical request streams that overflow
+// the table end in identical counters.
+func TestAnalyzerOverflowStatsReproducible(t *testing.T) {
+	run := func() AnalyzerStats {
+		a := NewAnalyzer()
+		for i := 0; i < 3*maxCacheEntries; i++ {
+			// Revisit a sliding window of recent sets and a few old ones.
+			a.AnalyzeSPP(distinctTaskSet(i))       //nolint:errcheck // valid set
+			a.AnalyzeSPP(distinctTaskSet(i / 2))   //nolint:errcheck // valid set
+			a.AnalyzeSPNP(distinctTaskSet(i % 97)) //nolint:errcheck // valid set
+		}
+		return a.Stats()
+	}
+	if first, second := run(), run(); first != second {
+		t.Fatalf("identical runs diverge: %+v, then %+v", first, second)
+	}
+}
+
+// A digest-taking entry point decides exactly as the plain one, sharing
+// its memo entries, and keeps SPP and SPNP apart.
+func TestAnalyzerDigestEntryPointsShareTheMemo(t *testing.T) {
+	tasks := analyzerTaskSet()
+	a := NewAnalyzer()
+	want, err := a.AnalyzeSPP(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.AnalyzeSPPDigest(tasks, TaskSetDigest(tasks))
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("digest entry point: %+v, %v; want %+v", got, err, want)
+	}
+	if _, err := a.AnalyzeSPNPDigest(tasks, TaskSetDigest(tasks)); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.Hits != 1 || st.Misses != 2 || st.Entries != 2 {
+		t.Fatalf("stats = %+v, want the SPP entry reused and an SPNP entry of its own", st)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 )
 
@@ -59,12 +60,12 @@ func LoadCache(a *Analyzer, r io.Reader) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for k, v := range cf.Entries {
+	for _, k := range sortedKeys(cf.Entries) {
 		if len(a.cache) >= maxCacheEntries {
 			break
 		}
 		if _, ok := a.cache[k]; !ok {
-			a.cache[k] = v
+			a.store(k, cf.Entries[k])
 		}
 	}
 	return nil
@@ -84,14 +85,25 @@ func MergeCache(dst, src *Analyzer) {
 	src.mu.Unlock()
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
-	for k, v := range entries {
+	for _, k := range sortedKeys(entries) {
 		if len(dst.cache) >= maxCacheEntries {
 			break
 		}
 		if _, ok := dst.cache[k]; !ok {
-			dst.cache[k] = v
+			dst.store(k, entries[k])
 		}
 	}
+}
+
+// sortedKeys returns a memo table's digests in ascending order, so a merge
+// fills the eviction order deterministically.
+func sortedKeys(entries map[uint64][]Result) []uint64 {
+	keys := make([]uint64, 0, len(entries))
+	for k := range entries {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // SaveCacheFile persists the memo table to path (written atomically via a

@@ -12,9 +12,10 @@
 package cpa
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -174,7 +175,7 @@ func analyze(tasks []Task, nonPreemptive bool) ([]Result, error) {
 	defer scratchPool.Put(s)
 	s.sorted = append(s.sorted[:0], tasks...)
 	sorted := s.sorted
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Priority < sorted[j].Priority })
+	slices.SortFunc(sorted, func(a, b Task) int { return cmp.Compare(a.Priority, b.Priority) })
 	for i := range sorted {
 		if err := sorted[i].Validate(); err != nil {
 			return nil, err

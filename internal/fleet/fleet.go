@@ -57,6 +57,12 @@ const (
 	// carries the findings (deadline expiries land here too, marked
 	// Degraded("deadline") on the report).
 	Rejected Verdict = "rejected"
+	// RejectedJournal: the pipeline accepted the change, but the commit
+	// journal could not record it, so it is not committed: the vehicle is
+	// rebuilt from its journaled trajectory (parked if that fails) and
+	// decides on as a server restarted from the journal would. Report is
+	// nil, since the acceptance it would carry was undone.
+	RejectedJournal Verdict = "rejected-journal"
 	// RejectedOverload: load-shed at admission — the global in-flight
 	// budget or the vehicle's wait bound was full. The pipeline never ran.
 	RejectedOverload Verdict = "rejected-overload"
@@ -75,7 +81,7 @@ type Decision struct {
 	Verdict Verdict
 	// Report is the MCC's integration report for Accepted/Rejected
 	// verdicts; nil for admission-level rejections (the pipeline did not
-	// run).
+	// run) and for RejectedJournal.
 	Report *mcc.Report
 }
 
@@ -137,7 +143,9 @@ type Stats struct {
 	Vehicles int
 	Parked   int
 	// Offered counts Propose calls; Decided the subset that ran the
-	// pipeline; Shed the subset load-shed at admission.
+	// pipeline; Shed the subset load-shed at admission. Accepted and
+	// Rejected split Decided by verdict; a RejectedJournal reply counts
+	// as rejected.
 	Offered  int64
 	Decided  int64
 	Accepted int64
@@ -314,7 +322,9 @@ func (s *Server) addVehicle(id string, p *model.Platform, baseline *model.Functi
 // Propose submits one change for a vehicle and blocks until a decision
 // (admission rejections return immediately; admitted requests resolve
 // within the configured deadline semantics). Safe for unrestricted
-// concurrent use.
+// concurrent use. With a journal configured, Accepted is replied only for
+// a change the journal holds: a change whose append fails is replied
+// RejectedJournal and is not committed.
 func (s *Server) Propose(ctx context.Context, id string, c mcc.Change) Decision {
 	if ctx == nil {
 		ctx = context.Background()

@@ -191,3 +191,51 @@ func TestFleetTornJournalTailRecoversPrefix(t *testing.T) {
 		t.Fatalf("post-recovery proposal = %s: %+v", d.Verdict, d.Report)
 	}
 }
+
+// A change whose journal append fails is not replied "accepted": the
+// vehicle is brought back to its journaled trajectory, the counters agree
+// with the replies, and the vehicle then decides the next change exactly
+// as a server restarted from the journal does.
+func TestFleetFailedJournalAppendIsNotAccepted(t *testing.T) {
+	cfg := Config{JournalPath: filepath.Join(t.TempDir(), "fleet.journal")}
+	s := newTestServer(t, cfg, "v0")
+	changes := fleetChanges("v0", 4) // four feasible telemetry adds
+	ctx := context.Background()
+	for i, c := range changes[:2] {
+		if d := s.Propose(ctx, "v0", c); d.Verdict != Accepted {
+			t.Fatalf("change %d: verdict %s before the journal failed", i, d.Verdict)
+		}
+	}
+	if err := s.journal.f.Close(); err != nil { // the journal file fails under the live server
+		t.Fatal(err)
+	}
+	d := s.Propose(ctx, "v0", changes[2])
+	if d.Verdict == Accepted {
+		t.Fatal("a change the journal could not record was replied accepted")
+	}
+	if d.Verdict != RejectedJournal || d.Report != nil {
+		t.Fatalf("failed append replied %s (report %v), want %s without a report", d.Verdict, d.Report, RejectedJournal)
+	}
+	if st := s.Stats(); st.Decided != 3 || st.Accepted != 2 || st.Rejected != 1 {
+		t.Fatalf("stats decided/accepted/rejected %d/%d/%d, want 3/2/1 as replied", st.Decided, st.Accepted, st.Rejected)
+	}
+
+	restarted, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Drain()
+	live, twin := s.vehicles["v0"].m, restarted.vehicles["v0"].m
+	if !reflect.DeepEqual(live.Deployed(), twin.Deployed()) {
+		t.Fatalf("live vehicle diverges from its journal:\nlive     %+v\njournal  %+v", live.Deployed(), twin.Deployed())
+	}
+	next := *changes[3].Update
+	got, want := live.ProposeUpdate(next), twin.ProposeUpdate(next)
+	if got.Accepted != want.Accepted || got.RejectedAt != want.RejectedAt || !reflect.DeepEqual(got.Findings, want.Findings) {
+		t.Fatalf("next change decided accepted=%v at %q %v, restarted server accepted=%v at %q %v",
+			got.Accepted, got.RejectedAt, got.Findings, want.Accepted, want.RejectedAt, want.Findings)
+	}
+	if !reflect.DeepEqual(got.FullTiming(), want.FullTiming()) || !reflect.DeepEqual(got.FullMonitors(), want.FullMonitors()) {
+		t.Fatal("next change committed tables that differ from the restarted server's")
+	}
+}

@@ -141,25 +141,33 @@ func (s *Server) decideOne(ctx context.Context, v *vehicle, c mcc.Change) (d Dec
 		return Decision{}, true
 	}
 	rep := proposeChange(ctx, v.m, c)
-	verdict := Rejected
+	d = Decision{Vehicle: v.id, Verdict: Rejected, Report: rep}
 	if rep.Accepted {
-		verdict = Accepted
-		v.committed = append(v.committed, c)
+		d.Verdict = Accepted
+		// Journal before replying: a reply of "accepted" is only sent
+		// for changes the journal already holds, so a crash after the
+		// reply cannot lose a reported acceptance (a torn tail only
+		// drops acceptances nobody heard about).
 		if s.journal != nil {
-			// Journal before replying: a reply of "accepted" is only sent
-			// for changes the journal already holds, so a crash after the
-			// reply cannot lose a reported acceptance (a torn tail only
-			// drops acceptances nobody heard about).
-			s.journal.append(journalRecord{ //nolint:errcheck // best-effort durability
-				Vehicle: v.id, Kind: recChange, Change: &c,
-			})
+			if err := s.journal.append(journalRecord{Vehicle: v.id, Kind: recChange, Change: &c}); err != nil {
+				// The MCC committed a change the journal does not hold:
+				// bring the vehicle back to the journaled trajectory,
+				// which is what a restart would recover.
+				if s.rebuild(v) != nil {
+					s.park(v)
+				}
+				d = Decision{Vehicle: v.id, Verdict: RejectedJournal}
+			}
 		}
+	}
+	if d.Verdict == Accepted {
+		v.committed = append(v.committed, c)
 		s.accepted.Add(1)
 	} else {
 		s.rejected.Add(1)
 	}
 	s.decided.Add(1)
-	return Decision{Vehicle: v.id, Verdict: verdict, Report: rep}, false
+	return d, false
 }
 
 // park permanently retires a crashed vehicle: every request still

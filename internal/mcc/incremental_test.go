@@ -364,7 +364,7 @@ func TestSynthesizeMessagePerCrossedNetwork(t *testing.T) {
 			{Function: "dst", Replica: 1, Processor: "p2"},
 		},
 	}
-	impl, err := m.synthesize(tech)
+	impl, err := m.synthesize(tech, referenceIndex(m, fa, tech.Instances, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestSynthesizeMessagePerCrossedNetwork(t *testing.T) {
 	}
 	// Both buses must show up in the timing acceptance test.
 	resources := make(map[string]bool)
-	jobs, _ := m.timingJobs(nil, impl)
+	jobs := m.scanJobs(impl)
 	for _, j := range jobs {
 		resources[j.resource] = true
 	}
@@ -397,7 +397,7 @@ func TestSynthesizeMessagePerCrossedNetwork(t *testing.T) {
 		t.Fatalf("timing jobs cover %v, want both networks", resources)
 	}
 	// Determinism: a second synthesis yields the identical message list.
-	impl2, err := m.synthesize(tech)
+	impl2, err := m.synthesize(tech, referenceIndex(m, fa, tech.Instances, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestTimingAnalysisErrorSurfacedAsFinding(t *testing.T) {
 			{Name: "b#0", Processor: "only", Priority: 1, PeriodUS: 10000, WCETUS: 1000, DeadlineUS: 10000},
 		},
 	}
-	out := m.analyzeTiming(nil, impl)
+	out := m.analyzeTiming(nil, m.scanJobs(impl))
 	if len(out.findings) == 0 {
 		t.Fatal("analysis error produced no findings")
 	}

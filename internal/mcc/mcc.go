@@ -371,6 +371,9 @@ type attempt struct {
 	// its materialized candidate (see MCC.candidate).
 	change *Change
 	whole  *model.FunctionalArchitecture
+	// index is a from-scratch pass's lookup index, built by its cold
+	// mapping (see passIndex); empty on a warm pass.
+	index passIndex
 	// over is the placer overlay of a warm-started mapping: the candidate
 	// placement's leaf of every processor whose load it changed.
 	over []capNode
@@ -664,9 +667,11 @@ func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitectur
 	switch {
 	case incremental && c != nil:
 		ctx.Diff = m.changeDiff(*c)
-	case incremental:
+	case incremental && m.warm():
 		ctx.Diff = pipeline.ComputeDiff(m.Deployed(), cand)
 	default:
+		// A from-scratch pass, or nothing committed yet (where ComputeDiff
+		// would come out full as well, after a walk of the candidate).
 		ctx.Diff = pipeline.FullDiff()
 	}
 	return ctx

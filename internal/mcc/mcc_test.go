@@ -181,6 +181,9 @@ func TestFailOperationalReplicaSeparation(t *testing.T) {
 	if len(procs) != 2 {
 		t.Fatalf("replicas share a processor: %v", rep.Impl.Tech.Instances)
 	}
+	// The first commit is a from-scratch one: its snapshot comes from the
+	// pass index, held here to a rebuild that derives its own.
+	assertSnapshotFresh(t, "replicated first deploy", m)
 }
 
 func TestSecurityRejection(t *testing.T) {

@@ -22,28 +22,35 @@ func FromScratchTables(p *model.Platform, impl *model.ImplementationModel) ([]Ti
 	}
 	m := &MCC{platform: p, procs: procNames(p), procIdx: procIndex(p)}
 	var timing []TimingResult
-	tasksOn := impl.TasksByProcessor()
-	for k, pn := range m.procs {
-		j, ok := m.buildProcJob(k, tasksOn[pn])
-		if !ok {
-			continue
+	for _, j := range m.scanJobs(impl) {
+		analyze := cpa.AnalyzeSPP
+		if j.spnp {
+			analyze = cpa.AnalyzeSPNP
 		}
-		res, err := cpa.AnalyzeSPP(j.tasks)
-		if err != nil {
-			return nil, nil, fmt.Errorf("oracle: analysis of %s failed: %w", pn, err)
-		}
-		timing = append(timing, TimingResult{Resource: pn, Results: res})
-	}
-	for i := range p.Networks {
-		j, ok := m.buildNetJob(impl, i)
-		if !ok {
-			continue
-		}
-		res, err := cpa.AnalyzeSPNP(j.tasks)
+		res, err := analyze(j.tasks)
 		if err != nil {
 			return nil, nil, fmt.Errorf("oracle: analysis of %s failed: %w", j.resource, err)
 		}
 		timing = append(timing, TimingResult{Resource: j.resource, Results: res})
 	}
 	return timing, m.planMonitors(impl), nil
+}
+
+// scanJobs derives the CPA job of every loaded resource by scanning the
+// implementation model's flat lists — the oracle's own job list, built
+// without any pass index, in the committed table's resource order.
+func (m *MCC) scanJobs(impl *model.ImplementationModel) []timingJob {
+	var jobs []timingJob
+	tasksOn := impl.TasksByProcessor()
+	for k, pn := range m.procs {
+		if j, ok := m.buildProcJob(k, tasksOn[pn]); ok {
+			jobs = append(jobs, j)
+		}
+	}
+	for i := range m.platform.Networks {
+		if j, ok := m.buildNetJob(i, impl.MessagesOn(m.platform.Networks[i].Name)); ok {
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
 }

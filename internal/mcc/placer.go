@@ -212,16 +212,15 @@ func (p *placer) flush(e uint64) {
 // safety certification, the 100% utilization cap, RAM budgets, and
 // replica separation. Each replica descends every eligible class tree,
 // skipping separated and overlay leaves, then checks the overlay
-// directly. It reports ok=false when a replica has no feasible processor,
-// returning the replicas placed so far (their index names the failing
-// one).
-func (p *placer) place(f *model.Function) ([]model.Instance, bool) {
+// directly. The instances are appended to out. It reports ok=false when
+// a replica has no feasible processor, having appended the replicas placed
+// so far (their count names the failing one).
+func (p *placer) place(f *model.Function, out []model.Instance) ([]model.Instance, bool) {
 	replicas := f.EffectiveReplicas()
 	util := utilPPM(f)
 	ram := f.Contract.Resources.RAMKiB
 	level := f.Contract.Safety
 	p.sep = p.sep[:0]
-	out := make([]model.Instance, 0, replicas)
 	for r := 0; r < replicas; r++ {
 		p.best = -1
 		for ci := range p.m.layout.classes {

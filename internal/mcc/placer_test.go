@@ -160,7 +160,7 @@ func checkCapCase(t *testing.T, rng *rand.Rand) {
 	for _, f := range fns {
 		ref := effectiveLoads(p)
 		want, wantOK := scanPlace(pl, ref, f)
-		got, gotOK := p.place(f)
+		got, gotOK := p.place(f, nil)
 		if gotOK != wantOK || !sameList(got, want) {
 			t.Fatalf("%+v on %+v: index placed %v (ok %v), scan %v (ok %v)", *f, pl.Processors, got, gotOK, want, wantOK)
 		}
@@ -236,7 +236,7 @@ func TestWarmPlacementVisitsLogP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := m.buildSnapshot(fa, &model.ImplementationModel{Tech: tech}, nil)
+		s := m.buildSnapshot(fa, &model.ImplementationModel{Tech: tech}, nil, &m.att.index)
 		worst := 0
 		for i := 0; i < len(fa.Functions); i += 7 {
 			f := &fa.Functions[i]
@@ -249,7 +249,7 @@ func TestWarmPlacementVisitsLogP(t *testing.T) {
 			}
 			upd := *f
 			upd.Contract.RealTime.WCETUS += 100
-			if _, ok := p.place(&upd); !ok {
+			if _, ok := p.place(&upd, nil); !ok {
 				t.Fatalf("%dp: update of %s found no processor", procs, f.Name)
 			}
 			worst = max(worst, p.visits)

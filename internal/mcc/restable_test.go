@@ -3,8 +3,10 @@ package mcc
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/cpa"
 	"repro/internal/model"
 )
 
@@ -35,7 +37,7 @@ func committedDigests(m *MCC) []resDigestKey {
 // from-scratch job scan of the deployed implementation model, in resource
 // order.
 func scanDigests(m *MCC) []resDigestKey {
-	full, _ := m.timingJobs(nil, m.DeployedImpl())
+	full := m.scanJobs(m.DeployedImpl())
 	var out []resDigestKey
 	for _, j := range full {
 		out = append(out, resDigestKey{j.resource, j.digest})
@@ -219,5 +221,51 @@ func TestTimingTableShapeChanges(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// The analyzer keys its memo by the digest a timing job carries instead
+// of hashing the task set again, so every job a pass builds — processor
+// or network, from scratch or incremental — must carry TaskSetDigest of
+// its own tasks.
+func TestTimingJobDigestsMatchTaskSets(t *testing.T) {
+	m, err := New(shapePlatform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod := fn("p", model.ASILD, 20000, 2000, 64)
+	prod.Provides = []string{"x"}
+	cons := fn("c", model.ASILD, 20000, 2000, 64)
+	cons.Requires = []string{"x"}
+	moved := cons
+	moved.Contract.Resources.RAMKiB = 8192 // only the anchor holds it: the flow now crosses the bus
+	steps := []struct {
+		label   string
+		propose func() *Report
+	}{
+		{"from-scratch deploy", func() *Report {
+			return m.ProposeArchitecture(&model.FunctionalArchitecture{
+				Functions: []model.Function{fn("a", model.ASILD, 10000, 5200, 65536), prod, cons},
+				Flows:     []model.Flow{{From: "p", To: "c", Service: "x", MsgBytes: 8, PeriodUS: 20000}},
+			})
+		}},
+		{"incremental message rebuild", func() *Report { return m.ProposeUpdate(moved) }},
+		{"incremental update", func() *Report { return m.ProposeUpdate(fn("q", model.QM, 50000, 1000, 64)) }},
+	}
+	for _, st := range steps {
+		if rep := st.propose(); !rep.Accepted {
+			t.Fatalf("%s rejected at %s: %v", st.label, rep.RejectedAt, rep.Findings)
+		}
+		if len(m.att.jobs) == 0 {
+			t.Fatalf("%s built no timing job", st.label)
+		}
+		for _, j := range slices.Concat(m.att.jobs, committedJobs(m)) {
+			if want := cpa.TaskSetDigest(j.tasks); j.digest != want {
+				t.Errorf("%s: job of %s carries digest %x, its tasks digest to %x", st.label, j.resource, j.digest, want)
+			}
+		}
+	}
+	if got := tableResources(m); !reflect.DeepEqual(got, []string{"anchor", "idle", "safe", "bus"}) {
+		t.Fatalf("table = %v, want a network job among the processors", got)
 	}
 }

@@ -118,6 +118,35 @@ func newPmap[V any](epoch uint64, hint int) pmap[V] {
 	return pmap[V]{spine: make([]*pbucket[V], nb), epoch: epoch}
 }
 
+// pmapOf builds a map owned by epoch from entries with distinct keys: the
+// bulk form of put for a from-scratch build, which sizes every bucket
+// exactly and carves all of them from one array (capacity-clipped, so a
+// later put copies before it grows one).
+func pmapOf[V any](epoch uint64, ents []pentry[V]) pmap[V] {
+	p := newPmap[V](epoch, len(ents))
+	slots := make([]int32, len(ents))
+	count := make([]int, len(p.spine))
+	for i := range ents {
+		slots[i] = int32(p.slot(ents[i].key))
+		count[slots[i]]++
+	}
+	buckets := make([]pbucket[V], len(p.spine))
+	all, off := make([]pentry[V], len(ents)), 0
+	for i, c := range count {
+		if c > 0 {
+			buckets[i] = pbucket[V]{epoch: epoch, ents: all[off : off : off+c]}
+			p.spine[i] = &buckets[i]
+			off += c
+		}
+	}
+	for i, en := range ents {
+		b := p.spine[slots[i]]
+		b.ents = append(b.ents, en)
+	}
+	p.n = len(ents)
+	return p
+}
+
 func (p *pmap[V]) slot(key string) int {
 	return int(maphash.String(pmapSeed, key) & uint64(len(p.spine)-1))
 }
@@ -200,11 +229,13 @@ func (p *pmap[V]) each(fn func(key string, v V)) {
 	}
 }
 
-// fnEntry is one committed function: a standalone copy of its contract,
-// its rank (its place in the committed architecture's function order), its
-// replica instances, replica-ascending, and its client session rows,
-// replica-major and in Requires order (its run of the flat connection
-// list, which orders clients by name).
+// fnEntry is one committed function: the function (a standalone copy on an
+// incremental commit, the committed architecture's own entry on a
+// from-scratch one; never written in place either way), its rank (its
+// place in the committed architecture's function order), its replica
+// instances, replica-ascending, and its client session rows, replica-major
+// and in Requires order (its run of the flat connection list, which orders
+// clients by name).
 type fnEntry struct {
 	fn    *model.Function
 	rank  uint64
@@ -266,49 +297,40 @@ type snapshot struct {
 }
 
 // buildSnapshot derives a whole snapshot, owned by the controller's
-// current epoch, from a committed configuration: the from-scratch commit
-// path, and the reference the snapshot-parity test hook compares against.
+// current epoch, from a committed configuration and its pass index ix:
+// the from-scratch commit path, and the reference the snapshot-parity
+// test hook compares against (with an index of its own derivation).
 // Without the incremental engine only impl and res are kept.
-func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.ImplementationModel, res *resTable) *snapshot {
+func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.ImplementationModel, res *resTable, ix *passIndex) *snapshot {
 	e := m.epoch
 	s := &snapshot{epoch: e, fa: fa, impl: impl, res: res}
 	if !m.incremental {
 		return s
 	}
 	s.warm = true
-	fnByName, instancesOf := synthLookups(impl.Tech)
-	rows := make(map[string][]model.Connection)
-	for _, c := range impl.Connections {
-		name := security.FunctionName(c.Client)
-		rows[name] = append(rows[name], c)
-	}
-	s.fns = newPmap[fnEntry](e, len(fa.Functions))
+	rows := clientRows(impl.Connections, len(fa.Functions))
+	ents := make([]pentry[fnEntry], len(fa.Functions))
 	for i := range fa.Functions {
-		cp := fa.Functions[i]
-		s.fns.put(e, cp.Name, fnEntry{&cp, uint64(i), instancesOf[cp.Name], rows[cp.Name]})
+		f := &fa.Functions[i]
+		ents[i] = pentry[fnEntry]{f.Name, fnEntry{f, uint64(i), ix.insts[f.Name], rows[f.Name]}}
 	}
-	s.nextSeq = uint64(len(fa.Functions))
+	s.fns, s.nextSeq = pmapOf(e, ents), uint64(len(ents))
+	// The index's resident lists are in Instance.Less order and its task
+	// lists in priority order: the orders the incremental synthesis keeps.
 	procs := make([]procState, len(m.platform.Processors))
 	nodes := m.layout.leaves(m.platform)
-	// impl.Tech.Instances is sorted by Instance.Less and impl.Tasks is
-	// assembled processor by processor in priority order, so the grouped
-	// lists keep the orders the incremental synthesis produces.
-	for _, in := range impl.Tech.Instances {
-		i, ok := m.procIdx[in.Processor]
-		if !ok {
-			continue
-		}
-		procs[i].insts = append(procs[i].insts, in)
-		if f := fnByName[in.Function]; f != nil {
-			leaf := &nodes[m.layout.pos(i)]
-			leaf.util += scaleUtilPPM(utilPPM(f), m.platform.Processors[i].SpeedFactor)
-			leaf.free -= f.Contract.Resources.RAMKiB
+	for i, insts := range ix.instsOn {
+		procs[i].insts = insts
+		leaf := &nodes[m.layout.pos(i)]
+		for _, in := range insts {
+			if f := ix.fns[in.Function]; f != nil {
+				leaf.util += scaleUtilPPM(utilPPM(f), m.platform.Processors[i].SpeedFactor)
+				leaf.free -= f.Contract.Resources.RAMKiB
+			}
 		}
 	}
-	for _, t := range impl.Tasks {
-		if i, ok := m.procIdx[t.Processor]; ok {
-			procs[i].tasks = append(procs[i].tasks, t)
-		}
+	for i, tasks := range ix.tasksOn {
+		procs[i].tasks = tasks
 	}
 	s.procs, s.capacity = chunksFrom(e, procs), m.layout.tree(e, nodes)
 	s.prov = nameLists(e, fa, func(f *model.Function) []string { return f.Provides })
@@ -318,21 +340,43 @@ func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.Implem
 	return s
 }
 
+// clientRows groups a flat connection list by client function. Synthesis
+// emits the rows client by client, so each client's rows are one run of
+// the list, kept as a window of it; a client whose rows come in several
+// runs gets them joined.
+func clientRows(conns []model.Connection, hint int) map[string][]model.Connection {
+	rows := make(map[string][]model.Connection, hint)
+	for len(conns) > 0 {
+		name := security.FunctionName(conns[0].Client)
+		n := 1
+		for n < len(conns) && security.FunctionName(conns[n].Client) == name {
+			n++
+		}
+		run := conns[:n:n]
+		if prev, ok := rows[name]; ok {
+			run = append(slices.Clip(prev), run...)
+		}
+		rows[name] = run
+		conns = conns[n:]
+	}
+	return rows
+}
+
 // nameLists maps each service that services(f) names for some function
 // f of fa to the ascending names of those functions.
 func nameLists(e uint64, fa *model.FunctionalArchitecture, services func(*model.Function) []string) pmap[[]string] {
-	by := make(map[string][]string)
+	by := make(map[string][]string, len(fa.Functions))
 	for i := range fa.Functions {
 		for _, svc := range services(&fa.Functions[i]) {
 			by[svc] = append(by[svc], fa.Functions[i].Name)
 		}
 	}
-	p := newPmap[[]string](e, len(by))
+	ents := make([]pentry[[]string], 0, len(by))
 	for svc, names := range by {
 		slices.Sort(names)
-		p.put(e, svc, slices.Compact(names))
+		ents = append(ents, pentry[[]string]{svc, slices.Compact(names)})
 	}
-	return p
+	return pmapOf(e, ents)
 }
 
 // fn returns the committed function of the given name, or nil.

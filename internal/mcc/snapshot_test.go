@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/cpa"
 	"repro/internal/model"
 )
 
@@ -112,14 +113,15 @@ func assertSnapshotFresh(t *testing.T, label string, m *MCC) {
 	}
 	impl := m.DeployedImpl()
 	if m.warm() {
-		got, want := snapshotView(m.snap), snapshotView(m.buildSnapshot(m.Deployed(), impl, m.snap.res))
+		got, want := snapshotView(m.snap), snapshotView(m.buildSnapshot(m.Deployed(), impl, m.snap.res, referenceIndex(m, m.Deployed(), impl.Tech.Instances, impl.Tasks)))
 		for key := range want {
 			if !reflect.DeepEqual(got[key], want[key]) {
 				t.Errorf("%s: snapshot field %q diverges from a rebuild:\ncommitted %+v\nrebuilt   %+v", label, key, got[key], want[key])
 			}
 		}
 	}
-	ref, err := m.synthesize(&model.TechnicalArchitecture{Platform: m.platform, Func: m.Deployed(), Instances: impl.Tech.Instances})
+	ref, err := m.synthesize(&model.TechnicalArchitecture{Platform: m.platform, Func: m.Deployed(), Instances: impl.Tech.Instances},
+		referenceIndex(m, m.Deployed(), impl.Tech.Instances, nil))
 	if err != nil {
 		t.Fatalf("%s: re-synthesis of the committed placement: %v", label, err)
 	}
@@ -128,6 +130,11 @@ func assertSnapshotFresh(t *testing.T, label string, m *MCC) {
 	}
 	if scan, committed := scanDigests(m), committedDigests(m); !reflect.DeepEqual(scan, committed) {
 		t.Errorf("%s: committed job digests diverge from a full rescan:\nscan      %v\ncommitted %v", label, scan, committed)
+	}
+	for _, j := range committedJobs(m) {
+		if want := cpa.TaskSetDigest(j.tasks); j.digest != want {
+			t.Errorf("%s: %s's committed job carries digest %x, its tasks digest to %x", label, j.resource, j.digest, want)
+		}
 	}
 	wantTiming, wantMonitors, err := FromScratchTables(m.platform, impl)
 	if err != nil {
@@ -139,6 +146,41 @@ func assertSnapshotFresh(t *testing.T, label string, m *MCC) {
 	if got := m.DeployedMonitors(); !reflect.DeepEqual(got, wantMonitors) {
 		t.Errorf("%s: committed monitor plan diverges from the oracle:\ngot  %+v\nwant %+v", label, got, wantMonitors)
 	}
+}
+
+// referenceIndex derives the pass index of a configuration — functions
+// fa placed as insts, with tasks as its flat task list (nil: left for a
+// synthesis to fill) — with the model's own grouping helpers. It shares
+// no code with newPassIndex, so the rebuilds that assertSnapshotFresh
+// compares against cannot inherit a bug of the engine's index.
+func referenceIndex(m *MCC, fa *model.FunctionalArchitecture, insts []model.Instance, tasks []model.Task) *passIndex {
+	tech := &model.TechnicalArchitecture{Platform: m.platform, Func: fa, Instances: insts}
+	impl := &model.ImplementationModel{Tech: tech, Tasks: tasks}
+	ix := &passIndex{
+		fns:     make(map[string]*model.Function),
+		insts:   make(map[string][]model.Instance),
+		instsOn: make([][]model.Instance, len(m.platform.Processors)),
+	}
+	for i := range fa.Functions {
+		ix.fns[fa.Functions[i].Name] = &fa.Functions[i]
+	}
+	for _, in := range insts {
+		ix.insts[in.Function] = append(ix.insts[in.Function], in)
+	}
+	for _, l := range ix.insts {
+		slices.SortFunc(l, func(a, b model.Instance) int { return cmp.Compare(a.Replica, b.Replica) })
+	}
+	instsOn, tasksOn := tech.InstancesByProcessor(), impl.TasksByProcessor()
+	if tasks != nil {
+		ix.tasksOn = make([][]model.Task, len(m.platform.Processors))
+	}
+	for i, p := range m.platform.Processors {
+		ix.instsOn[i] = instsOn[p.Name]
+		if tasks != nil {
+			ix.tasksOn[i] = tasksOn[p.Name]
+		}
+	}
+	return ix
 }
 
 // The epoch-owned copy-on-write of the persistent containers: writes

@@ -167,17 +167,34 @@ func (s *mappingStage) Run(ctx *pipeline.Context) error {
 }
 
 // sortByConstraint orders functions for placement: hardest constraints
-// first (safety desc, utilization desc, name).
+// first (safety desc, utilization desc, name). The keys are taken once
+// into one array, so a from-scratch sort of every function neither
+// recomputes utilizations nor chases function pointers per comparison.
 func sortByConstraint(fns []*model.Function) {
-	slices.SortFunc(fns, func(a, b *model.Function) int {
-		if a.Contract.Safety != b.Contract.Safety {
-			return cmp.Compare(b.Contract.Safety, a.Contract.Safety)
+	if len(fns) < 2 {
+		return
+	}
+	type keyed struct {
+		safety model.SafetyLevel
+		util   int64
+		f      *model.Function
+	}
+	keys := make([]keyed, len(fns))
+	for i, f := range fns {
+		keys[i] = keyed{f.Contract.Safety, utilPPM(f), f}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int {
+		if a.safety != b.safety {
+			return cmp.Compare(b.safety, a.safety)
 		}
-		if ua, ub := utilPPM(a), utilPPM(b); ua != ub {
-			return cmp.Compare(ub, ua)
+		if a.util != b.util {
+			return cmp.Compare(b.util, a.util)
 		}
-		return strings.Compare(a.Name, b.Name)
+		return strings.Compare(a.f.Name, b.f.Name)
 	})
+	for i := range keys {
+		fns[i] = keys[i].f
+	}
 }
 
 // mapWarmStart is the O(diff) warm start: instances of untouched
@@ -225,7 +242,7 @@ func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitec
 	over.todo = todo
 	sortByConstraint(todo)
 	for _, f := range todo {
-		ins, ok := p.place(f)
+		ins, ok := p.place(f, make([]model.Instance, 0, f.EffectiveReplicas()))
 		if !ok {
 			return nil, 0, 0, false // no room on residual capacity
 		}
@@ -244,32 +261,42 @@ func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitec
 // greedy best-fit ordered by (safety desc, utilization desc), honouring
 // safety certification, RAM budgets, and replica separation. The placer
 // starts from the zero-load index and flushes each function's charges
-// into its own copy of it.
+// into its own copy of it. The validation stage has checked fa and New
+// the platform, so only the placement's own rules are checked here; the
+// accepted placement becomes the pass index (m.att.index).
 func (m *MCC) mapToPlatform(fa *model.FunctionalArchitecture) (*model.TechnicalArchitecture, error) {
 	// Deterministic placement order: hardest constraints first.
 	order := make([]*model.Function, len(fa.Functions))
+	total := 0
 	for i := range fa.Functions {
 		order[i] = &fa.Functions[i]
+		total += fa.Functions[i].EffectiveReplicas()
 	}
 	sortByConstraint(order)
 
 	p, e := &placer{m: m, tree: m.layout.zero}, m.newEpoch()
-	var instances []model.Instance
+	instances := make([]model.Instance, 0, total)
 	for _, f := range order {
-		ins, ok := p.place(f)
-		if !ok {
+		placed := len(instances)
+		var ok bool
+		if instances, ok = p.place(f, instances); !ok {
 			return nil, fmt.Errorf("mcc: no feasible processor for %s#%d (safety %v, util %.1f%%, ram %d KiB)",
-				f.Name, len(ins), f.Contract.Safety, float64(utilPPM(f))/10000, f.Contract.Resources.RAMKiB)
+				f.Name, len(instances)-placed, f.Contract.Safety, float64(utilPPM(f))/10000, f.Contract.Resources.RAMKiB)
 		}
-		instances = append(instances, ins...)
 		p.flush(e)
 	}
-	sort.Slice(instances, func(i, j int) bool { return instances[i].Less(instances[j]) })
+	slices.SortFunc(instances, compareInstances)
 	tech := &model.TechnicalArchitecture{Platform: m.platform, Func: fa, Instances: instances}
-	if err := tech.Validate(); err != nil {
+	if err := tech.ValidatePlacement(); err != nil {
 		return nil, err
 	}
+	m.att.index = newPassIndex(fa, instances, m.procIdx)
 	return tech, nil
+}
+
+// compareInstances is Instance.Less as a comparison function.
+func compareInstances(a, b model.Instance) int {
+	return cmp.Or(strings.Compare(a.Function, b.Function), cmp.Compare(a.Replica, b.Replica))
 }
 
 // --- Stage 3: implementation synthesis ------------------------------------
@@ -284,7 +311,7 @@ func (s *synthStage) Run(ctx *pipeline.Context) error {
 	if ctx.Warm {
 		impl, err = s.m.synthesizeIncremental(ctx)
 	} else {
-		impl, err = s.m.synthesize(ctx.Tech)
+		impl, err = s.m.synthesize(ctx.Tech, &s.m.att.index)
 	}
 	if err != nil {
 		return pipeline.Rejectf("%s", err)
@@ -292,24 +319,6 @@ func (s *synthStage) Run(ctx *pipeline.Context) error {
 	ctx.Impl = impl
 	ctx.Report.Impl = impl
 	return nil
-}
-
-// synthLookups builds the function and instance lookup tables the
-// synthesis helpers share.
-func synthLookups(tech *model.TechnicalArchitecture) (map[string]*model.Function, map[string][]model.Instance) {
-	fnByName := make(map[string]*model.Function, len(tech.Func.Functions))
-	for i := range tech.Func.Functions {
-		f := &tech.Func.Functions[i]
-		fnByName[f.Name] = f
-	}
-	instancesOf := make(map[string][]model.Instance, len(tech.Func.Functions))
-	for _, in := range tech.Instances {
-		instancesOf[in.Function] = append(instancesOf[in.Function], in)
-	}
-	for _, ins := range instancesOf {
-		sort.Slice(ins, func(i, j int) bool { return ins[i].Replica < ins[j].Replica })
-	}
-	return fnByName, instancesOf
 }
 
 // synthOverlay is the diff-sized patch one incremental synthesis lays
@@ -377,10 +386,9 @@ func (o *synthOverlay) reset() *synthOverlay {
 
 // synthView resolves the function/instance lookups of one synthesis run:
 // an overlay first, then the snapshot. The from-scratch path overlays the
-// full tables freshly derived from the candidate on no snapshot; the
-// incremental path overlays the diff-touched entries on the committed
-// snapshot — O(diff) instead of rebuilding both tables from the technical
-// architecture.
+// pass index's tables on no snapshot; the incremental path overlays the
+// diff-touched entries on the committed snapshot — O(diff) instead of
+// rebuilding both tables from the technical architecture.
 type synthView struct {
 	snap *snapshot
 	over *synthOverlay
@@ -444,7 +452,7 @@ func (v *synthView) elected(svc string) string {
 // mapping). The warm start that precedes every warm synthesis has reset
 // the overlay and written the fresh placements into it, keyed by
 // function and replica-ascending — the exact per-function lists
-// synthLookups would produce — so no flat candidate instance list is
+// of a from-scratch pass index — so no flat candidate instance list is
 // needed. No lookup table is rebuilt and no candidate-sized scan runs —
 // cost is O(diff).
 func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
@@ -561,7 +569,7 @@ func (m *MCC) synthesizeMessages(flows []model.Flow, look *synthView) ([]model.M
 		}
 		fromInsts := look.instances(fl.From)
 		toInsts := look.instances(fl.To)
-		netSet := make(map[string]bool)
+		var nets []string
 		for _, fi := range fromInsts {
 			for _, ti := range toInsts {
 				if fi.Processor == ti.Processor {
@@ -572,17 +580,15 @@ func (m *MCC) synthesizeMessages(flows []model.Flow, look *synthView) ([]model.M
 					return nil, fmt.Errorf("mcc: no network connects %s and %s for flow %s->%s",
 						fi.Processor, ti.Processor, fl.From, fl.To)
 				}
-				netSet[n.Name] = true
+				if !slices.Contains(nets, n.Name) {
+					nets = append(nets, n.Name)
+				}
 			}
 		}
-		if len(netSet) == 0 {
+		if len(nets) == 0 {
 			continue
 		}
-		nets := make([]string, 0, len(netSet))
-		for nn := range netSet {
-			nets = append(nets, nn)
-		}
-		sort.Strings(nets)
+		slices.Sort(nets)
 		msgs = append(msgs, msgCand{fl, nets})
 	}
 	// Deadline(=period)-monotonic message priorities per network.
@@ -594,11 +600,11 @@ func (m *MCC) synthesizeMessages(flows []model.Flow, look *synthView) ([]model.M
 			strings.Compare(a.flow.To, b.flow.To))
 	})
 	var out []model.Message
-	prioByNet := make(map[string]int)
+	prioByNet := make(map[string]int, len(m.platform.Networks))
 	for _, mc := range msgs {
 		for _, nn := range mc.nets {
 			prioByNet[nn]++
-			name := fmt.Sprintf("%s:%s->%s", mc.flow.Service, mc.flow.From, mc.flow.To)
+			name := mc.flow.Service + ":" + mc.flow.From + "->" + mc.flow.To
 			if len(mc.nets) > 1 {
 				name += "@" + nn // disambiguate the per-network copies
 			}
@@ -737,18 +743,26 @@ func (m *MCC) rewireSessions(look *synthView, over *synthOverlay) (bool, error) 
 	return true, nil
 }
 
-// synthesize derives the full implementation model: per-processor tasks
-// with deadline-monotonic priorities (WCET scaled by processor speed),
+// synthesize derives the full implementation model of tech, whose pass
+// index is ix: per-processor tasks with deadline-monotonic priorities
+// (WCET scaled by processor speed), kept in ix.tasksOn as well,
 // inter-processor messages from flows, and sessions from service
-// requirements.
-func (m *MCC) synthesize(tech *model.TechnicalArchitecture) (*model.ImplementationModel, error) {
+// requirements. tech's parts are validated already, so only the derived
+// parts are checked.
+func (m *MCC) synthesize(tech *model.TechnicalArchitecture, ix *passIndex) (*model.ImplementationModel, error) {
 	impl := &model.ImplementationModel{Tech: tech}
-	fnByName, instancesOf := synthLookups(tech)
-	look := &synthView{over: &synthOverlay{fns: fnByName, insts: instancesOf}}
+	look := &synthView{over: &synthOverlay{fns: ix.fns, insts: ix.insts}}
 
-	instOn := tech.InstancesByProcessor()
+	ix.tasksOn = make([][]model.Task, len(ix.instsOn))
+	total := 0
 	for _, pn := range m.procs {
-		impl.Tasks = append(impl.Tasks, m.synthesizeTasksOn(look, pn, instOn[pn], nil)...)
+		i := m.procIdx[pn]
+		ix.tasksOn[i] = m.synthesizeTasksOn(look, pn, ix.instsOn[i], nil)
+		total += len(ix.tasksOn[i])
+	}
+	impl.Tasks = slices.Grow(impl.Tasks, total)
+	for _, pn := range m.procs {
+		impl.Tasks = append(impl.Tasks, ix.tasksOn[m.procIdx[pn]]...)
 	}
 	msgs, err := m.synthesizeMessages(tech.Func.Flows, look)
 	if err != nil {
@@ -761,7 +775,7 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture) (*model.Implementati
 	}
 	impl.Connections = conns
 
-	if err := impl.Validate(); err != nil {
+	if err := impl.ValidateDerived(); err != nil {
 		return nil, err
 	}
 	return impl, nil
@@ -909,9 +923,7 @@ func (m *MCC) residentInstances(pn string, over *synthOverlay) []model.Instance 
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b model.Instance) int {
-		return cmp.Or(strings.Compare(a.Function, b.Function), cmp.Compare(a.Replica, b.Replica))
-	})
+	slices.SortFunc(out, compareInstances)
 	return out
 }
 
@@ -1129,12 +1141,13 @@ type timingStage struct{ m *MCC }
 func (s *timingStage) Name() Stage { return StageTiming }
 
 func (s *timingStage) Run(ctx *pipeline.Context) error {
-	out := s.m.analyzeTiming(ctx, ctx.Impl)
+	jobs, scanned := s.m.timingJobs(ctx, ctx.Impl)
+	out := s.m.analyzeTiming(ctx, jobs)
 	ctx.Report.TimingDelta = out.delta
-	ctx.Report.TimingScans += out.scanned
+	ctx.Report.TimingScans += scanned
 	ctx.Report.TimingDirty += out.dirty
 	ctx.Report.TimingResources += out.total
-	ctx.Note("%d/%d resources dirty, %d scanned", out.dirty, out.total, out.scanned)
+	ctx.Note("%d/%d resources dirty, %d scanned", out.dirty, out.total, scanned)
 	if out.transient {
 		ctx.Report.TransientFault = true
 	}
@@ -1173,14 +1186,12 @@ func (cr *committedRes) loaded() bool { return cr.job.resource != "" }
 
 // timingOutcome aggregates the timing stage's results: the WCRT tables
 // of exactly the resources this attempt re-analyzed (freshly allocated,
-// report-owned — the delta contract), the acceptance findings (deadline misses and analysis errors), and the
-// scanned/dirty/total telemetry counts (how many resources had their
-// task sets rebuilt by scanning the implementation model, and how many
-// were re-analyzed).
+// report-owned — the delta contract), the acceptance findings (deadline
+// misses and analysis errors), and the dirty/total telemetry counts (how
+// many resources were re-analyzed, of how many the attempt covers).
 type timingOutcome struct {
 	delta    []TimingResult
 	findings []string
-	scanned  int
 	dirty    int
 	total    int
 	// transient marks that at least one finding stems from a transient
@@ -1228,12 +1239,11 @@ func (m *MCC) buildProcJob(k int, tasks []model.Task) (timingJob, bool) {
 	return timingJob{resource: m.procs[k], slot: int32(k), tasks: ct, digest: cpa.TaskSetDigest(ct)}, true
 }
 
-// buildNetJob derives the CPA message set of platform network i by
-// scanning the implementation model. ok is false when the network carries
-// no load.
-func (m *MCC) buildNetJob(impl *model.ImplementationModel, i int) (timingJob, bool) {
+// buildNetJob derives the CPA message set of platform network i from its
+// messages in priority order. ok is false when the network carries no
+// load.
+func (m *MCC) buildNetJob(i int, msgs []model.Message) (timingJob, bool) {
 	n := &m.platform.Networks[i]
-	msgs := impl.MessagesOn(n.Name)
 	if len(msgs) == 0 {
 		return timingJob{}, false
 	}
@@ -1261,6 +1271,10 @@ func (m *MCC) buildNetJob(impl *model.ImplementationModel, i int) (timingJob, bo
 // networks (platform order). Resources without load are skipped; every
 // job carries its committed-table slot.
 //
+// A from-scratch pass builds every loaded resource: processors from the
+// task lists its synthesis kept in the pass index, networks from one
+// grouping of the message list.
+//
 // Under partial synthesis the list is footprint-sized: only the resources
 // the diff affected are built — processors from the task lists the
 // synthesis overlay rebuilt, and every network after a message rebuild
@@ -1268,20 +1282,19 @@ func (m *MCC) buildNetJob(impl *model.ImplementationModel, i int) (timingJob, bo
 // clean) — and every untouched resource stays implicit in the committed
 // table, whose slots the partial synthesis left byte-identical.
 // An affected resource that lost its last load records its slot in
-// scratch.clears. A from-scratch pass (or ctx == nil) builds every loaded
-// resource.
+// scratch.clears.
 func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel) (jobs []timingJob, scanned int) {
 	sc := &m.scratch
 	jobs, sc.clears = sc.jobs[:0], sc.clears[:0]
-	if ctx == nil || !ctx.Warm {
-		tasksOn := impl.TasksByProcessor()
+	if !ctx.Warm {
+		tasksOn := m.att.index.tasksOn
 		for k, pn := range m.procs {
-			if j, ok := m.buildProcJob(k, tasksOn[pn]); ok {
+			if j, ok := m.buildProcJob(k, tasksOn[m.procIdx[pn]]); ok {
 				jobs = append(jobs, j)
 			}
 		}
-		for i := range m.platform.Networks {
-			if j, ok := m.buildNetJob(impl, i); ok {
+		for i, msgs := range m.messagesOn(impl.Messages) {
+			if j, ok := m.buildNetJob(i, msgs); ok {
 				jobs = append(jobs, j)
 			}
 		}
@@ -1306,13 +1319,36 @@ func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel)
 		add(j, ok, k)
 	}
 	if ctx.MessagesRebuilt {
-		for i := range m.platform.Networks {
-			j, ok := m.buildNetJob(impl, i)
+		for i, msgs := range m.messagesOn(impl.Messages) {
+			j, ok := m.buildNetJob(i, msgs)
 			add(j, ok, len(m.procs)+i)
 		}
 	}
 	sc.jobs = jobs
 	return jobs, scanned
+}
+
+// messagesOn groups msgs by platform network position, each group in
+// ImplementationModel.MessagesOn's order (priority, then name): one pass
+// over the list instead of one per network.
+func (m *MCC) messagesOn(msgs []model.Message) [][]model.Message {
+	nets := m.platform.Networks
+	pos := make(map[string]int, len(nets))
+	for i := range nets {
+		pos[nets[i].Name] = i
+	}
+	out := make([][]model.Message, len(nets))
+	for _, msg := range msgs {
+		if i, ok := pos[msg.Network]; ok {
+			out[i] = append(out[i], msg)
+		}
+	}
+	for _, l := range out {
+		slices.SortFunc(l, func(a, b model.Message) int {
+			return cmp.Or(cmp.Compare(a.Priority, b.Priority), strings.Compare(a.Name, b.Name))
+		})
+	}
+	return out
 }
 
 // deferredChecks carries one optimistically committed proposal's deferred
@@ -1343,12 +1379,11 @@ type deferredChecks struct {
 // are recorded on the attempt's deferred-check record for the stream
 // scheduler to batch onto the worker pool and re-validate, and no
 // findings are raised.
-func (m *MCC) analyzeTiming(ctx *pipeline.Context, impl *model.ImplementationModel) timingOutcome {
-	jobs, scanned := m.timingJobs(ctx, impl)
+func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutcome {
 	m.att.jobs = jobs
 
 	sc, t := &m.scratch, m.snap.res
-	out := timingOutcome{scanned: scanned, total: len(jobs)}
+	out := timingOutcome{total: len(jobs)}
 	if ctx != nil && ctx.Warm {
 		// The footprint-sized job list leaves every untouched committed
 		// resource implicit; the attempt still covers all of them.
@@ -1553,9 +1588,9 @@ func (m *MCC) analyzeJob(done <-chan struct{}, j timingJob) ([]cpa.Result, error
 	useMemo := m.incremental && !pinned
 	switch {
 	case useMemo && j.spnp:
-		return m.analyzer.AnalyzeSPNP(j.tasks)
+		return m.analyzer.AnalyzeSPNPDigest(j.tasks, j.digest)
 	case useMemo:
-		return m.analyzer.AnalyzeSPP(j.tasks)
+		return m.analyzer.AnalyzeSPPDigest(j.tasks, j.digest)
 	case j.spnp:
 		return cpa.AnalyzeSPNP(j.tasks)
 	default:
@@ -1629,7 +1664,7 @@ func (s *monitorStage) Run(ctx *pipeline.Context) error {
 // scratch. It is the reference the incremental splice is held to
 // (TestMonitorSplice* assert parity).
 func (m *MCC) planMonitors(impl *model.ImplementationModel) []MonitorSpec {
-	var out []MonitorSpec
+	out := slices.Grow([]MonitorSpec(nil), len(impl.Tasks)+len(impl.Messages))
 	for _, t := range impl.Tasks {
 		out = append(out, MonitorSpec{
 			Kind: MonitorBudget, Target: t.Name,
@@ -1775,7 +1810,7 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	// The from-scratch job list holds every loaded resource: each job
 	// fills its slot, every other slot stays empty.
 	res := resTableFrom(len(m.procs)+len(m.platform.Networks), m.committedFills())
-	m.snap = m.buildSnapshot(m.candidate(ctx), ctx.Impl, res)
+	m.snap = m.buildSnapshot(m.candidate(ctx), ctx.Impl, res, &m.att.index)
 }
 
 // commitIncremental writes the footprint-sized artifacts of a

@@ -1,9 +1,11 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Instance is one deployed replica of a function.
@@ -85,11 +87,12 @@ func (t *TechnicalArchitecture) InstancesOf(fn string) []Instance {
 	return out
 }
 
-// Validate checks that every instance references existing entities and that
-// replica counts match the functional architecture.
+// Validate checks the whole technical architecture: its parts (the
+// platform and the functional architecture), then the placement itself
+// (ValidatePlacement).
 func (t *TechnicalArchitecture) Validate() error {
-	if t.Platform == nil || t.Func == nil {
-		return fmt.Errorf("model: technical architecture missing platform or functional model")
+	if err := t.checkParts(); err != nil {
+		return err
 	}
 	if err := t.Platform.Validate(); err != nil {
 		return err
@@ -97,23 +100,43 @@ func (t *TechnicalArchitecture) Validate() error {
 	if err := t.Func.Validate(); err != nil {
 		return err
 	}
-	fnNames := make(map[string]bool, len(t.Func.Functions))
+	return t.ValidatePlacement()
+}
+
+func (t *TechnicalArchitecture) checkParts() error {
+	if t.Platform == nil || t.Func == nil {
+		return fmt.Errorf("model: technical architecture missing platform or functional model")
+	}
+	return nil
+}
+
+// ValidatePlacement checks the placement's own rules, taking its parts as
+// validated: every instance realizes a known function on a known
+// processor, and every function is deployed exactly its effective replica
+// count. A caller that has validated the platform and the functional
+// architecture already runs it alone instead of Validate.
+func (t *TechnicalArchitecture) ValidatePlacement() error {
+	if err := t.checkParts(); err != nil {
+		return err
+	}
+	// count holds every function name, so it also answers "known function".
+	count := make(map[string]int, len(t.Func.Functions))
 	for i := range t.Func.Functions {
-		fnNames[t.Func.Functions[i].Name] = true
+		count[t.Func.Functions[i].Name] = 0
 	}
 	procNames := make(map[string]bool, len(t.Platform.Processors))
 	for i := range t.Platform.Processors {
 		procNames[t.Platform.Processors[i].Name] = true
 	}
-	count := make(map[string]int)
 	for _, in := range t.Instances {
-		if !fnNames[in.Function] {
+		n, known := count[in.Function]
+		if !known {
 			return fmt.Errorf("model: instance of unknown function %q", in.Function)
 		}
 		if !procNames[in.Processor] {
 			return fmt.Errorf("model: instance %s mapped to unknown processor %q", in.ID(), in.Processor)
 		}
-		count[in.Function]++
+		count[in.Function] = n + 1
 	}
 	for i := range t.Func.Functions {
 		f := &t.Func.Functions[i]
@@ -249,19 +272,45 @@ func (m *ImplementationModel) MessagesOn(net string) []Message {
 	return out
 }
 
-// Validate checks structural consistency of the implementation model.
+// Validate checks the whole implementation model: its technical
+// architecture (TechnicalArchitecture.Validate), then the derived parts
+// (ValidateDerived).
 func (m *ImplementationModel) Validate() error {
 	if m.Tech == nil {
-		return fmt.Errorf("model: implementation model without technical architecture")
+		return errNoTech
 	}
 	if err := m.Tech.Validate(); err != nil {
 		return err
 	}
-	procs := make(map[string]bool, len(m.Tech.Platform.Processors))
-	for i := range m.Tech.Platform.Processors {
-		procs[m.Tech.Platform.Processors[i].Name] = true
+	return m.ValidateDerived()
+}
+
+var errNoTech = errors.New("model: implementation model without technical architecture")
+
+// ValidateDerived checks the implementation model's own rules, taking its
+// technical architecture as validated: every task runs on a known
+// processor, is well-formed (Task.Validate) and holds a priority unique on
+// its processor; every message runs on a known network with a valid size
+// and period; every connection joins two deployed instances. A caller that
+// has validated the technical architecture already runs it alone instead
+// of Validate.
+func (m *ImplementationModel) ValidateDerived() error {
+	if m.Tech == nil {
+		return errNoTech
 	}
-	prioSeen := make(map[string]map[int]string) // processor -> priority -> task
+	if err := m.Tech.checkParts(); err != nil {
+		return err
+	}
+	plat := m.Tech.Platform
+	procs := make(map[string]bool, len(plat.Processors))
+	for i := range plat.Processors {
+		procs[plat.Processors[i].Name] = true
+	}
+	type slot struct {
+		proc string
+		prio int
+	}
+	prioSeen := make(map[slot]string, len(m.Tasks)) // (processor, priority) -> task
 	for _, t := range m.Tasks {
 		if !procs[t.Processor] {
 			return fmt.Errorf("model: task %q on unknown processor %q", t.Name, t.Processor)
@@ -269,34 +318,61 @@ func (m *ImplementationModel) Validate() error {
 		if err := t.Validate(); err != nil {
 			return err
 		}
-		byPrio := prioSeen[t.Processor]
-		if byPrio == nil {
-			byPrio = make(map[int]string)
-			prioSeen[t.Processor] = byPrio
-		}
-		if other, dup := byPrio[t.Priority]; dup {
+		if other, dup := prioSeen[slot{t.Processor, t.Priority}]; dup {
 			return fmt.Errorf("model: tasks %q and %q share priority %d on %q", other, t.Name, t.Priority, t.Processor)
 		}
-		byPrio[t.Priority] = t.Name
+		prioSeen[slot{t.Processor, t.Priority}] = t.Name
+	}
+	nets := make(map[string]bool, len(plat.Networks))
+	for i := range plat.Networks {
+		nets[plat.Networks[i].Name] = true
 	}
 	for _, msg := range m.Messages {
-		if m.Tech.Platform.NetworkByName(msg.Network) == nil {
+		if !nets[msg.Network] {
 			return fmt.Errorf("model: message %q on unknown network %q", msg.Name, msg.Network)
 		}
 		if msg.Bytes < 0 || msg.PeriodUS <= 0 {
 			return fmt.Errorf("model: message %q has invalid size/period", msg.Name)
 		}
 	}
-	ids := make(map[string]bool)
+	ids := make(map[instanceKey]bool, len(m.Tech.Instances))
 	for _, in := range m.Tech.Instances {
-		ids[in.ID()] = true
+		ids[instanceKey{in.Function, in.Replica}] = true
 	}
 	for _, c := range m.Connections {
-		if !ids[c.Client] || !ids[c.Server] {
+		client, okC := parseInstanceID(c.Client)
+		server, okS := parseInstanceID(c.Server)
+		if !okC || !okS || !ids[client] || !ids[server] {
 			return fmt.Errorf("model: connection %s -> %s references unknown instance", c.Client, c.Server)
 		}
 	}
 	return nil
+}
+
+// instanceKey is an instance's identity: the (function, replica) pair its
+// ID spells.
+type instanceKey struct {
+	function string
+	replica  int
+}
+
+// parseInstanceID inverts Instance.ID without allocating: ok is false when
+// id is no instance's ID. The decimal replica never contains '#', so the
+// last '#' separates the two parts; the replica must be spelled as ID
+// spells it (no sign, no leading zero), so two IDs name the same key
+// exactly when they are equal strings.
+func parseInstanceID(id string) (instanceKey, bool) {
+	i := strings.LastIndexByte(id, '#')
+	if i < 0 {
+		return instanceKey{}, false
+	}
+	digits := id[i+1:]
+	r, err := strconv.Atoi(digits)
+	var buf [20]byte
+	if err != nil || string(strconv.AppendInt(buf[:0], int64(r), 10)) != digits {
+		return instanceKey{}, false
+	}
+	return instanceKey{id[:i], r}, true
 }
 
 // SystemModel bundles the deployed configuration for (de)serialization;

@@ -98,7 +98,7 @@ const MinSpeedFactor = 1e-6
 
 // Validate checks structural consistency of the platform model.
 func (p *Platform) Validate() error {
-	seen := make(map[string]bool)
+	seen := make(map[string]bool, len(p.Processors))
 	for i := range p.Processors {
 		pr := &p.Processors[i]
 		if pr.Name == "" {
@@ -126,7 +126,7 @@ func (p *Platform) Validate() error {
 			return fmt.Errorf("model: processor %q has unknown policy %q", pr.Name, pr.Policy)
 		}
 	}
-	netSeen := make(map[string]bool)
+	netSeen := make(map[string]bool, len(p.Networks))
 	for i := range p.Networks {
 		n := &p.Networks[i]
 		if n.Name == "" {

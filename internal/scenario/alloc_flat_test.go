@@ -205,3 +205,42 @@ func TestProposalAllocsFlatAcrossPlatformSize(t *testing.T) {
 		}
 	}
 }
+
+// The from-scratch deploy — the baseline deploy, every fleet registration
+// and crash rebuild, the degradation ladder's pinned pass and every cold
+// retry — validates each artifact once and builds its lookup index once.
+// One 2048-processor baseline deploy carries an absolute budget: what it
+// allocated when the budget was set, plus 10%. A second validation pass
+// or a regrouping of the flat lists costs thousands of allocations and
+// megabytes, far beyond the margin.
+func TestColdDeployAllocsBudget(t *testing.T) {
+	budget := allocBudget{39_460 * 1.1, 13_213_000 * 1.1}
+	if raceBuild {
+		budget = allocBudget{41_870 * 1.1, 14_025_000 * 1.1}
+	}
+	// One worker: the timing stage analyzes inline, so goroutine starts
+	// do not count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fleet := GenFleet(DefaultFleetSpec(2048))
+	deploy := func() (allocs, bytes float64) {
+		m, err := mcc.New(fleet.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep := m.ProposeArchitecture(fleet.Baseline)
+		runtime.ReadMemStats(&after)
+		if !rep.Accepted {
+			t.Fatalf("baseline rejected at %s: %v", rep.RejectedAt, rep.Findings)
+		}
+		return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	deploy() // warm lazily initialized runtime and package state
+	allocs, bytes := deploy()
+	t.Logf("2048p baseline deploy: %.0f allocs, %.0f bytes", allocs, bytes)
+	if allocs > budget.allocs || bytes > budget.bytes {
+		t.Errorf("2048p baseline deploy: %.0f allocs and %.0f bytes, over the budget of %.0f allocs and %.0f bytes",
+			allocs, bytes, budget.allocs, budget.bytes)
+	}
+}
