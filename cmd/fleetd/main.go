@@ -266,6 +266,6 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	httpSrv.Shutdown(ctx) //nolint:errcheck // drain already flushed all work
-	log.Printf("fleetd: drained: flushed=%d shed=%d parked=%d cache_saved=%v",
-		rep.Flushed, rep.Shed, rep.Parked, rep.CacheSaved)
+	log.Printf("fleetd: drained: flushed=%d shed=%d parked=%d cache_saved=%v journal_err=%v",
+		rep.Flushed, rep.Shed, rep.Parked, rep.CacheSaved, rep.JournalErr)
 }

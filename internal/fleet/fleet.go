@@ -168,6 +168,11 @@ type DrainReport struct {
 	Parked int
 	// CacheSaved reports whether the analyzer cache was persisted.
 	CacheSaved bool
+	// JournalErr is the commit journal's sync-and-close error: nil when
+	// the journal reached stable storage and closed, or none is
+	// configured. Drain is the journal's only fsync, so a non-nil error
+	// means acknowledged acceptances may not survive an OS crash.
+	JournalErr error
 }
 
 // Server hosts the fleet. Create with New, register vehicles with
@@ -425,7 +430,7 @@ func (s *Server) Drain() DrainReport {
 			}
 		}
 		if s.journal != nil {
-			s.journal.close() //nolint:errcheck // drain is best-effort teardown
+			rep.JournalErr = s.journal.close()
 		}
 		s.drainRep = rep
 	})

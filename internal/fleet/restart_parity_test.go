@@ -239,3 +239,24 @@ func TestFleetFailedJournalAppendIsNotAccepted(t *testing.T) {
 		t.Fatal("next change committed tables that differ from the restarted server's")
 	}
 }
+
+// Drain is the journal's only fsync: a journal that fails to sync and
+// close under a live server must surface in the drain report, never read
+// as a clean drain, and a healthy journal must drain without an error.
+func TestFleetDrainReportsJournalSyncError(t *testing.T) {
+	for _, broken := range []bool{false, true} {
+		cfg := Config{JournalPath: filepath.Join(t.TempDir(), "fleet.journal")}
+		s := newTestServer(t, cfg, "v0")
+		if d := s.Propose(context.Background(), "v0", fleetChanges("v0", 1)[0]); d.Verdict != Accepted {
+			t.Fatalf("change verdict %s, want accepted", d.Verdict)
+		}
+		if broken {
+			if err := s.journal.f.Close(); err != nil { // the journal file fails under the live server
+				t.Fatal(err)
+			}
+		}
+		if rep := s.Drain(); (rep.JournalErr != nil) != broken {
+			t.Fatalf("broken journal %v: drain reported journal error %v", broken, rep.JournalErr)
+		}
+	}
+}

@@ -24,9 +24,10 @@
 // functions and their flow neighborhoods, mapping warm-starts from the
 // deployed placement, synthesis rebuilds only affected processors and
 // services, and the timing test memoizes per-resource busy-window
-// analyses — while WithoutIncremental restores the from-scratch seed
-// behavior: the measurable baseline and the parity oracle every
-// incremental stage is tested against.
+// analyses — while WithoutIncremental runs the other stages from scratch:
+// the measurable baseline and the parity oracle every incremental stage is
+// tested against. Both place by one policy (see mappingStage), so the
+// oracle's decisions and placements equal the engine's by construction.
 package mcc
 
 import (
@@ -231,10 +232,10 @@ func WithProposalDeadline(d time.Duration) Option {
 	}
 }
 
-// WithoutIncremental disables every incremental stage: validation,
-// mapping, synthesis, and timing all run from scratch on every proposal.
-// This is the seed behavior, kept as the measurable baseline for
-// BenchmarkMCCThroughput and as the from-scratch parity oracle.
+// WithoutIncremental runs every stage from scratch on every proposal;
+// mapping keeps the engine's policy, its kept load re-accounted from the
+// committed instance list instead of read from the snapshot. This is the
+// measurable baseline for BenchmarkMCCThroughput and the parity oracle.
 func WithoutIncremental() Option {
 	return func(m *MCC) { m.incremental = false }
 }
@@ -390,6 +391,10 @@ type attempt struct {
 	results []TimingResult
 	// deferred is the deferred-check record of a pass under deferChecks.
 	deferred *deferredChecks
+	// kept reports that the mapping kept committed instances in place (a
+	// placement-dependent rejection is then retried, see decide); full
+	// marks that retry, whose mapping best-fits from nothing.
+	kept, full bool
 }
 
 // warm reports whether the snapshot carries the incremental engine's
@@ -506,17 +511,10 @@ func (m *MCC) ReintegrateWithObservations() *Report {
 // path, cand nil). With incremental integration enabled, the pre-timing
 // stages work from the diff against the deployed configuration: the
 // change's DiffFromChange, so the warm pass never scans the architecture,
-// or the ComputeDiff oracle for a whole candidate. A warm-started attempt
-// that any acceptance stage rejects is re-decided from scratch on the
-// whole candidate (the cold re-decision and the pinned path ignore the
-// diff by design), so the warm-start heuristic can
-// never cause a spurious rejection; an accepted warm-start placement is
-// committed as-is — it passed every acceptance test, which is what the
-// paper's integration process certifies, but it may be a different
-// (equally valid) placement than the full best-fit would have produced,
-// so on marginal workloads the two engines can in principle accept
-// different configurations. TestRunMCCThroughput asserts decision
-// equality over the E12 stream.
+// or the ComputeDiff oracle for a whole candidate. Every pass, the
+// from-scratch oracle's included, places by one policy and one retry rule
+// (see mappingStage and decide), so both engines reach the same placement
+// and the same decision by construction.
 //
 // The pass is hardened by the degradation ladder:
 //
@@ -560,40 +558,44 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 		return rep
 	}
 
-	ctx := m.newContext(pctx, cand, c, rep, m.incremental)
-	m.pipe.Run(ctx)
-
-	if !rep.Accepted && pctx.Err() == nil && !rep.TransientFault &&
-		ctx.Warm && placementDependent(rep.RejectedAt) {
-		// The rejected placement came from the warm-start heuristic; a
-		// full best-fit might still find a feasible configuration.
-		// Re-decide cold, keeping both passes' telemetry.
-		cand = m.candidate(ctx)
-		coldRep := &Report{Stages: rep.Stages, Passes: rep.Passes}
-		coldCtx := m.newContext(pctx, cand, nil, coldRep, false)
-		m.pipe.Run(coldCtx)
-		*rep = *coldRep
-	}
+	ctx := m.decide(pctx, cand, c, rep, m.incremental)
 
 	if !rep.Accepted && pctx.Err() == nil && rep.TransientFault {
-		// Degradation ladder: whether the fault hit the warm pass or the
-		// cold retry, quarantine the suspect incremental state and
-		// re-decide from scratch with injection suppressed. A cold retry
-		// has already materialized the whole candidate; otherwise the
-		// attempt is still the warm pass's.
-		if cand == nil {
-			cand = m.candidate(ctx)
-		}
+		// Degradation ladder: whether the fault hit the first pass or the
+		// retry, quarantine the suspect incremental state and re-decide
+		// the whole candidate from scratch with injection suppressed.
 		m.quarantined = true
-		degRep := &Report{
-			Stages: rep.Stages, Passes: rep.Passes, TransientFault: true,
-			Degraded: true, DegradedReasons: []string{"transient-fault"},
-		}
-		m.runPinned(pctx, cand, degRep)
-		*rep = *degRep
+		*rep = Report{Stages: rep.Stages, Passes: rep.Passes, Degraded: true, DegradedReasons: []string{"transient-fault"}}
+		m.runPinned(pctx, m.candidate(ctx), rep)
+		rep.TransientFault = true
 	}
 	m.markDeadline(pctx, rep)
 	return rep
+}
+
+// decide runs one pass on the candidate (cand, or change c against the
+// snapshot) under the retry rule of every pass: a pass that kept committed
+// instances in place and was rejected — not by a transient fault or the
+// deadline — at a stage whose verdict can depend on the placement is
+// re-decided on the whole candidate by a full best-fit, keeping both
+// passes' telemetry. Validation and the security check decide on
+// contracts and identities alone; every other stage, custom ones
+// included, may depend on it. It returns the last pass's context.
+func (m *MCC) decide(pctx context.Context, cand *model.FunctionalArchitecture, c *Change, rep *Report, incremental bool) *pipeline.Context {
+	pre := *rep
+	ctx := m.newContext(pctx, cand, c, rep, incremental)
+	m.pipe.Run(ctx)
+	if rep.Accepted || !m.att.kept || pctx.Err() != nil || rep.TransientFault ||
+		rep.RejectedAt == StageValidate || rep.RejectedAt == StageSecurity {
+		return ctx
+	}
+	cand = m.candidate(ctx)
+	pre.Stages, pre.Passes = rep.Stages, rep.Passes
+	*rep = pre
+	ctx = m.newContext(pctx, cand, nil, rep, false)
+	m.att.full = true
+	m.pipe.Run(ctx)
+	return ctx
 }
 
 // expiredReport resolves one change whose surrounding context is already
@@ -627,27 +629,17 @@ func (m *MCC) markDeadline(pctx context.Context, rep *Report) {
 // runPinned decides cand on the pinned from-scratch path: every stage
 // from scratch, deferred checks off, fault injection suppressed, and the
 // memoized analyzer bypassed — the decision cannot depend on any
-// (possibly corrupt) incremental state and equals the clean oracle's.
-// An accepted pinned pass commits from-scratch (commitFull), rebuilding
-// the snapshot and lifting the quarantine.
+// (possibly corrupt) incremental state. Placing by the policy and retry
+// rule of every pass, it decides and places as the clean engine would. An
+// accepted pinned pass commits from-scratch (commitFull), rebuilding the
+// snapshot and lifting the quarantine.
 func (m *MCC) runPinned(pctx context.Context, cand *model.FunctionalArchitecture, rep *Report) {
 	savedDefer := m.deferChecks
 	m.deferChecks = false
 	m.pinned = true
-	ctx := m.newContext(pctx, cand, nil, rep, false)
-	m.pipe.Run(ctx)
+	m.decide(pctx, cand, nil, rep, false)
 	m.pinned = false
 	m.deferChecks = savedDefer
-}
-
-// placementDependent reports whether a stage's verdict can depend on the
-// instance placement, and hence on the warm-start heuristic. Validation
-// and the security domain check decide on contracts and function/replica
-// identities alone, so their rejections stand without a cold re-decision;
-// everything else — including custom stages, whose inputs are unknown —
-// is conservatively re-decided.
-func placementDependent(s Stage) bool {
-	return s != StageValidate && s != StageSecurity
 }
 
 // newContext assembles the pipeline context for one integration attempt

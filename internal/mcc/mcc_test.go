@@ -464,11 +464,10 @@ func TestNewRejectsInvalidPlatform(t *testing.T) {
 // TestIncrementalMatchesSerialBaseline drives the same proposal stream
 // through the full-incremental engine and the seed-equivalent serial
 // baseline; every decision must be identical — the optimizations may only
-// change how fast the answer arrives, never the answer. The
-// full-incremental engine may warm-start to a different (equally valid)
-// placement, so its memoized WCRT tables are held to a from-scratch
-// analysis of its own placement: every accepted report's whole-table view
-// must equal FromScratchTables over the implementation it committed.
+// change how fast the answer arrives, never the answer. Its memoized WCRT
+// tables are held to a from-scratch analysis: every accepted report's
+// whole-table view must equal FromScratchTables over the implementation it
+// committed.
 func TestIncrementalMatchesSerialBaseline(t *testing.T) {
 	stream := []model.Function{
 		fn("brake", model.ASILD, 5000, 500, 128),

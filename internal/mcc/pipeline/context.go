@@ -33,11 +33,10 @@ type Context struct {
 	Tech *model.TechnicalArchitecture
 	// Impl is the synthesis stage's artifact: tasks, messages, sessions.
 	Impl *model.ImplementationModel
-	// Warm reports that the mapping stage reused the deployed placement
-	// and placed only the diff. Synthesis then rebuilds only the affected
-	// artifacts (AffectedProcs, MessagesRebuilt) and later stages build
-	// only the affected resources. The MCC re-runs a rejected warm attempt
-	// cold so that rejection verdicts never depend on the heuristic.
+	// Warm reports that the mapping stage kept the deployed placement,
+	// read from the snapshot's capacity index, and placed only the diff.
+	// Synthesis then rebuilds only the affected artifacts (AffectedProcs,
+	// MessagesRebuilt) and later stages build only the affected resources.
 	Warm bool
 	// AffectedProcs lists the processors whose task sets the partial
 	// synthesis rebuilt (a touched function's instances were or are

@@ -141,8 +141,9 @@ type Report struct {
 	// processors' budgets. Mirrors TimingScans for the safety viewpoint.
 	SafetyChecks int
 	// Passes counts the pipeline passes this report accumulated:
-	// incremented by every Pipeline.Run, so 1 normally and 2 when a
-	// rejected warm-start attempt was re-decided from scratch.
+	// incremented by every Pipeline.Run, so 1 normally and 2 when a pass
+	// that kept committed instances in place was rejected and re-decided
+	// by a full best-fit.
 	Passes int
 	// Degraded reports that this proposal did not complete on the
 	// normal incremental path: its deadline expired, or a fault made

@@ -154,15 +154,18 @@ func (l *capLayout) set(t *chunks[capNode], e uint64, n capNode) {
 	}
 }
 
-// placer is best-fit mapping over a capacity index. Both the full mapping
-// and the warm start use it, so the placement constraints (safety
+// placer is best-fit mapping over a capacity index. Every pass places
+// through it (bestFit), so the placement constraints (safety
 // certification, utilization cap, RAM budget, replica separation) live in
-// exactly one place. It never writes its index: loads it changes go to
-// the overlay, which the warm start hands to the commit and the cold
-// mapping flushes into its own copy of the zero index.
+// exactly one place. Loads it changes go to the overlay, which the warm
+// start hands to the commit; a from-scratch mapping flushes it into its
+// own copy of the zero index.
 type placer struct {
 	m    *MCC
 	tree chunks[capNode]
+	// e owns tree when the placer has an index of its own (flush writes
+	// it); 0 for the committed index, which it never writes.
+	e uint64
 	// over holds the current leaf of every processor this mapping charged
 	// or discounted; the index still holds their earlier loads.
 	over []capNode
@@ -198,11 +201,10 @@ func (p *placer) discount(f *model.Function, proc string) bool {
 	return ok
 }
 
-// flush writes the overlay into the placer's index under epoch e and
-// empties it. Only the cold mapping flushes: its index is its own.
-func (p *placer) flush(e uint64) {
+// flush writes the overlay into the placer's own index and empties it.
+func (p *placer) flush() {
 	for _, n := range p.over {
-		p.m.layout.set(&p.tree, e, n)
+		p.m.layout.set(&p.tree, p.e, n)
 	}
 	p.over = p.over[:0]
 }

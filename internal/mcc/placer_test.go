@@ -168,7 +168,8 @@ func checkCapCase(t *testing.T, rng *rand.Rand) {
 			t.Fatalf("loads after placing %s: index %v, scan %v", f.Name, eff, ref)
 		}
 		if rng.Intn(2) == 0 {
-			p.flush(m.newEpoch())
+			p.e = m.newEpoch()
+			p.flush()
 			fresh := indexOf(m, m.newEpoch(), ref)
 			if got, want := nodesOf(&p.tree), nodesOf(&fresh); !reflect.DeepEqual(got, want) {
 				t.Fatalf("index after flush diverges from a rebuild:\nflushed %v\nrebuilt %v", got, want)
@@ -232,7 +233,7 @@ func TestWarmPlacementVisitsLogP(t *testing.T) {
 			}
 			fa.Functions = append(fa.Functions, f)
 		}
-		tech, err := m.mapToPlatform(fa)
+		tech, err := m.mapToPlatform(fa, false)
 		if err != nil {
 			t.Fatal(err)
 		}

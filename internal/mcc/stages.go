@@ -22,11 +22,9 @@ import (
 
 // This file implements the built-in pipeline stages of the MCC. Each stage
 // holds a pointer back to the controller for the committed snapshot, the
-// attempt handoff and the memoizing analyzer; the pure
-// viewpoint checks (safety, security) are stateless. Stages work
-// incrementally when the context says so and fall back to the
-// from-scratch path otherwise — the from-scratch path is also the cold
-// retry that re-decides rejected warm-start attempts.
+// attempt handoff and the memoizing analyzer; the pure viewpoint checks
+// (safety, security) are stateless. Stages work incrementally when the
+// context says so and from scratch otherwise.
 
 // --- Stage 1: contract validation -----------------------------------------
 
@@ -148,17 +146,22 @@ type mappingStage struct{ m *MCC }
 
 func (s *mappingStage) Name() Stage { return StageMapping }
 
+// Run places by the one policy of every pass: the committed instances of
+// untouched functions stay, the diff is best-fit around them, and every
+// function is best-fit from nothing when the diff does not fit or on the
+// retry pass (attempt.full, see MCC.decide). The kept load comes from the
+// capacity index on a warm pass and is re-accounted on any other.
 func (s *mappingStage) Run(ctx *pipeline.Context) error {
+	m := s.m
 	if !ctx.Diff.Full() {
-		if tech, kept, placed, ok := s.m.mapWarmStart(ctx); ok {
-			ctx.Tech = tech
-			ctx.Warm = true
+		if tech, kept, placed, ok := m.mapWarmStart(ctx); ok {
+			ctx.Tech, ctx.Warm, m.att.kept = tech, true, true
 			ctx.Note("warm-start: kept %d instances, placed %d", kept, placed)
 			return nil
 		}
 		ctx.Note("warm-start infeasible, fell back to full best-fit")
 	}
-	tech, err := s.m.mapToPlatform(s.m.candidate(ctx))
+	tech, err := m.mapToPlatform(m.candidate(ctx), ctx.Diff.Full() && !m.att.full)
 	if err != nil {
 		return pipeline.Rejectf("%s", err)
 	}
@@ -197,23 +200,35 @@ func sortByConstraint(fns []*model.Function) {
 	}
 }
 
-// mapWarmStart is the O(diff) warm start: instances of untouched
-// functions stay where they are, only the diff is placed (best-fit over
-// the residual capacity). The placer reads the committed capacity index
-// and keeps every load it changes in its overlay: the touched functions'
-// committed charges are subtracted there — integer-exact, so the
-// residuals equal a re-accounting of every kept instance — and the diff
-// is placed over index plus overlay, in O(log P) per replica while
-// capacity is not tight. Nothing committed is written; the overlay goes
-// to the commit through the attempt. The candidate's flat instance list
-// is never assembled either: the warm start resets the pass's synthesis
-// overlay and writes the fresh placements into it, everything downstream resolves
-// instances through the committed tables plus that overlay, and
-// DeployedImpl materializes the flat list on demand for whole-model
-// readers (and the technical architecture's Func, nil on the
-// change-driven path). It reports ok=false when the diff cannot be placed
-// on the residual capacity — the caller then falls back to the full
-// best-fit over all functions, which reshuffles untouched instances too.
+// bestFit is the placement routine of every pass: it places every replica
+// of fns, hardest constraints first, over the loads p holds and appends
+// them to out. A placer over an index of its own flushes each function's
+// charges into it. It fails on the first replica that fits nowhere.
+func (p *placer) bestFit(fns []*model.Function, out []model.Instance) ([]model.Instance, error) {
+	sortByConstraint(fns)
+	for _, f := range fns {
+		n := len(out)
+		var ok bool
+		if out, ok = p.place(f, out); !ok {
+			return out, fmt.Errorf("mcc: no feasible processor for %s#%d (safety %v, util %.1f%%, ram %d KiB)",
+				f.Name, len(out)-n, f.Contract.Safety, float64(utilPPM(f))/10000, f.Contract.Resources.RAMKiB)
+		}
+		if p.e != 0 {
+			p.flush()
+		}
+	}
+	return out, nil
+}
+
+// mapWarmStart is the warm pass's placement, in O(diff): the touched
+// functions' committed charges are subtracted in the placer's overlay over
+// the committed capacity index — integer-exact, so the loads equal
+// mapToPlatform's re-accounting — and the diff is best-fit over index plus
+// overlay, in O(log P) per replica while capacity is not tight. Nothing
+// committed is written: the overlay goes to the commit, the placements
+// into the reset synthesis overlay (no flat instance list is assembled;
+// DeployedImpl materializes it on demand). It reports ok=false when the
+// diff does not fit.
 func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
 	d, over := ctx.Diff, m.synth.reset()
 
@@ -231,59 +246,54 @@ func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitec
 		}
 	}
 
-	todo := over.todo[:0]
+	todo, total := over.todo[:0], 0
 	for _, names := range [2][]string{d.Added, d.Changed} {
 		for _, name := range names {
 			if f := m.candFn(ctx, name); f != nil {
-				todo = append(todo, f)
+				todo, total = append(todo, f), total+f.EffectiveReplicas()
 			}
 		}
 	}
 	over.todo = todo
-	sortByConstraint(todo)
-	for _, f := range todo {
-		ins, ok := p.place(f, make([]model.Instance, 0, f.EffectiveReplicas()))
-		if !ok {
-			return nil, 0, 0, false // no room on residual capacity
-		}
-		if len(ins) > 0 {
-			over.insts[f.Name] = ins
-		}
-		placed += len(ins)
+	ins, err := p.bestFit(todo, make([]model.Instance, 0, total))
+	if err != nil {
+		return nil, 0, 0, false
 	}
-
-	kept = m.snap.instTotal - cut
+	for _, f := range todo { // bestFit's order: one run of replicas each
+		n := f.EffectiveReplicas()
+		over.insts[f.Name], ins = ins[:n:n], ins[n:]
+	}
 	m.att.over = p.over
-	return &model.TechnicalArchitecture{Platform: m.platform, Func: ctx.Candidate}, kept, placed, true
+	return &model.TechnicalArchitecture{Platform: m.platform, Func: ctx.Candidate}, m.snap.instTotal - cut, total, true
 }
 
-// mapToPlatform assigns every function replica to a processor:
-// greedy best-fit ordered by (safety desc, utilization desc), honouring
-// safety certification, RAM budgets, and replica separation. The placer
-// starts from the zero-load index and flushes each function's charges
-// into its own copy of it. The validation stage has checked fa and New
-// the platform, so only the placement's own rules are checked here; the
-// accepted placement becomes the pass index (m.att.index).
-func (m *MCC) mapToPlatform(fa *model.FunctionalArchitecture) (*model.TechnicalArchitecture, error) {
-	// Deterministic placement order: hardest constraints first.
-	order := make([]*model.Function, len(fa.Functions))
+// mapToPlatform places the whole candidate fa of a from-scratch pass: with
+// keep set, around the committed instances keepCommitted keeps, else (or
+// when the diff does not fit) from nothing. Validation has checked fa and
+// New the platform, so only the placement's own rules are checked here;
+// the accepted placement becomes the pass index (m.att.index).
+func (m *MCC) mapToPlatform(fa *model.FunctionalArchitecture, keep bool) (*model.TechnicalArchitecture, error) {
 	total := 0
 	for i := range fa.Functions {
-		order[i] = &fa.Functions[i]
 		total += fa.Functions[i].EffectiveReplicas()
 	}
-	sortByConstraint(order)
-
-	p, e := &placer{m: m, tree: m.layout.zero}, m.newEpoch()
-	instances := make([]model.Instance, 0, total)
-	for _, f := range order {
-		placed := len(instances)
-		var ok bool
-		if instances, ok = p.place(f, instances); !ok {
-			return nil, fmt.Errorf("mcc: no feasible processor for %s#%d (safety %v, util %.1f%%, ram %d KiB)",
-				f.Name, len(instances)-placed, f.Contract.Safety, float64(utilPPM(f))/10000, f.Contract.Resources.RAMKiB)
+	p := &placer{m: m, tree: m.layout.zero, e: m.newEpoch()}
+	todo, instances := make([]*model.Function, 0, len(fa.Functions)), make([]model.Instance, 0, total)
+	if keep {
+		todo, instances = m.keepCommitted(p, fa, todo, instances)
+	}
+	if !m.att.kept {
+		for i := range fa.Functions {
+			todo = append(todo, &fa.Functions[i])
 		}
-		p.flush(e)
+	}
+	instances, err := p.bestFit(todo, instances)
+	if err != nil && m.att.kept {
+		m.att.kept = false
+		return m.mapToPlatform(fa, false)
+	}
+	if err != nil {
+		return nil, err
 	}
 	slices.SortFunc(instances, compareInstances)
 	tech := &model.TechnicalArchitecture{Platform: m.platform, Func: fa, Instances: instances}
@@ -292,6 +302,39 @@ func (m *MCC) mapToPlatform(fa *model.FunctionalArchitecture) (*model.TechnicalA
 	}
 	m.att.index = newPassIndex(fa, instances, m.procIdx)
 	return tech, nil
+}
+
+// keepCommitted appends the committed instances of fa's untouched
+// functions (deployed in an equal version) to kept and re-accounts their
+// loads onto p's zero-load index from the committed instance list, never
+// reading the capacity index; the other functions go to todo. It sets
+// m.att.kept unless nothing is committed.
+func (m *MCC) keepCommitted(p *placer, fa *model.FunctionalArchitecture, todo []*model.Function, kept []model.Instance) ([]*model.Function, []model.Instance) {
+	dep := m.Deployed()
+	if len(dep.Functions) == 0 {
+		return todo, kept
+	}
+	old := make(map[string]*model.Function, len(dep.Functions))
+	for i := range dep.Functions {
+		old[dep.Functions[i].Name] = &dep.Functions[i]
+	}
+	same := make(map[string]*model.Function, len(fa.Functions))
+	for i := range fa.Functions {
+		if f := &fa.Functions[i]; old[f.Name] != nil && old[f.Name].Equal(*f) {
+			same[f.Name] = f
+		} else {
+			todo = append(todo, f)
+		}
+	}
+	for _, in := range m.DeployedImpl().Tech.Instances {
+		if f := same[in.Function]; f != nil {
+			p.charge(f, m.procIdx[in.Processor], 1)
+			p.flush()
+			kept = append(kept, in)
+		}
+	}
+	m.att.kept = true
+	return todo, kept
 }
 
 // compareInstances is Instance.Less as a comparison function.

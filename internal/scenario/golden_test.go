@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/mcc"
 	"repro/internal/model"
 )
@@ -25,11 +26,13 @@ import (
 // a deferred timing verdict and replay. Each line hashes the change's
 // verdict and findings, and — for accepted changes — the whole committed
 // WCRT table and monitor plan the report binds (FullTiming/FullMonitors).
-// Every engine replays the log and must reproduce it line for line (the
-// serial engine its decision part, see goldenDecision), so a core rewrite
-// is held to the decisions of the code before it at the platform sizes
-// the benchmarks run, not only on the small fuzz fleets of the parity
-// corpus.
+// Every engine — the from-scratch serial oracle included, since it
+// places by the engine's policy — replays the log and must reproduce it
+// line for line, so a core rewrite is held to the decisions of the code
+// before it at the platform sizes the benchmarks run, not only on the
+// small fuzz fleets of the parity corpus. The E14 column replays the logs
+// under the worker-panic fault rule: every faulted proposal is re-decided
+// on the pinned path, and the lines must still equal the clean log's.
 //
 // Regenerate with
 //
@@ -95,10 +98,8 @@ func goldenHeavy(i int) mcc.Change {
 // goldenSizes lists the E13 platform sizes the log covers.
 var goldenSizes = []int{32, 128, 512, 2048}
 
-// goldenSerialMax is the largest platform the from-scratch serial engine
-// replays: at 2048 processors a 64-change serial run re-analyzes the
-// whole platform per change and dominates the tier's wall clock.
-const goldenSerialMax = 512
+// goldenFaultSizes lists the sizes of the E14 column.
+var goldenFaultSizes = []int{128, 512, 2048}
 
 // goldenLine renders one change's log line: platform size, stream index,
 // verdict (for humans reading a diff), the decision hash over verdict and
@@ -124,24 +125,12 @@ func goldenLine(procs, i int, rep *mcc.Report) string {
 	return fmt.Sprintf("%d %d %s %s %s", procs, i, verdict(rep), short(dec), short(tab))
 }
 
-// goldenDecision strips a log line to its decision part (size, index,
-// verdict, decision hash). The from-scratch serial engine is held to this
-// part only: it re-places the whole fleet on every proposal, so its
-// accepted placements — and with them its committed tables — legitimately
-// differ from the warm-started engines' (the documented accept-side
-// warm-start gap); the parity corpus holds its tables to its own
-// from-scratch oracle instead.
-func goldenDecision(line string) string {
-	f := strings.Fields(line)
-	return strings.Join(f[:min(4, len(f))], " ")
-}
-
-// goldenRun decides the log's stream at one size on one engine and
-// returns its log lines.
-func goldenRun(t *testing.T, log goldenLog, procs int, mode MCCThroughputMode) []string {
+// goldenRun decides the log's stream at one size on one engine, built
+// with the extra options opts, and returns its log lines and the number
+// of Degraded decisions.
+func goldenRun(t *testing.T, log goldenLog, procs int, mode MCCThroughputMode, opts ...mcc.Option) ([]string, int) {
 	t.Helper()
 	fleet, changes := log.stream(procs)
-	var opts []mcc.Option
 	if mode == ThroughputSerial {
 		opts = append(opts, mcc.WithoutIncremental(), mcc.WithTimingWorkers(1))
 	}
@@ -164,11 +153,24 @@ func goldenRun(t *testing.T, log goldenLog, procs int, mode MCCThroughputMode) [
 			}
 		}
 	}
-	lines := make([]string, 0, len(reports))
+	lines, degraded := make([]string, 0, len(reports)), 0
 	for i, rep := range reports {
 		lines = append(lines, goldenLine(procs, i, rep))
+		if rep.Degraded {
+			degraded++
+		}
 	}
-	return lines
+	return lines, degraded
+}
+
+// goldenCompare fails on the first line of got that differs from want.
+func goldenCompare(t *testing.T, path string, got, want []string) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("change %d diverges from %s:\ngot  %s\nwant %s", i, path, got[i], want[i])
+		}
+	}
 }
 
 func readGolden(t *testing.T, log goldenLog) map[int][]string {
@@ -203,7 +205,8 @@ func writeGolden(t *testing.T, log goldenLog) {
 	b.WriteString(log.header)
 	b.WriteString("# procs index verdict sha256(verdict, findings)[:16] sha256(FullTiming, FullMonitors)[:16]\n")
 	for _, procs := range goldenSizes {
-		for _, line := range goldenRun(t, log, procs, ThroughputFull) {
+		lines, _ := goldenRun(t, log, procs, ThroughputFull)
+		for _, line := range lines {
 			b.WriteString(line)
 			b.WriteByte('\n')
 		}
@@ -217,8 +220,8 @@ func writeGolden(t *testing.T, log goldenLog) {
 }
 
 // TestGoldenDecisionLog replays every committed golden log against the
-// serial (32–512 processors), full-incremental and stream-parallel
-// engines (every size). Any differing line fails with both lines named.
+// serial, full-incremental and stream-parallel engines at every size. Any
+// differing line fails with both lines named.
 func TestGoldenDecisionLog(t *testing.T) {
 	for _, log := range goldenLogs {
 		if *updateGolden {
@@ -231,22 +234,43 @@ func TestGoldenDecisionLog(t *testing.T) {
 				t.Fatalf("%s holds %d lines for %dp, want %d", log.path, len(want), procs, goldenChanges)
 			}
 			for _, mode := range ThroughputModes() {
-				if mode == ThroughputSerial && procs > goldenSerialMax {
-					continue
-				}
 				t.Run(fmt.Sprintf("%s%dp/%s", log.prefix, procs, mode), func(t *testing.T) {
-					got := goldenRun(t, log, procs, mode)
-					for i := range want {
-						g, w := got[i], want[i]
-						if mode == ThroughputSerial {
-							g, w = goldenDecision(g), goldenDecision(w)
-						}
-						if g != w {
-							t.Fatalf("change %d diverges from %s:\ngot  %s\nwant %s", i, log.path, g, w)
-						}
-					}
+					got, _ := goldenRun(t, log, procs, mode)
+					goldenCompare(t, log.path, got, want)
 				})
 			}
+		}
+	}
+}
+
+// TestGoldenDecisionLogWorkerPanic is the E14 column: both logs replayed
+// on the full-incremental engine under the chaos rule worker-panic
+// (timing.worker panics every 11th job). A faulted proposal quarantines
+// the engine and is re-decided on the pinned path, which must decide and
+// place as the clean engine does: every line equals the clean log's, and
+// each size shows at least one Degraded decision.
+func TestGoldenDecisionLogWorkerPanic(t *testing.T) {
+	var rules []faultinject.Rule
+	for _, fs := range DefaultChaosSpecs() {
+		if fs.Name == "worker-panic" {
+			rules = fs.Rules
+		}
+	}
+	if rules == nil {
+		t.Fatal("no worker-panic rule in DefaultChaosSpecs")
+	}
+	for _, log := range goldenLogs {
+		golden := readGolden(t, log)
+		for _, procs := range goldenFaultSizes {
+			t.Run(fmt.Sprintf("%s%dp/worker-panic", log.prefix, procs), func(t *testing.T) {
+				got, degraded := goldenRun(t, log, procs, ThroughputFull,
+					mcc.WithFaultInjector(faultinject.New(chaosSeed, rules...)))
+				goldenCompare(t, log.path, got, golden[procs])
+				if degraded == 0 {
+					t.Fatalf("no Degraded decision at %dp: the fault rule never reached the pinned path", procs)
+				}
+				t.Logf("%d degraded decisions", degraded)
+			})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,40 +15,43 @@ import (
 
 // Differential parity harness: genfleet-random platforms and change
 // streams are driven through the fully incremental engine, the
-// from-scratch serial baseline, and the stream scheduler side by side,
-// comparing verdict sequences. It directly probes the ROADMAP's known
-// accept-side warm-start parity gap — an accepted warm placement may
-// differ from the full best-fit placement, so on capacity-marginal
-// workloads the two engines can legitimately accept different
-// configurations — which the curated E12 stream alone can never
-// exercise. The oracle is therefore two-tiered:
+// from-scratch serial oracle (WithoutIncremental), and the stream
+// scheduler side by side. Every engine places by one policy — keep the
+// committed instances of untouched functions, best-fit the diff, fall back
+// to a full best-fit when the diff does not fit or a placement-dependent
+// stage rejects — so every comparison is strict:
 //
-//   - incremental vs stream-parallel: STRICT sequence equality,
-//     always. The scheduler's window/replay construction guarantees
-//     identity with serial proposals on the same engine; any divergence
-//     here is a journal/rollback/cache bug.
-//   - incremental vs from-scratch serial: strict until the first
-//     divergence carrying the documented gap signature (serial rejects
-//     at a placement-dependent stage where a warm-mapped attempt
-//     accepted, or the two accepted placements silently part ways);
-//     everything downstream of a diverged deployment is incomparable.
-//     Any other divergence — validation or security flips, differing
-//     rejection stages, a cold-retried rejection that serial accepts —
-//     fails the harness.
+//   - incremental vs from-scratch serial: equal verdicts and findings on
+//     every change, and after every change equal placements and equal
+//     DeployedImpl() tasks, messages and connections;
+//   - incremental vs stream-parallel: equal verdicts, findings and
+//     materialized tables on every change, and an equal final deployment
+//     (the scheduler's window/replay construction guarantees identity
+//     with serial proposals on the same engine).
 //
-// The corpus below runs strictly (zero divergences of any kind) in CI on
-// every build; `go test -fuzz FuzzMCCDecisionParity ./internal/scenario`
-// hunts for new divergences locally. The checked-in fuzz testdata seed
-// (found by this harness) regression-tests the gap detector itself.
+// The corpus below runs in CI on every build, plain and with replicated
+// baseline functions, and so does a bounded run of FuzzMCCDecisionParity;
+// any divergence the fuzzer finds is a bug. The checked-in fuzz testdata
+// seed (28) is one the harness found while the oracle still re-placed the
+// whole fleet on every proposal: serial rejected at timing where the
+// incremental engine accepted.
 
 // parityCorpus seeds the CI corpus: a spread of platform sizes, chain
 // depths, headrooms, and change mixes, including removal-heavy and
-// rejection-heavy streams. Every seed must decide divergence-free.
-var parityCorpus = []uint64{0, 1, 2, 3, 5, 8, 13, 21, 42, 99, 1234, 0xdead}
+// rejection-heavy streams. 28, 168, 483 and 489 decided differently while
+// the oracle re-placed the whole fleet; the seeds from 0x2a5f on set
+// paritySpec's bits 9–16, so updates, removals, broken contracts and
+// cross-domain clients occur too (TestMCCDecisionParityCorpus asserts it).
+var parityCorpus = []uint64{0, 1, 2, 3, 5, 8, 13, 21, 28, 42, 99, 168, 483, 489, 1234, 0xdead,
+	0x2a5f, 0xca1a, 0x1367b, 0x15ad7}
+
+// parityChanges is the length of every parity case's change stream.
+const parityChanges = 24
 
 // paritySpec derives a small randomized fleet spec from a fuzz seed. The
 // shape parameters are folded out of the seed so the fuzzer explores
-// platform size, topology, headroom, and change mix together.
+// platform size, topology, headroom, and change mix together. Seeds below
+// 512 stream adds only: the other kinds' weights come from bits 9–16.
 func paritySpec(seed uint64) FleetSpec {
 	return FleetSpec{
 		Seed:       int64(seed),
@@ -66,6 +70,29 @@ func paritySpec(seed uint64) FleetSpec {
 	}
 }
 
+// replicateEvery5th sets Replicas: 2 on every 5th baseline function. Run
+// before fleet.Changes, so generated updates of those functions copy it.
+func replicateEvery5th(fleet *Fleet) {
+	for i := 0; i < len(fleet.Baseline.Functions); i += 5 {
+		fleet.Baseline.Functions[i].Replicas = 2
+	}
+}
+
+// changeKind names the ChangeMix kind that generated c.
+func changeKind(c mcc.Change) string {
+	switch {
+	case c.Update == nil:
+		return "remove"
+	case strings.HasPrefix(c.Update.Name, "telem"):
+		return "add"
+	case strings.HasPrefix(c.Update.Name, "broken"):
+		return "broken"
+	case strings.HasPrefix(c.Update.Name, "xdom"):
+		return "cross-domain"
+	}
+	return "update"
+}
+
 func verdict(rep *mcc.Report) string {
 	if rep.Accepted {
 		return "accept"
@@ -81,20 +108,6 @@ func verdicts(reports []*mcc.Report) []string {
 	return out
 }
 
-// warmMapped reports whether the attempt's surviving pass used the
-// warm-started mapping (detected via the mapping stage's telemetry note).
-func warmMapped(rep *mcc.Report) bool {
-	tr := rep.StageTraceFor(mcc.StageMapping)
-	return tr != nil && strings.HasPrefix(tr.Note(), "warm-start:")
-}
-
-// placementDependent mirrors mcc's notion: validation and security decide
-// on contracts and identities alone; every other stage's verdict can
-// depend on the instance placement and hence on the warm-start heuristic.
-func placementDependentStage(s mcc.Stage) bool {
-	return s != mcc.StageValidate && s != mcc.StageSecurity
-}
-
 func placements(m *mcc.MCC) []string {
 	impl := m.DeployedImpl()
 	if impl == nil {
@@ -107,16 +120,28 @@ func placements(m *mcc.MCC) []string {
 	return out
 }
 
-// runParityCase generates the fleet for one seed and applies the
-// two-tiered oracle. strict additionally fails on the documented
-// warm-start gap (used for the curated CI corpus, which must be
-// divergence-free outright).
-func runParityCase(t *testing.T, seed uint64, strict bool) {
+// assertSameDeployment fails unless two engines hold equal placements and
+// equal DeployedImpl() tasks, messages and connections.
+func assertSameDeployment(t *testing.T, seed uint64, change int, label string, a, b *mcc.MCC) {
 	t.Helper()
-	spec := paritySpec(seed)
-	fleet := GenFleet(spec)
-	changes := fleet.Changes(24)
+	if pa, pb := placements(a), placements(b); !slices.Equal(pa, pb) {
+		t.Fatalf("seed %#x: %s placements diverge after change %d:\n%v\n%v", seed, label, change, pa, pb)
+	}
+	ia, ib := a.DeployedImpl(), b.DeployedImpl()
+	switch {
+	case !slices.Equal(ia.Tasks, ib.Tasks):
+		t.Fatalf("seed %#x: %s tasks diverge after change %d", seed, label, change)
+	case !slices.Equal(ia.Messages, ib.Messages):
+		t.Fatalf("seed %#x: %s messages diverge after change %d", seed, label, change)
+	case !slices.Equal(ia.Connections, ib.Connections):
+		t.Fatalf("seed %#x: %s connections diverge after change %d", seed, label, change)
+	}
+}
 
+// runParityCase decides fleet's baseline and change stream on the three
+// engines and holds them to each other strictly (see the file comment).
+func runParityCase(t *testing.T, seed uint64, fleet *Fleet, changes []mcc.Change) {
+	t.Helper()
 	newMCC := func(opts ...mcc.Option) *mcc.MCC {
 		m, err := mcc.New(fleet.Platform, opts...)
 		if err != nil {
@@ -147,51 +172,32 @@ func runParityCase(t *testing.T, seed uint64, strict bool) {
 	assertReportMatchesOracle(t, seed, -1, "serial", fleet.Platform, serial, sBase)
 	assertReportMatchesOracle(t, seed, -1, "incremental", fleet.Platform, inc, iBase)
 	assertReportMatchesOracle(t, seed, -1, "stream", fleet.Platform, streamed, tBase)
+	assertSameDeployment(t, seed, -1, "serial/incremental", serial, inc)
 
-	// Serial vs incremental: strict verdict-sequence equality until the
-	// documented gap signature appears, and — satellite of the scoped
-	// verdict stages — strict FINDINGS equality wherever the verdicts
-	// agree: a scoped safety/security rejection must name exactly the
-	// findings the from-scratch check names. Placements are NOT compared
-	// here: the from-scratch engine reshuffles the whole fleet on every
-	// proposal, so equally valid placements routinely differ while every
-	// verdict agrees — which is exactly the empirical accept-side parity
-	// the harness is quantifying.
+	// Serial vs incremental: verdicts, findings and the whole deployment
+	// after every change — a scoped safety/security rejection must name
+	// exactly the findings the from-scratch check names.
 	var incReports []*mcc.Report
-	gapAt := -1
 	for i, c := range changes {
 		sr, ir := propose(serial, c), propose(inc, c)
 		incReports = append(incReports, ir)
-		// The whole-table oracle is per-engine (each engine's accepted
-		// report against a cold analysis of ITS committed implementation),
-		// so it stays valid even downstream of a cross-engine divergence.
 		assertReportMatchesOracle(t, seed, i, "serial", fleet.Platform, serial, sr)
 		assertReportMatchesOracle(t, seed, i, "incremental", fleet.Platform, inc, ir)
-		if gapAt >= 0 {
-			continue // downstream of a diverged decision: incomparable
-		}
 		if verdict(sr) != verdict(ir) {
-			gapSig := sr.Accepted != ir.Accepted && ir.Accepted == warmMapped(ir) &&
-				placementDependentStage(sr.RejectedAt) && placementDependentStage(ir.RejectedAt)
-			if gapSig && !strict {
-				gapAt = i
-				t.Logf("seed %#x: accept-side warm-start gap at change %d (serial %s, incremental %s) — documented, downstream incomparable",
-					seed, i, verdict(sr), verdict(ir))
-				continue
-			}
-			t.Fatalf("seed %#x: verdict divergence at change %d: serial %s, incremental %s (warm=%v)",
-				seed, i, verdict(sr), verdict(ir), warmMapped(ir))
+			t.Fatalf("seed %#x: verdict divergence at change %d: serial %s, incremental %s",
+				seed, i, verdict(sr), verdict(ir))
 		}
 		if !reflect.DeepEqual(sr.Findings, ir.Findings) {
 			t.Fatalf("seed %#x: findings divergence at change %d (%s):\nserial      %v\nincremental %v",
 				seed, i, verdict(sr), sr.Findings, ir.Findings)
 		}
+		assertSameDeployment(t, seed, i, "serial/incremental", serial, inc)
 		assertCommittedClean(t, seed, i, "incremental", inc)
 	}
 
-	// Incremental vs stream-parallel: strict, always — verdicts AND
-	// findings, including across rollback-then-recheck sequences (a
-	// window replay must reproduce the serial findings verbatim).
+	// Incremental vs stream-parallel: verdicts AND findings, including
+	// across rollback-then-recheck sequences (a window replay must
+	// reproduce the serial findings verbatim).
 	streamReports := mcc.NewStreamScheduler(streamed).Run(changes)
 	want, got := verdicts(incReports), verdicts(streamReports)
 	if !reflect.DeepEqual(got, want) {
@@ -223,9 +229,7 @@ func runParityCase(t *testing.T, seed uint64, strict bool) {
 			break
 		}
 	}
-	if !reflect.DeepEqual(placements(inc), placements(streamed)) {
-		t.Fatalf("seed %#x: stream deployment diverges from serial proposals on the same engine", seed)
-	}
+	assertSameDeployment(t, seed, len(changes)-1, "incremental/stream", inc, streamed)
 	assertCommittedClean(t, seed, len(changes)-1, "stream", streamed)
 }
 
@@ -234,9 +238,7 @@ func runParityCase(t *testing.T, seed uint64, strict bool) {
 // committed implementation. This is the delta-report completeness oracle:
 // however small the report's TimingDelta/MonitorDelta, FullTiming and
 // FullMonitors must reconstruct exactly the tables a from-scratch
-// analysis of the committed configuration produces. The comparison is
-// per-engine (engines may legitimately commit different placements), so
-// it stays valid downstream of cross-engine divergences.
+// analysis of the committed configuration produces, on each engine.
 func assertReportMatchesOracle(t *testing.T, seed uint64, change int, label string, p *model.Platform, m *mcc.MCC, rep *mcc.Report) {
 	t.Helper()
 	if rep == nil || !rep.Accepted {
@@ -278,24 +280,53 @@ func assertCommittedClean(t *testing.T, seed uint64, change int, label string, m
 }
 
 // TestMCCDecisionParityCorpus is the CI leg of the harness: every corpus
-// seed must show zero verdict divergences across the four engines.
+// seed must decide and deploy identically on the three engines, and the
+// corpus as a whole must stream every ChangeMix kind.
 func TestMCCDecisionParityCorpus(t *testing.T) {
+	kinds := make(map[string]int)
 	for _, seed := range parityCorpus {
-		seed := seed
+		fleet := GenFleet(paritySpec(seed))
+		changes := fleet.Changes(parityChanges)
+		for _, c := range changes {
+			kinds[changeKind(c)]++
+		}
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
-			runParityCase(t, seed, true)
+			runParityCase(t, seed, fleet, changes)
+		})
+	}
+	for _, k := range []string{"add", "update", "remove", "broken", "cross-domain"} {
+		if kinds[k] == 0 {
+			t.Errorf("the parity corpus streams no %s change (kinds %v)", k, kinds)
+		}
+	}
+}
+
+// TestMCCDecisionParityReplicated runs the corpus with every 5th baseline
+// function replicated twice, so the warm start discounts, separates and
+// re-places several replicas of one function; generated updates keep the
+// replica count.
+func TestMCCDecisionParityReplicated(t *testing.T) {
+	for _, seed := range parityCorpus {
+		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
+			fleet := GenFleet(paritySpec(seed))
+			replicateEvery5th(fleet)
+			runParityCase(t, seed, fleet, fleet.Changes(parityChanges))
 		})
 	}
 }
 
-// FuzzMCCDecisionParity is the local hunting leg: the fuzzer mutates the
-// seed, each value generating a fresh platform + stream; any divergence
-// that is not the documented warm-start gap is a crash to minimize.
+// FuzzMCCDecisionParity mutates the seed, each value generating a fresh
+// platform and stream, decided plain and with replicated baseline
+// functions; any divergence is a crash to minimize.
 func FuzzMCCDecisionParity(f *testing.F) {
 	for _, seed := range parityCorpus {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		runParityCase(t, seed, false)
+		fleet := GenFleet(paritySpec(seed))
+		runParityCase(t, seed, fleet, fleet.Changes(parityChanges))
+		fleet = GenFleet(paritySpec(seed))
+		replicateEvery5th(fleet)
+		runParityCase(t, seed, fleet, fleet.Changes(parityChanges))
 	})
 }
