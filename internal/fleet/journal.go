@@ -132,7 +132,7 @@ func readFrame(r io.Reader) (journalRecord, int64, error) {
 }
 
 // append frames and writes one record. Appends are serialized; the file
-// is not fsynced per record (Sync is called at drain), so the journal is
+// is not fsynced per record (close syncs it, at drain), so the journal is
 // crash-consistent but the tail is only as durable as the OS page cache.
 func (j *commitJournal) append(rec journalRecord) error {
 	var buf bytes.Buffer
@@ -148,13 +148,6 @@ func (j *commitJournal) append(rec journalRecord) error {
 	}
 	_, err := j.f.Write(buf.Bytes())
 	return err
-}
-
-// sync flushes the journal to stable storage.
-func (j *commitJournal) sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Sync()
 }
 
 // close syncs and closes the journal file.

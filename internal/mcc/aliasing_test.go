@@ -29,7 +29,7 @@ func committedTimingSnapshot(m *MCC) ([]committedRes, []TimingResult) {
 		cr.res = cloneTimingSnapshot(cr.res)
 		entries = append(entries, cr)
 	}
-	return entries, t.materializeTiming(nil)
+	return entries, t.materializeTiming()
 }
 
 func cloneTimingSnapshot(tr TimingResult) TimingResult {

@@ -104,7 +104,8 @@ func TestDeployedArchitectureAfterStreamWindowRollback(t *testing.T) {
 		upd(heavy),
 		upd(fn("a2", model.QM, 140000, 2500, 64)),
 	}
-	sched := NewStreamScheduler(m, WithStreamWindow(8))
+	sched := NewStreamScheduler(m)
+	sched.window = 8
 	sched.Run(window)
 	if sched.Stats().Replays == 0 {
 		t.Fatal("window did not roll back")

@@ -141,9 +141,6 @@ type MCC struct {
 	// the platform networks attaching it; connecting intersects two lists
 	// instead of scanning every network's attached list.
 	procNets [][]int
-	// journal, when non-nil, is the rollback point of the open
-	// stream-scheduler window.
-	journal *windowJournal
 	// scratch holds the MCC-owned buffers the timing hot path reuses
 	// across proposals, and synth the synthesis overlay every warm pass
 	// reuses (reset by its warm start).
@@ -162,8 +159,9 @@ type MCC struct {
 	pipe *pipeline.Pipeline
 
 	// inject, when non-nil, fires fault-injection hooks on every pipeline
-	// stage, the timing worker pool, the stream prefetch pool, and the
-	// window-journal undo path (the analyzer's hooks are installed in New).
+	// stage, the timing worker pool, the stream window's analysis pool,
+	// and the window rollback path (the analyzer's hooks are installed in
+	// New).
 	inject *faultinject.Injector
 	// proposalDeadline, when > 0, bounds every proposal's wall clock:
 	// integrate wraps the proposal context with this timeout, and expiry
@@ -191,9 +189,9 @@ type Option func(*MCC)
 
 // WithTimingWorkers bounds the worker pool that analyzes dirty resources
 // during the timing acceptance test. 1 forces serial analysis; the default
-// is runtime.GOMAXPROCS(0). Values below 1 clamp to 1 — the clamp rule for
-// every MCC/stream sizing option is "non-positive means the serial/minimum
-// configuration", never a silent fallback to the default.
+// is runtime.GOMAXPROCS(0); a StreamScheduler's analysis pool takes the
+// same bound. Values below 1 clamp to 1 — the serial configuration —
+// never a silent fallback to the default.
 func WithTimingWorkers(n int) Option {
 	return func(m *MCC) {
 		if n < 1 {
@@ -211,10 +209,10 @@ func WithHistoryLimit(int) Option {
 
 // WithFaultInjector installs a deterministic fault injector on the MCC's
 // hook points ("stage.<name>" before every pipeline stage,
-// "timing.worker" per pooled analysis, "stream.prefetch" per prefetch
-// task, "journal.undo" on window rollback, plus the analyzer's
-// "cpa.analyze"/"cpa.cache" hooks). Nil disables injection (the
-// default); the hooks then cost one nil check.
+// "timing.worker" per pooled analysis, "stream.prefetch" per analysis a
+// stream window runs on its pool, "journal.undo" on window rollback, plus
+// the analyzer's "cpa.analyze"/"cpa.cache" hooks). Nil disables injection
+// (the default); the hooks then cost one nil check.
 func WithFaultInjector(inj *faultinject.Injector) Option {
 	return func(m *MCC) { m.inject = inj }
 }
@@ -243,9 +241,9 @@ func WithoutIncremental() Option {
 // WithAnalyzer makes the MCC share (and warm-start from) an existing
 // memoizing timing analyzer instead of creating an empty one. Fleet
 // sessions use this together with cpa.SaveCache/LoadCache to carry the
-// busy-window memo table across process restarts, and the stream
-// scheduler relies on the analyzer being shared between the prefetch
-// pool and the decision pass. A nil analyzer is ignored.
+// busy-window memo table across process restarts, and a replayed stream
+// window re-reads the analyses its pool ran through the shared analyzer.
+// A nil analyzer is ignored.
 func WithAnalyzer(a *cpa.Analyzer) Option {
 	return func(m *MCC) {
 		if a != nil {
@@ -389,8 +387,10 @@ type attempt struct {
 	// results holds the per-job WCRT tables of a non-deferred timing run,
 	// indexed like jobs (nil under deferred checks).
 	results []TimingResult
-	// deferred is the deferred-check record of a pass under deferChecks.
-	deferred *deferredChecks
+	// pending lists the committed-table entries a commit under deferred
+	// checks installed without a WCRT table (see committedFills), for
+	// the stream window to analyze, verify and fill.
+	pending []*committedRes
 	// kept reports that the mapping kept committed instances in place (a
 	// placement-dependent rejection is then retried, see decide); full
 	// marks that retry, whose mapping best-fits from nothing.

@@ -60,11 +60,11 @@ type Context struct {
 	// DeferChecks asks the timing stage to defer the busy-window analyses
 	// of dirty resources: it still constructs and digests the
 	// per-resource task sets, raises no timing findings, and the
-	// candidate is committed optimistically. Every other stage, safety
-	// and security included, still decides inline. Only the
-	// mcc.StreamScheduler sets this — it fans the deferred analyses of a
-	// whole proposal window out over the worker pool and re-validates
-	// every verdict before the window is final.
+	// candidate is committed optimistically, each dirty resource's timing
+	// entry pending. Every other stage, safety and security included,
+	// still decides inline. Only the mcc.StreamScheduler sets this — it
+	// runs the deferred analyses of a whole proposal window on its worker
+	// pool and verifies every verdict before the window is final.
 	DeferChecks bool
 
 	// Ctx carries the proposal's cancellation/deadline signal. The

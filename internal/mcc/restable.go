@@ -13,13 +13,15 @@ import "repro/internal/mcc/pipeline"
 // slice would make every accepted commit allocate and copy the whole
 // platform (O(platform) memclr+copy per change); the slots live in a
 // persistent chunked array instead (see chunks in snapshot.go). A slot is
-// a pointer to an immutable committedRes (nil when the resource carries
-// no load), so a commit that writes k slots copies the spine and the
-// ceil(k/chunk) affected chunks of 16 pointers (136 B each, where chunks
-// of values would copy about 1.8 KiB) and shares every other chunk, and
-// every committed value, with the previous configuration — O(diff) per
-// accepted change, with the old table (a window's start snapshot, or a
-// bound report's view) fully intact.
+// a pointer to a committedRes (nil when the resource carries no load),
+// immutable except that a pending entry is filled once, in place, by the
+// stream window that committed it, before StreamScheduler.Run returns
+// (see committedRes). So a commit that writes k slots copies the spine
+// and the ceil(k/chunk) affected chunks of 16 pointers (136 B each, where
+// chunks of values would copy about 1.8 KiB) and shares every other
+// chunk, and every committed value, with the previous configuration —
+// O(diff) per accepted change, with the old table (a window's start
+// snapshot, or a bound report's view) fully intact.
 //
 // Reports bind a table pointer at commit time (Report.FullTiming /
 // FullMonitors); materialization deep-copies on every call, so nothing a
@@ -31,16 +33,6 @@ import "repro/internal/mcc/pipeline"
 type resTable struct {
 	chunks[*committedRes]
 	loaded int
-}
-
-// resDigestKey identifies one deferred analysis for the window heal map:
-// two proposals of a window may defer the same resource with different
-// task-set digests (two changes placed on one processor),
-// and each bound report snapshot must only be healed by its own digest's
-// verdict.
-type resDigestKey struct {
-	res string
-	dig uint64
 }
 
 // resTableFrom builds a table of n slots holding each fill at its job's
@@ -94,32 +86,21 @@ func (t *resTable) patch(e uint64, fills []committedRes, clears []int) *resTable
 }
 
 // materializeTiming deep-copies the committed WCRT tables in resource
-// order. An entry whose table is not yet known (an optimistically
-// committed resource whose deferred analysis is still pending, or whose
-// verdict lives only in the window heal map) is patched from heals by
-// {resource, digest}; with no heal it is emitted with a nil Results
-// slice — truthful, and visible to the parity oracle rather than papered
-// over. Every entry, including healed ones, is freshly allocated.
-func (t *resTable) materializeTiming(heals map[resDigestKey]TimingResult) []TimingResult {
+// order; every entry is freshly allocated. A pending entry (see
+// committedRes) is emitted as it stands, with a nil Results slice —
+// truthful, and visible to the parity oracle rather than papered over —
+// but its window fills it before any report binding it is returned.
+func (t *resTable) materializeTiming() []TimingResult {
 	if t == nil || t.loaded == 0 {
 		return nil
 	}
 	out := make([]TimingResult, 0, t.loaded)
 	for i := 0; i < t.n; i++ {
-		cr := *t.at(i)
-		if cr == nil {
-			continue
-		}
-		tr := cr.res
-		if tr.Results == nil && heals != nil {
-			if h, ok := heals[resDigestKey{cr.job.resource, cr.job.digest}]; ok {
-				tr = h
-			}
-		}
-		if tr.Resource == "" {
+		if cr := *t.at(i); cr != nil {
+			tr := cr.res
 			tr.Resource = cr.job.resource
+			out = append(out, pipeline.CloneTimingResult(tr))
 		}
-		out = append(out, pipeline.CloneTimingResult(tr))
 	}
 	return out
 }

@@ -23,12 +23,18 @@ func committedJobs(m *MCC) []timingJob {
 	return out
 }
 
+// resDigest is one (resource, task-set digest) pair of a job list.
+type resDigest struct {
+	res string
+	dig uint64
+}
+
 // committedDigests lists the committed table's (resource, task-set
 // digest) pairs in table order.
-func committedDigests(m *MCC) []resDigestKey {
-	var out []resDigestKey
+func committedDigests(m *MCC) []resDigest {
+	var out []resDigest
 	for _, j := range committedJobs(m) {
-		out = append(out, resDigestKey{j.resource, j.digest})
+		out = append(out, resDigest{j.resource, j.digest})
 	}
 	return out
 }
@@ -36,11 +42,11 @@ func committedDigests(m *MCC) []resDigestKey {
 // scanDigests lists the (resource, task-set digest) pairs of a
 // from-scratch job scan of the deployed implementation model, in resource
 // order.
-func scanDigests(m *MCC) []resDigestKey {
+func scanDigests(m *MCC) []resDigest {
 	full := m.scanJobs(m.DeployedImpl())
-	var out []resDigestKey
+	var out []resDigest
 	for _, j := range full {
-		out = append(out, resDigestKey{j.resource, j.digest})
+		out = append(out, resDigest{j.resource, j.digest})
 	}
 	return out
 }
@@ -164,7 +170,8 @@ func TestTimingTableShapeChanges(t *testing.T) {
 		}},
 		{"window", func(t *testing.T, m *MCC, i int, change model.Function) []*Report {
 			// The filler fits only on the anchor (RAM) and barely loads it.
-			sched := NewStreamScheduler(m, WithStreamWindow(8))
+			sched := NewStreamScheduler(m)
+			sched.window = 8
 			reps := sched.Run([]Change{upd(change), upd(fn(fmt.Sprintf("fill%d", i), model.ASILD, 1_000_000, 10, 8192))})
 			if st := sched.Stats(); st.Windows != 1 || st.Replays != 0 || st.Speculated != 2 {
 				t.Fatalf("stats = %+v, want one verified window of two changes", st)
@@ -174,7 +181,8 @@ func TestTimingTableShapeChanges(t *testing.T) {
 		{"window-replay", func(t *testing.T, m *MCC, i int, change model.Function) []*Report {
 			// The offender fits only on the anchor (RAM) and misses its
 			// deadline next to the anchor's baseline load there.
-			sched := NewStreamScheduler(m, WithStreamWindow(8))
+			sched := NewStreamScheduler(m)
+			sched.window = 8
 			reps := sched.Run([]Change{upd(change), upd(fn("hog", model.ASILD, 14000, 5200, 8192))})
 			if st := sched.Stats(); st.Windows != 1 || st.Replays != 1 {
 				t.Fatalf("stats = %+v, want one replayed window", st)

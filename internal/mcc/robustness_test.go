@@ -98,21 +98,6 @@ func TestWithTimingWorkersClampsNonPositive(t *testing.T) {
 	}
 }
 
-func TestStreamOptionsClampNonPositive(t *testing.T) {
-	m, err := New(testPlatform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStreamScheduler(m, WithStreamWorkers(0), WithStreamWindow(-2))
-	if s.workers != 1 || s.window != 1 {
-		t.Fatalf("clamped scheduler = %d workers, window %d, want 1/1", s.workers, s.window)
-	}
-	s = NewStreamScheduler(m, WithStreamWorkers(4), WithStreamWindow(8))
-	if s.workers != 4 || s.window != 8 {
-		t.Fatalf("scheduler = %d workers, window %d, want 4/8", s.workers, s.window)
-	}
-}
-
 // A stalled timing stage must never hang a proposal: the per-proposal
 // deadline converts the stall into a deterministic degraded rejection,
 // and the controller stays fully usable afterwards.
@@ -317,10 +302,10 @@ func TestCacheCorruptionDetectedAndQuarantined(t *testing.T) {
 	}
 }
 
-// Faults on the stream prefetch pool (errors and panics) taint their
-// window: the scheduler replays it serially and every decision still
-// matches the clean serial oracle, with the recovered panics surfaced in
-// the stream stats.
+// Faults on a stream window's analysis pool (errors and panics) become
+// their analyses' errors, so verification fails and the scheduler replays
+// the window serially; every decision still matches the clean serial
+// oracle, with the recovered panics surfaced in the stream stats.
 func TestStreamPrefetchFaultsTaintWindowAndReplay(t *testing.T) {
 	changes := []Change{
 		upd(fn("t0", model.QM, 100000, 2000, 64)),
@@ -338,7 +323,8 @@ func TestStreamPrefetchFaultsTaintWindowAndReplay(t *testing.T) {
 				Stage: "stream.prefetch", Mode: mode, Every: 2, Count: 4,
 			})
 			m := robustMCC(t, WithFaultInjector(inj))
-			sched := NewStreamScheduler(m, WithStreamWindow(8))
+			sched := NewStreamScheduler(m)
+			sched.window = 8
 			got := sched.Run(changes)
 
 			assertDecisionParity(t, changes, got, want)
@@ -347,7 +333,7 @@ func TestStreamPrefetchFaultsTaintWindowAndReplay(t *testing.T) {
 				t.Fatal("prefetch fault never fired")
 			}
 			if st.Replays == 0 {
-				t.Fatalf("tainted windows did not replay: %+v", st)
+				t.Fatalf("pool faults did not replay their windows: %+v", st)
 			}
 			if mode == faultinject.ModePanic && st.PanicsRecovered == 0 {
 				t.Fatalf("pool panics not surfaced in stream stats: %+v", st)
@@ -380,7 +366,8 @@ func TestJournalUndoFaultPurgesAndRecovers(t *testing.T) {
 		faultinject.Rule{Stage: "journal.undo", Mode: faultinject.ModeError, Count: 1},
 	)
 	m := robustMCC(t, WithFaultInjector(inj))
-	sched := NewStreamScheduler(m, WithStreamWindow(8))
+	sched := NewStreamScheduler(m)
+	sched.window = 8
 	got := sched.Run(changes)
 
 	assertDecisionParity(t, changes, got, want)
@@ -442,7 +429,8 @@ func TestJournalRollbackOverlappingKeyedWrites(t *testing.T) {
 				upd(fn("a2", model.QM, 140000, 2500, 64)),
 			}
 			streamed := robustMCC(t)
-			sched := NewStreamScheduler(streamed, WithStreamWindow(8))
+			sched := NewStreamScheduler(streamed)
+			sched.window = 8
 			got := sched.Run(changes)
 
 			fresh := robustMCC(t)
@@ -551,7 +539,8 @@ func TestStreamCancellationStopsReplayPromptly(t *testing.T) {
 		Stage: "stream.prefetch", Mode: faultinject.ModeError, Count: 1,
 	})
 	m := robustMCC(t, WithFaultInjector(inj), WithStage(witness))
-	sched = NewStreamScheduler(m, WithStreamWindow(8))
+	sched = NewStreamScheduler(m)
+	sched.window = 8
 
 	got := sched.RunContext(ctx, changes)
 	if len(got) != len(changes) {

@@ -140,7 +140,7 @@ func assertSnapshotFresh(t *testing.T, label string, m *MCC) {
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", label, err)
 	}
-	if got := m.snap.res.materializeTiming(nil); !reflect.DeepEqual(got, wantTiming) {
+	if got := m.snap.res.materializeTiming(); !reflect.DeepEqual(got, wantTiming) {
 		t.Errorf("%s: committed WCRT tables diverge from the oracle:\ngot  %+v\nwant %+v", label, got, wantTiming)
 	}
 	if got := m.DeployedMonitors(); !reflect.DeepEqual(got, wantMonitors) {

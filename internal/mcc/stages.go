@@ -1215,10 +1215,12 @@ type timingJob struct {
 // committedRes is what a committed-table slot points to: a loaded
 // resource's timing artifacts — the CPA job and its WCRT table —
 // immutable once committed (an empty slot is nil, read as the zero value;
-// see resTable). res.Results == nil marks a table not yet known: an
-// optimistically committed resource whose deferred analysis has not been
-// verified; a job matching such an entry is dirty and re-analyzes through
-// the memo.
+// see resTable), with one exception. A pass under deferred checks commits
+// each dirty resource's entry pending, with res.Results == nil; the
+// stream window that committed it fills it once, in place, when it
+// verifies the verdict, before StreamScheduler.Run returns (a failed
+// window drops its entries with the rollback). Inside the window a job
+// matching a pending entry is dirty.
 type committedRes struct {
 	job timingJob
 	res TimingResult
@@ -1394,22 +1396,6 @@ func (m *MCC) messagesOn(msgs []model.Message) [][]model.Message {
 	return out
 }
 
-// deferredChecks carries one optimistically committed proposal's deferred
-// acceptance checks (mcc.StreamScheduler): the dirty timing jobs —
-// exactly the resources still needing a busy-window verdict, in
-// deterministic resource order. Clean resources' tables live in the
-// committed state and are not replicated here.
-type deferredChecks struct {
-	jobs []timingJob
-
-	// tainted marks that a prefetch task for this proposal hit a fault
-	// (injected error or recovered panic). The verification pass treats a
-	// tainted record as failed, forcing the window's serial replay — the
-	// memo table may hold partial or missing entries, so the optimistic
-	// decision cannot be trusted.
-	tainted atomic.Bool
-}
-
 // analyzeTiming runs CPA on every processor (SPP) and network (SPNP/CAN).
 // With incremental integration, resources whose task-set digest matches
 // their committed table slot are clean and reuse its WCRT table;
@@ -1418,10 +1404,10 @@ type deferredChecks struct {
 // fails (e.g. utilization >= 1, where the busy window does not terminate)
 // is surfaced as a finding naming the resource — never dropped silently.
 //
-// Under ctx.DeferChecks the dirty analyses are not run at all: the jobs
-// are recorded on the attempt's deferred-check record for the stream
-// scheduler to batch onto the worker pool and re-validate, and no
-// findings are raised.
+// Under ctx.DeferChecks the dirty analyses are not run at all and no
+// findings are raised: the commit installs the dirty resources' entries
+// pending (committedFills) for the stream scheduler to analyze on the
+// worker pool and verify.
 func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutcome {
 	m.att.jobs = jobs
 
@@ -1438,8 +1424,8 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutco
 		}
 	}
 	// A job is clean when its committed slot has the same task-set digest
-	// and a known WCRT table (nil marks a deferred analysis not yet
-	// verified, which must run again).
+	// and a known WCRT table (nil marks a pending entry, whose analysis
+	// its window has not verified yet).
 	clean := func(i int) (TimingResult, bool) {
 		if !m.incremental {
 			return TimingResult{}, false
@@ -1449,18 +1435,12 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutco
 	}
 
 	if ctx != nil && ctx.DeferChecks {
-		// Record only the dirty jobs: clean resources keep their committed
-		// tables (reachable through the report's committed handle), and
-		// the delta stays empty until the verification pass fills it with
-		// the deferred verdicts.
-		dt := &deferredChecks{}
-		m.att.deferred = dt
+		// Count the dirty jobs only: the delta stays empty until the
+		// window's verification fills it with the deferred verdicts.
 		for i := range jobs {
-			if _, ok := clean(i); ok {
-				continue
+			if _, ok := clean(i); !ok {
+				out.dirty++
 			}
-			dt.jobs = append(dt.jobs, jobs[i])
-			out.dirty++
 		}
 		return out
 	}
@@ -1790,37 +1770,25 @@ func (s *commitStage) Run(ctx *pipeline.Context) error {
 	} else {
 		s.commitFull(ctx)
 	}
-	s.m.bindReport(ctx.Report)
+	// The just-committed table backs the accepted report's
+	// materialize-on-demand whole-table handle (Report.FullTiming /
+	// FullMonitors). The table pointer is captured by value: later commits
+	// install new tables without disturbing this one, and the chunked
+	// copy-on-write patching keeps the shared storage alive at O(diff)
+	// cost per commit. A pending entry it holds is filled by its window
+	// before the report reaches its caller.
+	t := s.m.snap.res
+	ctx.Report.BindCommitted(t.materializeTiming, t.materializeMonitors)
 	return nil
-}
-
-// bindReport attaches the just-committed table to the accepted report's
-// materialize-on-demand whole-table handle (Report.FullTiming /
-// FullMonitors). The table pointer is captured by value: later commits
-// install new tables without disturbing this one, and the chunked
-// copy-on-write patching keeps the shared storage alive at O(diff) cost
-// per commit. The window heal map is captured alongside for reports
-// committed inside an open stream window, whose deferred analyses are
-// verified — and their tables learned — only after the commit.
-func (m *MCC) bindReport(rep *Report) {
-	t := m.snap.res
-	var heals map[resDigestKey]TimingResult
-	if m.journal != nil {
-		heals = m.journal.heals
-	}
-	rep.BindCommitted(
-		func() []TimingResult { return t.materializeTiming(heals) },
-		func() []MonitorSpec { return t.materializeMonitors() },
-	)
 }
 
 // committedResult is the WCRT table job i of this attempt commits: its
 // analysis (fresh or clean) on a checked pass. Under deferred checks the
 // dirty analyses have not run yet: a job whose digest equals its
 // committed slot's keeps that slot's table (itself possibly still
-// pending), any other commits none — the stream scheduler's verification
-// patches it in on success, the window replays on failure. It reads the
-// committed table, so commits call it before installing the next one.
+// pending), any other commits none — the entry is pending until the
+// stream window's verification fills it. It reads the committed table,
+// so commits call it before installing the next one.
 func (m *MCC) committedResult(i int) TimingResult {
 	if m.att.results != nil {
 		return m.att.results[i]
@@ -1832,11 +1800,17 @@ func (m *MCC) committedResult(i int) TimingResult {
 }
 
 // committedFills is the committed-table entry of every job of this
-// attempt, in job order, freshly allocated for the table to keep.
+// attempt, in job order, freshly allocated for the table to keep. The
+// table keeps fills as the backing array of its slots, so under deferred
+// checks the attempt records the pending ones as the committed entries
+// themselves, for the stream window to fill in place.
 func (m *MCC) committedFills() []committedRes {
 	fills := make([]committedRes, len(m.att.jobs))
 	for i, jb := range m.att.jobs {
 		fills[i] = committedRes{job: jb, res: m.committedResult(i)}
+		if m.att.results == nil && fills[i].res.Results == nil {
+			m.att.pending = append(m.att.pending, &fills[i])
+		}
 	}
 	return fills
 }

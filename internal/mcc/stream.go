@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/cpa"
 	"repro/internal/mcc/pipeline"
 )
 
@@ -19,32 +20,35 @@ import (
 // path: placement bookkeeping (validation, mapping, synthesis, monitor
 // planning) is diff-proportional and cheap, while the busy-window timing
 // analyses of dirty resources dominate. The stream is cut into
-// consecutive windows of a fixed number of changes (WithStreamWindow; the
-// last window may be shorter). A window may hold any mix of changes —
-// updates of one function, a provider and its requirer, removals — because
-// every change is decided against the optimistic commits before it and
-// every deferred verdict is verified before the window is final. Each
-// window is processed in three phases:
+// consecutive windows of a fixed number of changes (16; the last window
+// may be shorter). A window may hold any mix of changes — updates of one
+// function, a provider and its requirer, removals — because every change
+// is decided against the optimistic commits before it and every deferred
+// verdict is verified before the window is final. Each window is
+// processed in three phases:
 //
 //  1. Optimistic pass (serial, cheap): every change runs the full
 //     incremental pipeline in stream order, but the busy-window timing
 //     analyses of dirty resources are deferred (the timing stage still
 //     constructs and digests the dirty task sets) and the candidate
-//     commits optimistically. Every other stage decides inline — the
-//     safety and security checks too, diff-scoped on warm passes and
-//     from scratch on cold ones — so their rejections stand as-is.
-//  2. Prefetch (concurrent): the window's dirty analyses, deduplicated
-//     by task-set digest, fan out over the bounded worker pool through
-//     the shared memoizing analyzer. This is where the cores are used:
-//     the window's dominant cost runs in parallel.
-//  3. Verification (serial, cheap): every deferred verdict is read back
-//     in stream order. If all pass, the optimistic pass was exactly the
-//     serial execution and the window is final. If any deferred verdict
-//     fails (a missed deadline, an analysis error), the window's
-//     optimistic commits are tainted: the scheduler rolls the controller
-//     back to the window-start snapshot and replays the window serially
-//     (the analyzer stays warm, so the replay re-pays only the cheap
-//     stages).
+//     commits optimistically: each dirty resource's committed-table entry
+//     is installed pending, with no WCRT table yet, and the attempt
+//     records it. Every other stage decides inline — the safety and
+//     security checks too, diff-scoped on warm passes and from scratch on
+//     cold ones — so their rejections stand as-is.
+//  2. Analysis (concurrent): each distinct (task-set digest, policy)
+//     analysis of the window's pending entries runs once on the bounded
+//     worker pool, through the shared memoizing analyzer. This is where
+//     the cores are used: the window's dominant cost runs in parallel.
+//  3. Verification (serial, cheap): in stream order, every pending
+//     entry's verdict is checked exactly as the timing stage would have
+//     and written into the entry in place, so every report of the window
+//     reads complete tables. If all pass, the optimistic pass was exactly
+//     the serial execution and the window is final. If any verdict fails
+//     (a missed deadline, an analysis error or pool fault), the scheduler
+//     rolls the controller back to the window-start snapshot, dropping
+//     the window's entries with it, and replays the window serially (the
+//     analyzer stays warm, so the replay re-pays only the cheap stages).
 //
 // Rejections during the optimistic pass (contract violations, infeasible
 // mappings, safety and security findings, custom-stage findings) never
@@ -57,45 +61,18 @@ import (
 // The scheduler owns the MCC for the duration of Run: it is not safe to
 // propose changes from other goroutines concurrently.
 type StreamScheduler struct {
-	m       *MCC
+	m *MCC
+	// workers bounds the analysis pool (the MCC's timing worker count);
+	// window is the number of consecutive changes one optimistic window
+	// holds (defaultStreamWindow).
 	workers int
 	window  int
 	stats   StreamStats
 }
 
-// StreamOption configures a StreamScheduler.
-type StreamOption func(*StreamScheduler)
-
-// WithStreamWorkers bounds the pool that analyzes a window's deferred
-// timing jobs concurrently. The default is the MCC's timing worker count
-// (GOMAXPROCS unless overridden). Non-positive values clamp to 1 (the
-// serial configuration) — never a silent fallback to the default.
-func WithStreamWorkers(n int) StreamOption {
-	return func(s *StreamScheduler) {
-		if n < 1 {
-			n = 1
-		}
-		s.workers = n
-	}
-}
-
-// WithStreamWindow sets how many consecutive changes one optimistic
-// window holds. Larger windows expose more concurrent analyses and pay
-// fewer barriers, but widen the replay blast radius when a deferred
-// verdict fails.
-// Non-positive values clamp to 1 (windows of one change, i.e. serial
-// proposals) — never a silent fallback to the default.
-func WithStreamWindow(n int) StreamOption {
-	return func(s *StreamScheduler) {
-		if n < 1 {
-			n = 1
-		}
-		s.window = n
-	}
-}
-
-// defaultStreamWindow is the optimistic window size when the caller does
-// not choose one.
+// defaultStreamWindow is the optimistic window size. Larger windows
+// expose more concurrent analyses and pay fewer barriers, but widen the
+// replay blast radius when a deferred verdict fails.
 const defaultStreamWindow = 16
 
 // StreamStats reports how a Run spent its effort.
@@ -105,8 +82,8 @@ type StreamStats struct {
 	// Speculated counts changes decided by a window whose verification
 	// passed (the optimistic pass was the serial execution).
 	Speculated int
-	// Prefetched counts deduplicated busy-window analyses fanned out
-	// over the worker pool ahead of the decision point.
+	// Prefetched counts the distinct (task-set digest, policy)
+	// busy-window analyses run on the worker pool ahead of verification.
 	Prefetched int
 	// Replays counts windows whose verification failed and that were
 	// re-decided serially from the window-start snapshot.
@@ -120,27 +97,23 @@ type StreamStats struct {
 	// and no longer break on conflicting changes. It is kept for readers
 	// of the stats and in String().
 	Conflicts int
-	// PanicsRecovered counts panics recovered on the prefetch pool and
-	// during verification (each one taints its window, forcing the
-	// serial replay). Panics recovered inside a proposal's own pipeline
-	// run are counted on that proposal's Report instead.
+	// PanicsRecovered counts panics recovered on the analysis pool: each
+	// one becomes its analysis's error, which fails verification and
+	// forces the window's serial replay. Panics recovered inside a
+	// proposal's own pipeline run are counted on that proposal's Report
+	// instead.
 	PanicsRecovered int
-	// RetriedAnalyses counts transient-fault analysis retries spent in
-	// the prefetch and verification phases (retries inside a proposal's
-	// pipeline run land on its Report).
+	// RetriedAnalyses counts transient-fault analysis retries spent on
+	// the analysis pool (retries inside a proposal's pipeline run land on
+	// its Report).
 	RetriedAnalyses int
 }
 
 // NewStreamScheduler returns a scheduler driving m. The MCC should run
 // its default incremental engine; without the memoizing analyzer
-// (WithoutIncremental) the prefetch phase has nowhere to store its
-// results and the scheduler degrades to plain serial proposals.
-func NewStreamScheduler(m *MCC, opts ...StreamOption) *StreamScheduler {
-	s := &StreamScheduler{m: m, workers: m.workers, window: defaultStreamWindow}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+// (WithoutIncremental) the scheduler degrades to plain serial proposals.
+func NewStreamScheduler(m *MCC) *StreamScheduler {
+	return &StreamScheduler{m: m, workers: m.workers, window: defaultStreamWindow}
 }
 
 // Stats returns the effort counters of every Run so far.
@@ -175,32 +148,21 @@ func (s *StreamScheduler) RunContext(ctx context.Context, changes []Change) []*R
 }
 
 // runWindow decides one window of changes: optimistic pass, concurrent
-// prefetch, verification, and — only if a deferred verdict fails — the
+// analysis, verification, and — only if a deferred verdict fails — the
 // serial replay from the window-start snapshot.
 func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*Report {
 	m := s.m
 	if len(changes) == 1 || !m.incremental || m.quarantined {
-		// Nothing to overlap (no memo table to prefetch into, or the
-		// controller is quarantined and every proposal takes the pinned
-		// from-scratch path anyway): plain serial proposals.
-		reports := make([]*Report, 0, len(changes))
-		for _, c := range changes {
-			if gctx.Err() != nil {
-				reports = append(reports, m.expiredReport(gctx))
-				continue
-			}
-			reports = append(reports, m.integrateChangeCtx(gctx, c))
-		}
-		return reports
+		// Nothing to overlap (no memo table to share analyses through, or
+		// the controller is quarantined and every proposal takes the
+		// pinned from-scratch path anyway): plain serial proposals.
+		return s.runSerial(gctx, changes)
 	}
 
-	// Rollback point: the start snapshot pointer and a fresh epoch, so the
-	// window's commits copy exactly the snapshot parts they write — cost
-	// follows the window's footprint, not the platform size.
-	j := m.beginWindow()
+	start := m.beginWindow()
 	type pend struct {
-		report *Report
-		dt     *deferredChecks
+		report  *Report
+		entries []*committedRes
 	}
 	var pendings []pend
 	reports := make([]*Report, 0, len(changes))
@@ -221,63 +183,72 @@ func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*R
 		rep := m.integrateChangeCtx(gctx, c)
 		reports = append(reports, rep)
 		optimisticPasses += rep.Passes
-		if rep.Accepted && m.att.deferred != nil {
-			pendings = append(pendings, pend{rep, m.att.deferred})
+		if rep.Accepted && len(m.att.pending) > 0 {
+			pendings = append(pendings, pend{rep, m.att.pending})
 		}
 	}
 	m.deferChecks = false
 
-	// Concurrent phase: run the window's dirty busy-window analyses on
-	// the pool, deduplicated by digest (they land in the shared memo
-	// table, where verification reads them back).
-	var tasks []func()
-	seen := make(map[uint64]bool)
+	// Concurrent phase: each distinct analysis of the window's pending
+	// entries runs once on the pool (an analysis depends on the task set
+	// and the policy alone). A fault there (an injected error, or a
+	// recovered panic wrapped as errWorkerPanic) becomes that analysis's
+	// error: verification fails on it and the window replays, so a pool
+	// fault can degrade throughput, never crash the process or corrupt a
+	// decision.
+	type key struct {
+		digest uint64
+		spnp   bool
+	}
+	keys := make(map[key]int)
+	var jobs []timingJob
 	for _, p := range pendings {
-		dt := p.dt
-		for _, job := range dt.jobs {
-			if seen[analysisKey(job)] {
-				continue
+		for _, e := range p.entries {
+			k := key{e.job.digest, e.job.spnp}
+			if _, ok := keys[k]; !ok {
+				keys[k] = len(jobs)
+				jobs = append(jobs, e.job)
 			}
-			seen[analysisKey(job)] = true
-			s.stats.Prefetched++
-			// A fault on the pool (an injected error or a recovered panic)
-			// taints the window: the verification pass then fails it and
-			// the serial replay re-decides it — a fault on the pool can
-			// degrade throughput, never crash the process or corrupt a
-			// decision.
-			tasks = append(tasks, func() {
-				defer func() {
-					if r := recover(); r != nil {
-						m.panicsRecovered.Add(1)
-						dt.tainted.Store(true)
-					}
-				}()
-				if _, fired, err := m.inject.Fire(nil, "stream.prefetch", job.resource); fired && err != nil {
-					dt.tainted.Store(true)
-					return
-				}
-				m.runTimingJob(nil, job) //nolint:errcheck // memo warming only
-			})
 		}
 	}
+	s.stats.Prefetched += len(jobs)
+	results := make([]TimingResult, len(jobs))
+	errs := make([]error, len(jobs))
 	retried0, panics0 := m.retriedAnalyses.Load(), m.panicsRecovered.Load()
-	s.prefetch(tasks)
-
-	// Verification: read every deferred verdict back in stream order.
-	verified := true
-	for _, p := range pendings {
-		if !s.verifyDeferred(p.report, p.dt) {
-			verified = false
-			break
+	runParallel(len(jobs), min(s.workers, len(jobs)), func(k int) {
+		defer func() {
+			if r := recover(); r != nil {
+				m.panicsRecovered.Add(1)
+				errs[k] = fmt.Errorf("%w: %v", errWorkerPanic, r)
+			}
+		}()
+		if _, fired, err := m.inject.Fire(nil, "stream.prefetch", jobs[k].resource); fired && err != nil {
+			errs[k] = err
+			return
 		}
-	}
-	// Retries and recovered panics spent outside any proposal's own
-	// pipeline run (prefetch pool, verification re-reads) are accounted
-	// on the stream stats.
+		results[k], errs[k] = m.runTimingJob(nil, jobs[k])
+	})
 	s.stats.RetriedAnalyses += int(m.retriedAnalyses.Load() - retried0)
 	s.stats.PanicsRecovered += int(m.panicsRecovered.Load() - panics0)
+
+	// Verification, in stream order: check every pending entry's verdict
+	// and write it into the entry, filling the report's timing delta.
+	verified := true
+verify:
+	for _, p := range pendings {
+		delta := make([]TimingResult, 0, len(p.entries))
+		for _, e := range p.entries {
+			k := keys[key{e.job.digest, e.job.spnp}]
+			if errs[k] != nil || !schedulable(results[k].Results) {
+				verified = false
+				break verify
+			}
+			e.res = TimingResult{Resource: e.job.resource, Results: results[k].Results}
+			delta = append(delta, pipeline.CloneTimingResult(e.res))
+		}
+		p.report.TimingDelta = delta
+	}
 	if verified {
-		m.commitWindow()
 		s.stats.Speculated += len(changes)
 		return reports
 	}
@@ -291,96 +262,78 @@ func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*R
 	// short-circuits never ran one.
 	s.stats.Replays++
 	s.stats.DiscardedPasses += optimisticPasses
-	m.rollbackWindow(j)
-	reports = reports[:0]
+	m.rollbackWindow(start)
+	return s.runSerial(gctx, changes)
+}
+
+// runSerial decides changes as plain serial proposals. A cancelled or
+// expired context stops it promptly: the remaining changes resolve as
+// deadline rejections instead of paying a full pipeline setup each just
+// to rediscover the expiry.
+func (s *StreamScheduler) runSerial(gctx context.Context, changes []Change) []*Report {
+	reports := make([]*Report, 0, len(changes))
 	for _, c := range changes {
-		// A cancelled or expired context must stop the serial replay
-		// promptly: the remaining changes of the window resolve as
-		// deadline rejections instead of paying a full pipeline setup
-		// each just to rediscover the expiry.
 		if gctx.Err() != nil {
-			reports = append(reports, m.expiredReport(gctx))
+			reports = append(reports, s.m.expiredReport(gctx))
 			continue
 		}
-		reports = append(reports, m.integrateChangeCtx(gctx, c))
+		reports = append(reports, s.m.integrateChangeCtx(gctx, c))
 	}
 	return reports
 }
 
-// analysisKey distinguishes the SPP and SPNP analyses of identical task
-// sets for prefetch deduplication. It is local to the dedup set — the
-// analyzer derives its own cache keys — so a collision at worst skips
-// one prefetch and shifts that analysis to the verification pass.
-func analysisKey(j timingJob) uint64 {
-	if j.spnp {
-		return j.digest ^ 1
-	}
-	return j.digest
-}
-
-// prefetch runs the deferred analysis tasks on at most s.workers
-// goroutines (the calling goroutine included). Results land in the shared
-// memo table, faults in each proposal's deferredChecks record; the
-// barrier at the end makes both visible to the verification pass.
-func (s *StreamScheduler) prefetch(tasks []func()) {
-	if len(tasks) == 0 {
-		return
-	}
-	workers := s.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	runParallel(len(tasks), workers, func(k int) { tasks[k]() })
-}
-
-// verifyDeferred re-validates one optimistically accepted proposal: every
-// deferred busy-window verdict is read back (a memo hit after prefetch)
-// and checked exactly as the timing stage would have. On success the
-// report's timing delta is filled with fresh copies of the deferred
-// verdicts, the window heal map learns the verdicts for the tables bound
-// by this window's earlier commits, and the snapshot is replaced by a
-// copy with the patched table so post-window views are complete (the
-// start snapshot, the journal's rollback pointer, is untouched, so a
-// later proposal's failed verdict rolls the patch back).
-// On any failed check it reports false and leaves the caller to replay
-// the window.
-func (s *StreamScheduler) verifyDeferred(rep *Report, dt *deferredChecks) bool {
-	// A tainted record means a prefetch task for this proposal hit a
-	// fault (injected error or recovered panic): the optimistic decision
-	// cannot be trusted, the window replays serially.
-	if dt.tainted.Load() {
-		return false
-	}
-	m := s.m
-	if len(dt.jobs) == 0 {
-		return true
-	}
-	delta := make([]TimingResult, 0, len(dt.jobs))
-	t := m.snap.res
-	var fills []committedRes
-	for _, job := range dt.jobs {
-		res, err := m.runTimingJobSafe(nil, job)
-		if err != nil {
+// schedulable reports whether every task of a WCRT table meets its
+// deadline.
+func schedulable(results []cpa.Result) bool {
+	for _, r := range results {
+		if !r.Schedulable {
 			return false
 		}
-		for _, r := range res.Results {
-			if !r.Schedulable {
-				return false
-			}
-		}
-		m.journal.heals[resDigestKey{job.resource, job.digest}] = res
-		if cr := t.get(int(job.slot)); cr.job.digest == job.digest && cr.res.Results == nil {
-			fills = append(fills, committedRes{job: cr.job, res: res})
-		}
-		delta = append(delta, pipeline.CloneTimingResult(res))
-	}
-	rep.TimingDelta = delta
-	if len(fills) > 0 {
-		// The patch leaves the start snapshot's table and every bound view
-		// intact.
-		m.ownSnap().res = t.patch(m.newEpoch(), fills, nil)
 	}
 	return true
+}
+
+// beginWindow opens a window's rollback point in O(1), whatever the
+// platform size. All committed state lives in one snapshot whose parts
+// copy themselves on write under the controller's epoch (snapshot.go),
+// and no proposal writes anything before its commit stage. A fresh epoch
+// leaves every part of the start snapshot to older epochs, so the
+// window's commits copy whatever they write; the start snapshot it
+// returns is the rollback point.
+func (m *MCC) beginWindow() *snapshot {
+	m.epoch = m.newEpoch()
+	return m.snap
+}
+
+// rollbackWindow restores the controller to the window-start state by
+// re-installing the start snapshot pointer; the window's discarded
+// reports, and the committed-table entries only they reach, are dropped
+// with it.
+func (m *MCC) rollbackWindow(start *snapshot) {
+	m.snap = start
+	// Fault-injection hook modeling a corrupted start snapshot (e.g. a
+	// chunk lost to memory corruption): the incremental state is purged
+	// and the controller quarantined — every subsequent proposal runs the
+	// pinned from-scratch path until an accepted commit rebuilds the
+	// snapshot wholesale.
+	if _, fired, err := m.inject.Fire(nil, "journal.undo", ""); fired && err != nil {
+		m.purgeIncrementalState()
+	}
+}
+
+// purgeIncrementalState is the last rung of the degradation ladder: drop
+// the snapshot's lookup state and timing table and the analyzer memo, and
+// quarantine the controller. The committed implementation model and
+// functional architecture are kept, materialized first from the lookup
+// state being dropped, so the purged snapshot stands on its own.
+// Proposals decided while quarantined run the pinned from-scratch path —
+// slower but dependent only on the committed architecture — and the
+// first accepted commit rebuilds the snapshot wholesale (commitFull),
+// lifting the quarantine.
+func (m *MCC) purgeIncrementalState() {
+	m.quarantined = true
+	m.snap = &snapshot{impl: m.DeployedImpl(), fa: m.Deployed()}
+	m.analyzer.Reset()
 }
 
 // String renders stream stats for telemetry rows. Every counter the

@@ -92,7 +92,7 @@ func cacheFingerprint(m *MCC) map[string]any {
 		"tasks":    impl.Tasks,
 		"messages": impl.Messages,
 		"conns":    impl.Connections,
-		"timing":   m.snap.res.materializeTiming(nil),
+		"timing":   m.snap.res.materializeTiming(),
 		"jobs":     committedJobs(m),
 		"digests":  committedDigests(m),
 		"monitors": m.DeployedMonitors(),
@@ -156,7 +156,8 @@ func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
 			// RunContext's window loop, with the architecture checked
 			// against its shadow after every window.
 			streamed := mk()
-			sched := NewStreamScheduler(streamed, WithStreamWindow(8))
+			sched := NewStreamScheduler(streamed)
+			sched.window = 8
 			streamShadow := streamed.Deployed()
 			var got []*Report
 			for lo := 0; lo < len(changes); lo += sched.window {

@@ -183,7 +183,7 @@ func TestMonitorPlanUntouchedByRejection(t *testing.T) {
 // streamParity runs the same change stream through a serial MCC and a
 // stream scheduler and asserts identical decisions, findings, and final
 // deployed state.
-func streamParity(t *testing.T, p *model.Platform, baseline []model.Function, changes []Change, opts ...StreamOption) (*StreamScheduler, []*Report) {
+func streamParity(t *testing.T, p *model.Platform, baseline []model.Function, changes []Change, window int) (*StreamScheduler, []*Report) {
 	t.Helper()
 	mkMCC := func() *MCC {
 		m, err := New(p)
@@ -205,7 +205,8 @@ func streamParity(t *testing.T, p *model.Platform, baseline []model.Function, ch
 	}
 
 	streamed := mkMCC()
-	sched := NewStreamScheduler(streamed, opts...)
+	sched := NewStreamScheduler(streamed)
+	sched.window = window
 	got := sched.Run(changes)
 
 	if len(got) != len(want) {
@@ -246,7 +247,7 @@ func TestStreamSchedulerParityFeasibleStream(t *testing.T) {
 		upd(fn("t2", model.QM, 140000, 2500, 64)),
 		upd(fn("t3", model.QM, 160000, 1000, 64)),
 	}
-	sched, _ := streamParity(t, testPlatform(), []model.Function{fn("base", model.QM, 50000, 5000, 256)}, changes)
+	sched, _ := streamParity(t, testPlatform(), []model.Function{fn("base", model.QM, 50000, 5000, 256)}, changes, defaultStreamWindow)
 	st := sched.Stats()
 	if st.Replays != 0 || st.Speculated != len(changes) {
 		t.Fatalf("stats = %+v, want %d speculated, 0 replays", st, len(changes))
@@ -264,7 +265,7 @@ func TestStreamSchedulerParityWithValidationRejects(t *testing.T) {
 		upd(fn("bad", model.QM, 1000, 5000, 64)), // WCET > deadline
 		upd(fn("t1", model.QM, 120000, 1500, 64)),
 	}
-	sched, got := streamParity(t, testPlatform(), nil, changes)
+	sched, got := streamParity(t, testPlatform(), nil, changes, defaultStreamWindow)
 	if got[1].Accepted || got[1].RejectedAt != StageValidate {
 		t.Fatalf("broken contract decided %v@%q", got[1].Accepted, got[1].RejectedAt)
 	}
@@ -288,7 +289,7 @@ func TestStreamSchedulerReplayOnTimingReject(t *testing.T) {
 		upd(fn("c", model.ASILD, 14000, 5200, 1)), // passes contracts, misses deadline next to a
 		upd(fn("t", model.QM, 200000, 100, 1)),    // feasible, evaluated after the offender
 	}
-	sched, got := streamParity(t, p, baseline, changes)
+	sched, got := streamParity(t, p, baseline, changes, defaultStreamWindow)
 	if got[0].Accepted || got[0].RejectedAt != StageTiming {
 		t.Fatalf("offender decided %v@%q, want timing rejection", got[0].Accepted, got[0].RejectedAt)
 	}
@@ -314,7 +315,7 @@ func TestStreamSchedulerInlineSafetyRejectWithoutReplay(t *testing.T) {
 		upd(failop),
 		upd(fn("t1", model.QM, 120000, 1500, 64)),
 	}
-	sched, got := streamParity(t, testPlatform(), nil, changes)
+	sched, got := streamParity(t, testPlatform(), nil, changes, defaultStreamWindow)
 	if got[1].Accepted || got[1].RejectedAt != StageSafety {
 		t.Fatalf("failop decided %v@%q, want safety rejection", got[1].Accepted, got[1].RejectedAt)
 	}
@@ -343,7 +344,7 @@ func TestStreamSchedulerInlineSecurityRejectWithoutReplay(t *testing.T) {
 		upd(cli),
 		upd(fn("t0", model.QM, 100000, 2000, 64)),
 	}
-	sched, got := streamParity(t, testPlatform(), []model.Function{srv}, changes)
+	sched, got := streamParity(t, testPlatform(), []model.Function{srv}, changes, defaultStreamWindow)
 	if got[0].Accepted || got[0].RejectedAt != StageSecurity {
 		t.Fatalf("cross-domain client decided %v@%q, want security rejection", got[0].Accepted, got[0].RejectedAt)
 	}
@@ -368,7 +369,7 @@ func TestStreamSchedulerReplayKeepsDiscardedPassesOnTheBooks(t *testing.T) {
 		upd(fn("c", model.ASILD, 14000, 5200, 1)), // deferred timing verdict fails
 		upd(fn("t", model.QM, 200000, 100, 1)),
 	}
-	sched, _ := streamParity(t, p, baseline, changes)
+	sched, _ := streamParity(t, p, baseline, changes, defaultStreamWindow)
 	if st := sched.Stats(); st.DiscardedPasses < len(changes) {
 		t.Fatalf("stats = %+v, want >= %d discarded passes accounted", st, len(changes))
 	}
@@ -386,7 +387,7 @@ func TestStreamSchedulerSameFunctionAndRemovalShareWindow(t *testing.T) {
 		{Remove: "svc"},
 		upd(fn("t1", model.QM, 140000, 1000, 64)),
 	}
-	sched, got := streamParity(t, testPlatform(), nil, changes)
+	sched, got := streamParity(t, testPlatform(), nil, changes, defaultStreamWindow)
 	for i, rep := range got {
 		if !rep.Accepted {
 			t.Fatalf("change %d rejected: %v (%s)", i, rep.Findings, rep.RejectedAt)
@@ -406,7 +407,7 @@ func TestStreamSchedulerProviderRequirerShareWindow(t *testing.T) {
 	cons := fn("cons", model.QM, 100000, 2000, 64)
 	cons.Requires = []string{"svc"}
 	changes := []Change{upd(prov), upd(cons)}
-	sched, got := streamParity(t, testPlatform(), nil, changes)
+	sched, got := streamParity(t, testPlatform(), nil, changes, defaultStreamWindow)
 	for i, rep := range got {
 		if !rep.Accepted {
 			t.Fatalf("change %d rejected: %v (%s)", i, rep.Findings, rep.RejectedAt)
@@ -454,7 +455,7 @@ func TestStreamWindowReplayAfterRemovalMatchesSerial(t *testing.T) {
 		upd(cons),
 		upd(hog),
 	}
-	sched, got := streamParity(t, p, baseline, changes)
+	sched, got := streamParity(t, p, baseline, changes, defaultStreamWindow)
 	// "new" fits nowhere but on the processor "old" frees, so its
 	// acceptance shows the removal's optimistic commit was visible to it.
 	for i, rep := range got[:len(got)-1] {
@@ -489,7 +490,7 @@ func TestStreamSchedulerLongMixedStreamParity(t *testing.T) {
 			changes = append(changes, upd(fn(fmt.Sprintf("w%d", i), model.QM, 100000, 2000, 64)))
 		}
 	}
-	sched, _ := streamParity(t, testPlatform(), nil, changes, WithStreamWindow(6))
+	sched, _ := streamParity(t, testPlatform(), nil, changes, 6)
 	if st := sched.Stats(); st.Windows < 4 {
 		t.Fatalf("stats = %+v, want multiple windows", st)
 	}
@@ -586,7 +587,8 @@ func TestDecidedReportsNotRetained(t *testing.T) {
 		if rejected.Accepted {
 			t.Fatal("invalid contract accepted")
 		}
-		sched := NewStreamScheduler(m, WithStreamWindow(len(expiryChanges())))
+		sched := NewStreamScheduler(m)
+		sched.window = len(expiryChanges())
 		reps := append(sched.Run(expiryChanges()), accepted, rejected)
 		if st := sched.Stats(); st.Replays != 1 || st.DiscardedPasses == 0 {
 			t.Fatalf("stats = %+v, want one replayed window with discarded passes", st)
@@ -639,7 +641,8 @@ func TestStreamSchedulerMidWindowExpiryDiscardAccounting(t *testing.T) {
 	*armed = true
 
 	changes := expiryChanges()
-	sched := NewStreamScheduler(m, WithStreamWindow(len(changes)))
+	sched := NewStreamScheduler(m)
+	sched.window = len(changes)
 	got := sched.RunContext(ctx, changes)
 	if len(got) != len(changes) {
 		t.Fatalf("stream resolved %d/%d changes", len(got), len(changes))

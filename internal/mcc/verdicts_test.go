@@ -210,7 +210,8 @@ func TestScopedVerdictCacheInvalidationEdges(t *testing.T) {
 			return m.integrateChangeCtx(context.Background(), c)
 		}},
 		{"window", func(t *testing.T, m *MCC, i int, c Change) *Report {
-			sched := NewStreamScheduler(m, WithStreamWindow(8))
+			sched := NewStreamScheduler(m)
+			sched.window = 8
 			reps := sched.Run([]Change{c, upd(ver(i, fn("fill", model.QM, 200000, 100, 64)))})
 			if st := sched.Stats(); st.Replays != 0 || !reps[1].Accepted {
 				t.Fatalf("stats = %+v, filler accepted %v: want a verified window", st, reps[1].Accepted)
@@ -218,7 +219,8 @@ func TestScopedVerdictCacheInvalidationEdges(t *testing.T) {
 			return reps[0]
 		}},
 		{"window-replay", func(t *testing.T, m *MCC, _ int, c Change) *Report {
-			sched := NewStreamScheduler(m, WithStreamWindow(8))
+			sched := NewStreamScheduler(m)
+			sched.window = 8
 			reps := sched.Run([]Change{c, upd(hog)})
 			if st := sched.Stats(); st.Replays != 1 || reps[1].Accepted || reps[1].RejectedAt != StageTiming {
 				t.Fatalf("stats = %+v, hog decided %v@%q: want one replay and a timing rejection",

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,7 +25,9 @@ import (
 //     clean serial from-scratch oracle's — including the decisions the
 //     ladder re-derived on the pinned from-scratch path, which the
 //     Report marks Degraded. Only deadline expiries are excused, and
-//     those are explicitly labeled in DegradedReasons.
+//     those are explicitly labeled in DegradedReasons. Without a
+//     deadline the final deployment (instances, tasks, messages,
+//     connections and monitor plan) equals the oracle's too.
 //
 // The emitted rows carry the recovery telemetry (panics recovered,
 // bounded analysis retries, faults actually fired), the availability of
@@ -98,13 +101,13 @@ func DefaultChaosSpecs() []ChaosFaultSpec {
 		},
 		{
 			// Every other memo hit hands back a truncated entry; the
-			// length sanity check quarantines and rebuilds. Memo hits
-			// need a re-read of a cached analysis, which the serial
-			// drive loop's diff-proportional engine never does within
-			// one stream — only the stream scheduler's deferred verify
-			// pass re-reads its prefetched entries, so the column runs
-			// there. (The full-incremental corruption path is pinned by
-			// the dedicated mcc robustness tier.)
+			// length sanity check resets the analyzer and the window
+			// replays. Memo hits need a re-read of a cached analysis,
+			// which no engine does within one stream, so a stream run
+			// of a spec corrupting "cpa.cache" starts from the analyzer
+			// a clean stream run loaded: the damaged loaded-cache case
+			// (see runChaosStream). (The full-incremental corruption
+			// path is pinned by the dedicated mcc robustness tier.)
 			Name:  "cache-corrupt",
 			Rules: []faultinject.Rule{{Stage: "cpa.cache", Mode: faultinject.ModeCorrupt, Every: 2}},
 			Modes: []MCCThroughputMode{ThroughputStream},
@@ -238,9 +241,10 @@ func RunMCCChaos(cfg MCCChaosConfig) ([]MCCChaosRow, error) {
 	changes := fleet.Changes(cfg.Updates)
 
 	// One memo table shared by the oracle runs only — the faulted runs
-	// get fresh analyzers so injected cache corruption cannot leak.
+	// get analyzers of their own (see runChaosStream) so injected cache
+	// corruption cannot leak.
 	memo := cpa.NewAnalyzer()
-	oracle, err := chaosOracle(fleet, changes, memo)
+	om, oracle, err := chaosOracle(fleet, changes, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -254,9 +258,9 @@ func RunMCCChaos(cfg MCCChaosConfig) ([]MCCChaosRow, error) {
 			var row MCCChaosRow
 			switch mode {
 			case ThroughputFull:
-				row, err = runChaosFull(fleet, changes, fs, oracle, memo)
+				row, err = runChaosFull(fleet, changes, fs, om, oracle, memo)
 			case ThroughputStream:
-				row, err = runChaosStream(fleet, changes, fs, oracle)
+				row, err = runChaosStream(fleet, changes, fs, om, oracle)
 			default:
 				err = fmt.Errorf("scenario: chaos does not support mode %q", mode)
 			}
@@ -271,21 +275,22 @@ func RunMCCChaos(cfg MCCChaosConfig) ([]MCCChaosRow, error) {
 }
 
 // chaosOracle replays the change stream on a clean serial from-scratch
-// MCC — the reference every faulted decision must match.
-func chaosOracle(fleet *Fleet, changes []mcc.Change, memo *cpa.Analyzer) ([]*mcc.Report, error) {
+// MCC — the reference every faulted decision and final deployment must
+// match — and returns that MCC with its reports.
+func chaosOracle(fleet *Fleet, changes []mcc.Change, memo *cpa.Analyzer) (*mcc.MCC, []*mcc.Report, error) {
 	m, err := mcc.New(fleet.Platform,
 		mcc.WithoutIncremental(), mcc.WithTimingWorkers(1), mcc.WithAnalyzer(memo))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if rep := m.ProposeArchitecture(fleet.Baseline); !rep.Accepted {
-		return nil, fmt.Errorf("oracle baseline rejected at %s: %v", rep.RejectedAt, rep.Findings)
+		return nil, nil, fmt.Errorf("oracle baseline rejected at %s: %v", rep.RejectedAt, rep.Findings)
 	}
 	out := make([]*mcc.Report, len(changes))
 	for i, c := range changes {
 		out[i] = proposeChaosChange(m, c)
 	}
-	return out, nil
+	return m, out, nil
 }
 
 func proposeChaosChange(m *mcc.MCC, c mcc.Change) *mcc.Report {
@@ -326,8 +331,9 @@ func (o *chaosReplayOracle) decide(c mcc.Change) (*mcc.Report, error) {
 
 // runChaosFull drives the stream serially through the full-incremental
 // engine under the fault spec, measuring per-proposal latency and
-// checking every non-deadline decision against the oracle.
-func runChaosFull(fleet *Fleet, changes []mcc.Change, fs ChaosFaultSpec, oracle []*mcc.Report, memo *cpa.Analyzer) (MCCChaosRow, error) {
+// checking every non-deadline decision against the oracle, and without a
+// deadline the final deployment against the oracle controller om's.
+func runChaosFull(fleet *Fleet, changes []mcc.Change, fs ChaosFaultSpec, om *mcc.MCC, oracle []*mcc.Report, memo *cpa.Analyzer) (MCCChaosRow, error) {
 	row := MCCChaosRow{Spec: fs.Name, Mode: ThroughputFull, Changes: len(changes)}
 	inj := faultinject.New(chaosSeed, fs.Rules...)
 	opts := []mcc.Option{mcc.WithFaultInjector(inj)}
@@ -392,6 +398,9 @@ func runChaosFull(fleet *Fleet, changes []mcc.Change, fs ChaosFaultSpec, oracle 
 		}
 	}
 	row.WallUS = time.Since(start).Microseconds()
+	if replay == nil {
+		chaosCompareDeployment(&row, m, om)
+	}
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	var sum int64
@@ -410,14 +419,29 @@ func runChaosFull(fleet *Fleet, changes []mcc.Change, fs ChaosFaultSpec, oracle 
 
 // runChaosStream drives the stream through the concurrent scheduler
 // under the fault spec. No deadline applies, so parity is total: every
-// decision — degraded ones included — must equal the fixed oracle's.
-func runChaosStream(fleet *Fleet, changes []mcc.Change, fs ChaosFaultSpec, oracle []*mcc.Report) (MCCChaosRow, error) {
+// decision — degraded ones included — must equal the fixed oracle's, and
+// the final deployment the oracle controller om's. A spec corrupting
+// memo entries ("cpa.cache") starts from an analyzer a clean stream run
+// of the same changes loaded, so the run's analyses are memo hits.
+func runChaosStream(fleet *Fleet, changes []mcc.Change, fs ChaosFaultSpec, om *mcc.MCC, oracle []*mcc.Report) (MCCChaosRow, error) {
 	row := MCCChaosRow{Spec: fs.Name, Mode: ThroughputStream, Changes: len(changes)}
 	if fs.DeadlineMS > 0 {
 		return row, fmt.Errorf("deadline specs are full-incremental only")
 	}
 	inj := faultinject.New(chaosSeed, fs.Rules...)
-	m, err := mcc.New(fleet.Platform, mcc.WithFaultInjector(inj))
+	opts := []mcc.Option{mcc.WithFaultInjector(inj)}
+	if slices.ContainsFunc(fs.Rules, func(r faultinject.Rule) bool { return r.Stage == "cpa.cache" }) {
+		warm, err := mcc.New(fleet.Platform)
+		if err != nil {
+			return row, err
+		}
+		if rep := warm.ProposeArchitecture(fleet.Baseline); !rep.Accepted {
+			return row, fmt.Errorf("warm-up baseline rejected at %s: %v", rep.RejectedAt, rep.Findings)
+		}
+		mcc.NewStreamScheduler(warm).Run(changes)
+		opts = append(opts, mcc.WithAnalyzer(warm.Analyzer()))
+	}
+	m, err := mcc.New(fleet.Platform, opts...)
 	if err != nil {
 		return row, err
 	}
@@ -447,6 +471,7 @@ func runChaosStream(fleet *Fleet, changes []mcc.Change, fs ChaosFaultSpec, oracl
 			}
 		}
 	}
+	chaosCompareDeployment(&row, m, om)
 	stats := sched.Stats()
 	row.PanicsRecovered += stats.PanicsRecovered
 	row.RetriedAnalyses += stats.RetriedAnalyses
@@ -482,4 +507,30 @@ func chaosCompare(got, want *mcc.Report) string {
 		return fmt.Sprintf("findings %v, oracle %v", gf, wf)
 	}
 	return ""
+}
+
+// chaosCompareDeployment counts a mismatch on row unless the faulted
+// controller got holds the oracle want's final deployment: instances,
+// tasks, messages, connections and monitor plan.
+func chaosCompareDeployment(row *MCCChaosRow, got, want *mcc.MCC) {
+	gi, wi := got.DeployedImpl(), want.DeployedImpl()
+	var diff string
+	switch {
+	case !slices.Equal(gi.Tech.Instances, wi.Tech.Instances):
+		diff = "instances"
+	case !slices.Equal(gi.Tasks, wi.Tasks):
+		diff = "tasks"
+	case !slices.Equal(gi.Messages, wi.Messages):
+		diff = "messages"
+	case !slices.Equal(gi.Connections, wi.Connections):
+		diff = "connections"
+	case !slices.Equal(got.DeployedMonitors(), want.DeployedMonitors()):
+		diff = "monitor plan"
+	default:
+		return
+	}
+	row.Mismatches++
+	if row.FirstMismatch == "" {
+		row.FirstMismatch = "final deployment: " + diff + " differ from the oracle's"
+	}
 }
