@@ -14,8 +14,8 @@ import (
 // iterations.
 //
 // Thread-safety contract: an Analyzer is safe for unrestricted concurrent
-// use — one MCC fanning dirty resources over a worker pool, a stream
-// scheduler's prefetch pool, and a whole fleet of per-vehicle MCCs
+// use — one MCC fanning dirty resources over a worker pool, and a whole
+// fleet of per-vehicle MCCs
 // (internal/fleet) may share a single instance. The invariants callers
 // rely on:
 //

@@ -159,8 +159,8 @@ type MCC struct {
 	pipe *pipeline.Pipeline
 
 	// inject, when non-nil, fires fault-injection hooks on every pipeline
-	// stage, the timing worker pool, the stream window's analysis pool,
-	// and the window rollback path (the analyzer's hooks are installed in
+	// stage, the timing worker pool, a stream window's analyses, and the
+	// window rollback path (the analyzer's hooks are installed in
 	// New).
 	inject *faultinject.Injector
 	// proposalDeadline, when > 0, bounds every proposal's wall clock:
@@ -177,9 +177,9 @@ type MCC struct {
 	// bypassed, so a pinned decision always equals the clean
 	// from-scratch oracle's.
 	pinned bool
-	// retriedAnalyses/panicsRecovered count pool-side recovery events
-	// (timing-job retries after transient errors, recovered worker and
-	// prefetch panics); integrate and the stream scheduler report deltas.
+	// retriedAnalyses/panicsRecovered count the timing stage's pool-side
+	// recovery events (analysis retries after transient errors, recovered
+	// worker panics); integrate reports per-proposal deltas.
 	retriedAnalyses atomic.Int64
 	panicsRecovered atomic.Int64
 }
@@ -189,9 +189,9 @@ type Option func(*MCC)
 
 // WithTimingWorkers bounds the worker pool that analyzes dirty resources
 // during the timing acceptance test. 1 forces serial analysis; the default
-// is runtime.GOMAXPROCS(0); a StreamScheduler's analysis pool takes the
-// same bound. Values below 1 clamp to 1 — the serial configuration —
-// never a silent fallback to the default.
+// is runtime.GOMAXPROCS(0). A StreamScheduler's window analyses do not use
+// the pool: they run on the scheduler's goroutine. Values below 1 clamp to
+// 1 — the serial configuration — never a silent fallback to the default.
 func WithTimingWorkers(n int) Option {
 	return func(m *MCC) {
 		if n < 1 {
@@ -210,7 +210,8 @@ func WithHistoryLimit(int) Option {
 // WithFaultInjector installs a deterministic fault injector on the MCC's
 // hook points ("stage.<name>" before every pipeline stage,
 // "timing.worker" per pooled analysis, "stream.prefetch" per analysis a
-// stream window runs on its pool, "journal.undo" on window rollback, plus
+// stream window runs ahead of verification, "journal.undo" on window
+// rollback, plus
 // the analyzer's "cpa.analyze"/"cpa.cache" hooks). Nil disables injection
 // (the default); the hooks then cost one nil check.
 func WithFaultInjector(inj *faultinject.Injector) Option {
@@ -242,7 +243,7 @@ func WithoutIncremental() Option {
 // memoizing timing analyzer instead of creating an empty one. Fleet
 // sessions use this together with cpa.SaveCache/LoadCache to carry the
 // busy-window memo table across process restarts, and a replayed stream
-// window re-reads the analyses its pool ran through the shared analyzer.
+// window re-reads the analyses the window ran through the shared analyzer.
 // A nil analyzer is ignored.
 func WithAnalyzer(a *cpa.Analyzer) Option {
 	return func(m *MCC) {

@@ -16,9 +16,15 @@ import (
 // (serial, incremental, stream) decided the change. The tables are in
 // deterministic resource order (loaded processors sorted by name, then
 // loaded networks in platform order), matching the committed table.
+// Before deriving anything it holds the task list to the placement
+// (checkTasks), so a synthesis that lost or misplaced a resident is an
+// error, not a table computed over the wrong task sets.
 func FromScratchTables(p *model.Platform, impl *model.ImplementationModel) ([]TimingResult, []MonitorSpec, error) {
 	if impl == nil {
 		return nil, nil, nil
+	}
+	if err := checkTasks(impl); err != nil {
+		return nil, nil, err
 	}
 	m := &MCC{platform: p, procs: procNames(p), procIdx: procIndex(p)}
 	var timing []TimingResult
@@ -34,6 +40,34 @@ func FromScratchTables(p *model.Platform, impl *model.ImplementationModel) ([]Ti
 		timing = append(timing, TimingResult{Resource: j.resource, Results: res})
 	}
 	return timing, m.planMonitors(impl), nil
+}
+
+// checkTasks holds the task list to the placement, reading the model
+// alone: one task per timed instance (of a function with a period), named
+// by the instance's ID and on its processor.
+func checkTasks(impl *model.ImplementationModel) error {
+	timed := make(map[string]bool, len(impl.Tech.Func.Functions))
+	for _, f := range impl.Tech.Func.Functions {
+		timed[f.Name] = f.Contract.RealTime.HasTiming()
+	}
+	untasked := make(map[string]string, len(impl.Tasks)) // instance ID -> processor
+	for _, in := range impl.Tech.Instances {
+		if timed[in.Function] {
+			untasked[in.ID()] = in.Processor
+		}
+	}
+	for _, t := range impl.Tasks {
+		if untasked[t.Name] != t.Processor {
+			return fmt.Errorf("oracle: task %s on %s realizes no timed instance placed there", t.Name, t.Processor)
+		}
+		delete(untasked, t.Name)
+	}
+	for _, in := range impl.Tech.Instances {
+		if pn, ok := untasked[in.ID()]; ok {
+			return fmt.Errorf("oracle: instance %s on %s has no task", in.ID(), pn)
+		}
+	}
+	return nil
 }
 
 // scanJobs derives the CPA job of every loaded resource by scanning the

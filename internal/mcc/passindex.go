@@ -1,6 +1,11 @@
 package mcc
 
-import "repro/internal/model"
+import (
+	"strconv"
+	"strings"
+
+	"repro/internal/model"
+)
 
 // passIndex is the lookup index of one from-scratch pass: the candidate's
 // functions by name, each function's replicas, and each processor's
@@ -19,6 +24,11 @@ type passIndex struct {
 	fns map[string]*model.Function
 	// insts lists each function's replicas, replica-ascending.
 	insts map[string][]model.Instance
+	// ids holds the instance IDs of the placement, in its order, and
+	// idsOn each processor's residents' IDs, parallel to instsOn: the
+	// pass's task names and session rows share one ID per instance.
+	ids   []string
+	idsOn [][]string
 	// instsOn and tasksOn are indexed by platform processor position
 	// (MCC.procIdx): the residents in Instance.Less order, and the
 	// deadline-monotonic task list (nil until synthesis ran).
@@ -35,11 +45,14 @@ func newPassIndex(fa *model.FunctionalArchitecture, insts []model.Instance, proc
 	ix := passIndex{
 		fns:     make(map[string]*model.Function, len(fa.Functions)),
 		insts:   make(map[string][]model.Instance, len(fa.Functions)),
+		ids:     make([]string, len(insts)),
+		idsOn:   make([][]string, len(procIdx)),
 		instsOn: make([][]model.Instance, len(procIdx)),
 	}
 	for i := range fa.Functions {
 		ix.fns[fa.Functions[i].Name] = &fa.Functions[i]
 	}
+	instanceIDs(ix.ids, insts)
 	// A function's replicas are one run of the sorted list.
 	for rest := insts; len(rest) > 0; {
 		n := 1
@@ -56,13 +69,36 @@ func newPassIndex(fa *model.FunctionalArchitecture, insts []model.Instance, proc
 		pos[k] = int32(procIdx[in.Processor])
 		count[pos[k]]++
 	}
-	all, off := make([]model.Instance, len(insts)), 0
+	all, ids, off := make([]model.Instance, len(insts)), make([]string, len(insts)), 0
 	for i, c := range count {
-		ix.instsOn[i] = all[off : off : off+c]
+		ix.instsOn[i], ix.idsOn[i] = all[off:off:off+c], ids[off:off:off+c]
 		off += c
 	}
 	for k, in := range insts {
 		ix.instsOn[pos[k]] = append(ix.instsOn[pos[k]], in)
+		ix.idsOn[pos[k]] = append(ix.idsOn[pos[k]], ix.ids[k])
 	}
 	return ix
+}
+
+// instanceIDs sets ids[k] to insts[k].ID(), cutting every ID from one
+// string instead of allocating each.
+func instanceIDs(ids []string, insts []model.Instance) {
+	var b strings.Builder
+	var num [20]byte
+	size := 0
+	for _, in := range insts {
+		size += len(in.Function) + 4
+	}
+	b.Grow(size)
+	for _, in := range insts {
+		b.WriteString(in.Function)
+		b.WriteByte('#')
+		b.Write(strconv.AppendInt(num[:0], int64(in.Replica), 10))
+	}
+	all := b.String()
+	for k, in := range insts {
+		n := len(in.Function) + 1 + len(strconv.AppendInt(num[:0], int64(in.Replica), 10))
+		ids[k], all = all[:n], all[n:]
+	}
 }

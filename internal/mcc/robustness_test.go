@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -302,7 +303,7 @@ func TestCacheCorruptionDetectedAndQuarantined(t *testing.T) {
 	}
 }
 
-// Faults on a stream window's analysis pool (errors and panics) become
+// Faults in a stream window's analyses (errors and panics) become
 // their analyses' errors, so verification fails and the scheduler replays
 // the window serially; every decision still matches the clean serial
 // oracle, with the recovered panics surfaced in the stream stats.
@@ -333,12 +334,62 @@ func TestStreamPrefetchFaultsTaintWindowAndReplay(t *testing.T) {
 				t.Fatal("prefetch fault never fired")
 			}
 			if st.Replays == 0 {
-				t.Fatalf("pool faults did not replay their windows: %+v", st)
+				t.Fatalf("analysis faults did not replay their windows: %+v", st)
 			}
 			if mode == faultinject.ModePanic && st.PanicsRecovered == 0 {
-				t.Fatalf("pool panics not surfaced in stream stats: %+v", st)
+				t.Fatalf("analysis panics not surfaced in stream stats: %+v", st)
 			}
 		})
+	}
+}
+
+// A window's analyses run on Run's own goroutine: while they stall in the
+// "stream.prefetch" hook on a two-core runtime, the process never holds
+// more goroutines than before Run. A worker pool's helper goroutine would
+// be alive for the whole stall and show up in the count.
+func TestStreamWindowAnalyzesOnRunGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	changes := []Change{
+		upd(fn("t0", model.QM, 100000, 2000, 64)),
+		upd(fn("t1", model.QM, 120000, 1500, 64)),
+		upd(fn("t2", model.QM, 140000, 2500, 64)),
+		upd(fn("t3", model.QM, 160000, 1800, 64)),
+	}
+	want := oracleDecide(t, changes)
+	inj := faultinject.New(1, faultinject.Rule{
+		Stage: "stream.prefetch", Mode: faultinject.ModeStall, StallUS: 2000,
+	})
+	m := robustMCC(t, WithFaultInjector(inj))
+	sched := NewStreamScheduler(m)
+
+	stop, peak := make(chan struct{}), make(chan [2]int)
+	go func() {
+		most, samples := 0, 0
+		for {
+			select {
+			case <-stop:
+				peak <- [2]int{most, samples}
+				return
+			default:
+			}
+			most, samples = max(most, runtime.NumGoroutine()), samples+1
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	before := runtime.NumGoroutine() // the sampler included
+	got := sched.Run(changes)
+	close(stop)
+	p := <-peak
+
+	assertDecisionParity(t, changes, got, want)
+	if st := sched.Stats(); st.Prefetched < 2 || inj.TotalFired() != st.Prefetched {
+		t.Fatalf("stats = %+v with %d stalls, want every one of several window analyses stalled", st, inj.TotalFired())
+	}
+	if p[1] == 0 {
+		t.Fatal("the sampler took no sample during Run")
+	}
+	if p[0] > before {
+		t.Fatalf("goroutines rose from %d before Run to %d while the window analyzed", before, p[0])
 	}
 }
 

@@ -160,12 +160,14 @@ func referenceIndex(m *MCC, fa *model.FunctionalArchitecture, insts []model.Inst
 		fns:     make(map[string]*model.Function),
 		insts:   make(map[string][]model.Instance),
 		instsOn: make([][]model.Instance, len(m.platform.Processors)),
+		idsOn:   make([][]string, len(m.platform.Processors)),
 	}
 	for i := range fa.Functions {
 		ix.fns[fa.Functions[i].Name] = &fa.Functions[i]
 	}
 	for _, in := range insts {
 		ix.insts[in.Function] = append(ix.insts[in.Function], in)
+		ix.ids = append(ix.ids, in.ID())
 	}
 	for _, l := range ix.insts {
 		slices.SortFunc(l, func(a, b model.Instance) int { return cmp.Compare(a.Replica, b.Replica) })
@@ -176,6 +178,9 @@ func referenceIndex(m *MCC, fa *model.FunctionalArchitecture, insts []model.Inst
 	}
 	for i, p := range m.platform.Processors {
 		ix.instsOn[i] = instsOn[p.Name]
+		for _, in := range ix.instsOn[i] {
+			ix.idsOn[i] = append(ix.idsOn[i], in.ID())
+		}
 		if tasks != nil {
 			ix.tasksOn[i] = tasksOn[p.Name]
 		}

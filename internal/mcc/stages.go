@@ -518,6 +518,7 @@ func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
 type taskCand struct {
 	inst model.Instance
 	fn   *model.Function
+	id   string // inst's ID from the pass index; "" on the warm path
 }
 
 // synthesizeTasksOn derives the deadline-monotonic task set of one
@@ -526,19 +527,24 @@ type taskCand struct {
 // sort's comparator is total (ties break on Instance.Less). committed is
 // the processor's committed task list (nil on the cold path); a resident
 // that keeps its place in it keeps its task name, so only a new
-// placement, or a resident whose deadline changed, builds one.
-func (m *MCC) synthesizeTasksOn(look *synthView, pn string, insts []model.Instance, committed []model.Task) []model.Task {
+// placement, or a resident whose deadline changed, builds one. ids holds
+// the residents' IDs on the cold path (nil on the warm one).
+func (m *MCC) synthesizeTasksOn(look *synthView, pn string, insts []model.Instance, ids []string, committed []model.Task) []model.Task {
 	var p *model.Processor
 	if i, ok := m.procIdx[pn]; ok {
 		p = &m.platform.Processors[i]
 	}
 	cands := m.synth.cands[:0]
-	for _, in := range insts {
+	for k, in := range insts {
 		f := look.fn(in.Function)
 		if f == nil || !f.Contract.RealTime.HasTiming() {
 			continue
 		}
-		cands = append(cands, taskCand{in, f})
+		c := taskCand{inst: in, fn: f}
+		if ids != nil {
+			c.id = ids[k]
+		}
+		cands = append(cands, c)
 	}
 	// Deadline-monotonic order.
 	slices.SortFunc(cands, func(a, b taskCand) int {
@@ -550,8 +556,10 @@ func (m *MCC) synthesizeTasksOn(look *synthView, pn string, insts []model.Instan
 	tasks := make([]model.Task, 0, len(cands))
 	for i, c := range cands {
 		rt := c.fn.Contract.RealTime
-		var name string
-		name, committed = committedTaskName(committed, rt.EffectiveDeadlineUS(), c.inst)
+		name := c.id
+		if name == "" {
+			name, committed = committedTaskName(committed, rt.EffectiveDeadlineUS(), c.inst)
+		}
 		tasks = append(tasks, model.Task{
 			Name:       name,
 			Processor:  pn,
@@ -665,16 +673,25 @@ func (m *MCC) synthesizeMessages(flows []model.Flow, look *synthView) ([]model.M
 }
 
 // synthesizeConnections wires every requirer to the elected provider of
-// each service it requires: the lowest-named function providing it.
-func synthesizeConnections(tech *model.TechnicalArchitecture, look *synthView) ([]model.Connection, error) {
-	elected := make(map[string]string)
-	for i := range tech.Func.Functions {
-		f := &tech.Func.Functions[i]
-		for _, svc := range f.Provides {
-			if cur, ok := elected[svc]; !ok || f.Name < cur {
-				elected[svc] = f.Name
+// each service it requires: the lowest-named function providing it. ids
+// holds the IDs of tech.Instances, where each function's replicas are one
+// run that starts with the replica serving its sessions.
+func synthesizeConnections(tech *model.TechnicalArchitecture, look *synthView, ids []string) ([]model.Connection, error) {
+	type provider struct{ name, server string }
+	elected := make(map[string]provider)
+	for k, in := range tech.Instances {
+		if k > 0 && in.Function == tech.Instances[k-1].Function {
+			continue
+		}
+		for _, svc := range look.fn(in.Function).Provides {
+			if cur, ok := elected[svc]; !ok || in.Function < cur.name {
+				elected[svc] = provider{in.Function, ids[k]}
 			}
 		}
+	}
+	elect := func(svc string) (string, string) {
+		p := elected[svc]
+		return p.name, p.server
 	}
 	var out []model.Connection
 	var err error
@@ -683,11 +700,11 @@ func synthesizeConnections(tech *model.TechnicalArchitecture, look *synthView) (
 		for n < len(ins) && ins[n].Function == ins[0].Function {
 			n++
 		}
-		out, err = appendClientRows(out, look, look.fn(ins[0].Function), ins[:n], func(svc string) string { return elected[svc] })
+		out, err = appendClientRows(out, look, look.fn(ins[0].Function), ins[:n], ids[:n], elect)
 		if err != nil {
 			return nil, err
 		}
-		ins = ins[n:]
+		ins, ids = ins[n:], ids[n:]
 	}
 	return out, nil
 }
@@ -695,14 +712,16 @@ func synthesizeConnections(tech *model.TechnicalArchitecture, look *synthView) (
 // appendClientRows is the per-client row builder of both synthesis
 // paths: for every replica of client (insts), one row per required
 // service in Requires order, served by replica 0 of the provider elect
-// names ("" for an unprovided service).
-func appendClientRows(out []model.Connection, look *synthView, client *model.Function, insts []model.Instance, elect func(string) string) ([]model.Connection, error) {
+// names ("" for an unprovided service). A from-scratch pass passes the
+// IDs of insts, and elect the provider's replica-0 ID with its name; a
+// warm pass builds the IDs of the rows it re-derives.
+func appendClientRows(out []model.Connection, look *synthView, client *model.Function, insts []model.Instance, ids []string, elect func(string) (string, string)) ([]model.Connection, error) {
 	if client == nil {
 		return out, nil
 	}
-	for _, in := range insts {
+	for k, in := range insts {
 		for _, svc := range client.Requires {
-			provName := elect(svc)
+			provName, server := elect(svc)
 			if provName == "" {
 				return nil, fmt.Errorf("mcc: unprovided service %q", svc)
 			}
@@ -710,12 +729,13 @@ func appendClientRows(out []model.Connection, look *synthView, client *model.Fun
 			if len(prov) == 0 {
 				return nil, fmt.Errorf("mcc: provider %q not deployed", provName)
 			}
-			out = append(out, model.Connection{
-				Client:      in.ID(),
-				Server:      prov[0].ID(),
-				Service:     svc,
-				CrossDomain: client.Contract.Domain != look.fn(provName).Contract.Domain,
-			})
+			row := model.Connection{Server: server, Service: svc, CrossDomain: client.Contract.Domain != look.fn(provName).Contract.Domain}
+			if ids != nil {
+				row.Client = ids[k]
+			} else {
+				row.Client, row.Server = in.ID(), prov[0].ID()
+			}
+			out = append(out, row)
 		}
 	}
 	return out, nil
@@ -777,7 +797,8 @@ func (m *MCC) rewireSessions(look *synthView, over *synthOverlay) (bool, error) 
 	slices.Sort(names)
 	over.names = names
 	for _, name := range names { // deterministic first error
-		rows, err := appendClientRows(nil, look, look.fn(name), look.instances(name), look.elected)
+		rows, err := appendClientRows(nil, look, look.fn(name), look.instances(name), nil,
+			func(svc string) (string, string) { return look.elected(svc), "" })
 		if err != nil {
 			return true, err
 		}
@@ -800,7 +821,7 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture, ix *passIndex) (*mod
 	total := 0
 	for _, pn := range m.procs {
 		i := m.procIdx[pn]
-		ix.tasksOn[i] = m.synthesizeTasksOn(look, pn, ix.instsOn[i], nil)
+		ix.tasksOn[i] = m.synthesizeTasksOn(look, pn, ix.instsOn[i], ix.idsOn[i], nil)
 		total += len(ix.tasksOn[i])
 	}
 	impl.Tasks = slices.Grow(impl.Tasks, total)
@@ -812,7 +833,7 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture, ix *passIndex) (*mod
 		return nil, err
 	}
 	impl.Messages = msgs
-	conns, err := synthesizeConnections(tech, look)
+	conns, err := synthesizeConnections(tech, look, ix.ids)
 	if err != nil {
 		return nil, err
 	}
@@ -872,7 +893,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	for _, pn := range affected {
 		insts := m.residentInstances(pn, over)
 		over.instsOn[pn] = insts
-		rebuilt := m.synthesizeTasksOn(look, pn, insts, m.proc(pn).tasks)
+		rebuilt := m.synthesizeTasksOn(look, pn, insts, nil, m.proc(pn).tasks)
 		// Scoped validation of the rebuilt task set (the spliced ones
 		// were validated at commit time), through the same Task
 		// invariant the full impl.Validate enforces — without it, a
@@ -1406,8 +1427,8 @@ func (m *MCC) messagesOn(msgs []model.Message) [][]model.Message {
 //
 // Under ctx.DeferChecks the dirty analyses are not run at all and no
 // findings are raised: the commit installs the dirty resources' entries
-// pending (committedFills) for the stream scheduler to analyze on the
-// worker pool and verify.
+// pending (committedFills) for the stream scheduler to analyze and
+// verify.
 func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutcome {
 	m.att.jobs = jobs
 
@@ -1622,18 +1643,18 @@ func (m *MCC) analyzeJob(done <-chan struct{}, j timingJob) ([]cpa.Result, error
 }
 
 // runTimingJob analyzes one resource, through the memoizing analyzer when
-// incremental timing is on, or from scratch for the serial baseline.
-// Transient injected errors are retried with linear backoff (bounded by
-// maxAnalysisAttempts, counted in the retriedAnalyses telemetry), and
-// the result table is sanity-checked against the task set — a mismatch
-// means the memo entry is corrupt: the analyzer is reset and the error
-// reported transient so the degradation ladder re-decides from scratch.
-func (m *MCC) runTimingJob(done <-chan struct{}, j timingJob) (TimingResult, error) {
+// incremental timing is on, or from scratch for the serial baseline, in
+// at most attempts attempts: transient injected errors are retried with
+// linear backoff (counted in the retriedAnalyses telemetry). The result
+// table is sanity-checked against the task set — a mismatch means the
+// memo entry is corrupt: the analyzer is reset and the error reported
+// transient so the degradation ladder re-decides from scratch.
+func (m *MCC) runTimingJob(done <-chan struct{}, j timingJob, attempts int) (TimingResult, error) {
 	var res []cpa.Result
 	var err error
 	for attempt := 0; ; attempt++ {
 		res, err = m.analyzeJob(done, j)
-		if err == nil || !errors.Is(err, faultinject.ErrInjected) || attempt+1 >= maxAnalysisAttempts {
+		if err == nil || !errors.Is(err, faultinject.ErrInjected) || attempt+1 >= attempts {
 			break
 		}
 		m.retriedAnalyses.Add(1)
@@ -1664,7 +1685,7 @@ func (m *MCC) runTimingJobSafe(done <-chan struct{}, j timingJob) (res TimingRes
 			err = fmt.Errorf("%w: %v", errWorkerPanic, r)
 		}
 	}()
-	return m.runTimingJob(done, j)
+	return m.runTimingJob(done, j, maxAnalysisAttempts)
 }
 
 // --- Stage 5: monitor plan -------------------------------------------------

@@ -3,76 +3,58 @@ package mcc
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/cpa"
 	"repro/internal/mcc/pipeline"
 )
 
-// StreamScheduler drives a stream of change requests through the MCC at
-// multi-core throughput while keeping every accept/reject decision
-// identical to proposing the changes serially in stream order.
+// StreamScheduler drives a stream of change requests through the MCC in
+// optimistic windows while keeping every accept/reject decision identical
+// to proposing the changes serially in stream order.
 //
-// The coupling that makes a change stream inherently sequential is shared
-// platform capacity: every accepted change shifts processor loads, which
-// shifts the best-fit placement — and therefore the task sets and timing
-// verdicts — of every later change. The scheduler therefore does not
-// reorder decisions. Instead it exploits the cost structure of the accept
-// path: placement bookkeeping (validation, mapping, synthesis, monitor
-// planning) is diff-proportional and cheap, while the busy-window timing
-// analyses of dirty resources dominate. The stream is cut into
-// consecutive windows of a fixed number of changes (16; the last window
-// may be shorter). A window may hold any mix of changes — updates of one
-// function, a provider and its requirer, removals — because every change
-// is decided against the optimistic commits before it and every deferred
-// verdict is verified before the window is final. Each window is
-// processed in three phases:
+// Every accepted change shifts processor loads, and so the placement and
+// timing verdicts of every later change; the scheduler therefore never
+// reorders decisions, it defers the one expensive verdict, the
+// busy-window analyses of dirty resources. The stream is cut into windows
+// of 16 consecutive changes (the last may be shorter) of any mix, and
+// each window runs three phases on Run's goroutine:
 //
-//  1. Optimistic pass (serial, cheap): every change runs the full
-//     incremental pipeline in stream order, but the busy-window timing
-//     analyses of dirty resources are deferred (the timing stage still
-//     constructs and digests the dirty task sets) and the candidate
-//     commits optimistically: each dirty resource's committed-table entry
-//     is installed pending, with no WCRT table yet, and the attempt
-//     records it. Every other stage decides inline — the safety and
-//     security checks too, diff-scoped on warm passes and from scratch on
-//     cold ones — so their rejections stand as-is.
-//  2. Analysis (concurrent): each distinct (task-set digest, policy)
-//     analysis of the window's pending entries runs once on the bounded
-//     worker pool, through the shared memoizing analyzer. This is where
-//     the cores are used: the window's dominant cost runs in parallel.
-//  3. Verification (serial, cheap): in stream order, every pending
-//     entry's verdict is checked exactly as the timing stage would have
-//     and written into the entry in place, so every report of the window
-//     reads complete tables. If all pass, the optimistic pass was exactly
-//     the serial execution and the window is final. If any verdict fails
-//     (a missed deadline, an analysis error or pool fault), the scheduler
-//     rolls the controller back to the window-start snapshot, dropping
-//     the window's entries with it, and replays the window serially (the
-//     analyzer stays warm, so the replay re-pays only the cheap stages).
+//  1. Optimistic pass: every change runs the incremental pipeline in
+//     stream order; the timing stage builds and digests the dirty task
+//     sets without analyzing them, and an accepted change commits each
+//     dirty resource's table entry pending, with no WCRT table yet.
+//     Every other stage, custom ones included, decides inline, so its
+//     rejections stand as-is.
+//  2. Analysis: each distinct (task-set digest, policy) analysis of the
+//     pending entries runs once through the shared memoizing analyzer;
+//     then the goroutine yields once. There is no worker pool: a window's
+//     analyses take tens of µs, and on stream-1024p at GOMAXPROCS=2 about
+//     2.5% of windows spent over 500 µs in a pool's analysis phase, mostly
+//     waiting on its join, against 0.1% for this loop; those windows set
+//     the stream's p99.
+//  3. Verification: in stream order, every pending entry's verdict is
+//     checked as the timing stage would and written into the entry in
+//     place. If any fails (a missed deadline, an analysis error or an
+//     injected fault), the controller rolls back to the window-start
+//     snapshot, dropping the window's entries with it, and replays the
+//     window serially on the warm analyzer.
 //
-// Rejections during the optimistic pass (contract violations, infeasible
-// mappings, safety and security findings, custom-stage findings) never
-// commit anything and are decided against exactly the state the serial
-// order would have produced, so they stand as-is. Custom stages registered via WithStage run inside
-// the optimistic pass (their verdicts are not deferred); a stage with
-// external side effects would observe optimistic (possibly replayed)
-// state and should not be combined with the scheduler.
-//
-// The scheduler owns the MCC for the duration of Run: it is not safe to
-// propose changes from other goroutines concurrently.
+// A custom stage with external side effects would observe optimistic
+// (possibly replayed) state and should not be combined with the
+// scheduler. The scheduler owns the MCC for the duration of Run: it is
+// not safe to propose changes from other goroutines concurrently.
 type StreamScheduler struct {
 	m *MCC
-	// workers bounds the analysis pool (the MCC's timing worker count);
 	// window is the number of consecutive changes one optimistic window
 	// holds (defaultStreamWindow).
-	workers int
-	window  int
-	stats   StreamStats
+	window int
+	stats  StreamStats
 }
 
-// defaultStreamWindow is the optimistic window size. Larger windows
-// expose more concurrent analyses and pay fewer barriers, but widen the
-// replay blast radius when a deferred verdict fails.
+// defaultStreamWindow is the optimistic window size. Larger windows pay
+// fewer barriers, but widen the replay blast radius when a deferred
+// verdict fails.
 const defaultStreamWindow = 16
 
 // StreamStats reports how a Run spent its effort.
@@ -83,7 +65,7 @@ type StreamStats struct {
 	// passed (the optimistic pass was the serial execution).
 	Speculated int
 	// Prefetched counts the distinct (task-set digest, policy)
-	// busy-window analyses run on the worker pool ahead of verification.
+	// busy-window analyses windows ran ahead of their verification.
 	Prefetched int
 	// Replays counts windows whose verification failed and that were
 	// re-decided serially from the window-start snapshot.
@@ -97,23 +79,18 @@ type StreamStats struct {
 	// and no longer break on conflicting changes. It is kept for readers
 	// of the stats and in String().
 	Conflicts int
-	// PanicsRecovered counts panics recovered on the analysis pool: each
-	// one becomes its analysis's error, which fails verification and
-	// forces the window's serial replay. Panics recovered inside a
-	// proposal's own pipeline run are counted on that proposal's Report
-	// instead.
+	// PanicsRecovered counts panics recovered in window analyses: each
+	// fails verification and forces the window's serial replay. Panics
+	// and analysis retries inside a proposal's pipeline run are counted
+	// on its Report (window analyses are not retried).
 	PanicsRecovered int
-	// RetriedAnalyses counts transient-fault analysis retries spent on
-	// the analysis pool (retries inside a proposal's pipeline run land on
-	// its Report).
-	RetriedAnalyses int
 }
 
 // NewStreamScheduler returns a scheduler driving m. The MCC should run
 // its default incremental engine; without the memoizing analyzer
 // (WithoutIncremental) the scheduler degrades to plain serial proposals.
 func NewStreamScheduler(m *MCC) *StreamScheduler {
-	return &StreamScheduler{m: m, workers: m.workers, window: defaultStreamWindow}
+	return &StreamScheduler{m: m, window: defaultStreamWindow}
 }
 
 // Stats returns the effort counters of every Run so far.
@@ -136,10 +113,7 @@ func (s *StreamScheduler) RunContext(ctx context.Context, changes []Change) []*R
 		if ctx.Err() != nil {
 			// Stop forming windows: the remaining changes resolve as
 			// deterministic deadline rejections without pipeline setup.
-			for range changes[lo:] {
-				reports = append(reports, s.m.expiredReport(ctx))
-			}
-			return reports
+			return append(reports, s.runSerial(ctx, changes[lo:])...)
 		}
 		reports = append(reports, s.runWindow(ctx, changes[lo:min(lo+s.window, len(changes))])...)
 		s.stats.Windows++
@@ -147,15 +121,15 @@ func (s *StreamScheduler) RunContext(ctx context.Context, changes []Change) []*R
 	return reports
 }
 
-// runWindow decides one window of changes: optimistic pass, concurrent
-// analysis, verification, and — only if a deferred verdict fails — the
+// runWindow decides one window of changes: optimistic pass, analysis,
+// verification, and — only if a deferred verdict fails — the
 // serial replay from the window-start snapshot.
 func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*Report {
 	m := s.m
 	if len(changes) == 1 || !m.incremental || m.quarantined {
-		// Nothing to overlap (no memo table to share analyses through, or
-		// the controller is quarantined and every proposal takes the
-		// pinned from-scratch path anyway): plain serial proposals.
+		// Deferring gains nothing (no memo table to share analyses through,
+		// or a quarantined controller whose proposals take the pinned
+		// from-scratch path anyway): plain serial proposals.
 		return s.runSerial(gctx, changes)
 	}
 
@@ -167,11 +141,9 @@ func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*R
 	var pendings []pend
 	reports := make([]*Report, 0, len(changes))
 	// optimisticPasses counts the pipeline passes the optimistic phase
-	// actually ran. Deadline-expired short-circuits never enter the
-	// pipeline — their Passes field only mirrors the deterministic
-	// deadline report — so they are excluded here, and the replay's
-	// discard accounting below cannot inflate DiscardedPasses (and the
-	// Evaluations the scenario layer derives from it).
+	// ran; deadline-expired short-circuits never enter the pipeline, so
+	// a replay's DiscardedPasses (and the scenario layer's Evaluations)
+	// never count them.
 	optimisticPasses := 0
 
 	m.deferChecks = true
@@ -189,61 +161,44 @@ func (s *StreamScheduler) runWindow(gctx context.Context, changes []Change) []*R
 	}
 	m.deferChecks = false
 
-	// Concurrent phase: each distinct analysis of the window's pending
-	// entries runs once on the pool (an analysis depends on the task set
-	// and the policy alone). A fault there (an injected error, or a
-	// recovered panic wrapped as errWorkerPanic) becomes that analysis's
-	// error: verification fails on it and the window replays, so a pool
-	// fault can degrade throughput, never crash the process or corrupt a
-	// decision.
+	// Analysis: each distinct analysis of the window's pending entries (an
+	// analysis depends on the task set and the policy alone) runs once, on
+	// this goroutine. Every analysis belongs to an entry that verification
+	// checks, so a failed one fails the window. The goroutine then yields
+	// once: without the yield, stream-1024p's p99 read about 1.5 times the
+	// pooled version's on 2 CPUs, probably because a loop that never
+	// blocks leaves the runtime's background GC mark work to assists on
+	// the decision path.
 	type key struct {
 		digest uint64
 		spnp   bool
 	}
-	keys := make(map[key]int)
-	var jobs []timingJob
+	results := make(map[key][]cpa.Result)
+	verified := true
 	for _, p := range pendings {
 		for _, e := range p.entries {
 			k := key{e.job.digest, e.job.spnp}
-			if _, ok := keys[k]; !ok {
-				keys[k] = len(jobs)
-				jobs = append(jobs, e.job)
+			if _, ok := results[k]; !ok {
+				res, err := s.analyze(e.job)
+				results[k], verified = res, verified && err == nil
 			}
 		}
 	}
-	s.stats.Prefetched += len(jobs)
-	results := make([]TimingResult, len(jobs))
-	errs := make([]error, len(jobs))
-	retried0, panics0 := m.retriedAnalyses.Load(), m.panicsRecovered.Load()
-	runParallel(len(jobs), min(s.workers, len(jobs)), func(k int) {
-		defer func() {
-			if r := recover(); r != nil {
-				m.panicsRecovered.Add(1)
-				errs[k] = fmt.Errorf("%w: %v", errWorkerPanic, r)
-			}
-		}()
-		if _, fired, err := m.inject.Fire(nil, "stream.prefetch", jobs[k].resource); fired && err != nil {
-			errs[k] = err
-			return
-		}
-		results[k], errs[k] = m.runTimingJob(nil, jobs[k])
-	})
-	s.stats.RetriedAnalyses += int(m.retriedAnalyses.Load() - retried0)
-	s.stats.PanicsRecovered += int(m.panicsRecovered.Load() - panics0)
+	s.stats.Prefetched += len(results)
+	runtime.Gosched()
 
 	// Verification, in stream order: check every pending entry's verdict
 	// and write it into the entry, filling the report's timing delta.
-	verified := true
 verify:
 	for _, p := range pendings {
 		delta := make([]TimingResult, 0, len(p.entries))
 		for _, e := range p.entries {
-			k := keys[key{e.job.digest, e.job.spnp}]
-			if errs[k] != nil || !schedulable(results[k].Results) {
+			res := results[key{e.job.digest, e.job.spnp}]
+			if !verified || !schedulable(res) {
 				verified = false
 				break verify
 			}
-			e.res = TimingResult{Resource: e.job.resource, Results: results[k].Results}
+			e.res = TimingResult{Resource: e.job.resource, Results: res}
 			delta = append(delta, pipeline.CloneTimingResult(e.res))
 		}
 		p.report.TimingDelta = delta
@@ -253,13 +208,10 @@ verify:
 		return reports
 	}
 
-	// A deferred verdict failed: the optimistic commits after (and
-	// including) the failing proposal are tainted. Roll back to the
-	// window-start state and replay serially — the authoritative order.
-	// The discarded passes stay on the books so throughput accounting
-	// never understates what the engine actually ran — but only the
-	// genuine optimistic pipeline passes count; deadline-expired
-	// short-circuits never ran one.
+	// A deferred verdict failed: the optimistic commits from the failing
+	// proposal on are tainted. Roll back to the window-start state and
+	// replay serially — the authoritative order. The discarded passes stay
+	// on the books, so throughput accounting never understates the work.
 	s.stats.Replays++
 	s.stats.DiscardedPasses += optimisticPasses
 	m.rollbackWindow(start)
@@ -280,6 +232,25 @@ func (s *StreamScheduler) runSerial(gctx context.Context, changes []Change) []*R
 		reports = append(reports, s.m.integrateChangeCtx(gctx, c))
 	}
 	return reports
+}
+
+// analyze runs one window analysis once, after the "stream.prefetch"
+// hook; the window's serial replay runs the timing stage, which retries.
+// A fault (an injected error, or a panic recovered as errWorkerPanic)
+// becomes the analysis's error: it can force a replay, never crash the
+// process or corrupt a decision.
+func (s *StreamScheduler) analyze(j timingJob) (res []cpa.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.stats.PanicsRecovered++
+			err = fmt.Errorf("%w: %v", errWorkerPanic, r)
+		}
+	}()
+	if _, fired, err := s.m.inject.Fire(nil, "stream.prefetch", j.resource); fired && err != nil {
+		return nil, err
+	}
+	tr, err := s.m.runTimingJob(nil, j, 1)
+	return tr.Results, err
 }
 
 // schedulable reports whether every task of a WCRT table meets its
@@ -338,11 +309,10 @@ func (m *MCC) purgeIncrementalState() {
 
 // String renders stream stats for telemetry rows. Every counter the
 // struct carries is included — in particular the fault-spend telemetry
-// (discarded passes, recovered panics, analysis retries) that chaos-tier
-// rows report; silently dropping those under-reports what the engine
-// actually ran.
+// (discarded passes, recovered panics) that chaos-tier rows report;
+// silently dropping those under-reports what the engine actually ran.
 func (st StreamStats) String() string {
-	return fmt.Sprintf("windows %d (speculated %d, replays %d, conflicts %d, prefetched %d, discarded %d, panics %d, retries %d)",
+	return fmt.Sprintf("windows %d (speculated %d, replays %d, conflicts %d, prefetched %d, discarded %d, panics %d)",
 		st.Windows, st.Speculated, st.Replays, st.Conflicts, st.Prefetched,
-		st.DiscardedPasses, st.PanicsRecovered, st.RetriedAnalyses)
+		st.DiscardedPasses, st.PanicsRecovered)
 }

@@ -20,8 +20,7 @@ import (
 // own snapshot (assertSnapshotFresh, also after every serial step), both
 // committed architectures must equal a clone-path shadow of the accepted
 // changes (after every window and every serial step), and both must
-// equal the from-scratch oracle. Run under -race in CI, this
-// also exercises the prefetch pool against the window's commits.
+// equal the from-scratch oracle.
 
 // stressPlatform is deliberately tight: one slow safe core and one fast
 // core, so random workloads regularly fail timing mid-window.

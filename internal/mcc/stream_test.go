@@ -501,9 +501,9 @@ func TestStreamSchedulerLongMixedStreamParity(t *testing.T) {
 func TestStreamStatsStringIncludesFaultTelemetry(t *testing.T) {
 	st := StreamStats{
 		Windows: 9, Speculated: 8, Prefetched: 7, Replays: 6,
-		DiscardedPasses: 5, Conflicts: 4, PanicsRecovered: 3, RetriedAnalyses: 2,
+		DiscardedPasses: 5, Conflicts: 4, PanicsRecovered: 3,
 	}
-	want := "windows 9 (speculated 8, replays 6, conflicts 4, prefetched 7, discarded 5, panics 3, retries 2)"
+	want := "windows 9 (speculated 8, replays 6, conflicts 4, prefetched 7, discarded 5, panics 3)"
 	if got := st.String(); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}

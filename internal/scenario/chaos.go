@@ -472,9 +472,7 @@ func runChaosStream(fleet *Fleet, changes []mcc.Change, fs ChaosFaultSpec, om *m
 		}
 	}
 	chaosCompareDeployment(&row, m, om)
-	stats := sched.Stats()
-	row.PanicsRecovered += stats.PanicsRecovered
-	row.RetriedAnalyses += stats.RetriedAnalyses
+	row.PanicsRecovered += sched.Stats().PanicsRecovered
 	row.MeanLatencyUS = row.WallUS / int64(len(changes))
 	finishChaosRow(&row, inj)
 	return row, nil

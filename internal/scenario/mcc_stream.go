@@ -208,9 +208,10 @@ type MCCThroughputResult struct {
 	// always zero without fault injection.
 	DegradedProposals int
 	// PanicsRecovered/RetriedAnalyses sum the recovery telemetry over
-	// the stream: panics recovered on pipeline stages and pooled
-	// goroutines, and transient-fault analysis retries (per-proposal
-	// Report counters plus the stream scheduler's pool-side counters).
+	// the stream: panics recovered on pipeline stages, pooled goroutines
+	// and stream window analyses (per-proposal Report counters plus the
+	// stream scheduler's), and transient-fault analysis retries, which
+	// only proposals spend.
 	PanicsRecovered int
 	RetriedAnalyses int
 }
@@ -443,7 +444,6 @@ func runChangeStream(cfg MCCThroughputConfig, platform *model.Platform, baseline
 		}
 	}
 	res.PanicsRecovered += res.Stream.PanicsRecovered
-	res.RetriedAnalyses += res.Stream.RetriedAnalyses
 	// Optimistic passes a window replay discarded are real pipeline work;
 	// count them so Evaluations never understates the scheduler's cost
 	// (their per-stage wall clock is gone with the discarded reports).

@@ -469,8 +469,8 @@ func TestRunMCCThroughput(t *testing.T) {
 	// optimistic windows on E12 (no timing rejections => no replays), with
 	// exactly one pipeline pass per change, and must run each deferred
 	// analysis exactly once: its memo hits and misses equal the serial
-	// engine's, so verification reads the pool's verdicts, never the memo
-	// again.
+	// engine's, so verification reads the window's verdicts, never the
+	// memo again.
 	if stream.Evaluations != stream.Config.Updates {
 		t.Fatalf("stream-parallel ran %d evaluations for %d changes", stream.Evaluations, stream.Config.Updates)
 	}
@@ -479,7 +479,7 @@ func TestRunMCCThroughput(t *testing.T) {
 			stream.Stream, stream.Config.Updates)
 	}
 	if stream.Stream.Prefetched == 0 {
-		t.Fatal("stream-parallel analyzed nothing on the pool")
+		t.Fatal("stream-parallel analyzed nothing ahead of verification")
 	}
 	if stream.CacheHits != full.CacheHits || stream.CacheMisses != full.CacheMisses {
 		t.Fatalf("stream-parallel memo hits/misses = %d/%d, full-incremental %d/%d",
