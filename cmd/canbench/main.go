@@ -103,6 +103,8 @@ type e14Row struct {
 	DeadlineExpired int     `json:"deadline_expired"`
 	PanicsRecovered int     `json:"panics_recovered"`
 	RetriedAnalyses int     `json:"retried_analyses"`
+	Replays         int     `json:"replays"`
+	DiscardedPasses int     `json:"discarded_passes"`
 	FaultsInjected  int     `json:"faults_injected"`
 	Mismatches      int     `json:"mismatches"`
 	ParityOK        bool    `json:"parity_ok"`
@@ -408,6 +410,8 @@ func measureE14(procs, changes int) ([]e14Row, error) {
 			DeadlineExpired: r.DeadlineExpired,
 			PanicsRecovered: r.PanicsRecovered,
 			RetriedAnalyses: r.RetriedAnalyses,
+			Replays:         r.Replays,
+			DiscardedPasses: r.DiscardedPasses,
 			FaultsInjected:  r.FaultsInjected,
 			Mismatches:      r.Mismatches,
 			ParityOK:        r.ParityOK,
@@ -424,11 +428,11 @@ func measureE14(procs, changes int) ([]e14Row, error) {
 
 func printE14(rows []e14Row) {
 	fmt.Println("E14: MCC decision parity and availability under the injected-fault matrix (chaos tier)")
-	fmt.Println("spec                  mode              changes  acc  rej  degr  ddl  panics  retries  faults  parity  avail%   mean-lat   p99-lat  recovery")
+	fmt.Println("spec                  mode              changes  acc  rej  degr  ddl  panics  retries  replays  discarded  faults  parity  avail%   mean-lat   p99-lat  recovery")
 	for _, r := range rows {
-		fmt.Printf("%-21s %-17s %7d  %3d  %3d  %4d  %3d  %6d  %7d  %6d  %6v  %5.1f%%  %7dus  %7dus  %6dus\n",
+		fmt.Printf("%-21s %-17s %7d  %3d  %3d  %4d  %3d  %6d  %7d  %7d  %9d  %6d  %6v  %5.1f%%  %7dus  %7dus  %6dus\n",
 			r.Spec, r.Mode, r.Changes, r.Accepted, r.Rejected, r.Degraded, r.DeadlineExpired,
-			r.PanicsRecovered, r.RetriedAnalyses, r.FaultsInjected, r.ParityOK,
+			r.PanicsRecovered, r.RetriedAnalyses, r.Replays, r.DiscardedPasses, r.FaultsInjected, r.ParityOK,
 			r.AvailabilityPct, r.MeanLatencyUS, r.P99LatencyUS, r.RecoveryUS)
 	}
 }
@@ -560,9 +564,11 @@ func parseIntList(flagName, s string) ([]int, error) {
 // integration strategy — at every requested GOMAXPROCS value — and
 // records throughput plus the per-stage wall clock, so the BENCH_*.json
 // trajectory tracks which pipeline stages each optimization step actually
-// removes and how the worker pool scales with cores. The persistent
-// cache (from -cache) warm-starts every run from the previous session's
-// memo, isolated per run so the ratios stay fair.
+// removes, under one core and under all cores (the controller decides on
+// the caller's goroutine, so a second core helps only the runtime and the
+// garbage collector). The persistent cache (from -cache) warm-starts every
+// run from the previous session's memo, isolated per run so the ratios
+// stay fair.
 func measureE12(changes int, coreList []int, cache *e12Cache) ([]e12Row, error) {
 	var rows []e12Row
 	prev := runtime.GOMAXPROCS(0)

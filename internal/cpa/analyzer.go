@@ -14,9 +14,8 @@ import (
 // iterations.
 //
 // Thread-safety contract: an Analyzer is safe for unrestricted concurrent
-// use — one MCC fanning dirty resources over a worker pool, and a whole
-// fleet of per-vehicle MCCs
-// (internal/fleet) may share a single instance. The invariants callers
+// use: a whole fleet of per-vehicle MCCs (internal/fleet), each deciding
+// on its caller's goroutine, may share a single instance. The invariants callers
 // rely on:
 //
 //   - The memo table and the in-flight table are guarded by mu; the

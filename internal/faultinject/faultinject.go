@@ -5,7 +5,8 @@
 // injection is off.
 //
 // Hook points are keyed by a stage string (e.g. "stage.timing",
-// "cpa.analyze", "timing.worker", "stream.prefetch", "journal.undo")
+// "cpa.analyze", "timing.worker" before each timing-stage analysis,
+// "stream.prefetch" before each stream window analysis, "journal.undo")
 // and an optional resource string (the processor/network the hook is
 // working on). The multi-tenant fleet server adds its own per-tenant
 // hook points — "fleet.queue" (admission) and "fleet.worker" (the

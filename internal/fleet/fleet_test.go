@@ -454,12 +454,13 @@ func TestFleetStartsNoGoroutinePerVehicle(t *testing.T) {
 			t.Fatalf("%s: verdict %s, want %s", id, d.Verdict, Accepted)
 		}
 	}
-	// A pooled timing goroutine may still be exiting after its WaitGroup
-	// released the decision, so poll briefly.
-	settled := func() bool { return runtime.NumGoroutine() <= before }
-	waitFor(t, fmt.Sprintf("goroutines to return to %d after 32 decisions", before), settled)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines rose from %d to %d after 32 decisions", before, n)
+	}
 	s.Drain()
-	waitFor(t, fmt.Sprintf("goroutines to return to %d after Drain", before), settled)
+	waitFor(t, fmt.Sprintf("goroutines to return to %d after Drain", before), func() bool {
+		return runtime.NumGoroutine() <= before
+	})
 }
 
 // A vehicle admits at most QueueDepth waiting proposals plus the one

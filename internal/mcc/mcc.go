@@ -34,10 +34,8 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cpa"
@@ -124,8 +122,6 @@ type MCC struct {
 	// implementation model, plus the memoized analyzer and dirty-resource
 	// tracking of the timing stage. WithoutIncremental clears it.
 	incremental bool
-	// workers bounds the goroutines analyzing dirty resources in parallel.
-	workers int
 	// layout is the platform's placement classes and the shape of the
 	// capacity index (see placer.go).
 	layout *capLayout
@@ -159,8 +155,8 @@ type MCC struct {
 	pipe *pipeline.Pipeline
 
 	// inject, when non-nil, fires fault-injection hooks on every pipeline
-	// stage, the timing worker pool, a stream window's analyses, and the
-	// window rollback path (the analyzer's hooks are installed in
+	// stage, every timing-stage analysis, a stream window's analyses, and
+	// the window rollback path (the analyzer's hooks are installed in
 	// New).
 	inject *faultinject.Injector
 	// proposalDeadline, when > 0, bounds every proposal's wall clock:
@@ -177,29 +173,15 @@ type MCC struct {
 	// bypassed, so a pinned decision always equals the clean
 	// from-scratch oracle's.
 	pinned bool
-	// retriedAnalyses/panicsRecovered count the timing stage's pool-side
-	// recovery events (analysis retries after transient errors, recovered
-	// worker panics); integrate reports per-proposal deltas.
-	retriedAnalyses atomic.Int64
-	panicsRecovered atomic.Int64
+	// retriedAnalyses/panicsRecovered count the timing stage's recovery
+	// events (analysis retries after transient errors, recovered analysis
+	// panics); integrate reports per-proposal deltas.
+	retriedAnalyses int
+	panicsRecovered int
 }
 
 // Option configures an MCC at construction time.
 type Option func(*MCC)
-
-// WithTimingWorkers bounds the worker pool that analyzes dirty resources
-// during the timing acceptance test. 1 forces serial analysis; the default
-// is runtime.GOMAXPROCS(0). A StreamScheduler's window analyses do not use
-// the pool: they run on the scheduler's goroutine. Values below 1 clamp to
-// 1 — the serial configuration — never a silent fallback to the default.
-func WithTimingWorkers(n int) Option {
-	return func(m *MCC) {
-		if n < 1 {
-			n = 1
-		}
-		m.workers = n
-	}
-}
 
 // WithHistoryLimit is a no-op: the controller keeps no report log, since
 // every Report belongs to its caller. It remains for callers that pass it.
@@ -209,11 +191,11 @@ func WithHistoryLimit(int) Option {
 
 // WithFaultInjector installs a deterministic fault injector on the MCC's
 // hook points ("stage.<name>" before every pipeline stage,
-// "timing.worker" per pooled analysis, "stream.prefetch" per analysis a
-// stream window runs ahead of verification, "journal.undo" on window
-// rollback, plus
-// the analyzer's "cpa.analyze"/"cpa.cache" hooks). Nil disables injection
-// (the default); the hooks then cost one nil check.
+// "timing.worker" per timing-stage analysis, "stream.prefetch" per
+// analysis a stream window runs ahead of verification, "journal.undo" on
+// window rollback, plus the analyzer's "cpa.analyze"/"cpa.cache" hooks).
+// Nil disables injection (the default); the hooks then cost one nil
+// check.
 func WithFaultInjector(inj *faultinject.Injector) Option {
 	return func(m *MCC) { m.inject = inj }
 }
@@ -264,9 +246,8 @@ func WithStage(s pipeline.Stage) Option {
 // New creates an MCC managing the given platform, with an empty deployed
 // configuration. By default the whole acceptance pipeline is incremental
 // (scoped validation, warm-started mapping, partial synthesis, memoized
-// timing with dirty tracking) and dirty resources fan out over a
-// GOMAXPROCS-sized worker pool; see WithoutIncremental, WithTimingWorkers,
-// and WithStage.
+// timing with dirty tracking), and every analysis runs on the proposing
+// goroutine; see WithoutIncremental and WithStage.
 func New(p *model.Platform, opts ...Option) (*MCC, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -276,7 +257,6 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 		observedWCETUS: make(map[string]int64),
 		analyzer:       cpa.NewAnalyzer(),
 		incremental:    true,
-		workers:        runtime.GOMAXPROCS(0),
 		procs:          procNames(p),
 		procIdx:        procIndex(p),
 		procNets:       procNetIndex(p),
@@ -544,11 +524,11 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 		pctx, cancel = context.WithTimeout(gctx, m.proposalDeadline)
 		defer cancel()
 	}
-	// Pool-side recovery counters report per-proposal deltas.
-	retried0, panics0 := m.retriedAnalyses.Load(), m.panicsRecovered.Load()
+	// The timing stage's recovery counters report per-proposal deltas.
+	retried0, panics0 := m.retriedAnalyses, m.panicsRecovered
 	defer func() {
-		rep.RetriedAnalyses += int(m.retriedAnalyses.Load() - retried0)
-		rep.PanicsRecovered += int(m.panicsRecovered.Load() - panics0)
+		rep.RetriedAnalyses += m.retriedAnalyses - retried0
+		rep.PanicsRecovered += m.panicsRecovered - panics0
 	}()
 
 	if m.quarantined {

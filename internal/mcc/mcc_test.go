@@ -481,7 +481,7 @@ func TestIncrementalMatchesSerialBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := New(testPlatform(), WithoutIncremental(), WithTimingWorkers(1))
+	ser, err := New(testPlatform(), WithoutIncremental())
 	if err != nil {
 		t.Fatal(err)
 	}

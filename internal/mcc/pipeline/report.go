@@ -162,7 +162,7 @@ type Report struct {
 	// scratch before the verdict stands.
 	TransientFault bool
 	// PanicsRecovered counts panics recovered on behalf of this
-	// proposal: pipeline stages and pooled timing goroutines.
+	// proposal: pipeline stages and timing-stage analyses.
 	PanicsRecovered int
 	// RetriedAnalyses counts timing analyses retried after a transient
 	// analyzer error (bounded retry with backoff).

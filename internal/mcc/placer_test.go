@@ -209,6 +209,25 @@ func e13Platform(procs int) *model.Platform {
 	return p
 }
 
+// e13Functions is a seeded architecture of two functions per processor of
+// e13Platform(procs), every 16th one replicated twice.
+func e13Functions(procs int) *model.FunctionalArchitecture {
+	rng := rand.New(rand.NewSource(int64(procs)))
+	fa := &model.FunctionalArchitecture{}
+	for i := 0; i < 2*procs; i++ {
+		f := model.Function{Name: fmt.Sprintf("fn-%05d", i), Contract: model.Contract{
+			Safety:    []model.SafetyLevel{model.ASILD, model.ASILB, model.QM, model.QM}[i%4],
+			RealTime:  model.RealTimeContract{PeriodUS: 50_000, WCETUS: 2_000 + rng.Int63n(12_000)},
+			Resources: model.ResourceContract{RAMKiB: 128 + rng.Int63n(896)},
+		}}
+		if i%16 == 5 {
+			f.Replicas = 2
+		}
+		fa.Functions = append(fa.Functions, f)
+	}
+	return fa
+}
+
 // A single-function warm placement on a best-fit deployed platform visits
 // O(log P) index nodes, not every processor: the update discounts the
 // function's committed replica and re-places it, as mapWarmStart does.
@@ -220,19 +239,7 @@ func TestWarmPlacementVisitsLogP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(int64(procs)))
-		fa := &model.FunctionalArchitecture{}
-		for i := 0; i < 2*procs; i++ {
-			f := model.Function{Name: fmt.Sprintf("fn-%05d", i), Contract: model.Contract{
-				Safety:    []model.SafetyLevel{model.ASILD, model.ASILB, model.QM, model.QM}[i%4],
-				RealTime:  model.RealTimeContract{PeriodUS: 50_000, WCETUS: 2_000 + rng.Int63n(12_000)},
-				Resources: model.ResourceContract{RAMKiB: 128 + rng.Int63n(896)},
-			}}
-			if i%16 == 5 {
-				f.Replicas = 2
-			}
-			fa.Functions = append(fa.Functions, f)
-		}
+		fa := e13Functions(procs)
 		tech, err := m.mapToPlatform(fa, false)
 		if err != nil {
 			t.Fatal(err)

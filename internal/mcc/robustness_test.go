@@ -58,11 +58,11 @@ func robustMCCReports(t *testing.T, opts ...Option) (*MCC, []*Report) {
 }
 
 // oracleDecide replays changes serially on a clean from-scratch
-// controller (no incremental caches, no injection, one worker) — the
-// reference every degraded decision must still agree with.
+// controller (no incremental caches, no injection) — the reference every
+// degraded decision must still agree with.
 func oracleDecide(t *testing.T, changes []Change) []*Report {
 	t.Helper()
-	m := robustMCC(t, WithoutIncremental(), WithTimingWorkers(1))
+	m := robustMCC(t, WithoutIncremental())
 	reports := make([]*Report, 0, len(changes))
 	for _, c := range changes {
 		reports = append(reports, m.integrateChangeCtx(context.Background(), c))
@@ -77,25 +77,6 @@ func assertDecisionParity(t *testing.T, changes []Change, got, want []*Report) {
 			t.Fatalf("change %d (%s): faulted run decided %v@%q, oracle %v@%q",
 				i, changes[i], got[i].Accepted, got[i].RejectedAt, want[i].Accepted, want[i].RejectedAt)
 		}
-	}
-}
-
-func TestWithTimingWorkersClampsNonPositive(t *testing.T) {
-	for _, n := range []int{0, -1, -100} {
-		m, err := New(testPlatform(), WithTimingWorkers(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.workers != 1 {
-			t.Fatalf("WithTimingWorkers(%d): workers = %d, want clamp to 1", n, m.workers)
-		}
-	}
-	m, err := New(testPlatform(), WithTimingWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.workers != 3 {
-		t.Fatalf("WithTimingWorkers(3): workers = %d", m.workers)
 	}
 }
 
@@ -137,7 +118,7 @@ func TestProposalDeadlineBoundsStalledStage(t *testing.T) {
 	}
 }
 
-// A panicking pooled analysis goroutine is recovered, the proposal is
+// A panicking timing-stage analysis is recovered, the proposal is
 // re-decided on the pinned from-scratch path, and the decision matches
 // the clean serial oracle.
 func TestWorkerPanicRecoveredDecisionMatchesOracle(t *testing.T) {
@@ -257,7 +238,7 @@ func TestCacheCorruptionDetectedAndQuarantined(t *testing.T) {
 	}
 
 	// Clean reference decision.
-	oracle := mk(WithoutIncremental(), WithTimingWorkers(1))
+	oracle := mk(WithoutIncremental())
 	want := oracle.ProposeUpdate(heavy2)
 	if want.Accepted || want.RejectedAt != StageTiming {
 		t.Fatalf("heavy2 decided %v@%q on the oracle, corpus does not exercise timing rejection",
@@ -343,53 +324,94 @@ func TestStreamPrefetchFaultsTaintWindowAndReplay(t *testing.T) {
 	}
 }
 
-// A window's analyses run on Run's own goroutine: while they stall in the
-// "stream.prefetch" hook on a two-core runtime, the process never holds
-// more goroutines than before Run. A worker pool's helper goroutine would
-// be alive for the whole stall and show up in the count.
-func TestStreamWindowAnalyzesOnRunGoroutine(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	changes := []Change{
-		upd(fn("t0", model.QM, 100000, 2000, 64)),
-		upd(fn("t1", model.QM, 120000, 1500, 64)),
-		upd(fn("t2", model.QM, 140000, 2500, 64)),
-		upd(fn("t3", model.QM, 160000, 1800, 64)),
+// Nothing in the controller analyzes on a goroutine of its own: on a
+// two-core runtime, while a stream window's analyses stall in the
+// "stream.prefetch" hook and while a cold 2048-processor baseline deploy
+// analyzes every resource, the process never holds more goroutines than
+// before the call. A worker pool's helper goroutine would be alive for
+// the whole call and show up in the count.
+func TestAnalysesRunOnCallersGoroutine(t *testing.T) {
+	type goroutineCase struct {
+		name string
+		// setup builds the controller and returns the call to sample and
+		// the check of its result.
+		setup func(t *testing.T) (call func(), check func(t *testing.T))
 	}
-	want := oracleDecide(t, changes)
-	inj := faultinject.New(1, faultinject.Rule{
-		Stage: "stream.prefetch", Mode: faultinject.ModeStall, StallUS: 2000,
-	})
-	m := robustMCC(t, WithFaultInjector(inj))
-	sched := NewStreamScheduler(m)
+	var tt []goroutineCase
 
-	stop, peak := make(chan struct{}), make(chan [2]int)
-	go func() {
-		most, samples := 0, 0
-		for {
-			select {
-			case <-stop:
-				peak <- [2]int{most, samples}
-				return
-			default:
+	tt = append(tt, goroutineCase{
+		name: "stream window",
+		setup: func(t *testing.T) (func(), func(*testing.T)) {
+			changes := []Change{
+				upd(fn("t0", model.QM, 100000, 2000, 64)),
+				upd(fn("t1", model.QM, 120000, 1500, 64)),
+				upd(fn("t2", model.QM, 140000, 2500, 64)),
+				upd(fn("t3", model.QM, 160000, 1800, 64)),
 			}
-			most, samples = max(most, runtime.NumGoroutine()), samples+1
-			time.Sleep(20 * time.Microsecond)
-		}
-	}()
-	before := runtime.NumGoroutine() // the sampler included
-	got := sched.Run(changes)
-	close(stop)
-	p := <-peak
+			want := oracleDecide(t, changes)
+			inj := faultinject.New(1, faultinject.Rule{
+				Stage: "stream.prefetch", Mode: faultinject.ModeStall, StallUS: 2000,
+			})
+			sched := NewStreamScheduler(robustMCC(t, WithFaultInjector(inj)))
+			var got []*Report
+			return func() { got = sched.Run(changes) }, func(t *testing.T) {
+				assertDecisionParity(t, changes, got, want)
+				if st := sched.Stats(); st.Prefetched < 2 || inj.TotalFired() != st.Prefetched {
+					t.Fatalf("stats = %+v with %d stalls, want every one of several window analyses stalled", st, inj.TotalFired())
+				}
+			}
+		},
+	})
 
-	assertDecisionParity(t, changes, got, want)
-	if st := sched.Stats(); st.Prefetched < 2 || inj.TotalFired() != st.Prefetched {
-		t.Fatalf("stats = %+v with %d stalls, want every one of several window analyses stalled", st, inj.TotalFired())
-	}
-	if p[1] == 0 {
-		t.Fatal("the sampler took no sample during Run")
-	}
-	if p[0] > before {
-		t.Fatalf("goroutines rose from %d before Run to %d while the window analyzed", before, p[0])
+	tt = append(tt, goroutineCase{
+		name: "cold 2048p deploy",
+		setup: func(t *testing.T) (func(), func(*testing.T)) {
+			m, err := New(e13Platform(2048))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fa := e13Functions(2048)
+			var rep *Report
+			return func() { rep = m.ProposeArchitecture(fa) }, func(t *testing.T) {
+				if !rep.Accepted || rep.TimingDirty != 2048 {
+					t.Fatalf("baseline decided %v@%q with %d dirty resources, want accepted with 2048",
+						rep.Accepted, rep.RejectedAt, rep.TimingDirty)
+				}
+			}
+		},
+	})
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, tc := range tt {
+		t.Run(tc.name, func(t *testing.T) {
+			call, check := tc.setup(t)
+			stop, peak := make(chan struct{}), make(chan [2]int)
+			go func() {
+				most, samples := 0, 0
+				for {
+					select {
+					case <-stop:
+						peak <- [2]int{most, samples}
+						return
+					default:
+					}
+					most, samples = max(most, runtime.NumGoroutine()), samples+1
+					time.Sleep(20 * time.Microsecond)
+				}
+			}()
+			before := runtime.NumGoroutine() // the sampler included
+			call()
+			close(stop)
+			p := <-peak
+
+			check(t)
+			if p[1] == 0 {
+				t.Fatal("the sampler took no sample during the call")
+			}
+			if p[0] > before {
+				t.Fatalf("goroutines rose from %d before the call to %d during it", before, p[0])
+			}
+		})
 	}
 }
 

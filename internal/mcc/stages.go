@@ -8,8 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cpa"
@@ -1269,7 +1267,8 @@ type timingOutcome struct {
 
 // timingScratch holds the MCC-owned buffers the timing stage reuses
 // across proposals so the per-proposal hot path stops allocating: the job
-// list, the slots it clears, and the merge buffers of the worker pool.
+// list, the slots it clears, and the per-job result and error buffers
+// of the analysis loop.
 // Task slices inside committed jobs are never recycled — once a job is
 // built its task slice is immutable, so the committed table and reports
 // can alias it.
@@ -1419,11 +1418,11 @@ func (m *MCC) messagesOn(msgs []model.Message) [][]model.Message {
 
 // analyzeTiming runs CPA on every processor (SPP) and network (SPNP/CAN).
 // With incremental integration, resources whose task-set digest matches
-// their committed table slot are clean and reuse its WCRT table;
-// dirty resources are fanned out over the worker pool and the results are
-// merged back in deterministic resource order. A resource whose analysis
-// fails (e.g. utilization >= 1, where the busy window does not terminate)
-// is surfaced as a finding naming the resource — never dropped silently.
+// their committed table slot are clean and reuse its WCRT table; dirty
+// resources are analyzed one after another on the proposing goroutine,
+// in resource order. A resource whose analysis fails (e.g. utilization
+// >= 1, where the busy window does not terminate) is surfaced as a
+// finding naming the resource — never dropped silently.
 //
 // Under ctx.DeferChecks the dirty analyses are not run at all and no
 // findings are raised: the commit installs the dirty resources' entries
@@ -1466,6 +1465,14 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutco
 		return out
 	}
 
+	// Every analysis is panic-isolated, the proposal deadline is checked
+	// before each job (an expired proposal stops analyzing and rejects
+	// with the context error as a finding), and stalls inside the
+	// injector are bounded by the proposal's done channel.
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
 	results := grow(&sc.results, len(jobs))
 	errs := grow(&sc.errs, len(jobs))
 	dirty := sc.dirty[:0]
@@ -1475,43 +1482,13 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutco
 			continue
 		}
 		dirty = append(dirty, i)
-	}
-	sc.dirty = dirty
-
-	// Fan dirty resources out over the worker pool. Spawn at most
-	// len(dirty)-1 extra goroutines (the proposing goroutine works too)
-	// and hand out indices via an atomic counter — no feeder, no channel
-	// teardown. Proposals dirtying only one or two resources, the common
-	// fleet case, stay entirely on the proposing goroutine: goroutine
-	// startup would cost more than the analyses.
-	workers := m.workers
-	if workers > len(dirty) {
-		workers = len(dirty)
-	}
-	// Every analysis is panic-isolated, the proposal deadline is checked
-	// before each job (an expired proposal stops analyzing and rejects
-	// with the context error as a finding), and stalls inside the
-	// injector are bounded by the proposal's done channel.
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	runOne := func(i int) {
 		if ctx != nil && ctx.Expired() {
 			errs[i] = ctx.Ctx.Err()
-			return
+			continue
 		}
 		results[i], errs[i] = m.runTimingJobSafe(done, jobs[i])
 	}
-	if workers <= 1 || len(dirty) <= minParallelDirty {
-		for _, i := range dirty {
-			runOne(i)
-		}
-	} else {
-		runParallel(len(dirty), workers, func(k int) {
-			runOne(dirty[k])
-		})
-	}
+	sc.dirty = dirty
 
 	out.dirty = len(dirty)
 	m.att.results = results
@@ -1547,38 +1524,6 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutco
 	return out
 }
 
-// minParallelDirty is the dirty-resource count below which the timing
-// stage analyzes inline: for one or two dirty resources the goroutine
-// startup cost dominates the busy-window iterations.
-const minParallelDirty = 2
-
-// runParallel executes run(0..n-1) on at most `workers` goroutines (the
-// calling goroutine included), handing out indices via an atomic counter
-// — no feeder goroutine, no channel teardown. Callers clamp workers and
-// decide their own inline fast path.
-func runParallel(n, workers int, run func(k int)) {
-	var next atomic.Int64
-	work := func() {
-		for {
-			k := int(next.Add(1)) - 1
-			if k >= n {
-				return
-			}
-			run(k)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers-1; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
 // grow resizes a scratch buffer to n zeroed entries, reusing capacity.
 func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
@@ -1599,8 +1544,7 @@ var (
 	// not match its task set — the memo entry is corrupt. Detection
 	// resets the analyzer (dropping every suspect entry).
 	errCacheCorrupt = errors.New("mcc: timing memo entry corrupt")
-	// errWorkerPanic marks a pooled analysis goroutine that panicked and
-	// was recovered.
+	// errWorkerPanic marks an analysis that panicked and was recovered.
 	errWorkerPanic = errors.New("mcc: timing worker panicked")
 )
 
@@ -1657,7 +1601,7 @@ func (m *MCC) runTimingJob(done <-chan struct{}, j timingJob, attempts int) (Tim
 		if err == nil || !errors.Is(err, faultinject.ErrInjected) || attempt+1 >= attempts {
 			break
 		}
-		m.retriedAnalyses.Add(1)
+		m.retriedAnalyses++
 		time.Sleep(time.Duration(attempt+1) * 50 * time.Microsecond)
 	}
 	if err != nil {
@@ -1674,13 +1618,12 @@ func (m *MCC) runTimingJob(done <-chan struct{}, j timingJob, attempts int) (Tim
 }
 
 // runTimingJobSafe is runTimingJob with panic isolation: a panicking
-// pooled goroutine (injected or real) is recovered, counted, and
-// surfaced as a transient errWorkerPanic instead of taking the
-// controller down.
+// analysis (injected or real) is recovered, counted, and surfaced as a
+// transient errWorkerPanic instead of taking the controller down.
 func (m *MCC) runTimingJobSafe(done <-chan struct{}, j timingJob) (res TimingResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.panicsRecovered.Add(1)
+			m.panicsRecovered++
 			res = TimingResult{Resource: j.resource}
 			err = fmt.Errorf("%w: %v", errWorkerPanic, r)
 		}

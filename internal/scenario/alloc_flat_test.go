@@ -219,9 +219,6 @@ func TestColdDeployAllocsBudget(t *testing.T) {
 	if raceBuild {
 		budget = allocBudget{33_670 * 1.1, 14_025_000 * 1.1}
 	}
-	// One worker: the timing stage analyzes inline, so goroutine starts
-	// do not count.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fleet := GenFleet(DefaultFleetSpec(2048))
 	deploy := func() (allocs, bytes float64) {
 		m, err := mcc.New(fleet.Platform)

@@ -95,7 +95,7 @@ func DefaultChaosSpecs() []ChaosFaultSpec {
 			Rules: []faultinject.Rule{{Stage: "cpa.analyze", Mode: faultinject.ModeSlow, Every: 5, StallUS: 200}},
 		},
 		{
-			// Every 11th pooled timing worker panics mid-analysis.
+			// Every 11th timing-stage analysis panics mid-analysis.
 			Name:  "worker-panic",
 			Rules: []faultinject.Rule{{Stage: "timing.worker", Mode: faultinject.ModePanic, Every: 11}},
 		},
@@ -195,6 +195,11 @@ type MCCChaosRow struct {
 	// PanicsRecovered/RetriedAnalyses sum the recovery telemetry.
 	PanicsRecovered int
 	RetriedAnalyses int
+	// Replays/DiscardedPasses are the stream scheduler's replayed windows
+	// and the optimistic passes they discarded: a fault's blast radius
+	// on the stream engine (0 on full-incremental rows).
+	Replays         int
+	DiscardedPasses int
 	// FaultsInjected is the injector's total fire count for the run
 	// (baseline deployment included).
 	FaultsInjected int
@@ -279,7 +284,7 @@ func RunMCCChaos(cfg MCCChaosConfig) ([]MCCChaosRow, error) {
 // match — and returns that MCC with its reports.
 func chaosOracle(fleet *Fleet, changes []mcc.Change, memo *cpa.Analyzer) (*mcc.MCC, []*mcc.Report, error) {
 	m, err := mcc.New(fleet.Platform,
-		mcc.WithoutIncremental(), mcc.WithTimingWorkers(1), mcc.WithAnalyzer(memo))
+		mcc.WithoutIncremental(), mcc.WithAnalyzer(memo))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -314,7 +319,7 @@ type chaosReplayOracle struct {
 
 func (o *chaosReplayOracle) decide(c mcc.Change) (*mcc.Report, error) {
 	m, err := mcc.New(o.fleet.Platform,
-		mcc.WithoutIncremental(), mcc.WithTimingWorkers(1), mcc.WithAnalyzer(o.memo))
+		mcc.WithoutIncremental(), mcc.WithAnalyzer(o.memo))
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +477,9 @@ func runChaosStream(fleet *Fleet, changes []mcc.Change, fs ChaosFaultSpec, om *m
 		}
 	}
 	chaosCompareDeployment(&row, m, om)
-	row.PanicsRecovered += sched.Stats().PanicsRecovered
+	st := sched.Stats()
+	row.PanicsRecovered += st.PanicsRecovered
+	row.Replays, row.DiscardedPasses = st.Replays, st.DiscardedPasses
 	row.MeanLatencyUS = row.WallUS / int64(len(changes))
 	finishChaosRow(&row, inj)
 	return row, nil

@@ -56,6 +56,24 @@ func TestRunMCCChaosParityAcrossFaultMatrix(t *testing.T) {
 		}
 	}
 
+	// The stream rows carry the scheduler's blast radius: a fault that
+	// fails a window's verification replays that window, discarding its
+	// 16 optimistic passes. Full-incremental rows run no window.
+	wantReplays := map[string]int{
+		"analyzer-error": 1, "analyzer-burst": 1, "worker-panic": 1,
+		"journal-undo": 1, "mixed": 1,
+	}
+	for _, r := range rows {
+		replays := 0
+		if r.Mode == ThroughputStream {
+			replays = wantReplays[r.Spec]
+		}
+		if r.Replays != replays || r.DiscardedPasses != 16*replays {
+			t.Errorf("%s/%s: %d replays and %d discarded passes, want %d and %d",
+				r.Spec, r.Mode, r.Replays, r.DiscardedPasses, replays, 16*replays)
+		}
+	}
+
 	// Each hardening mechanism must actually trigger somewhere.
 	if r := byKey["analyzer-error/"+string(ThroughputFull)]; r.RetriedAnalyses == 0 {
 		t.Error("analyzer-error spec never retried an analysis")

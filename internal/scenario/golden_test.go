@@ -132,7 +132,7 @@ func goldenRun(t *testing.T, log goldenLog, procs int, mode MCCThroughputMode, o
 	t.Helper()
 	fleet, changes := log.stream(procs)
 	if mode == ThroughputSerial {
-		opts = append(opts, mcc.WithoutIncremental(), mcc.WithTimingWorkers(1))
+		opts = append(opts, mcc.WithoutIncremental())
 	}
 	m, err := mcc.New(fleet.Platform, opts...)
 	if err != nil {

@@ -124,7 +124,7 @@ type MCCThroughputMode string
 const (
 	// ThroughputSerial is the seed behavior: every change integrated on
 	// its own, every pipeline stage from scratch, full busy-window
-	// re-analysis of every resource, one worker.
+	// re-analysis of every resource.
 	ThroughputSerial MCCThroughputMode = "serial"
 	// ThroughputFull integrates per change with every stage incremental:
 	// scoped validation, warm-started mapping, partial synthesis, and the
@@ -133,8 +133,9 @@ const (
 	// ThroughputStream drives the change stream through the
 	// mcc.StreamScheduler on top of the full-incremental engine:
 	// consecutive changes form fixed-size optimistic windows whose
-	// deferred busy-window analyses fan out over all cores, with every
-	// verdict re-validated so decisions stay identical to serial order.
+	// deferred busy-window analyses run once per window on the
+	// scheduler's goroutine, with every verdict re-validated so decisions
+	// stay identical to serial order.
 	ThroughputStream MCCThroughputMode = "stream-parallel"
 )
 
@@ -208,8 +209,8 @@ type MCCThroughputResult struct {
 	// always zero without fault injection.
 	DegradedProposals int
 	// PanicsRecovered/RetriedAnalyses sum the recovery telemetry over
-	// the stream: panics recovered on pipeline stages, pooled goroutines
-	// and stream window analyses (per-proposal Report counters plus the
+	// the stream: panics recovered on pipeline stages, timing-stage
+	// analyses and stream window analyses (per-proposal Report counters plus the
 	// stream scheduler's), and transient-fault analysis retries, which
 	// only proposals spend.
 	PanicsRecovered int
@@ -279,9 +280,8 @@ func FleetPlatform() *model.Platform {
 // control pairs communicating over the backbone plus twelve QM
 // applications. Release jitter several periods deep (with correspondingly
 // relaxed explicit deadlines) forces multi-activation busy windows, so the
-// per-resource analysis that the incremental engine memoizes away — and
-// the stream scheduler fans out over the cores — is real work, as it is
-// on production timing models.
+// per-resource analysis that the incremental engine memoizes away is real
+// work, as it is on production timing models.
 func fleetBaseline() *model.FunctionalArchitecture {
 	fa := &model.FunctionalArchitecture{}
 	for i := 0; i < 8; i++ {
@@ -383,7 +383,7 @@ func runChangeStream(cfg MCCThroughputConfig, platform *model.Platform, baseline
 	var opts []mcc.Option
 	switch cfg.Mode {
 	case ThroughputSerial:
-		opts = append(opts, mcc.WithoutIncremental(), mcc.WithTimingWorkers(1))
+		opts = append(opts, mcc.WithoutIncremental())
 	case ThroughputFull, ThroughputStream:
 		// Default engine: every stage incremental.
 	default:
