@@ -77,6 +77,16 @@ var goldenLogs = []goldenLog{
 			return fleet, changes
 		},
 	},
+	{
+		path:   "testdata/golden_e13_replicated.txt",
+		header: "# Replicated golden decision log: scenario.DefaultFleetSpec streams with Replicas: 2 on every 5th baseline function, 64 changes per size.\n",
+		prefix: "replicated/",
+		stream: func(procs int) (*Fleet, []mcc.Change) {
+			fleet := GenFleet(DefaultFleetSpec(procs))
+			replicateEvery5th(fleet)
+			return fleet, fleet.Changes(goldenChanges)
+		},
+	},
 }
 
 // goldenHeavy is a near-capacity ASIL-D add: 55-70% of a lockstep core at
