@@ -8,22 +8,23 @@ import (
 	"repro/internal/model"
 )
 
-// This file implements the O(diff) proposal entry path. A single-function
-// change is decided against the committed snapshot plus the change
-// object: its diff comes from the change and the snapshot's function map
-// (pipeline.DiffFromChange), every stage reads the change's own function
-// for the one name it touches, and nothing is written before the commit
-// stage. A rejection therefore leaves the controller untouched, and a
+// This file implements the O(diff) proposal entry path, the only way into
+// the warm pass. A single-function change is decided against the
+// committed snapshot plus the change object: its diff comes from the
+// change and the snapshot's function map (pipeline.DiffFromChange), so it
+// touches at most one function, every stage reads the change's own
+// function for that name, and nothing is written before the commit stage.
+// A rejection therefore leaves the controller untouched, and a
 // stream-window rollback is one snapshot pointer restore. The few readers
 // that need the whole candidate architecture (the scoped validation walk,
 // the cold best-fit, a message rebuild's flow list, the cold retry and
 // pinned re-decision, the commit of a flow-cutting removal) materialize
-// the clone path's exact candidate, applyChange(Deployed(), c), through
-// candidate.
+// the exact candidate, applyChange(Deployed(), c), through candidate.
 //
-// The clone-based path stays behind ProposeArchitecture and every
-// cold/quarantined state: it is both the from-scratch fallback and the
-// parity oracle the fast path is tested against.
+// A whole candidate — ProposeArchitecture, ReintegrateWithObservations,
+// and a change on a cold or quarantined controller — is decided by the
+// from-scratch pass: the fallback of every warm pass and the parity
+// oracle the warm pass is tested against.
 
 // Change is one pending modification to the deployed functional
 // architecture: either an update (add/replace a function) or a removal.
@@ -42,8 +43,8 @@ func (c Change) String() string {
 	return fmt.Sprintf("remove %s", c.Remove)
 }
 
-// applyChange returns a copy of fa with change c applied — the
-// clone-based candidate of the cold path.
+// applyChange returns a copy of fa with change c applied: the whole
+// candidate of change c.
 func applyChange(fa *model.FunctionalArchitecture, c Change) *model.FunctionalArchitecture {
 	switch {
 	case c.Update != nil:
@@ -56,42 +57,33 @@ func applyChange(fa *model.FunctionalArchitecture, c Change) *model.FunctionalAr
 
 // fastPathReady reports whether single-change proposals may be decided
 // against the snapshot plus the change object. It requires the
-// snapshot's lookup state — quarantined or purged controllers fall back
-// to the clone-based path, which depends only on the committed
-// architecture.
+// snapshot's lookup state — quarantined or purged controllers decide the
+// change's whole candidate on the from-scratch pass, which depends only on
+// the committed architecture.
 func (m *MCC) fastPathReady() bool {
 	return !m.quarantined && m.warm() && m.snap.fns.n > 0
+}
+
+// name is the one function name c touches.
+func (c Change) name() string {
+	if c.Update != nil {
+		return c.Update.Name
+	}
+	return c.Remove
 }
 
 // changeDiff builds the diff of change c from the change object and the
 // snapshot's function map and flow index — no architecture walk.
 func (m *MCC) changeDiff(c Change) pipeline.Diff {
-	if c.Update != nil {
-		return pipeline.DiffFromChange(c.Update.Name, c.Update, m.snap.fn(c.Update.Name), false)
-	}
-	return pipeline.DiffFromChange(c.Remove, nil, m.snap.fn(c.Remove), m.snap.flowTouch[c.Remove])
-}
-
-// candFn resolves a touched function of the candidate by name: on the
-// change-driven path the one name a change touches is its update's, so
-// the change itself answers in O(1); clone-based candidates fall back to
-// the linear scan (they already paid an O(n) clone, so the scan does not
-// change their complexity class).
-func (m *MCC) candFn(ctx *pipeline.Context, name string) *model.Function {
-	if ctx.Candidate != nil {
-		return ctx.Candidate.FunctionByName(name)
-	}
-	if u := m.att.change.Update; u != nil && u.Name == name {
-		return u
-	}
-	return nil
+	name := c.name()
+	return pipeline.DiffFromChange(name, c.Update, m.snap.fn(name), m.snap.flowTouch[name])
 }
 
 // candidate returns the whole candidate architecture of the pass in
-// progress: the clone path's own, or on the change-driven path the clone
-// path's exact candidate applyChange(Deployed(), c), materialized on
-// first use and memoized on the attempt. Only a pass that needs the
-// whole architecture pays the O(n) copy.
+// progress: a from-scratch pass's own, or on the change-driven path the
+// exact candidate applyChange(Deployed(), c), materialized on first use
+// and memoized on the attempt. Only a pass that needs the whole
+// architecture pays the O(n) copy.
 func (m *MCC) candidate(ctx *pipeline.Context) *model.FunctionalArchitecture {
 	if ctx.Candidate != nil {
 		return ctx.Candidate
@@ -104,7 +96,8 @@ func (m *MCC) candidate(ctx *pipeline.Context) *model.FunctionalArchitecture {
 
 // integrateChangeCtx decides one single-function change. With a warm
 // snapshot the change is decided against it directly (see the file
-// comment); cold controllers take the clone-based path unchanged.
+// comment); cold and quarantined controllers decide its whole candidate
+// on the from-scratch pass.
 func (m *MCC) integrateChangeCtx(gctx context.Context, c Change) *Report {
 	if !m.fastPathReady() {
 		return m.integrateDiff(gctx, applyChange(m.Deployed(), c), nil)

@@ -19,15 +19,19 @@
 // pipeline (package pipeline): every step above is a pipeline.Stage
 // operating on a shared pipeline.Context, and additional viewpoints
 // (e.g. a thermal budget backed by package thermal) plug in via
-// WithStage. By default every stage works incrementally against the
-// deployed configuration — validation re-checks only the changed
-// functions and their flow neighborhoods, mapping warm-starts from the
-// deployed placement, synthesis rebuilds only affected processors and
-// services, and the timing test memoizes per-resource busy-window
-// analyses — while WithoutIncremental runs the other stages from scratch:
-// the measurable baseline and the parity oracle every incremental stage is
-// tested against. Both place by one policy (see mappingStage), so the
-// oracle's decisions and placements equal the engine's by construction.
+// WithStage. By default a single change (ProposeUpdate, ProposeRemoval)
+// is decided incrementally against the deployed configuration — validation
+// re-checks only the changed function and its flow neighborhood, mapping
+// warm-starts from the deployed placement, synthesis rebuilds only
+// affected processors and services, and the timing test memoizes
+// per-resource busy-window analyses. A whole architecture
+// (ProposeArchitecture, ReintegrateWithObservations) is decided by the
+// from-scratch pass, which keeps the committed instances of its unchanged
+// functions, and WithoutIncremental decides every proposal that way: the
+// measurable baseline and the parity oracle every incremental stage is
+// tested against. Every pass places by one policy (see mappingStage), so
+// the oracle's decisions and placements equal the engine's by
+// construction.
 package mcc
 
 import (
@@ -324,9 +328,9 @@ func (m *MCC) Analyzer() *cpa.Analyzer { return m.analyzer }
 // Deployed returns the currently deployed functional architecture. An
 // incremental commit leaves it unmaterialized — the snapshot's function
 // entries and flow list are authoritative — so it is rebuilt here on
-// demand in rank order, which is the order the clone path leaves (an
-// update keeps its function's place, an addition appends, a removal
-// closes the gap), and memoized until the next commit. Callers must not
+// demand in rank order, which is the order applyChange leaves (an update
+// keeps its function's place, an addition appends, a removal closes the
+// gap), and memoized until the next commit. Callers must not
 // modify it.
 func (m *MCC) Deployed() *model.FunctionalArchitecture {
 	s := m.snap
@@ -347,7 +351,7 @@ func (m *MCC) Deployed() *model.FunctionalArchitecture {
 // mapping, synthesis and timing stages hand to the stages after them.
 type attempt struct {
 	// change is the single change a change-driven pass decides (nil on a
-	// clone-path pass, whose candidate is ctx.Candidate); whole memoizes
+	// from-scratch pass, whose candidate is ctx.Candidate); whole memoizes
 	// its materialized candidate (see MCC.candidate).
 	change *Change
 	whole  *model.FunctionalArchitecture
@@ -385,8 +389,8 @@ func (m *MCC) warm() bool { return m.snap.warm }
 
 // DeployedImpl returns the currently deployed implementation model (nil
 // until the first successful integration). An incremental commit leaves
-// the model's flat task, instance and connection lists — and, for a
-// change-driven commit, its technical architecture's Func — unmaterialized:
+// the model's flat task, instance and connection lists and its technical
+// architecture's Func unmaterialized:
 // the snapshot's per-processor and per-function state is the
 // authoritative representation on the incremental path, so whole-model
 // readers get them materialized here on demand, memoized until the next
@@ -451,8 +455,14 @@ func (m *MCC) ProposeRemovalContext(ctx context.Context, name string) *Report {
 	return m.integrateChangeCtx(ctx, Change{Remove: name})
 }
 
-// ProposeArchitecture attempts to integrate a whole architecture at once
-// (initial deployment).
+// ProposeArchitecture attempts to integrate a whole architecture at once:
+// the initial deployment, or a whole replacement of the deployed one. It
+// is decided by the from-scratch pass, which keeps the committed instances
+// of every function the candidate carries unchanged and best-fits the
+// rest: a candidate one change away from the deployed architecture is
+// decided and placed as that change is. Its cost is the architecture's,
+// not the diff's; a single change is cheaper through ProposeUpdate or
+// ProposeRemoval.
 func (m *MCC) ProposeArchitecture(fa *model.FunctionalArchitecture) *Report {
 	return m.ProposeArchitectureContext(context.Background(), fa)
 }
@@ -473,8 +483,9 @@ func (m *MCC) RecordObservedWCET(function string, observedUS int64) {
 
 // ReintegrateWithObservations re-runs the integration with contracts
 // evolved to the observed WCET maxima where those exceed the modeled
-// values. It returns the report; on acceptance the evolved configuration
-// is deployed.
+// values, as one whole candidate on the from-scratch pass (see
+// ProposeArchitecture). It returns the report; on acceptance the evolved
+// configuration is deployed.
 func (m *MCC) ReintegrateWithObservations() *Report {
 	cand := m.Deployed().Clone()
 	for i := range cand.Functions {
@@ -487,15 +498,14 @@ func (m *MCC) ReintegrateWithObservations() *Report {
 }
 
 // integrateDiff runs the staged acceptance-test pipeline on a candidate,
-// bounded by gctx: the whole architecture cand (the clone path), or the
-// single change c against the committed snapshot (the change-driven fast
-// path, cand nil). With incremental integration enabled, the pre-timing
-// stages work from the diff against the deployed configuration: the
-// change's DiffFromChange, so the warm pass never scans the architecture,
-// or the ComputeDiff oracle for a whole candidate. Every pass, the
-// from-scratch oracle's included, places by one policy and one retry rule
-// (see mappingStage and decide), so both engines reach the same placement
-// and the same decision by construction.
+// bounded by gctx: the whole architecture cand (the from-scratch pass), or
+// the single change c against the committed snapshot (the change-driven
+// warm pass, cand nil). With incremental integration enabled, the warm
+// pass works from the change's DiffFromChange, so it touches at most one
+// function and never scans the architecture. Every pass, the from-scratch
+// oracle's included, places by one policy and one retry rule (see
+// mappingStage and decide), so both engines reach the same placement and
+// the same decision by construction.
 //
 // The pass is hardened by the degradation ladder:
 //
@@ -624,9 +634,9 @@ func (m *MCC) runPinned(pctx context.Context, cand *model.FunctionalArchitecture
 }
 
 // newContext assembles the pipeline context for one integration attempt
-// and resets the attempt handoff. A change-driven attempt (c non-nil,
-// cand nil) takes its diff from the change object instead of
-// ComputeDiff.
+// and resets the attempt handoff. Only a change-driven attempt (c non-nil,
+// cand nil) runs warm, on the diff of its change; a whole candidate, and
+// every attempt of a from-scratch pass, gets the full diff.
 func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitecture, c *Change, rep *Report, incremental bool) *pipeline.Context {
 	m.att = attempt{change: c}
 	ctx := &pipeline.Context{
@@ -637,14 +647,9 @@ func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitectur
 		DeferChecks:  m.deferChecks,
 		Ctx:          pctx,
 	}
-	switch {
-	case incremental && c != nil:
+	if incremental && c != nil {
 		ctx.Diff = m.changeDiff(*c)
-	case incremental && m.warm():
-		ctx.Diff = pipeline.ComputeDiff(m.Deployed(), cand)
-	default:
-		// A from-scratch pass, or nothing committed yet (where ComputeDiff
-		// would come out full as well, after a walk of the candidate).
+	} else {
 		ctx.Diff = pipeline.FullDiff()
 	}
 	return ctx

@@ -9,18 +9,18 @@ import (
 )
 
 // assertOverlayHolds checks that the reused synthesis overlay holds
-// exactly what the last warm pass wrote: its touched functions (fns), the
+// exactly what the last warm pass wrote: its touched function (name), the
 // rows of the clients it rewired (clients), and the task and resident
 // lists of its own affected processors — no entry of an earlier pass.
-func assertOverlayHolds(t *testing.T, label string, m *MCC, fns, clients []string) {
+func assertOverlayHolds(t *testing.T, label string, m *MCC, name string, clients []string) {
 	t.Helper()
 	over := &m.synth
-	if got := slices.Sorted(maps.Keys(over.fns)); !slices.Equal(got, fns) {
-		t.Errorf("%s: overlay functions %v, want %v", label, got, fns)
+	if over.name != name {
+		t.Errorf("%s: overlay function %q, want %q", label, over.name, name)
 	}
-	for name := range over.insts {
-		if !slices.Contains(fns, name) {
-			t.Errorf("%s: overlay keeps placements of %s from an earlier pass", label, name)
+	for _, in := range over.insts {
+		if in.Function != name {
+			t.Errorf("%s: overlay keeps placements of %s from an earlier pass", label, in.Function)
 		}
 	}
 	if got := slices.Sorted(maps.Keys(over.conns)); !slices.Equal(got, clients) {
@@ -67,13 +67,13 @@ func TestSynthOverlayReusedAcrossPasses(t *testing.T) {
 		t.Fatalf("offender decided %v@%s in %d passes, want a timing rejection after a cold retry", rep.Accepted, rep.RejectedAt, rep.Passes)
 	}
 	assertSnapshotFresh(t, "rejected warm pass and cold retry", m)
-	assertOverlayHolds(t, "rejected warm pass and cold retry", m, []string{"c"}, nil)
+	assertOverlayHolds(t, "rejected warm pass and cold retry", m, "c", nil)
 
 	if rep := m.ProposeUpdate(withRequires(fn("cli", model.QM, 60000, 1000, 64), "svc")); !rep.Accepted {
 		t.Fatalf("client rejected: %v", rep.Findings)
 	}
 	assertSnapshotFresh(t, "next proposal", m)
-	assertOverlayHolds(t, "next proposal", m, []string{"cli"}, []string{"cli"})
+	assertOverlayHolds(t, "next proposal", m, "cli", []string{"cli"})
 
 	sched := NewStreamScheduler(m)
 	for _, rep := range sched.Run([]Change{upd(fn("t0", model.QM, 100000, 2000, 64)), upd(fn("t1", model.QM, 120000, 1500, 64))}) {
@@ -85,7 +85,7 @@ func TestSynthOverlayReusedAcrossPasses(t *testing.T) {
 		t.Fatalf("window stats %+v, want 2 speculated and no replay", st)
 	}
 	assertSnapshotFresh(t, "verified window", m)
-	assertOverlayHolds(t, "verified window", m, []string{"t1"}, nil)
+	assertOverlayHolds(t, "verified window", m, "t1", nil)
 
 	reps := sched.Run([]Change{upd(offender), upd(fn("t2", model.QM, 200000, 100, 1))})
 	if reps[0].Accepted || !reps[1].Accepted {
@@ -95,5 +95,5 @@ func TestSynthOverlayReusedAcrossPasses(t *testing.T) {
 		t.Fatalf("window stats %+v, want one replay", st)
 	}
 	assertSnapshotFresh(t, "replayed window", m)
-	assertOverlayHolds(t, "replayed window", m, []string{"t2"}, nil)
+	assertOverlayHolds(t, "replayed window", m, "t2", nil)
 }

@@ -15,8 +15,8 @@ import (
 type Context struct {
 	// Platform is the target platform the MCC manages.
 	Platform *model.Platform
-	// Candidate is the functional architecture under test on the
-	// clone-based path; nil on the MCC's change-driven path, which decides
+	// Candidate is the functional architecture under test on a
+	// from-scratch pass; nil on the MCC's change-driven path, which decides
 	// a single change against the committed snapshot. Custom stages read
 	// the candidate's task set through Tasks(), not through this.
 	Candidate *model.FunctionalArchitecture

@@ -29,7 +29,10 @@ type Diff struct {
 }
 
 // ComputeDiff diffs the candidate against the deployed architecture. A nil
-// or empty deployed architecture yields a full diff.
+// or empty deployed architecture yields a full diff. The MCC never calls
+// it: a whole candidate decides on the from-scratch pass, and a single
+// change takes DiffFromChange. It stays as DiffFromChange's test
+// reference (TestDiffFromChangeEquivalence, FuzzDiffFromChange).
 func ComputeDiff(deployed, cand *model.FunctionalArchitecture) Diff {
 	var d Diff
 	if deployed == nil || len(deployed.Functions) == 0 {

@@ -154,6 +154,28 @@ func (l *capLayout) set(t *chunks[capNode], e uint64, n capNode) {
 	}
 }
 
+// ProcessorLoad is one processor's committed load as the capacity index
+// holds it: utilization in ppm of the processor's own capacity, and free
+// RAM in KiB.
+type ProcessorLoad struct{ UtilPPM, FreeRAMKiB int64 }
+
+// CommittedLoads returns every processor's load from the committed
+// capacity index, the one a warm placement reads, in platform order; nil
+// while the snapshot carries no incremental state. It lets the index be
+// held to the deployment it accounts: a change and its inverse must
+// restore it.
+func (m *MCC) CommittedLoads() []ProcessorLoad {
+	if !m.warm() {
+		return nil
+	}
+	out := make([]ProcessorLoad, len(m.platform.Processors))
+	for i := range out {
+		n := m.snap.capacity.at(m.layout.pos(i))
+		out[i] = ProcessorLoad{n.util, n.free}
+	}
+	return out
+}
+
 // placer is best-fit mapping over a capacity index. Every pass places
 // through it (bestFit), so the placement constraints (safety
 // certification, utilization cap, RAM budget, replica separation) live in

@@ -259,10 +259,11 @@ type procState struct {
 // are written only by their owning epoch.
 type snapshot struct {
 	epoch uint64 // owner of this header
-	// fa memoizes the committed functional architecture. A commit holding
-	// a whole candidate installs it; after any other commit it is nil and
-	// Deployed rebuilds it from fns (in rank order) and flows. A cold
-	// snapshot always holds it.
+	// fa memoizes the committed functional architecture. A from-scratch
+	// commit installs its candidate, and so does a warm commit whose pass
+	// materialized it; after any other commit it is nil and Deployed
+	// rebuilds it from fns (in rank order) and flows. A cold snapshot
+	// always holds it.
 	fa   *model.FunctionalArchitecture
 	impl *model.ImplementationModel
 	// res is the committed timing table (see resTable). It is always
@@ -396,26 +397,6 @@ func (m *MCC) ownSnap() *snapshot {
 		m.snap = &cp
 	}
 	return m.snap
-}
-
-// rankAs re-ranks the entries of snapshot n, writable under epoch e, to
-// the function order of cand — the whole candidate its commit installs as
-// the architecture memo — when their ranks disagree with it: a warm
-// ProposeArchitecture may reorder functions or add several at once, and
-// Deployed must keep the order the clone path leaves.
-func rankAs(n *snapshot, e uint64, cand *model.FunctionalArchitecture) {
-	fns := cand.Functions
-	for i := 1; i < len(fns); i++ {
-		if n.fns.get(fns[i-1].Name).rank >= n.fns.get(fns[i].Name).rank {
-			for k := range fns {
-				ent := n.fns.get(fns[k].Name)
-				ent.rank = uint64(k)
-				n.fns.put(e, fns[k].Name, ent)
-			}
-			n.nextSeq = uint64(len(fns))
-			return
-		}
-	}
 }
 
 // connCommitted reports whether c is a committed row of its client —

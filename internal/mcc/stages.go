@@ -85,9 +85,6 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 	if d.TouchedCount() != 1 {
 		return false, nil
 	}
-	if d.FlowsChanged && len(d.Removed) != 1 {
-		return false, nil // arbitrary flow edits: walk the flow set
-	}
 	if len(d.Removed) == 1 {
 		old := m.snap.fn(d.Removed[0])
 		if old == nil || len(old.Provides) > 0 {
@@ -97,16 +94,10 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 		ctx.Note("fast: removal provides no services, flows cut with it")
 		return true, nil
 	}
-	var name string
-	if len(d.Changed) == 1 {
-		name = d.Changed[0]
-	} else if len(d.Added) == 1 {
-		name = d.Added[0]
-	} else {
-		return false, nil
-	}
-	neu := m.candFn(ctx, name)
-	if neu == nil || neu.Name == "" {
+	// Otherwise the diff adds or changes the update's function.
+	neu := m.att.change.Update
+	name := neu.Name
+	if name == "" {
 		return false, nil
 	}
 	if err := neu.Contract.Validate(); err != nil {
@@ -198,9 +189,10 @@ func sortByConstraint(fns []*model.Function) {
 	}
 }
 
-// bestFit is the placement routine of every pass: it places every replica
-// of fns, hardest constraints first, over the loads p holds and appends
-// them to out. A placer over an index of its own flushes each function's
+// bestFit is the placement routine of every from-scratch pass: it places
+// every replica of fns, hardest constraints first, over the loads p holds
+// and appends them to out (the warm pass places its one function with
+// place alone). A placer over an index of its own flushes each function's
 // charges into it. It fails on the first replica that fits nowhere.
 func (p *placer) bestFit(fns []*model.Function, out []model.Instance) ([]model.Instance, error) {
 	sortByConstraint(fns)
@@ -218,51 +210,35 @@ func (p *placer) bestFit(fns []*model.Function, out []model.Instance) ([]model.I
 	return out, nil
 }
 
-// mapWarmStart is the warm pass's placement, in O(diff): the touched
-// functions' committed charges are subtracted in the placer's overlay over
-// the committed capacity index — integer-exact, so the loads equal
-// mapToPlatform's re-accounting — and the diff is best-fit over index plus
-// overlay, in O(log P) per replica while capacity is not tight. Nothing
-// committed is written: the overlay goes to the commit, the placements
-// into the reset synthesis overlay (no flat instance list is assembled;
-// DeployedImpl materializes it on demand). It reports ok=false when the
-// diff does not fit.
+// mapWarmStart is the warm pass's placement, in O(1) functions: the
+// touched function's committed charges are subtracted in the placer's
+// overlay over the committed capacity index — integer-exact, so the loads
+// equal mapToPlatform's re-accounting — and its candidate version is
+// best-fit over index plus overlay, in O(log P) per replica while capacity
+// is not tight. Nothing committed is written: the overlay goes to the
+// commit, the touched function and its placements into the reset synthesis
+// overlay (no flat instance list is assembled; DeployedImpl materializes
+// it on demand). It reports ok=false when the function does not fit.
 func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
-	d, over := ctx.Diff, m.synth.reset()
+	over := m.synth.reset()
+	if ctx.Diff.TouchedCount() > 0 {
+		over.name, over.fn = m.att.change.name(), m.att.change.Update
+	}
 
 	p := &placer{m: m, tree: m.snap.capacity}
-	cut := 0
-	for _, names := range [3][]string{d.Added, d.Changed, d.Removed} {
-		for _, name := range names {
-			old := m.snap.fns.get(name)
-			cut += len(old.insts)
-			for _, in := range old.insts {
-				if old.fn == nil || !p.discount(old.fn, in.Processor) {
-					return nil, 0, 0, false // stale committed state; decide cold
-				}
-			}
+	old := m.snap.fns.get(over.name)
+	for _, in := range old.insts {
+		if old.fn == nil || !p.discount(old.fn, in.Processor) {
+			return nil, 0, 0, false // stale committed state; decide cold
 		}
 	}
-
-	todo, total := over.todo[:0], 0
-	for _, names := range [2][]string{d.Added, d.Changed} {
-		for _, name := range names {
-			if f := m.candFn(ctx, name); f != nil {
-				todo, total = append(todo, f), total+f.EffectiveReplicas()
-			}
+	if f := over.fn; f != nil {
+		if over.insts, ok = p.place(f, make([]model.Instance, 0, f.EffectiveReplicas())); !ok {
+			return nil, 0, 0, false
 		}
-	}
-	over.todo = todo
-	ins, err := p.bestFit(todo, make([]model.Instance, 0, total))
-	if err != nil {
-		return nil, 0, 0, false
-	}
-	for _, f := range todo { // bestFit's order: one run of replicas each
-		n := f.EffectiveReplicas()
-		over.insts[f.Name], ins = ins[:n:n], ins[n:]
 	}
 	m.att.over = p.over
-	return &model.TechnicalArchitecture{Platform: m.platform, Func: ctx.Candidate}, m.snap.instTotal - cut, total, true
+	return &model.TechnicalArchitecture{Platform: m.platform}, m.snap.instTotal - len(old.insts), len(over.insts), true
 }
 
 // mapToPlatform places the whole candidate fa of a from-scratch pass: with
@@ -362,14 +338,15 @@ func (s *synthStage) Run(ctx *pipeline.Context) error {
 	return nil
 }
 
-// synthOverlay is the diff-sized patch one incremental synthesis lays
-// over the committed snapshot: an entry per diff-touched function (nil
-// marks a removal), the touched functions' new replica placements, and
-// the affected processors' rebuilt task lists and candidate resident
-// lists (committed residents minus touched functions plus new
-// placements), and the rewired clients' rows with the provider and
-// requirer lists of the services an edit joins or leaves (see
-// rewireSessions). The commit stage writes it into the next snapshot.
+// synthOverlay is the change-sized patch one incremental synthesis lays
+// over the committed snapshot: the one function the change touches (name,
+// "" when it touches none), its candidate version (fn, nil for a removal)
+// and new replica placements (insts), the affected processors' rebuilt
+// task lists and candidate resident lists (committed residents minus the
+// touched function plus its new placements), and the rewired clients'
+// rows with the provider and requirer lists of the services an edit joins
+// or leaves (see rewireSessions). The commit stage writes it into the next
+// snapshot.
 //
 // The MCC owns one overlay (MCC.synth) and reuses it for every warm
 // pass, like timingScratch: the warm start resets it, so its maps and
@@ -377,8 +354,9 @@ func (s *synthStage) Run(ctx *pipeline.Context) error {
 // commit (placements, task and resident lists, rows, name lists), which
 // the snapshot keeps once committed and the overlay never writes again.
 type synthOverlay struct {
-	fns       map[string]*model.Function
-	insts     map[string][]model.Instance
+	name      string
+	fn        *model.Function
+	insts     []model.Instance
 	tasksOn   map[string][]model.Task
 	instsOn   map[string][]model.Instance
 	conns     map[string][]model.Connection
@@ -387,22 +365,22 @@ type synthOverlay struct {
 	// (ctx.AffectedProcs).
 	affected []string
 
-	// Scratch of one pass: the warm start's placement order, one
-	// processor's timed residents (synthesizeTasksOn), and the clients
-	// a service-graph edit rewires.
-	todo    []*model.Function
+	// Scratch of one pass: one processor's timed residents
+	// (synthesizeTasksOn), and the clients a service-graph edit rewires.
 	cands   []taskCand
 	clients map[string]bool
 	names   []string
 }
 
+// touches reports whether name is the function the pass touches.
+func (o *synthOverlay) touches(name string) bool { return o.name != "" && o.name == name }
+
 // reset empties the overlay for the next warm pass, keeping the storage
 // of every map and list, and returns it.
 func (o *synthOverlay) reset() *synthOverlay {
-	if o.fns == nil {
+	o.name, o.fn, o.insts = "", nil, nil
+	if o.tasksOn == nil {
 		*o = synthOverlay{
-			fns:     make(map[string]*model.Function),
-			insts:   make(map[string][]model.Instance),
 			tasksOn: make(map[string][]model.Task),
 			instsOn: make(map[string][]model.Instance),
 			conns:   make(map[string][]model.Connection),
@@ -412,47 +390,45 @@ func (o *synthOverlay) reset() *synthOverlay {
 		}
 		return o
 	}
-	clear(o.fns)
-	clear(o.insts)
 	clear(o.tasksOn)
 	clear(o.instsOn)
 	clear(o.conns)
 	clear(o.prov)
 	clear(o.req)
 	clear(o.clients)
-	clear(o.todo) // drop the pointers into the last candidate
-	o.affected, o.todo = o.affected[:0], o.todo[:0]
+	o.affected = o.affected[:0]
 	return o
 }
 
-// synthView resolves the function/instance lookups of one synthesis run:
-// an overlay first, then the snapshot. The from-scratch path overlays the
-// pass index's tables on no snapshot; the incremental path overlays the
-// diff-touched entries on the committed snapshot — O(diff) instead of
-// rebuilding both tables from the technical architecture.
+// synthView resolves the function/instance lookups of one synthesis run.
+// The from-scratch path reads the pass index's tables (ix); the
+// incremental path reads the overlay's touched function, then the
+// committed snapshot — O(1) instead of rebuilding both tables from the
+// technical architecture.
 type synthView struct {
+	ix   *passIndex
 	snap *snapshot
 	over *synthOverlay
 }
 
 func (v *synthView) fn(name string) *model.Function {
-	if f, ok := v.over.fns[name]; ok {
-		return f // nil for removed functions
+	switch {
+	case v.ix != nil:
+		return v.ix.fns[name]
+	case v.over.touches(name):
+		return v.over.fn // nil for a removed function
 	}
-	if v.snap != nil {
-		return v.snap.fn(name)
-	}
-	return nil
+	return v.snap.fn(name)
 }
 
 func (v *synthView) instances(name string) []model.Instance {
-	if _, touched := v.over.fns[name]; touched {
-		return v.over.insts[name]
+	switch {
+	case v.ix != nil:
+		return v.ix.insts[name]
+	case v.over.touches(name):
+		return v.over.insts
 	}
-	if v.snap != nil {
-		return v.snap.fns.get(name).insts
-	}
-	return nil
+	return v.snap.fns.get(name).insts
 }
 
 // conns returns a client's candidate session rows: re-derived, dropped
@@ -461,7 +437,7 @@ func (v *synthView) conns(name string) []model.Connection {
 	if rows, ok := v.over.conns[name]; ok {
 		return rows
 	}
-	if f, touched := v.over.fns[name]; touched && f == nil {
+	if v.over.touches(name) && v.over.fn == nil {
 		return nil
 	}
 	return v.snap.fns.get(name).conns
@@ -484,31 +460,6 @@ func (v *synthView) elected(svc string) string {
 		return l[0]
 	}
 	return ""
-}
-
-// synthOverlay builds the candidate's lookup view against the committed
-// tables: the diff names its touched functions, whose candidate values
-// are collected directly, everything untouched resolves through the
-// snapshot (whose entries are value-identical under the warm-started
-// mapping). The warm start that precedes every warm synthesis has reset
-// the overlay and written the fresh placements into it, keyed by
-// function and replica-ascending — the exact per-function lists
-// of a from-scratch pass index — so no flat candidate instance list is
-// needed. No lookup table is rebuilt and no candidate-sized scan runs —
-// cost is O(diff).
-func (m *MCC) synthOverlay(ctx *pipeline.Context) (*synthView, *synthOverlay) {
-	d, over := ctx.Diff, &m.synth
-	for _, name := range d.Removed {
-		over.fns[name] = nil
-	}
-	for _, names := range [2][]string{d.Added, d.Changed} {
-		for _, name := range names {
-			if f := m.candFn(ctx, name); f != nil {
-				over.fns[f.Name] = f
-			}
-		}
-	}
-	return &synthView{snap: m.snap, over: over}, over
 }
 
 // taskCand is one timed resident of a processor while its task set is
@@ -748,34 +699,25 @@ func appendClientRows(out []model.Connection, look *synthView, client *model.Fun
 // client's rows — a touched one's included — would re-derive verbatim, so
 // they stay committed. Cost is the rewired rows, not the platform.
 func (m *MCC) rewireSessions(look *synthView, over *synthOverlay) (bool, error) {
-	var buf [4]string
-	edited := buf[:0]
-	for name, neu := range over.fns {
-		if connTouched(m.snap.fn(name), neu) {
-			edited = append(edited, name)
-		}
-	}
-	if len(edited) == 0 {
+	old, neu := m.snap.fn(over.name), over.fn
+	if !connTouched(old, neu) {
 		return false, nil
 	}
 	clients := over.clients
-	for _, name := range edited {
-		old, neu := m.snap.fn(name), over.fns[name]
-		var np, nr []string
-		if neu != nil {
-			np, nr = neu.Provides, neu.Requires
-			clients[name] = true
+	var np, nr []string
+	if neu != nil {
+		np, nr = neu.Provides, neu.Requires
+		clients[over.name] = true
+	}
+	for _, f := range [2]*model.Function{old, neu} {
+		if f == nil {
+			continue
 		}
-		for _, f := range [2]*model.Function{old, neu} {
-			if f == nil {
-				continue
-			}
-			for _, svc := range f.Provides {
-				over.prov[svc] = withName(candNames(over.prov, &m.snap.prov, svc), name, slices.Contains(np, svc))
-			}
-			for _, svc := range f.Requires {
-				over.req[svc] = withName(look.requirers(svc), name, slices.Contains(nr, svc))
-			}
+		for _, svc := range f.Provides {
+			over.prov[svc] = withName(candNames(over.prov, &m.snap.prov, svc), over.name, slices.Contains(np, svc))
+		}
+		for _, svc := range f.Requires {
+			over.req[svc] = withName(look.requirers(svc), over.name, slices.Contains(nr, svc))
 		}
 	}
 	for svc, l := range over.prov {
@@ -813,7 +755,7 @@ func (m *MCC) rewireSessions(look *synthView, over *synthOverlay) (bool, error) 
 // parts are checked.
 func (m *MCC) synthesize(tech *model.TechnicalArchitecture, ix *passIndex) (*model.ImplementationModel, error) {
 	impl := &model.ImplementationModel{Tech: tech}
-	look := &synthView{over: &synthOverlay{fns: ix.fns, insts: ix.insts}}
+	look := &synthView{ix: ix}
 
 	ix.tasksOn = make([][]model.Task, len(ix.instsOn))
 	total := 0
@@ -859,17 +801,22 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	tech, d := ctx.Tech, ctx.Diff
 	dep := ctx.DeployedImpl
 	impl := &model.ImplementationModel{Tech: tech}
-	look, over := m.synthOverlay(ctx)
+	// The warm start has reset the overlay and written the touched function
+	// and its fresh placements into it, replica-ascending — the exact
+	// per-function list of a from-scratch pass index — so no flat candidate
+	// instance list is needed; everything untouched resolves through the
+	// snapshot, whose entries are value-identical under the warm-started
+	// mapping.
+	over := &m.synth
+	look := &synthView{snap: m.snap, over: over}
+	committed := m.snap.fns.get(over.name).insts
 
-	// Processors affected by the diff: wherever a touched function's
+	// Processors affected by the change: wherever the touched function's
 	// instances were (committed lookup), or now are (overlay), ascending
 	// by name — the order of MCC.procs and of the timing table's slots.
 	affected := over.affected[:0]
-	for name := range over.fns {
-		for _, in := range m.snap.fns.get(name).insts {
-			affected = append(affected, in.Processor)
-		}
-		for _, in := range over.insts[name] {
+	for _, insts := range [2][]model.Instance{committed, over.insts} {
+		for _, in := range insts {
 			affected = append(affected, in.Processor)
 		}
 	}
@@ -916,15 +863,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// moved: messages derive from flows and endpoint placements alone, so
 	// a change that re-places every replica onto its committed processor
 	// leaves every message identical.
-	rebuildMsgs := d.FlowsChanged
-	if !rebuildMsgs {
-		for name := range over.fns {
-			if m.snap.flowTouch[name] && placementChanged(m.snap.fns.get(name).insts, over.insts[name]) {
-				rebuildMsgs = true
-				break
-			}
-		}
-	}
+	rebuildMsgs := d.FlowsChanged || m.snap.flowTouch[over.name] && placementChanged(committed, over.insts)
 	if rebuildMsgs {
 		// A rebuild re-derives every message from the whole candidate's
 		// flow list; the timing stage re-derives every network's job, and
@@ -967,22 +906,20 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 
 // residentInstances derives the candidate's instance list on one
 // affected processor: the committed residents minus the touched
-// functions' instances, plus the touched instances now placed there, in
-// the (function, replica) order a from-scratch commit groups them in.
-// Cost is the processor's population, not the platform's.
+// function's instances, plus its instances now placed there, in the
+// (function, replica) order a from-scratch commit groups them in. Cost is
+// the processor's population, not the platform's.
 func (m *MCC) residentInstances(pn string, over *synthOverlay) []model.Instance {
 	old := m.proc(pn).insts
 	out := make([]model.Instance, 0, len(old)+2)
 	for _, in := range old {
-		if _, touched := over.fns[in.Function]; !touched {
+		if !over.touches(in.Function) {
 			out = append(out, in)
 		}
 	}
-	for name := range over.fns {
-		for _, in := range over.insts[name] {
-			if in.Processor == pn {
-				out = append(out, in)
-			}
+	for _, in := range over.insts {
+		if in.Processor == pn {
+			out = append(out, in)
 		}
 	}
 	slices.SortFunc(out, compareInstances)
@@ -1083,17 +1020,17 @@ func (s *safetyStage) Run(ctx *pipeline.Context) error {
 	if ctx.Warm {
 		// Entity-driven, not whole-model scans: CheckScoped walks every
 		// candidate instance and function even for a one-function change,
-		// while the footprint here is a handful of names. The
-		// touched functions resolve through the committed tables plus this
-		// proposal's overlay (the same view the synthesis used), the
-		// affected processors' candidate residents were just computed by
-		// the partial synthesis (over.instsOn) — so nothing below reads
-		// the unmaterialized flat lists, and the cost is O(diff).
-		m, d := s.m, ctx.Diff
-		var buf [4]string
-		touched := append(append(append(buf[:0], d.Added...), d.Changed...), d.Removed...)
-		slices.Sort(touched)
-		over := m.att.synth
+		// while the footprint here is one name. The touched function
+		// resolves through the committed tables plus this proposal's
+		// overlay (the same view the synthesis used), the affected
+		// processors' candidate residents were just computed by the
+		// partial synthesis (over.instsOn) — so nothing below reads the
+		// unmaterialized flat lists, and the cost is O(diff).
+		m, over := s.m, s.m.att.synth
+		touched := []string{over.name}
+		if over.name == "" {
+			touched = nil
+		}
 		view := &synthView{snap: m.snap, over: over}
 		findings, checked := safety.CheckEntities(touched, ctx.AffectedProcs,
 			view.fn,
@@ -1123,7 +1060,7 @@ func (s *securityStage) Name() Stage { return StageSecurity }
 
 func (s *securityStage) Run(ctx *pipeline.Context) error {
 	if ctx.Warm {
-		findings, checked := s.m.checkSecurityRows(ctx)
+		findings, checked := s.m.checkSecurityRows()
 		ctx.Report.SecurityChecks += checked
 		ctx.Note("scoped: re-checked %d connections", checked)
 		return rejectFindings(findingStrings(findings))
@@ -1141,17 +1078,17 @@ func (s *securityStage) Run(ctx *pipeline.Context) error {
 // whose elected provider (every row's server) the diff touched. Walking
 // those clients by name, rows in order, follows the flat list's order, so
 // the findings and the count equal a scan of the whole list.
-func (m *MCC) checkSecurityRows(ctx *pipeline.Context) ([]security.Finding, int) {
-	d, over := ctx.Diff, m.att.synth
+func (m *MCC) checkSecurityRows() ([]security.Finding, int) {
+	over := m.att.synth
 	look := &synthView{snap: m.snap, over: over}
 	var buf [8]string // the common footprint stays off the heap
 	names := buf[:0]
-	for name, f := range over.fns {
-		if names = append(names, name); f == nil {
-			continue
-		}
-		for _, svc := range f.Provides {
-			if look.elected(svc) == name {
+	if over.name != "" {
+		names = append(names, over.name)
+	}
+	if over.fn != nil {
+		for _, svc := range over.fn.Provides {
+			if look.elected(svc) == over.name {
 				names = append(names, look.requirers(svc)...)
 			}
 		}
@@ -1168,7 +1105,7 @@ func (m *MCC) checkSecurityRows(ctx *pipeline.Context) ([]security.Finding, int)
 	checked := 0
 	for _, name := range slices.Compact(names) {
 		for _, c := range look.conns(name) {
-			if !d.Touched(name) && !d.Touched(security.FunctionName(c.Server)) && m.snap.connCommitted(c) {
+			if !over.touches(name) && !over.touches(security.FunctionName(c.Server)) && m.snap.connCommitted(c) {
 				continue // committed clean, inputs unchanged: splice
 			}
 			checked++
@@ -1796,13 +1733,14 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 
 // commitIncremental writes the footprint-sized artifacts of a
 // partial-synthesis attempt into the next snapshot: the timing table is
-// patched from this attempt's job list and cleared slots, and the
-// diff-touched functions, the rewired clients' rows, the provider and
-// requirer lists the change altered and the affected processors are
-// written under the current epoch. Everything else keeps its committed
-// entry by the splice invariant. An attempt holding a whole candidate
-// installs it as the architecture memo (re-ranking the entries if their
-// order disagrees with it); otherwise Deployed rebuilds it on demand.
+// patched from this attempt's job list and cleared slots, and the touched
+// function, the rewired clients' rows, the provider and requirer lists
+// the change altered and the affected processors are written under the
+// current epoch. Everything else keeps its committed entry by the splice
+// invariant. An attempt that materialized its candidate installs it as
+// the architecture memo (its order is the rank order: an update keeps its
+// place, an addition appends, a removal closes the gap); otherwise
+// Deployed rebuilds it on demand.
 func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	m := s.m
 
@@ -1812,10 +1750,10 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	// start snapshot, a bound report's view) intact and shared.
 	res := m.snap.res.patch(m.newEpoch(), m.committedFills(), m.scratch.clears)
 
-	// The whole candidate, if the attempt holds one; a flow-cutting
+	// The candidate, if the attempt materialized it; a flow-cutting
 	// removal materializes it for its flow list.
 	whole := m.att.whole
-	if ctx.Candidate != nil || ctx.Diff.FlowsChanged {
+	if ctx.Diff.FlowsChanged {
 		whole = m.candidate(ctx)
 	}
 	n, e, over := m.ownSnap(), m.epoch, m.att.synth
@@ -1827,25 +1765,22 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 		n.flowTouch = flowTouchIndex(n.flows)
 	}
 
-	// Diff-touched functions are copied in (or dropped) with their
-	// committed rows, and the instance count adjusts by the same delta;
-	// then every rewired client, touched or not, takes its re-derived rows.
-	for name, f := range over.fns {
-		old := n.fns.get(name)
-		n.instTotal += len(over.insts[name]) - len(old.insts)
-		if f == nil {
-			n.fns.del(e, name)
-			continue
+	// The touched function is copied in (or dropped) with its committed
+	// rows, and the instance count adjusts by the same delta; then every
+	// rewired client, touched or not, takes its re-derived rows.
+	if over.name != "" {
+		old := n.fns.get(over.name)
+		n.instTotal += len(over.insts) - len(old.insts)
+		if over.fn == nil {
+			n.fns.del(e, over.name)
+		} else {
+			if old.fn == nil {
+				old.rank = n.nextSeq
+				n.nextSeq++
+			}
+			cp := *over.fn
+			n.fns.put(e, over.name, fnEntry{&cp, old.rank, over.insts, old.conns})
 		}
-		if old.fn == nil {
-			old.rank = n.nextSeq
-			n.nextSeq++
-		}
-		cp := *f
-		n.fns.put(e, name, fnEntry{&cp, old.rank, over.insts[name], old.conns})
-	}
-	if n.fa != nil {
-		rankAs(n, e, n.fa)
 	}
 	for name, rows := range over.conns {
 		ent := n.fns.get(name)

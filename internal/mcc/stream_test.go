@@ -32,27 +32,31 @@ func deployFlowBaseline(t *testing.T, m *MCC) {
 }
 
 func TestTimingJobsCleanProposalZeroScans(t *testing.T) {
-	// A proposal identical to the deployed configuration (empty diff)
-	// touches no resource: the timing stage must splice every cached job
-	// and perform zero TasksOn/MessagesOn scans.
+	// A committed function proposed unchanged (empty diff) touches no
+	// resource: the timing stage must splice every cached job and perform
+	// zero TasksOn/MessagesOn scans. A whole candidate decides on the
+	// from-scratch pass, which scans every resource; the decision-function
+	// laws hold its re-proposal of Deployed() to a no-op.
 	m, err := New(testPlatform())
 	if err != nil {
 		t.Fatal(err)
 	}
 	deployFlowBaseline(t, m)
 
-	rep := m.ProposeArchitecture(m.Deployed())
-	if !rep.Accepted {
-		t.Fatalf("no-op proposal rejected: %v (%s)", rep.Findings, rep.RejectedAt)
-	}
-	if rep.TimingScans != 0 {
-		t.Fatalf("clean proposal scanned %d resources, want 0", rep.TimingScans)
-	}
-	if rep.TimingDirty != 0 {
-		t.Fatalf("clean proposal analyzed %d resources, want 0", rep.TimingDirty)
-	}
-	if rep.TimingResources == 0 {
-		t.Fatal("no timing coverage recorded")
+	for _, f := range m.Deployed().Functions {
+		rep := m.ProposeUpdate(f)
+		if !rep.Accepted {
+			t.Fatalf("no-op proposal of %s rejected: %v (%s)", f.Name, rep.Findings, rep.RejectedAt)
+		}
+		if rep.TimingScans != 0 {
+			t.Fatalf("clean proposal of %s scanned %d resources, want 0", f.Name, rep.TimingScans)
+		}
+		if rep.TimingDirty != 0 {
+			t.Fatalf("clean proposal of %s analyzed %d resources, want 0", f.Name, rep.TimingDirty)
+		}
+		if rep.TimingResources == 0 {
+			t.Fatal("no timing coverage recorded")
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"hash"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -253,6 +254,19 @@ func TestGoldenDecisionLog(t *testing.T) {
 	}
 }
 
+// chaosRules returns a copy of the rules of the named DefaultChaosSpecs
+// entry.
+func chaosRules(t *testing.T, name string) []faultinject.Rule {
+	t.Helper()
+	for _, fs := range DefaultChaosSpecs() {
+		if fs.Name == name {
+			return slices.Clone(fs.Rules)
+		}
+	}
+	t.Fatalf("no %s rule in DefaultChaosSpecs", name)
+	return nil
+}
+
 // TestGoldenDecisionLogWorkerPanic is the E14 column: both logs replayed
 // on the full-incremental engine under the chaos rule worker-panic
 // (timing.worker panics every 11th job). A faulted proposal quarantines
@@ -260,15 +274,7 @@ func TestGoldenDecisionLog(t *testing.T) {
 // place as the clean engine does: every line equals the clean log's, and
 // each size shows at least one Degraded decision.
 func TestGoldenDecisionLogWorkerPanic(t *testing.T) {
-	var rules []faultinject.Rule
-	for _, fs := range DefaultChaosSpecs() {
-		if fs.Name == "worker-panic" {
-			rules = fs.Rules
-		}
-	}
-	if rules == nil {
-		t.Fatal("no worker-panic rule in DefaultChaosSpecs")
-	}
+	rules := chaosRules(t, "worker-panic")
 	for _, log := range goldenLogs {
 		golden := readGolden(t, log)
 		for _, procs := range goldenFaultSizes {

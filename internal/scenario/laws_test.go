@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/mcc"
 	"repro/internal/model"
 )
@@ -13,8 +14,15 @@ import (
 // Laws of the decision function: properties one engine must satisfy on its
 // own, so they need no second implementation and hold a helper that both
 // legs of the parity harness share. From any committed state reached by
-// deciding a generated change stream:
+// deciding a generated change stream, cleanly or under the E14
+// worker-panic rule (whose faulted decisions return through the pinned
+// from-scratch pass):
 //
+//   - whole candidate: deciding a change c by ProposeUpdate or
+//     ProposeRemoval equals proposing applyChange(Deployed(), c) with
+//     ProposeArchitecture to a twin in the same committed state — verdict,
+//     stage, findings and the committed state after it — and re-proposing
+//     Deployed() is accepted and changes nothing;
 //   - idempotence: a committed function proposed unchanged is accepted
 //     with 0 timing scans and 0 memo misses, and changes nothing;
 //   - inverse: an accepted update that keeps every placement, followed by
@@ -27,15 +35,16 @@ import (
 //   - unknown removal: removing a name that is not deployed changes
 //     nothing.
 //
-// "The committed state" is Deployed(), DeployedImpl(), DeployedMonitors()
-// and the FromScratchTables of the deployed implementation, compared
-// whole.
+// "The committed state" is Deployed(), DeployedImpl(), DeployedMonitors(),
+// the capacity index placement reads (CommittedLoads()) and the
+// FromScratchTables of the deployed implementation, compared whole.
 
 // committedState is everything a law holds unchanged.
 type committedState struct {
 	fa       *model.FunctionalArchitecture
 	impl     *model.ImplementationModel
 	monitors []mcc.MonitorSpec
+	loads    []mcc.ProcessorLoad
 	// oracleTiming/oracleMonitors are FromScratchTables of impl.
 	oracleTiming   []mcc.TimingResult
 	oracleMonitors []mcc.MonitorSpec
@@ -48,7 +57,7 @@ func captureState(t *testing.T, p *model.Platform, m *mcc.MCC) committedState {
 	if err != nil {
 		t.Fatalf("from-scratch tables: %v", err)
 	}
-	return committedState{m.Deployed(), impl, m.DeployedMonitors(), timing, monitors}
+	return committedState{m.Deployed(), impl, m.DeployedMonitors(), m.CommittedLoads(), timing, monitors}
 }
 
 // diffState names the first part of the committed state that differs.
@@ -60,6 +69,8 @@ func diffState(a, b committedState) string {
 		return "DeployedImpl()"
 	case !reflect.DeepEqual(a.monitors, b.monitors):
 		return "DeployedMonitors()"
+	case !slices.Equal(a.loads, b.loads):
+		return "CommittedLoads()"
 	case !reflect.DeepEqual(a.oracleTiming, b.oracleTiming):
 		return "FromScratchTables timing"
 	case !reflect.DeepEqual(a.oracleMonitors, b.oracleMonitors):
@@ -69,12 +80,74 @@ func diffState(a, b committedState) string {
 }
 
 // lawFleet is one committed state the laws start from: a generated
-// fleet, replicated or not, with its baseline and change stream decided.
+// fleet, replicated or not, with its baseline and change stream decided,
+// cleanly or, when faulted is set, under the worker-panic rule.
 type lawFleet struct {
 	name    string
 	fleet   *Fleet
 	changes []mcc.Change
+	faulted bool
 }
+
+// decideLawFleet builds a controller with opts and decides lf's baseline
+// and change stream on it. It returns nil when the baseline is rejected,
+// and otherwise the number of Degraded decisions in the stream.
+func decideLawFleet(t *testing.T, lf lawFleet, opts ...mcc.Option) (*mcc.MCC, int) {
+	t.Helper()
+	m, err := mcc.New(lf.fleet.Platform, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.ProposeArchitecture(lf.fleet.Baseline).Accepted {
+		return nil, 0
+	}
+	degraded := 0
+	for _, c := range lf.changes {
+		if proposeChaosChange(m, c).Degraded {
+			degraded++
+		}
+	}
+	return m, degraded
+}
+
+// lawController decides lf on a fresh controller. A faulted fleet runs
+// the worker-panic rule capped at the fires a first run of the same
+// stream saw, so the rule fires during the stream exactly as uncapped and
+// never again: the laws then run warm on what the pinned passes returned.
+func lawController(t *testing.T, lf lawFleet) *mcc.MCC {
+	t.Helper()
+	if !lf.faulted {
+		m, _ := decideLawFleet(t, lf)
+		return m
+	}
+	rules := chaosRules(t, "worker-panic")
+	probe := faultinject.New(chaosSeed, rules...)
+	if m, _ := decideLawFleet(t, lf, mcc.WithFaultInjector(probe)); m == nil {
+		return nil
+	}
+	for i := range rules {
+		rules[i].Count = probe.TotalFired()
+	}
+	m, degraded := decideLawFleet(t, lf, mcc.WithFaultInjector(faultinject.New(chaosSeed, rules...)))
+	if degraded == 0 {
+		t.Fatal("no Degraded decision in the stream: the fault rule never reached the pinned pass")
+	}
+	return m
+}
+
+// wholeCandidate is applyChange: the architecture fa with change c
+// applied.
+func wholeCandidate(fa *model.FunctionalArchitecture, c mcc.Change) *model.FunctionalArchitecture {
+	if c.Update != nil {
+		return fa.WithFunction(*c.Update)
+	}
+	return fa.WithoutFunction(c.Remove)
+}
+
+// wholeStream is the number of stream changes, past the fleet's decided
+// ones, that the whole-candidate law decides besides its sampled updates
+// and removal.
+const wholeStream = 4
 
 // lawCase is one law: run drives m away from its committed state and
 // back, failing on the first violation.
@@ -110,6 +183,45 @@ func perturbed(f model.Function) model.Function {
 
 func lawCases() []lawCase {
 	var tt []lawCase
+
+	// First, while m holds the state a clean replay of its stream reaches.
+	tt = append(tt, lawCase{
+		name: "whole candidate",
+		run: func(t *testing.T, lf lawFleet, m *mcc.MCC, before committedState) {
+			p := lf.fleet.Platform
+			if rep := m.ProposeArchitecture(m.Deployed()); !rep.Accepted {
+				t.Fatalf("re-proposing Deployed() decided %s: %v", verdict(rep), rep.Findings)
+			}
+			if d := diffState(before, captureState(t, p, m)); d != "" {
+				t.Fatalf("re-proposing Deployed() changed %s", d)
+			}
+			twin := lawController(t, lawFleet{fleet: lf.fleet, changes: lf.changes})
+			if d := diffState(before, captureState(t, p, twin)); d != "" {
+				t.Fatalf("a clean replay of the stream commits a different %s", d)
+			}
+			n := len(lf.changes)
+			changes := lf.fleet.Changes(n + wholeStream)[n:]
+			for i, f := range sampled(before.fa.Functions) {
+				if i == 0 {
+					changes = append(changes, mcc.Change{Remove: f.Name})
+					continue
+				}
+				upd := perturbed(f)
+				changes = append(changes, mcc.Change{Update: &upd})
+			}
+			for _, c := range changes {
+				got := proposeChaosChange(m, c)
+				want := twin.ProposeArchitecture(wholeCandidate(twin.Deployed(), c))
+				if verdict(got) != verdict(want) || !slices.Equal(got.Findings, want.Findings) {
+					t.Fatalf("%v decided %s %v, its whole candidate %s %v",
+						c, verdict(got), got.Findings, verdict(want), want.Findings)
+				}
+				if d := diffState(captureState(t, p, m), captureState(t, p, twin)); d != "" {
+					t.Fatalf("%v and its whole candidate commit a different %s", c, d)
+				}
+			}
+		},
+	})
 
 	tt = append(tt, lawCase{
 		name: "idempotent update",
@@ -204,10 +316,12 @@ func lawCases() []lawCase {
 }
 
 // lawFleets returns the parity corpus at 32 processors and its first seed
-// at 2048, each plain and with every 5th baseline function replicated.
+// at 2048, each plain and with every 5th baseline function replicated,
+// and the first lawFaulted corpus seeds at 32 processors again, decided
+// under the worker-panic rule.
 func lawFleets() []lawFleet {
 	var out []lawFleet
-	add := func(seed uint64, procs int) {
+	add := func(seed uint64, procs int, faulted bool) {
 		for _, replicated := range []bool{false, true} {
 			spec := DefaultFleetSpec(procs)
 			spec.Seed = int64(seed)
@@ -217,34 +331,34 @@ func lawFleets() []lawFleet {
 				replicateEvery5th(fleet)
 				name += "/replicated"
 			}
-			out = append(out, lawFleet{name, fleet, fleet.Changes(parityChanges)})
+			if faulted {
+				name += "/worker-panic"
+			}
+			out = append(out, lawFleet{name, fleet, fleet.Changes(parityChanges), faulted})
 		}
 	}
 	for _, seed := range parityCorpus {
-		add(seed, 32)
+		add(seed, 32, false)
 	}
-	add(parityCorpus[0], 2048)
+	add(parityCorpus[0], 2048, false)
+	for _, seed := range parityCorpus[:lawFaulted] {
+		add(seed, 32, true)
+	}
 	return out
 }
+
+// lawFaulted is the number of corpus seeds whose fleets the laws also
+// start from after a worker-panic stream.
+const lawFaulted = 6
 
 // TestDecisionFunctionLaws holds every law on every fleet's committed
 // state after its baseline and change stream.
 func TestDecisionFunctionLaws(t *testing.T) {
 	for _, lf := range lawFleets() {
 		t.Run(lf.name, func(t *testing.T) {
-			m, err := mcc.New(lf.fleet.Platform)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !m.ProposeArchitecture(lf.fleet.Baseline).Accepted {
+			m := lawController(t, lf)
+			if m == nil {
 				t.Skip("infeasible baseline")
-			}
-			for _, c := range lf.changes {
-				if c.Update != nil {
-					m.ProposeUpdate(*c.Update)
-				} else {
-					m.ProposeRemoval(c.Remove)
-				}
 			}
 			for _, tc := range lawCases() {
 				t.Run(tc.name, func(t *testing.T) {
