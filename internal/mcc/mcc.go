@@ -355,6 +355,9 @@ type attempt struct {
 	// its materialized candidate (see MCC.candidate).
 	change *Change
 	whole  *model.FunctionalArchitecture
+	// touched is the one function name a warm pass changes: the change's,
+	// or empty when its diff is (an unchanged update, an unknown removal).
+	touched string
 	// index is a from-scratch pass's lookup index, built by its cold
 	// mapping (see passIndex); empty on a warm pass.
 	index passIndex
@@ -649,6 +652,9 @@ func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitectur
 	}
 	if incremental && c != nil {
 		ctx.Diff = m.changeDiff(*c)
+		if !ctx.Diff.Empty() {
+			m.att.touched = c.name()
+		}
 	} else {
 		ctx.Diff = pipeline.FullDiff()
 	}

@@ -79,15 +79,13 @@ func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
 // a provide-less function can invalidate nothing (its flows were cut
 // with it). Anything it cannot prove clean — including every suspected
 // violation — falls back to the scoped walk, which produces the exact
-// finding the from-scratch path would.
+// finding the from-scratch path would. It runs on a non-empty warm diff,
+// whose one function is attempt.touched.
 func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
-	m, d := s.m, ctx.Diff
-	if d.TouchedCount() != 1 {
-		return false, nil
-	}
-	if len(d.Removed) == 1 {
-		old := m.snap.fn(d.Removed[0])
-		if old == nil || len(old.Provides) > 0 {
+	m := s.m
+	name, neu := m.att.touched, m.att.change.Update
+	if neu == nil {
+		if len(m.snap.fn(name).Provides) > 0 {
 			// A dropped provider may orphan committed requirers.
 			return false, nil
 		}
@@ -95,8 +93,6 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 		return true, nil
 	}
 	// Otherwise the diff adds or changes the update's function.
-	neu := m.att.change.Update
-	name := neu.Name
 	if name == "" {
 		return false, nil
 	}
@@ -221,8 +217,8 @@ func (p *placer) bestFit(fns []*model.Function, out []model.Instance) ([]model.I
 // it on demand). It reports ok=false when the function does not fit.
 func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
 	over := m.synth.reset()
-	if ctx.Diff.TouchedCount() > 0 {
-		over.name, over.fn = m.att.change.name(), m.att.change.Update
+	if over.name = m.att.touched; over.name != "" {
+		over.fn = m.att.change.Update
 	}
 
 	p := &placer{m: m, tree: m.snap.capacity}

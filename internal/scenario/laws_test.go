@@ -22,7 +22,9 @@ import (
 //     ProposeRemoval equals proposing applyChange(Deployed(), c) with
 //     ProposeArchitecture to a twin in the same committed state — verdict,
 //     stage, findings and the committed state after it — and re-proposing
-//     Deployed() is accepted and changes nothing;
+//     Deployed() is accepted and changes nothing. Both sides are fresh
+//     replays of the stream, so the laws below still start from the state
+//     the stream's warm decisions left;
 //   - idempotence: a committed function proposed unchanged is accepted
 //     with 0 timing scans and 0 memo misses, and changes nothing;
 //   - inverse: an accepted update that keeps every placement, followed by
@@ -150,7 +152,9 @@ func wholeCandidate(fa *model.FunctionalArchitecture, c mcc.Change) *model.Funct
 const wholeStream = 4
 
 // lawCase is one law: run drives m away from its committed state and
-// back, failing on the first violation.
+// back, failing on the first violation. Only "update then revert" may
+// leave m changed, with a moved function placed anew; "whole candidate"
+// leaves m alone and decides on fresh replays of its stream.
 type lawCase struct {
 	name string
 	run  func(t *testing.T, lf lawFleet, m *mcc.MCC, before committedState)
@@ -184,20 +188,24 @@ func perturbed(f model.Function) model.Function {
 func lawCases() []lawCase {
 	var tt []lawCase
 
-	// First, while m holds the state a clean replay of its stream reaches.
 	tt = append(tt, lawCase{
 		name: "whole candidate",
-		run: func(t *testing.T, lf lawFleet, m *mcc.MCC, before committedState) {
+		run: func(t *testing.T, lf lawFleet, _ *mcc.MCC, before committedState) {
 			p := lf.fleet.Platform
-			if rep := m.ProposeArchitecture(m.Deployed()); !rep.Accepted {
-				t.Fatalf("re-proposing Deployed() decided %s: %v", verdict(rep), rep.Findings)
+			// warm decides each change from the stream's state as m does;
+			// twin is a clean replay that decides whole candidates.
+			warm, twin := lawController(t, lf), lawController(t, lawFleet{fleet: lf.fleet, changes: lf.changes})
+			if d := diffState(before, captureState(t, p, warm)); d != "" {
+				t.Fatalf("a replay of the stream commits a different %s", d)
 			}
-			if d := diffState(before, captureState(t, p, m)); d != "" {
-				t.Fatalf("re-proposing Deployed() changed %s", d)
-			}
-			twin := lawController(t, lawFleet{fleet: lf.fleet, changes: lf.changes})
 			if d := diffState(before, captureState(t, p, twin)); d != "" {
 				t.Fatalf("a clean replay of the stream commits a different %s", d)
+			}
+			if rep := twin.ProposeArchitecture(twin.Deployed()); !rep.Accepted {
+				t.Fatalf("re-proposing Deployed() decided %s: %v", verdict(rep), rep.Findings)
+			}
+			if d := diffState(before, captureState(t, p, twin)); d != "" {
+				t.Fatalf("re-proposing Deployed() changed %s", d)
 			}
 			n := len(lf.changes)
 			changes := lf.fleet.Changes(n + wholeStream)[n:]
@@ -210,13 +218,13 @@ func lawCases() []lawCase {
 				changes = append(changes, mcc.Change{Update: &upd})
 			}
 			for _, c := range changes {
-				got := proposeChaosChange(m, c)
+				got := proposeChaosChange(warm, c)
 				want := twin.ProposeArchitecture(wholeCandidate(twin.Deployed(), c))
 				if verdict(got) != verdict(want) || !slices.Equal(got.Findings, want.Findings) {
 					t.Fatalf("%v decided %s %v, its whole candidate %s %v",
 						c, verdict(got), got.Findings, verdict(want), want.Findings)
 				}
-				if d := diffState(captureState(t, p, m), captureState(t, p, twin)); d != "" {
+				if d := diffState(captureState(t, p, warm), captureState(t, p, twin)); d != "" {
 					t.Fatalf("%v and its whole candidate commit a different %s", c, d)
 				}
 			}
