@@ -240,13 +240,13 @@ func analyze(tasks []Task, nonPreemptive bool) ([]Result, error) {
 // busyWindow runs the multi-activation busy-window iteration for task t
 // against higher-priority set hp. Returns (WCRT, activations examined, ok).
 func busyWindow(t Task, hp []Task, blocking int64, nonPreemptive bool) (int64, int, bool) {
-	var wcrt int64
+	var wcrt, w int64
 	for q := int64(1); ; q++ {
 		if q > iterationCap {
 			return 0, int(q), false
 		}
-		w, ok := fixedPoint(t, hp, blocking, nonPreemptive, q)
-		if !ok {
+		var ok bool
+		if w, ok = fixedPoint(t, hp, blocking, nonPreemptive, q, w); !ok {
 			return 0, int(q), false
 		}
 		var resp int64
@@ -272,13 +272,22 @@ func busyWindow(t Task, hp []Task, blocking int64, nonPreemptive bool) (int64, i
 	}
 }
 
-// fixedPoint iterates the workload equation for the q-th activation.
-func fixedPoint(t Task, hp []Task, blocking int64, nonPreemptive bool, q int64) (int64, bool) {
+// fixedPoint iterates the workload equation for the q-th activation to
+// its least fixed point; prev is activation q-1's (unused for q = 1).
+// Activation q's right side is activation q-1's plus C, and both are
+// monotone in w, so that fixed point is at least prev+C: the iteration
+// starts there when that exceeds the constant term, and climbs to the
+// same fixed point as from the constant term in fewer steps — far fewer
+// in the long busy windows of a near-saturated resource.
+func fixedPoint(t Task, hp []Task, blocking int64, nonPreemptive bool, q, prev int64) (int64, bool) {
 	var w int64
 	if nonPreemptive {
 		w = blocking + (q-1)*t.WCETUS
 	} else {
 		w = q * t.WCETUS
+	}
+	if q > 1 {
+		w = max(w, prev+t.WCETUS)
 	}
 	if w == 0 {
 		w = 1

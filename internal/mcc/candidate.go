@@ -4,17 +4,16 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/mcc/pipeline"
 	"repro/internal/model"
 )
 
 // This file implements the O(diff) proposal entry path, the only way into
 // the warm pass. A single-function change is decided against the
-// committed snapshot plus the change object: its diff comes from the
-// change and the snapshot's function map (pipeline.DiffFromChange), so it
-// touches at most one function, every stage reads the change's own
-// function for that name, and nothing is written before the commit stage.
-// A rejection therefore leaves the controller untouched, and a
+// committed snapshot plus the change object: newContext reads the one
+// function it touches, and whether it cuts flows, from the change and the
+// snapshot's function map and flow index; every stage reads the change's
+// own function for that name, and nothing is written before the commit
+// stage. A rejection therefore leaves the controller untouched, and a
 // stream-window rollback is one snapshot pointer restore. The few readers
 // that need the whole candidate architecture (the scoped validation walk,
 // the cold best-fit, a message rebuild's flow list, the cold retry and
@@ -72,22 +71,12 @@ func (c Change) name() string {
 	return c.Remove
 }
 
-// changeDiff builds the diff of change c from the change object and the
-// snapshot's function map and flow index — no architecture walk.
-func (m *MCC) changeDiff(c Change) pipeline.Diff {
-	name := c.name()
-	return pipeline.DiffFromChange(name, c.Update, m.snap.fn(name), m.snap.flowTouch[name])
-}
-
 // candidate returns the whole candidate architecture of the pass in
 // progress: a from-scratch pass's own, or on the change-driven path the
 // exact candidate applyChange(Deployed(), c), materialized on first use
 // and memoized on the attempt. Only a pass that needs the whole
 // architecture pays the O(n) copy.
-func (m *MCC) candidate(ctx *pipeline.Context) *model.FunctionalArchitecture {
-	if ctx.Candidate != nil {
-		return ctx.Candidate
-	}
+func (m *MCC) candidate() *model.FunctionalArchitecture {
 	if m.att.whole == nil {
 		m.att.whole = applyChange(m.Deployed(), *m.att.change)
 	}

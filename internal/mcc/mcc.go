@@ -146,10 +146,12 @@ type MCC struct {
 	// reuses (reset by its warm start).
 	scratch timingScratch
 	synth   synthOverlay
-	// deferChecks makes newContext ask the timing stage to defer its
-	// busy-window analyses (optimistic evaluation); set only by the
-	// StreamScheduler, which re-validates every deferred verdict before a
-	// window is final.
+	// deferChecks makes the timing stage defer the busy-window analyses
+	// of dirty resources (optimistic evaluation): it raises no timing
+	// findings and the commit installs their entries pending. Every other
+	// stage still decides inline. Set only by the StreamScheduler, which
+	// analyzes and verifies every deferred verdict before a window is
+	// final.
 	deferChecks bool
 
 	// custom holds acceptance stages registered via WithStage; they run
@@ -350,21 +352,32 @@ func (m *MCC) Deployed() *model.FunctionalArchitecture {
 // attempt is the stage-to-stage handoff of one pipeline pass: what the
 // mapping, synthesis and timing stages hand to the stages after them.
 type attempt struct {
-	// change is the single change a change-driven pass decides (nil on a
-	// from-scratch pass, whose candidate is ctx.Candidate); whole memoizes
-	// its materialized candidate (see MCC.candidate).
+	// change is the single change a change-driven pass decides; nil
+	// exactly on a from-scratch pass. whole is the pass's whole candidate:
+	// a from-scratch pass's own, or the change's, materialized on first
+	// use (see MCC.candidate).
 	change *Change
 	whole  *model.FunctionalArchitecture
-	// touched is the one function name a warm pass changes: the change's,
-	// or empty when its diff is (an unchanged update, an unknown removal).
-	touched string
+	// touched is the one function name a change-driven pass changes, or
+	// empty for a no-op; flowsCut reports a removal of a committed flow
+	// endpoint, which cuts its flows (see newContext).
+	touched  string
+	flowsCut bool
+	// warm reports that the mapping kept the committed placement, read
+	// from the capacity index, and placed only the touched function
+	// (mapWarmStart): synthesis then rebuilds only the affected artifacts
+	// and later stages build only the affected resources.
+	// messagesRebuilt reports that the partial synthesis re-derived the
+	// network messages, so the timing stage re-derives every network's
+	// job; otherwise the committed message list was aliased.
+	warm, messagesRebuilt bool
 	// index is a from-scratch pass's lookup index, built by its cold
 	// mapping (see passIndex); empty on a warm pass.
 	index passIndex
 	// over is the placer overlay of a warm-started mapping: the candidate
 	// placement's leaf of every processor whose load it changed.
 	over []capNode
-	// synth is the diff-sized lookup overlay of an incremental synthesis
+	// synth is the change-sized lookup overlay of an incremental synthesis
 	// (MCC.synth once that synthesis ran, nil otherwise), applied to the
 	// snapshot by the commit stage.
 	synth *synthOverlay
@@ -503,12 +516,12 @@ func (m *MCC) ReintegrateWithObservations() *Report {
 // integrateDiff runs the staged acceptance-test pipeline on a candidate,
 // bounded by gctx: the whole architecture cand (the from-scratch pass), or
 // the single change c against the committed snapshot (the change-driven
-// warm pass, cand nil). With incremental integration enabled, the warm
-// pass works from the change's DiffFromChange, so it touches at most one
-// function and never scans the architecture. Every pass, the from-scratch
-// oracle's included, places by one policy and one retry rule (see
-// mappingStage and decide), so both engines reach the same placement and
-// the same decision by construction.
+// warm pass, cand nil), which touches at most one function and never
+// scans the architecture. Only a warm snapshot, which WithoutIncremental
+// never builds, takes a change (see fastPathReady). Every pass, the
+// from-scratch oracle's included, places by one policy and one retry rule
+// (see mappingStage and decide), so both engines reach the same placement
+// and the same decision by construction.
 //
 // The pass is hardened by the degradation ladder:
 //
@@ -552,7 +565,7 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 		return rep
 	}
 
-	ctx := m.decide(pctx, cand, c, rep, m.incremental)
+	m.decide(pctx, cand, c, rep)
 
 	if !rep.Accepted && pctx.Err() == nil && rep.TransientFault {
 		// Degradation ladder: whether the fault hit the first pass or the
@@ -560,7 +573,7 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 		// the whole candidate from scratch with injection suppressed.
 		m.quarantined = true
 		*rep = Report{Stages: rep.Stages, Passes: rep.Passes, Degraded: true, DegradedReasons: []string{"transient-fault"}}
-		m.runPinned(pctx, m.candidate(ctx), rep)
+		m.runPinned(pctx, m.candidate(), rep)
 		rep.TransientFault = true
 	}
 	m.markDeadline(pctx, rep)
@@ -574,22 +587,20 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 // re-decided on the whole candidate by a full best-fit, keeping both
 // passes' telemetry. Validation and the security check decide on
 // contracts and identities alone; every other stage, custom ones
-// included, may depend on it. It returns the last pass's context.
-func (m *MCC) decide(pctx context.Context, cand *model.FunctionalArchitecture, c *Change, rep *Report, incremental bool) *pipeline.Context {
+// included, may depend on it.
+func (m *MCC) decide(pctx context.Context, cand *model.FunctionalArchitecture, c *Change, rep *Report) {
 	pre := *rep
-	ctx := m.newContext(pctx, cand, c, rep, incremental)
-	m.pipe.Run(ctx)
+	m.pipe.Run(m.newContext(pctx, cand, c, rep))
 	if rep.Accepted || !m.att.kept || pctx.Err() != nil || rep.TransientFault ||
 		rep.RejectedAt == StageValidate || rep.RejectedAt == StageSecurity {
-		return ctx
+		return
 	}
-	cand = m.candidate(ctx)
+	cand = m.candidate()
 	pre.Stages, pre.Passes = rep.Stages, rep.Passes
 	*rep = pre
-	ctx = m.newContext(pctx, cand, nil, rep, false)
+	ctx := m.newContext(pctx, cand, nil, rep)
 	m.att.full = true
 	m.pipe.Run(ctx)
-	return ctx
 }
 
 // expiredReport resolves one change whose surrounding context is already
@@ -631,34 +642,30 @@ func (m *MCC) runPinned(pctx context.Context, cand *model.FunctionalArchitecture
 	savedDefer := m.deferChecks
 	m.deferChecks = false
 	m.pinned = true
-	m.decide(pctx, cand, nil, rep, false)
+	m.decide(pctx, cand, nil, rep)
 	m.pinned = false
 	m.deferChecks = savedDefer
 }
 
-// newContext assembles the pipeline context for one integration attempt
-// and resets the attempt handoff. Only a change-driven attempt (c non-nil,
-// cand nil) runs warm, on the diff of its change; a whole candidate, and
-// every attempt of a from-scratch pass, gets the full diff.
-func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitecture, c *Change, rep *Report, incremental bool) *pipeline.Context {
-	m.att = attempt{change: c}
-	ctx := &pipeline.Context{
-		Platform:     m.platform,
-		Candidate:    cand,
-		DeployedImpl: m.snap.impl,
-		Report:       rep,
-		DeferChecks:  m.deferChecks,
-		Ctx:          pctx,
-	}
-	if incremental && c != nil {
-		ctx.Diff = m.changeDiff(*c)
-		if !ctx.Diff.Empty() {
-			m.att.touched = c.name()
+// newContext resets the attempt handoff for one pass and returns the
+// pass's pipeline context. A whole candidate cand is decided from
+// scratch. A change c (cand nil) is decided on the warm pass, and the
+// facts that pass needs come from the change and the snapshot alone: the
+// name it touches, empty for a no-op (an update equal to the committed
+// function, the removal of an unknown name), and whether it cuts flows
+// (a removal of a committed flow endpoint; an update keeps every flow).
+func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitecture, c *Change, rep *Report) *pipeline.Context {
+	m.att = attempt{change: c, whole: cand}
+	if c != nil {
+		name := c.name()
+		switch old := m.snap.fn(name); {
+		case c.Update != nil && (old == nil || !old.Equal(*c.Update)):
+			m.att.touched = name
+		case c.Update == nil && old != nil:
+			m.att.touched, m.att.flowsCut = name, m.snap.flowTouch[name]
 		}
-	} else {
-		ctx.Diff = pipeline.FullDiff()
 	}
-	return ctx
+	return &pipeline.Context{Platform: m.platform, Report: rep, Ctx: pctx}
 }
 
 func utilPPM(f *model.Function) int64 {

@@ -8,47 +8,19 @@ import (
 )
 
 // Context is the shared state one integration attempt threads through the
-// pipeline. Early stages fill in artifacts (technical architecture,
-// implementation model) that later stages consume; incremental stages
-// additionally read the deployed implementation model and the precomputed
-// Diff to restrict their work to what the change actually touches.
+// pipeline: the platform, the artifacts the built-in stages hand to later
+// ones (technical architecture, implementation model), the proposal's
+// deadline and the report under construction. It carries what a custom
+// stage reads; the engine's own stage-to-stage handoffs stay inside
+// package mcc.
 type Context struct {
 	// Platform is the target platform the MCC manages.
 	Platform *model.Platform
-	// Candidate is the functional architecture under test on a
-	// from-scratch pass; nil on the MCC's change-driven path, which decides
-	// a single change against the committed snapshot. Custom stages read
-	// the candidate's task set through Tasks(), not through this.
-	Candidate *model.FunctionalArchitecture
-	// DeployedImpl is the committed implementation model (nil until the
-	// first successful integration); incremental synthesis copies its
-	// untouched messages.
-	DeployedImpl *model.ImplementationModel
-	// Diff is the candidate-vs-deployed function diff, computed once by
-	// the caller and shared by every incremental stage. A full diff runs
-	// every stage from scratch; any other diff implies a warm snapshot.
-	Diff Diff
 
 	// Tech is the mapping stage's artifact: every replica placed.
 	Tech *model.TechnicalArchitecture
 	// Impl is the synthesis stage's artifact: tasks, messages, sessions.
 	Impl *model.ImplementationModel
-	// Warm reports that the mapping stage kept the deployed placement,
-	// read from the snapshot's capacity index, and placed only the diff.
-	// Synthesis then rebuilds only the affected artifacts (AffectedProcs,
-	// MessagesRebuilt) and later stages build only the affected resources.
-	Warm bool
-	// AffectedProcs lists the processors whose task sets the partial
-	// synthesis rebuilt (a touched function's instances were or are
-	// placed there), ascending by name — the slot order of the committed
-	// timing table. Only valid after a warm synthesis and only for the
-	// pass in progress: the list is scratch the next pass reuses.
-	AffectedProcs []string
-	// MessagesRebuilt reports that the partial synthesis re-derived the
-	// network messages (the flow set or a flow endpoint changed), so the
-	// timing stage re-derives every network's job; when false the deployed
-	// message list was copied verbatim. Only valid after a warm synthesis.
-	MessagesRebuilt bool
 	// TasksFn, when set by a partial synthesis, materializes the
 	// candidate's flat task list on demand: the incremental path leaves
 	// Impl.Tasks nil (the affected processors' rebuilt lists live in
@@ -57,15 +29,6 @@ type Context struct {
 	// custom viewpoint like the thermal budget — must read it through
 	// Tasks() instead of Impl.Tasks.
 	TasksFn func() []model.Task
-	// DeferChecks asks the timing stage to defer the busy-window analyses
-	// of dirty resources: it still constructs and digests the
-	// per-resource task sets, raises no timing findings, and the
-	// candidate is committed optimistically, each dirty resource's timing
-	// entry pending. Every other stage, safety and security included,
-	// still decides inline. Only the mcc.StreamScheduler sets this — it
-	// runs the deferred analyses of a whole proposal window on its worker
-	// pool and verifies every verdict before the window is final.
-	DeferChecks bool
 
 	// Ctx carries the proposal's cancellation/deadline signal. The
 	// pipeline checks it between stages and long-running stages may

@@ -4,10 +4,9 @@
 // mapping, synthesis, safety, security, timing — each acting as an
 // acceptance test for an in-field change. This package makes that
 // sequence first-class: a Stage is one viewpoint, a Pipeline is an
-// ordered list of stages, and a Context carries the candidate
-// configuration, the diff against the deployed configuration (computed
-// once, shared by every incremental stage), intermediate artifacts, and
-// the report under construction.
+// ordered list of stages, and a Context carries the platform, the
+// intermediate artifacts, the proposal's deadline and the report under
+// construction.
 //
 // The pipeline itself is policy-free: it runs stages in order, records
 // per-stage wall-clock telemetry into the Report, and stops at the first

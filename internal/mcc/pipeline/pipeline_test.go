@@ -5,22 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/model"
 )
-
-func fa(fns ...model.Function) *model.FunctionalArchitecture {
-	return &model.FunctionalArchitecture{Functions: fns}
-}
-
-func pfn(name string, wcetUS int64) model.Function {
-	return model.Function{
-		Name: name,
-		Contract: model.Contract{
-			RealTime: model.RealTimeContract{PeriodUS: 10000, WCETUS: wcetUS},
-		},
-	}
-}
 
 func TestPipelineRunsStagesInOrderAndRecordsTraces(t *testing.T) {
 	var order []StageName
@@ -155,99 +140,6 @@ func TestPipelineInsert(t *testing.T) {
 	// Original untouched.
 	if len(p.StageNames()) != 2 {
 		t.Fatalf("insert mutated the original pipeline: %v", p.StageNames())
-	}
-}
-
-func TestComputeDiff(t *testing.T) {
-	dep := fa(pfn("a", 100), pfn("b", 200), pfn("c", 300))
-	dep.Flows = []model.Flow{}
-
-	// Added + changed + removed.
-	cand := fa(pfn("a", 100), pfn("b", 999), pfn("d", 400))
-	d := ComputeDiff(dep, cand)
-	if d.Full() {
-		t.Fatal("partial diff reported full")
-	}
-	if len(d.Added) != 1 || d.Added[0] != "d" {
-		t.Fatalf("added = %v", d.Added)
-	}
-	if len(d.Changed) != 1 || d.Changed[0] != "b" {
-		t.Fatalf("changed = %v", d.Changed)
-	}
-	if len(d.Removed) != 1 || d.Removed[0] != "c" {
-		t.Fatalf("removed = %v", d.Removed)
-	}
-	for _, name := range []string{"b", "c", "d"} {
-		if !d.Touched(name) {
-			t.Fatalf("%s not touched", name)
-		}
-	}
-	if d.Touched("a") {
-		t.Fatal("untouched function reported touched")
-	}
-	if d.TouchedCount() != 3 {
-		t.Fatalf("touched count = %d", d.TouchedCount())
-	}
-
-	// Identical candidate: empty diff.
-	d2 := ComputeDiff(dep, dep.Clone())
-	if !d2.Empty() {
-		t.Fatalf("identical clone not empty: %+v", d2)
-	}
-
-	// Empty deployed: full diff.
-	d3 := ComputeDiff(&model.FunctionalArchitecture{}, cand)
-	if !d3.Full() {
-		t.Fatal("first deployment not a full diff")
-	}
-	if FullDiff().Empty() {
-		t.Fatal("full diff reported empty")
-	}
-}
-
-func TestComputeDiffFlows(t *testing.T) {
-	src := pfn("src", 100)
-	src.Provides = []string{"s"}
-	dst := pfn("dst", 100)
-	dst.Requires = []string{"s"}
-	dep := fa(src, dst)
-	dep.Flows = []model.Flow{{From: "src", To: "dst", Service: "s", PeriodUS: 10000}}
-
-	same := dep.Clone()
-	if d := ComputeDiff(dep, same); d.FlowsChanged {
-		t.Fatal("identical flows reported changed")
-	}
-	noFlows := dep.Clone()
-	noFlows.Flows = nil
-	if d := ComputeDiff(dep, noFlows); !d.FlowsChanged {
-		t.Fatal("dropped flow not detected")
-	}
-	extra := dep.Clone()
-	extra.Flows = append(extra.Flows, model.Flow{From: "dst", To: "src", Service: "s", PeriodUS: 5000})
-	if d := ComputeDiff(dep, extra); !d.FlowsChanged {
-		t.Fatal("added flow not detected")
-	}
-}
-
-func TestDiffNeighborhood(t *testing.T) {
-	src := pfn("src", 100)
-	src.Provides = []string{"s"}
-	dst := pfn("dst", 100)
-	dst.Requires = []string{"s"}
-	other := pfn("other", 100)
-	dep := fa(src, dst, other)
-	cand := dep.Clone()
-	cand.Functions[0].Contract.RealTime.WCETUS = 123 // change src
-	cand.Flows = []model.Flow{{From: "src", To: "dst", Service: "s", PeriodUS: 10000}}
-	// Flow set changed too, but the neighborhood must pull in flow peers
-	// of touched functions regardless.
-	d := ComputeDiff(dep, cand)
-	nb := d.Neighborhood(cand)
-	if !nb["src"] || !nb["dst"] {
-		t.Fatalf("neighborhood = %v", nb)
-	}
-	if nb["other"] {
-		t.Fatal("unrelated function in neighborhood")
 	}
 }
 

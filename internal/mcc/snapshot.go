@@ -290,8 +290,9 @@ type snapshot struct {
 	// path's "is this service provided", the session graph's provider
 	// election (the first provider is elected) and its rewiring set.
 	prov, req pmap[[]string]
-	// flowTouch holds every function name a committed flow references —
-	// DiffFromChange's removal arm and the message-rebuild test.
+	// flowTouch holds every function name a committed flow references:
+	// whether a removal cuts flows (newContext) and the message-rebuild
+	// test.
 	flowTouch map[string]bool
 	// instTotal is the committed instance count (warm-start telemetry).
 	instTotal int

@@ -22,7 +22,7 @@ import (
 // holds a pointer back to the controller for the committed snapshot, the
 // attempt handoff and the memoizing analyzer; the pure viewpoint checks
 // (safety, security) are stateless. Stages work incrementally when the
-// context says so and from scratch otherwise.
+// attempt decides a change on a warm snapshot and from scratch otherwise.
 
 // --- Stage 1: contract validation -----------------------------------------
 
@@ -31,8 +31,8 @@ type validateStage struct{ m *MCC }
 func (s *validateStage) Name() Stage { return StageValidate }
 
 func (s *validateStage) Run(ctx *pipeline.Context) error {
-	if ctx.Diff.Full() {
-		if err := s.m.candidate(ctx).Validate(); err != nil {
+	if s.m.att.change == nil {
+		if err := s.m.candidate().Validate(); err != nil {
 			return pipeline.Rejectf("%s", err)
 		}
 		return nil
@@ -40,35 +40,42 @@ func (s *validateStage) Run(ctx *pipeline.Context) error {
 	return s.runIncremental(ctx)
 }
 
-// runIncremental re-checks only what the diff can have invalidated: the
-// contracts of changed functions and their flow neighborhoods, plus the
+// runIncremental re-checks only what the change can have invalidated: the
+// contract of the touched function and its flow neighborhood, plus the
 // global invariants (unique names, resolvable services) that a removal
 // anywhere can break. The rule set itself lives in
 // model.ValidateScoped — the same code path as the full validation — so
 // the two can never drift apart.
 func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
-	d := ctx.Diff
-	if d.Empty() {
+	m := s.m
+	name := m.att.touched
+	if name == "" {
 		ctx.Note("no-op: candidate identical to deployed")
 		return nil
 	}
 	if done, err := s.fastVerdict(ctx); done {
 		return err
 	}
-	cand := s.m.candidate(ctx)
-	nb := d.Neighborhood(cand)
+	// The scope: the touched function and each endpoint of a candidate
+	// flow touching it. Contracts of every other function were validated
+	// when they were committed.
+	cand := m.candidate()
+	scope := map[string]bool{name: true}
+	for _, fl := range cand.Flows {
+		if fl.From == name || fl.To == name {
+			scope[fl.From], scope[fl.To] = true, true
+		}
+	}
 	err := cand.ValidateScoped(
-		// Contracts of untouched functions were validated when they were
-		// committed; only the diff neighborhood needs a re-check.
-		func(name string) bool { return nb[name] },
-		// Likewise for flows: only flows touching changed functions (or a
-		// changed flow set) can have become invalid.
-		func(fl model.Flow) bool { return d.FlowsChanged || nb[fl.From] || nb[fl.To] },
+		func(n string) bool { return scope[n] },
+		// Likewise for flows: only flows in the scope (or every flow, when
+		// the change cut some) can have become invalid.
+		func(fl model.Flow) bool { return m.att.flowsCut || scope[fl.From] || scope[fl.To] },
 	)
 	if err != nil {
 		return pipeline.Rejectf("%s", err)
 	}
-	ctx.Note("re-checked %d/%d function scopes", len(nb), len(cand.Functions))
+	ctx.Note("re-checked %d/%d function scopes", len(scope), len(cand.Functions))
 	return nil
 }
 
@@ -79,8 +86,8 @@ func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
 // a provide-less function can invalidate nothing (its flows were cut
 // with it). Anything it cannot prove clean — including every suspected
 // violation — falls back to the scoped walk, which produces the exact
-// finding the from-scratch path would. It runs on a non-empty warm diff,
-// whose one function is attempt.touched.
+// finding the from-scratch path would. It runs when the change touches a
+// function, attempt.touched.
 func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 	m := s.m
 	name, neu := m.att.touched, m.att.change.Update
@@ -92,10 +99,7 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 		ctx.Note("fast: removal provides no services, flows cut with it")
 		return true, nil
 	}
-	// Otherwise the diff adds or changes the update's function.
-	if name == "" {
-		return false, nil
-	}
+	// Otherwise the change adds or changes the update's function.
 	if err := neu.Contract.Validate(); err != nil {
 		// The scoped walk's first (and only possible) finding here is this
 		// contract error: committed names are unique and non-empty, every
@@ -132,21 +136,21 @@ type mappingStage struct{ m *MCC }
 func (s *mappingStage) Name() Stage { return StageMapping }
 
 // Run places by the one policy of every pass: the committed instances of
-// untouched functions stay, the diff is best-fit around them, and every
-// function is best-fit from nothing when the diff does not fit or on the
-// retry pass (attempt.full, see MCC.decide). The kept load comes from the
-// capacity index on a warm pass and is re-accounted on any other.
+// untouched functions stay, the touched ones are best-fit around them,
+// and every function is best-fit from nothing when those do not fit or on
+// the retry pass (attempt.full, see MCC.decide). The kept load comes from
+// the capacity index on a warm pass and is re-accounted on any other.
 func (s *mappingStage) Run(ctx *pipeline.Context) error {
 	m := s.m
-	if !ctx.Diff.Full() {
-		if tech, kept, placed, ok := m.mapWarmStart(ctx); ok {
-			ctx.Tech, ctx.Warm, m.att.kept = tech, true, true
+	if m.att.change != nil {
+		if tech, kept, placed, ok := m.mapWarmStart(); ok {
+			ctx.Tech, m.att.warm, m.att.kept = tech, true, true
 			ctx.Note("warm-start: kept %d instances, placed %d", kept, placed)
 			return nil
 		}
 		ctx.Note("warm-start infeasible, fell back to full best-fit")
 	}
-	tech, err := m.mapToPlatform(m.candidate(ctx), ctx.Diff.Full() && !m.att.full)
+	tech, err := m.mapToPlatform(m.candidate(), m.att.change == nil && !m.att.full)
 	if err != nil {
 		return pipeline.Rejectf("%s", err)
 	}
@@ -215,7 +219,7 @@ func (p *placer) bestFit(fns []*model.Function, out []model.Instance) ([]model.I
 // commit, the touched function and its placements into the reset synthesis
 // overlay (no flat instance list is assembled; DeployedImpl materializes
 // it on demand). It reports ok=false when the function does not fit.
-func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
+func (m *MCC) mapWarmStart() (tech *model.TechnicalArchitecture, kept, placed int, ok bool) {
 	over := m.synth.reset()
 	if over.name = m.att.touched; over.name != "" {
 		over.fn = m.att.change.Update
@@ -239,9 +243,10 @@ func (m *MCC) mapWarmStart(ctx *pipeline.Context) (tech *model.TechnicalArchitec
 
 // mapToPlatform places the whole candidate fa of a from-scratch pass: with
 // keep set, around the committed instances keepCommitted keeps, else (or
-// when the diff does not fit) from nothing. Validation has checked fa and
-// New the platform, so only the placement's own rules are checked here;
-// the accepted placement becomes the pass index (m.att.index).
+// when the rest does not fit around them) from nothing. Validation has
+// checked fa and New the platform, so only the placement's own rules are
+// checked here; the accepted placement becomes the pass index
+// (m.att.index).
 func (m *MCC) mapToPlatform(fa *model.FunctionalArchitecture, keep bool) (*model.TechnicalArchitecture, error) {
 	total := 0
 	for i := range fa.Functions {
@@ -321,7 +326,7 @@ func (s *synthStage) Name() Stage { return StageSynth }
 func (s *synthStage) Run(ctx *pipeline.Context) error {
 	var impl *model.ImplementationModel
 	var err error
-	if ctx.Warm {
+	if s.m.att.warm {
 		impl, err = s.m.synthesizeIncremental(ctx)
 	} else {
 		impl, err = s.m.synthesize(ctx.Tech, &s.m.att.index)
@@ -357,8 +362,9 @@ type synthOverlay struct {
 	instsOn   map[string][]model.Instance
 	conns     map[string][]model.Connection
 	prov, req map[string][]string
-	// affected is the pass's ascending affected-processor list
-	// (ctx.AffectedProcs).
+	// affected is the pass's ascending affected-processor list: the
+	// processors a touched instance left or joined, whose task sets the
+	// synthesis rebuilt and whose timing jobs the timing stage builds.
 	affected []string
 
 	// Scratch of one pass: one processor's timed residents
@@ -782,7 +788,7 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture, ix *passIndex) (*mod
 }
 
 // synthesizeIncremental rebuilds only the parts of the implementation
-// model the diff can have changed, against the cached deployed model:
+// model the change can have changed, against the committed model:
 // tasks of processors hosting a touched instance (old or new placement),
 // messages only when the flow topology or a flow endpoint changed, and
 // the session rows of the clients a change to the service graph rewires.
@@ -790,13 +796,11 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture, ix *passIndex) (*mod
 // Callers guarantee the placement of untouched instances is unchanged
 // (warm-started mapping), which is what makes the copies valid.
 //
-// Lookups resolve through the committed snapshot plus a diff-sized
+// Lookups resolve through the committed snapshot plus a change-sized
 // overlay — the tables are not re-derived, and untouched processors'
 // task lists stay in the snapshot.
 func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.ImplementationModel, error) {
-	tech, d := ctx.Tech, ctx.Diff
-	dep := ctx.DeployedImpl
-	impl := &model.ImplementationModel{Tech: tech}
+	impl := &model.ImplementationModel{Tech: ctx.Tech}
 	// The warm start has reset the overlay and written the touched function
 	// and its fresh placements into it, replica-ascending — the exact
 	// per-function list of a from-scratch pass index — so no flat candidate
@@ -850,29 +854,29 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	reusedProcs := len(m.procs) - len(affected)
 	ctx.TasksFn = func() []model.Task { return m.candTasks(over) }
 
-	// Messages change only when the flow set changed or a flow endpoint
+	// Messages change only when the change cut flows or a flow endpoint
 	// was touched (untouched endpoints keep their placement under the
-	// warm-started mapping). With the flow set unchanged the candidate's
-	// flows are the committed ones, so the committed flow-touch index
-	// answers "is any touched function a flow endpoint" in O(diff). A
+	// warm-started mapping). With no flow cut the candidate's flows are
+	// the committed ones, so the committed flow-touch index answers "is
+	// the touched function a flow endpoint" in O(1). A
 	// touched endpoint forces a rebuild only if its placement actually
 	// moved: messages derive from flows and endpoint placements alone, so
 	// a change that re-places every replica onto its committed processor
 	// leaves every message identical.
-	rebuildMsgs := d.FlowsChanged || m.snap.flowTouch[over.name] && placementChanged(committed, over.insts)
+	rebuildMsgs := m.att.flowsCut || m.snap.flowTouch[over.name] && placementChanged(committed, over.insts)
 	if rebuildMsgs {
 		// A rebuild re-derives every message from the whole candidate's
 		// flow list; the timing stage re-derives every network's job, and
 		// a network whose list came out unchanged keeps its digest, so it
 		// stays clean.
-		msgs, err := m.synthesizeMessages(m.candidate(ctx).Flows, look)
+		msgs, err := m.synthesizeMessages(m.candidate().Flows, look)
 		if err != nil {
 			return nil, err
 		}
 		impl.Messages = msgs
 	} else {
 		// The committed slice is immutable once built; alias it.
-		impl.Messages = dep.Messages
+		impl.Messages = m.snap.impl.Messages
 	}
 
 	// The session graph changes only when a touched function alters what
@@ -891,8 +895,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// (timing-job construction, monitor planning) can splice their own
 	// cached artifacts for the untouched remainder, and hand the lookup
 	// overlay to the commit stage.
-	ctx.AffectedProcs = affected
-	ctx.MessagesRebuilt = rebuildMsgs
+	m.att.messagesRebuilt = rebuildMsgs
 	m.att.synth = over
 
 	ctx.Note("reused %d/%d processors, messages %s, connections %s",
@@ -1013,7 +1016,7 @@ type safetyStage struct{ m *MCC }
 func (s *safetyStage) Name() Stage { return StageSafety }
 
 func (s *safetyStage) Run(ctx *pipeline.Context) error {
-	if ctx.Warm {
+	if s.m.att.warm {
 		// Entity-driven, not whole-model scans: CheckScoped walks every
 		// candidate instance and function even for a one-function change,
 		// while the footprint here is one name. The touched function
@@ -1028,7 +1031,7 @@ func (s *safetyStage) Run(ctx *pipeline.Context) error {
 			touched = nil
 		}
 		view := &synthView{snap: m.snap, over: over}
-		findings, checked := safety.CheckEntities(touched, ctx.AffectedProcs,
+		findings, checked := safety.CheckEntities(touched, over.affected,
 			view.fn,
 			func(pn string) *model.Processor {
 				if i, ok := m.procIdx[pn]; ok {
@@ -1040,7 +1043,7 @@ func (s *safetyStage) Run(ctx *pipeline.Context) error {
 			func(pn string) []model.Instance { return over.instsOn[pn] })
 		ctx.Report.SafetyChecks += checked
 		ctx.Note("scoped: %d verdicts for %d touched functions, %d affected processors",
-			checked, ctx.Diff.TouchedCount(), len(ctx.AffectedProcs))
+			checked, len(touched), len(over.affected))
 		return rejectFindings(findingStrings(findings))
 	}
 	findings, checked := safety.CheckScoped(ctx.Tech)
@@ -1055,7 +1058,7 @@ type securityStage struct{ m *MCC }
 func (s *securityStage) Name() Stage { return StageSecurity }
 
 func (s *securityStage) Run(ctx *pipeline.Context) error {
-	if ctx.Warm {
+	if s.m.att.warm {
 		findings, checked := s.m.checkSecurityRows()
 		ctx.Report.SecurityChecks += checked
 		ctx.Note("scoped: re-checked %d connections", checked)
@@ -1067,11 +1070,11 @@ func (s *securityStage) Run(ctx *pipeline.Context) error {
 }
 
 // checkSecurityRows runs the cross-domain check diff-proportionally. A
-// row gets a fresh verdict only when the diff touched its client or
+// row gets a fresh verdict only when the change touched its client or
 // server function or the row is not committed (re-derived wiring); every
 // other row was committed clean and splices. Such rows belong only to the
 // touched clients, the re-derived ones, and the requirers of services
-// whose elected provider (every row's server) the diff touched. Walking
+// whose elected provider (every row's server) the change touched. Walking
 // those clients by name, rows in order, follows the flat list's order, so
 // the findings and the count equal a scan of the whole list.
 func (m *MCC) checkSecurityRows() ([]security.Finding, int) {
@@ -1136,7 +1139,7 @@ type timingStage struct{ m *MCC }
 func (s *timingStage) Name() Stage { return StageTiming }
 
 func (s *timingStage) Run(ctx *pipeline.Context) error {
-	jobs, scanned := s.m.timingJobs(ctx, ctx.Impl)
+	jobs, scanned := s.m.timingJobs(ctx.Impl)
 	out := s.m.analyzeTiming(ctx, jobs)
 	ctx.Report.TimingDelta = out.delta
 	ctx.Report.TimingScans += scanned
@@ -1281,10 +1284,10 @@ func (m *MCC) buildNetJob(i int, msgs []model.Message) (timingJob, bool) {
 // table, whose slots the partial synthesis left byte-identical.
 // An affected resource that lost its last load records its slot in
 // scratch.clears.
-func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel) (jobs []timingJob, scanned int) {
+func (m *MCC) timingJobs(impl *model.ImplementationModel) (jobs []timingJob, scanned int) {
 	sc := &m.scratch
 	jobs, sc.clears = sc.jobs[:0], sc.clears[:0]
-	if !ctx.Warm {
+	if !m.att.warm {
 		tasksOn := m.att.index.tasksOn
 		for k, pn := range m.procs {
 			if j, ok := m.buildProcJob(k, tasksOn[m.procIdx[pn]]); ok {
@@ -1311,12 +1314,12 @@ func (m *MCC) timingJobs(ctx *pipeline.Context, impl *model.ImplementationModel)
 		}
 	}
 	// The affected processors ascend by name, so their slots ascend too.
-	for _, pn := range ctx.AffectedProcs {
+	for _, pn := range m.att.synth.affected {
 		k := sort.SearchStrings(m.procs, pn)
 		j, ok := m.buildProcJob(k, m.att.synth.tasksOn[pn])
 		add(j, ok, k)
 	}
-	if ctx.MessagesRebuilt {
+	if m.att.messagesRebuilt {
 		for i, msgs := range m.messagesOn(impl.Messages) {
 			j, ok := m.buildNetJob(i, msgs)
 			add(j, ok, len(m.procs)+i)
@@ -1357,16 +1360,16 @@ func (m *MCC) messagesOn(msgs []model.Message) [][]model.Message {
 // >= 1, where the busy window does not terminate) is surfaced as a
 // finding naming the resource — never dropped silently.
 //
-// Under ctx.DeferChecks the dirty analyses are not run at all and no
-// findings are raised: the commit installs the dirty resources' entries
-// pending (committedFills) for the stream scheduler to analyze and
-// verify.
+// Under deferred checks (MCC.deferChecks) the dirty analyses are not run
+// at all and no findings are raised: the commit installs the dirty
+// resources' entries pending (committedFills) for the stream scheduler to
+// analyze and verify.
 func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutcome {
 	m.att.jobs = jobs
 
 	sc, t := &m.scratch, m.snap.res
 	out := timingOutcome{total: len(jobs)}
-	if ctx != nil && ctx.Warm {
+	if m.att.warm {
 		// The footprint-sized job list leaves every untouched committed
 		// resource implicit; the attempt still covers all of them.
 		out.total = t.loaded - len(sc.clears)
@@ -1387,7 +1390,7 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutco
 		return cr.res, cr.job.digest == jobs[i].digest && cr.res.Results != nil
 	}
 
-	if ctx != nil && ctx.DeferChecks {
+	if m.deferChecks {
 		// Count the dirty jobs only: the delta stays empty until the
 		// window's verification fills it with the deferred verdicts.
 		for i := range jobs {
@@ -1572,7 +1575,7 @@ func (s *monitorStage) Name() Stage { return StageMonitors }
 
 func (s *monitorStage) Run(ctx *pipeline.Context) error {
 	m := s.m
-	if ctx.Warm {
+	if m.att.warm {
 		ctx.Report.MonitorDelta = m.monitorDelta(ctx)
 	} else {
 		ctx.Report.MonitorDelta = m.planMonitors(ctx.Impl)
@@ -1662,7 +1665,7 @@ func (s *commitStage) Name() Stage { return StageCommit }
 // result slices, function copies) are immutable once built, so reports
 // and rollback points may alias them.
 func (s *commitStage) Run(ctx *pipeline.Context) error {
-	if ctx.Warm {
+	if s.m.att.warm {
 		s.commitIncremental(ctx)
 	} else {
 		s.commitFull(ctx)
@@ -1724,7 +1727,7 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	// The from-scratch job list holds every loaded resource: each job
 	// fills its slot, every other slot stays empty.
 	res := resTableFrom(len(m.procs)+len(m.platform.Networks), m.committedFills())
-	m.snap = m.buildSnapshot(m.candidate(ctx), ctx.Impl, res, &m.att.index)
+	m.snap = m.buildSnapshot(m.candidate(), ctx.Impl, res, &m.att.index)
 }
 
 // commitIncremental writes the footprint-sized artifacts of a
@@ -1749,14 +1752,14 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	// The candidate, if the attempt materialized it; a flow-cutting
 	// removal materializes it for its flow list.
 	whole := m.att.whole
-	if ctx.Diff.FlowsChanged {
-		whole = m.candidate(ctx)
+	if m.att.flowsCut {
+		whole = m.candidate()
 	}
 	n, e, over := m.ownSnap(), m.epoch, m.att.synth
 	n.impl, n.res, n.fa = ctx.Impl, res, whole
-	// The flow list and index change only with the flow set; they are
-	// replaced, never written in place.
-	if ctx.Diff.FlowsChanged {
+	// The flow list and index change only when the change cuts flows;
+	// they are replaced, never written in place.
+	if m.att.flowsCut {
 		n.flows = whole.Flows
 		n.flowTouch = flowTouchIndex(n.flows)
 	}
@@ -1788,7 +1791,7 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 	// Affected processors take their rebuilt task and resident lists, and
 	// every processor the warm start discounted or placed on takes its
 	// overlay load into the capacity index.
-	for _, pn := range ctx.AffectedProcs {
+	for _, pn := range over.affected {
 		n.procs.set(e, m.procIdx[pn], procState{over.tasksOn[pn], over.instsOn[pn]})
 	}
 	for _, o := range m.att.over {

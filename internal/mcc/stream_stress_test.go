@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/safety"
+	"repro/internal/security"
 )
 
 // Stress test for the stream scheduler's snapshot rollback: random
@@ -17,10 +19,11 @@ import (
 // the timing table (jobs, digests, WCRT tables), every snapshot field,
 // the monitor plan — must be bit-identical to a fresh controller that
 // proposed the same stream serially, both must equal a rebuild of their
-// own snapshot (assertSnapshotFresh, also after every serial step), both
-// committed architectures must equal a clone-path shadow of the accepted
-// changes (after every window and every serial step), and both must
-// equal the from-scratch oracle.
+// own snapshot (assertSnapshotFresh) and pass the whole-model safety and
+// security checks (assertFullChecks), both committed architectures must
+// equal a clone-path shadow of the accepted changes — all three after
+// every window and every serial step — and both must equal the
+// from-scratch oracle.
 
 // stressPlatform is deliberately tight: one slow safe core and one fast
 // core, so random workloads regularly fail timing mid-window.
@@ -113,6 +116,21 @@ func shadowApply(shadow *model.FunctionalArchitecture, c Change, rep *Report) *m
 	return shadow
 }
 
+// assertFullChecks runs the whole-model safety and security checks on
+// the committed implementation model and requires no finding: a
+// configuration commits only after its scoped checks passed, so a
+// finding here is one the scoped checks missed.
+func assertFullChecks(t *testing.T, label string, m *MCC) {
+	t.Helper()
+	impl := m.DeployedImpl()
+	if f, _ := safety.CheckScoped(impl.Tech); len(f) > 0 {
+		t.Fatalf("%s: committed configuration has safety findings %v", label, f)
+	}
+	if f, _ := security.CheckDomainsScoped(impl); len(f) > 0 {
+		t.Fatalf("%s: committed configuration has security findings %v", label, f)
+	}
+}
+
 func assertShadow(t *testing.T, label string, m *MCC, shadow *model.FunctionalArchitecture) {
 	t.Helper()
 	if got := m.Deployed(); !reflect.DeepEqual(got, shadow) {
@@ -165,10 +183,11 @@ func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
 					streamShadow = shadowApply(streamShadow, changes[lo+k], rep)
 					got = append(got, rep)
 				}
-				assertShadow(t, fmt.Sprintf("window [%d,%d)", lo, hi), streamed, streamShadow)
+				label := fmt.Sprintf("window [%d,%d)", lo, hi)
+				assertShadow(t, label, streamed, streamShadow)
+				assertSnapshotFresh(t, label, streamed)
+				assertFullChecks(t, label, streamed)
 			}
-
-			assertSnapshotFresh(t, "stream", streamed)
 
 			fresh := mk()
 			freshShadow := fresh.Deployed()
@@ -176,8 +195,10 @@ func TestStreamSchedulerStressRollbackCacheParity(t *testing.T) {
 			for i, c := range changes {
 				want = append(want, fresh.integrateChangeCtx(context.Background(), c))
 				freshShadow = shadowApply(freshShadow, c, want[i])
-				assertSnapshotFresh(t, fmt.Sprintf("serial step %d", i), fresh)
-				assertShadow(t, fmt.Sprintf("serial step %d", i), fresh, freshShadow)
+				label := fmt.Sprintf("serial step %d", i)
+				assertSnapshotFresh(t, label, fresh)
+				assertShadow(t, label, fresh, freshShadow)
+				assertFullChecks(t, label, fresh)
 			}
 
 			for i := range want {
