@@ -9,7 +9,7 @@ import (
 
 // This file implements the O(diff) proposal entry path, the only way into
 // the warm pass. A single-function change is decided against the
-// committed snapshot plus the change object: newContext reads the one
+// committed snapshot plus the change object: newPass reads the one
 // function it touches, and whether it cuts flows, from the change and the
 // snapshot's function map and flow index; every stage reads the change's
 // own function for that name, and nothing is written before the commit

@@ -271,58 +271,6 @@ func TestIncrementalValidationMatchesFullFindings(t *testing.T) {
 	}
 }
 
-// --- custom stages (WithStage) ---------------------------------------------
-
-func TestWithStageThermalBudget(t *testing.T) {
-	p := &model.Platform{
-		Processors: []model.Processor{
-			{Name: "ecu", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.ASILD},
-		},
-	}
-	m, err := New(p, WithStage(DefaultThermalBudget()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The custom viewpoint runs between security and timing.
-	names := m.Pipeline().StageNames()
-	pos := make(map[Stage]int, len(names))
-	for i, n := range names {
-		pos[n] = i
-	}
-	if !(pos[StageSecurity] < pos[StageThermal] && pos[StageThermal] < pos[StageTiming]) {
-		t.Fatalf("stage order = %v", names)
-	}
-
-	// 50% utilization: steady state 75C, within the 85C budget.
-	if rep := m.ProposeUpdate(fn("cool", model.QM, 10000, 5000, 64)); !rep.Accepted {
-		t.Fatalf("cool rejected: %v (%s)", rep.Findings, rep.RejectedAt)
-	}
-	// 80% utilization: steady state 89.4C, over budget — rejected by the
-	// plugged-in viewpoint, deployed config rolled back.
-	rep := m.ProposeUpdate(fn("hot", model.QM, 10000, 3000, 64))
-	if rep.Accepted {
-		t.Fatal("thermally infeasible update accepted")
-	}
-	if rep.RejectedAt != StageThermal {
-		t.Fatalf("rejected at %s, want %s", rep.RejectedAt, StageThermal)
-	}
-	found := false
-	for _, f := range rep.Findings {
-		if strings.Contains(f, "thermal:") && strings.Contains(f, "exceeds budget") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("findings = %v", rep.Findings)
-	}
-	if m.Deployed().FunctionByName("hot") != nil {
-		t.Fatal("rejected function deployed")
-	}
-	if tr := rep.StageTraceFor(StageThermal); tr == nil {
-		t.Fatal("no telemetry for custom stage")
-	}
-}
-
 // --- satellite: one message per distinct crossed network -------------------
 
 func TestSynthesizeMessagePerCrossedNetwork(t *testing.T) {
@@ -535,7 +483,8 @@ func TestTimingAnalysisErrorSurfacedAsFinding(t *testing.T) {
 			{Name: "b#0", Processor: "only", Priority: 1, PeriodUS: 10000, WCETUS: 1000, DeadlineUS: 10000},
 		},
 	}
-	out := m.analyzeTiming(nil, m.scanJobs(impl))
+	m.att.ctx = t.Context()
+	out := m.analyzeTiming(m.scanJobs(impl))
 	if len(out.findings) == 0 {
 		t.Fatal("analysis error produced no findings")
 	}

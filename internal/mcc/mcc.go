@@ -15,11 +15,10 @@
 //  6. commits the new configuration only if every acceptance test passes;
 //     otherwise the deployed configuration stays untouched (rollback).
 //
-// The integration process is organized as a staged acceptance-test
-// pipeline (package pipeline): every step above is a pipeline.Stage
-// operating on a shared pipeline.Context, and additional viewpoints
-// (e.g. a thermal budget backed by package thermal) plug in via
-// WithStage. By default a single change (ProposeUpdate, ProposeRemoval)
+// The integration process is a fixed sequence of acceptance stages, one
+// MCC method each, run in order by one loop (see stages and MCC.run) that
+// stops at the first rejection; the attempt carries what one stage hands
+// to the next. By default a single change (ProposeUpdate, ProposeRemoval)
 // is decided incrementally against the deployed configuration — validation
 // re-checks only the changed function and its flow neighborhood, mapping
 // warm-starts from the deployed placement, synthesis rebuilds only
@@ -44,49 +43,8 @@ import (
 
 	"repro/internal/cpa"
 	"repro/internal/faultinject"
-	"repro/internal/mcc/pipeline"
 	"repro/internal/model"
 )
-
-// Stage names the integration pipeline stages, used in rejection reports.
-// It aliases pipeline.StageName so custom stages and MCC reports share one
-// namespace.
-type Stage = pipeline.StageName
-
-// Pipeline stages.
-const (
-	StageValidate = pipeline.StageValidate
-	StageMapping  = pipeline.StageMapping
-	StageSynth    = pipeline.StageSynth
-	StageSafety   = pipeline.StageSafety
-	StageSecurity = pipeline.StageSecurity
-	StageTiming   = pipeline.StageTiming
-	StageMonitors = pipeline.StageMonitors
-	StageCommit   = pipeline.StageCommit
-)
-
-// MonitorKind labels entries of the monitor plan.
-type MonitorKind = pipeline.MonitorKind
-
-// Monitor kinds emitted by the MCC for the execution domain.
-const (
-	MonitorBudget = pipeline.MonitorBudget // execution time + deadline
-	MonitorRate   = pipeline.MonitorRate   // leaky-bucket event rate
-)
-
-// MonitorSpec is one monitor the MCC configures in the execution domain.
-type MonitorSpec = pipeline.MonitorSpec
-
-// TimingResult carries the per-resource WCRT table of the timing
-// acceptance test.
-type TimingResult = pipeline.TimingResult
-
-// Report is the outcome of one integration attempt, including per-stage
-// wall-clock telemetry (Report.Stages).
-type Report = pipeline.Report
-
-// StageTrace is the per-stage telemetry entry of a Report.
-type StageTrace = pipeline.StageTrace
 
 // MCC is the multi-change controller. It owns the deployed configuration;
 // each attempt's Report belongs to its caller alone, so the controller
@@ -107,8 +65,8 @@ type MCC struct {
 	// place; beginWindow bumps it. epochs is the last token newEpoch
 	// handed out.
 	epoch, epochs uint64
-	// att is the stage-to-stage handoff of the pipeline pass in progress,
-	// reset by newContext.
+	// att is the stage-to-stage handoff of the pass in progress, reset by
+	// newPass.
 	att attempt
 
 	// observedWCETUS holds metric feedback from the execution domain:
@@ -154,16 +112,9 @@ type MCC struct {
 	// final.
 	deferChecks bool
 
-	// custom holds acceptance stages registered via WithStage; they run
-	// between the security and timing stages.
-	custom []pipeline.Stage
-	// pipe is the assembled integration pipeline.
-	pipe *pipeline.Pipeline
-
-	// inject, when non-nil, fires fault-injection hooks on every pipeline
-	// stage, every timing-stage analysis, a stream window's analyses, and
-	// the window rollback path (the analyzer's hooks are installed in
-	// New).
+	// inject, when non-nil, fires fault-injection hooks on every stage,
+	// every timing-stage analysis, a stream window's analyses, and the
+	// window rollback path (the analyzer's hooks are installed in New).
 	inject *faultinject.Injector
 	// proposalDeadline, when > 0, bounds every proposal's wall clock:
 	// integrate wraps the proposal context with this timeout, and expiry
@@ -184,6 +135,10 @@ type MCC struct {
 	// panics); integrate reports per-proposal deltas.
 	retriedAnalyses int
 	panicsRecovered int
+	// onStage, when set (only by this package's tests), is called with the
+	// report under construction where every stage fires its stage.<name>
+	// hook, pinned and quarantined passes included.
+	onStage func(*Report)
 }
 
 // Option configures an MCC at construction time.
@@ -196,7 +151,7 @@ func WithHistoryLimit(int) Option {
 }
 
 // WithFaultInjector installs a deterministic fault injector on the MCC's
-// hook points ("stage.<name>" before every pipeline stage,
+// hook points ("stage.<name>" before every stage,
 // "timing.worker" per timing-stage analysis, "stream.prefetch" per
 // analysis a stream window runs ahead of verification, "journal.undo" on
 // window rollback, plus the analyzer's "cpa.analyze"/"cpa.cache" hooks).
@@ -208,7 +163,7 @@ func WithFaultInjector(inj *faultinject.Injector) Option {
 
 // WithProposalDeadline bounds every proposal's wall-clock time. An
 // expired proposal is rejected deterministically with a finding naming
-// the stage the pipeline stopped at and is marked Degraded ("deadline")
+// the stage the pass stopped at and is marked Degraded ("deadline")
 // in its Report — it never hangs and never commits past the deadline.
 // Non-positive durations are ignored (no deadline, the default).
 func WithProposalDeadline(d time.Duration) Option {
@@ -241,19 +196,11 @@ func WithAnalyzer(a *cpa.Analyzer) Option {
 	}
 }
 
-// WithStage registers a custom acceptance stage (an additional viewpoint
-// analysis); it runs after the built-in security stage and before the
-// timing stage. Stages run in registration order. A rejection by a custom
-// stage rolls back the candidate exactly like a built-in one.
-func WithStage(s pipeline.Stage) Option {
-	return func(m *MCC) { m.custom = append(m.custom, s) }
-}
-
 // New creates an MCC managing the given platform, with an empty deployed
-// configuration. By default the whole acceptance pipeline is incremental
+// configuration. By default every acceptance stage is incremental
 // (scoped validation, warm-started mapping, partial synthesis, memoized
 // timing with dirty tracking), and every analysis runs on the proposing
-// goroutine; see WithoutIncremental and WithStage.
+// goroutine; see WithoutIncremental.
 func New(p *model.Platform, opts ...Option) (*MCC, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -273,52 +220,11 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 	for _, o := range opts {
 		o(m)
 	}
-	m.pipe = pipeline.New(
-		&validateStage{m},
-		&mappingStage{m},
-		&synthStage{m},
-		&safetyStage{m},
-		&securityStage{m},
-		&timingStage{m},
-		&monitorStage{m},
-		&commitStage{m},
-	).Insert(StageTiming, m.custom...)
 	if m.inject != nil {
 		m.analyzer.SetInjector(m.inject)
-		m.pipe = m.pipe.Wrap(func(s pipeline.Stage) pipeline.Stage {
-			return &faultStage{m: m, inner: s}
-		})
 	}
 	return m, nil
 }
-
-// faultStage interposes the fault injector in front of a pipeline stage.
-// Firing happens before the stage body runs, so an injected fault can
-// never interrupt a commit mid-mutation. Pinned (degradation-ladder) and
-// quarantined passes are exempt: the from-scratch fallback must be able
-// to complete, which is what makes degraded decisions equal the clean
-// oracle's.
-type faultStage struct {
-	m     *MCC
-	inner pipeline.Stage
-}
-
-func (s *faultStage) Name() Stage { return s.inner.Name() }
-
-func (s *faultStage) Run(ctx *pipeline.Context) error {
-	if !s.m.pinned && !s.m.quarantined {
-		if _, fired, err := s.m.inject.Fire(ctx.Done(), "stage."+string(s.inner.Name()), ""); fired && err != nil {
-			ctx.Report.TransientFault = true
-			return pipeline.Rejectf("%s: %v", s.inner.Name(), err)
-		}
-	}
-	return s.inner.Run(ctx)
-}
-
-// Pipeline exposes the assembled stage sequence (for introspection and
-// tooling; the stages themselves hold MCC state and must not be run
-// outside integrate).
-func (m *MCC) Pipeline() *pipeline.Pipeline { return m.pipe }
 
 // TimingCacheStats exposes the analyzer's memoization counters.
 func (m *MCC) TimingCacheStats() cpa.AnalyzerStats { return m.analyzer.Stats() }
@@ -349,9 +255,22 @@ func (m *MCC) Deployed() *model.FunctionalArchitecture {
 	return s.fa
 }
 
-// attempt is the stage-to-stage handoff of one pipeline pass: what the
-// mapping, synthesis and timing stages hand to the stages after them.
+// attempt is the stage-to-stage handoff of one pass: the proposal's
+// context and report, and what the mapping, synthesis and timing stages
+// hand to the stages after them.
 type attempt struct {
+	// ctx carries the proposal's deadline and cancellation, checked before
+	// every stage; rep is the report under construction. run clears both
+	// when the pass ends, so the controller pins no report.
+	ctx context.Context
+	rep *Report
+	// note is the running stage's telemetry note (see MCC.note).
+	note stageNote
+	// tech and impl are the mapping and synthesis stages' artifacts: every
+	// replica placed (only the touched function's on a warm pass, in the
+	// synthesis overlay), and the tasks, messages and sessions.
+	tech *model.TechnicalArchitecture
+	impl *model.ImplementationModel
 	// change is the single change a change-driven pass decides; nil
 	// exactly on a from-scratch pass. whole is the pass's whole candidate:
 	// a from-scratch pass's own, or the change's, materialized on first
@@ -360,7 +279,7 @@ type attempt struct {
 	whole  *model.FunctionalArchitecture
 	// touched is the one function name a change-driven pass changes, or
 	// empty for a no-op; flowsCut reports a removal of a committed flow
-	// endpoint, which cuts its flows (see newContext).
+	// endpoint, which cuts its flows (see newPass).
 	touched  string
 	flowsCut bool
 	// warm reports that the mapping kept the committed placement, read
@@ -434,7 +353,7 @@ func (m *MCC) DeployedImpl() *model.ImplementationModel {
 		impl.Tech.Instances, impl.Connections = insts, conns
 	}
 	if impl.Tasks == nil {
-		impl.Tasks = m.candTasks(&synthOverlay{})
+		impl.Tasks = m.committedTasks()
 	}
 	return impl
 }
@@ -513,7 +432,7 @@ func (m *MCC) ReintegrateWithObservations() *Report {
 	return m.integrateDiff(context.Background(), cand, nil)
 }
 
-// integrateDiff runs the staged acceptance-test pipeline on a candidate,
+// integrateDiff runs the acceptance stages on a candidate,
 // bounded by gctx: the whole architecture cand (the from-scratch pass), or
 // the single change c against the committed snapshot (the change-driven
 // warm pass, cand nil), which touches at most one function and never
@@ -586,11 +505,11 @@ func (m *MCC) integrateDiff(gctx context.Context, cand *model.FunctionalArchitec
 // deadline — at a stage whose verdict can depend on the placement is
 // re-decided on the whole candidate by a full best-fit, keeping both
 // passes' telemetry. Validation and the security check decide on
-// contracts and identities alone; every other stage, custom ones
-// included, may depend on it.
+// contracts and identities alone; every other stage may depend on it.
 func (m *MCC) decide(pctx context.Context, cand *model.FunctionalArchitecture, c *Change, rep *Report) {
 	pre := *rep
-	m.pipe.Run(m.newContext(pctx, cand, c, rep))
+	m.newPass(pctx, cand, c, rep)
+	m.run()
 	if rep.Accepted || !m.att.kept || pctx.Err() != nil || rep.TransientFault ||
 		rep.RejectedAt == StageValidate || rep.RejectedAt == StageSecurity {
 		return
@@ -598,15 +517,15 @@ func (m *MCC) decide(pctx context.Context, cand *model.FunctionalArchitecture, c
 	cand = m.candidate()
 	pre.Stages, pre.Passes = rep.Stages, rep.Passes
 	*rep = pre
-	ctx := m.newContext(pctx, cand, nil, rep)
+	m.newPass(pctx, cand, nil, rep)
 	m.att.full = true
-	m.pipe.Run(ctx)
+	m.run()
 }
 
 // expiredReport resolves one change whose surrounding context is already
 // cancelled or past its deadline without cloning or mutating any
-// candidate state. The report mirrors what the pipeline's own pre-stage
-// deadline check would produce — rejected before the first stage with
+// candidate state. The report mirrors what run's own pre-stage deadline
+// check would produce — rejected before the first stage with
 // the deterministic deadline finding — so short-circuited stream window
 // and replay steps are indistinguishable from proposals that ran and
 // expired immediately, minus the per-proposal setup cost.
@@ -623,7 +542,7 @@ func (m *MCC) expiredReport(gctx context.Context) *Report {
 
 // markDeadline marks a proposal stopped by its deadline as Degraded when
 // the expiry surfaced inside a stage (as an analysis error) rather than
-// at the pipeline's between-stage check, which marks it itself.
+// at run's between-stage check, which marks it itself.
 func (m *MCC) markDeadline(pctx context.Context, rep *Report) {
 	if pctx.Err() != nil && !rep.Accepted && !slices.Contains(rep.DegradedReasons, "deadline") {
 		rep.Degraded = true
@@ -647,15 +566,15 @@ func (m *MCC) runPinned(pctx context.Context, cand *model.FunctionalArchitecture
 	m.deferChecks = savedDefer
 }
 
-// newContext resets the attempt handoff for one pass and returns the
-// pass's pipeline context. A whole candidate cand is decided from
-// scratch. A change c (cand nil) is decided on the warm pass, and the
-// facts that pass needs come from the change and the snapshot alone: the
-// name it touches, empty for a no-op (an update equal to the committed
-// function, the removal of an unknown name), and whether it cuts flows
-// (a removal of a committed flow endpoint; an update keeps every flow).
-func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitecture, c *Change, rep *Report) *pipeline.Context {
-	m.att = attempt{change: c, whole: cand}
+// newPass resets the attempt handoff for one pass of rep's proposal under
+// pctx. A whole candidate cand is decided from scratch. A change c (cand
+// nil) is decided on the warm pass, and the facts that pass needs come
+// from the change and the snapshot alone: the name it touches, empty for
+// a no-op (an update equal to the committed function, the removal of an
+// unknown name), and whether it cuts flows (a removal of a committed flow
+// endpoint; an update keeps every flow).
+func (m *MCC) newPass(pctx context.Context, cand *model.FunctionalArchitecture, c *Change, rep *Report) {
+	m.att = attempt{ctx: pctx, rep: rep, change: c, whole: cand}
 	if c != nil {
 		name := c.name()
 		switch old := m.snap.fn(name); {
@@ -665,7 +584,6 @@ func (m *MCC) newContext(pctx context.Context, cand *model.FunctionalArchitectur
 			m.att.touched, m.att.flowsCut = name, m.snap.flowTouch[name]
 		}
 	}
-	return &pipeline.Context{Platform: m.platform, Report: rep, Ctx: pctx}
 }
 
 func utilPPM(f *model.Function) int64 {

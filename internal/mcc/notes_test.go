@@ -207,7 +207,7 @@ func TestStageNotesRenderAsFormatted(t *testing.T) {
 			"monitors: monitor delta: 0 resources rebuilt (0 specs)",
 		},
 		{
-			"validate: re-checked 1/0 function scopes",
+			"validate: re-checked 0/0 function scopes",
 			"mapping: warm-start: kept 0 instances, placed 0",
 			"synthesis: reused 2/3 processors, messages reused, connections rebuilt",
 			"safety: scoped: 0 verdicts for 1 touched functions, 1 affected processors",

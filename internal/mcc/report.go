@@ -1,4 +1,4 @@
-package pipeline
+package mcc
 
 import (
 	"fmt"
@@ -6,6 +6,21 @@ import (
 
 	"repro/internal/cpa"
 	"repro/internal/model"
+)
+
+// Stage names an acceptance stage in reports and telemetry.
+type Stage string
+
+// The acceptance stages, in the order every pass runs them (see stages).
+const (
+	StageValidate Stage = "validate"
+	StageMapping  Stage = "mapping"
+	StageSynth    Stage = "synthesis"
+	StageSafety   Stage = "safety"
+	StageSecurity Stage = "security"
+	StageTiming   Stage = "timing"
+	StageMonitors Stage = "monitors"
+	StageCommit   Stage = "commit"
 )
 
 // MonitorKind labels entries of the monitor plan.
@@ -36,10 +51,10 @@ type TimingResult struct {
 	Results  []cpa.Result
 }
 
-// StageTrace is the telemetry of one executed pipeline stage.
+// StageTrace is the telemetry of one executed stage.
 type StageTrace struct {
 	// Stage names the stage.
-	Stage StageName
+	Stage Stage
 	// Wall is the stage's wall-clock duration.
 	Wall time.Duration
 	note stageNote
@@ -50,7 +65,7 @@ type StageTrace struct {
 // empty when the stage left none.
 func (tr StageTrace) Note() string { return tr.note.String() }
 
-// stageNote is a stage note as Context.Note received it: its format and
+// stageNote is a stage note as MCC.note received it: its format and
 // up to four arguments, kept inline so that recording a note allocates
 // nothing beyond boxing the arguments. A note with more arguments is
 // formatted on receipt and holds the text (n = -1).
@@ -73,7 +88,7 @@ type Report struct {
 	// Accepted reports whether the new configuration was committed.
 	Accepted bool
 	// RejectedAt names the stage that failed (empty when accepted).
-	RejectedAt StageName
+	RejectedAt Stage
 	// Findings lists human-readable acceptance failures.
 	Findings []string
 	// Impl is the synthesized implementation model (nil if rejected
@@ -100,14 +115,12 @@ type Report struct {
 	// FullMonitors for the whole plan. On a from-scratch pass the delta
 	// is the complete plan.
 	MonitorDelta []MonitorSpec
-	// fullTiming/fullMonitors materialize the whole-platform tables from
-	// the committed state this report's commit installed. They are bound
-	// by the commit stage (BindCommitted) on accepted proposals and must
-	// return freshly allocated data. Unexported so the handle never
-	// serializes; the committed tables stay reachable only through the
-	// materializing accessors.
-	fullTiming   func() []TimingResult
-	fullMonitors func() []MonitorSpec
+	// committed is the committed table this report's commit installed,
+	// set by the commit stage on accepted proposals; FullTiming and
+	// FullMonitors materialize fresh copies from it. Unexported so the
+	// handle never serializes; the committed tables stay reachable only
+	// through the materializing accessors.
+	committed *resTable
 	// Stages is the per-stage wall-clock/cache telemetry of every stage
 	// that ran, in execution order. A rejected attempt that was retried
 	// from scratch (warm-start fallback) accumulates the traces of both
@@ -140,8 +153,8 @@ type Report struct {
 	// re-derives only touched functions' entities and affected
 	// processors' budgets. Mirrors TimingScans for the safety viewpoint.
 	SafetyChecks int
-	// Passes counts the pipeline passes this report accumulated:
-	// incremented by every Pipeline.Run, so 1 normally and 2 when a pass
+	// Passes counts the passes this report accumulated: incremented by
+	// every run of the stages, so 1 normally and 2 when a pass
 	// that kept committed instances in place was rejected and re-decided
 	// by a full best-fit.
 	Passes int
@@ -162,21 +175,11 @@ type Report struct {
 	// scratch before the verdict stands.
 	TransientFault bool
 	// PanicsRecovered counts panics recovered on behalf of this
-	// proposal: pipeline stages and timing-stage analyses.
+	// proposal: stages and timing-stage analyses.
 	PanicsRecovered int
 	// RetriedAnalyses counts timing analyses retried after a transient
 	// analyzer error (bounded retry with backoff).
 	RetriedAnalyses int
-}
-
-// BindCommitted attaches the materialize-on-demand whole-table view to
-// an accepted report. Both closures must return freshly allocated
-// slices on every call (deep copies of the committed tables): the
-// report contract promises that nothing a consumer obtains from a
-// Report aliases controller state.
-func (r *Report) BindCommitted(timing func() []TimingResult, monitors func() []MonitorSpec) {
-	r.fullTiming = timing
-	r.fullMonitors = monitors
 }
 
 // FullTiming materializes the whole-platform WCRT table as of this
@@ -185,38 +188,38 @@ func (r *Report) BindCommitted(timing func() []TimingResult, monitors func() []M
 // committed handle is bound and the materialized view is just a copy of
 // TimingDelta — the tables the attempt actually computed.
 func (r *Report) FullTiming() []TimingResult {
-	if r.fullTiming != nil {
-		return r.fullTiming()
+	if r.committed != nil {
+		return r.committed.materializeTiming()
 	}
-	return CloneTimingResults(r.TimingDelta)
+	return cloneTimingResults(r.TimingDelta)
 }
 
 // FullMonitors materializes the whole monitor plan as of this report's
 // commit; same ownership and rejected-report semantics as FullTiming.
 func (r *Report) FullMonitors() []MonitorSpec {
-	if r.fullMonitors != nil {
-		return r.fullMonitors()
+	if r.committed != nil {
+		return r.committed.materializeMonitors()
 	}
 	out := make([]MonitorSpec, len(r.MonitorDelta))
 	copy(out, r.MonitorDelta)
 	return out
 }
 
-// CloneTimingResults deep-copies a WCRT table, including each entry's
+// cloneTimingResults deep-copies a WCRT table, including each entry's
 // Results slice; cpa.Result itself is a flat value.
-func CloneTimingResults(in []TimingResult) []TimingResult {
+func cloneTimingResults(in []TimingResult) []TimingResult {
 	if in == nil {
 		return nil
 	}
 	out := make([]TimingResult, len(in))
 	for i, tr := range in {
-		out[i] = CloneTimingResult(tr)
+		out[i] = cloneTimingResult(tr)
 	}
 	return out
 }
 
-// CloneTimingResult deep-copies one per-resource WCRT table entry.
-func CloneTimingResult(tr TimingResult) TimingResult {
+// cloneTimingResult deep-copies one per-resource WCRT table entry.
+func cloneTimingResult(tr TimingResult) TimingResult {
 	if tr.Results == nil {
 		return TimingResult{Resource: tr.Resource}
 	}
@@ -226,7 +229,7 @@ func CloneTimingResult(tr TimingResult) TimingResult {
 }
 
 // StageTraceFor returns the last recorded trace of the named stage, or nil.
-func (r *Report) StageTraceFor(name StageName) *StageTrace {
+func (r *Report) StageTraceFor(name Stage) *StageTrace {
 	for i := len(r.Stages) - 1; i >= 0; i-- {
 		if r.Stages[i].Stage == name {
 			return &r.Stages[i]
@@ -236,8 +239,8 @@ func (r *Report) StageTraceFor(name StageName) *StageTrace {
 }
 
 // StageWall sums the recorded wall-clock time per stage.
-func (r *Report) StageWall() map[StageName]time.Duration {
-	out := make(map[StageName]time.Duration, len(r.Stages))
+func (r *Report) StageWall() map[Stage]time.Duration {
+	out := make(map[Stage]time.Duration, len(r.Stages))
 	for _, tr := range r.Stages {
 		out[tr.Stage] += tr.Wall
 	}

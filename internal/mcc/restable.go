@@ -1,7 +1,5 @@
 package mcc
 
-import "repro/internal/mcc/pipeline"
-
 // This file implements the chunked persistent committed-resource table:
 // the controller's only committed timing state (each loaded resource's
 // CPA job, task-set digest and WCRT table) and the storage behind the
@@ -99,7 +97,7 @@ func (t *resTable) materializeTiming() []TimingResult {
 		if cr := *t.at(i); cr != nil {
 			tr := cr.res
 			tr.Resource = cr.job.resource
-			out = append(out, pipeline.CloneTimingResult(tr))
+			out = append(out, cloneTimingResult(tr))
 		}
 	}
 	return out

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/mcc/pipeline"
 	"repro/internal/model"
 )
 
@@ -593,25 +592,21 @@ func TestStreamCancellationStopsReplayPromptly(t *testing.T) {
 	defer cancel()
 
 	// A one-shot prefetch fault taints the only window, forcing the serial
-	// replay; the witness stage cancels the context on the first replayed
+	// replay; the stage hook cancels the context on the first replayed
 	// proposal (Replays is incremented before the replay loop starts) and
-	// counts how many pipelines still ran after the replay began.
+	// counts how many stages still ran after the replay began.
 	var sched *StreamScheduler
 	runsAfterReplay := 0
-	witness := pipeline.Func{
-		StageName: "cancel-witness",
-		RunFunc: func(*pipeline.Context) error {
-			if sched != nil && sched.Stats().Replays > 0 {
-				runsAfterReplay++
-				cancel()
-			}
-			return nil
-		},
-	}
 	inj := faultinject.New(23, faultinject.Rule{
 		Stage: "stream.prefetch", Mode: faultinject.ModeError, Count: 1,
 	})
-	m := robustMCC(t, WithFaultInjector(inj), WithStage(witness))
+	m := robustMCC(t, WithFaultInjector(inj))
+	m.onStage = func(*Report) {
+		if sched != nil && sched.Stats().Replays > 0 {
+			runsAfterReplay++
+			cancel()
+		}
+	}
 	sched = NewStreamScheduler(m)
 	sched.window = 8
 

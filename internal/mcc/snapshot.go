@@ -291,7 +291,7 @@ type snapshot struct {
 	// election (the first provider is elected) and its rewiring set.
 	prov, req pmap[[]string]
 	// flowTouch holds every function name a committed flow references:
-	// whether a removal cuts flows (newContext) and the message-rebuild
+	// whether a removal cuts flows (newPass) and the message-rebuild
 	// test.
 	flowTouch map[string]bool
 	// instTotal is the committed instance count (warm-start telemetry).

@@ -12,49 +12,140 @@ import (
 
 	"repro/internal/cpa"
 	"repro/internal/faultinject"
-	"repro/internal/mcc/pipeline"
 	"repro/internal/model"
 	"repro/internal/safety"
 	"repro/internal/security"
 )
 
-// This file implements the built-in pipeline stages of the MCC. Each stage
-// holds a pointer back to the controller for the committed snapshot, the
+// This file implements the acceptance stages of the MCC, one method each,
+// and the loop that runs them. A stage reads the committed snapshot, the
 // attempt handoff and the memoizing analyzer; the pure viewpoint checks
 // (safety, security) are stateless. Stages work incrementally when the
 // attempt decides a change on a warm snapshot and from scratch otherwise.
 
+// stages is the acceptance pipeline of Section II.A, in the order every
+// pass runs it. A stage returns the findings that reject the candidate;
+// none accepts it.
+var stages = [...]struct {
+	name Stage
+	run  func(*MCC) []string
+}{
+	{StageValidate, (*MCC).validateStage},
+	{StageMapping, (*MCC).mappingStage},
+	{StageSynth, (*MCC).synthStage},
+	{StageSafety, (*MCC).safetyStage},
+	{StageSecurity, (*MCC).securityStage},
+	{StageTiming, (*MCC).timingStage},
+	{StageMonitors, (*MCC).monitorStage},
+	{StageCommit, (*MCC).commitStage},
+}
+
+// run is one pass of the stages over the attempt newPass set up. It
+// records one StageTrace per stage that ran and stops at the first
+// rejection; a pass every stage accepts marks the report accepted. The
+// proposal deadline is checked before every stage: expiry rejects with a
+// finding naming the stage the pass stopped before, so a proposal never
+// hangs or commits past its deadline. When the pass ends, the attempt
+// lets go of the context and the report.
+func (m *MCC) run() {
+	a := &m.att
+	defer func() { a.ctx, a.rep = nil, nil }()
+	rep := a.rep
+	rep.Passes++
+	// One allocation per pass at most: room for a trace of every stage.
+	rep.Stages = slices.Grow(rep.Stages, len(stages))
+	for _, s := range stages {
+		if err := a.ctx.Err(); err != nil {
+			rep.RejectedAt = s.name
+			rep.Degraded = true
+			rep.DegradedReasons = append(rep.DegradedReasons, "deadline")
+			rep.Findings = append(rep.Findings,
+				fmt.Sprintf("deadline: proposal deadline expired before stage %s (%v)", s.name, err))
+			return
+		}
+		start := time.Now()
+		findings := m.runStage(s.name, s.run)
+		rep.Stages = append(rep.Stages, StageTrace{Stage: s.name, Wall: time.Since(start), note: a.note})
+		a.note = stageNote{}
+		if len(findings) > 0 {
+			rep.RejectedAt = s.name
+			rep.Findings = append(rep.Findings, findings...)
+			return
+		}
+	}
+	rep.Accepted = true
+}
+
+// runStage runs one stage after firing its "stage.<name>" fault-injection
+// hook. Firing before the stage body means an injected fault never
+// interrupts a commit mid-mutation; pinned (degradation-ladder) and
+// quarantined passes skip the hook, so the from-scratch fallback always
+// completes, which is what makes degraded decisions equal the clean
+// oracle's. A panic, injected or real, is recovered as the stage's
+// rejection (counted and marked transient), so a faulty stage cannot take
+// the controller down.
+func (m *MCC) runStage(name Stage, run func(*MCC) []string) (findings []string) {
+	rep := m.att.rep
+	defer func() {
+		if r := recover(); r != nil {
+			rep.PanicsRecovered++
+			rep.TransientFault = true
+			findings = []string{fmt.Sprintf("%s: recovered panic: %v", name, r)}
+		}
+	}()
+	if m.inject != nil && !m.pinned && !m.quarantined {
+		if _, fired, err := m.inject.Fire(m.att.ctx.Done(), "stage."+string(name), ""); fired && err != nil {
+			rep.TransientFault = true
+			return []string{fmt.Sprintf("%s: %v", name, err)}
+		}
+	}
+	if m.onStage != nil {
+		m.onStage(rep)
+	}
+	return run(m)
+}
+
+// note attaches a short telemetry note to the running stage's trace (e.g.
+// "warm-start: kept 40 instances, placed 1"); the last call of a stage
+// wins. The note keeps its format and arguments and is formatted only when
+// read (StageTrace.Note), so arguments must be values that do not change
+// afterwards: numbers, strings, or immutable data.
+func (m *MCC) note(format string, args ...any) {
+	n := &m.att.note
+	*n = stageNote{format: format}
+	if len(args) > len(n.args) {
+		n.format, n.n = fmt.Sprintf(format, args...), -1
+		return
+	}
+	n.n = int8(copy(n.args[:], args))
+}
+
 // --- Stage 1: contract validation -----------------------------------------
 
-type validateStage struct{ m *MCC }
-
-func (s *validateStage) Name() Stage { return StageValidate }
-
-func (s *validateStage) Run(ctx *pipeline.Context) error {
-	if s.m.att.change == nil {
-		if err := s.m.candidate().Validate(); err != nil {
-			return pipeline.Rejectf("%s", err)
+func (m *MCC) validateStage() []string {
+	if m.att.change == nil {
+		if err := m.candidate().Validate(); err != nil {
+			return []string{err.Error()}
 		}
 		return nil
 	}
-	return s.runIncremental(ctx)
+	return m.validateIncremental()
 }
 
-// runIncremental re-checks only what the change can have invalidated: the
-// contract of the touched function and its flow neighborhood, plus the
-// global invariants (unique names, resolvable services) that a removal
-// anywhere can break. The rule set itself lives in
-// model.ValidateScoped — the same code path as the full validation — so
-// the two can never drift apart.
-func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
-	m := s.m
+// validateIncremental re-checks only what the change can have
+// invalidated: the contract of the touched function and its flow
+// neighborhood, plus the global invariants (unique names, resolvable
+// services) that a removal anywhere can break. The rule set itself lives
+// in model.ValidateScoped — the same code path as the full validation —
+// so the two can never drift apart.
+func (m *MCC) validateIncremental() []string {
 	name := m.att.touched
 	if name == "" {
-		ctx.Note("no-op: candidate identical to deployed")
+		m.note("no-op: candidate identical to deployed")
 		return nil
 	}
-	if done, err := s.fastVerdict(ctx); done {
-		return err
+	if done, findings := m.fastVerdict(); done {
+		return findings
 	}
 	// The scope: the touched function and each endpoint of a candidate
 	// flow touching it. Contracts of every other function were validated
@@ -73,9 +164,15 @@ func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
 		func(fl model.Flow) bool { return m.att.flowsCut || scope[fl.From] || scope[fl.To] },
 	)
 	if err != nil {
-		return pipeline.Rejectf("%s", err)
+		return []string{err.Error()}
 	}
-	ctx.Note("re-checked %d/%d function scopes", len(scope), len(cand.Functions))
+	// A removed name stays in the scope, for the requirers it may orphan,
+	// but is no function scope of the candidate.
+	checked := len(scope)
+	if m.att.change.Update == nil {
+		checked--
+	}
+	m.note("re-checked %d/%d function scopes", checked, len(cand.Functions))
 	return nil
 }
 
@@ -88,15 +185,14 @@ func (s *validateStage) runIncremental(ctx *pipeline.Context) error {
 // violation — falls back to the scoped walk, which produces the exact
 // finding the from-scratch path would. It runs when the change touches a
 // function, attempt.touched.
-func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
-	m := s.m
+func (m *MCC) fastVerdict() (bool, []string) {
 	name, neu := m.att.touched, m.att.change.Update
 	if neu == nil {
 		if len(m.snap.fn(name).Provides) > 0 {
 			// A dropped provider may orphan committed requirers.
 			return false, nil
 		}
-		ctx.Note("fast: removal provides no services, flows cut with it")
+		m.note("fast: removal provides no services, flows cut with it")
 		return true, nil
 	}
 	// Otherwise the change adds or changes the update's function.
@@ -106,7 +202,7 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 		// committed contract validated when it committed, and the walk
 		// checks contracts before service resolution. Reject directly, in
 		// the walk's exact wrapping, instead of paying its O(n) map build.
-		return true, pipeline.Rejectf("model: function %q: %s", name, err)
+		return true, []string{fmt.Sprintf("model: function %q: %s", name, err)}
 	}
 	old := m.snap.fn(name)
 	if old != nil {
@@ -115,7 +211,7 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 		if !slices.Equal(old.Provides, neu.Provides) || !slices.Equal(old.Requires, neu.Requires) {
 			return false, nil
 		}
-		ctx.Note("fast: contract re-checked, service surface unchanged")
+		m.note("fast: contract re-checked, service surface unchanged")
 		return true, nil
 	}
 	// Added: no committed flow can reference the new name (flow endpoints
@@ -125,36 +221,32 @@ func (s *validateStage) fastVerdict(ctx *pipeline.Context) (bool, error) {
 			return false, nil
 		}
 	}
-	ctx.Note("fast: added function's contract and required services verified")
+	m.note("fast: added function's contract and required services verified")
 	return true, nil
 }
 
 // --- Stage 2: mapping ------------------------------------------------------
 
-type mappingStage struct{ m *MCC }
-
-func (s *mappingStage) Name() Stage { return StageMapping }
-
-// Run places by the one policy of every pass: the committed instances of
-// untouched functions stay, the touched ones are best-fit around them,
-// and every function is best-fit from nothing when those do not fit or on
-// the retry pass (attempt.full, see MCC.decide). The kept load comes from
-// the capacity index on a warm pass and is re-accounted on any other.
-func (s *mappingStage) Run(ctx *pipeline.Context) error {
-	m := s.m
+// mappingStage places by the one policy of every pass: the committed
+// instances of untouched functions stay, the touched ones are best-fit
+// around them, and every function is best-fit from nothing when those do
+// not fit or on the retry pass (attempt.full, see MCC.decide). The kept
+// load comes from the capacity index on a warm pass and is re-accounted
+// on any other.
+func (m *MCC) mappingStage() []string {
 	if m.att.change != nil {
 		if tech, kept, placed, ok := m.mapWarmStart(); ok {
-			ctx.Tech, m.att.warm, m.att.kept = tech, true, true
-			ctx.Note("warm-start: kept %d instances, placed %d", kept, placed)
+			m.att.tech, m.att.warm, m.att.kept = tech, true, true
+			m.note("warm-start: kept %d instances, placed %d", kept, placed)
 			return nil
 		}
-		ctx.Note("warm-start infeasible, fell back to full best-fit")
+		m.note("warm-start infeasible, fell back to full best-fit")
 	}
 	tech, err := m.mapToPlatform(m.candidate(), m.att.change == nil && !m.att.full)
 	if err != nil {
-		return pipeline.Rejectf("%s", err)
+		return []string{err.Error()}
 	}
-	ctx.Tech = tech
+	m.att.tech = tech
 	return nil
 }
 
@@ -319,23 +411,18 @@ func compareInstances(a, b model.Instance) int {
 
 // --- Stage 3: implementation synthesis ------------------------------------
 
-type synthStage struct{ m *MCC }
-
-func (s *synthStage) Name() Stage { return StageSynth }
-
-func (s *synthStage) Run(ctx *pipeline.Context) error {
+func (m *MCC) synthStage() []string {
 	var impl *model.ImplementationModel
 	var err error
-	if s.m.att.warm {
-		impl, err = s.m.synthesizeIncremental(ctx)
+	if m.att.warm {
+		impl, err = m.synthesizeIncremental()
 	} else {
-		impl, err = s.m.synthesize(ctx.Tech, &s.m.att.index)
+		impl, err = m.synthesize(m.att.tech, &m.att.index)
 	}
 	if err != nil {
-		return pipeline.Rejectf("%s", err)
+		return []string{err.Error()}
 	}
-	ctx.Impl = impl
-	ctx.Report.Impl = impl
+	m.att.impl, m.att.rep.Impl = impl, impl
 	return nil
 }
 
@@ -799,8 +886,8 @@ func (m *MCC) synthesize(tech *model.TechnicalArchitecture, ix *passIndex) (*mod
 // Lookups resolve through the committed snapshot plus a change-sized
 // overlay — the tables are not re-derived, and untouched processors'
 // task lists stay in the snapshot.
-func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.ImplementationModel, error) {
-	impl := &model.ImplementationModel{Tech: ctx.Tech}
+func (m *MCC) synthesizeIncremental() (*model.ImplementationModel, error) {
+	impl := &model.ImplementationModel{Tech: m.att.tech}
 	// The warm start has reset the overlay and written the touched function
 	// and its fresh placements into it, replica-ascending — the exact
 	// per-function list of a from-scratch pass index — so no flat candidate
@@ -829,10 +916,10 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	// lists live in over.tasksOn, every untouched processor keeps its
 	// committed list in the snapshot, and every consumer of the
 	// incremental path reads one of the two (timing-job construction,
-	// monitor delta, custom viewpoints via ctx.Tasks()); DeployedImpl
-	// materializes the committed flat list on demand for whole-model
-	// readers. Assembling — and allocating — the platform-sized splice
-	// here was the single largest O(n) term of the accepted-change path.
+	// monitor delta); DeployedImpl materializes the committed flat list on
+	// demand for whole-model readers. Assembling — and allocating — the
+	// platform-sized splice here was the single largest O(n) term of the
+	// accepted-change path.
 	// The sorted iteration keeps the first-error selection of the
 	// per-task validation deterministic.
 	for _, pn := range affected {
@@ -852,7 +939,6 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 		over.tasksOn[pn] = rebuilt
 	}
 	reusedProcs := len(m.procs) - len(affected)
-	ctx.TasksFn = func() []model.Task { return m.candTasks(over) }
 
 	// Messages change only when the change cut flows or a flow endpoint
 	// was touched (untouched endpoints keep their placement under the
@@ -898,7 +984,7 @@ func (m *MCC) synthesizeIncremental(ctx *pipeline.Context) (*model.Implementatio
 	m.att.messagesRebuilt = rebuildMsgs
 	m.att.synth = over
 
-	ctx.Note("reused %d/%d processors, messages %s, connections %s",
+	m.note("reused %d/%d processors, messages %s, connections %s",
 		reusedProcs, len(m.platform.Processors), reusedWord(!rebuildMsgs), reusedWord(!rebuildConns))
 	return impl, nil
 }
@@ -925,27 +1011,17 @@ func (m *MCC) residentInstances(pn string, over *synthOverlay) []model.Instance 
 	return out
 }
 
-// candTasks materializes the candidate's flat task list from the
-// committed per-processor lists plus the overlay's rebuilt ones, in the
-// m.procs assembly order of every synthesis path. Only consumers that
-// genuinely need the whole flat list pay for it (ctx.Tasks(), and
-// DeployedImpl with an empty overlay). Non-nil even when empty, so the
-// memoization in DeployedImpl sticks.
-func (m *MCC) candTasks(over *synthOverlay) []model.Task {
+// committedTasks materializes the committed flat task list from the
+// per-processor lists, in the m.procs assembly order of every synthesis
+// path, for DeployedImpl. Non-nil even when empty, so its memoization
+// sticks.
+func (m *MCC) committedTasks() []model.Task {
 	total := 0
 	for _, pn := range m.procs {
-		if tasks, ok := over.tasksOn[pn]; ok {
-			total += len(tasks)
-		} else {
-			total += len(m.proc(pn).tasks)
-		}
+		total += len(m.proc(pn).tasks)
 	}
 	out := make([]model.Task, 0, total)
 	for _, pn := range m.procs {
-		if tasks, ok := over.tasksOn[pn]; ok {
-			out = append(out, tasks...)
-			continue
-		}
 		out = append(out, m.proc(pn).tasks...)
 	}
 	return out
@@ -1011,12 +1087,9 @@ func reusedWord(reused bool) string {
 // scheduler's optimistic passes included: a from-scratch (cold) pass runs
 // the full check, and a failing check rejects the change on the spot.
 
-type safetyStage struct{ m *MCC }
-
-func (s *safetyStage) Name() Stage { return StageSafety }
-
-func (s *safetyStage) Run(ctx *pipeline.Context) error {
-	if s.m.att.warm {
+func (m *MCC) safetyStage() []string {
+	rep := m.att.rep
+	if m.att.warm {
 		// Entity-driven, not whole-model scans: CheckScoped walks every
 		// candidate instance and function even for a one-function change,
 		// while the footprint here is one name. The touched function
@@ -1025,7 +1098,7 @@ func (s *safetyStage) Run(ctx *pipeline.Context) error {
 		// processors' candidate residents were just computed by the
 		// partial synthesis (over.instsOn) — so nothing below reads the
 		// unmaterialized flat lists, and the cost is O(diff).
-		m, over := s.m, s.m.att.synth
+		over := m.att.synth
 		touched := []string{over.name}
 		if over.name == "" {
 			touched = nil
@@ -1041,32 +1114,28 @@ func (s *safetyStage) Run(ctx *pipeline.Context) error {
 			},
 			view.instances,
 			func(pn string) []model.Instance { return over.instsOn[pn] })
-		ctx.Report.SafetyChecks += checked
-		ctx.Note("scoped: %d verdicts for %d touched functions, %d affected processors",
+		rep.SafetyChecks += checked
+		m.note("scoped: %d verdicts for %d touched functions, %d affected processors",
 			checked, len(touched), len(over.affected))
-		return rejectFindings(findingStrings(findings))
+		return findingStrings(findings)
 	}
-	findings, checked := safety.CheckScoped(ctx.Tech)
-	ctx.Report.SafetyChecks += checked
-	return rejectFindings(findingStrings(findings))
+	findings, checked := safety.CheckScoped(m.att.tech)
+	rep.SafetyChecks += checked
+	return findingStrings(findings)
 }
 
 // --- Stage 4b: security acceptance ----------------------------------------
 
-type securityStage struct{ m *MCC }
-
-func (s *securityStage) Name() Stage { return StageSecurity }
-
-func (s *securityStage) Run(ctx *pipeline.Context) error {
-	if s.m.att.warm {
-		findings, checked := s.m.checkSecurityRows()
-		ctx.Report.SecurityChecks += checked
-		ctx.Note("scoped: re-checked %d connections", checked)
-		return rejectFindings(findingStrings(findings))
+func (m *MCC) securityStage() []string {
+	if m.att.warm {
+		findings, checked := m.checkSecurityRows()
+		m.att.rep.SecurityChecks += checked
+		m.note("scoped: re-checked %d connections", checked)
+		return findingStrings(findings)
 	}
-	findings, checked := security.CheckDomainsScoped(ctx.Impl)
-	ctx.Report.SecurityChecks += checked
-	return rejectFindings(findingStrings(findings))
+	findings, checked := security.CheckDomainsScoped(m.att.impl)
+	m.att.rep.SecurityChecks += checked
+	return findingStrings(findings)
 }
 
 // checkSecurityRows runs the cross-domain check diff-proportionally. A
@@ -1124,35 +1193,21 @@ func findingStrings[T fmt.Stringer](findings []T) []string {
 	return out
 }
 
-// rejectFindings turns a non-empty findings list into a stage rejection.
-func rejectFindings(findings []string) error {
-	if len(findings) == 0 {
-		return nil
-	}
-	return &pipeline.Reject{Findings: findings}
-}
-
 // --- Stage 4c: timing acceptance ------------------------------------------
 
-type timingStage struct{ m *MCC }
-
-func (s *timingStage) Name() Stage { return StageTiming }
-
-func (s *timingStage) Run(ctx *pipeline.Context) error {
-	jobs, scanned := s.m.timingJobs(ctx.Impl)
-	out := s.m.analyzeTiming(ctx, jobs)
-	ctx.Report.TimingDelta = out.delta
-	ctx.Report.TimingScans += scanned
-	ctx.Report.TimingDirty += out.dirty
-	ctx.Report.TimingResources += out.total
-	ctx.Note("%d/%d resources dirty, %d scanned", out.dirty, out.total, scanned)
+func (m *MCC) timingStage() []string {
+	rep := m.att.rep
+	jobs, scanned := m.timingJobs(m.att.impl)
+	out := m.analyzeTiming(jobs)
+	rep.TimingDelta = out.delta
+	rep.TimingScans += scanned
+	rep.TimingDirty += out.dirty
+	rep.TimingResources += out.total
+	m.note("%d/%d resources dirty, %d scanned", out.dirty, out.total, scanned)
 	if out.transient {
-		ctx.Report.TransientFault = true
+		rep.TransientFault = true
 	}
-	if len(out.findings) > 0 {
-		return &pipeline.Reject{Findings: out.findings}
-	}
-	return nil
+	return out.findings
 }
 
 // timingJob is one resource's share of the timing acceptance test. slot
@@ -1364,7 +1419,7 @@ func (m *MCC) messagesOn(msgs []model.Message) [][]model.Message {
 // at all and no findings are raised: the commit installs the dirty
 // resources' entries pending (committedFills) for the stream scheduler to
 // analyze and verify.
-func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutcome {
+func (m *MCC) analyzeTiming(jobs []timingJob) timingOutcome {
 	m.att.jobs = jobs
 
 	sc, t := &m.scratch, m.snap.res
@@ -1405,10 +1460,7 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutco
 	// before each job (an expired proposal stops analyzing and rejects
 	// with the context error as a finding), and stalls inside the
 	// injector are bounded by the proposal's done channel.
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	ctx := m.att.ctx
 	results := grow(&sc.results, len(jobs))
 	errs := grow(&sc.errs, len(jobs))
 	dirty := sc.dirty[:0]
@@ -1418,11 +1470,11 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutco
 			continue
 		}
 		dirty = append(dirty, i)
-		if ctx != nil && ctx.Expired() {
-			errs[i] = ctx.Ctx.Err()
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
 			continue
 		}
-		results[i], errs[i] = m.runTimingJobSafe(done, jobs[i])
+		results[i], errs[i] = m.runTimingJobSafe(ctx.Done(), jobs[i])
 	}
 	sc.dirty = dirty
 
@@ -1453,7 +1505,7 @@ func (m *MCC) analyzeTiming(ctx *pipeline.Context, jobs []timingJob) timingOutco
 		out.delta = make([]TimingResult, 0, len(dirty))
 		for _, i := range dirty {
 			if errs[i] == nil {
-				out.delta = append(out.delta, pipeline.CloneTimingResult(results[i]))
+				out.delta = append(out.delta, cloneTimingResult(results[i]))
 			}
 		}
 	}
@@ -1569,16 +1621,11 @@ func (m *MCC) runTimingJobSafe(done <-chan struct{}, j timingJob) (res TimingRes
 
 // --- Stage 5: monitor plan -------------------------------------------------
 
-type monitorStage struct{ m *MCC }
-
-func (s *monitorStage) Name() Stage { return StageMonitors }
-
-func (s *monitorStage) Run(ctx *pipeline.Context) error {
-	m := s.m
+func (m *MCC) monitorStage() []string {
 	if m.att.warm {
-		ctx.Report.MonitorDelta = m.monitorDelta(ctx)
+		m.att.rep.MonitorDelta = m.monitorDelta()
 	} else {
-		ctx.Report.MonitorDelta = m.planMonitors(ctx.Impl)
+		m.att.rep.MonitorDelta = m.planMonitors(m.att.impl)
 	}
 	return nil
 }
@@ -1641,44 +1688,39 @@ func appendMonitorSpecs(out []MonitorSpec, j timingJob) []MonitorSpec {
 // the report's FullMonitors handle, which derives it on demand from the
 // committed table (see resTable.materializeMonitors), so the monitor
 // stage's cost follows the change footprint, not the platform size.
-func (m *MCC) monitorDelta(ctx *pipeline.Context) []MonitorSpec {
+func (m *MCC) monitorDelta() []MonitorSpec {
 	var out []MonitorSpec
 	for _, j := range m.att.jobs {
 		out = appendMonitorSpecs(out, j)
 	}
 	sortMonitorSpecs(out)
-	ctx.Note("monitor delta: %d resources rebuilt (%d specs)", len(m.att.jobs), len(out))
+	m.note("monitor delta: %d resources rebuilt (%d specs)", len(m.att.jobs), len(out))
 	return out
 }
 
 // --- Stage 6: commit -------------------------------------------------------
 
-type commitStage struct{ m *MCC }
-
-func (s *commitStage) Name() Stage { return StageCommit }
-
-// Run commits the accepted configuration — the first write of the
+// commitStage commits the accepted configuration — the first write of the
 // attempt. Under partial synthesis the next snapshot is the committed one
 // with the diff-touched parts written under the current epoch (copied
 // first when a window's start snapshot owns them); a from-scratch attempt
 // builds a fresh snapshot. The values a snapshot holds (task slices,
 // result slices, function copies) are immutable once built, so reports
 // and rollback points may alias them.
-func (s *commitStage) Run(ctx *pipeline.Context) error {
-	if s.m.att.warm {
-		s.commitIncremental(ctx)
+func (m *MCC) commitStage() []string {
+	if m.att.warm {
+		m.commitIncremental()
 	} else {
-		s.commitFull(ctx)
+		m.commitFull()
 	}
 	// The just-committed table backs the accepted report's
 	// materialize-on-demand whole-table handle (Report.FullTiming /
-	// FullMonitors). The table pointer is captured by value: later commits
-	// install new tables without disturbing this one, and the chunked
+	// FullMonitors). Later commits install new tables without disturbing
+	// this one, and the chunked
 	// copy-on-write patching keeps the shared storage alive at O(diff)
 	// cost per commit. A pending entry it holds is filled by its window
 	// before the report reaches its caller.
-	t := s.m.snap.res
-	ctx.Report.BindCommitted(t.materializeTiming, t.materializeMonitors)
+	m.att.rep.committed = m.snap.res
 	return nil
 }
 
@@ -1717,8 +1759,7 @@ func (m *MCC) committedFills() []committedRes {
 
 // commitFull builds a fresh snapshot from this attempt's artifacts. A
 // window's start snapshot is left as it was.
-func (s *commitStage) commitFull(ctx *pipeline.Context) {
-	m := s.m
+func (m *MCC) commitFull() {
 	// A wholesale rebuild replaces all incremental state with values
 	// derived from this attempt's artifacts, so any quarantine imposed by
 	// the degradation ladder is lifted: the suspect state is gone.
@@ -1727,7 +1768,7 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 	// The from-scratch job list holds every loaded resource: each job
 	// fills its slot, every other slot stays empty.
 	res := resTableFrom(len(m.procs)+len(m.platform.Networks), m.committedFills())
-	m.snap = m.buildSnapshot(m.candidate(), ctx.Impl, res, &m.att.index)
+	m.snap = m.buildSnapshot(m.candidate(), m.att.impl, res, &m.att.index)
 }
 
 // commitIncremental writes the footprint-sized artifacts of a
@@ -1740,9 +1781,7 @@ func (s *commitStage) commitFull(ctx *pipeline.Context) {
 // the architecture memo (its order is the rank order: an update keeps its
 // place, an addition appends, a removal closes the gap); otherwise
 // Deployed rebuilds it on demand.
-func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
-	m := s.m
-
+func (m *MCC) commitIncremental() {
 	// Committed table: every job fills its slot and every resource that
 	// lost its last load clears its slot, copy-on-write — spine plus
 	// affected chunks, O(diff) — leaving the previous table (a window's
@@ -1756,7 +1795,7 @@ func (s *commitStage) commitIncremental(ctx *pipeline.Context) {
 		whole = m.candidate()
 	}
 	n, e, over := m.ownSnap(), m.epoch, m.att.synth
-	n.impl, n.res, n.fa = ctx.Impl, res, whole
+	n.impl, n.res, n.fa = m.att.impl, res, whole
 	// The flow list and index change only when the change cuts flows;
 	// they are replaced, never written in place.
 	if m.att.flowsCut {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"repro/internal/cpa"
-	"repro/internal/mcc/pipeline"
 )
 
 // StreamScheduler drives a stream of change requests through the MCC in
@@ -24,8 +23,7 @@ import (
 //     stream order; the timing stage builds and digests the dirty task
 //     sets without analyzing them, and an accepted change commits each
 //     dirty resource's table entry pending, with no WCRT table yet.
-//     Every other stage, custom ones included, decides inline, so its
-//     rejections stand as-is.
+//     Every other stage decides inline, so its rejections stand as-is.
 //  2. Analysis: each distinct (task-set digest, policy) analysis of the
 //     pending entries runs once through the shared memoizing analyzer;
 //     then the goroutine yields once. There is no worker pool: a window's
@@ -40,10 +38,8 @@ import (
 //     snapshot, dropping the window's entries with it, and replays the
 //     window serially on the warm analyzer.
 //
-// A custom stage with external side effects would observe optimistic
-// (possibly replayed) state and should not be combined with the
-// scheduler. The scheduler owns the MCC for the duration of Run: it is
-// not safe to propose changes from other goroutines concurrently.
+// The scheduler owns the MCC for the duration of Run: it is not safe to
+// propose changes from other goroutines concurrently.
 type StreamScheduler struct {
 	m *MCC
 	// window is the number of consecutive changes one optimistic window
@@ -199,7 +195,7 @@ verify:
 				break verify
 			}
 			e.res = TimingResult{Resource: e.job.resource, Results: res}
-			delta = append(delta, pipeline.CloneTimingResult(e.res))
+			delta = append(delta, cloneTimingResult(e.res))
 		}
 		p.report.TimingDelta = delta
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"weak"
 
-	"repro/internal/mcc/pipeline"
 	"repro/internal/model"
 )
 
@@ -515,24 +514,20 @@ func TestStreamStatsStringIncludesFaultTelemetry(t *testing.T) {
 
 // --- mid-window context expiry accounting ------------------------------------
 
-// cancelAfter returns a pipeline stage that cancels the given context
-// during its n-th armed run, simulating a deadline expiring while a later
-// window member is mid-pipeline.
-func cancelAfter(n int, cancel context.CancelFunc) (pipeline.Func, *bool) {
+// cancelAfter returns a stage hook that cancels the given context when
+// the n-th armed proposal enters its first stage, simulating a deadline
+// expiring while a later window member is mid-pipeline.
+func cancelAfter(n int, cancel context.CancelFunc) (func(*Report), *bool) {
 	armed := new(bool)
 	runs := 0
-	return pipeline.Func{
-		StageName: "cancel-witness",
-		RunFunc: func(*pipeline.Context) error {
-			if !*armed {
-				return nil
-			}
-			runs++
-			if runs == n {
-				cancel()
-			}
-			return nil
-		},
+	return func(rep *Report) {
+		if !*armed || len(rep.Stages) > 0 {
+			return
+		}
+		runs++
+		if runs == n {
+			cancel()
+		}
 	}, armed
 }
 
@@ -561,26 +556,20 @@ func assertAllDeadlineRejected(t *testing.T, got []*Report) {
 func TestDecidedReportsNotRetained(t *testing.T) {
 	// The controller keeps no report log: once the caller drops a report,
 	// nothing pins it, nor the committed timing table its FullTiming
-	// binds. The witness stage holds a weak pointer to every report a
-	// pipeline pass reaches it with, so the optimistic reports a replayed
-	// window discards are covered as well as the returned ones.
+	// binds. The stage hook holds a weak pointer to every report a stage
+	// runs for, so the optimistic reports a replayed window discards are
+	// covered as well as the returned ones.
 	var weaks []weak.Pointer[Report]
-	witness := pipeline.Func{
-		StageName: "retention-witness",
-		RunFunc: func(ctx *pipeline.Context) error {
-			weaks = append(weaks, weak.Make(ctx.Report))
-			return nil
-		},
-	}
 	p := &model.Platform{
 		Processors: []model.Processor{
 			{Name: "only", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.ASILD},
 		},
 	}
-	m, err := New(p, WithStage(witness))
+	m, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.onStage = func(rep *Report) { weaks = append(weaks, weak.Make(rep)) }
 	returned := 0
 	func() {
 		accepted := m.ProposeUpdate(fn("a", model.ASILD, 10000, 5200, 1))
@@ -629,16 +618,17 @@ func TestStreamSchedulerMidWindowExpiryDiscardAccounting(t *testing.T) {
 	// field must not inflate it (or the Evaluations derived from it).
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stage, armed := cancelAfter(3, cancel)
+	hook, armed := cancelAfter(3, cancel)
 	p := &model.Platform{
 		Processors: []model.Processor{
 			{Name: "only", Policy: model.SPP, SpeedFactor: 1.0, RAMKiB: 8192, MaxSafety: model.ASILD},
 		},
 	}
-	m, err := New(p, WithStage(stage))
+	m, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.onStage = hook
 	if rep := m.ProposeUpdate(fn("a", model.ASILD, 10000, 5200, 1)); !rep.Accepted {
 		t.Fatalf("baseline rejected: %v", rep.Findings)
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/fleet"
 	"repro/internal/mcc"
 	"repro/internal/model"
 )
@@ -33,7 +35,10 @@ import (
 // before it at the platform sizes the benchmarks run, not only on the
 // small fuzz fleets of the parity corpus. The E14 column replays the logs
 // under the worker-panic fault rule: every faulted proposal is re-decided
-// on the pinned path, and the lines must still equal the clean log's.
+// on the pinned path, and the lines must still equal the clean log's. The
+// restart column decides the E13 log through a fleet server that restarts
+// from its commit journal mid-stream, and its lines must equal the log's
+// too.
 //
 // Regenerate with
 //
@@ -286,6 +291,57 @@ func TestGoldenDecisionLogWorkerPanic(t *testing.T) {
 					t.Fatalf("no Degraded decision at %dp: the fault rule never reached the pinned path", procs)
 				}
 				t.Logf("%d degraded decisions", degraded)
+			})
+		}
+	}
+}
+
+// goldenRestartAfter lists the restart points of the restart column: the
+// server restarts once it has decided this many changes of the stream.
+var goldenRestartAfter = []int{0, 1, 31, 63}
+
+// goldenRestartSizes lists the sizes of the restart column.
+var goldenRestartSizes = []int{32, 128}
+
+// TestGoldenDecisionLogRestart is the restart column: the E13 log's
+// streams decided through a fleet.Server with a commit journal, drained
+// and restarted from the journal after k changes. The restarted server
+// rebuilds the vehicle by replaying its baseline and accepted changes,
+// and every line, before the restart and after it, must equal the
+// committed log's.
+func TestGoldenDecisionLogRestart(t *testing.T) {
+	log := goldenLogs[0]
+	golden := readGolden(t, log)
+	for _, procs := range goldenRestartSizes {
+		fl, changes := log.stream(procs)
+		for _, k := range goldenRestartAfter {
+			t.Run(fmt.Sprintf("%dp/restart-after-%d", procs, k), func(t *testing.T) {
+				cfg := fleet.Config{JournalPath: filepath.Join(t.TempDir(), "fleet.journal")}
+				srv, err := fleet.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Drain() })
+				if err := srv.AddVehicle("v", fl.Platform, fl.Baseline); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]string, 0, len(changes))
+				for i, c := range changes {
+					if i == k {
+						if rep := srv.Drain(); rep.JournalErr != nil {
+							t.Fatalf("drain after %d changes: %v", k, rep.JournalErr)
+						}
+						if srv, err = fleet.New(cfg); err != nil {
+							t.Fatalf("restart after %d changes: %v", k, err)
+						}
+					}
+					d := srv.Propose(context.Background(), "v", c)
+					if d.Report == nil {
+						t.Fatalf("change %d replied %s without a report", i, d.Verdict)
+					}
+					got = append(got, goldenLine(procs, i, d.Report))
+				}
+				goldenCompare(t, log.path, got, golden[procs])
 			})
 		}
 	}

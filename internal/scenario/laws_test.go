@@ -22,9 +22,11 @@ import (
 //     ProposeRemoval equals proposing applyChange(Deployed(), c) with
 //     ProposeArchitecture to a twin in the same committed state — verdict,
 //     stage, findings and the committed state after it — and re-proposing
-//     Deployed() is accepted and changes nothing. Both sides are fresh
-//     replays of the stream, so the laws below still start from the state
-//     the stream's warm decisions left;
+//     Deployed() is accepted and changes nothing. The changes include the
+//     removal of a committed flow's sink, which cuts the flow and must be
+//     accepted: no generated stream removes a flow endpoint. Both sides
+//     are fresh replays of the stream, so the laws below still start from
+//     the state the stream's warm decisions left;
 //   - idempotence: a committed function proposed unchanged is accepted
 //     with 0 timing scans and 0 memo misses, and changes nothing;
 //   - inverse: an accepted update that keeps every placement, followed by
@@ -146,6 +148,18 @@ func wholeCandidate(fa *model.FunctionalArchitecture, c mcc.Change) *model.Funct
 	return fa.WithoutFunction(c.Remove)
 }
 
+// flowSink returns the sink of fa's last flow that provides no service:
+// removing it cuts the flow and orphans no requirer. It returns "" when
+// fa has no such flow.
+func flowSink(fa *model.FunctionalArchitecture) string {
+	for i := len(fa.Flows) - 1; i >= 0; i-- {
+		if f := fa.FunctionByName(fa.Flows[i].To); f != nil && len(f.Provides) == 0 {
+			return f.Name
+		}
+	}
+	return ""
+}
+
 // wholeStream is the number of stream changes, past the fleet's decided
 // ones, that the whole-candidate law decides besides its sampled updates
 // and removal.
@@ -207,8 +221,14 @@ func lawCases() []lawCase {
 			if d := diffState(before, captureState(t, p, twin)); d != "" {
 				t.Fatalf("re-proposing Deployed() changed %s", d)
 			}
+			// The flow sink's removal comes first, so the changes after it
+			// decide on, and commit over, the flows it cut.
+			sink := flowSink(before.fa)
+			if sink == "" {
+				t.Fatal("no committed flow sink to remove, the flow-cutting row went unexercised")
+			}
 			n := len(lf.changes)
-			changes := lf.fleet.Changes(n + wholeStream)[n:]
+			changes := append([]mcc.Change{{Remove: sink}}, lf.fleet.Changes(n + wholeStream)[n:]...)
 			for i, f := range sampled(before.fa.Functions) {
 				if i == 0 {
 					changes = append(changes, mcc.Change{Remove: f.Name})
@@ -217,8 +237,12 @@ func lawCases() []lawCase {
 				upd := perturbed(f)
 				changes = append(changes, mcc.Change{Update: &upd})
 			}
-			for _, c := range changes {
+			for i, c := range changes {
 				got := proposeChaosChange(warm, c)
+				if i == 0 && !got.Accepted {
+					t.Fatalf("removal of flow sink %s decided %s %v, want accepted: the flow-cutting row went unexercised",
+						sink, verdict(got), got.Findings)
+				}
 				want := twin.ProposeArchitecture(wholeCandidate(twin.Deployed(), c))
 				if verdict(got) != verdict(want) || !slices.Equal(got.Findings, want.Findings) {
 					t.Fatalf("%v decided %s %v, its whole candidate %s %v",
