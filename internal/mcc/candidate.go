@@ -60,7 +60,7 @@ func applyChange(fa *model.FunctionalArchitecture, c Change) *model.FunctionalAr
 // change's whole candidate on the from-scratch pass, which depends only on
 // the committed architecture.
 func (m *MCC) fastPathReady() bool {
-	return !m.quarantined && m.warm() && m.snap.fns.n > 0
+	return !m.quarantined && m.warm() && len(m.snap.fns) > 0
 }
 
 // name is the one function name c touches.

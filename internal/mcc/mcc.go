@@ -37,6 +37,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -55,16 +56,13 @@ type MCC struct {
 	// implementation model, the timing table and the incremental engine's
 	// lookup state (see snapshot.go); cold, with an empty architecture,
 	// before the first commit. Proposals write nothing before their commit
-	// stage, which builds the next snapshot from the attempt's artifacts —
-	// whole (commitFull) or by writing the diff-touched parts under epoch
-	// (commitIncremental) — so a rejection leaves the snapshot as it was, a
-	// window's start snapshot is never written, and rollback restores its
-	// pointer.
+	// stage, which builds a fresh snapshot from the attempt's artifacts
+	// (commitFull) or writes the diff-touched parts in place
+	// (commitIncremental), so a rejection leaves the snapshot as it was.
 	snap *snapshot
-	// epoch owns the snapshot parts the current commits may write in
-	// place; beginWindow bumps it. epochs is the last token newEpoch
-	// handed out.
-	epoch, epochs uint64
+	// undo is the open stream window's first-write undo record (armed by
+	// beginWindow, applied by rollbackWindow).
+	undo windowUndo
 	// att is the stage-to-stage handoff of the pass in progress, reset by
 	// newPass.
 	att attempt
@@ -216,7 +214,6 @@ func New(p *model.Platform, opts ...Option) (*MCC, error) {
 		layout:         newCapLayout(p),
 		snap:           &snapshot{fa: &model.FunctionalArchitecture{}},
 	}
-	m.epoch = m.newEpoch()
 	for _, o := range opts {
 		o(m)
 	}
@@ -243,8 +240,7 @@ func (m *MCC) Analyzer() *cpa.Analyzer { return m.analyzer }
 func (m *MCC) Deployed() *model.FunctionalArchitecture {
 	s := m.snap
 	if s.fa == nil {
-		ents := make([]fnEntry, 0, s.fns.n)
-		s.fns.each(func(_ string, e fnEntry) { ents = append(ents, e) })
+		ents := slices.AppendSeq(make([]fnEntry, 0, len(s.fns)), maps.Values(s.fns))
 		slices.SortFunc(ents, func(a, b fnEntry) int { return cmp.Compare(a.rank, b.rank) })
 		fa := &model.FunctionalArchitecture{Functions: make([]model.Function, len(ents)), Flows: s.flows}
 		for i, e := range ents {
@@ -341,13 +337,12 @@ func (m *MCC) DeployedImpl() *model.ImplementationModel {
 	}
 	if impl.Tech != nil && impl.Tech.Instances == nil {
 		// Entries concatenated by name reproduce both lists' flat order.
-		names := make([]string, 0, m.snap.fns.n)
-		m.snap.fns.each(func(name string, _ fnEntry) { names = append(names, name) })
-		sort.Strings(names)
+		names := slices.AppendSeq(make([]string, 0, len(m.snap.fns)), maps.Keys(m.snap.fns))
+		slices.Sort(names)
 		insts := make([]model.Instance, 0, m.snap.instTotal) // non-nil: the memo sticks
 		var conns []model.Connection                         // nil when empty, as synthesis leaves it
 		for _, name := range names {
-			e := m.snap.fns.get(name)
+			e := m.snap.fns[name]
 			insts, conns = append(insts, e.insts...), append(conns, e.conns...)
 		}
 		impl.Tech.Instances, impl.Connections = insts, conns

@@ -16,8 +16,9 @@ import (
 // utilization scales to the same charge on each, so within a class the
 // rule is "lowest (load, index)". A min segment tree per class answers
 // that in O(log P) while capacity is not tight. Every class tree lives in
-// one persistent node array (snapshot.capacity), written through the
-// epoch-owned chunks.set like the rest of the snapshot.
+// one node array (snapshot.capacity), which a warm commit writes in place
+// leaf by leaf (capLayout.set) and a from-scratch commit or a window
+// rollback derives whole (MCC.capacityIndex).
 
 // capNode is one node of a class tree. A leaf is one processor: its load
 // in ppm of its own capacity, its free RAM and its platform index. An
@@ -62,12 +63,9 @@ type capLayout struct {
 	classes []capClass
 	// leaf maps each platform processor to its class and heap node.
 	leaf []struct{ class, k int32 }
-	// nodes is the length of the node array.
-	nodes int
-	// zero is the index at zero load, owned by epoch 0, which newEpoch
-	// never hands out: every write copies, so it is never changed. The
-	// cold mapping starts from it.
-	zero chunks[capNode]
+	// zero is the node array at zero load, never written: the cold
+	// mapping places on a clone of it, and a derivation starts from it.
+	zero []capNode
 }
 
 // newCapLayout groups p's processors into placement classes, in order of
@@ -92,19 +90,27 @@ func newCapLayout(p *model.Platform) *capLayout {
 		l.leaf[i].class, l.leaf[i].k = c, members[c]
 		members[c]++
 	}
+	nodes := 0
 	for ci := range l.classes {
 		c := &l.classes[ci]
 		c.size = 1
 		for c.size < int(members[ci]) {
 			c.size <<= 1
 		}
-		c.base = l.nodes
-		l.nodes += 2*c.size - 1
+		c.base = nodes
+		nodes += 2*c.size - 1
 	}
 	for i := range l.leaf {
 		l.leaf[i].k += int32(l.classes[l.leaf[i].class].size)
 	}
-	l.zero = l.tree(0, l.leaves(p))
+	l.zero = make([]capNode, nodes)
+	for i := range l.zero {
+		l.zero[i] = capNode{free: math.MinInt64, proc: -1}
+	}
+	for i := range p.Processors {
+		l.zero[l.pos(i)] = capNode{free: p.Processors[i].RAMKiB, proc: int32(i)}
+	}
+	l.tree(l.zero)
 	return l
 }
 
@@ -114,44 +120,49 @@ func (l *capLayout) pos(i int) int {
 	return l.classes[lf.class].base + int(lf.k) - 1
 }
 
-// leaves returns a node array with every processor's leaf at zero load and
-// every padding leaf empty; tree fills in the inner nodes.
-func (l *capLayout) leaves(p *model.Platform) []capNode {
-	nodes := make([]capNode, l.nodes)
-	for i := range nodes {
-		nodes[i] = capNode{free: math.MinInt64, proc: -1}
-	}
-	for i := range p.Processors {
-		nodes[l.pos(i)] = capNode{free: p.Processors[i].RAMKiB, proc: int32(i)}
-	}
-	return nodes
-}
-
-// tree computes the inner nodes over the leaves of nodes and returns the
-// array as an index owned by epoch e.
-func (l *capLayout) tree(e uint64, nodes []capNode) chunks[capNode] {
+// tree computes the inner nodes over the leaves of nodes, in place, and
+// returns nodes.
+func (l *capLayout) tree(nodes []capNode) []capNode {
 	for _, c := range l.classes {
 		for k := c.size - 1; k >= 1; k-- {
 			nodes[c.base+k-1] = join(nodes[c.base+2*k-1], nodes[c.base+2*k])
 		}
 	}
-	return chunksFrom(e, nodes)
+	return nodes
 }
 
-// set writes leaf n into index t under epoch e and recomputes its root
-// path, stopping at the first inner node that comes out unchanged.
-func (l *capLayout) set(t *chunks[capNode], e uint64, n capNode) {
+// set writes leaf n into index t and recomputes its root path, stopping
+// at the first inner node that comes out unchanged.
+func (l *capLayout) set(t []capNode, n capNode) {
 	lf := l.leaf[n.proc]
 	c := &l.classes[lf.class]
 	k := int(lf.k)
-	t.set(e, c.base+k-1, n)
+	t[c.base+k-1] = n
 	for k >>= 1; k >= 1; k >>= 1 {
-		j := join(*t.at(c.base + 2*k - 1), *t.at(c.base + 2*k))
-		if *t.at(c.base + k - 1) == j {
+		j := join(t[c.base+2*k-1], t[c.base+2*k])
+		if t[c.base+k-1] == j {
 			return
 		}
-		t.set(e, c.base+k-1, j)
+		t[c.base+k-1] = j
 	}
+}
+
+// capacityIndex writes into nodes the capacity index over the loads of
+// the residents in procs, each charged by its function's entry in fns,
+// and returns it: the derivation of a from-scratch commit and of a window
+// rollback.
+func (m *MCC) capacityIndex(nodes []capNode, procs []procState, fns map[string]fnEntry) []capNode {
+	copy(nodes, m.layout.zero)
+	for i := range procs {
+		leaf := &nodes[m.layout.pos(i)]
+		for _, in := range procs[i].insts {
+			if f := fns[in.Function].fn; f != nil {
+				leaf.util += scaleUtilPPM(utilPPM(f), m.platform.Processors[i].SpeedFactor)
+				leaf.free -= f.Contract.Resources.RAMKiB
+			}
+		}
+	}
+	return m.layout.tree(nodes)
 }
 
 // ProcessorLoad is one processor's committed load as the capacity index
@@ -170,7 +181,7 @@ func (m *MCC) CommittedLoads() []ProcessorLoad {
 	}
 	out := make([]ProcessorLoad, len(m.platform.Processors))
 	for i := range out {
-		n := m.snap.capacity.at(m.layout.pos(i))
+		n := m.snap.capacity[m.layout.pos(i)]
 		out[i] = ProcessorLoad{n.util, n.free}
 	}
 	return out
@@ -181,13 +192,12 @@ func (m *MCC) CommittedLoads() []ProcessorLoad {
 // certification, utilization cap, RAM budget, replica separation) live in
 // exactly one place. Loads it changes go to the overlay, which the warm
 // start hands to the commit; a from-scratch mapping flushes it into its
-// own copy of the zero index.
+// own clone of the zero index.
 type placer struct {
-	m    *MCC
-	tree chunks[capNode]
-	// e owns tree when the placer has an index of its own (flush writes
-	// it); 0 for the committed index, which it never writes.
-	e uint64
+	m *MCC
+	// tree is the index placed on: the committed one, never written, or
+	// the cold mapping's own, which flush writes.
+	tree []capNode
 	// over holds the current leaf of every processor this mapping charged
 	// or discounted; the index still holds their earlier loads.
 	over []capNode
@@ -208,7 +218,7 @@ func (p *placer) charge(f *model.Function, i int, sign int64) {
 	k := slices.IndexFunc(p.over, func(n capNode) bool { return n.proc == int32(i) })
 	if k < 0 {
 		k = len(p.over)
-		p.over = append(p.over, *p.tree.at(p.m.layout.pos(i)))
+		p.over = append(p.over, p.tree[p.m.layout.pos(i)])
 	}
 	p.over[k].util += sign * scaleUtilPPM(utilPPM(f), p.m.platform.Processors[i].SpeedFactor)
 	p.over[k].free -= sign * f.Contract.Resources.RAMKiB
@@ -226,7 +236,7 @@ func (p *placer) discount(f *model.Function, proc string) bool {
 // flush writes the overlay into the placer's own index and empties it.
 func (p *placer) flush() {
 	for _, n := range p.over {
-		p.m.layout.set(&p.tree, p.e, n)
+		p.m.layout.set(p.tree, n)
 	}
 	p.over = p.over[:0]
 }
@@ -288,7 +298,7 @@ func (p *placer) beats(util int64, proc int32) bool {
 // exclusions and tight capacity the descent walks one root path.
 func (p *placer) descend(c *capClass, k int, s, ram int64) {
 	p.visits++
-	n := *p.tree.at(c.base + k - 1)
+	n := p.tree[c.base+k-1]
 	if n.proc < 0 || n.util+s > 1_000_000 || n.free < ram || !p.beats(n.util+s, n.proc) {
 		return
 	}
@@ -299,7 +309,7 @@ func (p *placer) descend(c *capClass, k int, s, ram int64) {
 		return
 	}
 	first := 2 * k
-	if p.tree.at(c.base+first).proc == n.proc {
+	if p.tree[c.base+first].proc == n.proc {
 		first++
 	}
 	p.descend(c, first, s, ram)

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -58,7 +59,7 @@ func effectiveLoads(p *placer) []refLoad {
 	pl := p.m.platform
 	loads := make([]refLoad, len(pl.Processors))
 	for i := range loads {
-		n := *p.tree.at(p.m.layout.pos(i))
+		n := p.tree[p.m.layout.pos(i)]
 		loads[i] = refLoad{n.util, pl.Processors[i].RAMKiB - n.free}
 	}
 	for _, n := range p.over {
@@ -68,23 +69,14 @@ func effectiveLoads(p *placer) []refLoad {
 }
 
 // indexOf builds a fresh capacity index over the given loads.
-func indexOf(m *MCC, e uint64, loads []refLoad) chunks[capNode] {
-	nodes := m.layout.leaves(m.platform)
+func indexOf(m *MCC, loads []refLoad) []capNode {
+	nodes := slices.Clone(m.layout.zero)
 	for i, l := range loads {
 		leaf := &nodes[m.layout.pos(i)]
 		leaf.util += l.util
 		leaf.free -= l.ram
 	}
-	return m.layout.tree(e, nodes)
-}
-
-// nodesOf flattens an index.
-func nodesOf(t *chunks[capNode]) []capNode {
-	out := make([]capNode, t.n)
-	for i := range out {
-		out[i] = *t.at(i)
-	}
-	return out
+	return m.layout.tree(nodes)
 }
 
 // capCase is one random placement problem: a multi-class platform with
@@ -151,7 +143,7 @@ func checkCapCase(t *testing.T, rng *rand.Rand) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &placer{m: m, tree: indexOf(m, m.newEpoch(), loads)}
+	p := &placer{m: m, tree: indexOf(m, loads)}
 	for i := range pl.Processors {
 		if l, ok := over[i]; ok {
 			p.over = append(p.over, capNode{util: l.util, free: pl.Processors[i].RAMKiB - l.ram, proc: int32(i)})
@@ -168,10 +160,8 @@ func checkCapCase(t *testing.T, rng *rand.Rand) {
 			t.Fatalf("loads after placing %s: index %v, scan %v", f.Name, eff, ref)
 		}
 		if rng.Intn(2) == 0 {
-			p.e = m.newEpoch()
 			p.flush()
-			fresh := indexOf(m, m.newEpoch(), ref)
-			if got, want := nodesOf(&p.tree), nodesOf(&fresh); !reflect.DeepEqual(got, want) {
+			if got, want := p.tree, indexOf(m, ref); !reflect.DeepEqual(got, want) {
 				t.Fatalf("index after flush diverges from a rebuild:\nflushed %v\nrebuilt %v", got, want)
 			}
 		}
@@ -252,7 +242,7 @@ func TestWarmPlacementVisitsLogP(t *testing.T) {
 				continue
 			}
 			p := &placer{m: m, tree: s.capacity}
-			for _, in := range s.fns.get(f.Name).insts {
+			for _, in := range s.fns[f.Name].insts {
 				p.discount(f, in.Processor)
 			}
 			upd := *f

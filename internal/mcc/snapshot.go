@@ -1,7 +1,6 @@
 package mcc
 
 import (
-	"hash/maphash"
 	"slices"
 
 	"repro/internal/model"
@@ -11,223 +10,18 @@ import (
 // This file implements the committed snapshot: the one value that holds
 // everything the controller has committed — the functional architecture,
 // the implementation model, the timing table, and the lookup state of
-// the incremental engine — and the two persistent containers it is built
-// from (a chunked array and a hash-bucketed map).
+// the incremental engine — and the undo record that rolls a stream
+// window's commits back.
 //
-// Both containers use the "transient" idiom of persistent data
-// structures. Every chunk, bucket and spine records the epoch that owns
-// it; a write under epoch e changes a part in place when e owns it and
-// copies the part (once, taking ownership) when an older epoch does. A
-// stream window bumps the controller's epoch when it opens, so its start
-// snapshot is never written: the window's commits copy exactly the parts
-// they touch, and rollback restores the start pointer. Serial commits
-// outside a window own what they wrote last and keep writing in place.
-
-// newEpoch hands out a fresh epoch token: window epochs and the one-shot
-// tokens of timing-table patches share the counter, so no two owners
-// collide. Commits are serial, so the counter needs no synchronization.
-func (m *MCC) newEpoch() uint64 {
-	m.epochs++
-	return m.epochs
-}
-
-const (
-	// chunkShift sets the chunk size of the persistent arrays (16
-	// entries): a one-entry write copies one chunk — 16 entries, 136 B for
-	// the timing table's pointer slots, about 0.4–0.8 KiB for the
-	// per-processor states and capacity nodes — plus the spine, which
-	// stays at 128 pointers for 2048 entries.
-	chunkShift = 4
-	chunkSize  = 1 << chunkShift
-	chunkMask  = chunkSize - 1
-)
-
-// chunk is one fixed-size run of a persistent array, owned by epoch.
-type chunk[T any] struct {
-	epoch uint64
-	v     [chunkSize]T
-}
-
-// chunks is a persistent array: fixed-size chunks behind a pointer spine,
-// with epoch-owned copy-on-write writes (see set). The zero value is a
-// valid empty array.
-type chunks[T any] struct {
-	spine []*chunk[T]
-	n     int
-	epoch uint64 // owner of spine
-}
-
-// chunksFrom builds an array owned by epoch from a flat list (copied).
-func chunksFrom[T any](epoch uint64, list []T) chunks[T] {
-	a := chunks[T]{spine: make([]*chunk[T], (len(list)+chunkMask)>>chunkShift), n: len(list), epoch: epoch}
-	for ci := range a.spine {
-		c := &chunk[T]{epoch: epoch}
-		copy(c.v[:], list[ci<<chunkShift:])
-		a.spine[ci] = c
-	}
-	return a
-}
-
-// at returns entry i. The storage may be shared with other snapshots:
-// callers write only through set.
-func (a *chunks[T]) at(i int) *T { return &a.spine[i>>chunkShift].v[i&chunkMask] }
-
-// set writes entry i under epoch e, first copying the spine and the
-// entry's chunk if an older epoch owns them.
-func (a *chunks[T]) set(e uint64, i int, v T) {
-	if a.epoch != e {
-		a.spine, a.epoch = slices.Clone(a.spine), e
-	}
-	ci := i >> chunkShift
-	if c := a.spine[ci]; c.epoch != e {
-		cp := *c
-		cp.epoch = e
-		a.spine[ci] = &cp
-	}
-	a.spine[ci].v[i&chunkMask] = v
-}
-
-// pmap is a persistent string-keyed hash map: a power-of-two spine of
-// small entry buckets, with the same epoch-owned copy-on-write writes as
-// chunks. The zero value is an empty map that must not be written.
-type pmap[V any] struct {
-	spine []*pbucket[V]
-	n     int
-	epoch uint64 // owner of spine
-}
-
-type pbucket[V any] struct {
-	epoch uint64
-	ents  []pentry[V]
-}
-
-type pentry[V any] struct {
-	key string
-	val V
-}
-
-var pmapSeed = maphash.MakeSeed()
-
-// newPmap returns an empty map owned by epoch, sized for about hint
-// entries (four per bucket).
-func newPmap[V any](epoch uint64, hint int) pmap[V] {
-	nb := 16
-	for 4*nb < hint {
-		nb <<= 1
-	}
-	return pmap[V]{spine: make([]*pbucket[V], nb), epoch: epoch}
-}
-
-// pmapOf builds a map owned by epoch from entries with distinct keys: the
-// bulk form of put for a from-scratch build, which sizes every bucket
-// exactly and carves all of them from one array (capacity-clipped, so a
-// later put copies before it grows one).
-func pmapOf[V any](epoch uint64, ents []pentry[V]) pmap[V] {
-	p := newPmap[V](epoch, len(ents))
-	slots := make([]int32, len(ents))
-	count := make([]int, len(p.spine))
-	for i := range ents {
-		slots[i] = int32(p.slot(ents[i].key))
-		count[slots[i]]++
-	}
-	buckets := make([]pbucket[V], len(p.spine))
-	all, off := make([]pentry[V], len(ents)), 0
-	for i, c := range count {
-		if c > 0 {
-			buckets[i] = pbucket[V]{epoch: epoch, ents: all[off : off : off+c]}
-			p.spine[i] = &buckets[i]
-			off += c
-		}
-	}
-	for i, en := range ents {
-		b := p.spine[slots[i]]
-		b.ents = append(b.ents, en)
-	}
-	p.n = len(ents)
-	return p
-}
-
-func (p *pmap[V]) slot(key string) int {
-	return int(maphash.String(pmapSeed, key) & uint64(len(p.spine)-1))
-}
-
-// get returns the value stored under key (the zero value if absent).
-func (p *pmap[V]) get(key string) V {
-	var zero V
-	if len(p.spine) == 0 {
-		return zero
-	}
-	if b := p.spine[p.slot(key)]; b != nil {
-		for i := range b.ents {
-			if b.ents[i].key == key {
-				return b.ents[i].val
-			}
-		}
-	}
-	return zero
-}
-
-// own returns bucket i writable under epoch e, copying the spine and the
-// bucket first if an older epoch owns them.
-func (p *pmap[V]) own(e uint64, i int) *pbucket[V] {
-	if p.epoch != e {
-		p.spine, p.epoch = slices.Clone(p.spine), e
-	}
-	b := p.spine[i]
-	if b == nil || b.epoch != e {
-		nb := &pbucket[V]{epoch: e}
-		if b != nil {
-			nb.ents = slices.Clone(b.ents)
-		}
-		p.spine[i], b = nb, nb
-	}
-	return b
-}
-
-// put stores key=v under epoch e, doubling the spine once buckets
-// average more than eight entries.
-func (p *pmap[V]) put(e uint64, key string, v V) {
-	b := p.own(e, p.slot(key))
-	for i := range b.ents {
-		if b.ents[i].key == key {
-			b.ents[i].val = v
-			return
-		}
-	}
-	b.ents = append(b.ents, pentry[V]{key, v})
-	if p.n++; p.n > 8*len(p.spine) {
-		old := *p
-		*p = newPmap[V](e, 8*len(old.spine))
-		old.each(func(key string, v V) { p.put(e, key, v) })
-	}
-}
-
-// del removes key under epoch e.
-func (p *pmap[V]) del(e uint64, key string) {
-	i := p.slot(key)
-	b := p.spine[i]
-	if b == nil {
-		return
-	}
-	k := slices.IndexFunc(b.ents, func(en pentry[V]) bool { return en.key == key })
-	if k < 0 {
-		return
-	}
-	b = p.own(e, i)
-	b.ents = slices.Delete(b.ents, k, k+1)
-	p.n--
-}
-
-// each calls fn for every entry, in no particular order.
-func (p *pmap[V]) each(fn func(key string, v V)) {
-	for _, b := range p.spine {
-		if b != nil {
-			for _, en := range b.ents {
-				fn(en.key, en.val)
-			}
-		}
-	}
-}
+// Commits write the snapshot in place: a warm commit writes the entries
+// its change touched into the snapshot's maps and slices, and a
+// from-scratch commit installs a fresh snapshot. A stream window keeps
+// its start header by value and arms the controller's windowUndo, which
+// keeps the value every committed function, service list and processor
+// entry held before the window's first write to it; rollback writes those
+// values back and re-derives the capacity index from them. Only the
+// timing table is patched copy-on-write (restable.go), because reports
+// bind it.
 
 // fnEntry is one committed function: the function (a standalone copy on an
 // incremental commit, the committed architecture's own entry on a
@@ -253,12 +47,13 @@ type procState struct {
 // snapshot is the committed state of the controller. impl and res are
 // installed by every commit; the remaining fields but fa are the lookup
 // state of the incremental engine, present exactly when warm is set
-// (commitFull builds all of it, a purge drops all of it). Slices and maps
-// a snapshot holds are never written in place (the memoized fa and
-// DeployedImpl's memoized flat lists of impl aside); chunks and buckets
-// are written only by their owning epoch.
+// (commitFull builds all of it, a purge drops all of it). A warm commit
+// writes the maps and slices in place, entry by entry; what an entry
+// points to (task and instance slices, name lists, function copies) is
+// never written in place, so reports and a window's undo record may
+// alias it. DeployedImpl's memoized flat lists of impl and the memoized
+// fa are written once, on first use.
 type snapshot struct {
-	epoch uint64 // owner of this header
 	// fa memoizes the committed functional architecture. A from-scratch
 	// commit installs its candidate, and so does a warm commit whose pass
 	// materialized it; after any other commit it is nil and Deployed
@@ -266,9 +61,8 @@ type snapshot struct {
 	// always holds it.
 	fa   *model.FunctionalArchitecture
 	impl *model.ImplementationModel
-	// res is the committed timing table (see resTable). It is always
-	// patched copy-on-write, never by epoch, because accepted reports
-	// bind it.
+	// res is the committed timing table (see resTable). It is patched
+	// copy-on-write, never in place, because accepted reports bind it.
 	res  *resTable
 	warm bool
 
@@ -277,11 +71,11 @@ type snapshot struct {
 	// committed loads (see capLayout): one min segment tree per placement
 	// class, whose leaves are the per-processor load accounting. A commit
 	// writes the leaves the warm start changed and their root paths.
-	procs    chunks[procState]
-	capacity chunks[capNode]
+	procs    []procState
+	capacity []capNode
 	// fns maps each committed function name to its entry; nextSeq is the
 	// rank the next added function takes (an update keeps its rank).
-	fns     pmap[fnEntry]
+	fns     map[string]fnEntry
 	nextSeq uint64
 	// flows is the committed flow list.
 	flows []model.Flow
@@ -289,7 +83,7 @@ type snapshot struct {
 	// committed requirers, both by ascending name: the validation fast
 	// path's "is this service provided", the session graph's provider
 	// election (the first provider is elected) and its rewiring set.
-	prov, req pmap[[]string]
+	prov, req map[string][]string
 	// flowTouch holds every function name a committed flow references:
 	// whether a removal cuts flows (newPass) and the message-rebuild
 	// test.
@@ -298,45 +92,35 @@ type snapshot struct {
 	instTotal int
 }
 
-// buildSnapshot derives a whole snapshot, owned by the controller's
-// current epoch, from a committed configuration and its pass index ix:
-// the from-scratch commit path, and the reference the snapshot-parity
-// test hook compares against (with an index of its own derivation).
-// Without the incremental engine only impl and res are kept.
+// buildSnapshot derives a whole snapshot from a committed configuration
+// and its pass index ix: the from-scratch commit path, and the reference
+// the snapshot-parity test hook compares against (with an index of its
+// own derivation). Without the incremental engine only impl and res are
+// kept.
 func (m *MCC) buildSnapshot(fa *model.FunctionalArchitecture, impl *model.ImplementationModel, res *resTable, ix *passIndex) *snapshot {
-	e := m.epoch
-	s := &snapshot{epoch: e, fa: fa, impl: impl, res: res}
+	s := &snapshot{fa: fa, impl: impl, res: res}
 	if !m.incremental {
 		return s
 	}
 	s.warm = true
 	rows := clientRows(impl.Connections, len(fa.Functions))
-	ents := make([]pentry[fnEntry], len(fa.Functions))
+	s.fns, s.nextSeq = make(map[string]fnEntry, len(fa.Functions)), uint64(len(fa.Functions))
 	for i := range fa.Functions {
 		f := &fa.Functions[i]
-		ents[i] = pentry[fnEntry]{f.Name, fnEntry{f, uint64(i), ix.insts[f.Name], rows[f.Name]}}
+		s.fns[f.Name] = fnEntry{f, uint64(i), ix.insts[f.Name], rows[f.Name]}
 	}
-	s.fns, s.nextSeq = pmapOf(e, ents), uint64(len(ents))
 	// The index's resident lists are in Instance.Less order and its task
 	// lists in priority order: the orders the incremental synthesis keeps.
-	procs := make([]procState, len(m.platform.Processors))
-	nodes := m.layout.leaves(m.platform)
+	s.procs = make([]procState, len(m.platform.Processors))
 	for i, insts := range ix.instsOn {
-		procs[i].insts = insts
-		leaf := &nodes[m.layout.pos(i)]
-		for _, in := range insts {
-			if f := ix.fns[in.Function]; f != nil {
-				leaf.util += scaleUtilPPM(utilPPM(f), m.platform.Processors[i].SpeedFactor)
-				leaf.free -= f.Contract.Resources.RAMKiB
-			}
-		}
+		s.procs[i].insts = insts
 	}
 	for i, tasks := range ix.tasksOn {
-		procs[i].tasks = tasks
+		s.procs[i].tasks = tasks
 	}
-	s.procs, s.capacity = chunksFrom(e, procs), m.layout.tree(e, nodes)
-	s.prov = nameLists(e, fa, func(f *model.Function) []string { return f.Provides })
-	s.req = nameLists(e, fa, func(f *model.Function) []string { return f.Requires })
+	s.capacity = m.capacityIndex(make([]capNode, len(m.layout.zero)), s.procs, s.fns)
+	s.prov = nameLists(fa, func(f *model.Function) []string { return f.Provides })
+	s.req = nameLists(fa, func(f *model.Function) []string { return f.Requires })
 	s.flows, s.flowTouch = fa.Flows, flowTouchIndex(fa.Flows)
 	s.instTotal = len(impl.Tech.Instances)
 	return s
@@ -366,45 +150,101 @@ func clientRows(conns []model.Connection, hint int) map[string][]model.Connectio
 
 // nameLists maps each service that services(f) names for some function
 // f of fa to the ascending names of those functions.
-func nameLists(e uint64, fa *model.FunctionalArchitecture, services func(*model.Function) []string) pmap[[]string] {
+func nameLists(fa *model.FunctionalArchitecture, services func(*model.Function) []string) map[string][]string {
 	by := make(map[string][]string, len(fa.Functions))
 	for i := range fa.Functions {
 		for _, svc := range services(&fa.Functions[i]) {
 			by[svc] = append(by[svc], fa.Functions[i].Name)
 		}
 	}
-	ents := make([]pentry[[]string], 0, len(by))
 	for svc, names := range by {
 		slices.Sort(names)
-		ents = append(ents, pentry[[]string]{svc, slices.Compact(names)})
+		by[svc] = slices.Compact(names)
 	}
-	return pmapOf(e, ents)
+	return by
 }
 
 // fn returns the committed function of the given name, or nil.
-func (s *snapshot) fn(name string) *model.Function { return s.fns.get(name).fn }
+func (s *snapshot) fn(name string) *model.Function { return s.fns[name].fn }
 
 // proc returns the committed state of the named processor.
-func (m *MCC) proc(pn string) *procState { return m.snap.procs.at(m.procIdx[pn]) }
+func (m *MCC) proc(pn string) *procState { return &m.snap.procs[m.procIdx[pn]] }
 
-// ownSnap returns the snapshot header writable under the current epoch,
-// copying it first if an older epoch — a window's start snapshot — owns
-// it. The parts it points to copy themselves on write (chunks, pmap) or
-// are replaced wholesale (fa, impl, res, flows, flowTouch).
-func (m *MCC) ownSnap() *snapshot {
-	if m.snap.epoch != m.epoch {
-		cp := *m.snap
-		cp.epoch = m.epoch
-		m.snap = &cp
+// windowUndo is a stream window's first-write undo record. While armed,
+// it keeps, for every committed function (by name), provider and
+// requirer list (by service) and processor entry (by position) the
+// window's commits write, the value the entry held when the window
+// opened; a name absent then is recorded as absent. Its maps live as
+// long as the controller and are cleared when a window arms them, so a
+// window allocates nothing for its record once they have grown.
+type windowUndo struct {
+	armed     bool
+	fns       map[string]prior[fnEntry]
+	prov, req map[string]prior[[]string]
+	procs     map[int]procState
+}
+
+// prior is an entry's value before a window's first write to it; ok is
+// false for a name the map did not hold.
+type prior[V any] struct {
+	v  V
+	ok bool
+}
+
+// arm starts an empty record.
+func (u *windowUndo) arm() {
+	if u.fns == nil {
+		u.fns, u.prov, u.req = make(map[string]prior[fnEntry]), make(map[string]prior[[]string]), make(map[string]prior[[]string])
+		u.procs = make(map[int]procState)
 	}
-	return m.snap
+	clear(u.fns)
+	clear(u.prov)
+	clear(u.req)
+	clear(u.procs)
+	u.armed = true
+}
+
+// log returns the record while it is armed, else the zero record, whose
+// nil maps record nothing.
+func (u *windowUndo) log() windowUndo {
+	if u.armed {
+		return *u
+	}
+	return windowUndo{}
+}
+
+// put sets dst[k] to v, or deletes k when drop, first keeping k's value
+// in rec unless rec is nil or already keeps one.
+func put[V any](rec map[string]prior[V], dst map[string]V, k string, v V, drop bool) {
+	if rec != nil {
+		if _, seen := rec[k]; !seen {
+			old, ok := dst[k]
+			rec[k] = prior[V]{old, ok}
+		}
+	}
+	if drop {
+		delete(dst, k)
+	} else {
+		dst[k] = v
+	}
+}
+
+// restore writes every value rec keeps back into dst.
+func restore[V any](rec map[string]prior[V], dst map[string]V) {
+	for k, p := range rec {
+		if p.ok {
+			dst[k] = p.v
+		} else {
+			delete(dst, k)
+		}
+	}
 }
 
 // connCommitted reports whether c is a committed row of its client —
 // the committed security verdict of a wiring, since a configuration only
 // commits after every connection passed the cross-domain check. O(degree).
 func (s *snapshot) connCommitted(c model.Connection) bool {
-	return slices.Contains(s.fns.get(security.FunctionName(c.Client)).conns, c)
+	return slices.Contains(s.fns[security.FunctionName(c.Client)].conns, c)
 }
 
 // withName returns the ascending name list with name present (in) or

@@ -3,6 +3,7 @@ package mcc
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -12,13 +13,13 @@ import (
 )
 
 // snapshotView projects a committed snapshot into comparable plain
-// values: every field, with the persistent containers flattened into Go
-// maps and slices (the capacity index node by node, inner nodes included) (their internal layout — bucket order, chunk sharing —
-// depends on the commit history, their content must not) and the
-// function ranks into the function order they define (their values
-// depend on the history too). The architecture memo is left out: it is
-// Deployed's, which the tests compare to a clone-path shadow. Empty lists
-// are normalized to nil.
+// values: every field, with the maps copied (so an emptied map and a
+// fresh one compare equal), the capacity index node by node, inner nodes
+// included, and the function ranks turned into the function order they
+// define (their values depend on the commit history, the order must
+// not). The architecture memo is left out: it is Deployed's, which the
+// tests compare to a clone-path shadow. Empty lists are normalized to
+// nil.
 func snapshotView(s *snapshot) map[string]any {
 	if s == nil {
 		return nil
@@ -32,7 +33,7 @@ func snapshotView(s *snapshot) map[string]any {
 	var capacity []capNode
 	var ranked []fnEntry
 	if s.warm {
-		s.fns.each(func(name string, e fnEntry) {
+		for name, e := range s.fns {
 			ranked = append(ranked, e)
 			fns[name] = *e.fn
 			if len(e.insts) > 0 {
@@ -41,11 +42,10 @@ func snapshotView(s *snapshot) map[string]any {
 			if len(e.conns) > 0 {
 				conns[name] = e.conns
 			}
-		})
-		s.prov.each(func(svc string, names []string) { prov[svc] = names })
-		s.req.each(func(svc string, names []string) { req[svc] = names })
-		for i := 0; i < s.procs.n; i++ {
-			ps := *s.procs.at(i)
+		}
+		maps.Copy(prov, s.prov)
+		maps.Copy(req, s.req)
+		for _, ps := range s.procs {
 			if len(ps.tasks) == 0 {
 				ps.tasks = nil
 			}
@@ -54,9 +54,7 @@ func snapshotView(s *snapshot) map[string]any {
 			}
 			procs = append(procs, ps)
 		}
-		for i := 0; i < s.capacity.n; i++ {
-			capacity = append(capacity, *s.capacity.at(i))
-		}
+		capacity = slices.Clone(s.capacity)
 	}
 	slices.SortFunc(ranked, func(a, b fnEntry) int { return cmp.Compare(a.rank, b.rank) })
 	var order []string
@@ -68,13 +66,10 @@ func snapshotView(s *snapshot) map[string]any {
 		"fns":       fns,
 		"order":     order,
 		"flows":     s.flows,
-		"fnCount":   s.fns.n,
 		"insts":     insts,
 		"conns":     conns,
 		"prov":      prov,
-		"provCount": s.prov.n,
 		"req":       req,
-		"reqCount":  s.req.n,
 		"procs":     procs,
 		"capacity":  capacity,
 		"flowTouch": s.flowTouch,
@@ -188,50 +183,64 @@ func referenceIndex(m *MCC, fa *model.FunctionalArchitecture, insts []model.Inst
 	return ix
 }
 
-// The epoch-owned copy-on-write of the persistent containers: writes
-// under the owning epoch land in place, writes under a newer epoch copy
-// the touched chunk or bucket and leave the older value intact.
-func TestPersistentContainersCopyOnWrite(t *testing.T) {
-	const e0, e1 = 1, 2
-	list := make([]int, 3*chunkSize+1)
-	for i := range list {
-		list[i] = i
+// The timing table is the snapshot's one copy-on-write part, because
+// reports bind the table they were committed with: a patch holds its
+// fills and clears, leaves the receiver unchanged, shares every chunk it
+// does not touch, and copies each chunk it touches once, however many of
+// its slots it writes.
+func TestResTablePatchCopyOnWrite(t *testing.T) {
+	const n = 3*chunkSize + 1
+	fills := make([]committedRes, n)
+	for i := range fills {
+		fills[i].job = timingJob{resource: fmt.Sprint("r", i), slot: int32(i)}
 	}
-	a := chunksFrom(e0, list)
-	a.set(e0, 1, -1) // owned: in place
-	if *a.at(1) != -1 || a.n != len(list) {
-		t.Fatalf("in-place set: at(1)=%d n=%d", *a.at(1), a.n)
+	old := resTableFrom(n, fills[:n-1]) // the last slot, alone in its chunk, empty
+	before := make([]*committedRes, n)
+	for i := range before {
+		before[i] = old.at(i)
 	}
-	start := a
-	a.set(e1, chunkSize+2, -2)
-	a.set(e1, chunkSize+3, -3)
-	if *start.at(chunkSize + 2) != chunkSize+2 || *start.at(chunkSize + 3) != chunkSize+3 {
-		t.Fatal("a newer epoch's write reached the older array")
+	spine := slices.Clone(old.spine)
+
+	// Two slots of chunk 1, the empty last slot (chunk 3) and a clear in
+	// chunk 0; chunk 2 is untouched.
+	patch := []committedRes{
+		{job: timingJob{resource: "x", slot: chunkSize + 2}},
+		{job: timingJob{resource: "y", slot: chunkSize + 3}},
+		{job: timingJob{resource: "z", slot: n - 1}},
 	}
-	if *a.at(chunkSize + 2) != -2 || *a.at(chunkSize + 3) != -3 || *a.at(1) != -1 {
-		t.Fatal("copy-on-write lost a write")
+	clears := []int{1}
+	nt := old.patch(patch, clears)
+
+	for i := range before {
+		if old.at(i) != before[i] {
+			t.Fatalf("patch wrote slot %d of its receiver", i)
+		}
 	}
-	if a.spine[0] != start.spine[0] || a.spine[1] == start.spine[1] {
-		t.Fatal("untouched chunk not shared, or touched chunk not copied")
+	if !slices.Equal(old.spine, spine) || old.loaded != n-1 {
+		t.Fatalf("patch changed its receiver's spine or loaded count (%d)", old.loaded)
+	}
+	for k := range patch {
+		if i := int(patch[k].job.slot); nt.at(i) != &patch[k] {
+			t.Errorf("slot %d holds %v, want the fill", i, nt.get(i).job.resource)
+		}
+	}
+	if nt.at(1) != nil || nt.loaded != n-1 || nt.n != n {
+		t.Errorf("patched table: slot 1 %v, loaded %d, n %d; want empty, %d, %d", nt.at(1), nt.loaded, nt.n, n-1, n)
+	}
+	for ci, shared := range []bool{false, false, true, false} {
+		if got := nt.spine[ci] == old.spine[ci]; got != shared {
+			t.Errorf("chunk %d shared %v, want %v", ci, got, shared)
+		}
+	}
+	if got := nt.get(2); got != before[2] {
+		t.Error("an untouched slot of a copied chunk lost its entry")
 	}
 
-	p := newPmap[int](e0, 0)
-	for i := 0; i < 300; i++ { // grows the spine several times
-		p.put(e0, fmt.Sprint("k", i), i)
+	// The table header, the spine and the three touched chunks, once each.
+	if allocs := testing.AllocsPerRun(10, func() { old.patch(patch, clears) }); allocs != 5 {
+		t.Errorf("patch allocated %.0f times, want 5 (table, spine, three chunks)", allocs)
 	}
-	old := p
-	p.put(e1, "k7", 70)
-	p.del(e1, "k8")
-	p.put(e1, "new", 1)
-	if old.get("k7") != 7 || old.get("k8") != 8 || old.get("new") != 0 || old.n != 300 {
-		t.Fatal("a newer epoch's write reached the older map")
-	}
-	if p.get("k7") != 70 || p.get("k8") != 0 || p.get("new") != 1 || p.n != 300 {
-		t.Fatalf("map after writes: k7=%d k8=%d new=%d n=%d", p.get("k7"), p.get("k8"), p.get("new"), p.n)
-	}
-	seen := 0
-	p.each(func(string, int) { seen++ })
-	if seen != p.n {
-		t.Fatalf("each visited %d entries, n=%d", seen, p.n)
+	if same := old.patch(nil, nil); same != old {
+		t.Error("an empty patch did not return its receiver")
 	}
 }

@@ -217,7 +217,7 @@ func (m *MCC) fastVerdict() (bool, []string) {
 	// Added: no committed flow can reference the new name (flow endpoints
 	// must exist when they commit); only its requires need resolving.
 	for _, svc := range neu.Requires {
-		if len(m.snap.prov.get(svc)) == 0 && !slices.Contains(neu.Provides, svc) {
+		if len(m.snap.prov[svc]) == 0 && !slices.Contains(neu.Provides, svc) {
 			return false, nil
 		}
 	}
@@ -284,8 +284,8 @@ func sortByConstraint(fns []*model.Function) {
 // bestFit is the placement routine of every from-scratch pass: it places
 // every replica of fns, hardest constraints first, over the loads p holds
 // and appends them to out (the warm pass places its one function with
-// place alone). A placer over an index of its own flushes each function's
-// charges into it. It fails on the first replica that fits nowhere.
+// place alone), flushing each function's charges into the placer's own
+// index. It fails on the first replica that fits nowhere.
 func (p *placer) bestFit(fns []*model.Function, out []model.Instance) ([]model.Instance, error) {
 	sortByConstraint(fns)
 	for _, f := range fns {
@@ -295,9 +295,7 @@ func (p *placer) bestFit(fns []*model.Function, out []model.Instance) ([]model.I
 			return out, fmt.Errorf("mcc: no feasible processor for %s#%d (safety %v, util %.1f%%, ram %d KiB)",
 				f.Name, len(out)-n, f.Contract.Safety, float64(utilPPM(f))/10000, f.Contract.Resources.RAMKiB)
 		}
-		if p.e != 0 {
-			p.flush()
-		}
+		p.flush()
 	}
 	return out, nil
 }
@@ -318,7 +316,7 @@ func (m *MCC) mapWarmStart() (tech *model.TechnicalArchitecture, kept, placed in
 	}
 
 	p := &placer{m: m, tree: m.snap.capacity}
-	old := m.snap.fns.get(over.name)
+	old := m.snap.fns[over.name]
 	for _, in := range old.insts {
 		if old.fn == nil || !p.discount(old.fn, in.Processor) {
 			return nil, 0, 0, false // stale committed state; decide cold
@@ -344,7 +342,7 @@ func (m *MCC) mapToPlatform(fa *model.FunctionalArchitecture, keep bool) (*model
 	for i := range fa.Functions {
 		total += fa.Functions[i].EffectiveReplicas()
 	}
-	p := &placer{m: m, tree: m.layout.zero, e: m.newEpoch()}
+	p := &placer{m: m, tree: slices.Clone(m.layout.zero)}
 	todo, instances := make([]*model.Function, 0, len(fa.Functions)), make([]model.Instance, 0, total)
 	if keep {
 		todo, instances = m.keepCommitted(p, fa, todo, instances)
@@ -517,7 +515,7 @@ func (v *synthView) instances(name string) []model.Instance {
 	case v.over.touches(name):
 		return v.over.insts
 	}
-	return v.snap.fns.get(name).insts
+	return v.snap.fns[name].insts
 }
 
 // conns returns a client's candidate session rows: re-derived, dropped
@@ -529,23 +527,23 @@ func (v *synthView) conns(name string) []model.Connection {
 	if v.over.touches(name) && v.over.fn == nil {
 		return nil
 	}
-	return v.snap.fns.get(name).conns
+	return v.snap.fns[name].conns
 }
 
 // candNames returns the candidate's provider or requirer list of svc:
 // the overlay's when the change altered it, else the committed one.
-func candNames(over map[string][]string, committed *pmap[[]string], svc string) []string {
+func candNames(over, committed map[string][]string, svc string) []string {
 	if l, ok := over[svc]; ok {
 		return l
 	}
-	return committed.get(svc)
+	return committed[svc]
 }
 
-func (v *synthView) requirers(svc string) []string { return candNames(v.over.req, &v.snap.req, svc) }
+func (v *synthView) requirers(svc string) []string { return candNames(v.over.req, v.snap.req, svc) }
 
 // elected names the candidate's provider of svc ("" if none).
 func (v *synthView) elected(svc string) string {
-	if l := candNames(v.over.prov, &v.snap.prov, svc); len(l) > 0 {
+	if l := candNames(v.over.prov, v.snap.prov, svc); len(l) > 0 {
 		return l[0]
 	}
 	return ""
@@ -803,7 +801,7 @@ func (m *MCC) rewireSessions(look *synthView, over *synthOverlay) (bool, error) 
 			continue
 		}
 		for _, svc := range f.Provides {
-			over.prov[svc] = withName(candNames(over.prov, &m.snap.prov, svc), over.name, slices.Contains(np, svc))
+			over.prov[svc] = withName(candNames(over.prov, m.snap.prov, svc), over.name, slices.Contains(np, svc))
 		}
 		for _, svc := range f.Requires {
 			over.req[svc] = withName(look.requirers(svc), over.name, slices.Contains(nr, svc))
@@ -812,7 +810,7 @@ func (m *MCC) rewireSessions(look *synthView, over *synthOverlay) (bool, error) 
 	for svc, l := range over.prov {
 		// An untouched provider resolves to one value on both sides, which
 		// connTouched never flags.
-		if was := m.snap.prov.get(svc); len(l) == 0 || len(was) == 0 || l[0] != was[0] ||
+		if was := m.snap.prov[svc]; len(l) == 0 || len(was) == 0 || l[0] != was[0] ||
 			connTouched(m.snap.fn(l[0]), look.fn(l[0])) {
 			for _, c := range look.requirers(svc) {
 				clients[c] = true
@@ -896,7 +894,7 @@ func (m *MCC) synthesizeIncremental() (*model.ImplementationModel, error) {
 	// mapping.
 	over := &m.synth
 	look := &synthView{snap: m.snap, over: over}
-	committed := m.snap.fns.get(over.name).insts
+	committed := m.snap.fns[over.name].insts
 
 	// Processors affected by the change: wherever the touched function's
 	// instances were (committed lookup), or now are (overlay), ascending
@@ -1701,12 +1699,11 @@ func (m *MCC) monitorDelta() []MonitorSpec {
 // --- Stage 6: commit -------------------------------------------------------
 
 // commitStage commits the accepted configuration — the first write of the
-// attempt. Under partial synthesis the next snapshot is the committed one
-// with the diff-touched parts written under the current epoch (copied
-// first when a window's start snapshot owns them); a from-scratch attempt
-// builds a fresh snapshot. The values a snapshot holds (task slices,
-// result slices, function copies) are immutable once built, so reports
-// and rollback points may alias them.
+// attempt. Under partial synthesis the committed snapshot takes the
+// diff-touched parts in place; a from-scratch attempt builds a fresh
+// snapshot. The values a snapshot holds (task slices, result slices,
+// function copies) are immutable once built, so reports and a window's
+// undo record may alias them.
 func (m *MCC) commitStage() []string {
 	if m.att.warm {
 		m.commitIncremental()
@@ -1716,10 +1713,9 @@ func (m *MCC) commitStage() []string {
 	// The just-committed table backs the accepted report's
 	// materialize-on-demand whole-table handle (Report.FullTiming /
 	// FullMonitors). Later commits install new tables without disturbing
-	// this one, and the chunked
-	// copy-on-write patching keeps the shared storage alive at O(diff)
-	// cost per commit. A pending entry it holds is filled by its window
-	// before the report reaches its caller.
+	// this one, and the chunked copy-on-write patching keeps the shared
+	// storage alive at O(diff) cost per commit. A pending entry it holds
+	// is filled by its window before the report reaches its caller.
 	m.att.rep.committed = m.snap.res
 	return nil
 }
@@ -1757,13 +1753,16 @@ func (m *MCC) committedFills() []committedRes {
 	return fills
 }
 
-// commitFull builds a fresh snapshot from this attempt's artifacts. A
-// window's start snapshot is left as it was.
+// commitFull builds a fresh snapshot from this attempt's artifacts. Inside
+// a stream window it ends the window's undo record: later commits write
+// the fresh snapshot's containers, not the window start's, so the record
+// keeps what the commits before this one overwrote and nothing more.
 func (m *MCC) commitFull() {
 	// A wholesale rebuild replaces all incremental state with values
 	// derived from this attempt's artifacts, so any quarantine imposed by
 	// the degradation ladder is lifted: the suspect state is gone.
 	m.quarantined = false
+	m.undo.armed = false
 
 	// The from-scratch job list holds every loaded resource: each job
 	// fills its slot, every other slot stays empty.
@@ -1772,21 +1771,22 @@ func (m *MCC) commitFull() {
 }
 
 // commitIncremental writes the footprint-sized artifacts of a
-// partial-synthesis attempt into the next snapshot: the timing table is
-// patched from this attempt's job list and cleared slots, and the touched
-// function, the rewired clients' rows, the provider and requirer lists
-// the change altered and the affected processors are written under the
-// current epoch. Everything else keeps its committed entry by the splice
-// invariant. An attempt that materialized its candidate installs it as
-// the architecture memo (its order is the rank order: an update keeps its
-// place, an addition appends, a removal closes the gap); otherwise
-// Deployed rebuilds it on demand.
+// partial-synthesis attempt into the committed snapshot, in place: the
+// timing table is patched from this attempt's job list and cleared
+// slots, and the touched function, the rewired clients' rows, the
+// provider and requirer lists the change altered and the affected
+// processors are written, each first kept in the window's undo record
+// when one is armed. Everything else keeps its committed entry by the
+// splice invariant. An attempt that materialized its candidate installs
+// it as the architecture memo (its order is the rank order: an update
+// keeps its place, an addition appends, a removal closes the gap);
+// otherwise Deployed rebuilds it on demand.
 func (m *MCC) commitIncremental() {
 	// Committed table: every job fills its slot and every resource that
 	// lost its last load clears its slot, copy-on-write — spine plus
-	// affected chunks, O(diff) — leaving the previous table (a window's
-	// start snapshot, a bound report's view) intact and shared.
-	res := m.snap.res.patch(m.newEpoch(), m.committedFills(), m.scratch.clears)
+	// affected chunks, O(diff) — leaving the previous table (a bound
+	// report's view, a window start's) intact and shared.
+	res := m.snap.res.patch(m.committedFills(), m.scratch.clears)
 
 	// The candidate, if the attempt materialized it; a flow-cutting
 	// removal materializes it for its flow list.
@@ -1794,7 +1794,7 @@ func (m *MCC) commitIncremental() {
 	if m.att.flowsCut {
 		whole = m.candidate()
 	}
-	n, e, over := m.ownSnap(), m.epoch, m.att.synth
+	n, over, u := m.snap, m.att.synth, m.undo.log()
 	n.impl, n.res, n.fa = m.att.impl, res, whole
 	// The flow list and index change only when the change cuts flows;
 	// they are replaced, never written in place.
@@ -1807,45 +1807,42 @@ func (m *MCC) commitIncremental() {
 	// rows, and the instance count adjusts by the same delta; then every
 	// rewired client, touched or not, takes its re-derived rows.
 	if over.name != "" {
-		old := n.fns.get(over.name)
+		old := n.fns[over.name]
 		n.instTotal += len(over.insts) - len(old.insts)
-		if over.fn == nil {
-			n.fns.del(e, over.name)
-		} else {
+		ent := fnEntry{rank: old.rank, insts: over.insts, conns: old.conns}
+		if over.fn != nil {
 			if old.fn == nil {
-				old.rank = n.nextSeq
+				ent.rank = n.nextSeq
 				n.nextSeq++
 			}
 			cp := *over.fn
-			n.fns.put(e, over.name, fnEntry{&cp, old.rank, over.insts, old.conns})
+			ent.fn = &cp
 		}
+		put(u.fns, n.fns, over.name, ent, over.fn == nil)
 	}
 	for name, rows := range over.conns {
-		ent := n.fns.get(name)
+		ent := n.fns[name]
 		ent.conns = rows
-		n.fns.put(e, name, ent)
+		put(u.fns, n.fns, name, ent, false)
 	}
-	putNames(&n.prov, e, over.prov)
-	putNames(&n.req, e, over.req)
+	// Altered name lists replace the committed ones; emptied ones go.
+	for svc, l := range over.prov {
+		put(u.prov, n.prov, svc, l, len(l) == 0)
+	}
+	for svc, l := range over.req {
+		put(u.req, n.req, svc, l, len(l) == 0)
+	}
 	// Affected processors take their rebuilt task and resident lists, and
 	// every processor the warm start discounted or placed on takes its
 	// overlay load into the capacity index.
 	for _, pn := range over.affected {
-		n.procs.set(e, m.procIdx[pn], procState{over.tasksOn[pn], over.instsOn[pn]})
+		i := m.procIdx[pn]
+		if _, seen := u.procs[i]; u.procs != nil && !seen {
+			u.procs[i] = n.procs[i]
+		}
+		n.procs[i] = procState{over.tasksOn[pn], over.instsOn[pn]}
 	}
 	for _, o := range m.att.over {
-		m.layout.set(&n.capacity, e, o)
-	}
-}
-
-// putNames writes the altered name lists of services under epoch e,
-// dropping the emptied ones.
-func putNames(p *pmap[[]string], e uint64, lists map[string][]string) {
-	for svc, l := range lists {
-		if len(l) == 0 {
-			p.del(e, svc)
-		} else {
-			p.put(e, svc, l)
-		}
+		m.layout.set(n.capacity, o)
 	}
 }

@@ -35,8 +35,10 @@ import (
 //     checked as the timing stage would and written into the entry in
 //     place. If any fails (a missed deadline, an analysis error or an
 //     injected fault), the controller rolls back to the window-start
-//     snapshot, dropping the window's entries with it, and replays the
-//     window serially on the warm analyzer.
+//     snapshot — its header, kept by value, with the first-write undo
+//     record written back (see beginWindow) — dropping the window's
+//     entries with it, and replays the window serially on the warm
+//     analyzer.
 //
 // The scheduler owns the MCC for the duration of Run: it is not safe to
 // propose changes from other goroutines concurrently.
@@ -200,6 +202,7 @@ verify:
 		p.report.TimingDelta = delta
 	}
 	if verified {
+		m.undo.armed = false
 		s.stats.Speculated += len(changes)
 		return reports
 	}
@@ -260,26 +263,38 @@ func schedulable(results []cpa.Result) bool {
 	return true
 }
 
-// beginWindow opens a window's rollback point in O(1), whatever the
-// platform size. All committed state lives in one snapshot whose parts
-// copy themselves on write under the controller's epoch (snapshot.go),
-// and no proposal writes anything before its commit stage. A fresh epoch
-// leaves every part of the start snapshot to older epochs, so the
-// window's commits copy whatever they write; the start snapshot it
-// returns is the rollback point.
-func (m *MCC) beginWindow() *snapshot {
-	m.epoch = m.newEpoch()
-	return m.snap
+// beginWindow opens a window's rollback point: it arms the undo record
+// and returns the snapshot header by value. Commits write the snapshot in
+// place (snapshot.go), and no proposal writes anything before its commit
+// stage, so the header and the record's first-write values are the whole
+// window-start state: O(1) to open, and O(window writes) to keep.
+func (m *MCC) beginWindow() snapshot {
+	m.undo.arm()
+	return *m.snap
 }
 
-// rollbackWindow restores the controller to the window-start state by
-// re-installing the start snapshot pointer; the window's discarded
-// reports, and the committed-table entries only they reach, are dropped
-// with it.
-func (m *MCC) rollbackWindow(start *snapshot) {
-	m.snap = start
+// rollbackWindow restores the controller to the window-start state: the
+// undo record's values go back into the start header's maps and slices,
+// the capacity index is re-derived from them, and the start header is
+// installed. The window's discarded reports, and the committed-table
+// entries only they reach, are dropped with it. A from-scratch commit
+// inside the window installed containers of its own and ended the
+// record, so the start's containers hold exactly the record's writes.
+func (m *MCC) rollbackWindow(start snapshot) {
+	u := &m.undo
+	u.armed = false
+	restore(u.fns, start.fns)
+	restore(u.prov, start.prov)
+	restore(u.req, start.req)
+	for i, ps := range u.procs {
+		start.procs[i] = ps
+	}
+	if start.warm {
+		m.capacityIndex(start.capacity, start.procs, start.fns)
+	}
+	m.snap = &start
 	// Fault-injection hook modeling a corrupted start snapshot (e.g. a
-	// chunk lost to memory corruption): the incremental state is purged
+	// record lost to memory corruption): the incremental state is purged
 	// and the controller quarantined — every subsequent proposal runs the
 	// pinned from-scratch path until an accepted commit rebuilds the
 	// snapshot wholesale.

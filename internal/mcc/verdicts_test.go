@@ -54,11 +54,11 @@ func assertSecCacheMirrorsConnections(t *testing.T, label string, m *MCC) {
 		wantRows[name] = append(wantRows[name], c)
 	}
 	gotRows := make(map[string][]model.Connection)
-	m.snap.fns.each(func(name string, e fnEntry) {
+	for name, e := range m.snap.fns {
 		if len(e.conns) > 0 {
 			gotRows[name] = e.conns
 		}
-	})
+	}
 	if !reflect.DeepEqual(gotRows, wantRows) {
 		t.Fatalf("%s: committed client rows diverge from the deployed connections:\nrows %v\nwant %v", label, gotRows, wantRows)
 	}
@@ -77,17 +77,15 @@ func assertSecCacheMirrorsConnections(t *testing.T, label string, m *MCC) {
 	}
 	for _, idx := range []struct {
 		name      string
-		committed *pmap[[]string]
+		committed map[string][]string
 		want      map[string][]string
-	}{{"provider", &m.snap.prov, wantProv}, {"requirer", &m.snap.req, wantReq}} {
-		got := make(map[string][]string)
-		idx.committed.each(func(svc string, names []string) { got[svc] = names })
+	}{{"provider", m.snap.prov, wantProv}, {"requirer", m.snap.req, wantReq}} {
 		for _, names := range idx.want {
 			slices.Sort(names)
 		}
-		if !reflect.DeepEqual(got, idx.want) || idx.committed.n != len(idx.want) {
-			t.Fatalf("%s: committed %s lists diverge from the deployed architecture:\ncommitted %v (n=%d)\nwant      %v",
-				label, idx.name, got, idx.committed.n, idx.want)
+		if !reflect.DeepEqual(idx.committed, idx.want) {
+			t.Fatalf("%s: committed %s lists diverge from the deployed architecture:\ncommitted %v\nwant      %v",
+				label, idx.name, idx.committed, idx.want)
 		}
 	}
 }

@@ -206,6 +206,77 @@ func TestProposalAllocsFlatAcrossPlatformSize(t *testing.T) {
 	}
 }
 
+// A verified stream window commits its changes in place, as serial
+// proposals do, and rolls back only from its first-write undo record, so
+// a window decision costs about what the same change proposed serially
+// costs: the window's own bookkeeping (its analysis map, pending entries
+// and timing deltas) stays within 512 B per decision. A window that
+// copied what its commits write would pay several kilobytes more.
+func TestStreamWindowAllocsNearSerial(t *testing.T) {
+	const procs, slack = 1024, 512
+	streamed, fleet := deployGenerated(t, procs)
+	serial, _ := deployGenerated(t, procs)
+	window := restoringWindow(fleet)
+	sched := mcc.NewStreamScheduler(streamed)
+	_, streamBytes := perProposal(func() {
+		for i, rep := range sched.Run(window) {
+			if !rep.Accepted {
+				t.Fatalf("window change %d (%s) rejected at %s: %v", i, window[i], rep.RejectedAt, rep.Findings)
+			}
+		}
+	}, len(window))
+	if st := sched.Stats(); st.Replays != 0 || st.Speculated != st.Windows*len(window) {
+		t.Fatalf("windows not verified: %s", st)
+	}
+	_, serialBytes := perProposal(func() {
+		for i, c := range window {
+			var rep *mcc.Report
+			if c.Update != nil {
+				rep = serial.ProposeUpdate(*c.Update)
+			} else {
+				rep = serial.ProposeRemoval(c.Remove)
+			}
+			if !rep.Accepted {
+				t.Fatalf("serial change %d (%s) rejected at %s: %v", i, c, rep.RejectedAt, rep.Findings)
+			}
+		}
+	}, len(window))
+	t.Logf("%dp: %.0f B per window decision, %.0f B per serial proposal", procs, streamBytes, serialBytes)
+	if streamBytes > serialBytes+slack {
+		t.Errorf("%dp: a window decision allocates %.0f B, over the serial proposal's %.0f B plus %d B",
+			procs, streamBytes, serialBytes, slack)
+	}
+}
+
+// restoringWindow is one stream window of 16 feasible changes that leaves
+// the committed state as it found it: six standalone apps updated, two
+// telemetry functions added and removed, and the six apps reverted.
+func restoringWindow(fleet *Fleet) []mcc.Change {
+	var apps []model.Function
+	for _, f := range fleet.Baseline.Functions {
+		if strings.HasPrefix(f.Name, "app") && len(apps) < 6 {
+			apps = append(apps, f)
+		}
+	}
+	out := make([]mcc.Change, 0, 16)
+	for _, f := range apps {
+		f.Contract.RealTime.WCETUS++
+		out = append(out, mcc.Change{Update: &f})
+	}
+	for _, name := range []string{"telem-a", "telem-b"} {
+		out = append(out, mcc.Change{Update: &model.Function{Name: name, Contract: model.Contract{
+			Safety:    model.QM,
+			RealTime:  model.RealTimeContract{PeriodUS: 100000, WCETUS: 3000},
+			Resources: model.ResourceContract{RAMKiB: 64},
+		}}})
+	}
+	out = append(out, mcc.Change{Remove: "telem-a"}, mcc.Change{Remove: "telem-b"})
+	for _, f := range apps {
+		out = append(out, mcc.Change{Update: &f})
+	}
+	return out
+}
+
 // The from-scratch deploy — the baseline deploy, every fleet registration
 // and crash rebuild, the degradation ladder's pinned pass and every cold
 // retry — validates each artifact once, builds its lookup index once, and
